@@ -18,12 +18,13 @@ from repro.experiments.workload import PerNodeWorkload
 def _sweep():
     rows = []
     for n in (200, 800):
-        for stack in (False, True):
+        for structure in ("queue", "stack"):
             workload = PerNodeWorkload(n, rate=1.0, insert_probability=0.5, seed=3)
-            result = run_experiment(workload, n, rounds=60, stack=stack, seed=3)
+            result = run_experiment(workload, n, rounds=60, structure=structure,
+                                    seed=3)
             rows.append(
                 {
-                    "structure": "stack" if stack else "queue",
+                    "structure": structure,
                     "n": n,
                     "requests": result.generated,
                     "max_batch_len": result.max_batch_len,

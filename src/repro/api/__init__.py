@@ -75,10 +75,9 @@ def connect(
     the class count) semantics; any registered structure name is
     accepted (see :mod:`repro.core.structures`).  Engine tuning goes
     through ``profile=`` (an :class:`~repro.sim.profile.EngineProfile`:
-    ``safety_tick``, ``timeout_lag``, ``shuffle_delivery`` — identical
-    typing on every backend; the loose kwargs of the same names remain
-    as deprecated aliases).  Remaining kwargs are backend-specific
-    (cluster options on the simulators;
+    ``safety_tick``, ``timeout_lag`` — identical typing on every
+    backend).  Remaining kwargs are backend-specific (cluster options on
+    the simulators, e.g. the sync runner's ``shuffle_delivery=``;
     ``n_hosts``/``host_map``/``deployment`` and launch options on TCP).
     """
     spec = get_structure(structure)

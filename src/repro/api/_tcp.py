@@ -77,7 +77,7 @@ class TcpBackend:
                     f"asked for a {structure!r}"
                 )
             self.n_processes = info["n_processes"]
-            self.n_priorities = info.get("n_priorities", 4)
+            self.n_priorities = info["n_priorities"]
         except BaseException:
             self.close()
             raise

@@ -31,15 +31,15 @@ class OpHandle:
     )
 
     def __init__(self, backend, req_id: int, kind: int, pid: int,
-                 item: object, stack: bool = False,
-                 structure: str | None = None, priority: int = 0) -> None:
+                 item: object, structure: str = "queue",
+                 priority: int = 0) -> None:
         self._backend = backend
         self.req_id = req_id
         self.kind = kind
         self.pid = pid
         self.item = item
         self.priority = priority  # Skeap class of a heap INSERT
-        self._structure = structure or ("stack" if stack else "queue")
+        self._structure = structure
 
     # -- future-like surface ---------------------------------------------------
     def done(self) -> bool:

@@ -103,13 +103,11 @@ class SkueueCluster:
         seed: int = 0,
         runner: str = "sync",
         delay_policy=None,
-        shuffle_delivery: bool | None = None,
+        shuffle_delivery: bool = True,
         store_samples: bool = False,
         salt: str | None = None,
         n_priorities: int = 4,
         profile: EngineProfile | None = None,
-        safety_tick: float | None = None,
-        timeout_lag: float | None = None,
         trace_sample: float = 0.0,
     ) -> None:
         if n_processes < 1:
@@ -118,29 +116,23 @@ class SkueueCluster:
         self.node_class = spec.node_class
         self.rng = RngStreams(seed)
         metrics = Metrics(store_samples=store_samples)
-        # ``shuffle_delivery``/``safety_tick``/``timeout_lag`` are the
-        # deprecated loose aliases of the profile fields (see
-        # EngineProfile.merge); a passed profile is the preferred spelling
-        self.profile = EngineProfile.merge(
-            profile,
-            safety_tick=safety_tick,
-            timeout_lag=timeout_lag,
-            shuffle_delivery=shuffle_delivery,
-        )
+        profile = profile if profile is not None else EngineProfile()
         if runner == "sync":
             self.runtime = SyncRunner(
                 self.rng,
                 metrics,
-                shuffle_delivery=self.profile.shuffle_delivery,
-                safety_tick=self.profile.safety_tick,
+                # sync-only: shuffle each round's delivery order (the
+                # non-FIFO channels of the asynchronous model)
+                shuffle_delivery=shuffle_delivery,
+                safety_tick=profile.safety_tick,
             )
         elif runner == "async":
             self.runtime = AsyncRunner(
                 self.rng,
                 metrics,
                 delay_policy=delay_policy,
-                timeout_lag=self.profile.timeout_lag,
-                safety_tick=self.profile.safety_tick,
+                timeout_lag=profile.timeout_lag,
+                safety_tick=profile.safety_tick,
             )
         else:
             raise ValueError(f"unknown runner {runner!r}")

@@ -108,11 +108,8 @@ _KIND_NAMES = {
 }
 
 
-def kind_name(kind: int, stack: bool = False, structure: str | None = None) -> str:
-    """Human name of an operation kind; ``structure`` wins over the
-    legacy ``stack`` flag."""
-    if structure is None:
-        structure = "stack" if stack else "queue"
+def kind_name(kind: int, structure: str = "queue") -> str:
+    """Human name of an operation kind on ``structure``."""
     return _KIND_NAMES.get(structure, _KIND_NAMES["queue"])[kind]
 
 

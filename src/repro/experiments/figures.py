@@ -45,7 +45,7 @@ def figure2(
     for n in sizes:
         for p in probabilities:
             workload = FixedRateWorkload(n, p, requests_per_round=rate, seed=seed)
-            result = run_experiment(workload, n, rounds, stack=False, seed=seed,
+            result = run_experiment(workload, n, rounds, seed=seed,
                                     max_drain_rounds=max_drain_rounds)
             row = result.row()
             row["figure"] = "fig2"
@@ -64,7 +64,7 @@ def figure3(
     for n in sizes:
         for p in probabilities:
             workload = FixedRateWorkload(n, p, requests_per_round=rate, seed=seed)
-            result = run_experiment(workload, n, rounds, stack=True, seed=seed,
+            result = run_experiment(workload, n, rounds, structure="stack", seed=seed,
                                     max_drain_rounds=max_drain_rounds)
             row = result.row()
             row["figure"] = "fig3"
@@ -90,13 +90,14 @@ def figure4(
     rounds = rounds or (1000 if full_scale() else 150)
     out = []
     for rate in rates:
-        for stack in (False, True):
+        for structure in ("queue", "stack"):
             workload = PerNodeWorkload(n, rate, insert_probability=0.5, seed=seed)
-            result = run_experiment(workload, n, rounds, stack=stack, seed=seed)
+            result = run_experiment(workload, n, rounds, structure=structure,
+                                    seed=seed)
             row = result.row()
             row["figure"] = "fig4"
             row["rate"] = rate
-            row["structure"] = "stack" if stack else "queue"
+            row["structure"] = structure
             row["annihilated"] = result.annihilated
             out.append(row)
     return out

@@ -47,18 +47,17 @@ def run_experiment(
     workload,
     n_processes: int,
     rounds: int,
-    stack: bool = False,
+    structure: str = "queue",
     seed: int = 0,
     max_drain_rounds: int = 100_000,
     verify: bool = False,
-    structure: str | None = None,
     n_priorities: int = 4,
     profile=None,
 ) -> ExperimentResult:
     """Drive ``workload`` for ``rounds`` rounds, drain, and report.
 
     ``structure`` names any registered structure (``"heap"`` takes
-    ``n_priorities``); the legacy ``stack`` flag remains as shorthand.
+    ``n_priorities``).
     Workload rounds may yield ``(pid, kind)`` pairs or — for
     priority-aware workloads — ``(pid, kind, priority)`` triples.
 
@@ -73,7 +72,7 @@ def run_experiment(
     """
     session = connect(
         "sync",
-        structure=structure or ("stack" if stack else "queue"),
+        structure=structure,
         n_processes=n_processes,
         seed=seed,
         max_rounds=max_drain_rounds,

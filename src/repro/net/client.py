@@ -41,6 +41,7 @@ Typical (direct) use::
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net.membership import ClusterMap
@@ -57,6 +58,9 @@ from repro.telemetry import trace_sampled
 
 __all__ = ["SkueueClient"]
 
+#: Queries a client puts to every host, and the frame answering each.
+_QUERY_ANSWERS = {"collect": "records", "metrics": "metrics"}
+
 
 class SkueueClient:
     """Asyncio client for a :class:`~repro.net.launcher.NetDeployment`.
@@ -69,11 +73,10 @@ class SkueueClient:
     end up speaking different codecs to different hosts of one
     deployment.
 
-    ``coalesce`` turns on submit coalescing: submissions issued in the
-    same event-loop tick (or within ``coalesce_window`` seconds, if
-    nonzero) to the same host are flushed as a single ``submit_batch``
-    frame with one buffered socket write.  Order per host is the
-    buffer's append order, so per-client submission order is preserved.
+    Submissions issued in the same event-loop tick to the same host are
+    flushed as a single ``submit_batch`` frame with one buffered socket
+    write.  Order per host is the buffer's append order, so per-client
+    submission order is preserved.
 
     ``trace_sample`` turns on client-side trace sampling: each req_id
     that wins the deterministic draw (see
@@ -94,8 +97,6 @@ class SkueueClient:
         host_map: dict[int, tuple[str, int]],
         *,
         codec: str = "auto",
-        coalesce: bool = True,
-        coalesce_window: float = 0.0,
         trace_sample: float = 0.0,
     ) -> None:
         self.host_map = {int(k): (v[0], int(v[1])) for k, v in host_map.items()}
@@ -105,14 +106,12 @@ class SkueueClient:
             self._offered = [codec]
         else:
             raise ValueError(f"unknown wire codec {codec!r}")
-        self.coalesce = bool(coalesce)
-        self.coalesce_window = coalesce_window
         self.trace_sample = float(trace_sample)
         self._send_codecs: dict[int, str] = {}  # host -> negotiated codec
         self._submit_buf: dict[int, list[tuple]] = {}  # host -> queued subs
         self._flush_tasks: dict[int, asyncio.Task] = {}
         self.n_hosts = len(self.host_map)
-        self.id_slots = self.n_hosts  # refined by the welcome handshake
+        self.id_slots = self.n_hosts  # the cluster map's, once connected
         self.cluster: ClusterMap | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._readers: dict[int, asyncio.Task] = {}
@@ -122,8 +121,10 @@ class SkueueClient:
         self._pending_meta: dict[int, tuple[int, int, object]] = {}
         self._redirects: dict[int, int] = {}  # replacement req -> original
         self._results: dict[int, object] = {}
-        self._collect_futures: dict[int, asyncio.Future] = {}
-        self._metrics_futures: dict[int, asyncio.Future] = {}
+        # answer op -> host -> FIFO of futures awaiting that answer
+        self._reply_waiters: dict[str, dict[int, deque]] = {
+            answer: {} for answer in _QUERY_ANSWERS.values()
+        }
         self._welcome_futures: dict[int, asyncio.Future] = {}
         self._host_locks: dict[int, asyncio.Lock] = {}
         self.deployment_info: dict = {}  # shape learned from `welcome`
@@ -132,7 +133,6 @@ class SkueueClient:
         self.last_update_over: dict = {}
         self._retry_rr = 0
         self._closed = False
-        self._map_replies = 0  # host_map frames applied (refresh_map waits)
 
     # -- lifecycle -----------------------------------------------------------
     async def connect(self, timeout: float | None = 10.0) -> "SkueueClient":
@@ -156,32 +156,22 @@ class SkueueClient:
             first = welcomes[0]
             self.deployment_info = {
                 key: first[key]
-                for key in ("n_hosts", "n_processes", "structure")
+                for key in ("n_hosts", "n_processes", "structure",
+                            "n_priorities")
             }
-            # legacy hosts predate the heap: default the class count
-            self.deployment_info["n_priorities"] = first.get("n_priorities", 4)
-            self.id_slots = first.get("id_slots", self.n_hosts)
             # adopt the deployment's advertised sampling rate unless the
             # caller pinned one: launch_local(trace_sample=...) then
             # traces every client's submissions at that rate for free
             if self.trace_sample == 0.0:
-                self.trace_sample = float(first.get("trace_sample", 0.0))
-            if "map" in first:
-                self._apply_map_json(first["map"], force=True)
-                # reconcile against the authoritative member list
-                for index in list(self.cluster.hosts):
-                    await asyncio.wait_for(self._ensure_host(index), timeout)
-                for index in [
-                    i for i in self._writers if i not in self.cluster.hosts
-                ]:
-                    self._drop_host(index)
-            elif self.deployment_info["n_hosts"] != self.n_hosts:
-                # legacy host without a cluster map: a partial host_map
-                # would mis-shard every submission; fail fast
-                raise ValueError(
-                    f"host_map names {self.n_hosts} hosts but the "
-                    f"deployment has {self.deployment_info['n_hosts']}"
-                )
+                self.trace_sample = float(first["trace_sample"])
+            self._apply_map_json(first["map"], force=True)
+            # reconcile against the authoritative member list
+            for index in list(self.cluster.hosts):
+                await asyncio.wait_for(self._ensure_host(index), timeout)
+            for index in [
+                i for i in self._writers if i not in self.cluster.hosts
+            ]:
+                self._drop_host(index)
         except BaseException:
             await self.close()
             raise
@@ -211,7 +201,7 @@ class SkueueClient:
                 ) from exc
         finally:
             self._welcome_futures.pop(index, None)
-        if welcome.get("host", index) != index:
+        if welcome["host"] != index:
             # a permuted/stale host_map would mis-shard every submission
             # keyed by this index: fail fast instead of looping rejections
             self._drop_host(index)
@@ -220,7 +210,7 @@ class SkueueClient:
                 f"{welcome['host']} answered"
             )
         self._nonces[index] = welcome["nonce"]
-        chosen = welcome.get("codec", CODEC_JSON)
+        chosen = welcome["codec"]
         self._send_codecs[index] = (
             chosen if chosen in self._offered else CODEC_JSON
         )
@@ -239,8 +229,7 @@ class SkueueClient:
             else:
                 address = self.host_map[index]
             welcome = await self._open_host(index, address)
-            if "map" in welcome:
-                self._apply_map_json(welcome["map"])
+            self._apply_map_json(welcome["map"])
 
     def _fail_welcome(self, index: int) -> None:
         future = self._welcome_futures.pop(index, None)
@@ -264,6 +253,7 @@ class SkueueClient:
         self._send_codecs.pop(index, None)
         self._submit_buf.pop(index, None)
         self._flush_tasks.pop(index, None)
+        self._fail_queries(index)
 
     async def close(self) -> None:
         self._closed = True
@@ -307,18 +297,14 @@ class SkueueClient:
 
     def live_pids(self) -> list[int]:
         """Pids currently accepting submissions (drain-aware)."""
-        if self.cluster is not None:
-            return self.cluster.live_pids()
-        return list(range(self.deployment_info.get("n_processes", 0)))
+        return self.cluster.live_pids()
 
     # -- submitting operations -----------------------------------------------
     def host_for(self, pid: int) -> int:
-        if self.cluster is not None:
-            owner = self.cluster.owner_of(pid)
-            if owner is None:
-                raise KeyError(f"pid {pid} is not in the cluster map")
-            return owner
-        return pid % self.n_hosts
+        owner = self.cluster.owner_of(pid)
+        if owner is None:
+            raise KeyError(f"pid {pid} is not in the cluster map")
+        return owner
 
     async def enqueue(self, pid: int, item: object = None) -> int:
         """Issue ENQUEUE(item) at process ``pid``; returns the req_id."""
@@ -340,7 +326,7 @@ class SkueueClient:
     def _next_req_id(self, host: int) -> int:
         seq = self._counters.get(host, 0)
         self._counters[host] = seq + 1
-        return pack_req_id(self._nonces.get(host, 0), seq, host, self.id_slots)
+        return pack_req_id(self._nonces[host], seq, host, self.id_slots)
 
     def _check_priority(self, kind: int, priority: int) -> None:
         from repro.core.structures import check_priority
@@ -358,11 +344,9 @@ class SkueueClient:
                       priority: int = 0) -> int:
         """Stage one submission for its host (flush/drain separately).
 
-        Without coalescing the frame is written immediately (one frame
-        per submit, the seed path).  With coalescing it joins the host's
-        submit buffer; the first entry schedules a flush for the next
-        loop tick (or ``coalesce_window`` seconds out), so every
-        submission staged meanwhile rides the same ``submit_batch``.
+        It joins the host's submit buffer; the first entry schedules a
+        flush for the next loop tick, so every submission staged
+        meanwhile rides the same ``submit_batch``.
         """
         host = self.host_for(pid)
         req_id = self._next_req_id(host)
@@ -371,7 +355,7 @@ class SkueueClient:
         traced = self.trace_sample > 0.0 and trace_sampled(
             req_id, self.trace_sample
         )
-        if not self.coalesce or traced:
+        if traced:
             # traced submissions bypass the coalesce buffer: the `tr`
             # tag rides only on standalone submit frames (batch rows
             # have no slot for it), and a sampled op should not have its
@@ -380,8 +364,7 @@ class SkueueClient:
                      "item": encode_payload(item)}
             if priority:
                 frame["pri"] = priority
-            if traced:
-                frame["tr"] = req_id
+            frame["tr"] = req_id
             self._write(host, frame)
             return req_id
         buffer = self._submit_buf.setdefault(host, [])
@@ -395,8 +378,7 @@ class SkueueClient:
     async def _flush_later(self, host: int) -> None:
         # sleep(0) = "the next loop tick": everything submitted in the
         # current tick batches, idle submitters pay zero added latency
-        await asyncio.sleep(self.coalesce_window if self.coalesce_window > 0
-                            else 0)
+        await asyncio.sleep(0)
         if self._flush_tasks.get(host) is asyncio.current_task():
             await self._flush_submits(host)
 
@@ -428,8 +410,7 @@ class SkueueClient:
 
     async def _drain_submits(self, host: int) -> None:
         """Hand everything staged for ``host`` to the transport."""
-        if self.coalesce:
-            await self._flush_submits(host)
+        await self._flush_submits(host)
         writer = self._writers.get(host)
         if writer is not None:
             await writer.drain()
@@ -440,15 +421,12 @@ class SkueueClient:
         host = self.host_for(pid)
         await self._ensure_host(host)
         req_id = self._queue_submit(pid, kind, item, priority)
-        if self.coalesce:
-            # await the shared flush task instead of flushing inline:
-            # concurrent submitters suspend here, the flush runs once
-            # with all of their entries in the buffer
-            task = self._flush_tasks.get(host)
-            if task is not None:
-                await task
-        else:
-            await self._writers[host].drain()
+        # await the shared flush task instead of flushing inline:
+        # concurrent submitters suspend here, the flush runs once
+        # with all of their entries in the buffer
+        task = self._flush_tasks.get(host)
+        if task is not None:
+            await task
         return req_id
 
     async def submit_many(
@@ -528,9 +506,8 @@ class SkueueClient:
 
     async def _flush_all(self) -> None:
         """Flush every host's staged submissions (before waiting)."""
-        if self.coalesce:
-            for host in list(self._submit_buf):
-                await self._flush_submits(host)
+        for host in list(self._submit_buf):
+            await self._flush_submits(host)
 
     # -- completions ----------------------------------------------------------
     async def wait(self, req_id: int, timeout: float | None = 30.0):
@@ -601,10 +578,6 @@ class SkueueClient:
             return BOTTOM
         return result[1]  # unwrap the (req_id, item) element tag
 
-    @property
-    def pending_count(self) -> int:
-        return sum(1 for f in self._pending.values() if not f.done())
-
     # -- history / introspection ----------------------------------------------
     async def collect_records(
         self, timeout: float | None = 30.0
@@ -615,19 +588,11 @@ class SkueueClient:
         out are served by the coordinator, which adopted their archives
         at retirement — the merged history stays complete across churn.
         """
-        loop = asyncio.get_running_loop()
         await self._flush_all()
         if self.cluster is not None:
             for index in list(self.cluster.hosts):
                 await self._ensure_host(index)
-        for index, writer in self._writers.items():
-            self._collect_futures[index] = loop.create_future()
-            self._write(index, {"op": "collect"})
-            await writer.drain()
-        replies = await asyncio.wait_for(
-            asyncio.gather(*self._collect_futures.values()), timeout
-        )
-        self._collect_futures.clear()
+        replies = await self._query_hosts({"op": "collect"}, timeout)
         records: list[OpRecord] = []
         for reply in replies:
             records.extend(record_from_wire(data) for data in reply["records"])
@@ -636,76 +601,57 @@ class SkueueClient:
         records.sort(key=lambda rec: rec.req_id)
         return records
 
-    async def refresh_map(self, timeout: float | None = 10.0) -> None:
-        """Pull the current cluster map from a connected host.
+    async def _query_hosts(
+        self, query: dict, timeout: float | None
+    ) -> list[dict]:
+        """Send ``query`` to every connected host; gather the answers.
 
-        Blocks until the ``host_map`` answer has been applied (or
-        ``timeout`` elapses), so callers may rely on :meth:`live_pids`
-        reflecting at least the answering host's view on return."""
-        before = self._map_replies
-        for index, writer in self._writers.items():
-            self._write(index, {"op": "map"})
-            await writer.drain()
-            break
-        else:
-            return
-        deadline = (
-            asyncio.get_running_loop().time() + timeout
-            if timeout is not None else None
-        )
-        while self._map_replies == before:
-            if deadline is not None and (
-                asyncio.get_running_loop().time() > deadline
-            ):
-                raise TimeoutError(f"no host_map answer within {timeout}s")
-            await asyncio.sleep(0.02)
-
-    async def host_metrics(self, timeout: float | None = 30.0) -> dict[int, dict]:
-        """Per-host metrics summaries."""
+        Replies on one connection are FIFO, so each host keeps a queue
+        of waiters per answer type and the read loop resolves the
+        oldest: overlapping calls each get their own answer.
+        """
         loop = asyncio.get_running_loop()
-        for index, writer in self._writers.items():
-            self._metrics_futures[index] = loop.create_future()
-            self._write(index, {"op": "metrics"})
+        waiters = self._reply_waiters[_QUERY_ANSWERS[query["op"]]]
+        futures = []
+        for index, writer in list(self._writers.items()):
+            future = loop.create_future()
+            waiters.setdefault(index, deque()).append(future)
+            futures.append(future)
+            self._write(index, query)
             await writer.drain()
-        replies = await asyncio.wait_for(
-            asyncio.gather(*self._metrics_futures.values()), timeout
-        )
-        self._metrics_futures.clear()
-        return {reply["host"]: reply["summary"] for reply in replies}
+        return await asyncio.wait_for(asyncio.gather(*futures), timeout)
+
+    def _fail_queries(self, index: int) -> None:
+        """Host ``index``'s connection is gone: its queued queries can
+        never be answered (and must not pair with a successor
+        connection's replies)."""
+        for waiters in self._reply_waiters.values():
+            for future in waiters.pop(index, ()):
+                if not future.done():
+                    future.set_exception(
+                        ConnectionError(f"host {index} closed mid-query")
+                    )
 
     async def host_telemetry(
         self, timeout: float | None = 30.0
     ) -> dict[int, dict]:
         """Per-host full telemetry answers: ``summary`` (run metrics),
         ``phases`` (per-op trace phase histograms) and ``registry`` (the
-        host's metric registry snapshot).  Hosts predating the telemetry
-        plane answer with ``summary`` only."""
-        loop = asyncio.get_running_loop()
-        for index, writer in self._writers.items():
-            self._metrics_futures[index] = loop.create_future()
-            self._write(index, {"op": "metrics"})
-            await writer.drain()
-        replies = await asyncio.wait_for(
-            asyncio.gather(*self._metrics_futures.values()), timeout
-        )
-        self._metrics_futures.clear()
+        host's metric registry snapshot)."""
         return {
             reply["host"]: {
-                "summary": reply.get("summary", {}),
-                "phases": reply.get("phases", {}),
-                "registry": reply.get("registry", {}),
+                "summary": reply["summary"],
+                "phases": reply["phases"],
+                "registry": reply["registry"],
             }
-            for reply in replies
+            for reply in await self._query_hosts({"op": "metrics"}, timeout)
         }
 
-    async def shutdown_hosts(self) -> None:
-        """Ask every host to stop (the launcher also reaps processes)."""
-        for index, writer in list(self._writers.items()):
-            try:
-                self._write(index, {"op": "shutdown"})
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+    async def host_metrics(self, timeout: float | None = 30.0) -> dict[int, dict]:
+        """Per-host run-metrics summaries (:meth:`host_telemetry`'s
+        ``summary`` part)."""
+        telemetry = await self.host_telemetry(timeout)
+        return {host: data["summary"] for host, data in telemetry.items()}
 
     async def _recover_lost(self, index: int) -> None:
         """A host's connection ended: resubmit its in-limbo requests.
@@ -729,6 +675,7 @@ class SkueueClient:
         # here so a late flush cannot duplicate the resubmissions below
         self._submit_buf.pop(index, None)
         self._flush_tasks.pop(index, None)
+        self._fail_queries(index)
         for req_id in list(self._pending):
             future = self._pending.get(req_id)
             if future is None or future.done():
@@ -781,17 +728,14 @@ class SkueueClient:
                 )
             elif op == "host_map":
                 self._apply_map_json(message.get("map"))
-                self._map_replies += 1
             elif op == "update_over":
                 self.last_update_over = message
-            elif op == "records":
-                future = self._collect_futures.get(index)
-                if future is not None and not future.done():
-                    future.set_result(message)
-            elif op == "metrics":
-                future = self._metrics_futures.get(index)
-                if future is not None and not future.done():
-                    future.set_result(message)
+            elif op in self._reply_waiters:
+                waiters = self._reply_waiters[op].get(index)
+                if waiters:
+                    future = waiters.popleft()
+                    if not future.done():  # its caller timed out
+                        future.set_result(message)
             elif op == "welcome":
                 future = self._welcome_futures.get(index)
                 if future is not None and not future.done():

@@ -33,7 +33,6 @@ import asyncio
 import json
 import os
 import select
-import socket
 import subprocess
 import sys
 import threading
@@ -42,13 +41,8 @@ from pathlib import Path
 
 from repro.core.structures import structure_names
 from repro.net.membership import ClusterMap
-from repro.net.server import (
-    HostConfig,
-    install_uvloop,
-    run_host,
-    run_joining_host,
-)
-from repro.net.transport import WIRE_CODECS, FrameReader, encode_frame
+from repro.net.server import HostConfig, run_host, run_joining_host
+from repro.net.transport import WIRE_CODECS, request
 from repro.sim.profile import EngineProfile
 from repro.telemetry import maybe_profile, profile_env_prefix
 
@@ -106,25 +100,6 @@ def _drain_stdout(proc: subprocess.Popen) -> None:
     threading.Thread(target=pump, daemon=True).start()
 
 
-def _sync_request(
-    address: tuple[str, int], message: dict, expect_op: str, timeout: float = 10.0
-) -> dict:
-    """One blocking request/response round-trip (used by the launcher only)."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall(encode_frame(message))
-        sock.settimeout(timeout)
-        frames = FrameReader()
-        while True:
-            data = sock.recv(65536)
-            if not data:
-                raise ConnectionError(f"host at {address} closed the connection")
-            for reply in frames.feed(data):
-                if reply.get("op") == expect_op:
-                    return reply
-                if reply.get("op") == "error":
-                    raise RuntimeError(reply.get("message"))
-
-
 class NetDeployment:
     """Handle on a running multi-process deployment (possibly elastic)."""
 
@@ -148,7 +123,7 @@ class NetDeployment:
         self._closed = True
         for address in self.host_map.values():
             try:
-                _sync_request(address, {"op": "shutdown"}, "bye", timeout=2.0)
+                request(address, {"op": "shutdown"}, "bye", timeout=2.0)
             except (OSError, RuntimeError, ConnectionError):
                 pass
         deadline = time.monotonic() + grace
@@ -185,15 +160,24 @@ class NetDeployment:
         last_error: Exception | None = None
         for address in list(self.host_map.values()):
             try:
-                reply = _sync_request(address, {"op": "map"}, "host_map",
-                                      timeout=5.0)
+                reply = request(address, {"op": "map"}, "host_map",
+                                timeout=5.0)
                 return ClusterMap.from_json(reply["map"])
             except (OSError, RuntimeError, ConnectionError) as exc:
                 last_error = exc
         raise RuntimeError(f"no live host answered a map pull: {last_error}")
 
-    def _sync_map(self, cluster: ClusterMap) -> None:
-        self.host_map = dict(cluster.hosts)
+    def _wait_gone(self, index: int, timeout: float, complaint: str) -> None:
+        """Block until the cluster map no longer names host ``index``."""
+        deadline = time.monotonic() + timeout
+        while True:
+            cluster = self.cluster_map()
+            if index not in cluster.hosts:
+                self.host_map = dict(cluster.hosts)
+                return
+            if time.monotonic() > deadline:
+                raise TimeoutError(complaint)
+            time.sleep(0.2)
 
     def add_host(
         self,
@@ -241,7 +225,7 @@ class NetDeployment:
         address = self.host_map[index]
         deadline = time.monotonic() + timeout
         while True:
-            reply = _sync_request(address, {"op": "ping"}, "pong", timeout=5.0)
+            reply = request(address, {"op": "ping"}, "pong", timeout=5.0)
             if reply.get("wired") and not reply.get("joining"):
                 return
             if time.monotonic() > deadline:
@@ -263,21 +247,11 @@ class NetDeployment:
         the call blocks until the host is gone from the cluster map.
         """
         address = self.host_map[index]
-        _sync_request(address, {"op": "leave", "host": index}, "leaving",
-                      timeout=10.0)
-        if not wait:
-            return
-        deadline = time.monotonic() + timeout
-        while True:
-            cluster = self.cluster_map()
-            if index not in cluster.hosts:
-                self._sync_map(cluster)
-                return
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"host {index} still draining after {timeout}s"
-                )
-            time.sleep(0.2)
+        request(address, {"op": "leave", "host": index}, "leaving",
+                timeout=10.0)
+        if wait:
+            self._wait_gone(index, timeout,
+                            f"host {index} still draining after {timeout}s")
 
     def kill_host(
         self, index: int, wait_evicted: bool = True, timeout: float = 30.0
@@ -299,20 +273,10 @@ class NetDeployment:
         proc.kill()
         proc.wait()
         self.host_map.pop(index, None)
-        if not wait_evicted:
-            return
-        deadline = time.monotonic() + timeout
-        while True:
-            cluster = self.cluster_map()
-            if index not in cluster.hosts:
-                self._sync_map(cluster)
-                return
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"host {index} still in the cluster map {timeout}s "
-                    "after SIGKILL (no eviction)"
-                )
-            time.sleep(0.2)
+        if wait_evicted:
+            self._wait_gone(index, timeout,
+                            f"host {index} still in the cluster map "
+                            f"{timeout}s after SIGKILL (no eviction)")
 
 
 def launch_local(
@@ -321,14 +285,11 @@ def launch_local(
     seed: int = 0,
     structure: str = "queue",
     round_seconds: float = 0.01,
-    timeout_lag: float = 0.004,
-    sweep_seconds: float = 0.25,
     ready_timeout: float = 30.0,
     id_slots: int = 0,
     n_priorities: int = 4,
     profile: "EngineProfile | None" = None,
     codec: "str | list[str] | tuple[str, ...]" = "binary",
-    coalesce: bool = True,
     trace_sample: float = 0.0,
     trace_slow_ms: float = 0.0,
 ) -> NetDeployment:
@@ -342,31 +303,29 @@ def launch_local(
     ``"json"`` for a wire you can read in a packet dump).  Receiving is
     always codec-agnostic, so a per-host sequence (e.g. ``["json",
     "binary", "json"]``) builds a deliberately mixed-codec deployment —
-    the cross-codec e2e tests deploy exactly that.  ``coalesce=False``
-    restores the one-frame-per-write seed behaviour (the baseline leg of
-    ``benchmarks/bench_load.py``).
+    the cross-codec e2e tests deploy exactly that.
 
     ``id_slots`` fixes the req_id origin-residue modulus, which caps how
     many host indices the deployment can ever hand out; the default
-    (``n_hosts``) reproduces the static id scheme bit for bit, so pass
-    something larger (e.g. 16) when hosts will join at runtime.
+    is ``n_hosts``, so pass something larger (e.g. 16) when hosts will
+    join at runtime.
 
-    ``profile`` is the unified engine tuning surface (see
+    ``profile`` is the engine tuning surface (see
     :class:`repro.sim.profile.EngineProfile`); its round-unit fields are
-    scaled by ``round_seconds`` into the wall-clock knobs this runtime
-    actually uses (``timeout_lag`` seconds, ``sweep_seconds`` — with
-    ``safety_tick=0`` disabling the sweep).  The loose
-    ``timeout_lag=``/``sweep_seconds=`` kwargs remain as deprecated
-    wall-clock aliases and are overridden by an explicit profile.
+    scaled by ``round_seconds`` into the wall-clock settings this
+    runtime uses (``HostConfig.timeout_lag`` and ``.sweep_seconds`` —
+    ``safety_tick=0`` disables the sweep).  ``None`` keeps the
+    :class:`~repro.net.server.HostConfig` defaults.
 
     ``trace_sample`` sets every host's per-op trace sampling rate (the
     telemetry plane, see DESIGN.md); ``trace_slow_ms`` keeps a flight
     ring of ops slower than the threshold, served by ``skueue-ops
     trace --slow``.  Both default off.
     """
-    if profile is not None:
-        timeout_lag = profile.timeout_lag * round_seconds
-        sweep_seconds = profile.safety_tick * round_seconds
+    tuning = {} if profile is None else {
+        "timeout_lag": profile.timeout_lag * round_seconds,
+        "sweep_seconds": profile.safety_tick * round_seconds,
+    }
     if n_hosts < 1:
         raise ValueError("need at least one host")
     if n_processes < n_hosts:
@@ -396,15 +355,13 @@ def launch_local(
                 seed=seed,
                 structure=structure,
                 round_seconds=round_seconds,
-                timeout_lag=timeout_lag,
-                sweep_seconds=sweep_seconds,
                 epoch=epoch,
                 id_slots=id_slots,
                 n_priorities=n_priorities,
                 codec=codecs[index],
-                coalesce=coalesce,
                 trace_sample=trace_sample,
                 trace_slow_ms=trace_slow_ms,
+                **tuning,
             )
             proc = subprocess.Popen(
                 [
@@ -431,7 +388,7 @@ def launch_local(
         genesis = ClusterMap.genesis(host_map, n_processes, id_slots)
         peers = {str(i): list(addr) for i, addr in host_map.items()}
         for index, address in host_map.items():
-            reply = _sync_request(
+            reply = request(
                 address,
                 {"op": "wire", "peers": peers, "map": genesis.to_json()},
                 "wired",
@@ -455,7 +412,6 @@ def launch_local(
             "id_slots": id_slots,
             "n_priorities": n_priorities,
             "codec": codecs,
-            "coalesce": coalesce,
             "trace_sample": trace_sample,
             "trace_slow_ms": trace_slow_ms,
         },
@@ -527,22 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--structure", choices=structure_names(), default="queue",
                       help="which distributed structure to deploy")
-    demo.add_argument("--safety-tick", type=float, default=None,
-                      help="rounds between safety sweeps (0 disables; "
-                           "EngineProfile units, scaled by the round length)")
-    demo.add_argument("--timeout-lag", type=float, default=None,
-                      help="TIMEOUT scheduling lag in rounds "
-                           "(EngineProfile units)")
     demo.add_argument("--codec", choices=WIRE_CODECS, default="binary",
                       help="wire codec the hosts send (frames are "
                            "self-describing, so clients may differ)")
-    demo.add_argument("--no-coalesce", action="store_true",
-                      help="one frame per socket write (the pre-batching "
-                           "behaviour; mainly for A/B measurements)")
 
     args = parser.parse_args(argv)
     if args.command == "serve":
-        install_uvloop()  # optional accelerator; stdlib loop otherwise
         config = HostConfig.from_json(json.loads(args.config_json))
         # per-host CPU profiles for wire/hot-path work (documented in
         # TESTING.md): SKUEUE_PROFILE=/tmp/run -> /tmp/run-host<i>.prof
@@ -550,7 +496,6 @@ def main(argv: list[str] | None = None) -> int:
             asyncio.run(run_host(config, ready_prefix=_READY_PREFIX))
         return 0
     if args.command == "join":
-        install_uvloop()
         seed_host, _, seed_port = args.seed.rpartition(":")
         asyncio.run(
             run_joining_host(
@@ -563,15 +508,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
     if args.command == "demo":
-        profile = None
-        if args.safety_tick is not None or args.timeout_lag is not None:
-            profile = EngineProfile.merge(
-                None, safety_tick=args.safety_tick, timeout_lag=args.timeout_lag
-            )
         with launch_local(
             args.hosts, args.processes, seed=args.seed,
-            structure=args.structure, profile=profile,
-            codec=args.codec, coalesce=not args.no_coalesce,
+            structure=args.structure, codec=args.codec,
         ) as deployment:
             summary = asyncio.run(_demo(deployment, args.ops, args.seed))
         print(json.dumps(summary))

@@ -39,7 +39,7 @@ import random
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
 from repro.core.cluster import spawn_nodes
@@ -65,6 +65,7 @@ from repro.net.transport import (
     read_frame,
     record_from_wire,
     record_to_wire,
+    request_async,
 )
 from repro.overlay.ldb import (
     LEFT,
@@ -80,11 +81,18 @@ from repro.sim.metrics import Metrics
 from repro.telemetry import MetricsRegistry, Tracer, render_run_metrics
 from repro.util.hashing import heap_position_key, label_of, position_key
 
-__all__ = ["HostConfig", "NodeHost", "coalesce_frames", "install_uvloop"]
+__all__ = ["PER_HOST_FIELDS", "HostConfig", "NodeHost", "coalesce_frames"]
 
 #: Seconds an actor message may wait for a cluster-map update that names
 #: its destination pid before it is declared undeliverable.
 _UNROUTED_GRACE = 10.0
+
+#: Seconds a drained host stays up after handing its archive over, so
+#: peers can still push stragglers through its forwarding table.
+_RETIRE_LINGER = 0.5
+
+#: :class:`HostConfig` fields that describe one host, not the deployment.
+PER_HOST_FIELDS = ("host_index", "bind_host", "port", "owned", "ops_port")
 
 
 @dataclass(slots=True)
@@ -105,7 +113,7 @@ class HostConfig:
     # "heap" (Skeap), ... — see repro.core.structures
     structure: str = "queue"
     salt: str = field(default="")
-    # fixed req_id origin-residue modulus; 0 means n_hosts (static legacy)
+    # fixed req_id origin-residue modulus; 0 means n_hosts
     id_slots: int = 0
     # Skeap priority class count (ignored by queue/stack deployments)
     n_priorities: int = 4
@@ -128,8 +136,6 @@ class HostConfig:
     # wire codec this host *sends* (receiving is always codec-agnostic:
     # frames are self-describing); "json" keeps the wire debuggable
     codec: str = "binary"
-    # batch outbox/peer frames into single buffered socket writes
-    coalesce: bool = True
     # -- telemetry plane (PR 9) ----------------------------------------------
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)
@@ -158,37 +164,17 @@ class HostConfig:
             if pid % self.n_hosts == self.host_index
         ]
 
-    def owner_host(self, pid: int) -> int:
-        """Genesis sharding rule (live deployments consult the ClusterMap)."""
-        return pid % self.n_hosts
-
     def to_json(self) -> dict:
-        return {
-            "host_index": self.host_index,
-            "n_hosts": self.n_hosts,
-            "n_processes": self.n_processes,
-            "seed": self.seed,
-            "bind_host": self.bind_host,
-            "port": self.port,
-            "round_seconds": self.round_seconds,
-            "timeout_lag": self.timeout_lag,
-            "sweep_seconds": self.sweep_seconds,
-            "epoch": self.epoch,
-            "structure": self.structure,
-            "salt": self.salt,
-            "id_slots": self.id_slots,
-            "n_priorities": self.n_priorities,
-            "owned": self.owned,
-            "ops_port": self.ops_port,
-            "heartbeat_seconds": self.heartbeat_seconds,
-            "miss_threshold": self.miss_threshold,
-            "confirm_seconds": self.confirm_seconds,
-            "replication": self.replication,
-            "codec": self.codec,
-            "coalesce": self.coalesce,
-            "trace_sample": self.trace_sample,
-            "trace_slow_ms": self.trace_slow_ms,
-        }
+        return asdict(self)
+
+    def shared_json(self) -> dict:
+        """The deployment-wide settings a joining host copies from the
+        coordinator (the ``join_ok`` reply's ``config``): every field
+        except :data:`PER_HOST_FIELDS`, which the joiner sets itself."""
+        data = asdict(self)
+        for name in PER_HOST_FIELDS:
+            del data[name]
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "HostConfig":
@@ -251,7 +237,6 @@ class _Connection:
         # update_over) — peers and the launcher never read them
         self.is_client = False
         self.codec = CODEC_JSON  # send codec; hello negotiation upgrades
-        self.coalesce = host.config.coalesce
 
     def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -292,13 +277,6 @@ class _Connection:
         while True:
             try:
                 message = await self.outbox.get()
-                if not self.coalesce:
-                    # the seed path: one frame, one write, one drain
-                    data = encode_frame(message, codec_for(message, self.codec))
-                    self.writer.write(data)
-                    self.host.count_write(1, len(data))
-                    await self.writer.drain()
-                    continue
                 # natural batching: everything already queued rides this
                 # wakeup — zero added latency when idle, deep batches
                 # under load
@@ -346,16 +324,14 @@ class _PeerLink:
     #: (a crashed peer would otherwise be dialled forever; `send` re-arms)
     MAX_ATTEMPTS = 40
 
-    #: frames folded into one `batch` wrapper per write when coalescing
+    #: frames folded into one `batch` wrapper per write
     MAX_BATCH = 64
 
     def __init__(self, address: tuple[str, int], src: int,
-                 codec: str = CODEC_JSON, coalesce: bool = True,
-                 on_write=None) -> None:
+                 codec: str = CODEC_JSON, on_write=None) -> None:
         self.address = address
         self.src = src
         self.codec = codec
-        self.coalesce = coalesce
         # telemetry hook: called (frames, bytes) after each socket write
         self.on_write = on_write
         self.outbox: asyncio.Queue = asyncio.Queue()
@@ -477,12 +453,11 @@ class _PeerLink:
                 while True:
                     if not self._in_flight:
                         self._in_flight = [await self.outbox.get()]
-                        if self.coalesce:
-                            # natural batching: whatever queued while we
-                            # were writing/draining rides the next flush
-                            while (len(self._in_flight) < self.MAX_BATCH
-                                   and not self.outbox.empty()):
-                                self._in_flight.append(self.outbox.get_nowait())
+                        # natural batching: whatever queued while we
+                        # were writing/draining rides the next flush
+                        while (len(self._in_flight) < self.MAX_BATCH
+                               and not self.outbox.empty()):
+                            self._in_flight.append(self.outbox.get_nowait())
                     blob = self.encode_batch(self._in_flight)
                     writer.write(blob)
                     if self.on_write is not None:
@@ -529,8 +504,7 @@ class NodeHost:
         self.errors: list[str] = []
         self._op_counts: dict[int, int] = {}
         self._submitters: dict[int, _Connection] = {}
-        # client nonces start at 1: nonce 0 is the legacy single-client
-        # id space (`req_id = seq * id_slots + host`), kept collision-free
+        # per-connection req_id nonces handed out in `welcome` (from 1)
         self._next_nonce = 1
         self._stopped: asyncio.Event | None = None
         # peer frames racing our own `wire` frame (a peer that was wired
@@ -757,35 +731,34 @@ class NodeHost:
         self.connections.discard(conn)
 
     # -- bootstrap (the `wire` frame) ----------------------------------------
-    def _wire(self, peers: dict[int, tuple[str, int]], map_json: dict | None) -> None:
+    def _wire(self, map_json: dict) -> None:
         config = self.config
-        if map_json is not None:
-            incoming = ClusterMap.from_json(map_json)
-            if self.cluster is None or incoming.version > self.cluster.version:
-                self.cluster = incoming
-        elif self.cluster is None:
-            # legacy wire frame without a map: synthesise the genesis view
-            self.cluster = ClusterMap.genesis(
-                dict(peers), config.n_processes, config.id_slots
-            )
+        incoming = ClusterMap.from_json(map_json)
+        if self.cluster is None or incoming.version > self.cluster.version:
+            self.cluster = incoming
         self._sync_peer_links()
         if self.wired:
             return
         self.topology = LdbTopology(list(range(config.n_processes)), salt=config.salt)
-        self.ctx = ClusterContext(
+        self.ctx = self._new_context(len(self.topology))
+        spawn_nodes(self.ctx, self.topology, self.node_class, pids=config.owned_pids)
+        self._finish_wiring()
+
+    def _new_context(self, n_nodes: int) -> ClusterContext:
+        """The actors' shared context, for an overlay of ``n_nodes``."""
+        ctx = ClusterContext(
             self.runtime,
-            salt=config.salt,
-            route_steps=route_steps_for(len(self.topology)),
+            salt=self.config.salt,
+            route_steps=route_steps_for(n_nodes),
             insert_name=self.spec.insert_name,
             remove_name=self.spec.remove_name,
             empty_name=self.spec.empty_name,
-            n_priorities=config.n_priorities,
+            n_priorities=self.config.n_priorities,
             on_update_over=self._update_over,
             tracer=self.tracer,
         )
-        self.ctx.records = self.records
-        spawn_nodes(self.ctx, self.topology, self.node_class, pids=config.owned_pids)
-        self._finish_wiring()
+        ctx.records = self.records
+        return ctx
 
     def wire_joining(self, cluster_map: ClusterMap) -> None:
         """Bootstrap of a host joining a live deployment.
@@ -799,18 +772,7 @@ class NodeHost:
         config = self.config
         self.cluster = cluster_map
         self._sync_peer_links()
-        self.ctx = ClusterContext(
-            self.runtime,
-            salt=config.salt,
-            route_steps=route_steps_for(3 * max(1, len(cluster_map.pid_owner))),
-            insert_name=self.spec.insert_name,
-            remove_name=self.spec.remove_name,
-            empty_name=self.spec.empty_name,
-            n_priorities=config.n_priorities,
-            on_update_over=self._update_over,
-            tracer=self.tracer,
-        )
-        self.ctx.records = self.records
+        self.ctx = self._new_context(3 * max(1, len(cluster_map.pid_owner)))
         for pid in config.owned_pids:
             mid = label_of(pid, salt=config.salt)
             for kind in (LEFT, MIDDLE, RIGHT):
@@ -854,7 +816,6 @@ class NodeHost:
                     (address[0], int(address[1])),
                     self.config.host_index,
                     codec=self.config.codec,
-                    coalesce=self.config.coalesce,
                     on_write=self.count_write,
                 )
                 self.peers[index] = link
@@ -920,11 +881,6 @@ class NodeHost:
                 link.send({"op": "host_map", "map": map_json})
 
     # -- remote messaging ----------------------------------------------------
-    def _owner_of(self, pid: int) -> int | None:
-        if self.cluster is not None:
-            return self.cluster.owner_of(pid)
-        return self.config.owner_host(pid)
-
     def _send_remote(self, dest: int, action: int, payload: tuple) -> None:
         if self._stopping or self._recovering:
             # mid-recovery the wave engine is being torn down: a stale
@@ -932,7 +888,7 @@ class NodeHost:
             # re-derives from records — and the fresh cluster map no
             # longer matches the old topology's vid numbering
             return
-        owner = self._owner_of(pid_of(dest))
+        owner = self.cluster.owner_of(pid_of(dest))
         if owner == self.config.host_index:
             # destination departed locally with no forward: protocol bug
             self.note_error(
@@ -971,7 +927,7 @@ class NodeHost:
     def _replay_unrouted(self) -> None:
         parked, self._unrouted = self._unrouted, []
         for stamped_at, dest, action, payload in parked:
-            owner = self._owner_of(pid_of(dest))
+            owner = self.cluster.owner_of(pid_of(dest))
             if owner is not None and owner in self.peers:
                 self.peers[owner].send(
                     {"op": "msg", "dest": dest, "action": action,
@@ -1068,8 +1024,8 @@ class NodeHost:
 
     @staticmethod
     def _complete_fields(message: dict) -> dict:
-        """Decode a `complete` frame's sync fields.  A bare legacy frame
-        (no value/done keys) means "done"; rich frames say so explicitly."""
+        """Decode a `complete` frame's sync fields (inverse of
+        :meth:`_complete_frame`)."""
         fields: dict = {}
         if "value" in message:
             fields["value"] = message["value"]
@@ -1077,7 +1033,7 @@ class NodeHost:
             fields["result"] = decode_payload(message["result"])
         if message.get("local_match"):
             fields["local_match"] = True
-        if message.get("done", "value" not in message):
+        if message.get("done"):
             fields["done"] = True
         return fields
 
@@ -1181,22 +1137,23 @@ class NodeHost:
                         unpacked["pri"] = sub[4]
                     self._submit(conn, unpacked)
             elif op == "hello":
+                if self.cluster is None:
+                    # the welcome's cluster map is what clients shard by
+                    conn.send({"op": "error", "message": "host not wired yet"})
+                    return
                 conn.is_client = True
                 nonce = self._next_nonce
                 self._next_nonce += 1
-                # codec negotiation: prefer this host's configured send
-                # codec when the client offered it; JSON otherwise (old
-                # clients send no `codecs` list and keep working)
+                # codec negotiation: this host's configured send codec
+                # when the client offered it; JSON otherwise (a joining
+                # host and the ops tools send no `codecs` offer)
                 conn.codec = negotiate_codec(
                     message.get("codecs"), self.config.codec
                 )
-                reply = {
+                conn.send({
                     "op": "welcome",
                     "host": self.config.host_index,
-                    "n_hosts": (
-                        len(self.cluster.hosts) if self.cluster is not None
-                        else self.config.n_hosts
-                    ),
+                    "n_hosts": len(self.cluster.hosts),
                     "n_processes": self.config.n_processes,
                     "structure": self.config.structure,
                     "nonce": nonce,
@@ -1204,15 +1161,10 @@ class NodeHost:
                     "n_priorities": self.config.n_priorities,
                     "codec": conn.codec,
                     "trace_sample": self.config.trace_sample,
-                }
-                if self.cluster is not None:
-                    reply["map"] = self.cluster.to_json()
-                conn.send(reply)
+                    "map": self.cluster.to_json(),
+                })
             elif op == "wire":
-                self._wire(
-                    {int(k): v for k, v in message["peers"].items()},
-                    message.get("map"),
-                )
+                self._wire(message["map"])
                 conn.send({"op": "wired", "host": self.config.host_index})
             elif op == "host_map":
                 incoming = ClusterMap.from_json(message["map"])
@@ -1361,33 +1313,12 @@ class NodeHost:
             conn.send({"op": "error", "message": str(exc)})
             return
         self._join_reservations[host_index] = pids
-        config = self.config
         conn.send(
             {
                 "op": "join_ok",
                 "host": host_index,
                 "pids": pids,
-                "config": {
-                    "n_hosts": config.n_hosts,
-                    "n_processes": config.n_processes,
-                    "seed": config.seed,
-                    "round_seconds": config.round_seconds,
-                    "timeout_lag": config.timeout_lag,
-                    "sweep_seconds": config.sweep_seconds,
-                    "epoch": config.epoch,
-                    "structure": config.structure,
-                    "salt": config.salt,
-                    "id_slots": config.id_slots,
-                    "n_priorities": config.n_priorities,
-                    "heartbeat_seconds": config.heartbeat_seconds,
-                    "miss_threshold": config.miss_threshold,
-                    "confirm_seconds": config.confirm_seconds,
-                    "replication": config.replication,
-                    "codec": config.codec,
-                    "coalesce": config.coalesce,
-                    "trace_sample": config.trace_sample,
-                    "trace_slow_ms": config.trace_slow_ms,
-                },
+                "config": self.config.shared_json(),
                 "map": self.cluster.to_json(),
             }
         )
@@ -1497,16 +1428,7 @@ class NodeHost:
         }
         for _attempt in range(20):
             try:
-                reader, writer = await asyncio.open_connection(*address)
-                writer.write(encode_frame(frame))
-                await writer.drain()
-                while True:
-                    reply = await read_frame(reader)
-                    if reply is None:
-                        raise ConnectionError("coordinator closed mid-retire")
-                    if reply.get("op") == "retired":
-                        break
-                writer.close()
+                await request_async(address, frame, "retired", timeout=None)
                 break
             except (ConnectionError, OSError):
                 await asyncio.sleep(0.25)
@@ -1520,7 +1442,7 @@ class NodeHost:
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.05)
-        await asyncio.sleep(2 * self.config.sweep_seconds)
+        await asyncio.sleep(_RETIRE_LINGER)
         self.stop()
 
     def _handle_retire(self, conn: _Connection, message: dict) -> None:
@@ -1597,7 +1519,7 @@ class NodeHost:
                             f"[0, {self.config.n_priorities}) (req {req_id})"}
             )
             return
-        owner = self._owner_of(pid)
+        owner = self.cluster.owner_of(pid)
         node = self.runtime.actors.get(vid_of(pid, MIDDLE))
         if owner != self.config.host_index or node is None:
             # not rejectable with certainty by the client: its map was
@@ -1995,18 +1917,7 @@ class NodeHost:
         reruns = set(message.get("reruns", ()))
         pids = sorted(self.cluster.pid_owner)
         self.topology = LdbTopology(pids, salt=config.salt)
-        self.ctx = ClusterContext(
-            self.runtime,
-            salt=config.salt,
-            route_steps=route_steps_for(len(self.topology)),
-            insert_name=self.spec.insert_name,
-            remove_name=self.spec.remove_name,
-            empty_name=self.spec.empty_name,
-            n_priorities=config.n_priorities,
-            on_update_over=self._update_over,
-            tracer=self.tracer,
-        )
-        self.ctx.records = self.records
+        self.ctx = self._new_context(len(self.topology))
         local_pids = self.cluster.pids_of(config.host_index)
         self.joining_pids.clear()
         nodes = spawn_nodes(
@@ -2137,28 +2048,6 @@ class NodeHost:
         print(entry, flush=True)
 
 
-def install_uvloop() -> bool:
-    """Install uvloop as the event-loop policy, if it is importable.
-
-    uvloop is *optional* (it is not a declared dependency): absent, the
-    stdlib loop serves.  Set ``SKUEUE_UVLOOP=0`` to keep the stdlib loop
-    even when uvloop is installed (e.g. to isolate a loop-dependent
-    bug).  Returns whether uvloop is now in charge.
-    """
-    import os
-
-    if os.environ.get("SKUEUE_UVLOOP", "1").strip().lower() in (
-        "0", "no", "false", "off",
-    ):
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
-
-
 async def run_host(config: HostConfig, ready_prefix: str = "SKUEUE-READY") -> None:
     """Run one host until a `shutdown` frame arrives.
 
@@ -2173,31 +2062,6 @@ async def run_host(config: HostConfig, ready_prefix: str = "SKUEUE-READY") -> No
         # line keep working; `skueue-ops` scrapes this one
         print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
     await host.wait_stopped()
-
-
-async def _async_request(
-    address: tuple[str, int], message: dict, expect_op: str, timeout: float = 10.0
-) -> dict:
-    """One request/response round-trip on a throwaway connection."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(*address), timeout
-    )
-    try:
-        writer.write(encode_frame(message))
-        await writer.drain()
-        while True:
-            reply = await asyncio.wait_for(read_frame(reader), timeout)
-            if reply is None:
-                raise ConnectionError(f"host at {address} closed the connection")
-            if reply.get("op") == expect_op:
-                return reply
-            if reply.get("op") == "error":
-                raise RuntimeError(reply.get("message"))
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
 
 
 async def run_joining_host(
@@ -2221,14 +2085,10 @@ async def run_joining_host(
        virtual nodes, which integrate through the paper's Section-IV
        machinery while clients keep submitting.
     """
-    welcome = await _async_request(seed_address, {"op": "hello"}, "welcome")
-    if "map" not in welcome:
-        raise RuntimeError(
-            "seed host predates live membership (no cluster map in welcome)"
-        )
+    welcome = await request_async(seed_address, {"op": "hello"}, "welcome")
     seed_map = ClusterMap.from_json(welcome["map"])
     coordinator_address = seed_map.hosts[seed_map.coordinator]
-    reply = await _async_request(
+    reply = await request_async(
         coordinator_address, {"op": "join", "pids": n_pids}, "join_ok"
     )
     config = HostConfig(
@@ -2244,7 +2104,7 @@ async def run_joining_host(
     if host.ops_port:
         print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
     host.wire_joining(ClusterMap.from_json(reply["map"]))
-    await _async_request(
+    await request_async(
         coordinator_address,
         {
             "op": "join_commit",

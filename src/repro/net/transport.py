@@ -44,7 +44,9 @@ high bits) travel in plain ``req`` fields.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import struct
 from typing import Iterator
 
@@ -69,6 +71,8 @@ __all__ = [
     "read_frame",
     "record_from_wire",
     "record_to_wire",
+    "request",
+    "request_async",
     "write_frame",
 ]
 
@@ -140,7 +144,7 @@ FRAME_TYPES: dict[str, str] = {
     "forwards": "draining host -> coordinator: incremental vid forwards",
     "retire": "drained host -> coordinator: records/forwards handoff",
     "retired": "coordinator -> drained host: handoff accepted, safe to stop",
-    "map": "client -> host: pull the current cluster map",
+    "map": "any -> host: pull the current cluster map",
     "host_map": "host -> peers/clients: versioned cluster map (push or pull answer)",
     "update_over": "host -> clients: an update phase finished (epoch, members)",
     # crash-stop fault tolerance + ops plane
@@ -654,3 +658,57 @@ async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> dict | None:
 def write_frame(writer, message: dict, codec: str = CODEC_JSON) -> None:
     """Queue one frame on an ``asyncio.StreamWriter`` (drain separately)."""
     writer.write(encode_frame(message, codec))
+
+
+# -- one-shot request/response -------------------------------------------------
+
+
+def request(
+    address: tuple[str, int], message: dict, expect_op: str, timeout: float = 10.0
+) -> dict:
+    """One blocking request/response round-trip on a throwaway socket
+    (the launcher's and the ops CLI's way to talk to a host).
+
+    No ``hello`` is sent, so the host answers in JSON.  Frames other
+    than ``expect_op`` are skipped; an ``error`` answer raises.
+    """
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(encode_frame(message))
+        sock.settimeout(timeout)
+        frames = FrameReader()
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                raise ConnectionError(f"host at {address} closed the connection")
+            for reply in frames.feed(data):
+                if reply.get("op") == expect_op:
+                    return reply
+                if reply.get("op") == "error":
+                    raise RuntimeError(reply.get("message"))
+
+
+async def request_async(
+    address: tuple[str, int], message: dict, expect_op: str,
+    timeout: float | None = 10.0,
+) -> dict:
+    """:func:`request` for callers already on an event loop: a joining
+    and a retiring host (``timeout=None`` waits indefinitely)."""
+    reader, writer = await asyncio.wait_for(
+        asyncio.open_connection(*address), timeout
+    )
+    try:
+        writer.write(encode_frame(message))
+        await writer.drain()
+        while True:
+            reply = await asyncio.wait_for(read_frame(reader), timeout)
+            if reply is None:
+                raise ConnectionError(f"host at {address} closed the connection")
+            if reply.get("op") == expect_op:
+                return reply
+            if reply.get("op") == "error":
+                raise RuntimeError(reply.get("message"))
+    finally:
+        try:
+            writer.close()
+        except Exception:
+            pass

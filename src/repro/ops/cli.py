@@ -34,40 +34,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 import time
 from urllib.error import URLError
 from urllib.request import urlopen
 
-from repro.net.transport import FrameReader, encode_frame
+from repro.net.transport import request
 from repro.telemetry import merge_traces, validate_chrome_trace
 
 __all__ = ["main"]
 
-
-def _request(
-    address: tuple[str, int], message: dict, expect_op: str, timeout: float = 5.0
-) -> dict:
-    """One blocking framed round-trip on a throwaway connection."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall(encode_frame(message))
-        sock.settimeout(timeout)
-        frames = FrameReader()
-        while True:
-            data = sock.recv(65536)
-            if not data:
-                raise ConnectionError(f"host at {address} closed the connection")
-            for reply in frames.feed(data):
-                if reply.get("op") == expect_op:
-                    return reply
-                if reply.get("op") == "error":
-                    raise RuntimeError(reply.get("message"))
+#: Seconds an ops probe waits for one host before calling it unreachable.
+_PROBE_TIMEOUT = 5.0
 
 
 def _discover(seed: tuple[str, int]) -> dict[int, tuple[str, int]]:
     """The live host set, from any one host's cluster map."""
-    reply = _request(seed, {"op": "map"}, "host_map")
+    reply = request(seed, {"op": "map"}, "host_map", _PROBE_TIMEOUT)
     hosts = reply["map"]["hosts"]
     return {int(index): (addr[0], int(addr[1])) for index, addr in hosts.items()}
 
@@ -83,7 +66,7 @@ def _collect(
         message["detail"] = detail
     for index, address in sorted(_discover(seed).items()):
         try:
-            payloads[index] = _request(address, dict(message), "health")
+            payloads[index] = request(address, dict(message), "health", _PROBE_TIMEOUT)
         except (OSError, RuntimeError, ConnectionError) as exc:
             failures[index] = str(exc) or type(exc).__name__
     return payloads, failures
@@ -152,7 +135,7 @@ def _ops_addresses(seed: tuple[str, int]) -> dict[int, tuple[str, int]]:
     out: dict[int, tuple[str, int]] = {}
     for index, address in sorted(_discover(seed).items()):
         try:
-            pong = _request(address, {"op": "ping"}, "pong")
+            pong = request(address, {"op": "ping"}, "pong", _PROBE_TIMEOUT)
         except (OSError, RuntimeError, ConnectionError):
             continue
         port = pong.get("ops_port")

@@ -16,10 +16,6 @@ the single knob set, expressed in **round units** on every engine:
   on the event-driven engines, so TIMEOUT races realistically with
   message deliveries.  The sync engine has no lag (TIMEOUT runs at the
   end of the same round's delivery phase).
-* ``shuffle_delivery`` — whether the sync engine shuffles each round's
-  delivery order (models the non-FIFO channels of the asynchronous
-  model).  Ignored by engines whose delivery order is already
-  nondeterministic (async delays, TCP).
 
 The TCP runtime works in seconds; the launcher converts round units via
 its ``round_seconds`` scale (see :func:`repro.net.launcher.launch_local`).
@@ -27,7 +23,7 @@ its ``round_seconds`` scale (see :func:`repro.net.launcher.launch_local`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["EngineProfile"]
 
@@ -38,38 +34,9 @@ class EngineProfile:
 
     safety_tick: float = 64.0
     timeout_lag: float = 0.25
-    shuffle_delivery: bool = True
 
     def __post_init__(self) -> None:
         if self.safety_tick < 0:
             raise ValueError("safety_tick must be >= 0 (0 disables the sweep)")
         if self.timeout_lag <= 0:
             raise ValueError("timeout_lag must be strictly positive")
-
-    @classmethod
-    def merge(
-        cls,
-        profile: "EngineProfile | None" = None,
-        *,
-        safety_tick: float | None = None,
-        timeout_lag: float | None = None,
-        shuffle_delivery: bool | None = None,
-    ) -> "EngineProfile":
-        """Fold the deprecated per-runner kwargs into one profile.
-
-        The loose kwargs (``safety_tick=``, ``timeout_lag=``,
-        ``shuffle_delivery=`` on ``connect``/``SkueueCluster``) predate
-        :class:`EngineProfile` and are kept as aliases; when both a
-        profile and an alias are given, the explicit alias wins.
-        """
-        out = profile if profile is not None else cls()
-        overrides = {
-            name: value
-            for name, value in (
-                ("safety_tick", safety_tick),
-                ("timeout_lag", timeout_lag),
-                ("shuffle_delivery", shuffle_delivery),
-            )
-            if value is not None
-        }
-        return replace(out, **overrides) if overrides else out

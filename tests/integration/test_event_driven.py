@@ -66,9 +66,6 @@ def test_churn_with_sweep_disabled(seed):
     assert_topology_invariants(c)
 
 
-def test_profile_reaches_the_engine_and_aliases_still_win():
+def test_profile_reaches_the_engine():
     c = SkueueCluster(n_processes=4, seed=0, profile=NO_SWEEP)
     assert c.runtime.safety_tick == 0
-    # the loose kwarg remains as a deprecated alias and overrides the profile
-    c2 = SkueueCluster(n_processes=4, seed=0, profile=NO_SWEEP, safety_tick=32)
-    assert c2.runtime.safety_tick == 32

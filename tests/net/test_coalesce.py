@@ -21,6 +21,7 @@ from repro.net.transport import (
     MAX_FRAME_BYTES,
     FrameReader,
     decode_payload,
+    encode_frame,
 )
 
 
@@ -109,11 +110,11 @@ def fake_client(monkeypatch):
         async def drain(self) -> None:
             self.drains += 1
 
-    client = SkueueClient({0: ("127.0.0.1", 1)}, codec="binary",
-                          coalesce=True)
+    client = SkueueClient({0: ("127.0.0.1", 1)}, codec="binary")
     writer = FakeWriter()
     client._writers[0] = writer
     client._send_codecs[0] = CODEC_BINARY
+    client._nonces[0] = 1
     client.host_for = lambda pid: 0
 
     async def _noop(host):
@@ -147,14 +148,13 @@ class TestClientSubmitCoalescing:
         ]
         assert writer.drains == 1  # one buffered write, one drain
 
-    def test_timer_partial_flush_never_reorders(self, fake_client):
+    def test_partial_flush_never_reorders(self, fake_client):
         client, writer = fake_client
-        client.coalesce_window = 0.02
 
         async def run():
             first = [client._queue_submit(pid, INSERT, pid)
                      for pid in range(3)]
-            await asyncio.sleep(0.1)  # timer fires: partial flush
+            await asyncio.sleep(0.1)  # next tick fired: partial flush
             second = [client._queue_submit(pid, REMOVE, None)
                       for pid in range(2)]
             await asyncio.sleep(0.1)
@@ -199,3 +199,47 @@ class TestClientSubmitCoalescing:
         asyncio.run(run())
         assert writer.chunks == []
         assert client._submit_buf == {}
+
+
+def _metrics_reply(n: int) -> bytes:
+    return encode_frame({"op": "metrics", "host": 0, "summary": {"n": n},
+                         "phases": {}, "registry": {}})
+
+
+class TestOverlappingHostQueries:
+    """Replies on one connection are FIFO: every overlapping
+    ``host_telemetry``/``host_metrics``/``collect_records`` call gets
+    its own answer instead of overwriting the previous waiter."""
+
+    def test_two_overlapping_calls_each_get_their_own_reply(self, fake_client):
+        client, writer = fake_client
+
+        async def run():
+            reader = asyncio.StreamReader()
+            read_loop = asyncio.ensure_future(client._read_loop(0, reader))
+            first = asyncio.ensure_future(client.host_telemetry(timeout=1.0))
+            await asyncio.sleep(0)  # first has sent and is waiting
+            second = asyncio.ensure_future(client.host_metrics(timeout=1.0))
+            await asyncio.sleep(0)
+            reader.feed_data(_metrics_reply(1) + _metrics_reply(2))
+            try:
+                return await asyncio.gather(first, second)
+            finally:
+                read_loop.cancel()
+
+        first, second = asyncio.run(run())
+        assert [f["op"] for f in _frames(writer)] == ["metrics", "metrics"]
+        assert first[0]["summary"] == {"n": 1}  # oldest waiter, first reply
+        assert second[0] == {"n": 2}
+
+    def test_a_dropped_host_fails_its_queued_queries(self, fake_client):
+        client, _writer = fake_client
+
+        async def run():
+            query = asyncio.ensure_future(client.host_telemetry(timeout=5.0))
+            await asyncio.sleep(0)
+            client._drop_host(0)
+            await query
+
+        with pytest.raises(ConnectionError):
+            asyncio.run(run())

@@ -26,7 +26,7 @@ import pytest
 
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local
-from repro.ops.cli import _request
+from repro.net.transport import request
 from repro.verify.seqcons import check_queue_history
 
 pytestmark = pytest.mark.net
@@ -137,7 +137,7 @@ def test_ops_surface_reports_eviction():
         address = deployment.host_map[2]
 
         # the TCP pong advertises where the HTTP ops listener landed
-        pong = _request(tuple(address), {"op": "ping"}, "pong")
+        pong = request(tuple(address), {"op": "ping"}, "pong")
         ops_port = pong["ops_port"]
         assert ops_port > 0
 
@@ -160,13 +160,13 @@ def test_ops_surface_reports_eviction():
         deployment.kill_host(1, timeout=90.0)
 
         for index, addr in deployment.host_map.items():
-            health = _request(tuple(addr), {"op": "health"}, "health")
+            health = request(tuple(addr), {"op": "health"}, "health")
             evicted = {event["host"] for event in health["evictions"]}
             assert 1 in evicted, f"host {index} never recorded the eviction"
             assert health["recovering"] is False
 
         # the dead host's replica slot moved off the survivor ring
-        health = _request(tuple(deployment.host_map[2]), {"op": "health"}, "health")
+        health = request(tuple(deployment.host_map[2]), {"op": "health"}, "health")
         assert 1 not in health["replica_targets"]
 
 

@@ -11,7 +11,6 @@ def test_defaults():
     p = EngineProfile()
     assert p.safety_tick == 64.0
     assert p.timeout_lag == 0.25
-    assert p.shuffle_delivery is True
 
 
 def test_validation_and_immutability():
@@ -21,14 +20,3 @@ def test_validation_and_immutability():
         EngineProfile(timeout_lag=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         EngineProfile().safety_tick = 1  # type: ignore[misc]
-
-
-def test_merge_folds_deprecated_aliases():
-    base = EngineProfile(safety_tick=0)
-    merged = EngineProfile.merge(base, timeout_lag=0.5)
-    assert merged == EngineProfile(safety_tick=0, timeout_lag=0.5)
-    assert EngineProfile.merge(None) == EngineProfile()
-    # an explicit alias wins over the profile's own field
-    assert EngineProfile.merge(base, safety_tick=8).safety_tick == 8
-    # no overrides: the profile object passes through untouched
-    assert EngineProfile.merge(base) is base

@@ -43,8 +43,8 @@ class TestOpRecord:
     def test_kind_names(self):
         assert kind_name(INSERT) == "enqueue"
         assert kind_name(REMOVE) == "dequeue"
-        assert kind_name(INSERT, stack=True) == "push"
-        assert kind_name(REMOVE, stack=True) == "pop"
+        assert kind_name(INSERT, structure="stack") == "push"
+        assert kind_name(REMOVE, structure="stack") == "pop"
 
 
 class TestReqIdPacking:

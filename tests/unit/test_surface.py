@@ -1,0 +1,129 @@
+"""The option census, pinned as code.
+
+Every independently settable value doubles the configurations tests and
+benchmarks have to cover, so the settable surface is stated here
+exactly: a PR that adds (or removes) a keyword, a config field, a CLI
+flag or an environment variable has to edit this file and say so.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import EngineProfile, SkueueCluster
+from repro.experiments.harness import run_experiment
+from repro.net.client import SkueueClient
+from repro.net.launcher import launch_local, main
+from repro.net.server import PER_HOST_FIELDS, HostConfig
+
+HOST_CONFIG_FIELDS = (
+    "host_index", "n_hosts", "n_processes", "seed", "bind_host", "port",
+    "round_seconds", "timeout_lag", "sweep_seconds", "epoch", "structure",
+    "salt", "id_slots", "n_priorities", "owned", "ops_port",
+    "heartbeat_seconds", "miss_threshold", "confirm_seconds", "replication",
+    "codec", "trace_sample", "trace_slow_ms",
+)
+
+
+def _parameters(func) -> tuple[str, ...]:
+    names = tuple(inspect.signature(func).parameters)
+    return names[1:] if names[0] == "self" else names
+
+
+class TestOptionCensus:
+    def test_launch_local(self):
+        assert _parameters(launch_local) == (
+            "n_hosts", "n_processes", "seed", "structure", "round_seconds",
+            "ready_timeout", "id_slots", "n_priorities", "profile", "codec",
+            "trace_sample", "trace_slow_ms",
+        )
+
+    def test_skueue_client(self):
+        assert _parameters(SkueueClient.__init__) == (
+            "host_map", "codec", "trace_sample",
+        )
+
+    def test_skueue_cluster(self):
+        assert _parameters(SkueueCluster.__init__) == (
+            "n_processes", "seed", "runner", "delay_policy",
+            "shuffle_delivery", "store_samples", "salt", "n_priorities",
+            "profile", "trace_sample",
+        )
+
+    def test_run_experiment(self):
+        assert _parameters(run_experiment) == (
+            "workload", "n_processes", "rounds", "structure", "seed",
+            "max_drain_rounds", "verify", "n_priorities", "profile",
+        )
+
+    def test_host_config_fields(self):
+        names = tuple(f.name for f in dataclasses.fields(HostConfig))
+        assert names == HOST_CONFIG_FIELDS
+
+    def test_engine_profile(self):
+        names = tuple(f.name for f in dataclasses.fields(EngineProfile))
+        assert names == ("safety_tick", "timeout_lag")
+        assert not hasattr(EngineProfile, "merge")
+
+    def test_skueue_node_demo_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["demo", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {
+            "--help", "--hosts", "--processes", "--ops", "--seed",
+            "--structure", "--codec",
+        }
+
+    def test_environment_variables(self):
+        root = Path(repro.__file__).resolve().parent
+        names = set()
+        for source in root.rglob("*.py"):
+            names.update(re.findall(r"SKUEUE_[A-Z_]+", source.read_text()))
+        assert names == {"SKUEUE_PROFILE", "SKUEUE_FULL"}
+
+
+class TestHostConfigStatedOnce:
+    """``to_json`` and the ``join_ok`` config derive from the dataclass:
+    a field added to it cannot silently miss either of them."""
+
+    def _off_default(self) -> HostConfig:
+        return HostConfig(
+            host_index=2, n_hosts=3, n_processes=9, seed=7,
+            bind_host="0.0.0.0", port=4001, round_seconds=0.02,
+            timeout_lag=0.008, sweep_seconds=0.0, epoch=12.5,
+            structure="heap", salt="pepper", id_slots=16, n_priorities=6,
+            owned=[9, 10], ops_port=4101, heartbeat_seconds=0.5,
+            miss_threshold=6, confirm_seconds=2.5, replication=3,
+            codec="json", trace_sample=0.25, trace_slow_ms=40.0,
+        )
+
+    def test_every_field_is_off_default(self):
+        # the round-trip below proves nothing for a field left at its
+        # default, so a new field has to be set in _off_default too
+        cfg = self._off_default()
+        base = HostConfig(host_index=0, n_hosts=1, n_processes=1)
+        for name in HOST_CONFIG_FIELDS:
+            assert getattr(cfg, name) != getattr(base, name), name
+
+    def test_json_round_trip(self):
+        cfg = self._off_default()
+        assert HostConfig.from_json(cfg.to_json()) == cfg
+
+    def test_join_config_carries_every_shared_field(self):
+        cfg = self._off_default()
+        shared = cfg.shared_json()
+        assert set(shared) == set(HOST_CONFIG_FIELDS) - set(PER_HOST_FIELDS)
+        for name, value in shared.items():
+            assert value == getattr(cfg, name), name
+        # what a joining host does with it (run_joining_host)
+        joiner = HostConfig(host_index=5, owned=[20], **shared)
+        assert joiner.replication == 3 and joiner.codec == "json"
+        assert PER_HOST_FIELDS == (
+            "host_index", "bind_host", "port", "owned", "ops_port",
+        )
