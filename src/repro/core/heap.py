@@ -103,6 +103,13 @@ class HeapNode(QueueNode):
         else:
             self.own_insert_records[slot - 1].append(rec)
 
+    def _holds_own_ops(self) -> bool:
+        return bool(
+            self.own_remove_records
+            or self.overflow_records
+            or any(self.own_insert_records)
+        )
+
     def _snapshot_own(self) -> tuple[list[int], list[OpRecord]]:
         removes = self.own_remove_records
         inserts = self.own_insert_records

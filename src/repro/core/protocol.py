@@ -167,6 +167,7 @@ class QueueNode(MembershipMixin, Actor):
         "metas",
         "leave_request_pending",
         "wait_since",
+        "remote_wait_since",
         # event-driven patience (A_NUDGE deadlock probe)
         "force_fire",
         "nudge_seen",
@@ -188,6 +189,17 @@ class QueueNode(MembershipMixin, Actor):
     #: rounds, so steady state never launches a probe; expiry is armed
     #: with ``call_later`` (event-driven), not detected by a sweep.
     WAVE_PATIENCE = 48
+
+    #: Rounds an *idle* node waits for the batch of a successor-child
+    #: hosted by another OS process before it fires an empty batch without
+    #: it (see :meth:`_awaited_remote_child`).  In steady state the child
+    #: reports within its own re-arm pace plus its subtree's climb, a few
+    #: rounds; the bound is what keeps the wait from ever being a
+    #: dependency: a child that never reports (killed host, a splice that
+    #: re-parented it) costs an idle node this long per wave and a node
+    #: holding work nothing.  Kept below ``WAVE_PATIENCE`` so a local
+    #: parent blocked on the waiter never launches a probe because of it.
+    REMOTE_PATIENCE = 32
 
     def __init__(
         self,
@@ -261,6 +273,7 @@ class QueueNode(MembershipMixin, Actor):
         self.metas: dict[int, tuple] = {}
         self.leave_request_pending = False
         self.wait_since = None  # when this node began waiting on children
+        self.remote_wait_since = None  # ... idle, on a remote successor-child
         self.force_fire = False  # a NUDGE probe confirmed a wait cycle
         self.nudge_seen: set[tuple[int, int]] = set()  # forwarded probes
         self.nudge_token = 0  # distinguishes this node's probe launches
@@ -290,6 +303,10 @@ class QueueNode(MembershipMixin, Actor):
     def _buffer_op(self, rec: OpRecord) -> None:
         self.own_batch.add(rec.kind)
         self.own_records.append(rec)
+
+    def _holds_own_ops(self) -> bool:
+        """Is any request buffered here for the next wave?"""
+        return bool(self.own_records)
 
     # -- message dispatch ---------------------------------------------------------
     def handle(self, action: int, payload: tuple) -> None:
@@ -331,10 +348,13 @@ class QueueNode(MembershipMixin, Actor):
     def _aggregation_children(self) -> list[int]:
         """Current child set: tree children (Section III-B) + relay joiners.
 
-        The own-process child is expected only while it is actually on
-        the cycle; a node whose sibling edge is broken parents itself at
-        its cycle predecessor instead and its batch is consumed there as
-        an *extra* (see :meth:`_fire`).
+        These are the children this node *blocks* on, all of them local
+        reads.  The own-process child is expected only while it is
+        actually on the cycle; a node whose sibling edge is broken
+        parents itself at its cycle predecessor instead and its batch is
+        consumed there as an *extra* (see :meth:`timeout`).  A
+        successor-child hosted by another OS process is never in this
+        list: see :meth:`_awaited_remote_child`.
         """
         out: list[int] = []
         if not self.joining:
@@ -373,6 +393,40 @@ class QueueNode(MembershipMixin, Actor):
         if self.relay_children:
             out.extend(self.relay_children)
         return out
+
+    def _awaited_remote_child(self) -> int | None:
+        """The successor-child another OS process hosts, while this node
+        has nothing else to send; ``None`` otherwise (always, on the
+        simulators).
+
+        A parent cannot read a remote child's state, so it must not block
+        on it: a node holding work — a buffered request, a join/leave
+        counter, a non-empty batch from another child — fires without
+        the remote child, whose batch rides the next wave as an extra.
+        But a node with nothing else to send loses nothing by holding its
+        empty batch back until the child reports, and gains a wave:
+        firing early would leave it in flight when the child's batch
+        lands, and that batch would then sit out this node's whole cycle
+        — at every cross-host level of the tree again.  The wait is
+        bounded by ``REMOTE_PATIENCE`` and never probed (:meth:`timeout`).
+        """
+        runtime = self.ctx.runtime
+        if not runtime.sharded or self.joining:
+            return None
+        sv = self.succ_vid
+        if (
+            sv % 3 != LEFT
+            or self.succ_label <= self.label
+            or sv in runtime.actors
+            or self.pending_joins
+            or self.pending_leaves
+            or self._holds_own_ops()
+        ):
+            return None
+        for vid, (runs, joins, leaves, _is_relay) in self.child_batches.items():
+            if vid != sv and (joins or leaves or any(runs)):
+                return None
+        return sv
 
     def timeout(self) -> None:
         if (
@@ -441,12 +495,34 @@ class QueueNode(MembershipMixin, Actor):
                     self.runtime.call_later(self.aid, self.WAVE_PATIENCE + 1)
                 return
         self.wait_since = None
-        # nodes whose same-process tree edge is broken parent themselves
-        # here via the pred fallback; their already-arrived batches join
-        # this wave as extras
+        remote = self._awaited_remote_child()
+        if remote is not None:
+            if remote in batches:
+                children.append(remote)
+            else:
+                # idle: hold the empty batch back for the remote child,
+                # for a bounded time and without ever probing — nothing
+                # waits on a node in another process (no A_NUDGE crosses
+                # this edge, in either direction: see _on_nudge)
+                now = self.ctx.runtime.now
+                if self.remote_wait_since is None:
+                    self.remote_wait_since = now
+                    self.ctx.metrics.inc("wave_remote_waits")
+                    self.runtime.call_later(self.aid, self.REMOTE_PATIENCE + 1)
+                    return
+                if now - self.remote_wait_since <= self.REMOTE_PATIENCE:
+                    return
+                self.ctx.metrics.inc("wave_remote_wait_expired")
+        self.remote_wait_since = None
+        # batches nobody waited for join this wave as extras: nodes whose
+        # same-process tree edge is broken parent themselves here via the
+        # pred fallback, and so does a successor-child in another process
+        # whenever this node had work to send
         if len(batches) > len(children):
             known = set(children)
-            children = children + [c for c in batches if c not in known]
+            extras = [c for c in batches if c not in known]
+            self.ctx.metrics.inc("wave_extras", len(extras))
+            children = children + extras
         if self.inflight:
             # transferred-anchor consume (see the gate above): the wave
             # fired here completes synchronously in _process_serve, and
@@ -663,7 +739,7 @@ class QueueNode(MembershipMixin, Actor):
                 existing_leaves + leaves,
                 existing_relay or is_relay,
             )
-        self.wake_me()
+        self.wake_me(arrival=True)
 
     # -- stage 3: decomposition --------------------------------------------------------
     def _on_serve(self, payload: tuple) -> None:

@@ -89,6 +89,11 @@ class StackNode(QueueNode):
         else:
             self.own_pop_records.append(rec)
 
+    def _holds_own_ops(self) -> bool:
+        return bool(
+            self.own_pop_records or self.own_push_records or self.overflow_records
+        )
+
     def _snapshot_own(self) -> tuple[list[int], list[OpRecord]]:
         pops = self.own_pop_records
         pushes = self.own_push_records

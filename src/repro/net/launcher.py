@@ -279,6 +279,28 @@ class NetDeployment:
                             f"{timeout}s after SIGKILL (no eviction)")
 
 
+def host_tuning(profile: "EngineProfile | None", round_seconds: float) -> dict:
+    """The :class:`HostConfig` fields an engine profile overrides.
+
+    ``EngineProfile``'s defaults are schedule constants of the round
+    model (a quarter-round TIMEOUT lag, a 64-round sweep); the TCP
+    runtime's own defaults are wall-clock values chosen by measurement
+    (``HostConfig.timeout_lag``, the re-arm pace, and ``sweep_seconds``).
+    Neither converts into the other, so a profile field left at its
+    default overrides nothing — ``profile=None`` and
+    ``profile=EngineProfile()`` deploy the same hosts — and a field the
+    caller set is scaled from round units by ``round_seconds``.
+    """
+    tuning: dict = {}
+    if profile is not None:
+        unset = EngineProfile()
+        if profile.timeout_lag != unset.timeout_lag:
+            tuning["timeout_lag"] = profile.timeout_lag * round_seconds
+        if profile.safety_tick != unset.safety_tick:
+            tuning["sweep_seconds"] = profile.safety_tick * round_seconds
+    return tuning
+
+
 def launch_local(
     n_hosts: int,
     n_processes: int,
@@ -311,10 +333,12 @@ def launch_local(
     join at runtime.
 
     ``profile`` is the engine tuning surface (see
-    :class:`repro.sim.profile.EngineProfile`); its round-unit fields are
-    scaled by ``round_seconds`` into the wall-clock settings this
-    runtime uses (``HostConfig.timeout_lag`` and ``.sweep_seconds`` —
-    ``safety_tick=0`` disables the sweep).  ``None`` keeps the
+    :class:`repro.sim.profile.EngineProfile` and :func:`host_tuning`): a
+    field set off its default is scaled by ``round_seconds`` into the
+    wall-clock setting this runtime uses — ``timeout_lag`` into
+    ``HostConfig.timeout_lag``, the re-arm pace paid once per wave;
+    ``safety_tick`` into ``.sweep_seconds``, 0 disabling the sweep.
+    ``None`` and ``EngineProfile()`` both keep the
     :class:`~repro.net.server.HostConfig` defaults.
 
     ``trace_sample`` sets every host's per-op trace sampling rate (the
@@ -322,10 +346,7 @@ def launch_local(
     ring of ops slower than the threshold, served by ``skueue-ops
     trace --slow``.  Both default off.
     """
-    tuning = {} if profile is None else {
-        "timeout_lag": profile.timeout_lag * round_seconds,
-        "sweep_seconds": profile.safety_tick * round_seconds,
-    }
+    tuning = host_tuning(profile, round_seconds)
     if n_hosts < 1:
         raise ValueError("need at least one host")
     if n_processes < n_hosts:
@@ -462,7 +483,8 @@ def main(argv: list[str] | None = None) -> int:
 
     serve = sub.add_parser("serve", help="run one NodeHost (spawned by the launcher)")
     serve.add_argument("--config-json", required=True,
-                       help="HostConfig as a JSON object")
+                       help="HostConfig as a JSON object (timeout_lag: the "
+                            "re-arm pace in seconds, paid once per wave)")
 
     join = sub.add_parser(
         "join", help="join a running deployment as a brand-new host"

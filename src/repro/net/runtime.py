@@ -7,9 +7,13 @@ maps onto the event loop as follows:
 * ``send`` — local destinations are delivered on the next loop iteration
   (``call_soon``, preserving the strictly-positive-delay assumption);
   remote destinations are framed and shipped over the host's peer links;
-* ``request_timeout`` — the paper's event-driven TIMEOUT: scheduled after
-  a small lag (deduplicated while pending), so TIMEOUT races realistically
-  with message deliveries exactly as on :class:`AsyncRunner`;
+* ``request_timeout`` — the paper's event-driven TIMEOUT, one pending
+  per actor.  A node that re-arms (after its SERVE, a fresh request, a
+  membership wake) is *paced*: its TIMEOUT runs ``timeout_lag`` later,
+  which is what lets requests gather into a batch.  A TIMEOUT requested
+  because a child's batch arrived runs on the next loop iteration, so
+  the pace is paid once per wave — by the nodes that start it — and not
+  again at every level the wave climbs;
 * ``wake`` — cross-actor readiness push: local targets get the ordinary
   TIMEOUT path, remote targets an ``A_WAKE`` message over the peer link;
 * an optional periodic *safety sweep* (``sweep_seconds``, 0 disables)
@@ -44,6 +48,7 @@ host, which owns the canonical record and the client connection.
 from __future__ import annotations
 
 import time
+from asyncio import TimerHandle
 from typing import Callable, Iterable
 
 from repro.core.actions import A_WAKE
@@ -51,7 +56,19 @@ from repro.core.requests import OpRecord
 from repro.sim.metrics import Metrics
 from repro.sim.process import bounce_forwarded_batch
 
-__all__ = ["AdoptedRecord", "NetOpRecord", "NetRuntime", "RecordTable"]
+__all__ = [
+    "TIMEOUT_LAG",
+    "AdoptedRecord",
+    "NetOpRecord",
+    "NetRuntime",
+    "RecordTable",
+]
+
+#: Default re-arm pace in seconds (``HostConfig.timeout_lag``): how long a
+#: node that re-arms lets requests gather before it fires its next batch.
+#: Chosen by measurement on the repo benchmark: a shorter pace buys
+#: latency with idle-wave CPU (see DESIGN.md, "The net runtime").
+TIMEOUT_LAG = 0.015
 
 
 class NetRuntime:
@@ -60,14 +77,18 @@ class NetRuntime:
     Implements the :class:`repro.sim.process.Runtime` contract (asserted
     by ``tests/unit/test_runtime_contract.py``).  ``send_remote`` is the
     host-provided escape hatch for destinations outside the local shard.
+    ``timeout_lag`` is the re-arm pace in seconds, paid once per wave
+    (see the module docstring).
     """
+
+    sharded = True  # `actors` is this host's shard; other ids live elsewhere
 
     def __init__(
         self,
         send_remote: Callable[[int, int, tuple], None],
         metrics: Metrics | None = None,
         round_seconds: float = 0.01,
-        timeout_lag: float = 0.004,
+        timeout_lag: float = TIMEOUT_LAG,
         sweep_seconds: float = 0.25,
         epoch: float = 0.0,
     ) -> None:
@@ -80,7 +101,9 @@ class NetRuntime:
         # over real sockets cannot be recorded or replayed
         self.schedule_hint = None
         self.actors: dict[int, object] = {}
-        self._timeout_pending: set[int] = set()
+        # the one pending TIMEOUT per actor: the timer of a paced one,
+        # None for one already queued for the next loop iteration
+        self._timeout_pending: dict[int, TimerHandle | None] = {}
         self._forwards: dict[int, int] = {}
         # `now` derives from the wall clock against a deployment-wide
         # epoch (the launcher stamps one into every HostConfig), so
@@ -105,7 +128,13 @@ class NetRuntime:
         if self._sweep_handle is not None:
             self._sweep_handle.cancel()
             self._sweep_handle = None
+        self._drop_actors()
+
+    def _drop_actors(self) -> None:
         self.actors.clear()
+        for timer in self._timeout_pending.values():
+            if timer is not None:
+                timer.cancel()
         self._timeout_pending.clear()
         self._forwards.clear()
 
@@ -119,9 +148,7 @@ class NetRuntime:
         ``actors`` and the host kicks them.  Callbacks already scheduled
         for removed actors no-op harmlessly (the actor lookup misses).
         """
-        self.actors.clear()
-        self._timeout_pending.clear()
-        self._forwards.clear()
+        self._drop_actors()
 
     # -- runtime protocol ----------------------------------------------------
     @property
@@ -134,15 +161,29 @@ class NetRuntime:
         if resolved != dest and bounce_forwarded_batch(self, action, payload):
             return  # tree-up batch to a departed parent
         if resolved in self.actors:
-            self._loop.call_soon(self._deliver, resolved, action, payload)
+            self._loop.call_soon(self.deliver, resolved, action, payload)
         else:
             self.send_remote(resolved, action, payload)
 
-    def request_timeout(self, actor_id: int) -> None:
-        if actor_id in self._timeout_pending or self._closed:
+    def request_timeout(self, actor_id: int, arrival: bool = False) -> None:
+        if self._closed:
             return
-        self._timeout_pending.add(actor_id)
-        self._loop.call_later(self.timeout_lag, self._fire_timeout, actor_id)
+        pending = self._timeout_pending
+        if not arrival:
+            if actor_id not in pending:
+                pending[actor_id] = self._loop.call_later(
+                    self.timeout_lag, self._fire_timeout, actor_id
+                )
+            return
+        if actor_id in pending:
+            timer = pending[actor_id]
+            if timer is None:
+                return  # already queued for the next iteration
+            # the arrival brings the paced TIMEOUT forward; one TIMEOUT
+            # serves both requests, as it sees every change made before it
+            timer.cancel()
+        pending[actor_id] = None
+        self._loop.call_soon(self._fire_timeout, actor_id)
 
     def wake(self, actor_id: int) -> None:
         """Cross-actor wake: a TIMEOUT for ``actor_id`` wherever it lives.
@@ -199,16 +240,19 @@ class NetRuntime:
             self.request_timeout(actor_id)
 
     # -- event-loop callbacks ------------------------------------------------
-    def _guard(self, actor_id: int, fn: Callable[[], None]) -> None:
+    def _guard(self, actor_id: int, fn: Callable[..., None], *args) -> None:
         try:
-            fn()
+            fn(*args)
         except Exception as exc:  # surface, don't kill the loop
             if self.on_actor_error is not None:
                 self.on_actor_error(actor_id, exc)
             else:  # pragma: no cover - default only without a host
                 raise
 
-    def _deliver(self, dest: int, action: int, payload: tuple) -> None:
+    def deliver(self, dest: int, action: int, payload: tuple) -> None:
+        """Hand a message to its local actor: the callback ``send``
+        queues for local destinations, and the host's entry point for
+        messages arriving off the wire."""
         # re-resolve: the destination may have departed (leaving a
         # forward) between scheduling and this callback — re-routing must
         # use the *resolved* id or the host would drop the message as
@@ -220,21 +264,10 @@ class NetRuntime:
         if actor is None:
             self.send_remote(resolved, action, payload)
             return
-        self._guard(resolved, lambda: actor.handle(action, payload))
-
-    def deliver_remote(self, dest: int, action: int, payload: tuple) -> None:
-        """Entry point for messages arriving off the wire."""
-        resolved = self.resolve(dest)
-        if resolved != dest and bounce_forwarded_batch(self, action, payload):
-            return
-        actor = self.actors.get(resolved)
-        if actor is None:
-            self.send_remote(resolved, action, payload)
-            return
-        self._guard(resolved, lambda: actor.handle(action, payload))
+        self._guard(resolved, actor.handle, action, payload)
 
     def _fire_timeout(self, actor_id: int) -> None:
-        self._timeout_pending.discard(actor_id)
+        self._timeout_pending.pop(actor_id, None)
         if self._closed:
             return
         actor = self.actors.get(actor_id)

@@ -47,7 +47,7 @@ from repro.core.protocol import ClusterContext
 from repro.core.requests import OpRecord
 from repro.core.structures import get_structure
 from repro.net.membership import ClusterMap
-from repro.net.runtime import NetOpRecord, NetRuntime, RecordTable
+from repro.net.runtime import TIMEOUT_LAG, NetOpRecord, NetRuntime, RecordTable
 from repro.ops.detector import FailureDetector
 from repro.ops.health import build_health, build_status, start_ops_server
 from repro.ops.recovery import merge_records, plan_rebuild
@@ -106,7 +106,10 @@ class HostConfig:
     bind_host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port, report via .port
     round_seconds: float = 0.01
-    timeout_lag: float = 0.004
+    # re-arm pace in seconds, paid once per wave: a node that re-arms
+    # (after its SERVE, a fresh request, a membership wake) runs TIMEOUT
+    # this much later; a TIMEOUT for an arriving child batch is not paced
+    timeout_lag: float = TIMEOUT_LAG
     sweep_seconds: float = 0.25
     epoch: float = 0.0  # shared wall-clock origin for `now` (0: host start)
     # any registered structure name: "queue" (Skueue), "stack" (Skack),
@@ -626,21 +629,26 @@ class NodeHost:
         reg.gauge("skueue_evictions",
                   "crash evictions this host observed").set_fn(
             lambda: len(self.evictions))
-        # wave-liveness escape hatch: these accumulate on the engine's
-        # run metrics (the A_NUDGE path lives in repro.core), sampled
-        # here so they exist as stable registry series from startup —
-        # a deployment riding force-fires shows non-zero ffire in
-        # `skueue-ops top` instead of only stalling quietly
-        reg.counter(
-            "skueue_wave_nudge_probes_total",
-            "A_NUDGE wait-cycle probes launched by stuck waves",
-        ).set_fn(
-            lambda: self.runtime.metrics.counters.get("wave_nudge_probes", 0))
-        reg.counter(
-            "skueue_wave_force_fires_total",
-            "waves fired without stragglers after a confirmed wait cycle",
-        ).set_fn(
-            lambda: self.runtime.metrics.counters.get("wave_force_fires", 0))
+        # wave health: these accumulate on the engine's run metrics (the
+        # wave engine lives in repro.core), sampled here so they exist as
+        # stable registry series from startup — a deployment riding
+        # force-fires shows non-zero ffire in `skueue-ops top` instead
+        # of only stalling quietly, and one whose waves run out of step
+        # across hosts shows extras without waits
+        for event, text in (
+            ("wave_nudge_probes",
+             "A_NUDGE wait-cycle probes launched by stuck waves"),
+            ("wave_force_fires",
+             "waves fired without stragglers after a confirmed wait cycle"),
+            ("wave_remote_waits",
+             "idle waits for a successor-child hosted by another process"),
+            ("wave_remote_wait_expired",
+             "such waits that ran out: the wave fired without the child"),
+            ("wave_extras",
+             "batches consumed by a wave that did not wait for them"),
+        ):
+            reg.counter(f"skueue_{event}_total", text).set_fn(
+                lambda event=event: self.runtime.metrics.counters.get(event, 0))
 
     def count_write(self, frames: int, nbytes: int) -> None:
         """One buffered socket write went out (client or peer side)."""
@@ -842,7 +850,7 @@ class NodeHost:
             return
         op = message.get("op")
         if op == "msg":
-            self.runtime.deliver_remote(
+            self.runtime.deliver(
                 message["dest"],
                 message["action"],
                 decode_payload(message["payload"]),
@@ -1275,7 +1283,7 @@ class NodeHost:
             # open a span so our local hop/valuation stamps land too
             self.tracer.ensure(int(tr))
         if message["op"] == "msg":
-            self.runtime.deliver_remote(
+            self.runtime.deliver(
                 message["dest"],
                 message["action"],
                 decode_payload(message["payload"]),

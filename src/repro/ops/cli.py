@@ -189,7 +189,8 @@ def _render_top(
     header = (
         f"{'host':>4}  {'ops/s':>8} {'done':>9} {'pend':>6} {'actors':>6} "
         f"{'frm/s':>8} {'KiB/s':>8} {'recs':>6} {'repl':>6} "
-        f"{'nudge':>6} {'ffire':>6} {'gen':>4}"
+        f"{'nudge':>6} {'ffire':>6} {'rwait':>7} {'rexp':>5} {'extra':>7} "
+        f"{'gen':>4}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -220,6 +221,9 @@ def _render_top(
             f"{_series(sample, 'skueue_records_replica'):>6.0f} "
             f"{_series(sample, 'skueue_wave_nudge_probes_total'):>6.0f} "
             f"{_series(sample, 'skueue_wave_force_fires_total'):>6.0f} "
+            f"{_series(sample, 'skueue_wave_remote_waits_total'):>7.0f} "
+            f"{_series(sample, 'skueue_wave_remote_wait_expired_total'):>5.0f} "
+            f"{_series(sample, 'skueue_wave_extras_total'):>7.0f} "
             f"{_series(sample, 'skueue_recovery_generation'):>4.0f}"
         )
     for index, failure in sorted(failures.items()):

@@ -38,6 +38,8 @@ class AsyncRunner:
     by ``tests/unit/test_runtime_contract.py``).
     """
 
+    sharded = False  # every actor is local
+
     def __init__(
         self,
         rng: RngStreams | None = None,
@@ -83,7 +85,9 @@ class AsyncRunner:
         )
         self.metrics.messages += 1
 
-    def request_timeout(self, actor_id: int) -> None:
+    def request_timeout(self, actor_id: int, arrival: bool = False) -> None:
+        # an arrival TIMEOUT pays the lag too: the recorded schedules and
+        # the paper-shape counts were taken with TIMEOUT racing deliveries
         if actor_id in self._timeout_pending:
             return
         self._timeout_pending.add(actor_id)

@@ -102,7 +102,12 @@ class Runtime(Protocol):
       engine optionally shuffles, the async engine draws random delays,
       TCP is FIFO per connection — all within the model);
     * ``request_timeout`` schedules a TIMEOUT for the actor *soon*
-      (next round / after a small lag);
+      (next round / after a small lag).  ``arrival=True`` says why: a
+      child's batch just arrived, so the actor may now hold everything
+      its wave was waiting for.  The simulators schedule both kinds
+      identically; the TCP runtime runs an arrival TIMEOUT on the next
+      loop iteration and paces every other one, so a wave pays the pace
+      once — where a node re-arms — and not again at every tree level;
     * ``wake`` is the cross-actor form of ``request_timeout``: the actor
       that just *changed* state pushes a TIMEOUT at the actor whose
       readiness may depend on it, so no readiness condition has to wait
@@ -116,10 +121,15 @@ class Runtime(Protocol):
     * ``actors`` is the engine's **local** view: in the simulators it
       holds every actor, in a sharded TCP deployment only the shard
       hosted by this OS process.  Protocol code treats a missing entry
-      as "not locally observable" and falls back to messaging.
+      as "not locally observable" and falls back to messaging;
+      ``sharded`` tells it which of the two a missing entry can mean.
     """
 
     metrics: "Metrics"
+
+    #: True when ``actors`` is one shard of a larger deployment, so an id
+    #: missing from it may be an actor hosted by another OS process.
+    sharded: bool
 
     #: Optional scheduling override (trace recording/replay); engines
     #: with no RNG-driven choices may simply keep it ``None``.
@@ -138,7 +148,7 @@ class Runtime(Protocol):
 
     def send(self, dest: int, action: int, payload: tuple) -> None: ...
 
-    def request_timeout(self, actor_id: int) -> None: ...
+    def request_timeout(self, actor_id: int, arrival: bool = False) -> None: ...
 
     def wake(self, actor_id: int) -> None:
         """Cross-actor wake: schedule a TIMEOUT for ``actor_id``, wherever
@@ -182,9 +192,11 @@ class Actor:
     def send(self, dest: int, action: int, payload: tuple) -> None:
         self.runtime.send(dest, action, payload)
 
-    def wake_me(self) -> None:
-        """Ask the engine to run :meth:`timeout` at the next opportunity."""
-        self.runtime.request_timeout(self.aid)
+    def wake_me(self, arrival: bool = False) -> None:
+        """Ask the engine to run :meth:`timeout` at the next opportunity
+        (``arrival``: because a child's batch arrived, see
+        :meth:`Runtime.request_timeout`)."""
+        self.runtime.request_timeout(self.aid, arrival)
 
     def wake_peer(self, actor_id: int) -> None:
         """Push a TIMEOUT at another actor whose readiness this actor's

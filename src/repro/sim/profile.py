@@ -13,12 +13,17 @@ the single knob set, expressed in **round units** on every engine:
   recheck, not the clock — ``safety_tick=0`` is a supported, passing
   configuration.
 * ``timeout_lag`` — delay between ``wake_me()`` and the TIMEOUT firing
-  on the event-driven engines, so TIMEOUT races realistically with
-  message deliveries.  The sync engine has no lag (TIMEOUT runs at the
-  end of the same round's delivery phase).
+  on the event-driven engines.  On the async simulator every TIMEOUT
+  pays it, so TIMEOUT races realistically with message deliveries; on
+  the TCP runtime it is the *re-arm pace*, paid once per wave (a
+  TIMEOUT for an arriving child batch is not lagged).  The sync engine
+  has no lag (TIMEOUT runs at the end of the same round's delivery
+  phase).
 
-The TCP runtime works in seconds; the launcher converts round units via
-its ``round_seconds`` scale (see :func:`repro.net.launcher.launch_local`).
+The TCP runtime works in seconds and has measured defaults of its own:
+a field set off its default here is converted via the launcher's
+``round_seconds`` scale, a field left alone keeps the ``HostConfig``
+default (see :func:`repro.net.launcher.host_tuning`).
 """
 
 from __future__ import annotations

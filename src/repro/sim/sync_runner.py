@@ -38,6 +38,8 @@ class SyncRunner:
     by ``tests/unit/test_runtime_contract.py``).
     """
 
+    sharded = False  # every actor is local
+
     def __init__(
         self,
         rng: RngStreams | None = None,
@@ -73,7 +75,8 @@ class SyncRunner:
         self._inbox_next.append((dest, action, payload))
         self.metrics.messages += 1
 
-    def request_timeout(self, actor_id: int) -> None:
+    def request_timeout(self, actor_id: int, arrival: bool = False) -> None:
+        # either kind runs when this round's deliveries are done
         self._timeout_now.add(actor_id)
 
     def wake(self, actor_id: int) -> None:

@@ -38,6 +38,11 @@ CORE_SERIES = (
     # one shows the hatch tripping
     "skueue_wave_nudge_probes_total",
     "skueue_wave_force_fires_total",
+    # cross-host wave synchrony: idle waits for a remote child, the
+    # ones that ran out, and batches consumed without being waited for
+    "skueue_wave_remote_waits_total",
+    "skueue_wave_remote_wait_expired_total",
+    "skueue_wave_extras_total",
 )
 
 
@@ -133,6 +138,7 @@ class TestLiveTelemetry:
         assert cli.main(["top", "--seed", f"{host}:{port}", "--once"]) == 0
         out = capsys.readouterr().out
         assert "ops/s" in out and "pend" in out
+        assert "rwait" in out and "rexp" in out and "extra" in out
         for index in range(3):
             assert f"\n{index:>4} " in out
 

@@ -27,6 +27,8 @@ def test_every_engine_implements_the_contract(factory):
     assert isinstance(engine.metrics, Metrics)
     assert isinstance(engine.now, float)
     assert isinstance(dict(engine.actors), dict)
+    # only the TCP runtime hosts a shard of a larger deployment
+    assert engine.sharded is (factory is _net_runtime)
 
 
 @pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner])
@@ -79,6 +81,73 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
         runtime.close()
 
     asyncio.run(scenario())
+
+
+class TestArrivalTimeout:
+    """``request_timeout(aid, arrival=True)``: a child's batch arrived.
+
+    The simulators schedule it exactly like any other TIMEOUT (their
+    recorded schedules and paper-shape counts depend on it); the TCP
+    runtime runs it on the next loop iteration and paces the rest.
+    """
+
+    def test_sync_arrival_runs_with_this_rounds_timeouts(self):
+        engine = SyncRunner(safety_tick=0)
+        paced, arrived = _Recorder(1, engine), _Recorder(2, engine)
+        engine.add_actor(paced)
+        engine.add_actor(arrived)
+        engine.request_timeout(1)
+        engine.request_timeout(2, arrival=True)
+        engine.request_timeout(2)  # one TIMEOUT per actor and round
+        engine.step()
+        assert (paced.timeouts, arrived.timeouts) == (1, 1)
+
+    def test_async_arrival_pays_the_lag_and_deduplicates(self):
+        engine = AsyncRunner(safety_tick=0, timeout_lag=0.25)
+        paced, arrived = _Recorder(1, engine), _Recorder(2, engine)
+        engine.add_actor(paced)
+        engine.add_actor(arrived)
+        engine.request_timeout(1)
+        engine.request_timeout(2, arrival=True)
+        engine.request_timeout(2)
+        engine.request_timeout(2, arrival=True)
+        engine.run_for(0.2)
+        assert (paced.timeouts, arrived.timeouts) == (0, 0)
+        engine.run_for(0.1)
+        assert (paced.timeouts, arrived.timeouts) == (1, 1)
+        assert engine.events_processed == 2
+
+    def test_net_arrival_runs_at_once_and_paced_waits_out_the_lag(self):
+        import asyncio
+
+        runtime = NetRuntime(
+            send_remote=lambda dest, action, payload: None,
+            timeout_lag=0.05,
+            sweep_seconds=0,
+        )
+
+        async def scenario():
+            runtime.start(asyncio.get_running_loop())
+            paced, arrived, both = (_Recorder(i, runtime) for i in (1, 2, 3))
+            for actor in (paced, arrived, both):
+                runtime.add_actor(actor)
+            runtime.request_timeout(1)
+            runtime.request_timeout(1)                 # deduplicated
+            runtime.request_timeout(2, arrival=True)
+            runtime.request_timeout(2, arrival=True)   # deduplicated
+            runtime.request_timeout(2)                 # ... with paced ones too
+            runtime.request_timeout(3)
+            runtime.request_timeout(3, arrival=True)   # brings the paced one forward
+            await asyncio.sleep(0.01)  # well inside the 50 ms pace
+            assert (paced.timeouts, arrived.timeouts, both.timeouts) == (0, 1, 1)
+            assert set(runtime._timeout_pending) == {1}
+            await asyncio.sleep(0.08)
+            # the pace elapsed: one TIMEOUT each, no second timer fired
+            assert (paced.timeouts, arrived.timeouts, both.timeouts) == (1, 1, 1)
+            assert not runtime._timeout_pending
+            runtime.close()
+
+        asyncio.run(scenario())
 
 
 class TestWakeDiscipline:
