@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.core.requests import INSERT
 
-__all__ = ["Batch", "combine_runs", "runs_total"]
+__all__ = ["Batch", "combine_runs"]
 
 
 def combine_runs(target: list[int], runs) -> None:
@@ -36,10 +36,6 @@ def combine_runs(target: list[int], runs) -> None:
         target.extend([0] * (len(runs) - len(target)))
     for i, op in enumerate(runs):
         target[i] += op
-
-
-def runs_total(runs) -> int:
-    return sum(runs)
 
 
 class Batch:

@@ -7,6 +7,8 @@ run on the in-process simulators run here across OS processes:
   tagged wire codec for protocol payloads (batches, intervals, records);
 * :mod:`repro.net.runtime`   — :class:`NetRuntime`, the asyncio
   implementation of the :class:`repro.sim.process.Runtime` contract;
+* :mod:`repro.net.records`   — the record plane: one merge for a
+  request's facts, one record class with hooks, one socket-free store;
 * :mod:`repro.net.server`    — :class:`NodeHost`, one OS process hosting
   a shard of virtual nodes;
 * :mod:`repro.net.client`    — :class:`SkueueClient`, submits operations

@@ -6,7 +6,7 @@ from the ``welcome`` handshake and refreshed by ``host_map`` pushes —
 see :mod:`repro.net.membership`).  Request ids are assigned client-side
 and encode the owning host (``req_id % id_slots``), which is what lets a
 DHT node on one host complete a record that originated on another (see
-:class:`repro.net.runtime.RecordTable`).
+:class:`repro.net.records.RecordTable`).
 
 Any number of clients may submit to the same host concurrently: during
 :meth:`connect` every host answers the client's ``hello`` with a

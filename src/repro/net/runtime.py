@@ -23,26 +23,9 @@ maps onto the event loop as follows:
   message delay, ``round_seconds``), so protocol constants expressed in
   rounds (retry cadences, grace periods) keep their meaning.
 
-Record bookkeeping: protocol code completes an INSERT at the DHT node
-that stores the element — on a sharded deployment that node may live in a
-different OS process than the one holding the :class:`OpRecord`.
-:class:`RecordTable` makes ``ctx.records[req_id]`` work anyway: local
-ids resolve to real records, remote ids to a stub whose ``completed``
-setter forwards a ``complete`` sync frame to the origin host.  Req_ids
-encode their origin in the low residue (``req_id % id_slots`` is the
-submitting host index, with ``id_slots`` fixed at genesis so the scheme
-survives hosts joining and leaving) regardless of how many clients
-submit concurrently — the client nonce and sequence counter live in the
-high bits (see :func:`repro.core.requests.pack_req_id`), so this table
-is oblivious to the multi-client id scheme.
-
-Live membership adds a third kind of entry: when a draining host's node
-dumps its unflushed requests (``DEPART_DUMP``), the adopting host
-registers the wire copies as :class:`AdoptedRecord` proxies.  The proxy
-rides the adopter's waves like a local record, but every fact the
-protocol learns about it — the witness-order ``value`` assigned in stage
-3, the dequeued ``result``, completion — is forwarded to the origin
-host, which owns the canonical record and the client connection.
+Records are not this module's business: ``ctx.records`` on a host is a
+:class:`repro.net.records.RecordTable` (see that module for how a
+request's facts merge, travel and are held).
 """
 
 from __future__ import annotations
@@ -52,13 +35,13 @@ from asyncio import TimerHandle
 from typing import Callable, Iterable
 
 from repro.core.actions import A_WAKE
-from repro.core.requests import OpRecord
+# re-exported: the frozen perfbench/layers.py imports both from here
+from repro.net.records import NetOpRecord, RecordTable
 from repro.sim.metrics import Metrics
 from repro.sim.process import bounce_forwarded_batch
 
 __all__ = [
     "TIMEOUT_LAG",
-    "AdoptedRecord",
     "NetOpRecord",
     "NetRuntime",
     "RecordTable",
@@ -202,7 +185,8 @@ class NetRuntime:
 
     def call_later(self, actor_id: int, delay: float) -> None:
         self._loop.call_later(
-            max(delay, 1.0) * self.round_seconds, self._fire_timer, actor_id
+            max(delay, 1.0) * self.round_seconds,
+            self._fire_timeout, actor_id, False,
         )
 
     # -- actor management ----------------------------------------------------
@@ -266,15 +250,10 @@ class NetRuntime:
             return
         self._guard(resolved, actor.handle, action, payload)
 
-    def _fire_timeout(self, actor_id: int) -> None:
-        self._timeout_pending.pop(actor_id, None)
-        if self._closed:
-            return
-        actor = self.actors.get(actor_id)
-        if actor is not None:
-            self._guard(actor_id, actor.timeout)
-
-    def _fire_timer(self, actor_id: int) -> None:
+    def _fire_timeout(self, actor_id: int, requested: bool = True) -> None:
+        # a `call_later` timer (not `requested`) is no actor's pending TIMEOUT
+        if requested:
+            self._timeout_pending.pop(actor_id, None)
         if self._closed:
             return
         actor = self.actors.get(actor_id)
@@ -287,248 +266,3 @@ class NetRuntime:
         for actor_id, actor in list(self.actors.items()):
             self._guard(actor_id, actor.timeout)
         self._sweep_handle = self._loop.call_later(self.sweep_seconds, self._sweep)
-
-
-class NetOpRecord(OpRecord):
-    """An :class:`OpRecord` whose completion triggers a host callback.
-
-    The protocol flips ``completed`` from deep inside a message handler;
-    the host uses the callback to push a DONE frame to the submitting
-    client without polling.  ``on_valued`` fires when stage 3 assigns
-    the witness-order value — the host mirrors the value to the record's
-    replica holders at that moment, which is what lets crash recovery
-    replay the record's place in the witness order even though the value
-    was assigned on the host that died (see ``repro.ops.recovery``).
-    """
-
-    __slots__ = ("_net_completed", "_net_value", "on_completed", "on_valued")
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._net_completed = False
-        self._net_value = None
-        self.on_completed: Callable[[NetOpRecord], None] | None = None
-        self.on_valued: Callable[[NetOpRecord], None] | None = None
-        super().__init__(*args, **kwargs)
-
-    @property
-    def completed(self) -> bool:
-        return self._net_completed
-
-    @completed.setter
-    def completed(self, value: bool) -> None:
-        was = self._net_completed
-        self._net_completed = value
-        if value and not was and self.on_completed is not None:
-            self.on_completed(self)
-
-    @property
-    def value(self):
-        return self._net_value
-
-    @value.setter
-    def value(self, value) -> None:
-        was = self._net_value
-        self._net_value = value
-        if value is not None and was is None and self.on_valued is not None:
-            self.on_valued(self)
-
-
-class _RemoteRecordStub:
-    """Stand-in for a record owned by another host.
-
-    The DHT-side completion path sets ``completed = True``, which
-    forwards a ``complete`` sync frame to the origin host; any ``value``/
-    ``result``/``local_match`` learned beforehand rides along.
-    """
-
-    __slots__ = (
-        "req_id", "_notify", "_done", "value", "result", "local_match", "gen"
-    )
-
-    def __init__(self, req_id: int, notify: Callable[[int, dict], None]) -> None:
-        self.req_id = req_id
-        self._notify = notify
-        self._done = False
-        self.value = None
-        self.result = None
-        self.local_match = False
-        self.gen = None  # unknown here; the origin host owns the real record
-
-    @property
-    def completed(self) -> bool:
-        return self._done
-
-    @completed.setter
-    def completed(self, value: bool) -> None:
-        if value and not self._done:
-            self._done = True
-            self._notify(self.req_id, _sync_fields(self, done=True))
-
-
-class AdoptedRecord(OpRecord):
-    """Wire copy of a record adopted across a host boundary (LEAVE).
-
-    A draining node's unflushed requests ride the adopting node's next
-    wave (see ``QueueNode._adopt_records``).  The adopter learns facts
-    the origin host needs — stage-3 assigns the witness-order ``value``
-    here, a GET reply lands here — so the setters forward each fact as a
-    ``complete`` sync frame: ``value`` immediately (an INSERT's
-    completion happens at a *third* host, the DHT node, which never sees
-    the value), ``result`` and ``local_match`` together with completion.
-    """
-
-    __slots__ = ("_value", "_result", "_done", "_notify")
-
-    def __init__(self, rec: OpRecord, notify: Callable[[int, dict], None]) -> None:
-        self._value = None
-        self._result = None
-        self._done = False
-        self._notify = None  # muted while copying the donor's fields
-        super().__init__(
-            rec.req_id, rec.pid, rec.idx, rec.kind, rec.item, rec.gen,
-            priority=getattr(rec, "priority", 0),
-        )
-        self._value = rec.value
-        self._result = rec.result
-        self.local_match = rec.local_match
-        self._notify = notify
-
-    @property
-    def value(self):
-        return self._value
-
-    @value.setter
-    def value(self, value) -> None:
-        self._value = value
-        if value is not None and self._notify is not None:
-            self._notify(self.req_id, {"value": value})
-
-    @property
-    def result(self):
-        return self._result
-
-    @result.setter
-    def result(self, result) -> None:
-        self._result = result
-
-    @property
-    def completed(self) -> bool:
-        return self._done
-
-    @completed.setter
-    def completed(self, value: bool) -> None:
-        if self._notify is None:  # OpRecord.__init__ writing the default
-            self._done = bool(value)
-            return
-        if value and not self._done:
-            self._done = True
-            self._notify(self.req_id, _sync_fields(self, done=True))
-
-
-def _sync_fields(rec, done: bool = False) -> dict:
-    """The payload of a ``complete`` sync frame (encoded by the host)."""
-    fields: dict = {}
-    if done:
-        fields["done"] = True
-    if rec.value is not None:
-        fields["value"] = rec.value
-    if rec.result is not None:
-        fields["result"] = rec.result
-    if rec.local_match:
-        fields["local_match"] = True
-    return fields
-
-
-class RecordTable:
-    """``ctx.records`` for a sharded deployment (mapping by req_id).
-
-    The sim facade uses a plain list (req_id == index); hosts use this
-    table, which distinguishes locally submitted records from remote ones
-    by the origin residue baked into every req_id.  ``id_slots`` is the
-    genesis-fixed residue modulus — *not* the current host count, which
-    may change under churn (see :class:`repro.net.membership.ClusterMap`).
-    """
-
-    __slots__ = (
-        "host_index",
-        "id_slots",
-        "local",
-        "_adopted",
-        "_stubs",
-        "_notify_origin",
-    )
-
-    def __init__(
-        self,
-        host_index: int,
-        id_slots: int,
-        notify_origin: Callable[[int, dict], None],
-    ) -> None:
-        self.host_index = host_index
-        self.id_slots = id_slots
-        self.local: dict[int, NetOpRecord] = {}
-        self._adopted: dict[int, AdoptedRecord] = {}
-        self._stubs: dict[int, _RemoteRecordStub] = {}
-        self._notify_origin = notify_origin
-
-    def origin_of(self, req_id: int) -> int:
-        return req_id % self.id_slots
-
-    def add_local(self, rec: NetOpRecord) -> None:
-        if rec.req_id in self.local:
-            raise ValueError(f"duplicate req_id {rec.req_id}")
-        if self.origin_of(rec.req_id) != self.host_index:
-            raise ValueError(
-                f"req_id {rec.req_id} does not belong to host {self.host_index}"
-            )
-        self.local[rec.req_id] = rec
-
-    def adopt(self, rec: OpRecord) -> OpRecord:
-        """Entry point for records arriving in a ``DEPART_DUMP``.
-
-        A record whose origin is this very host is simply the local
-        record (the dump was delivered in-process); anything else becomes
-        a forwarding :class:`AdoptedRecord`, memoised so later lookups
-        (GET replies) find the same object the wave is carrying.
-        """
-        local = self.local.get(rec.req_id)
-        if local is not None:
-            return local
-        adopted = self._adopted.get(rec.req_id)
-        if adopted is None:
-            adopted = self._adopted[rec.req_id] = AdoptedRecord(
-                rec, self._notify_origin
-            )
-        return adopted
-
-    def __getitem__(self, req_id: int):
-        rec = self.local.get(req_id)
-        if rec is not None:
-            return rec
-        adopted = self._adopted.get(req_id)
-        if adopted is not None:
-            return adopted
-        if self.origin_of(req_id) == self.host_index:
-            raise KeyError(f"unknown local req_id {req_id}")
-        stub = self._stubs.get(req_id)
-        if stub is None:
-            stub = self._stubs[req_id] = _RemoteRecordStub(
-                req_id, self._notify_origin
-            )
-        return stub
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    def values(self):
-        return self.local.values()
-
-    def reset_proxies(self) -> None:
-        """Drop every stub and adopted proxy at a recovery epoch change.
-
-        Both kinds memoise one-shot ``_done`` latches; a stale latch
-        surviving into the rebuilt epoch would silently swallow the
-        completion notification of a re-run record.  Canonical local
-        records are untouched."""
-        self._adopted.clear()
-        self._stubs.clear()

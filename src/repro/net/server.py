@@ -28,7 +28,9 @@ Concurrent clients: each ``hello`` is answered with a fresh per-host
 submit to the same host with zero id collisions.
 
 TIMEOUT is event-loop-driven (no rounds): see
-:class:`repro.net.runtime.NetRuntime`.
+:class:`repro.net.runtime.NetRuntime`.  How a record's facts merge,
+travel and are held is :mod:`repro.net.records`' business: ``NodeHost``
+keeps sockets, the generation fence, the cluster map and choreography.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from dataclasses import asdict, dataclass, field
 from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
 from repro.core.cluster import spawn_nodes
 from repro.core.protocol import ClusterContext
-from repro.core.requests import OpRecord
 from repro.core.structures import get_structure
 from repro.net.membership import ClusterMap
-from repro.net.runtime import TIMEOUT_LAG, NetOpRecord, NetRuntime, RecordTable
+from repro.net.records import NetOpRecord, RecordTable, decode_complete
+from repro.net.runtime import TIMEOUT_LAG, NetRuntime
 from repro.ops.detector import FailureDetector
 from repro.ops.health import build_health, build_status, start_ops_server
 from repro.ops.recovery import merge_records, plan_rebuild
@@ -493,9 +495,13 @@ class NodeHost:
             epoch=config.epoch,
         )
         self.runtime.on_actor_error = self._actor_error
+        # every record this host holds, and how their facts travel
         self.records = RecordTable(
-            config.host_index, config.id_slots, self._notify_origin
+            config.host_index, config.id_slots, self._send_fenced
         )
+        self.records.holder_of = (
+            lambda origin: self.cluster.complete_target(origin))
+        self.records.on_done = self._push_done
         self.cluster: ClusterMap | None = None
         self.topology: LdbTopology | None = None
         self.ctx: ClusterContext | None = None
@@ -526,8 +532,7 @@ class NodeHost:
         # -- live membership state -------------------------------------------
         # pids of this host still integrating into the overlay
         self.joining_pids: set[int] = set()
-        # archives of retired hosts this (coordinator) host adopted
-        self.adopted_records: dict[int, OpRecord] = {}
+        # error logs of retired hosts this (coordinator) host took over
         self.adopted_errors: list[str] = []
         self.draining = False
         self._drain_task: asyncio.Task | None = None
@@ -537,8 +542,6 @@ class NodeHost:
         # actor messages whose destination pid the cluster map does not
         # (yet) name: a join broadcast may still be in flight
         self._unrouted: list[tuple[float, int, int, tuple]] = []
-        # complete syncs racing a retire handoff: applied on arrival
-        self._orphan_completes: dict[int, dict] = {}
         self._last_epoch = 0
         self._pushed_epoch = 0
         # -- crash-stop fault tolerance (see DESIGN.md) ----------------------
@@ -555,11 +558,6 @@ class NodeHost:
         # recovery choreography, replayed once the rebuild is applied
         self._recover_buffer: list[dict] = []
         self._parked_submits: list[tuple[_Connection, dict]] = []
-        # record facts mirrored here by ring predecessors (wire dicts)
-        self.replica_store: dict[int, dict] = {}
-        self._replica_targets: list[int] = []
-        # completed records whose DONE push awaits the first replica ack
-        self._pending_done: dict[int, NetOpRecord] = {}
         # acting-coordinator rebuild collection (host -> wire record dumps)
         self._recover_dumps: dict[int, list] = {}
         self._recover_epochs: dict[int, int] = {}
@@ -622,7 +620,7 @@ class NodeHost:
             lambda: len(self.records.local))
         reg.gauge("skueue_records_replica",
                   "records mirrored here by ring predecessors").set_fn(
-            lambda: len(self.replica_store))
+            lambda: len(self.records.replicas))
         reg.gauge("skueue_recovery_generation",
                   "cluster recovery generation (fences the data plane)"
                   ).set_fn(lambda: self._gen)
@@ -856,9 +854,9 @@ class NodeHost:
                 decode_payload(message["payload"]),
             )
         elif op == "complete":
-            # re-resolve the target: completion syncs are idempotent, and
-            # _notify_origin follows the departed host's adopter chain
-            self._notify_origin(message["req"], self._complete_fields(message))
+            # re-resolve the holder: learning a fact twice is harmless,
+            # and `deliver` follows the departed host's custodian chain
+            self.records.deliver(message["req"], decode_complete(message))
         # control frames (host_map, leave, ...) are superseded by the
         # map update that triggered this drop: nothing to re-send
 
@@ -879,14 +877,25 @@ class NodeHost:
         self._sync_replica_targets()
         self.runtime.add_forwards(self.cluster.forwards)
         self._replay_unrouted()
-        self._replay_orphan_completes()
+        self.records.replay_parked()
         map_json = self.cluster.to_json()
-        for conn in list(self.connections):
-            if conn.is_client:
-                conn.send({"op": "host_map", "map": map_json})
+        self._push_to_clients({"op": "host_map", "map": map_json})
         if broadcast:
             for link in self.peers.values():
                 link.send({"op": "host_map", "map": map_json})
+
+    def _sync_replica_targets(self) -> None:
+        """Recompute the ring successors that mirror this host's records
+        (a changed set is sent the full history)."""
+        self.records.set_targets(self.cluster.successors_of(
+            self.config.host_index, self.config.replication
+        ))
+
+    def _push_to_clients(self, frame: dict) -> None:
+        """Push to every client session (peers and the launcher read none)."""
+        for conn in list(self.connections):
+            if conn.is_client:
+                conn.send(frame)
 
     # -- remote messaging ----------------------------------------------------
     def _send_remote(self, dest: int, action: int, payload: tuple) -> None:
@@ -909,6 +918,9 @@ class NodeHost:
             # yet: park the message until a newer cluster map arrives
             self._unrouted.append((time.monotonic(), dest, action, payload))
             return
+        link.send(self._msg_frame(dest, action, payload))
+
+    def _msg_frame(self, dest: int, action: int, payload: tuple) -> dict:
         frame = {"op": "msg", "dest": dest, "action": action,
                  "gen": self._gen, "payload": encode_payload(payload)}
         tracer = self.tracer
@@ -925,7 +937,7 @@ class NodeHost:
                 req = payload[0]
             if req is not None and tracer.active(req):
                 frame["tr"] = req
-        link.send(frame)
+        return frame
 
     @property
     def _gen(self) -> int:
@@ -937,10 +949,7 @@ class NodeHost:
         for stamped_at, dest, action, payload in parked:
             owner = self.cluster.owner_of(pid_of(dest))
             if owner is not None and owner in self.peers:
-                self.peers[owner].send(
-                    {"op": "msg", "dest": dest, "action": action,
-                     "gen": self._gen, "payload": encode_payload(payload)}
-                )
+                self.peers[owner].send(self._msg_frame(dest, action, payload))
             elif time.monotonic() - stamped_at > _UNROUTED_GRACE:
                 self.note_error(
                     f"vid {dest}",
@@ -1014,92 +1023,16 @@ class NodeHost:
         self.cluster.version += 1
         self._after_map_change()
 
-    # -- completion syncs ----------------------------------------------------
-    @staticmethod
-    def _complete_frame(req_id: int, fields: dict) -> dict:
-        """Encode a value/result/completion fields dict as a `complete`
-        frame (inverse of :meth:`_complete_fields`)."""
-        frame = {"op": "complete", "req": req_id}
-        if "value" in fields:
-            frame["value"] = fields["value"]
-        if "result" in fields:
-            frame["result"] = encode_payload(fields["result"])
-        if fields.get("local_match"):
-            frame["local_match"] = True
-        if fields.get("done"):
-            frame["done"] = True
-        return frame
-
-    @staticmethod
-    def _complete_fields(message: dict) -> dict:
-        """Decode a `complete` frame's sync fields (inverse of
-        :meth:`_complete_frame`)."""
-        fields: dict = {}
-        if "value" in message:
-            fields["value"] = message["value"]
-        if "result" in message:
-            fields["result"] = decode_payload(message["result"])
-        if message.get("local_match"):
-            fields["local_match"] = True
-        if message.get("done"):
-            fields["done"] = True
-        return fields
-
-    def _notify_origin(self, req_id: int, fields: dict) -> None:
-        """Forward value/result/completion facts to the record's origin.
-
-        The origin is the residue host while it lives; once it retired
-        the sync goes to its record adopter instead — COMPLETEs keep
-        flowing across membership epochs.
-        """
-        origin = self.records.origin_of(req_id)
-        target = origin
-        if self.cluster is not None:
-            resolved = self.cluster.complete_target(origin)
-            if resolved is not None:
-                target = resolved
-        if target == self.config.host_index:
-            self._apply_complete(req_id, dict(fields))
-            return
-        frame = self._complete_frame(req_id, fields)
+    # -- the record plane's way out (see repro.net.records) -------------------
+    def _send_fenced(self, host: int, frame: dict) -> bool:
+        """Ship a ``complete`` or ``replica_put`` to a live host, stamped
+        with the recovery generation; False when no link leads there."""
+        link = self.peers.get(host)
+        if link is None:
+            return False
         frame["gen"] = self._gen
-        link = self.peers.get(target)
-        if link is not None:
-            link.send(frame)
-        else:  # map lag (e.g. a join broadcast still in flight): parked,
-            #    replayed by _replay_orphan_completes on the next map
-            self._orphan_completes.setdefault(req_id, {}).update(fields)
-
-    def _replay_orphan_completes(self) -> None:
-        """Retry parked completion syncs once the map names their target.
-
-        Entries whose origin this host cannot reach yet (a join broadcast
-        racing the completion) re-park themselves inside _notify_origin;
-        entries for records this (coordinator) host will adopt stay
-        parked until the retire handoff delivers the record.
-        """
-        if not self._orphan_completes:
-            return
-        parked, self._orphan_completes = self._orphan_completes, {}
-        for req_id, fields in parked.items():
-            self._notify_origin(req_id, fields)
-
-    def _apply_complete(self, req_id: int, fields: dict) -> None:
-        rec = self.records.local.get(req_id)
-        if rec is None:
-            rec = self.adopted_records.get(req_id)
-        if rec is None:
-            # racing a retire handoff: hold the facts for the archive
-            self._orphan_completes.setdefault(req_id, {}).update(fields)
-            return
-        if "value" in fields and fields["value"] is not None:
-            rec.value = fields["value"]
-        if "result" in fields and fields["result"] is not None:
-            rec.result = fields["result"]
-        if fields.get("local_match"):
-            rec.local_match = True
-        if fields.get("done") and not rec.completed:
-            rec.completed = True  # NetOpRecord pushes DONE via on_completed
+        link.send(frame)
+        return True
 
     # -- frame dispatch ------------------------------------------------------
     def handle_frame(self, conn: _Connection, message: dict) -> None:
@@ -1210,26 +1143,20 @@ class NodeHost:
             elif op == "rebuild":
                 self._apply_rebuild(message)
             elif op == "replica_put":
-                self._handle_replica_put(message)
+                self._handle_peer_frame(message)
             elif op == "replica_ack":
-                rec = self._pending_done.get(int(message["req"]))
-                if rec is not None:
-                    self._push_done(rec)
+                self.records.acked(int(message["req"]))
             elif op == "health":
                 if message.get("detail") == "status":
                     conn.send({"op": "health", **build_status(self)})
                 else:
                     conn.send({"op": "health", **build_health(self)})
             elif op == "collect":
-                records = [record_to_wire(rec) for rec in self.records.values()]
-                records.extend(
-                    record_to_wire(rec) for rec in self.adopted_records.values()
-                )
                 conn.send(
                     {
                         "op": "records",
                         "host": self.config.host_index,
-                        "records": records,
+                        "records": self.records.dump(),
                         "errors": list(self.errors) + list(self.adopted_errors),
                     }
                 )
@@ -1269,8 +1196,9 @@ class NodeHost:
     def _handle_peer_frame(self, message: dict) -> None:
         # generation fence: data-plane frames from before a crash eviction
         # must not leak into the rebuilt actors (their waves restarted
-        # from the merged record set); frames from a peer *ahead* of us in
-        # the recovery choreography are parked until our rebuild lands
+        # from the merged record set) or the replicas (the rebuild purges
+        # them); frames from a peer *ahead* of us in the recovery
+        # choreography are parked until our rebuild lands
         gen = int(message.get("gen", 0))
         if self._recovering or gen > self._gen:
             self._recover_buffer.append(message)
@@ -1282,14 +1210,21 @@ class NodeHost:
             # a peer is routing (or completing) a traced op through us:
             # open a span so our local hop/valuation stamps land too
             self.tracer.ensure(int(tr))
-        if message["op"] == "msg":
+        op = message["op"]
+        if op == "msg":
             self.runtime.deliver(
                 message["dest"],
                 message["action"],
                 decode_payload(message["payload"]),
             )
-        else:  # complete (value/result/completion sync)
-            self._apply_complete(message["req"], self._complete_fields(message))
+        elif op == "complete":  # facts for a record this host keeps
+            self.records.apply(message["req"], decode_complete(message))
+        else:  # replica_put: a ring predecessor mirrors a record here
+            req_id = self.records.put_replica(message["record"])
+            if message.get("ack"):
+                link = self.peers.get(int(message["origin"]))
+                if link is not None:
+                    link.send({"op": "replica_ack", "req": req_id})
 
     # -- membership: join ----------------------------------------------------
     def _is_coordinator(self) -> bool:
@@ -1430,7 +1365,7 @@ class NodeHost:
         frame = {
             "op": "retire",
             "host": self.config.host_index,
-            "records": [record_to_wire(rec) for rec in self.records.values()],
+            "records": self.records.dump(),
             "errors": list(self.errors),
             "forwards": {str(k): v for k, v in self.runtime.forwards.items()},
         }
@@ -1458,19 +1393,7 @@ class NodeHost:
         if not self._is_coordinator():
             conn.send({"op": "error", "message": "not the coordinator"})
             return
-        for data in message.get("records", ()):
-            rec = record_from_wire(data)
-            stashed = self._orphan_completes.pop(rec.req_id, None)
-            if stashed is not None:
-                if stashed.get("value") is not None:
-                    rec.value = stashed["value"]
-                if stashed.get("result") is not None:
-                    rec.result = stashed["result"]
-                if stashed.get("local_match"):
-                    rec.local_match = True
-                if stashed.get("done"):
-                    rec.completed = True
-            self.adopted_records[rec.req_id] = rec
+        self.records.archive(message.get("records", ()))
         self.adopted_errors.extend(message.get("errors", ()))
         if host_index in self.cluster.hosts:
             forwards = {
@@ -1494,16 +1417,12 @@ class NodeHost:
                 self.joining_pids.discard(pid)
         if epoch > self._pushed_epoch:
             self._pushed_epoch = epoch
-            for conn in list(self.connections):
-                if conn.is_client:
-                    conn.send(
-                        {
-                            "op": "update_over",
-                            "host": self.config.host_index,
-                            "epoch": epoch,
-                            "members": members,
-                        }
-                    )
+            self._push_to_clients({
+                "op": "update_over",
+                "host": self.config.host_index,
+                "epoch": epoch,
+                "members": members,
+            })
 
     # -- request intake ------------------------------------------------------
     def _submit(self, conn: _Connection, message: dict) -> None:
@@ -1558,39 +1477,18 @@ class NodeHost:
             self.runtime.now,
             priority=priority,
         )
-        rec.on_completed = self._record_done
-        rec.on_valued = self._record_valued
-        self.records.add_local(rec)
+        # registered and mirrored to the replica holders before the wave
+        # starts; its hooks replicate the value and gate the DONE push
+        self.records.open(rec)
         self._submitters[req_id] = conn
         if message.get("tr") is not None:
             # the client sampled this op (deterministic req_id hash, see
             # repro.telemetry.tracing): span it here regardless of our
             # own rate — local_op's on_submit stamps the first mark
             self.tracer.ensure(req_id, kind=rec.kind, pid=pid)
-        # mirror the submission before the wave starts: should this host
-        # die mid-protocol, the successors still hold the request fact
-        self._replicate(rec)
         node.local_op(rec)
 
-    def _record_valued(self, rec: NetOpRecord) -> None:
-        # stage 3 assigned the anchor value: replicate it immediately.
-        # Without this, a crash between valuation and completion would
-        # re-run an *ordered* op with a fresh value — and a later same-pid
-        # op that already completed could overtake it (property 4).
-        self._replicate(rec)
-
-    def _record_done(self, rec: NetOpRecord) -> None:
-        if self._replica_targets:
-            # gate the client's DONE on the first replica ack: an
-            # acknowledged op is then guaranteed to survive any single
-            # host crash (k >= 1 live copies besides ours)
-            self._pending_done[rec.req_id] = rec
-            self._replicate(rec, ack=True)
-        else:
-            self._push_done(rec)
-
     def _push_done(self, rec: NetOpRecord) -> None:
-        self._pending_done.pop(rec.req_id, None)
         # client-visible completion: close the span here so the (ack-
         # gated) replication window is attributed to the deliver phase;
         # a span already closed where the DHT op landed stays closed
@@ -1608,86 +1506,6 @@ class NodeHost:
             if traced:
                 frame["tr"] = rec.req_id
             conn.send(frame)
-
-    # -- record replication --------------------------------------------------
-    def _sync_replica_targets(self) -> None:
-        """Recompute the ring successors that mirror this host's records."""
-        if self.cluster is None:
-            self._replica_targets = []
-            return
-        targets = self.cluster.successors_of(
-            self.config.host_index, self.config.replication
-        )
-        if targets != self._replica_targets:
-            self._replica_targets = targets
-            self._resync_replicas()
-
-    def _replicate(self, rec, ack: bool = False) -> None:
-        """Mirror one record's current facts to the replica successors.
-
-        Called at submit (the request exists), at valuation (the anchor
-        ordered it — see :meth:`_record_valued`) and at completion (with
-        ``ack=True``, which gates the client DONE on the first
-        ``replica_ack``)."""
-        if not self._replica_targets:
-            if ack:
-                self._push_done(rec)
-            return
-        frame = {
-            "op": "replica_put",
-            "gen": self._gen,
-            "origin": self.config.host_index,
-            "ack": ack,
-            "record": record_to_wire(rec),
-        }
-        for target in self._replica_targets:
-            link = self.peers.get(target)
-            if link is not None:
-                link.send(frame)
-
-    def _resync_replicas(self) -> None:
-        """Full-history snapshot to a changed successor set.
-
-        O(history) per membership change — acceptable at the deployment
-        sizes this runtime targets (see DESIGN.md); the alternative
-        (incremental per-successor watermarks) is not worth the state."""
-        if not self._replica_targets:
-            # nobody to wait for: release every gated DONE
-            for rec in list(self._pending_done.values()):
-                self._push_done(rec)
-            return
-        for rec in self.records.values():
-            self._replicate(rec, ack=rec.req_id in self._pending_done)
-        for rec in self.adopted_records.values():
-            self._replicate(rec)
-
-    def _handle_replica_put(self, message: dict) -> None:
-        if self._recovering:
-            # our store is about to be purged by the rebuild: park the
-            # fact so a new-generation replica cannot be wiped with it
-            self._recover_buffer.append(message)
-            return
-        if int(message.get("gen", 0)) != self._gen:
-            return  # pre-eviction replica: the rebuild superseded it
-        wire = message["record"]
-        req_id = wire["req_id"]
-        have = self.replica_store.get(req_id)
-        if have is None:
-            self.replica_store[req_id] = dict(wire)
-        else:
-            # monotone fact merge, mirroring repro.ops.recovery
-            if wire["completed"] and not have["completed"]:
-                have.update(wire)
-            else:
-                if have["value"] is None and wire["value"] is not None:
-                    have["value"] = wire["value"]
-                if have["result"] is None and wire["result"] is not None:
-                    have["result"] = wire["result"]
-                have["local_match"] = have["local_match"] or wire["local_match"]
-        if message.get("ack"):
-            link = self.peers.get(int(message["origin"]))
-            if link is not None:
-                link.send({"op": "replica_ack", "req": req_id})
 
     # -- failure detection ---------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -1796,29 +1614,25 @@ class NodeHost:
         self._recover_gen = gen
         self._recover_resent = time.monotonic()
         self._sync_peer_links()          # drops the dead host's link
-        self.runtime.reset()             # every local actor is rebuilt
-        self.records.reset_proxies()     # stale one-shot done latches
-        self._unrouted.clear()
-        self._orphan_completes.clear()
+        self._drop_data_plane()
         self._send_recover_dump()
 
-    def _recover_dump_frame(self) -> dict:
-        records = [record_to_wire(rec) for rec in self.records.values()]
-        records.extend(
-            record_to_wire(rec) for rec in self.adopted_records.values()
-        )
-        records.extend(dict(wire) for wire in self.replica_store.values())
-        return {
+    def _drop_data_plane(self) -> None:
+        """Everything that belongs to the dead epoch: the rebuild
+        re-derives it from the merged record set."""
+        self.runtime.reset()             # every local actor is rebuilt
+        self.records.reset_epoch()       # wave proxies, parked facts
+        self._unrouted.clear()
+
+    def _send_recover_dump(self) -> None:
+        acting = self._acting_coordinator()
+        frame = {
             "op": "recover_dump",
             "gen": self._recover_gen,
             "host": self.config.host_index,
             "epoch": self._last_epoch,
-            "records": records,
+            "records": self.records.dump(replicas=True),
         }
-
-    def _send_recover_dump(self) -> None:
-        acting = self._acting_coordinator()
-        frame = self._recover_dump_frame()
         if acting == self.config.host_index:
             self._handle_recover_dump(frame)
         else:
@@ -1906,23 +1720,19 @@ class NodeHost:
         if not self._recovering:
             # the evict frame raced a link reset: catch up on its duties
             self._recovering = True
-            self.runtime.reset()
-            self.records.reset_proxies()
-            self._unrouted.clear()
-            self._orphan_completes.clear()
+            self._drop_data_plane()
         self._recover_gen = gen
         config = self.config
         self._sync_peer_links()
         # successors under the new map; the snapshot resync happens below,
         # *after* the merged facts land, so it mirrors the rebuilt truth
-        self._replica_targets = self.cluster.successors_of(
+        self.records.targets = self.cluster.successors_of(
             config.host_index, config.replication
         )
         # respawn the shard over the surviving pid set
         merged = [record_from_wire(data) for data in message["records"]]
         anchor = decode_payload(message["anchor"])
         elements = decode_payload(message["elements"])
-        reruns = set(message.get("reruns", ()))
         pids = sorted(self.cluster.pid_owner)
         self.topology = LdbTopology(pids, salt=config.salt)
         self.ctx = self._new_context(len(self.topology))
@@ -1937,44 +1747,17 @@ class NodeHost:
                     tuple(anchor)
                 )
         self._preload_stores(elements)
-        # custody: records of evicted origins complete here from now on
-        for rec in merged:
-            origin = self.records.origin_of(rec.req_id)
-            target = self.cluster.complete_target(origin)
-            if (
-                origin != config.host_index
-                and target == config.host_index
-                and rec.req_id not in self.records.local
-            ):
-                self.adopted_records[rec.req_id] = rec
-        # fold merged facts into our own records; completions fire the
-        # (ack-gated) DONE push through the record's on_completed hook
-        for rec in merged:
-            mine = self.records.local.get(rec.req_id)
-            if mine is None:
-                continue
-            if rec.value is not None and mine.value is None:
-                mine.value = rec.value
-            if rec.result is not None and mine.result is None:
-                mine.result = rec.result
-            if rec.local_match:
-                mine.local_match = True
-            if rec.completed and not mine.completed:
-                mine.completed = True
+        # our own records learn the merged facts (completions fire the
+        # ack-gated DONE push); records of departed origins the new map
+        # hands to us complete here from now on; old replicas go
+        self.records.fold(merged, {
+            origin for origin in self.cluster.departed
+            if self.cluster.complete_target(origin) == config.host_index
+        })
         # re-run the never-ordered tail: each record restarts at the host
-        # that will complete it (origin while live, custodian otherwise)
-        rerun_recs = sorted(
-            (rec for rec in merged if rec.req_id in reruns),
-            key=lambda rec: (rec.pid, rec.idx),
-        )
-        for rec in rerun_recs:
-            origin = self.records.origin_of(rec.req_id)
-            target = self.cluster.complete_target(origin)
-            if (target if target is not None else origin) != config.host_index:
-                continue
-            obj = self.records.local.get(rec.req_id)
-            if obj is None:
-                obj = self.adopted_records.get(rec.req_id, rec)
+        # that keeps it (its origin while that lives, its custodian since)
+        kept = filter(None, map(self.records.get, message.get("reruns", ())))
+        for obj in sorted(kept, key=lambda rec: (rec.pid, rec.idx)):
             node = self.runtime.actors.get(vid_of(obj.pid, MIDDLE))
             if node is None:
                 # the record's own pid died with its host: any integrated
@@ -1987,26 +1770,18 @@ class NodeHost:
                     )
                     continue
             node.local_op(obj)
-        # replicas recorded before the crash described the old world
-        self.replica_store.clear()
         self._recovering = False
         self._evicting.clear()
         now = time.monotonic()
         for host in self.detector.suspects():
             if host in self.cluster.hosts:
                 self.detector.clear(host, now)
-        self._resync_replicas()
+        self.records.resync()
         # frames parked while the shard was down (fence re-checked now)
         buffered, self._recover_buffer = self._recover_buffer, []
         for frame in buffered:
-            if frame.get("op") == "replica_put":
-                self._handle_replica_put(frame)
-            else:
-                self._handle_peer_frame(frame)
-        map_json = self.cluster.to_json()
-        for conn in list(self.connections):
-            if conn.is_client:
-                conn.send({"op": "host_map", "map": map_json})
+            self._handle_peer_frame(frame)
+        self._push_to_clients({"op": "host_map", "map": self.cluster.to_json()})
         self.runtime.kick()
         parked, self._parked_submits = self._parked_submits, []
         for conn, sub in parked:
@@ -2062,6 +1837,11 @@ async def run_host(config: HostConfig, ready_prefix: str = "SKUEUE-READY") -> No
     Prints ``{ready_prefix} <host_index> <port>`` once listening — the
     launcher parses this line to learn the ephemeral port.
     """
+    host, _port = await _start_announced(config, ready_prefix)
+    await host.wait_stopped()
+
+
+async def _start_announced(config: HostConfig, ready_prefix: str):
     host = NodeHost(config)
     port = await host.start()
     print(f"{ready_prefix} {config.host_index} {port}", flush=True)
@@ -2069,7 +1849,7 @@ async def run_host(config: HostConfig, ready_prefix: str = "SKUEUE-READY") -> No
         # announced *after* READY so launchers parsing only the READY
         # line keep working; `skueue-ops` scrapes this one
         print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
-    await host.wait_stopped()
+    return host, port
 
 
 async def run_joining_host(
@@ -2106,11 +1886,7 @@ async def run_joining_host(
         owned=list(reply["pids"]),
         **reply["config"],
     )
-    host = NodeHost(config)
-    actual_port = await host.start()
-    print(f"{ready_prefix} {config.host_index} {actual_port}", flush=True)
-    if host.ops_port:
-        print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
+    host, actual_port = await _start_announced(config, ready_prefix)
     host.wire_joining(ClusterMap.from_json(reply["map"]))
     await request_async(
         coordinator_address,

@@ -16,8 +16,10 @@ an injected clock:
   (imported lazily by its entry point; it pulls in ``repro.net``).
 
 The impure half — heartbeat tasks, SUSPECT/EVICT/RECOVER_DUMP/REBUILD
-frames, replica shipping — lives in :mod:`repro.net.server`, which
-imports this package (never the other way around).
+frames — lives in :mod:`repro.net.server`, which imports this package
+(never the other way around).  :mod:`repro.ops.recovery` merges records
+with :func:`repro.net.records.learn`; that module is as socket-free as
+this package, so the pure half stays pure.
 """
 
 from repro.ops.detector import FailureDetector

@@ -52,11 +52,9 @@ def build_health(host) -> dict:
         "detector": host.detector.snapshot(now),
         "links": {str(index): link.stats() for index, link in host.peers.items()},
         "evictions": list(host.evictions),
-        "records": len(host.records),
-        "adopted_records": len(host.adopted_records),
-        "replicas": len(host.replica_store),
-        "replica_targets": list(host._replica_targets),
-        "pending_done": len(host._pending_done),
+        # records / adopted_records / replicas / replica_targets /
+        # pending_done, counted where the records are held
+        **host.records.counts(),
         "errors": len(host.errors),
     }
 

@@ -9,7 +9,7 @@ from the one thing that survives: the merged record set.
 The key observation is the protocol's own correctness theorem: the
 execution witnessed by the checker is exactly the value-ordered replay
 of all operations.  So given every record fact the cluster still holds
-(own records + adopted archives + replicas), replaying the *valued*
+(own records + custody archives + replicas), replaying the *valued*
 operations in value order against a reference structure deterministically
 reproduces
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.net.records import clone, facts, learn
 
 __all__ = ["RebuildPlan", "merge_records", "plan_rebuild"]
 
@@ -53,44 +54,20 @@ def merge_records(dumps) -> dict[int, OpRecord]:
     """Merge record dumps from every surviving host into one view.
 
     ``dumps`` is an iterable of record iterables (each host contributes
-    its own records, its adopted archive, and its replica holdings).
-    Facts merge monotonically: a completed copy wins wholesale; otherwise
-    any known ``value``/``result`` fills the gap.  Records are *copied*
-    — callers may pass live objects.
+    its own records, its custody archive, and its replica holdings).
+    Facts merge through :func:`repro.net.records.learn`, the one rule the
+    whole record plane shares, so the order of hosts and of copies does
+    not matter.  Records are *copied* — callers may pass live objects.
     """
     merged: dict[int, OpRecord] = {}
     for dump in dumps:
         for rec in dump:
             have = merged.get(rec.req_id)
             if have is None:
-                merged[rec.req_id] = _copy(rec)
-                continue
-            if rec.completed and not have.completed:
-                have.value = rec.value if rec.value is not None else have.value
-                have.result = rec.result
-                have.local_match = rec.local_match or have.local_match
-                have.completed = True
-                continue
-            if have.completed:
-                continue
-            if have.value is None and rec.value is not None:
-                have.value = rec.value
-            if have.result is None and rec.result is not None:
-                have.result = rec.result
-            have.local_match = have.local_match or rec.local_match
+                merged[rec.req_id] = clone(rec)
+            else:
+                learn(have, *facts(rec))
     return merged
-
-
-def _copy(rec: OpRecord) -> OpRecord:
-    out = OpRecord(
-        rec.req_id, rec.pid, rec.idx, rec.kind, rec.item, rec.gen,
-        priority=getattr(rec, "priority", 0),
-    )
-    out.value = rec.value
-    out.result = rec.result
-    out.completed = bool(rec.completed)
-    out.local_match = bool(rec.local_match)
-    return out
 
 
 @dataclass

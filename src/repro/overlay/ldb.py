@@ -110,9 +110,6 @@ class LdbTopology:
         """The globally leftmost virtual node — the anchor (Section III)."""
         return self._order[0][1]
 
-    def max_vid(self) -> int:
-        return self._order[-1][1]
-
     # -- ownership ------------------------------------------------------------
     def owner_of(self, point: float) -> int:
         """Virtual node responsible for ``point``: the one owning

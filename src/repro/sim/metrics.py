@@ -105,9 +105,6 @@ class Metrics:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def note_message(self) -> None:
-        self.messages += 1
-
     def note_stat(self, name: str, value: float) -> None:
         """Record an auxiliary duration/size observation (wave lengths,
         flush sizes, ...).  Deliberately a separate channel from

@@ -198,11 +198,6 @@ class Actor:
         :meth:`Runtime.request_timeout`)."""
         self.runtime.request_timeout(self.aid, arrival)
 
-    def wake_peer(self, actor_id: int) -> None:
-        """Push a TIMEOUT at another actor whose readiness this actor's
-        state change may have unblocked (see :meth:`Runtime.wake`)."""
-        self.runtime.wake(actor_id)
-
     # -- to override ---------------------------------------------------------
     def handle(self, action: int, payload: tuple) -> None:  # pragma: no cover
         raise NotImplementedError

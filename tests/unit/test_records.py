@@ -1,0 +1,485 @@
+"""The record plane without a socket: ``repro.net.records`` driven by
+hand-delivered frames.
+
+Everything here used to run only under ``-m net`` (inside ``NodeHost``):
+the one merge, completion forwarding, replication and the ack-gated
+DONE, the retire handoff, the rebuild fold.  ``Wire`` stands in for the
+peer links: frames go through the real binary codec into a queue the
+test delivers when (and in the order) it wants.
+"""
+
+from __future__ import annotations
+
+import ast
+import gc
+import itertools
+from pathlib import Path
+
+import pytest
+
+import repro.net.records as records_module
+from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.net.records import (
+    NetOpRecord,
+    RecordTable,
+    clone,
+    decode_complete,
+    encode_complete,
+    facts,
+    learn,
+)
+from repro.net.transport import (
+    CODEC_BINARY,
+    FrameReader,
+    encode_frame,
+    record_from_wire,
+    record_to_wire,
+)
+from repro.ops.recovery import merge_records
+
+SLOTS = 4  # req_id % SLOTS is the origin host
+
+
+def rid(origin: int, n: int = 1) -> int:
+    return n * SLOTS + origin
+
+
+def blank(req_id: int, kind: int = REMOVE, cls=OpRecord) -> OpRecord:
+    return cls(req_id, 0, 0, kind, None, 0.0)
+
+
+class Wire:
+    """Hosts' record tables joined by a frame queue (no sockets)."""
+
+    def __init__(self, hosts=(0, 1, 2)) -> None:
+        self.queue: list[tuple[int, dict]] = []
+        self.down: set[int] = set()  # hosts no link leads to
+        self.holder: dict[int, int] = {}  # origin -> custodian overrides
+        self.done: dict[int, list[int]] = {h: [] for h in hosts}
+        self.tables = {h: self._table(h) for h in hosts}
+
+    def _table(self, host: int) -> RecordTable:
+        table = RecordTable(host, SLOTS, self._send)
+        table.holder_of = lambda origin: self.holder.get(origin, origin)
+        table.on_done = lambda rec: self.done[host].append(rec.req_id)
+        return table
+
+    def _send(self, host: int, frame: dict) -> bool:
+        if host in self.down:
+            return False
+        (decoded,) = FrameReader().feed(encode_frame(dict(frame), CODEC_BINARY))
+        self.queue.append((host, decoded))
+        return True
+
+    def pump(self, only: str | None = None) -> int:
+        """Deliver queued frames the way ``NodeHost`` dispatches them."""
+        delivered = 0
+        while True:
+            batch = [(h, f) for h, f in self.queue
+                     if only is None or f["op"] == only]
+            if not batch:
+                return delivered
+            self.queue = [hf for hf in self.queue if hf not in batch]
+            for host, frame in batch:
+                delivered += 1
+                table = self.tables[host]
+                if frame["op"] == "complete":
+                    table.apply(frame["req"], decode_complete(frame))
+                elif frame["op"] == "replica_put":
+                    req_id = table.put_replica(frame["record"])
+                    if frame["ack"]:
+                        self.queue.append(
+                            (frame["origin"], {"op": "replica_ack", "req": req_id})
+                        )
+                else:
+                    table.acked(frame["req"])
+
+    def submit(self, host: int, n: int = 1, kind: int = REMOVE) -> NetOpRecord:
+        rec = blank(rid(host, n), kind, NetOpRecord)
+        self.tables[host].open(rec)
+        return rec
+
+
+# -- the one merge -------------------------------------------------------------
+
+FACT_SETS = [
+    (None, None, False, False),
+    (7, None, False, False),
+    (None, (3, "x"), False, False),
+    (None, BOTTOM, False, True),
+    (7, (3, "x"), False, True),
+    (None, None, True, True),
+]
+
+
+class TestLearn:
+    def test_fills_once_and_never_lowers(self):
+        rec = blank(1)
+        assert learn(rec, value=5)
+        assert not learn(rec, value=9)  # the anchor assigns a value once
+        assert rec.value == 5
+        assert learn(rec, result=BOTTOM, completed=True)
+        assert not learn(rec)  # no facts: nothing lowered
+        assert facts(rec) == (5, BOTTOM, False, True)
+        assert not learn(rec, result=(1, "late"), local_match=False,
+                         completed=False)
+        assert facts(rec) == (5, BOTTOM, False, True)
+
+    @pytest.mark.parametrize("known", FACT_SETS)
+    def test_idempotent(self, known):
+        rec = blank(1)
+        learn(rec, *known)
+        before = facts(rec)
+        assert not learn(rec, *known)
+        assert facts(rec) == before
+
+    def test_any_order_of_compatible_fact_sets_gives_the_same_record(self):
+        compatible = [FACT_SETS[0], FACT_SETS[1], FACT_SETS[2], FACT_SETS[4]]
+        outcomes = set()
+        for order in itertools.permutations(compatible):
+            rec = blank(1)
+            for known in order:
+                learn(rec, *known)
+            outcomes.add(facts(rec))
+        assert outcomes == {(7, (3, "x"), False, True)}
+
+    def test_completed_is_assigned_last_so_the_hook_sees_every_fact(self):
+        seen = []
+        rec = blank(1, cls=NetOpRecord)
+        rec.on_completed = lambda r: seen.append(facts(r))
+        learn(rec, 7, (3, "x"), True, True)
+        assert seen == [(7, (3, "x"), True, True)]
+
+    def test_complete_frame_round_trip(self):
+        for known in FACT_SETS:
+            frame = encode_complete(9, known)
+            assert frame["op"] == "complete" and frame["req"] == 9
+            assert decode_complete(frame) == known
+        # an empty fact set costs no fields
+        assert encode_complete(9, FACT_SETS[0]) == {"op": "complete", "req": 9}
+
+    def test_clone_copies_identity_and_facts_without_aliasing(self):
+        rec = OpRecord(5, 3, 1, INSERT, "x", 0.25, priority=2)
+        learn(rec, 4, None, False, True)
+        copy = clone(rec, NetOpRecord)
+        assert type(copy) is NetOpRecord and copy.on_completed is None
+        assert record_to_wire(copy) == record_to_wire(rec)
+        copy.local_match = True
+        assert not rec.local_match
+
+
+# -- the five paths agree ------------------------------------------------------
+
+VALUE = (11, None, False, False)
+DONE = (None, (rid(2), "e"), False, True)
+
+
+def via_complete(order):
+    wire = Wire()
+    rec = wire.submit(0)
+    for known in order:
+        wire.tables[0].apply(rec.req_id, known)
+    return rec
+
+
+def via_replica_put(order):
+    wire = Wire()
+    for known in order:
+        copy = blank(rid(0))
+        learn(copy, *known)
+        wire.tables[1].put_replica(record_to_wire(copy))
+    return wire.tables[1].replicas[rid(0)]
+
+
+def via_retire_handoff(order):
+    wire = Wire()
+    coordinator = wire.tables[0]
+    first, *late = order
+    for known in late:  # `complete` frames racing the retire frame
+        coordinator.apply(rid(1), known)
+    archived = blank(rid(1))
+    learn(archived, *first)
+    coordinator.archive([record_to_wire(archived)])
+    return coordinator.custody[rid(1)]
+
+
+def via_rebuild_fold(order):
+    wire = Wire()
+    rec = wire.submit(0)
+    learn(rec, *order[0])
+    merged = blank(rid(0))
+    for known in order[1:]:
+        learn(merged, *known)
+    wire.tables[0].fold([merged], set())
+    return rec
+
+
+def via_merge_records(order):
+    dumps = []
+    for known in order:
+        copy = blank(rid(0))
+        learn(copy, *known)
+        dumps.append([copy])
+    return merge_records(dumps)[rid(0)]
+
+
+PATHS = [via_complete, via_replica_put, via_retire_handoff,
+         via_rebuild_fold, via_merge_records]
+
+
+class TestFivePathsOneRecord:
+    @pytest.mark.parametrize("path", PATHS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "order",
+        [(VALUE, DONE), (DONE, VALUE), (DONE, VALUE, DONE)],
+        ids=["value-then-completion", "completion-then-value",
+             "completed-copy-meets-uncompleted"],
+    )
+    def test_same_facts_any_arrival_order(self, path, order):
+        assert facts(path(order)) == (11, (rid(2), "e"), False, True)
+
+    def test_replica_of_a_completed_record_is_not_lowered_by_a_stale_one(self):
+        table = Wire().tables[1]
+        done = blank(rid(0))
+        learn(done, 3, BOTTOM, False, True)
+        table.put_replica(record_to_wire(done))
+        table.put_replica(record_to_wire(blank(rid(0))))  # the submit copy
+        assert facts(table.replicas[rid(0)]) == (3, BOTTOM, False, True)
+        assert isinstance(table.replicas[rid(0)], OpRecord)  # not a wire dict
+
+
+# -- stubs, wave proxies and the origin ----------------------------------------
+
+
+class TestRemoteCompletion:
+    def test_thousand_remote_completions_leave_nothing_behind(self):
+        wire = Wire()
+        recs = [wire.submit(1, n) for n in range(1, 1001)]
+        wire.tables[1].targets = []  # no replicas: DONE at completion
+        gc.collect()
+        before = sum(type(o) is NetOpRecord for o in gc.get_objects())
+        dht_host = wire.tables[0]
+        for rec in recs:
+            dht_host[rec.req_id].completed = True  # the DHT node's lookup
+        wire.pump()
+        assert all(rec.completed for rec in recs)
+        assert wire.done[1] == [rec.req_id for rec in recs]
+        assert not dht_host._proxies and not dht_host._parked
+        gc.collect()
+        after = sum(type(o) is NetOpRecord for o in gc.get_objects())
+        assert after == before
+
+    def test_each_lookup_is_a_fresh_stub_and_the_origin_is_idempotent(self):
+        wire = Wire()
+        rec = wire.submit(1)
+        wire.tables[1].targets = []
+        remote = wire.tables[0]
+        assert remote[rec.req_id] is not remote[rec.req_id]
+        for _ in range(2):  # two lookups, two `complete` frames
+            stub = remote[rec.req_id]
+            stub.result = BOTTOM
+            stub.completed = True
+        assert wire.pump() == 2
+        assert wire.done[1] == [rec.req_id]  # one DONE
+        assert facts(rec) == (None, BOTTOM, False, True)
+
+    def test_wave_proxy_tells_the_origin_the_value_at_once(self):
+        wire = Wire()
+        rec = wire.submit(1, kind=INSERT)
+        proxy = wire.tables[2].adopt(record_from_wire(record_to_wire(rec)))
+        assert wire.tables[2][rec.req_id] is proxy  # remembered
+        proxy.value = 42  # stage 3 on the adopter
+        wire.pump("complete")
+        assert rec.value == 42 and not rec.completed
+        wire.tables[0][rec.req_id].completed = True  # the DHT node, a third host
+        wire.pump("complete")
+        assert facts(rec) == (42, None, False, True)
+
+    def test_unreachable_holder_parks_the_facts_until_the_map_names_it(self):
+        wire = Wire(hosts=(0, 1, 3))
+        wire.down.add(3)  # joined, but the map broadcast is still in flight
+        rec = wire.submit(3)
+        wire.tables[0][rec.req_id].completed = True
+        assert not wire.queue and rid(3) in wire.tables[0]._parked
+        wire.tables[0].replay_parked()  # a map change that changes nothing
+        assert rid(3) in wire.tables[0]._parked
+        wire.down.clear()
+        wire.tables[0].replay_parked()
+        wire.pump("complete")
+        assert rec.completed and not wire.tables[0]._parked
+
+
+# -- replication and the DONE gate ---------------------------------------------
+
+
+class TestReplicationGate:
+    def test_done_waits_for_the_first_replica_ack(self):
+        wire = Wire()
+        wire.tables[0].set_targets([1, 2])
+        rec = wire.submit(0)
+        rec.value = 5  # mirrored the moment it is assigned
+        assert wire.pump("replica_put") == 4  # submit + value, two targets
+        assert facts(wire.tables[1].replicas[rec.req_id]) == (5, None, False, False)
+        learn(rec, None, BOTTOM, False, True)
+        assert wire.done[0] == [] and wire.tables[0].counts()["pending_done"] == 1
+        wire.pump("replica_put")
+        assert wire.done[0] == []  # put delivered, ack still in flight
+        wire.pump()
+        assert wire.done[0] == [rec.req_id]  # first ack releases, second is a no-op
+        assert wire.tables[0].counts()["pending_done"] == 0
+        assert wire.tables[2].replicas[rec.req_id].completed
+
+    def test_done_is_released_at_once_when_no_target_is_left(self):
+        wire = Wire()
+        wire.tables[0].set_targets([1])
+        rec = wire.submit(0)
+        rec.completed = True
+        assert wire.done[0] == []
+        wire.tables[0].set_targets([])  # the last successor left the map
+        assert wire.done[0] == [rec.req_id]
+        late = wire.submit(0, 2)
+        late.completed = True
+        assert wire.done[0] == [rec.req_id, late.req_id]  # ungated
+
+    def test_a_changed_target_set_is_sent_the_whole_history(self):
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1])
+        done, open_ = wire.submit(0, 1), wire.submit(0, 2)
+        done.completed = True
+        table.archive([record_to_wire(blank(rid(3)))])
+        wire.queue.clear()
+        table.set_targets([2])
+        wire.pump("replica_put")
+        assert set(wire.tables[2].replicas) == {done.req_id, open_.req_id, rid(3)}
+        wire.pump()  # the gated DONE rides the new target's ack
+        assert wire.done[0] == [done.req_id]
+
+
+# -- custody -------------------------------------------------------------------
+
+
+class TestCustody:
+    def test_complete_racing_a_retire_handoff_lands_on_the_archive(self):
+        wire = Wire()
+        coordinator = wire.tables[0]
+        wire.holder[1] = 0  # host 1 retired; the map names host 0
+        stub = wire.tables[2][rid(1)]
+        stub.result = (rid(2), "e")
+        stub.completed = True
+        wire.pump("complete")  # arrives before the `retire` frame
+        assert coordinator.get(rid(1)) is None
+        assert coordinator.counts()["adopted_records"] == 0
+        coordinator.archive([record_to_wire(blank(rid(1)))])
+        assert facts(coordinator.get(rid(1))) == (None, (rid(2), "e"), False, True)
+        assert not coordinator._parked
+        wire.tables[2][rid(1)].completed = True  # and later ones apply directly
+        wire.pump("complete")
+        assert coordinator.counts()["adopted_records"] == 1
+
+    def test_dump_serves_own_and_custody_and_replicas_on_request(self):
+        table = Wire().tables[0]
+        table.open(blank(rid(0), cls=NetOpRecord))
+        table.archive([record_to_wire(blank(rid(1)))])
+        table.put_replica(record_to_wire(blank(rid(2))))
+        def ids(wires):
+            return sorted(w["req_id"] for w in wires)
+
+        assert ids(table.dump()) == [rid(0), rid(1)]  # collect, retire
+        assert ids(table.dump(replicas=True)) == [rid(0), rid(1), rid(2)]
+
+    def test_rebuild_fold_fires_each_completion_once(self):
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1])
+        mine = [wire.submit(0, n) for n in (1, 2, 3)]
+        mine[0].completed = True  # already completed before the crash
+        wire.pump()
+        assert wire.done[0] == [mine[0].req_id]
+        table.put_replica(record_to_wire(blank(rid(3, 9))))  # pre-crash replica
+        merged = []
+        for rec in mine:
+            copy = clone(rec)
+            learn(copy, 10 + rec.req_id, BOTTOM, False, True)
+            merged += [copy, clone(copy)]  # a duplicate in the merged set
+        merged.append(blank(rid(2, 5)))  # evicted origin: ours from now on
+        merged.append(blank(rid(1, 5)))  # live origin: not ours
+        fired = []
+        for rec in mine:
+            hook = rec.on_completed
+            rec.on_completed = lambda r, hook=hook: (fired.append(r.req_id), hook(r))
+        table.reset_epoch()
+        table.fold(merged, {2})
+        assert fired == [mine[1].req_id, mine[2].req_id]
+        assert all(facts(rec)[1:] == (BOTTOM, False, True) for rec in mine)
+        assert set(table.custody) == {rid(2, 5)} and not table.replicas
+        table.resync()
+        wire.pump()
+        assert wire.done[0] == [rec.req_id for rec in mine]
+
+
+# -- structure, pinned ----------------------------------------------------------
+
+NET = Path(records_module.__file__).parent
+FACT_NAMES = {"value", "result", "local_match", "completed"}
+
+
+def _fact_writers(path: Path) -> set[str]:
+    """Functions in ``path`` assigning a fact on anything but ``self``."""
+    writers = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in FACT_NAMES
+                    and not (isinstance(target.value, ast.Name)
+                             and target.value.id == "self")
+                ):
+                    writers.add(f"{path.name}:{func.name}")
+    return writers
+
+
+class TestStructure:
+    def test_one_function_merges_facts(self):
+        writers = set()
+        for path in sorted(NET.glob("*.py")):
+            writers |= _fact_writers(path)
+        # `record_from_wire` decodes a record's own wire form into a fresh
+        # record; every merge into an existing one is `learn`
+        assert writers == {"records.py:learn", "transport.py:record_from_wire"}
+        # the planner in ops.recovery writes replay results onto its merged
+        # copies; `merge_records` itself only clones and learns
+        recovery = NET.parent / "ops" / "recovery.py"
+        assert "recovery.py:merge_records" not in _fact_writers(recovery)
+        assert "recovery.py:_replay" in _fact_writers(recovery)  # the walk sees it
+
+    def test_records_module_has_no_socket_and_no_loop(self):
+        imported = set()
+        for node in ast.walk(ast.parse((NET / "records.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert not {"asyncio", "socket", "repro.net.server"} & imported
+
+    def test_one_record_subclass_and_no_record_state_on_the_host(self):
+        subclasses = [
+            f"{path.name}:{node.name}"
+            for path in sorted(NET.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "OpRecord" for base in node.bases)
+        ]
+        assert subclasses == ["records.py:NetOpRecord"]
+        server = (NET / "server.py").read_text()
+        for name in ("replica_store", "adopted_records", "_pending_done",
+                     "_orphan_completes", "dict(wire)"):
+            assert name not in server

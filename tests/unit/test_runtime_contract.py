@@ -241,11 +241,20 @@ def test_net_runtime_forwarding_addresses():
 
 
 class TestRecordTable:
-    def test_local_records_resolve_and_complete(self):
-        completions = []
+    """``ctx.records`` on a host (the rest of the record plane is driven
+    by ``tests/unit/test_records.py``)."""
+
+    @staticmethod
+    def _table(host_index=0, id_slots=2):
+        sent = []
         table = RecordTable(
-            0, 2, notify_origin=lambda req, fields: completions.append(req)
+            host_index, id_slots,
+            lambda host, frame: sent.append((host, frame)) or True,
         )
+        return table, sent
+
+    def test_local_records_resolve_and_complete(self):
+        table, sent = self._table()
         rec = NetOpRecord(4, 0, 0, 0, "item", 0.0)
         done = []
         rec.on_completed = lambda r: done.append(r.req_id)
@@ -254,41 +263,30 @@ class TestRecordTable:
         rec.completed = True
         rec.completed = True  # idempotent: callback fires once
         assert done == [4]
-        assert not completions
+        assert not sent
 
     def test_remote_ids_get_forwarding_stubs(self):
-        completions = []
-        table = RecordTable(
-            0,
-            2,
-            notify_origin=lambda req, fields: completions.append((req, fields)),
-        )
+        table, sent = self._table()
         stub = table[7]  # 7 % 2 == 1: owned by host 1
-        assert table[7] is stub  # cached
         stub.completed = True
         stub.completed = True
-        assert completions == [(7, {"done": True})]
+        assert sent == [(1, {"op": "complete", "req": 7, "done": True})]
 
     def test_stub_forwards_learned_fields_with_completion(self):
-        completions = []
-        table = RecordTable(
-            0,
-            2,
-            notify_origin=lambda req, fields: completions.append((req, fields)),
-        )
+        table, sent = self._table()
         stub = table[9]
         stub.result = (9, "payload")
         stub.completed = True
-        assert completions == [(9, {"done": True, "result": (9, "payload")})]
+        assert sent == [(1, {
+            "op": "complete", "req": 9,
+            "result": {"t": [9, "payload"]}, "done": True,
+        })]
 
     def test_adopt_wire_copy_forwards_value_and_completion(self):
-        """An adopted record proxies every learned fact to the origin."""
+        """A wave proxy tells the origin every fact it learns."""
         from repro.core.requests import OpRecord
 
-        syncs = []
-        table = RecordTable(
-            0, 2, notify_origin=lambda req, fields: syncs.append((req, fields))
-        )
+        table, sent = self._table()
         donor = OpRecord(5, 3, 1, 0, "x", 0.25)  # 5 % 2 == 1: remote origin
         adopted = table.adopt(donor)
         assert adopted is not donor
@@ -297,19 +295,20 @@ class TestRecordTable:
         adopted.value = 42  # stage 3 assigns the witness rank
         adopted.result = (5, "x")
         adopted.completed = True
-        assert syncs == [
-            (5, {"value": 42}),
-            (5, {"done": True, "value": 42, "result": (5, "x")}),
+        assert sent == [
+            (1, {"op": "complete", "req": 5, "value": 42}),
+            (1, {"op": "complete", "req": 5, "value": 42,
+                 "result": {"t": [5, "x"]}, "done": True}),
         ]
 
     def test_adopt_local_origin_returns_the_canonical_record(self):
-        table = RecordTable(0, 2, notify_origin=lambda req, fields: None)
+        table, _ = self._table()
         rec = NetOpRecord(6, 0, 0, 0, None, 0.0)
         table.add_local(rec)
         assert table.adopt(rec) is rec
 
     def test_foreign_req_id_rejected_and_unknown_local_raises(self):
-        table = RecordTable(0, 2, notify_origin=lambda req, fields: None)
+        table, _ = self._table()
         with pytest.raises(ValueError):
             table.add_local(NetOpRecord(3, 1, 0, 0, None, 0.0))  # 3 % 2 != 0
         with pytest.raises(KeyError):
