@@ -34,7 +34,11 @@ Every mutation bumps ``version``; receivers apply a map iff its version
 is newer, so broadcasts may race, duplicate, or arrive via different
 paths (peer links, client pushes, ``map`` pulls) without confusion.
 The **coordinator** — the lowest live host_index — serialises all
-membership mutations; it cannot itself be drained.
+membership mutations; it cannot itself be drained.  Every mutation is a
+method here: the coordinator applies one to a :meth:`ClusterMap.copy` of
+its map and adopts the result like any other host
+(:meth:`repro.net.control.ControlPlane.adopt`), so no field is written
+outside this module.
 """
 
 from __future__ import annotations
@@ -104,6 +108,11 @@ class ClusterMap:
             id_slots=id_slots or n_hosts,
             n_genesis=n_processes,
         )
+
+    def copy(self) -> "ClusterMap":
+        """An independent draft the coordinator may mutate and publish."""
+        return ClusterMap(**{name: getattr(self, name)
+                             for name in self.__slots__})
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -176,6 +185,11 @@ class ClusterMap:
         self.leaving.add(host_index)
         self.version += 1
 
+    def merge_forwards(self, forwards: dict[int, int]) -> None:
+        """Fold in forwarding addresses a draining host published."""
+        self.forwards.update(forwards)
+        self.version += 1
+
     def retire_host(
         self, host_index: int, adopter: int, forwards: dict[int, int]
     ) -> None:
@@ -198,16 +212,23 @@ class ClusterMap:
         data-plane frame carries the epoch it was sent under, and frames
         from an older epoch are dropped — the generation fence that keeps
         pre-crash stragglers from corrupting the rebuilt state.
+
+        The rebuild respawns every surviving pid as a full member, so
+        what described departures in progress goes with the old epoch:
+        ``leaving`` (an eviction cancels every drain; the operator
+        re-issues ``leave``) and ``forwards`` (a respawned node must not
+        be bypassed by the forward its cancelled departure left).
         """
         if host_index not in self.hosts:
             raise ValueError(f"host {host_index} is not live")
         if adopter not in self.hosts or adopter == host_index:
             raise ValueError(f"adopter {adopter} is not a live other host")
         self.hosts.pop(host_index)
-        self.leaving.discard(host_index)
         for pid in self.pids_of(host_index):
             del self.pid_owner[pid]
         self.departed[host_index] = adopter
+        self.leaving.clear()
+        self.forwards.clear()
         self.version += 1
         self.recovery_epoch += 1
 

@@ -382,12 +382,18 @@ class RecordTable:
                 learn(rec, *facts(parked))
             _keep(self.custody, rec)
 
-    def fold(self, merged: Iterable[OpRecord], custody_of) -> None:
-        """Adopt a rebuild's merged truth: own records learn what the
-        cluster knew (completions fire the DONE gate through their
-        hooks), records of the origins in ``custody_of`` are kept here
-        from now on, and the replicas — which described the old world —
-        go; :meth:`resync` follows once the host is serving again."""
+    def fold(self, merged: Iterable[OpRecord], custody_of,
+             targets: list[int]) -> None:
+        """Adopt a rebuild's merged truth, in the order that keeps the
+        DONE gate honest: ``targets`` (the successors under the rebuilt
+        map) first, so a completion learned here waits for a holder that
+        is alive; then own records learn what the cluster knew
+        (completions fire the gate through their hooks) and records of
+        the origins in ``custody_of`` are kept here from now on; then
+        the replicas — which described the old world — go; and last the
+        whole history is mirrored again, every holder having just
+        purged its own."""
+        self.targets = targets
         for rec in merged:
             origin = self.origin_of(rec.req_id)
             if origin == self.host_index:
@@ -397,6 +403,7 @@ class RecordTable:
             elif origin in custody_of:
                 _keep(self.custody, rec)
         self.replicas.clear()
+        self.resync()
 
     def reset_epoch(self) -> None:
         """Forget what belongs to a dead recovery epoch: wave proxies

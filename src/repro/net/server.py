@@ -16,6 +16,11 @@ overlay through the paper's JOIN machinery, and hosts drain out again
 machinery — all while clients keep submitting.  Ownership is tracked by
 a versioned :class:`~repro.net.membership.ClusterMap` whose mutations
 are serialised by the *coordinator* (the lowest live host index).
+Which map this host lives under, whether it is recovering from a crash
+eviction and which frames must wait are :mod:`repro.net.control`'s
+business, a module without sockets: ``NodeHost`` hands it every
+membership, detector and recovery frame and is the data plane it steers
+(:class:`repro.net.control.DataPlane`).
 
 The wire vocabulary (one JSON frame each) is catalogued in
 ``docs/PROTOCOL.md`` and registered in
@@ -29,8 +34,10 @@ submit to the same host with zero id collisions.
 
 TIMEOUT is event-loop-driven (no rounds): see
 :class:`repro.net.runtime.NetRuntime`.  How a record's facts merge,
-travel and are held is :mod:`repro.net.records`' business: ``NodeHost``
-keeps sockets, the generation fence, the cluster map and choreography.
+travel and are held is :mod:`repro.net.records`' business.  What is left
+here is what needs a socket, the event loop or an actor: connections
+and peer links, frame decode and dispatch, client sessions, spawning
+and respawning the shard, the periodic loops and the ops hooks.
 """
 
 from __future__ import annotations
@@ -47,12 +54,11 @@ from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
 from repro.core.cluster import spawn_nodes
 from repro.core.protocol import ClusterContext
 from repro.core.structures import get_structure
+from repro.net.control import ControlPlane
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import TIMEOUT_LAG, NetRuntime
-from repro.ops.detector import FailureDetector
 from repro.ops.health import build_health, build_status, start_ops_server
-from repro.ops.recovery import merge_records, plan_rebuild
 from repro.net.transport import (
     BULK_OPS,
     CODEC_JSON,
@@ -65,8 +71,6 @@ from repro.net.transport import (
     encode_payload,
     negotiate_codec,
     read_frame,
-    record_from_wire,
-    record_to_wire,
     request_async,
 )
 from repro.overlay.ldb import (
@@ -352,10 +356,11 @@ class _PeerLink:
         self.task = asyncio.get_running_loop().create_task(self._run())
 
     def send(self, message: dict) -> None:
+        # stamp a copy, never the caller's dict: one frame may be handed
+        # to several links (a `replica_put` to both successors, a
+        # `host_map` to every peer) and each needs its own seq
         self._seq += 1
-        message["src"] = self.src
-        message["seq"] = self._seq
-        self.outbox.put_nowait(message)
+        self.outbox.put_nowait({**message, "src": self.src, "seq": self._seq})
         if self.gave_up:
             # fresh traffic re-arms a parked link (the peer may be back)
             self.gave_up = False
@@ -480,7 +485,8 @@ class _PeerLink:
 
 
 class NodeHost:
-    """Asyncio server process running one shard of the distributed queue."""
+    """Asyncio server process running one shard of the distributed queue,
+    and the :class:`repro.net.control.DataPlane` its control plane steers."""
 
     def __init__(self, config: HostConfig) -> None:
         self.config = config
@@ -499,27 +505,21 @@ class NodeHost:
         self.records = RecordTable(
             config.host_index, config.id_slots, self._send_fenced
         )
-        self.records.holder_of = (
-            lambda origin: self.cluster.complete_target(origin))
         self.records.on_done = self._push_done
-        self.cluster: ClusterMap | None = None
+        # the cluster map, the recovery generation, the hold queue
+        self.control = ControlPlane(config, self.records, self._send_peer, self)
         self.topology: LdbTopology | None = None
         self.ctx: ClusterContext | None = None
         self.peers: dict[int, _PeerLink] = {}
         self.connections: set[_Connection] = set()
         self.server: asyncio.base_events.Server | None = None
         self.port: int | None = None
-        self.wired = False
         self.errors: list[str] = []
         self._op_counts: dict[int, int] = {}
         self._submitters: dict[int, _Connection] = {}
         # per-connection req_id nonces handed out in `welcome` (from 1)
         self._next_nonce = 1
         self._stopped: asyncio.Event | None = None
-        # peer frames racing our own `wire` frame (a peer that was wired
-        # first may talk to us before the launcher reaches us); buffered
-        # and replayed so the no-loss channel assumption holds
-        self._pre_wire: list[dict] = []
         # once stopping, the empty-wave pipeline of still-live peers keeps
         # delivering: drop silently instead of flagging protocol errors
         self._stopping = False
@@ -529,47 +529,20 @@ class NodeHost:
         # after the new socket's first frames, and a high-water mark
         # would silently drop the tail as "duplicates" it never saw
         self._peer_seen: dict[int, tuple[set[int], deque]] = {}
-        # -- live membership state -------------------------------------------
         # pids of this host still integrating into the overlay
         self.joining_pids: set[int] = set()
-        # error logs of retired hosts this (coordinator) host took over
-        self.adopted_errors: list[str] = []
-        self.draining = False
         self._drain_task: asyncio.Task | None = None
         self._housekeeping_task: asyncio.Task | None = None
-        # join reservations handed out but not yet committed (coordinator)
-        self._join_reservations: dict[int, list[int]] = {}
+        self._heartbeat_task: asyncio.Task | None = None
         # actor messages whose destination pid the cluster map does not
         # (yet) name: a join broadcast may still be in flight
         self._unrouted: list[tuple[float, int, int, tuple]] = []
-        self._last_epoch = 0
+        #: the last update epoch a local actor observed
+        self.update_epoch = 0
         self._pushed_epoch = 0
-        # -- crash-stop fault tolerance (see DESIGN.md) ----------------------
-        self.detector = FailureDetector(
-            heartbeat_seconds=config.heartbeat_seconds,
-            miss_threshold=config.miss_threshold,
-            confirm_seconds=config.confirm_seconds,
-        )
-        self._heartbeat_task: asyncio.Task | None = None
-        # recovery state machine: True between an eviction and the rebuild
-        self._recovering = False
-        self._recover_gen = 0
-        # msg/complete/replica frames from hosts ahead of us in the
-        # recovery choreography, replayed once the rebuild is applied
-        self._recover_buffer: list[dict] = []
-        self._parked_submits: list[tuple[_Connection, dict]] = []
-        # acting-coordinator rebuild collection (host -> wire record dumps)
-        self._recover_dumps: dict[int, list] = {}
-        self._recover_epochs: dict[int, int] = {}
-        self._recover_resent = 0.0
-        self._evicting: set[int] = set()
-        # kept to re-push to hosts whose rebuild frame raced a link reset
-        self._last_rebuild_frame: dict | None = None
         # -- ops plane --------------------------------------------------------
         self.ops_server: asyncio.base_events.Server | None = None
         self.ops_port: int | None = None
-        self.log_ring: deque[str] = deque(maxlen=200)
-        self.evictions: list[dict] = []
         # -- telemetry plane (see DESIGN.md, "Telemetry") ---------------------
         self.telemetry = MetricsRegistry()
         # always constructed: a rate-0 tracer still opens spans for
@@ -623,10 +596,10 @@ class NodeHost:
             lambda: len(self.records.replicas))
         reg.gauge("skueue_recovery_generation",
                   "cluster recovery generation (fences the data plane)"
-                  ).set_fn(lambda: self._gen)
+                  ).set_fn(lambda: self.control.gen)
         reg.gauge("skueue_evictions",
                   "crash evictions this host observed").set_fn(
-            lambda: len(self.evictions))
+            lambda: len(self.control.evictions))
         # wave health: these accumulate on the engine's run metrics (the
         # wave engine lives in repro.core), sampled here so they exist as
         # stable registry series from startup — a deployment riding
@@ -736,19 +709,48 @@ class NodeHost:
     def forget_connection(self, conn: _Connection) -> None:
         self.connections.discard(conn)
 
-    # -- bootstrap (the `wire` frame) ----------------------------------------
-    def _wire(self, map_json: dict) -> None:
+    # -- bootstrap -------------------------------------------------------------
+    def wire_genesis(self, cluster_map: ClusterMap) -> None:
+        """The launcher's ``wire`` frame: spawn this host's shard of the
+        genesis snapshot (once), then adopt the map it carries."""
+        if not self.control.wired:
+            config = self.config
+            self.topology = LdbTopology(
+                list(range(config.n_processes)), salt=config.salt)
+            self.ctx = self._new_context(len(self.topology))
+            spawn_nodes(self.ctx, self.topology, self.node_class,
+                        pids=config.owned_pids)
+            self._start_loops()
+        self.control.adopt(cluster_map, time.monotonic())
+
+    def wire_joining(self, cluster_map: ClusterMap) -> None:
+        """Bootstrap of a host joining a live deployment.
+
+        No genesis snapshot actors: this host's pids are *new* and enter
+        the overlay through routed JOINs (the coordinator starts the
+        routes once our ``join_commit`` lands).  Until each virtual node
+        is granted and spliced it runs in joining mode, relaying through
+        its responsible node exactly as on the simulators.
+        """
         config = self.config
-        incoming = ClusterMap.from_json(map_json)
-        if self.cluster is None or incoming.version > self.cluster.version:
-            self.cluster = incoming
-        self._sync_peer_links()
-        if self.wired:
-            return
-        self.topology = LdbTopology(list(range(config.n_processes)), salt=config.salt)
-        self.ctx = self._new_context(len(self.topology))
-        spawn_nodes(self.ctx, self.topology, self.node_class, pids=config.owned_pids)
-        self._finish_wiring()
+        self.ctx = self._new_context(3 * max(1, len(cluster_map.pid_owner)))
+        for pid in config.owned_pids:
+            mid = label_of(pid, salt=config.salt)
+            for kind in (LEFT, MIDDLE, RIGHT):
+                node = self.node_class(
+                    self.ctx,
+                    vid_of(pid, kind),
+                    virtual_label(mid, kind),
+                    -1,
+                    -1.0,
+                    -1,
+                    -1.0,
+                    joining=True,
+                )
+                self.runtime.add_actor(node)
+            self.joining_pids.add(pid)
+        self._start_loops()
+        self.control.adopt(cluster_map, time.monotonic())
 
     def _new_context(self, n_nodes: int) -> ClusterContext:
         """The actors' shared context, for an overlay of ``n_nodes``."""
@@ -766,83 +768,66 @@ class NodeHost:
         ctx.records = self.records
         return ctx
 
-    def wire_joining(self, cluster_map: ClusterMap) -> None:
-        """Bootstrap of a host joining a live deployment.
-
-        No genesis snapshot actors: this host's pids are *new* and enter
-        the overlay through routed JOINs (the coordinator starts the
-        routes once our ``join_commit`` lands).  Until each virtual node
-        is granted and spliced it runs in joining mode, relaying through
-        its responsible node exactly as on the simulators.
-        """
-        config = self.config
-        self.cluster = cluster_map
-        self._sync_peer_links()
-        self.ctx = self._new_context(3 * max(1, len(cluster_map.pid_owner)))
-        for pid in config.owned_pids:
-            mid = label_of(pid, salt=config.salt)
-            for kind in (LEFT, MIDDLE, RIGHT):
-                node = self.node_class(
-                    self.ctx,
-                    vid_of(pid, kind),
-                    virtual_label(mid, kind),
-                    -1,
-                    -1.0,
-                    -1,
-                    -1.0,
-                    joining=True,
-                )
-                self.runtime.add_actor(node)
-            self.joining_pids.add(pid)
-        self._finish_wiring()
-
-    def _finish_wiring(self) -> None:
-        self.runtime.start(asyncio.get_running_loop())
+    def _start_loops(self) -> None:
+        loop = asyncio.get_running_loop()
+        self.runtime.start(loop)
         self.runtime.kick()
-        self.runtime.add_forwards(self.cluster.forwards)
-        self.wired = True
-        self._housekeeping_task = asyncio.get_running_loop().create_task(
-            self._housekeeping()
-        )
-        self._heartbeat_task = asyncio.get_running_loop().create_task(
-            self._heartbeat_loop()
-        )
-        self._sync_replica_targets()
-        buffered, self._pre_wire = self._pre_wire, []
-        for message in buffered:
-            self._handle_peer_frame(message)
+        self._housekeeping_task = loop.create_task(self._housekeeping())
+        self._heartbeat_task = loop.create_task(self._heartbeat_loop())
 
-    def _sync_peer_links(self) -> None:
-        """Reconcile outbound peer links with the current cluster map."""
-        assert self.cluster is not None
-        now = time.monotonic()
-        for index, address in self.cluster.hosts.items():
-            if index != self.config.host_index and index not in self.peers:
+    async def _housekeeping(self) -> None:
+        """Periodic host duties: flush parked messages, sweep transit
+        spans, and the control plane's (publish forwards, re-offer a
+        recovery dump)."""
+        while not self._stopping:
+            await asyncio.sleep(0.1)
+            if self._unrouted:
+                self._replay_unrouted()
+            if self.tracer.tracing:
+                # transit spans (wire-tagged routing work for ops that
+                # complete elsewhere) never see a finish; sweep them
+                self.tracer.expire(30.0)
+            # forwards are pushed *as nodes depart*, not only at
+            # retirement: the map spreads each one within a broadcast
+            # round-trip, so peers stop targeting a draining host long
+            # before its process exits and the frames-in-flight tail at
+            # link teardown stays empty in the common case
+            self.control.tick(time.monotonic(), self.runtime.forwards)
+
+    async def _heartbeat_loop(self) -> None:
+        while not self._stopping:
+            await asyncio.sleep(self.config.heartbeat_seconds)
+            self.control.beat(time.monotonic())
+
+    # -- following the cluster map (DataPlane) ---------------------------------
+    def map_changed(self, cluster: ClusterMap) -> None:
+        """Reconcile links and forwards with the map just adopted."""
+        me = self.config.host_index
+        for index, address in cluster.hosts.items():
+            if index != me and index not in self.peers:
                 link = _PeerLink(
                     (address[0], int(address[1])),
-                    self.config.host_index,
+                    me,
                     codec=self.config.codec,
                     on_write=self.count_write,
                 )
                 self.peers[index] = link
                 link.start()
-            if index != self.config.host_index:
-                self.detector.register(index, now)
-        for host in self.detector.watched():
-            if host not in self.cluster.hosts:
-                self.detector.forget(host)
-        for index in [i for i in self.peers if i not in self.cluster.hosts]:
+        for index in [i for i in self.peers if i not in cluster.hosts]:
             link = self.peers.pop(index)
             link.close()
+            self._peer_seen.pop(index, None)
             # frames queued for the departed host would vanish with the
             # link; re-dispatch them through its published forwards (the
             # continuous `forwards` pushes make this the rare tail, not
             # the common path)
             for frame in link.drain_pending():
                 self._redispatch_peer_frame(frame)
+        self.runtime.add_forwards(cluster.forwards)
+        self._replay_unrouted()
 
     def _redispatch_peer_frame(self, message: dict) -> None:
-        if self._recovering:
+        if self.control.recovering:
             # the link died because its host was crash-evicted: everything
             # queued for it predates the rebuild and is superseded by it
             return
@@ -860,38 +845,7 @@ class NodeHost:
         # control frames (host_map, leave, ...) are superseded by the
         # map update that triggered this drop: nothing to re-send
 
-    # -- cluster map propagation ---------------------------------------------
-    def _apply_map(self, incoming: ClusterMap) -> bool:
-        """Adopt a newer map (push from the coordinator or a peer)."""
-        if self.cluster is None or incoming.version <= self.cluster.version:
-            return False
-        self.cluster = incoming
-        self._after_map_change(broadcast=False)
-        return True
-
-    def _after_map_change(self, broadcast: bool = True) -> None:
-        """React to a map mutation: links, forwards, buffered traffic,
-        client pushes — and (for the coordinator's own mutations) the
-        peer broadcast."""
-        self._sync_peer_links()
-        self._sync_replica_targets()
-        self.runtime.add_forwards(self.cluster.forwards)
-        self._replay_unrouted()
-        self.records.replay_parked()
-        map_json = self.cluster.to_json()
-        self._push_to_clients({"op": "host_map", "map": map_json})
-        if broadcast:
-            for link in self.peers.values():
-                link.send({"op": "host_map", "map": map_json})
-
-    def _sync_replica_targets(self) -> None:
-        """Recompute the ring successors that mirror this host's records
-        (a changed set is sent the full history)."""
-        self.records.set_targets(self.cluster.successors_of(
-            self.config.host_index, self.config.replication
-        ))
-
-    def _push_to_clients(self, frame: dict) -> None:
+    def push_clients(self, frame: dict) -> None:
         """Push to every client session (peers and the launcher read none)."""
         for conn in list(self.connections):
             if conn.is_client:
@@ -899,13 +853,15 @@ class NodeHost:
 
     # -- remote messaging ----------------------------------------------------
     def _send_remote(self, dest: int, action: int, payload: tuple) -> None:
-        if self._stopping or self._recovering:
+        control = self.control
+        cluster = control.cluster
+        if self._stopping or cluster.recovery_epoch != control.gen:
             # mid-recovery the wave engine is being torn down: a stale
             # actor task's last send is pre-crash wave state the rebuild
             # re-derives from records — and the fresh cluster map no
             # longer matches the old topology's vid numbering
             return
-        owner = self.cluster.owner_of(pid_of(dest))
+        owner = cluster.owner_of(pid_of(dest))
         if owner == self.config.host_index:
             # destination departed locally with no forward: protocol bug
             self.note_error(
@@ -922,7 +878,7 @@ class NodeHost:
 
     def _msg_frame(self, dest: int, action: int, payload: tuple) -> dict:
         frame = {"op": "msg", "dest": dest, "action": action,
-                 "gen": self._gen, "payload": encode_payload(payload)}
+                 "gen": self.control.gen, "payload": encode_payload(payload)}
         tracer = self.tracer
         if tracer.tracing:
             # tag frames that carry a traced op's req_id so the peer
@@ -939,137 +895,109 @@ class NodeHost:
                 frame["tr"] = req
         return frame
 
-    @property
-    def _gen(self) -> int:
-        """The recovery generation every data-plane frame is fenced by."""
-        return self.cluster.recovery_epoch if self.cluster is not None else 0
-
     def _replay_unrouted(self) -> None:
+        cluster = self.control.cluster
         parked, self._unrouted = self._unrouted, []
         for stamped_at, dest, action, payload in parked:
-            owner = self.cluster.owner_of(pid_of(dest))
+            owner = cluster.owner_of(pid_of(dest))
             if owner is not None and owner in self.peers:
                 self.peers[owner].send(self._msg_frame(dest, action, payload))
             elif time.monotonic() - stamped_at > _UNROUTED_GRACE:
                 self.note_error(
                     f"vid {dest}",
                     f"message {action} undeliverable: no owner for pid "
-                    f"{pid_of(dest)} in cluster map v"
-                    f"{self.cluster.version if self.cluster else '?'}",
+                    f"{pid_of(dest)} in cluster map v{cluster.version}",
                 )
             else:
                 self._unrouted.append((stamped_at, dest, action, payload))
 
-    async def _housekeeping(self) -> None:
-        """Periodic host duties: flush parked messages, publish forwards."""
-        while not self._stopping:
-            await asyncio.sleep(0.1)
-            if self._unrouted:
-                self._replay_unrouted()
-            if self.tracer.tracing:
-                # transit spans (wire-tagged routing work for ops that
-                # complete elsewhere) never see a finish; sweep them
-                self.tracer.expire(30.0)
-            self._publish_forwards()
-            if (
-                self._recovering
-                and time.monotonic() - self._recover_resent > 1.0
-            ):
-                # the acting coordinator may have changed (it crashed too)
-                # or our dump may have raced its link teardown: re-offer
-                self._recover_resent = time.monotonic()
-                self._send_recover_dump()
-
-    def _publish_forwards(self) -> None:
-        """Push newly created vid forwards to the coordinator *as nodes
-        depart*, not only at retirement.
-
-        The cluster map spreads each forward to every host within a
-        broadcast round-trip, so peers resolve a departed vid locally
-        and stop targeting this (draining) host long before its process
-        exits — which is what keeps the frames-in-flight tail at link
-        teardown empty in the common case.
-        """
-        if self.cluster is None or not self.wired:
-            return
-        # dedup against the *map*, not a local sent-log: the push is
-        # fire-and-forget, so re-send every housekeeping tick until the
-        # broadcast map acknowledges the entry
-        fresh = {
-            vid: target
-            for vid, target in self.runtime.forwards.items()
-            if self.cluster.forwards.get(vid) != target
-        }
-        if not fresh:
-            return
-        if self._is_coordinator():
-            self._merge_forwards(fresh)
-        else:
-            self.peers[self.cluster.coordinator].send(
-                {"op": "forwards",
-                 "forwards": {str(k): v for k, v in fresh.items()}}
-            )
-
-    def _merge_forwards(self, fresh: dict[int, int]) -> None:
-        """Coordinator side: fold forwards into the map and broadcast."""
-        new = {
-            vid: target
-            for vid, target in fresh.items()
-            if self.cluster.forwards.get(vid) != target
-        }
-        if not new:
-            return
-        self.cluster.forwards.update(new)
-        self.cluster.version += 1
-        self._after_map_change()
-
-    # -- the record plane's way out (see repro.net.records) -------------------
-    def _send_fenced(self, host: int, frame: dict) -> bool:
-        """Ship a ``complete`` or ``replica_put`` to a live host, stamped
-        with the recovery generation; False when no link leads there."""
+    def _send_peer(self, host: int, frame: dict) -> bool:
+        """The control plane's way out: one frame to a live host; False
+        when no link leads there."""
         link = self.peers.get(host)
         if link is None:
             return False
-        frame["gen"] = self._gen
         link.send(frame)
         return True
 
+    def _send_fenced(self, host: int, frame: dict) -> bool:
+        """The record plane's way out: a ``complete`` or ``replica_put``,
+        stamped with the recovery generation."""
+        return self._send_peer(host, {**frame, "gen": self.control.gen})
+
     # -- frame dispatch ------------------------------------------------------
     def handle_frame(self, conn: _Connection, message: dict) -> None:
+        """A frame off a socket: count it, unwrap a batch, drop the
+        duplicate of a reconnect resend, dispatch."""
         op = message.get("op")
         self._frames_in.inc()
-        try:
-            if op == "msg" or op == "complete":
-                if self._stopping:
+        if op == "batch":
+            # coalesced peer frames: each subframe carries its own
+            # src/seq/gen, so dedup + the generation fence apply per
+            # subframe
+            for sub in message.get("frames", []):
+                self.handle_frame(conn, sub)
+            return
+        if op == "msg" or op == "complete":
+            src = message.get("src")
+            if src is not None:
+                self.control.detector.heard_from(src, time.monotonic())
+                seq = message["seq"]
+                seen, order = self._peer_seen.setdefault(src, (set(), deque()))
+                if seq in seen:
                     return
-                src = message.get("src")
-                if src is not None:
-                    self.detector.heard_from(src, time.monotonic())
-                    seq = message["seq"]
-                    seen, order = self._peer_seen.setdefault(
-                        src, (set(), deque())
+                seen.add(seq)
+                order.append(seq)
+                if len(order) > 8192:
+                    seen.discard(order.popleft())
+        self.dispatch(conn, message)
+
+    def dispatch(self, conn: _Connection, message: dict) -> None:
+        """Handle one frame — or leave it with the control plane's hold
+        queue, which replays it here once this host can (see
+        :meth:`repro.net.control.ControlPlane.admit`)."""
+        op = message.get("op")
+        control = self.control
+        try:
+            if op == "msg" or op == "complete" or op == "replica_put":
+                # the generation fence: data-plane frames from before a
+                # crash eviction must not leak into the rebuilt actors
+                # (their waves restarted from the merged record set) or
+                # the replicas (the rebuild purges them)
+                if self._stopping or not control.admit(
+                    conn, message, message.get("gen", 0)
+                ):
+                    return
+                tr = message.get("tr")
+                if tr is not None:
+                    # a peer is routing (or completing) a traced op
+                    # through us: open a span so our local hop/valuation
+                    # stamps land too
+                    self.tracer.ensure(int(tr))
+                if op == "msg":
+                    self.runtime.deliver(
+                        message["dest"],
+                        message["action"],
+                        decode_payload(message["payload"]),
                     )
-                    if seq in seen:
-                        return  # duplicate of a reconnect resend
-                    seen.add(seq)
-                    order.append(seq)
-                    if len(order) > 8192:
-                        seen.discard(order.popleft())
-                if self.wired:
-                    self._handle_peer_frame(message)
-                else:
-                    self._pre_wire.append(message)
-            elif op == "batch":
-                # coalesced peer frames: each subframe carries its own
-                # src/seq/gen, so dedup + the generation fence apply
-                # per subframe through the ordinary dispatch
-                for sub in message.get("frames", []):
-                    self.handle_frame(conn, sub)
-            elif op == "submit":
+                elif op == "complete":  # facts for a record this host keeps
+                    self.records.apply(message["req"], decode_complete(message))
+                else:  # a ring predecessor mirrors a record here
+                    req_id = self.records.put_replica(message["record"])
+                    if message.get("ack"):
+                        self._send_peer(int(message["origin"]),
+                                        {"op": "replica_ack", "req": req_id})
+            elif op == "submit" or op == "submit_batch":
                 conn.is_client = True
-                self._submit(conn, message)
-            elif op == "submit_batch":
-                conn.is_client = True
+                # a held submit whose session hung up meanwhile is not
+                # replayed: its client resubmits what was in limbo
+                if conn not in self.connections or not control.admit(
+                    conn, message
+                ):
+                    return
+                if op == "submit":
+                    self._submit(conn, message)
+                    return
                 for sub in message.get("subs", []):
                     req_id, pid, kind, item = sub[0], sub[1], sub[2], sub[3]
                     unpacked = {"op": "submit", "req": req_id, "pid": pid,
@@ -1077,8 +1005,10 @@ class NodeHost:
                     if len(sub) > 4 and sub[4]:
                         unpacked["pri"] = sub[4]
                     self._submit(conn, unpacked)
+            elif op == "replica_ack":
+                self.records.acked(int(message["req"]))
             elif op == "hello":
-                if self.cluster is None:
+                if not control.wired:
                     # the welcome's cluster map is what clients shard by
                     conn.send({"op": "error", "message": "host not wired yet"})
                     return
@@ -1094,7 +1024,7 @@ class NodeHost:
                 conn.send({
                     "op": "welcome",
                     "host": self.config.host_index,
-                    "n_hosts": len(self.cluster.hosts),
+                    "n_hosts": len(control.cluster.hosts),
                     "n_processes": self.config.n_processes,
                     "structure": self.config.structure,
                     "nonce": nonce,
@@ -1102,50 +1032,11 @@ class NodeHost:
                     "n_priorities": self.config.n_priorities,
                     "codec": conn.codec,
                     "trace_sample": self.config.trace_sample,
-                    "map": self.cluster.to_json(),
+                    "map": control.cluster.to_json(),
                 })
             elif op == "wire":
-                self._wire(message["map"])
+                self.wire_genesis(ClusterMap.from_json(message["map"]))
                 conn.send({"op": "wired", "host": self.config.host_index})
-            elif op == "host_map":
-                incoming = ClusterMap.from_json(message["map"])
-                self._apply_map(incoming)
-            elif op == "map":
-                if self.cluster is not None:
-                    conn.send({"op": "host_map", "map": self.cluster.to_json()})
-                else:
-                    conn.send({"op": "error", "message": "host not wired yet"})
-            elif op == "join":
-                self._handle_join(conn, message)
-            elif op == "join_commit":
-                self._handle_join_commit(conn, message)
-            elif op == "leave":
-                self._handle_leave(conn, message)
-            elif op == "forwards":
-                if self._is_coordinator():
-                    self._merge_forwards(
-                        {int(k): v
-                         for k, v in message.get("forwards", {}).items()}
-                    )
-            elif op == "retire":
-                self._handle_retire(conn, message)
-            elif op == "heartbeat":
-                self.detector.heard_from(int(message["host"]), time.monotonic())
-            elif op == "suspect":
-                reporter = int(message.get("by", -1))
-                if reporter >= 0:
-                    self.detector.heard_from(reporter, time.monotonic())
-                self.detector.corroborate(int(message["host"]), reporter)
-            elif op == "evict":
-                self._handle_evict(message)
-            elif op == "recover_dump":
-                self._handle_recover_dump(message)
-            elif op == "rebuild":
-                self._apply_rebuild(message)
-            elif op == "replica_put":
-                self._handle_peer_frame(message)
-            elif op == "replica_ack":
-                self.records.acked(int(message["req"]))
             elif op == "health":
                 if message.get("detail") == "status":
                     conn.send({"op": "health", **build_status(self)})
@@ -1157,7 +1048,7 @@ class NodeHost:
                         "op": "records",
                         "host": self.config.host_index,
                         "records": self.records.dump(),
-                        "errors": list(self.errors) + list(self.adopted_errors),
+                        "errors": self.errors + control.adopted_errors,
                     }
                 )
             elif op == "metrics":
@@ -1171,120 +1062,37 @@ class NodeHost:
                     }
                 )
             elif op == "ping":
+                cluster = control.cluster
                 conn.send(
                     {
                         "op": "pong",
                         "host": self.config.host_index,
-                        "wired": self.wired,
+                        "wired": control.wired,
                         "joining": sorted(self.joining_pids),
-                        "draining": self.draining,
-                        "map_version": (
-                            self.cluster.version if self.cluster is not None else 0
-                        ),
-                        "update_epoch": self._last_epoch,
+                        "draining": control.draining,
+                        "map_version": 0 if cluster is None else cluster.version,
+                        "update_epoch": self.update_epoch,
                         "ops_port": self.ops_port,
                     }
                 )
             elif op == "shutdown":
                 conn.send({"op": "bye", "host": self.config.host_index})
                 asyncio.get_running_loop().call_soon(self.stop)
-            else:
+            elif not control.handle(conn, message, time.monotonic()):
+                # not a membership, detector or recovery frame either
                 conn.send({"op": "error", "message": f"unknown op {op!r}"})
         except Exception:
             self.note_error(f"frame {op!r}", traceback.format_exc())
 
-    def _handle_peer_frame(self, message: dict) -> None:
-        # generation fence: data-plane frames from before a crash eviction
-        # must not leak into the rebuilt actors (their waves restarted
-        # from the merged record set) or the replicas (the rebuild purges
-        # them); frames from a peer *ahead* of us in the recovery
-        # choreography are parked until our rebuild lands
-        gen = int(message.get("gen", 0))
-        if self._recovering or gen > self._gen:
-            self._recover_buffer.append(message)
-            return
-        if gen < self._gen:
-            return
-        tr = message.get("tr")
-        if tr is not None:
-            # a peer is routing (or completing) a traced op through us:
-            # open a span so our local hop/valuation stamps land too
-            self.tracer.ensure(int(tr))
-        op = message["op"]
-        if op == "msg":
-            self.runtime.deliver(
-                message["dest"],
-                message["action"],
-                decode_payload(message["payload"]),
-            )
-        elif op == "complete":  # facts for a record this host keeps
-            self.records.apply(message["req"], decode_complete(message))
-        else:  # replica_put: a ring predecessor mirrors a record here
-            req_id = self.records.put_replica(message["record"])
-            if message.get("ack"):
-                link = self.peers.get(int(message["origin"]))
-                if link is not None:
-                    link.send({"op": "replica_ack", "req": req_id})
-
-    # -- membership: join ----------------------------------------------------
-    def _is_coordinator(self) -> bool:
-        return (
-            self.cluster is not None
-            and self.cluster.coordinator == self.config.host_index
-        )
-
-    def _handle_join(self, conn: _Connection, message: dict) -> None:
-        if not self.wired or self.cluster is None:
-            conn.send({"op": "error", "message": "host not wired yet"})
-            return
-        if not self._is_coordinator():
-            conn.send(
-                {
-                    "op": "error",
-                    "message": f"not the coordinator (host "
-                               f"{self.cluster.coordinator} is)",
-                    "coordinator": self.cluster.coordinator,
-                    "map": self.cluster.to_json(),
-                }
-            )
-            return
-        try:
-            host_index, pids = self.cluster.reserve_join(
-                int(message.get("pids", 1))
-            )
-        except ValueError as exc:
-            conn.send({"op": "error", "message": str(exc)})
-            return
-        self._join_reservations[host_index] = pids
-        conn.send(
-            {
-                "op": "join_ok",
-                "host": host_index,
-                "pids": pids,
-                "config": self.config.shared_json(),
-                "map": self.cluster.to_json(),
-            }
-        )
-
-    def _handle_join_commit(self, conn: _Connection, message: dict) -> None:
-        host_index = int(message["host"])
-        pids = self._join_reservations.pop(host_index, None)
-        if pids is None:
-            conn.send(
-                {"op": "error",
-                 "message": f"no join reservation for host {host_index}"}
-            )
-            return
-        address = message["address"]
-        self.cluster.commit_join(host_index, (address[0], int(address[1])), pids)
-        self._after_map_change()
+    # -- membership, the actors' side (DataPlane) ------------------------------
+    def start_joins(self, pids: list[int]) -> None:
+        """Coordinator: route a JOIN for each virtual node of ``pids``."""
         starter = self._route_starter()
         for pid in pids:
             mid = label_of(pid, salt=self.config.salt)
             for kind in (LEFT, MIDDLE, RIGHT):
                 lbl = virtual_label(mid, kind)
                 starter._route_start(A_JOIN_RT, lbl, (vid_of(pid, kind), lbl))
-        conn.send({"op": "join_done", "host": host_index})
 
     def _route_starter(self):
         """A local on-cycle middle node to start routed JOINs from."""
@@ -1293,46 +1101,8 @@ class NodeHost:
                 return actor
         raise RuntimeError("no integrated middle node to route from")
 
-    # -- membership: leave ---------------------------------------------------
-    def _handle_leave(self, conn: _Connection, message: dict) -> None:
-        target = int(message.get("host", self.config.host_index))
-        if self.cluster is None or not self.wired:
-            conn.send({"op": "error", "message": "host not wired yet"})
-            return
-        if target == self.cluster.coordinator:
-            conn.send(
-                {"op": "error",
-                 "message": "the coordinator host cannot be drained"}
-            )
-            return
-        if target not in self.cluster.hosts:
-            conn.send({"op": "error", "message": f"host {target} is not live"})
-            return
-        if target == self.config.host_index:
-            if not self.draining:
-                self._start_drain()
-                # tell the coordinator so clients stop picking our pids
-                self.peers[self.cluster.coordinator].send(
-                    {"op": "leave", "host": target}
-                )
-            conn.send({"op": "leaving", "host": target})
-        elif self._is_coordinator():
-            if target not in self.cluster.leaving:
-                self.cluster.start_drain(target)
-                self._after_map_change()
-                # relay in case the operator talked to us only
-                self.peers[target].send({"op": "leave", "host": target})
-            conn.send({"op": "leaving", "host": target})
-        else:
-            conn.send(
-                {"op": "error",
-                 "message": f"send leave to host {target} or the coordinator"}
-            )
-
-    def _start_drain(self) -> None:
-        if self.draining:
-            return
-        self.draining = True
+    def start_drain(self) -> None:
+        """Send every local actor off through LEAVE; retire once empty."""
         for actor in list(self.runtime.actors.values()):
             actor.start_leave()
         self.runtime.kick()
@@ -1346,7 +1116,10 @@ class NodeHost:
         Empty means: every local actor departed through the LEAVE/update
         machinery *and* every locally originated record completed (late
         completions arrive as `complete` syncs from the nodes that
-        adopted our unflushed requests).
+        adopted our unflushed requests).  And the map must show us
+        leaving: the coordinator refuses a `retire` from a host it does
+        not know to be draining.  An eviction cancels this task
+        (:meth:`drop`).
         """
         while not self._stopping:
             await asyncio.sleep(0.1)
@@ -1354,14 +1127,15 @@ class NodeHost:
                 continue
             if any(not rec.completed for rec in self.records.local.values()):
                 continue
-            break
+            if self.config.host_index in self.control.cluster.leaving:
+                break
         if self._stopping:
             return
         await self._retire()
 
     async def _retire(self) -> None:
-        coordinator = self.cluster.coordinator
-        address = self.cluster.hosts[coordinator]
+        cluster = self.control.cluster
+        address = cluster.hosts[cluster.coordinator]
         frame = {
             "op": "retire",
             "host": self.config.host_index,
@@ -1388,26 +1162,11 @@ class NodeHost:
         await asyncio.sleep(_RETIRE_LINGER)
         self.stop()
 
-    def _handle_retire(self, conn: _Connection, message: dict) -> None:
-        host_index = int(message["host"])
-        if not self._is_coordinator():
-            conn.send({"op": "error", "message": "not the coordinator"})
-            return
-        self.records.archive(message.get("records", ()))
-        self.adopted_errors.extend(message.get("errors", ()))
-        if host_index in self.cluster.hosts:
-            forwards = {
-                int(k): v for k, v in message.get("forwards", {}).items()
-            }
-            self.cluster.retire_host(host_index, self.config.host_index, forwards)
-            self._after_map_change()
-        conn.send({"op": "retired", "host": host_index})
-
     # -- update-phase hook ---------------------------------------------------
     def _update_over(self, epoch: int, members: int = 0) -> None:
         """Runs on every local node's UPDATE_OVER: promote integrated
         joiners and push one notification per epoch to client sessions."""
-        self._last_epoch = max(self._last_epoch, epoch)
+        self.update_epoch = max(self.update_epoch, epoch)
         for pid in list(self.joining_pids):
             nodes = [
                 self.runtime.actors.get(vid_of(pid, kind))
@@ -1417,7 +1176,7 @@ class NodeHost:
                 self.joining_pids.discard(pid)
         if epoch > self._pushed_epoch:
             self._pushed_epoch = epoch
-            self._push_to_clients({
+            self.push_clients({
                 "op": "update_over",
                 "host": self.config.host_index,
                 "epoch": epoch,
@@ -1426,14 +1185,6 @@ class NodeHost:
 
     # -- request intake ------------------------------------------------------
     def _submit(self, conn: _Connection, message: dict) -> None:
-        if not self.wired:
-            conn.send({"op": "error", "message": "host not wired yet"})
-            return
-        if self._recovering:
-            # mid-rebuild the actor table is empty; park rather than
-            # reject so clients ride through a crash without resharding
-            self._parked_submits.append((conn, message))
-            return
         pid = message["pid"]
         req_id = message["req"]
         priority = int(message.get("pri", 0))
@@ -1446,25 +1197,24 @@ class NodeHost:
                             f"[0, {self.config.n_priorities}) (req {req_id})"}
             )
             return
-        owner = self.cluster.owner_of(pid)
+        cluster = self.control.cluster
+        owner = cluster.owner_of(pid)
         node = self.runtime.actors.get(vid_of(pid, MIDDLE))
         if owner != self.config.host_index or node is None:
             # not rejectable with certainty by the client: its map was
             # stale (join/leave raced the submission).  Send the current
             # map along so one round-trip re-shards the retry.
-            reply = {
+            conn.send({
                 "op": "rejected",
                 "req": req_id,
                 "pid": pid,
                 "reason": (
                     f"pid {pid} not serviceable by host "
                     f"{self.config.host_index}"
-                    + (" (draining)" if self.draining else "")
+                    + (" (draining)" if self.control.draining else "")
                 ),
-            }
-            if self.cluster is not None:
-                reply["map"] = self.cluster.to_json()
-            conn.send(reply)
+                "map": cluster.to_json(),
+            })
             return
         idx = self._op_counts.get(pid, 0)
         self._op_counts[pid] = idx + 1
@@ -1507,239 +1257,27 @@ class NodeHost:
                 frame["tr"] = rec.req_id
             conn.send(frame)
 
-    # -- failure detection ---------------------------------------------------
-    async def _heartbeat_loop(self) -> None:
-        """Beacon + detector tick.  Beacons keep flowing *during* recovery
-        (silence there would breed false suspicions right after the
-        rebuild); only the eviction logic pauses."""
-        while not self._stopping:
-            await asyncio.sleep(self.config.heartbeat_seconds)
-            if self.cluster is None:
-                continue
-            frame = {"op": "heartbeat", "host": self.config.host_index}
-            for link in self.peers.values():
-                link.send(dict(frame))
-            if not self._recovering:
-                self._detector_tick()
-
-    def _acting_coordinator(self) -> int:
-        """The coordinator with suspects excluded — eviction must proceed
-        when the coordinator itself is the crashed host (re-election:
-        lowest live index)."""
-        suspects = set(self.detector.suspects())
-        live = [h for h in self.cluster.hosts if h not in suspects]
-        return min(live) if live else self.config.host_index
-
-    def _detector_tick(self) -> None:
-        now = time.monotonic()
-        for host in self.detector.observe(now):
-            self._note(f"suspecting host {host}: silent for "
-                       f"{self.detector.age_of(host, now):.2f}s")
-        suspects = [h for h in self.detector.suspects()
-                    if h in self.cluster.hosts]
-        if not suspects:
-            return
-        acting = self._acting_coordinator()
-        if acting != self.config.host_index:
-            link = self.peers.get(acting)
-            if link is not None:
-                for host in suspects:
-                    link.send({"op": "suspect", "host": host,
-                               "by": self.config.host_index})
-            return
-        n_live = len(self.cluster.hosts)
-        for host in suspects:
-            if host not in self._evicting and self.detector.should_evict(
-                host, now, n_live
-            ):
-                self._start_eviction(host)
-
-    # -- crash eviction + recovery -------------------------------------------
-    def _start_eviction(self, dead: int) -> None:
-        """Acting-coordinator side: mutate the map, broadcast, recover."""
-        if self.cluster is None or dead not in self.cluster.hosts:
-            return
-        self._evicting.add(dead)
-        successors = self.cluster.successors_of(dead, 1)
-        adopter = successors[0] if successors else self.config.host_index
-        self.cluster.evict_host(dead, adopter)
-        # a crash aborts any in-flight drain choreography wholesale; the
-        # operator re-issues `leave` once the cluster is stable again
-        self.cluster.leaving.clear()
-        self._note(
-            f"evicted host {dead} (adopter {adopter}, "
-            f"generation {self.cluster.recovery_epoch})"
-        )
-        self.evictions.append(
-            {"host": dead, "adopter": adopter,
-             "gen": self.cluster.recovery_epoch}
-        )
-        frame = {
-            "op": "evict",
-            "host": dead,
-            "gen": self.cluster.recovery_epoch,
-            "map": self.cluster.to_json(),
-        }
-        for index, link in self.peers.items():
-            if index != dead:
-                link.send(frame)
-        self._enter_recovery(self.cluster.recovery_epoch)
-
-    def _handle_evict(self, message: dict) -> None:
-        incoming = ClusterMap.from_json(message["map"])
-        if self.cluster is None or incoming.version <= self.cluster.version:
-            return
-        self.cluster = incoming
-        if self.config.host_index not in self.cluster.hosts:
-            # zombie fence: the cluster declared *us* dead — a false
-            # positive notwithstanding, rejoining would split-brain the
-            # anchor, so stop and let the operator re-join us fresh
-            self._note("evicted by the cluster; stopping")
-            self.stop()
-            return
-        self.evictions.append(
-            {"host": int(message.get("host", -1)),
-             "adopter": self.cluster.departed.get(int(message.get("host", -1))),
-             "gen": int(message["gen"])}
-        )
-        self._note(f"host {message.get('host')} evicted; entering recovery "
-                   f"generation {message['gen']}")
-        self._enter_recovery(int(message["gen"]))
-
-    def _enter_recovery(self, gen: int) -> None:
-        """Tear down the data plane and offer our facts for the rebuild."""
-        if self._recovering and self._recover_gen >= gen:
-            return
-        self._recovering = True
-        self._recover_gen = gen
-        self._recover_resent = time.monotonic()
-        self._sync_peer_links()          # drops the dead host's link
-        self._drop_data_plane()
-        self._send_recover_dump()
-
-    def _drop_data_plane(self) -> None:
+    # -- recovery, the actors' side (DataPlane) --------------------------------
+    def drop(self) -> None:
         """Everything that belongs to the dead epoch: the rebuild
-        re-derives it from the merged record set."""
+        re-derives it from the merged record set.  A drain in progress is
+        part of it — left running, its loop would read the empty actor
+        table as "drained" and retire the host mid-rebuild."""
+        if self._drain_task is not None:
+            self._drain_task.cancel()
+            self._drain_task = None
         self.runtime.reset()             # every local actor is rebuilt
-        self.records.reset_epoch()       # wave proxies, parked facts
         self._unrouted.clear()
 
-    def _send_recover_dump(self) -> None:
-        acting = self._acting_coordinator()
-        frame = {
-            "op": "recover_dump",
-            "gen": self._recover_gen,
-            "host": self.config.host_index,
-            "epoch": self._last_epoch,
-            "records": self.records.dump(replicas=True),
-        }
-        if acting == self.config.host_index:
-            self._handle_recover_dump(frame)
-        else:
-            link = self.peers.get(acting)
-            if link is not None:
-                link.send(frame)
-
-    def _handle_recover_dump(self, message: dict) -> None:
-        gen = int(message.get("gen", 0))
-        host = int(message["host"])
-        if not self._recovering:
-            # we already rebuilt this generation: the sender's rebuild
-            # frame must have raced a link reset — push it again
-            if (
-                self._last_rebuild_frame is not None
-                and gen == self._gen
-                and host in self.peers
-            ):
-                self.peers[host].send(dict(self._last_rebuild_frame))
-            return
-        if gen != self._recover_gen:
-            return
-        self._recover_dumps[host] = message["records"]
-        self._recover_epochs[host] = int(message.get("epoch", 0))
-        if set(self.cluster.hosts).issubset(self._recover_dumps):
-            self._do_rebuild()
-
-    def _do_rebuild(self) -> None:
-        """Acting-coordinator side: merge every dump, plan, broadcast."""
-        dumps = [
-            [record_from_wire(data) for data in records]
-            for records in self._recover_dumps.values()
-        ]
-        self._recover_dumps = {}
-        epochs = self._recover_epochs
-        self._recover_epochs = {}
-        merged = merge_records(dumps)
-        epoch = max(epochs.values(), default=0) + 1
-        plan = plan_rebuild(
-            merged,
-            self.config.structure,
-            n_priorities=self.config.n_priorities,
-            epoch=epoch,
-            members=3 * len(self.cluster.pid_owner),
-        )
-        for err in plan.errors:
-            self.note_error("rebuild", err)
-        if plan.repairs:
-            self._note(f"rebuild repaired lost facts for reqs {plan.repairs}")
-        frame = {
-            "op": "rebuild",
-            "gen": self._recover_gen,
-            "map": self.cluster.to_json(),
-            "records": [record_to_wire(rec) for rec in merged.values()],
-            "anchor": encode_payload(plan.anchor),
-            "elements": encode_payload(plan.elements),
-            "reruns": list(plan.reruns),
-        }
-        self._last_rebuild_frame = frame
-        self._note(
-            f"rebuild planned: {len(merged)} records, "
-            f"{len(plan.elements)} live elements, {len(plan.reruns)} reruns, "
-            f"{len(plan.repairs)} repairs, {len(plan.errors)} errors"
-        )
-        for link in self.peers.values():
-            link.send(dict(frame))
-        self._apply_rebuild(frame)
-
-    def _apply_rebuild(self, message: dict) -> None:
-        """Every-host side: adopt the merged truth, respawn the shard.
-
-        The ordering below is load-bearing; see DESIGN.md ("Crash-stop
-        fault tolerance") for the why of each step."""
-        gen = int(message.get("gen", 0))
-        if not self._recovering and gen <= self._recover_gen:
-            return  # duplicate re-push of a rebuild we already applied
-        incoming = ClusterMap.from_json(message["map"])
-        if self.cluster is not None and incoming.version < self.cluster.version:
-            return  # stale rebuild of a superseded generation
-        self.cluster = incoming
-        if self.config.host_index not in self.cluster.hosts:
-            self._note("rebuild map does not name us; stopping")
-            self.stop()
-            return
-        if not self._recovering:
-            # the evict frame raced a link reset: catch up on its duties
-            self._recovering = True
-            self._drop_data_plane()
-        self._recover_gen = gen
+    def respawn(self, cluster: ClusterMap, anchor, elements, reruns) -> int:
+        """Spawn this host's shard of the overlay ``cluster`` describes."""
         config = self.config
-        self._sync_peer_links()
-        # successors under the new map; the snapshot resync happens below,
-        # *after* the merged facts land, so it mirrors the rebuilt truth
-        self.records.targets = self.cluster.successors_of(
-            config.host_index, config.replication
-        )
-        # respawn the shard over the surviving pid set
-        merged = [record_from_wire(data) for data in message["records"]]
-        anchor = decode_payload(message["anchor"])
-        elements = decode_payload(message["elements"])
-        pids = sorted(self.cluster.pid_owner)
-        self.topology = LdbTopology(pids, salt=config.salt)
+        self.topology = LdbTopology(sorted(cluster.pid_owner), salt=config.salt)
         self.ctx = self._new_context(len(self.topology))
-        local_pids = self.cluster.pids_of(config.host_index)
         self.joining_pids.clear()
         nodes = spawn_nodes(
-            self.ctx, self.topology, self.node_class, pids=local_pids
+            self.ctx, self.topology, self.node_class,
+            pids=cluster.pids_of(config.host_index),
         )
         for node in nodes:
             if node.is_anchor and anchor:
@@ -1747,16 +1285,9 @@ class NodeHost:
                     tuple(anchor)
                 )
         self._preload_stores(elements)
-        # our own records learn the merged facts (completions fire the
-        # ack-gated DONE push); records of departed origins the new map
-        # hands to us complete here from now on; old replicas go
-        self.records.fold(merged, {
-            origin for origin in self.cluster.departed
-            if self.cluster.complete_target(origin) == config.host_index
-        })
         # re-run the never-ordered tail: each record restarts at the host
         # that keeps it (its origin while that lives, its custodian since)
-        kept = filter(None, map(self.records.get, message.get("reruns", ())))
+        kept = filter(None, map(self.records.get, reruns))
         for obj in sorted(kept, key=lambda rec: (rec.pid, rec.idx)):
             node = self.runtime.actors.get(vid_of(obj.pid, MIDDLE))
             if node is None:
@@ -1770,25 +1301,8 @@ class NodeHost:
                     )
                     continue
             node.local_op(obj)
-        self._recovering = False
-        self._evicting.clear()
-        now = time.monotonic()
-        for host in self.detector.suspects():
-            if host in self.cluster.hosts:
-                self.detector.clear(host, now)
-        self.records.resync()
-        # frames parked while the shard was down (fence re-checked now)
-        buffered, self._recover_buffer = self._recover_buffer, []
-        for frame in buffered:
-            self._handle_peer_frame(frame)
-        self._push_to_clients({"op": "host_map", "map": self.cluster.to_json()})
         self.runtime.kick()
-        parked, self._parked_submits = self._parked_submits, []
-        for conn, sub in parked:
-            if conn in self.connections:
-                self._submit(conn, sub)
-        self._note(f"recovery generation {gen} complete; "
-                   f"{len(self.runtime.actors)} actors live")
+        return len(self.runtime.actors)
 
     def _preload_stores(self, elements) -> None:
         """Seed the rebuilt DHT shard with the replayed live elements."""
@@ -1811,13 +1325,6 @@ class NodeHost:
                 node.store.put(key, int(ticket), element)
             else:
                 node.store.put(key, element)
-
-    def _note(self, text: str) -> None:
-        """Ops-plane log line: ring buffer (served by /status) + stdout."""
-        entry = (f"{time.strftime('%H:%M:%S')} host "
-                 f"{self.config.host_index}: {text}")
-        self.log_ring.append(entry)
-        print(f"[skueue-ops] {entry}", flush=True)
 
     # -- error surfacing -----------------------------------------------------
     def _actor_error(self, actor_id: int, exc: BaseException) -> None:

@@ -150,7 +150,6 @@ FRAME_TYPES: dict[str, str] = {
     # crash-stop fault tolerance + ops plane
     "heartbeat": "host -> host: periodic liveness beacon over the peer link",
     "suspect": "host -> coordinator: peer silent past threshold (corroboration)",
-    "evict": "coordinator -> hosts: crash-evict a dead host, enter recovery",
     "recover_dump": "host -> coordinator: all record facts held, for the rebuild",
     "rebuild": "coordinator -> hosts: merged records + deterministic rebuild plan",
     "replica_put": "host -> successor: mirror record facts (submit/value/completion)",

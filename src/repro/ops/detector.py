@@ -6,7 +6,7 @@ frame arrives from a peer (heartbeats merely guarantee a minimum frame
 rate on otherwise-idle links) and ``observe(now)`` on every heartbeat
 tick — and reads back the suspect set.  All timing is injected, so the
 threshold/flapping/recovery behaviour is unit-testable without sockets
-or sleeps (``tests/unit/test_detector.py``).
+or sleeps (``tests/unit/test_ops.py``).
 
 Design points:
 

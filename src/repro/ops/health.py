@@ -15,7 +15,8 @@ Every :class:`~repro.net.server.NodeHost` exposes two read-only views:
 * ``/profile?seconds=N`` — live cProfile capture of the host's event
   loop, answered as a pstats text report.
 
-The builders are duck-typed over the host object (attribute access
+The builders are duck-typed over the host object and its control plane
+(``host.control``: map, detector, recovery state — attribute access
 only), so this module never imports ``repro.net`` — which is what lets
 ``repro.net.server`` import *us* without a cycle (``repro.telemetry``
 is import-safe the same way: it imports neither ``repro.net`` nor
@@ -39,19 +40,20 @@ __all__ = ["build_health", "build_status", "build_trace", "start_ops_server"]
 def build_health(host) -> dict:
     """The /health payload: is this host alive and whom does it trust?"""
     now = time.monotonic()
-    cluster = host.cluster
+    control = host.control
+    cluster = control.cluster
     return {
         "host": host.config.host_index,
         "structure": host.config.structure,
-        "wired": host.wired,
-        "draining": host.draining,
-        "recovering": host._recovering,
+        "wired": control.wired,
+        "draining": control.draining,
+        "recovering": control.recovering,
         "map_version": cluster.version if cluster is not None else 0,
         "recovery_epoch": cluster.recovery_epoch if cluster is not None else 0,
         "coordinator": cluster.coordinator if cluster is not None else None,
-        "detector": host.detector.snapshot(now),
+        "detector": control.detector.snapshot(now),
         "links": {str(index): link.stats() for index, link in host.peers.items()},
-        "evictions": list(host.evictions),
+        "evictions": list(control.evictions),
         # records / adopted_records / replicas / replica_targets /
         # pending_done, counted where the records are held
         **host.records.counts(),
@@ -62,7 +64,7 @@ def build_health(host) -> dict:
 def build_status(host) -> dict:
     """The /status payload: /health plus membership and the log tail."""
     data = build_health(host)
-    cluster = host.cluster
+    cluster = host.control.cluster
     if cluster is not None:
         data["hosts"] = {
             str(index): list(address) for index, address in cluster.hosts.items()
@@ -71,8 +73,8 @@ def build_status(host) -> dict:
         data["leaving"] = sorted(cluster.leaving)
         data["pids"] = cluster.pids_of(host.config.host_index)
     data["joining_pids"] = sorted(host.joining_pids)
-    data["update_epoch"] = host._last_epoch
-    data["log"] = list(host.log_ring)
+    data["update_epoch"] = host.update_epoch
+    data["log"] = list(host.control.log)
     return data
 
 

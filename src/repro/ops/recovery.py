@@ -36,8 +36,8 @@ iteration values one record or gives up on one record, so the loop
 terminates; anything unrepairable lands in ``plan.errors``.
 
 Everything here is pure — records in, plan out — and unit-tested per
-structure in ``tests/unit/test_recovery_plan.py``.  The net layer
-(``repro.net.server``) feeds it merged dumps and applies the plan.
+structure in ``tests/unit/test_ops.py``.  The net layer feeds it merged
+dumps (``repro.net.control``) and applies the plan (``repro.net.server``).
 """
 
 from __future__ import annotations

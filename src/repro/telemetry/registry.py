@@ -12,8 +12,8 @@ The registry renders two surfaces:
 * :meth:`MetricsRegistry.render` — Prometheus text exposition format,
   served verbatim at the ops listener's ``/metrics`` route;
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe dict, merged into the
-  ``metrics`` frame answer so clients (and ``bench_load.py --phases``)
-  read the same numbers over the main TCP port.
+  ``metrics`` frame answer so clients (and ``perfbench/``) read the
+  same numbers over the main TCP port.
 
 This module is dependency-free by design (it must be importable from
 ``repro.ops.health`` without dragging ``repro.net`` in — see the

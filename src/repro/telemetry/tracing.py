@@ -19,7 +19,8 @@ Three consumers read the tracer:
   event per finished op + instant events per stage), loadable in
   Perfetto / ``chrome://tracing``;
 * :meth:`Tracer.phase_summary` — per-phase fixed-bucket histograms
-  (``bench_load.py --phases``, the ``/metrics`` route);
+  (the ``metrics`` frame's ``phases``, which ``perfbench/`` reads, and
+  the ``/metrics`` route);
 * the **flight recorder** — a ring of recent op lifecycles plus a
   separate ring of slow ops past ``slow_ms`` (``skueue-ops trace
   --slow``), for the "what just got slow" question dashboards answer

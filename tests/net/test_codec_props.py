@@ -114,7 +114,6 @@ SAMPLE_FRAMES: dict[str, dict] = {
     # crash-stop fault tolerance + ops plane
     "heartbeat": {"op": "heartbeat", "host": 1, "src": 1, "seq": 99},
     "suspect": {"op": "suspect", "host": 2, "silent": 1.25},
-    "evict": {"op": "evict", "host": 2, "epoch": 5},
     "recover_dump": {"op": "recover_dump", "host": 1,
                      "records": [_record_wire(30)]},
     "rebuild": {"op": "rebuild", "epoch": 5,

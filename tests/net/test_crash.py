@@ -130,6 +130,57 @@ def test_kill_coordinator_under_load():
         check_queue_history(records)
 
 
+def test_eviction_cancels_a_drain_and_leave_can_be_reissued():
+    """SIGKILL host 1 and ask host 3 to leave before the survivors have
+    noticed: the drain cannot finish (its waves cross the corpse), the
+    eviction cancels it, host 3's respawned shard serves as a full
+    member — and the re-issued ``leave`` drains it."""
+    with launch_local(4, 8, seed=5, id_slots=16) as deployment:
+
+        async def scenario():
+            async with SkueueClient(deployment.host_map) as client:
+                stop = asyncio.Event()
+                acked: list[int] = []
+                load = asyncio.create_task(
+                    _drive_load(client, stop, "drain", acked)
+                )
+                await asyncio.sleep(0.5)
+                loop = asyncio.get_running_loop()
+
+                def churn():
+                    deployment.kill_host(1, wait_evicted=False)
+                    deployment.remove_host(3, wait=False)
+                    deployment._wait_gone(1, 30.0, "host 1 never evicted")
+                    # unless the drain got through before the eviction,
+                    # host 3 is a full member again ...
+                    address = deployment.host_map.get(3)
+                    if address is not None:
+                        deadline = time.monotonic() + 20.0
+                        while request(tuple(address), {"op": "health"},
+                                      "health")["recovering"]:
+                            assert time.monotonic() < deadline
+                            time.sleep(0.05)
+                        pong = request(tuple(address), {"op": "ping"}, "pong")
+                        assert pong["draining"] is False
+                        assert 3 not in deployment.cluster_map().leaving
+                        # ... and the re-issued leave takes it out
+                        deployment.remove_host(3, timeout=60.0)
+
+                await loop.run_in_executor(None, churn)
+                await asyncio.sleep(1.0)
+                stop.set()
+                await load
+                await client.wait_all(timeout=120.0)
+                return acked, await client.collect_records()
+
+        acked, records = asyncio.run(scenario())
+        cluster = deployment.cluster_map()
+        assert set(cluster.hosts) == {0, 2}
+        assert set(cluster.departed) == {1, 3}
+        assert len(acked) > 100
+        check_queue_history(records)
+
+
 def test_ops_surface_reports_eviction():
     """/health over HTTP + the health frame both expose detector state,
     and after a kill the eviction shows up on every survivor."""

@@ -123,6 +123,20 @@ class TestEvictHost:
         assert cmap.version == version + 1
         assert cmap.recovery_epoch == 1
 
+    def test_evict_cancels_departures_in_progress(self):
+        """The rebuild respawns every surviving pid as a full member: a
+        drain's ``leaving`` mark and the forwards its departed nodes left
+        would route around nodes that are live again."""
+        cmap = three_host_map()
+        cmap.start_drain(2)
+        cmap.merge_forwards({8: 1})
+        draft = cmap.copy()
+        draft.evict_host(1, adopter=2)
+        assert not draft.leaving and not draft.forwards
+        # the coordinator mutates a draft: its live map is untouched
+        assert cmap.leaving == {2} and cmap.forwards == {8: 1}
+        assert 1 in cmap.hosts and draft.version == cmap.version + 1
+
     def test_evict_validates_arguments(self):
         cmap = three_host_map()
         cmap.evict_host(1, adopter=2)

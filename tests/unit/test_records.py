@@ -210,7 +210,7 @@ def via_rebuild_fold(order):
     merged = blank(rid(0))
     for known in order[1:]:
         learn(merged, *known)
-    wire.tables[0].fold([merged], set())
+    wire.tables[0].fold([merged], set(), [])
     return rec
 
 
@@ -409,11 +409,10 @@ class TestCustody:
             hook = rec.on_completed
             rec.on_completed = lambda r, hook=hook: (fired.append(r.req_id), hook(r))
         table.reset_epoch()
-        table.fold(merged, {2})
+        table.fold(merged, {2}, [1])
         assert fired == [mine[1].req_id, mine[2].req_id]
         assert all(facts(rec)[1:] == (BOTTOM, False, True) for rec in mine)
         assert set(table.custody) == {rid(2, 5)} and not table.replicas
-        table.resync()
         wire.pump()
         assert wire.done[0] == [rec.req_id for rec in mine]
 
