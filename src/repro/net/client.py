@@ -23,6 +23,15 @@ the client refresh its map and transparently resubmit the operation on a
 live pid — the original req_id's future resolves when the replacement
 completes, so callers never see the churn.
 
+One table maps a host to its **session** — a
+:class:`repro.net.link.Connection` (outbox, write loop, read loop) plus
+what the ``welcome`` assigned — and every way a session ends (an
+explicit drop, a lost connection, :meth:`SkueueClient.close`) goes
+through one function, which also fails whoever waits on that host.  A
+lost connection is *not* redialled underneath its requests the way a
+host's peer link is: a new connection is a new nonce, hence new req_ids,
+so the requests in limbo are resubmitted at the application level.
+
 This is the transport core of the unified facade in :mod:`repro.api`;
 prefer ``repro.api.connect(backend="tcp", ...)`` for new code — it
 returns :class:`~repro.api.OpHandle` objects and runs the same workload
@@ -44,15 +53,14 @@ import asyncio
 from collections import deque
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
+from repro.net.link import FOLD_SUBMITS, Connection
 from repro.net.membership import ClusterMap
 from repro.net.transport import (
     CODEC_BINARY,
     CODEC_JSON,
     decode_payload,
     encode_payload,
-    read_frame,
     record_from_wire,
-    write_frame,
 )
 from repro.telemetry import trace_sampled
 
@@ -60,6 +68,27 @@ __all__ = ["SkueueClient"]
 
 #: Queries a client puts to every host, and the frame answering each.
 _QUERY_ANSWERS = {"collect": "records", "metrics": "metrics"}
+
+
+class _Session(Connection):
+    """One host as this client sees it: the connection, and what the
+    ``hello``/``welcome`` handshake assigned on it."""
+
+    MAX_BATCH = None  # a `submit_many` is one write, however long
+    FOLD = FOLD_SUBMITS
+
+    def __init__(self, index: int, on_frame, on_lost, on_error) -> None:
+        super().__init__(on_frame, on_lost, on_error=on_error)
+        self.index = index
+        self.lock = asyncio.Lock()  # one dial + handshake at a time
+        # the hello's answer: pending while the handshake runs
+        self.welcome: asyncio.Future | None = None
+        self.nonce: int | None = None  # set by the welcome: ready to submit
+        self.seq = 0  # next req_id sequence number under that nonce
+        # answer op -> FIFO of futures awaiting that answer
+        self.waiters: dict[str, deque] = {
+            answer: deque() for answer in _QUERY_ANSWERS.values()
+        }
 
 
 class SkueueClient:
@@ -75,17 +104,18 @@ class SkueueClient:
 
     Submissions issued in the same event-loop tick to the same host are
     flushed as a single ``submit_batch`` frame with one buffered socket
-    write.  Order per host is the buffer's append order, so per-client
-    submission order is preserved.
+    write.  Order per host is the session outbox's append order, so
+    per-client submission order is preserved.
 
     ``trace_sample`` turns on client-side trace sampling: each req_id
     that wins the deterministic draw (see
     :func:`repro.telemetry.tracing.trace_sampled`) is submitted as a
     standalone ``submit`` frame tagged with the optional ``tr`` field,
     which makes every host on the op's path record lifecycle spans for
-    it (docs/PROTOCOL.md, "Telemetry").  Sampled submissions bypass the
-    coalesce buffer — ``submit_batch`` rows carry no tag — so keep the
-    rate low (a few percent) on throughput-sensitive runs.  A client
+    it (docs/PROTOCOL.md, "Telemetry").  Sampled submissions keep their
+    place in the stream but break the ``submit_batch`` around them — its
+    rows carry no tag — so keep the rate low (a few percent) on
+    throughput-sensitive runs.  A client
     constructed with the default rate of ``0.0`` adopts whatever rate
     the deployment advertises in its ``welcome`` (set by
     ``launch_local(trace_sample=...)``), so deployments can turn on
@@ -107,26 +137,16 @@ class SkueueClient:
         else:
             raise ValueError(f"unknown wire codec {codec!r}")
         self.trace_sample = float(trace_sample)
-        self._send_codecs: dict[int, str] = {}  # host -> negotiated codec
-        self._submit_buf: dict[int, list[tuple]] = {}  # host -> queued subs
-        self._flush_tasks: dict[int, asyncio.Task] = {}
+        self._sessions: dict[int, _Session] = {}
         self.n_hosts = len(self.host_map)
         self.id_slots = self.n_hosts  # the cluster map's, once connected
         self.cluster: ClusterMap | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._readers: dict[int, asyncio.Task] = {}
-        self._counters: dict[int, int] = {}
-        self._nonces: dict[int, int] = {}  # host -> welcome-assigned nonce
         self._pending: dict[int, asyncio.Future] = {}
         self._pending_meta: dict[int, tuple[int, int, object]] = {}
         self._redirects: dict[int, int] = {}  # replacement req -> original
         self._results: dict[int, object] = {}
-        # answer op -> host -> FIFO of futures awaiting that answer
-        self._reply_waiters: dict[str, dict[int, deque]] = {
-            answer: {} for answer in _QUERY_ANSWERS.values()
-        }
-        self._welcome_futures: dict[int, asyncio.Future] = {}
-        self._host_locks: dict[int, asyncio.Lock] = {}
+        # resubmissions under way (a rejection, a lost host's limbo)
+        self._tasks: set[asyncio.Task] = set()
         self.deployment_info: dict = {}  # shape learned from `welcome`
         self.errors: list[str] = []
         self.rejected_resubmits = 0  # churn observability for tests
@@ -146,130 +166,122 @@ class SkueueClient:
         reconciled against it.
         """
         try:
-            welcomes = []
             for index in sorted(self.host_map):
-                welcomes.append(
-                    await asyncio.wait_for(
-                        self._open_host(index, self.host_map[index]), timeout
-                    )
-                )
-            first = welcomes[0]
-            self.deployment_info = {
-                key: first[key]
-                for key in ("n_hosts", "n_processes", "structure",
-                            "n_priorities")
-            }
-            # adopt the deployment's advertised sampling rate unless the
-            # caller pinned one: launch_local(trace_sample=...) then
-            # traces every client's submissions at that rate for free
-            if self.trace_sample == 0.0:
-                self.trace_sample = float(first["trace_sample"])
-            self._apply_map_json(first["map"], force=True)
-            # reconcile against the authoritative member list
+                session = await asyncio.wait_for(
+                    self._ensure_host(index), timeout)
+                if not self.deployment_info:
+                    first = session.welcome.result()
+                    self.deployment_info = {
+                        key: first[key]
+                        for key in ("n_hosts", "n_processes", "structure",
+                                    "n_priorities")
+                    }
+                    # adopt the deployment's advertised sampling rate
+                    # unless the caller pinned one:
+                    # launch_local(trace_sample=...) then traces every
+                    # client's submissions at that rate for free
+                    if self.trace_sample == 0.0:
+                        self.trace_sample = float(first["trace_sample"])
+            # reconcile against the authoritative member list (hosts the
+            # map does not name were dropped as it was adopted)
             for index in list(self.cluster.hosts):
                 await asyncio.wait_for(self._ensure_host(index), timeout)
-            for index in [
-                i for i in self._writers if i not in self.cluster.hosts
-            ]:
-                self._drop_host(index)
         except BaseException:
             await self.close()
             raise
         return self
 
-    async def _open_host(self, index: int, address: tuple[str, int]) -> dict:
-        """Connect + hello/welcome handshake with one host."""
-        loop = asyncio.get_running_loop()
-        reader, writer = await asyncio.open_connection(*address)
-        self._writers[index] = writer
-        self._readers[index] = loop.create_task(self._read_loop(index, reader))
-        future = self._welcome_futures[index] = loop.create_future()
+    async def _ensure_host(self, index: int) -> _Session:
+        """The session with host ``index``, dialled and greeted first if
+        there is none.  Whoever finds the handshake under way waits for
+        it and shares its fate."""
+        session = self._sessions.get(index)
+        if session is None:
+            session = self._sessions[index] = _Session(
+                index, self._on_frame, self._on_lost, self._note_error)
+        if session.nonce is None:
+            async with session.lock:
+                if session.closed:
+                    raise ConnectionError(
+                        f"host {index} hung up during the handshake")
+                if session.nonce is None:
+                    await self._greet(session)
+        return session
+
+    async def _greet(self, session: _Session) -> None:
+        """Dial + hello/welcome handshake; a failure ends the session."""
+        index = session.index
+        address = self.host_map[index]  # kept current by every adopted map
         try:
+            await session.open(address)
+            session.welcome = asyncio.get_running_loop().create_future()
             # the hello itself always rides as JSON: the codec is only
             # negotiated by it
-            write_frame(writer, {"op": "hello", "codecs": list(self._offered)})
-            await writer.drain()
-            # belt for the EOF-notification in _read_loop: a peer that
-            # accepted the connection but never answers (crashed between
-            # accept and reply) must look like a refused connect
+            session.send({"op": "hello", "codecs": list(self._offered)})
+            # belt for the EOF notification: a peer that accepted the
+            # connection but never answers (crashed between accept and
+            # reply) must look like a refused connect
             try:
-                welcome = await asyncio.wait_for(future, 15.0)
+                welcome = await asyncio.wait_for(session.welcome, 15.0)
             except asyncio.TimeoutError as exc:
-                self._drop_host(index)
                 raise ConnectionError(
                     f"host {index} at {address} never answered the hello"
                 ) from exc
-        finally:
-            self._welcome_futures.pop(index, None)
-        if welcome["host"] != index:
-            # a permuted/stale host_map would mis-shard every submission
-            # keyed by this index: fail fast instead of looping rejections
-            self._drop_host(index)
-            raise ValueError(
-                f"host_map names host {index} at {address}, but host "
-                f"{welcome['host']} answered"
-            )
-        self._nonces[index] = welcome["nonce"]
+            if welcome["host"] != index:
+                # a permuted/stale host_map would mis-shard every
+                # submission keyed by this index: fail fast instead of
+                # looping rejections
+                raise ValueError(
+                    f"host_map names host {index} at {address}, but host "
+                    f"{welcome['host']} answered"
+                )
+        except BaseException:
+            self._end_session(session)
+            raise
         chosen = welcome["codec"]
-        self._send_codecs[index] = (
-            chosen if chosen in self._offered else CODEC_JSON
-        )
-        return welcome
+        session.codec = chosen if chosen in self._offered else CODEC_JSON
+        session.nonce = welcome["nonce"]
+        self._apply_map_json(welcome["map"])
 
-    async def _ensure_host(self, index: int) -> None:
-        """Make sure a connection (with nonce) to host ``index`` exists."""
-        if index in self._nonces and index in self._writers:
-            return
-        lock = self._host_locks.setdefault(index, asyncio.Lock())
-        async with lock:
-            if index in self._nonces and index in self._writers:
-                return
-            if self.cluster is not None and index in self.cluster.hosts:
-                address = self.cluster.hosts[index]
-            else:
-                address = self.host_map[index]
-            welcome = await self._open_host(index, address)
-            self._apply_map_json(welcome["map"])
+    def _end_session(self, session: _Session) -> None:
+        """The one way a session ends — an explicit drop, a lost
+        connection and :meth:`close` alike: the socket closes, what was
+        staged but never written is dropped (the pipe's ``close``), and
+        its handshake and queued queries fail now instead of timing out
+        (they must not pair with a successor connection's replies)."""
+        if self._sessions.get(session.index) is session:
+            del self._sessions[session.index]
+        session.close()
+        waiting = [session.welcome]
+        for waiters in session.waiters.values():
+            waiting.extend(waiters)
+            waiters.clear()
+        for future in waiting:
+            if future is not None and not future.done():
+                future.set_exception(ConnectionError(
+                    f"host {session.index} closed the connection"))
 
-    def _fail_welcome(self, index: int) -> None:
-        future = self._welcome_futures.pop(index, None)
-        if future is not None and not future.done():
-            future.set_exception(
-                ConnectionError(f"host {index} closed before answering hello")
-            )
+    def _on_lost(self, session: _Session) -> None:
+        """EOF or a socket error on a session: end it, then resubmit the
+        requests that were in limbo on it."""
+        self._end_session(session)
+        if not self._closed:
+            self._spawn(self._recover_lost(session.index))
 
-    def _drop_host(self, index: int) -> None:
-        self._fail_welcome(index)
-        task = self._readers.pop(index, None)
-        if task is not None:
-            task.cancel()
-        writer = self._writers.pop(index, None)
-        if writer is not None:
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._nonces.pop(index, None)
-        self._send_codecs.pop(index, None)
-        self._submit_buf.pop(index, None)
-        self._flush_tasks.pop(index, None)
-        self._fail_queries(index)
+    def _spawn(self, coro) -> None:
+        task = asyncio.get_running_loop().create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _note_error(self, where: str, detail: str) -> None:
+        self.errors.append(f"[client] {where}: {detail}")
 
     async def close(self) -> None:
         self._closed = True
-        for task in self._flush_tasks.values():
+        for task in self._tasks:
             task.cancel()
-        self._flush_tasks.clear()
-        self._submit_buf.clear()
-        for task in self._readers.values():
-            task.cancel()
-        for writer in self._writers.values():
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
-        self._readers.clear()
+        for session in list(self._sessions.values()):
+            self._end_session(session)
 
     async def __aenter__(self) -> "SkueueClient":
         return await self.connect()
@@ -278,22 +290,19 @@ class SkueueClient:
         await self.close()
 
     # -- cluster map ----------------------------------------------------------
-    def _apply_map_json(self, map_json: dict | None, force: bool = False) -> None:
+    def _apply_map_json(self, map_json: dict | None) -> None:
         if map_json is None:
             return
         incoming = ClusterMap.from_json(map_json)
-        if (
-            not force
-            and self.cluster is not None
-            and incoming.version <= self.cluster.version
-        ):
+        if self.cluster is not None and incoming.version <= self.cluster.version:
             return
         self.cluster = incoming
         self.id_slots = incoming.id_slots
         self.n_hosts = len(incoming.hosts)
         self.host_map.update(incoming.hosts)
-        for index in [i for i in self._writers if i not in incoming.hosts]:
-            self._drop_host(index)
+        for session in list(self._sessions.values()):
+            if session.index not in incoming.hosts:
+                self._end_session(session)
 
     def live_pids(self) -> list[int]:
         """Pids currently accepting submissions (drain-aware)."""
@@ -323,11 +332,6 @@ class SkueueClient:
         """Issue a heap DELETE-MIN() at process ``pid``."""
         return await self._submit(pid, REMOVE, None)
 
-    def _next_req_id(self, host: int) -> int:
-        seq = self._counters.get(host, 0)
-        self._counters[host] = seq + 1
-        return pack_req_id(self._nonces[host], seq, host, self.id_slots)
-
     def _check_priority(self, kind: int, priority: int) -> None:
         from repro.core.structures import check_priority
 
@@ -335,98 +339,41 @@ class SkueueClient:
         check_priority(info.get("structure", "queue"), kind, priority,
                        info.get("n_priorities"))
 
-    def _write(self, host: int, frame: dict) -> None:
-        """Frame one message in the host's negotiated send codec."""
-        write_frame(self._writers[host], frame,
-                    self._send_codecs.get(host, CODEC_JSON))
+    def _queue_submit(self, session: _Session, pid: int, kind: int,
+                      item: object, priority: int = 0) -> int:
+        """Register one submission and put its frame in the session's
+        outbox; returns the req_id.
 
-    def _queue_submit(self, pid: int, kind: int, item: object,
-                      priority: int = 0) -> int:
-        """Stage one submission for its host (flush/drain separately).
-
-        It joins the host's submit buffer; the first entry schedules a
-        flush for the next loop tick, so every submission staged
-        meanwhile rides the same ``submit_batch``.
+        The pipe writes on the next loop iteration, so every submission
+        staged meanwhile rides the same ``submit_batch``
+        (:data:`repro.net.link.FOLD_SUBMITS`).  A traced submission —
+        the ``tr`` tag rides only on standalone submit frames — keeps
+        its place and breaks the batch around it.
         """
-        host = self.host_for(pid)
-        req_id = self._next_req_id(host)
+        if session.closed:
+            raise ConnectionError(f"host {session.index} hung up")
+        req_id = pack_req_id(session.nonce, session.seq, session.index,
+                             self.id_slots)
+        session.seq += 1
         self._pending[req_id] = asyncio.get_running_loop().create_future()
         self._pending_meta[req_id] = (pid, kind, item, priority)
-        traced = self.trace_sample > 0.0 and trace_sampled(
-            req_id, self.trace_sample
-        )
-        if traced:
-            # traced submissions bypass the coalesce buffer: the `tr`
-            # tag rides only on standalone submit frames (batch rows
-            # have no slot for it), and a sampled op should not have its
-            # buffer phase start skewed by batching anyway
-            frame = {"op": "submit", "req": req_id, "pid": pid, "kind": kind,
-                     "item": encode_payload(item)}
-            if priority:
-                frame["pri"] = priority
+        frame = {"op": "submit", "req": req_id, "pid": pid, "kind": kind,
+                 "item": encode_payload(item)}
+        if priority:
+            frame["pri"] = priority
+        if self.trace_sample > 0.0 and trace_sampled(req_id, self.trace_sample):
             frame["tr"] = req_id
-            self._write(host, frame)
-            return req_id
-        buffer = self._submit_buf.setdefault(host, [])
-        buffer.append((req_id, pid, kind, encode_payload(item), priority))
-        if host not in self._flush_tasks:
-            self._flush_tasks[host] = asyncio.get_running_loop().create_task(
-                self._flush_later(host)
-            )
+        session.send(frame)
         return req_id
-
-    async def _flush_later(self, host: int) -> None:
-        # sleep(0) = "the next loop tick": everything submitted in the
-        # current tick batches, idle submitters pay zero added latency
-        await asyncio.sleep(0)
-        if self._flush_tasks.get(host) is asyncio.current_task():
-            await self._flush_submits(host)
-
-    async def _flush_submits(self, host: int) -> None:
-        """Write the host's buffered submissions as one frame and drain.
-
-        An empty buffer writes nothing.  A buffer whose host connection
-        died meanwhile is *dropped*: those requests are still pending
-        with their meta, and :meth:`_recover_lost` reroutes them — also
-        writing them here would submit them twice.
-        """
-        self._flush_tasks.pop(host, None)
-        entries = self._submit_buf.pop(host, None)
-        if not entries:
-            return
-        writer = self._writers.get(host)
-        if writer is None:
-            return
-        if len(entries) == 1:
-            req_id, pid, kind, item, priority = entries[0]
-            frame = {"op": "submit", "req": req_id, "pid": pid,
-                     "kind": kind, "item": item}
-            if priority:
-                frame["pri"] = priority
-        else:
-            frame = {"op": "submit_batch", "subs": [list(e) for e in entries]}
-        self._write(host, frame)
-        await writer.drain()
-
-    async def _drain_submits(self, host: int) -> None:
-        """Hand everything staged for ``host`` to the transport."""
-        await self._flush_submits(host)
-        writer = self._writers.get(host)
-        if writer is not None:
-            await writer.drain()
 
     async def _submit(self, pid: int, kind: int, item: object,
                       priority: int = 0) -> int:
         self._check_priority(kind, priority)
-        host = self.host_for(pid)
-        await self._ensure_host(host)
-        req_id = self._queue_submit(pid, kind, item, priority)
-        # await the shared flush task instead of flushing inline:
-        # concurrent submitters suspend here, the flush runs once
-        # with all of their entries in the buffer
-        task = self._flush_tasks.get(host)
-        if task is not None:
-            await task
+        session = await self._ensure_host(self.host_for(pid))
+        req_id = self._queue_submit(session, pid, kind, item, priority)
+        # concurrent submitters all suspend here; the one write that
+        # carries their frames wakes them together
+        await session.flushed()
         return req_id
 
     async def submit_many(
@@ -443,15 +390,15 @@ class SkueueClient:
         ops = [op if len(op) > 3 else (*op, 0) for op in ops]
         for _pid, kind, _item, priority in ops:
             self._check_priority(kind, priority)
-        hosts = {self.host_for(pid) for pid, _, _, _ in ops}
-        for host in hosts:
-            await self._ensure_host(host)
+        sessions = {host: await self._ensure_host(host)
+                    for host in {self.host_for(pid) for pid, _, _, _ in ops}}
         req_ids = [
-            self._queue_submit(pid, kind, item, priority)
+            self._queue_submit(sessions[self.host_for(pid)], pid, kind, item,
+                               priority)
             for pid, kind, item, priority in ops
         ]
-        for host in hosts:
-            await self._drain_submits(host)
+        for session in sessions.values():
+            await session.flushed()
         return req_ids
 
     async def _on_rejected(self, message: dict) -> None:
@@ -485,17 +432,15 @@ class SkueueClient:
                     )
                 pid = candidates[self._retry_rr % len(candidates)]
                 self._retry_rr += 1
-                host = self.host_for(pid)
                 try:
-                    await self._ensure_host(host)
+                    session = await self._ensure_host(self.host_for(pid))
                 except (ConnectionError, OSError):
-                    self._drop_host(host)
-                    await asyncio.sleep(0.25)
+                    await asyncio.sleep(0.25)  # the failed greeting ended it
                     continue
-                replacement = self._queue_submit(pid, kind, item, priority)
+                replacement = self._queue_submit(session, pid, kind, item,
+                                                 priority)
                 self._redirects[replacement] = root
                 self.rejected_resubmits += 1
-                await self._drain_submits(host)
                 return
             raise TimeoutError(
                 f"request {root} could not be resubmitted: no reachable host"
@@ -503,11 +448,6 @@ class SkueueClient:
         except Exception as exc:
             if not future.done():
                 future.set_exception(exc)
-
-    async def _flush_all(self) -> None:
-        """Flush every host's staged submissions (before waiting)."""
-        for host in list(self._submit_buf):
-            await self._flush_submits(host)
 
     # -- completions ----------------------------------------------------------
     async def wait(self, req_id: int, timeout: float | None = 30.0):
@@ -523,8 +463,6 @@ class SkueueClient:
         if future is None:
             raise KeyError(f"req_id {req_id} was never submitted by this client")
         if not future.done():
-            await self._flush_all()
-        if not future.done():
             try:
                 await asyncio.wait_for(asyncio.shield(future), timeout)
             except asyncio.TimeoutError:
@@ -539,7 +477,6 @@ class SkueueClient:
         Raises the builtin :class:`TimeoutError` past ``timeout`` (same
         class as :meth:`wait` on every supported Python), after
         surfacing any host-reported errors."""
-        await self._flush_all()
         outstanding = [f for f in self._pending.values() if not f.done()]
         if outstanding:
             try:
@@ -588,7 +525,6 @@ class SkueueClient:
         out are served by the coordinator, which adopted their archives
         at retirement — the merged history stays complete across churn.
         """
-        await self._flush_all()
         if self.cluster is not None:
             for index in list(self.cluster.hosts):
                 await self._ensure_host(index)
@@ -606,31 +542,22 @@ class SkueueClient:
     ) -> list[dict]:
         """Send ``query`` to every connected host; gather the answers.
 
-        Replies on one connection are FIFO, so each host keeps a queue
-        of waiters per answer type and the read loop resolves the
-        oldest: overlapping calls each get their own answer.
+        The query queues behind whatever was submitted before it, and
+        replies on one connection are FIFO, so each session keeps a
+        queue of waiters per answer type and the oldest takes each
+        reply: overlapping calls each get their own answer.  A session
+        that ends fails its waiters (:meth:`_end_session`).
         """
         loop = asyncio.get_running_loop()
-        waiters = self._reply_waiters[_QUERY_ANSWERS[query["op"]]]
+        answer = _QUERY_ANSWERS[query["op"]]
         futures = []
-        for index, writer in list(self._writers.items()):
-            future = loop.create_future()
-            waiters.setdefault(index, deque()).append(future)
-            futures.append(future)
-            self._write(index, query)
-            await writer.drain()
+        for session in self._sessions.values():
+            if session.nonce is not None:  # greeted
+                future = loop.create_future()
+                session.waiters[answer].append(future)
+                futures.append(future)
+                session.send(query)
         return await asyncio.wait_for(asyncio.gather(*futures), timeout)
-
-    def _fail_queries(self, index: int) -> None:
-        """Host ``index``'s connection is gone: its queued queries can
-        never be answered (and must not pair with a successor
-        connection's replies)."""
-        for waiters in self._reply_waiters.values():
-            for future in waiters.pop(index, ()):
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError(f"host {index} closed mid-query")
-                    )
 
     async def host_telemetry(
         self, timeout: float | None = 30.0
@@ -665,17 +592,6 @@ class SkueueClient:
         territory, see DESIGN.md — could complete server-side anyway;
         orderly churn cannot.)
         """
-        if self._closed:
-            return
-        self._writers.pop(index, None)
-        self._nonces.pop(index, None)
-        self._readers.pop(index, None)
-        self._send_codecs.pop(index, None)
-        # anything still staged for this host was never written: drop it
-        # here so a late flush cannot duplicate the resubmissions below
-        self._submit_buf.pop(index, None)
-        self._flush_tasks.pop(index, None)
-        self._fail_queries(index)
         for req_id in list(self._pending):
             future = self._pending.get(req_id)
             if future is None or future.done():
@@ -701,51 +617,36 @@ class SkueueClient:
             if future is not None and not future.done():
                 future.set_result(True)
 
-    async def _read_loop(self, index: int, reader: asyncio.StreamReader) -> None:
-        while True:
-            message = await read_frame(reader)
-            if message is None:
-                # a host killed mid-handshake accepts the connection but
-                # never answers the hello: fail the waiter so the lock in
-                # _ensure_host is released instead of wedging every
-                # subsequent resubmission behind it
-                self._fail_welcome(index)
-                if not self._closed:
-                    asyncio.get_running_loop().create_task(
-                        self._recover_lost(index)
-                    )
-                return
-            op = message.get("op")
-            if op == "done":
-                self._handle_done(message["req"], message["kind"],
-                                  message["result"])
-            elif op == "done_batch":
-                for req_id, kind, result in message["dones"]:
-                    self._handle_done(req_id, kind, result)
-            elif op == "rejected":
-                asyncio.get_running_loop().create_task(
-                    self._on_rejected(message)
-                )
-            elif op == "host_map":
-                self._apply_map_json(message.get("map"))
-            elif op == "update_over":
-                self.last_update_over = message
-            elif op in self._reply_waiters:
-                waiters = self._reply_waiters[op].get(index)
-                if waiters:
-                    future = waiters.popleft()
-                    if not future.done():  # its caller timed out
-                        future.set_result(message)
-            elif op == "welcome":
-                future = self._welcome_futures.get(index)
-                if future is not None and not future.done():
+    def _on_frame(self, session: _Session, message: dict) -> None:
+        op = message.get("op")
+        if op == "done":
+            self._handle_done(message["req"], message["kind"],
+                              message["result"])
+        elif op == "done_batch":
+            for req_id, kind, result in message["dones"]:
+                self._handle_done(req_id, kind, result)
+        elif op == "rejected":
+            self._spawn(self._on_rejected(message))
+        elif op == "host_map":
+            self._apply_map_json(message.get("map"))
+        elif op == "update_over":
+            self.last_update_over = message
+        elif op in session.waiters:
+            if session.waiters[op]:
+                future = session.waiters[op].popleft()
+                if not future.done():  # its caller timed out
                     future.set_result(message)
-            elif op == "error":
-                self.errors.append(f"[host {index}] {message['message']}")
-            elif op in ("pong", "bye", "wired", "leaving"):
-                pass
-            else:
-                self.errors.append(f"[host {index}] unexpected frame {message!r}")
+        elif op == "welcome":
+            future = session.welcome
+            if future is not None and not future.done():
+                future.set_result(message)
+        elif op == "error":
+            self.errors.append(f"[host {session.index}] {message['message']}")
+        elif op in ("pong", "bye", "wired", "leaving"):
+            pass
+        else:
+            self.errors.append(
+                f"[host {session.index}] unexpected frame {message!r}")
 
     def _raise_errors(self) -> None:
         if self.errors:

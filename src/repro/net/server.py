@@ -35,19 +35,20 @@ submit to the same host with zero id collisions.
 TIMEOUT is event-loop-driven (no rounds): see
 :class:`repro.net.runtime.NetRuntime`.  How a record's facts merge,
 travel and are held is :mod:`repro.net.records`' business.  What is left
-here is what needs a socket, the event loop or an actor: connections
-and peer links, frame decode and dispatch, client sessions, spawning
-and respawning the shard, the periodic loops and the ops hooks.
+here is what needs the event loop or an actor: accepting connections,
+frame dispatch, client intake (submit, DONE, nonces), spawning and
+respawning the shard, the periodic loops and the ops hooks.  The sockets
+themselves — the accepted :class:`~repro.net.link.Connection`, the
+outbound :class:`~repro.net.link.PeerLink`, their write loop, fold and
+teardown — are :mod:`repro.net.link`'s, which knows nothing of hosts.
 """
 
 from __future__ import annotations
 
 import asyncio
 import errno
-import random
 import time
 import traceback
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
@@ -55,22 +56,16 @@ from repro.core.cluster import spawn_nodes
 from repro.core.protocol import ClusterContext
 from repro.core.structures import get_structure
 from repro.net.control import ControlPlane
+from repro.net.link import Connection, PeerLink, ResendFilter
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import TIMEOUT_LAG, NetRuntime
 from repro.ops.health import build_health, build_status, start_ops_server
 from repro.net.transport import (
-    BULK_OPS,
-    CODEC_JSON,
     WIRE_CODECS,
-    FrameDecodeError,
-    FrameError,
-    codec_for,
     decode_payload,
-    encode_frame,
     encode_payload,
     negotiate_codec,
-    read_frame,
     request_async,
 )
 from repro.overlay.ldb import (
@@ -87,7 +82,7 @@ from repro.sim.metrics import Metrics
 from repro.telemetry import MetricsRegistry, Tracer, render_run_metrics
 from repro.util.hashing import heap_position_key, label_of, position_key
 
-__all__ = ["PER_HOST_FIELDS", "HostConfig", "NodeHost", "coalesce_frames"]
+__all__ = ["PER_HOST_FIELDS", "HostConfig", "NodeHost"]
 
 #: Seconds an actor message may wait for a cluster-map update that names
 #: its destination pid before it is declared undeliverable.
@@ -190,300 +185,6 @@ class HostConfig:
         return cls(**data)
 
 
-def coalesce_frames(frames: list[dict]) -> list[dict]:
-    """Merge runs of *consecutive* ``done`` frames into ``done_batch``.
-
-    Only adjacent DONE pushes merge, so the client observes completions
-    (and everything interleaved with them — maps, records, errors) in
-    exactly the order the host emitted them.
-    """
-    out: list[dict] = []
-    run: list[dict] = []
-
-    def close_run() -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            out.append(run[0])
-        else:
-            out.append({
-                "op": "done_batch",
-                "dones": [[f["req"], f["kind"], f["result"]] for f in run],
-            })
-        run.clear()
-
-    for frame in frames:
-        if frame.get("op") == "done":
-            run.append(frame)
-        else:
-            close_run()
-            out.append(frame)
-    close_run()
-    return out
-
-
-class _Connection:
-    """One accepted TCP connection (client, launcher, or peer host).
-
-    ``codec`` is what this side *sends* (set by the ``hello``
-    negotiation; JSON until then).  Reads are codec-agnostic — every
-    frame header names its own codec — which is what lets a JSON client
-    and a binary client share one host.
-    """
-
-    #: outbox frames folded into one buffered write per wakeup (bounds
-    #: both latency and the transient `done_batch` body size)
-    MAX_BATCH = 256
-
-    def __init__(self, host: "NodeHost", reader, writer) -> None:
-        self.host = host
-        self.reader = reader
-        self.writer = writer
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self.tasks: list[asyncio.Task] = []
-        # set on the first client-shaped frame (`hello`/`submit`): only
-        # such connections receive unsolicited pushes (host_map,
-        # update_over) — peers and the launcher never read them
-        self.is_client = False
-        self.codec = CODEC_JSON  # send codec; hello negotiation upgrades
-
-    def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self.tasks = [
-            loop.create_task(self._read_loop()),
-            loop.create_task(self._write_loop()),
-        ]
-
-    def send(self, message: dict) -> None:
-        self.outbox.put_nowait(message)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    message = await read_frame(self.reader)
-                except FrameDecodeError:
-                    # garbage behind a valid header: the body was
-                    # consumed, the stream is still framed — drop the
-                    # frame, keep the connection serviceable
-                    self.host.note_error("read", traceback.format_exc())
-                    continue
-                if message is None:
-                    break
-                self.host.handle_frame(self, message)
-        except Exception:
-            self.host.note_error("connection", traceback.format_exc())
-        finally:
-            self.host.forget_connection(self)
-            if len(self.tasks) > 1:
-                self.tasks[1].cancel()  # the write loop, else it leaks
-            try:
-                self.writer.close()
-            except Exception:
-                pass
-
-    async def _write_loop(self) -> None:
-        while True:
-            try:
-                message = await self.outbox.get()
-                # natural batching: everything already queued rides this
-                # wakeup — zero added latency when idle, deep batches
-                # under load
-                batch = [message]
-                while len(batch) < self.MAX_BATCH and not self.outbox.empty():
-                    batch.append(self.outbox.get_nowait())
-                buffer = bytearray()
-                for frame in coalesce_frames(batch):
-                    try:
-                        buffer += encode_frame(frame, codec_for(frame, self.codec))
-                    except Exception:
-                        # e.g. a reply whose body exceeds MAX_FRAME_BYTES:
-                        # drop that frame but keep the rest of the batch
-                        self.host.note_error("write", traceback.format_exc())
-                if buffer:
-                    self.writer.write(buffer)
-                    self.host.count_write(len(batch), len(buffer))
-                    await self.writer.drain()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                return
-            except Exception:
-                self.host.note_error("write", traceback.format_exc())
-
-    def close(self) -> None:
-        for task in self.tasks:
-            task.cancel()
-        try:
-            self.writer.close()
-        except Exception:
-            pass
-
-
-class _PeerLink:
-    """Outbound frame pipe to one peer host (lazy connect, retry, FIFO).
-
-    Each frame carries a per-link sequence number; on reconnect the
-    frame that was in flight is resent, and the receiver deduplicates by
-    (src, seq) so the resend cannot violate the no-duplication channel
-    assumption.  A reset can still lose frames the kernel had buffered
-    but not transmitted — mid-deployment TCP failures are fail-stop
-    territory for this runtime, not masked (see DESIGN.md).
-    """
-
-    #: consecutive failed connect attempts before the link parks itself
-    #: (a crashed peer would otherwise be dialled forever; `send` re-arms)
-    MAX_ATTEMPTS = 40
-
-    #: frames folded into one `batch` wrapper per write
-    MAX_BATCH = 64
-
-    def __init__(self, address: tuple[str, int], src: int,
-                 codec: str = CODEC_JSON, on_write=None) -> None:
-        self.address = address
-        self.src = src
-        self.codec = codec
-        # telemetry hook: called (frames, bytes) after each socket write
-        self.on_write = on_write
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self.task: asyncio.Task | None = None
-        self._seq = 0
-        self._in_flight: list[dict] = []
-        # reconnect bookkeeping, surfaced through the ops /health payload
-        self.attempts = 0
-        self.last_error: str | None = None
-        self.gave_up = False
-
-    def start(self) -> None:
-        self.task = asyncio.get_running_loop().create_task(self._run())
-
-    def send(self, message: dict) -> None:
-        # stamp a copy, never the caller's dict: one frame may be handed
-        # to several links (a `replica_put` to both successors, a
-        # `host_map` to every peer) and each needs its own seq
-        self._seq += 1
-        self.outbox.put_nowait({**message, "src": self.src, "seq": self._seq})
-        if self.gave_up:
-            # fresh traffic re-arms a parked link (the peer may be back)
-            self.gave_up = False
-            self.attempts = 0
-            self.start()
-
-    def stats(self) -> dict:
-        """Link health for the ops plane."""
-        return {
-            "address": list(self.address),
-            "attempts": self.attempts,
-            "last_error": self.last_error,
-            "gave_up": self.gave_up,
-            "queued": self.outbox.qsize() + len(self._in_flight),
-        }
-
-    @property
-    def idle(self) -> bool:
-        return not self._in_flight and self.outbox.empty()
-
-    def drain_pending(self) -> list[dict]:
-        """Frames queued but (possibly) never delivered.
-
-        Called after :meth:`close` when the peer host left the cluster:
-        messages sent in the window between the host going away and the
-        map update arriving would otherwise vanish with the link — the
-        host re-dispatches them through the retiree's published
-        forwarding addresses instead.  Frames that were mid-write are
-        included; if the peer did receive them, its (src, seq) dedup
-        discards the re-dispatch downstream.
-        """
-        frames: list[dict] = list(self._in_flight)
-        self._in_flight = []
-        while not self.outbox.empty():
-            frames.append(self.outbox.get_nowait())
-        return frames
-
-    def encode_batch(self, frames: list[dict]) -> bytes:
-        """One wire blob for a flush.
-
-        A lone frame goes raw; runs of hot-path frames ride one
-        ``batch`` wrapper (each keeps its own src/seq, so the receiver's
-        dedup and generation fence see them individually).  Bulk frames
-        (:data:`~repro.net.transport.BULK_OPS`) break the run and ship
-        standalone in their own codec — wrapping a record archive would
-        force the whole batch through the slow path.
-        """
-        out = bytearray()
-        run: list[dict] = []
-
-        def flush_run() -> None:
-            if not run:
-                return
-            if len(run) == 1:
-                out.extend(encode_frame(run[0], self.codec))
-            else:
-                try:
-                    out.extend(
-                        encode_frame({"op": "batch", "frames": list(run)},
-                                     self.codec)
-                    )
-                except FrameError:
-                    # the wrapper overflowed MAX_FRAME_BYTES; every
-                    # individual frame was legal, so write them singly
-                    for frame in run:
-                        out.extend(encode_frame(frame, self.codec))
-            run.clear()
-
-        for frame in frames:
-            if frame.get("op") in BULK_OPS:
-                flush_run()
-                out.extend(encode_frame(frame, codec_for(frame, self.codec)))
-            else:
-                run.append(frame)
-        flush_run()
-        return bytes(out)
-
-    async def _run(self) -> None:
-        backoff = 0.05
-        while True:
-            try:
-                reader, writer = await asyncio.open_connection(*self.address)
-            except OSError as exc:
-                self.attempts += 1
-                self.last_error = str(exc) or type(exc).__name__
-                if self.attempts >= self.MAX_ATTEMPTS:
-                    # bounded retry: park until `send` re-arms us — the
-                    # failure detector owns declaring the peer dead
-                    self.gave_up = True
-                    return
-                # jittered exponential backoff so a cluster-wide restart
-                # does not thundering-herd the returning peer
-                await asyncio.sleep(backoff * (0.5 + random.random()))
-                backoff = min(backoff * 2, 1.0)
-                continue
-            backoff = 0.05
-            self.attempts = 0
-            self.last_error = None
-            try:
-                while True:
-                    if not self._in_flight:
-                        self._in_flight = [await self.outbox.get()]
-                        # natural batching: whatever queued while we
-                        # were writing/draining rides the next flush
-                        while (len(self._in_flight) < self.MAX_BATCH
-                               and not self.outbox.empty()):
-                            self._in_flight.append(self.outbox.get_nowait())
-                    blob = self.encode_batch(self._in_flight)
-                    writer.write(blob)
-                    if self.on_write is not None:
-                        self.on_write(len(self._in_flight), len(blob))
-                    await writer.drain()
-                    self._in_flight = []
-            except (ConnectionError, OSError) as exc:
-                self.last_error = str(exc) or type(exc).__name__
-                continue  # reconnect; the in-flight frames are resent,
-                #           deduped by (src, seq) at the receiver
-
-    def close(self) -> None:
-        if self.task is not None:
-            self.task.cancel()
-
-
 class NodeHost:
     """Asyncio server process running one shard of the distributed queue,
     and the :class:`repro.net.control.DataPlane` its control plane steers."""
@@ -510,25 +211,25 @@ class NodeHost:
         self.control = ControlPlane(config, self.records, self._send_peer, self)
         self.topology: LdbTopology | None = None
         self.ctx: ClusterContext | None = None
-        self.peers: dict[int, _PeerLink] = {}
-        self.connections: set[_Connection] = set()
+        self.peers: dict[int, PeerLink] = {}
+        self.connections: set[Connection] = set()
+        # connections that sent a client-shaped frame (`hello`/`submit`):
+        # only these receive unsolicited pushes (host_map, update_over) —
+        # peers and the launcher never read them
+        self.clients: set[Connection] = set()
         self.server: asyncio.base_events.Server | None = None
         self.port: int | None = None
         self.errors: list[str] = []
         self._op_counts: dict[int, int] = {}
-        self._submitters: dict[int, _Connection] = {}
+        self._submitters: dict[int, Connection] = {}
         # per-connection req_id nonces handed out in `welcome` (from 1)
         self._next_nonce = 1
         self._stopped: asyncio.Event | None = None
         # once stopping, the empty-wave pipeline of still-live peers keeps
         # delivering: drop silently instead of flagging protocol errors
         self._stopping = False
-        # per-peer dedup of the reconnect resend (see _PeerLink): a
-        # sliding *set* of seen (src, seq), not a cumulative counter — a
-        # reconnect can interleave the old socket's undelivered tail
-        # after the new socket's first frames, and a high-water mark
-        # would silently drop the tail as "duplicates" it never saw
-        self._peer_seen: dict[int, tuple[set[int], deque]] = {}
+        # drops the duplicate a peer link's reconnect resend can deliver
+        self.resends = ResendFilter()
         # pids of this host still integrating into the overlay
         self.joining_pids: set[int] = set()
         self._drain_task: asyncio.Task | None = None
@@ -582,10 +283,7 @@ class NodeHost:
         reg.gauge(
             "skueue_peer_outbox_frames",
             "frames queued (or in flight) on outbound peer links",
-        ).set_fn(lambda: sum(
-            link.outbox.qsize() + len(link._in_flight)
-            for link in self.peers.values()
-        ))
+        ).set_fn(lambda: sum(len(link.outbox) for link in self.peers.values()))
         reg.gauge("skueue_actors", "live virtual-node actors").set_fn(
             lambda: len(self.runtime.actors))
         reg.gauge("skueue_records_local",
@@ -687,27 +385,29 @@ class NodeHost:
             self.server.close()
         if self.ops_server is not None:
             self.ops_server.close()
-        tasks: list[asyncio.Task] = []
-        for conn in list(self.connections):
-            tasks.extend(conn.tasks)
-            conn.close()
-        for link in self.peers.values():
-            if link.task is not None:
-                tasks.append(link.task)
-            link.close()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        pipes = [*self.connections, *self.peers.values()]
+        for pipe in pipes:
+            pipe.close()
+        await asyncio.gather(*(task for pipe in pipes for task in pipe.tasks),
+                             return_exceptions=True)
         if self.server is not None:
             await self.server.wait_closed()
         if self._stopped is not None:
             self._stopped.set()
 
     async def _accept(self, reader, writer) -> None:
-        conn = _Connection(self, reader, writer)
+        conn = Connection(self.handle_frame, self.forget_connection,
+                          on_write=self.count_write, on_error=self.note_error)
         self.connections.add(conn)
-        conn.start()
+        conn.start(reader, writer)
 
-    def forget_connection(self, conn: _Connection) -> None:
+    def forget_connection(self, conn: Connection) -> None:
+        """The connection was lost: nothing is pushed to it any more,
+        not even the DONE of a request it still had outstanding."""
         self.connections.discard(conn)
+        self.clients.discard(conn)
+        self._submitters = {req: submitter for req, submitter
+                            in self._submitters.items() if submitter is not conn}
 
     # -- bootstrap -------------------------------------------------------------
     def wire_genesis(self, cluster_map: ClusterMap) -> None:
@@ -805,23 +505,25 @@ class NodeHost:
         me = self.config.host_index
         for index, address in cluster.hosts.items():
             if index != me and index not in self.peers:
-                link = _PeerLink(
+                link = PeerLink(
                     (address[0], int(address[1])),
                     me,
                     codec=self.config.codec,
                     on_write=self.count_write,
+                    on_error=self.note_error,
                 )
                 self.peers[index] = link
                 link.start()
         for index in [i for i in self.peers if i not in cluster.hosts]:
             link = self.peers.pop(index)
+            pending = link.drain_pending()
             link.close()
-            self._peer_seen.pop(index, None)
+            self.resends.forget(index)
             # frames queued for the departed host would vanish with the
             # link; re-dispatch them through its published forwards (the
             # continuous `forwards` pushes make this the rare tail, not
             # the common path)
-            for frame in link.drain_pending():
+            for frame in pending:
                 self._redispatch_peer_frame(frame)
         self.runtime.add_forwards(cluster.forwards)
         self._replay_unrouted()
@@ -847,9 +549,8 @@ class NodeHost:
 
     def push_clients(self, frame: dict) -> None:
         """Push to every client session (peers and the launcher read none)."""
-        for conn in list(self.connections):
-            if conn.is_client:
-                conn.send(frame)
+        for conn in self.clients:
+            conn.send(frame)
 
     # -- remote messaging ----------------------------------------------------
     def _send_remote(self, dest: int, action: int, payload: tuple) -> None:
@@ -926,7 +627,7 @@ class NodeHost:
         return self._send_peer(host, {**frame, "gen": self.control.gen})
 
     # -- frame dispatch ------------------------------------------------------
-    def handle_frame(self, conn: _Connection, message: dict) -> None:
+    def handle_frame(self, conn: Connection, message: dict) -> None:
         """A frame off a socket: count it, unwrap a batch, drop the
         duplicate of a reconnect resend, dispatch."""
         op = message.get("op")
@@ -942,17 +643,11 @@ class NodeHost:
             src = message.get("src")
             if src is not None:
                 self.control.detector.heard_from(src, time.monotonic())
-                seq = message["seq"]
-                seen, order = self._peer_seen.setdefault(src, (set(), deque()))
-                if seq in seen:
+                if not self.resends.fresh(src, message["seq"]):
                     return
-                seen.add(seq)
-                order.append(seq)
-                if len(order) > 8192:
-                    seen.discard(order.popleft())
         self.dispatch(conn, message)
 
-    def dispatch(self, conn: _Connection, message: dict) -> None:
+    def dispatch(self, conn: Connection, message: dict) -> None:
         """Handle one frame — or leave it with the control plane's hold
         queue, which replays it here once this host can (see
         :meth:`repro.net.control.ControlPlane.admit`)."""
@@ -988,12 +683,12 @@ class NodeHost:
                         self._send_peer(int(message["origin"]),
                                         {"op": "replica_ack", "req": req_id})
             elif op == "submit" or op == "submit_batch":
-                conn.is_client = True
                 # a held submit whose session hung up meanwhile is not
                 # replayed: its client resubmits what was in limbo
-                if conn not in self.connections or not control.admit(
-                    conn, message
-                ):
+                if conn not in self.connections:
+                    return
+                self.clients.add(conn)
+                if not control.admit(conn, message):
                     return
                 if op == "submit":
                     self._submit(conn, message)
@@ -1012,7 +707,7 @@ class NodeHost:
                     # the welcome's cluster map is what clients shard by
                     conn.send({"op": "error", "message": "host not wired yet"})
                     return
-                conn.is_client = True
+                self.clients.add(conn)
                 nonce = self._next_nonce
                 self._next_nonce += 1
                 # codec negotiation: this host's configured send codec
@@ -1184,7 +879,7 @@ class NodeHost:
             })
 
     # -- request intake ------------------------------------------------------
-    def _submit(self, conn: _Connection, message: dict) -> None:
+    def _submit(self, conn: Connection, message: dict) -> None:
         pid = message["pid"]
         req_id = message["req"]
         priority = int(message.get("pri", 0))

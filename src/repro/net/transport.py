@@ -73,7 +73,6 @@ __all__ = [
     "record_to_wire",
     "request",
     "request_async",
-    "write_frame",
 ]
 
 #: Upper bound on one frame's body (16 MiB - 1: the length rides in the
@@ -555,10 +554,7 @@ def _encode_body(message: dict, codec: str) -> bytes:
 def decode_frame_body(codec_tag: int, body: bytes) -> dict:
     """Decode one frame body; raises :class:`FrameDecodeError` on
     garbage (the stream itself stays correctly framed)."""
-    codec = _TAG_CODECS.get(codec_tag)
-    if codec is None:
-        raise FrameDecodeError(f"unknown codec tag 0x{codec_tag:02x}")
-    if codec == CODEC_JSON:
+    if _TAG_CODECS[codec_tag] == CODEC_JSON:  # a tag `_parse_header` passed
         try:
             message = json.loads(body)
         except (ValueError, UnicodeDecodeError) as exc:
@@ -584,13 +580,26 @@ def encode_frame(message: dict, codec: str = CODEC_JSON) -> bytes:
     return _HEADER.pack((CODEC_TAGS[codec] << 24) | len(body)) + body
 
 
+def _parse_header(header, max_frame: int) -> tuple[int, int]:
+    """``(codec tag, body length)`` of a frame header — the one place a
+    stream is judged unframeable (:class:`FrameError`): both the
+    incremental :class:`FrameReader` and :func:`read_frame` come here."""
+    (word,) = _HEADER.unpack_from(header)
+    codec_tag, length = word >> 24, word & MAX_FRAME_BYTES
+    if codec_tag not in _TAG_CODECS:
+        raise FrameError(f"unknown codec tag 0x{codec_tag:02x}")
+    if length > max_frame:
+        raise FrameError(f"incoming frame of {length} bytes exceeds {max_frame}")
+    return codec_tag, length
+
+
 class FrameReader:
     """Incremental frame decoder tolerating arbitrary packet boundaries.
 
     Feed it whatever ``recv`` produced; it yields every complete message
     and buffers the tail.  Frames of either codec interleave freely (the
-    header names the codec).  Used by the tests directly and mirrored by
-    the asyncio helpers below (which lean on ``readexactly`` instead).
+    header names the codec).  The blocking helpers and the tests use it;
+    the event-loop side reads with :func:`read_frame`.
     """
 
     __slots__ = ("_buffer", "max_frame")
@@ -604,14 +613,7 @@ class FrameReader:
         while True:
             if len(self._buffer) < _HEADER.size:
                 return
-            (word,) = _HEADER.unpack_from(self._buffer)
-            codec_tag, length = word >> 24, word & MAX_FRAME_BYTES
-            if codec_tag not in _TAG_CODECS:
-                raise FrameError(f"unknown codec tag 0x{codec_tag:02x}")
-            if length > self.max_frame:
-                raise FrameError(
-                    f"incoming frame of {length} bytes exceeds {self.max_frame}"
-                )
+            codec_tag, length = _parse_header(self._buffer, self.max_frame)
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 return
@@ -635,28 +637,13 @@ async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> dict | None:
     subclass for a garbage *body* — in the latter case the bytes were
     consumed and the caller may keep reading frames.
     """
-    import asyncio
-
     try:
         header = await reader.readexactly(_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    (word,) = _HEADER.unpack(header)
-    codec_tag, length = word >> 24, word & MAX_FRAME_BYTES
-    if codec_tag not in _TAG_CODECS:
-        raise FrameError(f"unknown codec tag 0x{codec_tag:02x}")
-    if length > max_frame:
-        raise FrameError(f"incoming frame of {length} bytes exceeds {max_frame}")
-    try:
+        codec_tag, length = _parse_header(header, max_frame)
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
     return decode_frame_body(codec_tag, body)
-
-
-def write_frame(writer, message: dict, codec: str = CODEC_JSON) -> None:
-    """Queue one frame on an ``asyncio.StreamWriter`` (drain separately)."""
-    writer.write(encode_frame(message, codec))
 
 
 # -- one-shot request/response -------------------------------------------------

@@ -67,7 +67,7 @@ async def _drive(deployment, structure: str, wire: str):
         # the client offered both codecs; each host answered with its
         # own preference, so the negotiated send codecs must mirror the
         # deployment's per-host codec list
-        negotiated = [client._send_codecs[h] for h in sorted(deployment.host_map)]
+        negotiated = [client._sessions[h].codec for h in sorted(deployment.host_map)]
         assert negotiated == CODEC_DEPLOYMENTS[wire]
         return records
 

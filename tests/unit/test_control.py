@@ -16,14 +16,13 @@ import ast
 import asyncio
 from pathlib import Path
 
-import pytest
 
 import repro.net.control as control_module
 from repro.core.requests import INSERT
 from repro.net.control import HELD_OPS, ControlPlane
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
-from repro.net.server import HostConfig, NodeHost, _PeerLink
+from repro.net.server import HostConfig, NodeHost
 from repro.net.transport import (
     CODEC_BINARY,
     FRAME_TYPES,
@@ -725,22 +724,6 @@ class TestChurnMeetsCrash:
 
 
 class TestLinks:
-    def test_a_link_never_mutates_the_frame_it_is_handed(self):
-        async def scenario():
-            a = _PeerLink(("127.0.0.1", 1), 7)
-            b = _PeerLink(("127.0.0.1", 1), 7)
-            frame = {"op": "replica_put", "origin": 7, "ack": False,
-                     "record": {}}
-            a.send(frame)
-            a.send(frame)
-            b.send(frame)
-            assert frame == {"op": "replica_put", "origin": 7, "ack": False,
-                             "record": {}}
-            return [f["seq"] for f in a.drain_pending()], b.drain_pending()
-
-        seqs, (only,) = asyncio.run(scenario())
-        assert seqs == [1, 2] and only["seq"] == 1 and only["src"] == 7
-
     def test_a_departed_host_is_forgotten_with_its_link(self):
         async def scenario():
             host = NodeHost(HostConfig(host_index=0, n_hosts=3, n_processes=3))
@@ -751,12 +734,12 @@ class TestLinks:
                                      "seq": 1, "gen": 0, "value": 1})
             host.handle_frame(None, {"op": "complete", "req": 5, "src": 2,
                                      "seq": 1, "gen": 0, "value": 1})
-            assert set(host._peer_seen) == {1, 2} and set(host.peers) == {1, 2}
+            assert set(host.resends.seen) == {1, 2} and set(host.peers) == {1, 2}
             retired = genesis.copy()
             retired.start_drain(1)
             retired.retire_host(1, 0, {})
             host.control.adopt(retired, 0.0)
-            named = (set(host._peer_seen), set(host.peers),
+            named = (set(host.resends.seen), set(host.peers),
                      set(host.control.detector.watched()),
                      set(host.records.targets))
             await host._async_stop()
