@@ -1,0 +1,110 @@
+"""Golden runs: 600 seeded scenarios whose histories must not move.
+
+``tests/traces/golden-runs.json`` holds, for every cell of seeds 0-49 x
+{queue, stack, heap} x {sync, async} x {default, heavy churn}, the
+``history_digest`` and the op count of
+``run_scenario(Scenario.from_seed(seed, structure, runner, churn))``.
+The digest covers every record's value, result and completion flags, and
+both engines draw their delivery order from the seed per message sent —
+so a refactor that adds, drops or reorders one ``send`` anywhere in
+``repro.core`` moves some cell.  A change that is *meant* to keep the
+protocol's behaviour passes this file unchanged; a change that is meant
+to alter it re-records the table on purpose::
+
+    PYTHONPATH=src python tests/testing/test_golden_runs.py --record
+
+Nothing else writes the table (the fuzzer does not know it exists).
+``--check`` prints the first diverging cell and exits 1, which is what
+the CI ``fuzz`` job runs before its long sweeps.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.testing.scenario import (
+    CHURN_PROFILES,
+    RUNNERS,
+    STRUCTURES,
+    Scenario,
+    history_digest,
+    run_scenario,
+)
+
+TABLE_PATH = Path(__file__).resolve().parents[1] / "traces" / "golden-runs.json"
+SEEDS = range(50)
+GROUPS = [
+    (structure, runner, churn)
+    for structure in STRUCTURES
+    for runner in RUNNERS
+    for churn in CHURN_PROFILES
+]
+
+
+def run_cell(seed: int, structure: str, runner: str, churn: str) -> list:
+    """``[digest, op count]`` of one scenario, as stored in the table."""
+    result = run_scenario(Scenario.from_seed(seed, structure, runner, churn))
+    return [history_digest(result.records), len(result.records)]
+
+
+def first_divergence(table: dict, group: tuple) -> str | None:
+    """Name the first seed of ``group`` whose run left the table."""
+    want = table["/".join(group)]
+    for seed in SEEDS:
+        got = run_cell(seed, *group)
+        if got != want[seed]:
+            structure, runner, churn = group
+            return (
+                f"(seed={seed}, structure={structure}, runner={runner}, "
+                f"churn={churn}): recorded {want[seed]}, got {got}"
+            )
+    return None
+
+
+def load_table() -> dict:
+    return json.loads(TABLE_PATH.read_text())
+
+
+def test_the_table_covers_every_cell():
+    table = load_table()
+    assert sorted(table) == sorted("/".join(group) for group in GROUPS)
+    assert all(len(rows) == len(SEEDS) for rows in table.values())
+
+
+@pytest.mark.parametrize("group", GROUPS, ids="/".join)
+def test_histories_match_the_recorded_table(group):
+    diverged = first_divergence(load_table(), group)
+    assert diverged is None, f"first diverging golden run {diverged}"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--record"]:
+        # one row per line, so a re-record diffs cell by cell
+        groups = (
+            f'"{"/".join(group)}": [\n'
+            + ",\n".join(json.dumps(run_cell(seed, *group)) for seed in SEEDS)
+            + "\n]"
+            for group in GROUPS
+        )
+        TABLE_PATH.write_text("{\n" + ",\n".join(groups) + "\n}\n")
+        print(f"recorded {len(GROUPS) * len(SEEDS)} golden runs -> {TABLE_PATH}")
+        return 0
+    if argv == ["--check"]:
+        table = load_table()
+        for group in GROUPS:
+            diverged = first_divergence(table, group)
+            if diverged is not None:
+                print(f"first diverging golden run {diverged}")
+                return 1
+        print(f"{len(GROUPS) * len(SEEDS)} golden runs match {TABLE_PATH.name}")
+        return 0
+    print(__doc__)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -38,7 +38,10 @@ from repro.testing import load_trace, replay_trace
 from repro.testing.scenario import history_digest, run_scenario
 
 TRACES_DIR = Path(__file__).resolve().parents[1] / "traces"
-TRACE_PATHS = sorted(TRACES_DIR.glob("*.json"))
+# golden-runs.json beside them is a digest table (test_golden_runs.py)
+TRACE_PATHS = sorted(
+    p for p in TRACES_DIR.glob("*.json") if p.name != "golden-runs.json"
+)
 
 
 def test_corpus_is_present():
