@@ -18,7 +18,8 @@ the old facades.
 
 from __future__ import annotations
 
-from repro.core.requests import INSERT, kind_name
+from repro.core.requests import INSERT
+from repro.core.structures import get_structure
 
 __all__ = ["OpHandle"]
 
@@ -64,7 +65,7 @@ class OpHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done() else "pending"
-        op = kind_name(self.kind, structure=self._structure)
+        op = get_structure(self._structure).kind_name(self.kind)
         tail = f", {self.item!r}" if self.kind == INSERT else ""
         if self.kind == INSERT and self._structure == "heap":
             tail += f", priority={self.priority}"

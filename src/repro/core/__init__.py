@@ -1,4 +1,4 @@
-"""Skueue core: batches, anchor, 4-stage protocol, membership, stack."""
+"""Skueue core: batches, anchor, the 4-stage protocol node, membership, structures."""
 
 from repro.core.anchor import QueueAnchorState, StackAnchorState
 from repro.core.batch import Batch, combine_runs

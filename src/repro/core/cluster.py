@@ -30,7 +30,7 @@ a live TCP deployment.
 from __future__ import annotations
 
 from repro.core.actions import A_JOIN_RT
-from repro.core.protocol import ClusterContext
+from repro.core.protocol import ClusterContext, Node
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.core.structures import get_structure
 from repro.overlay.ldb import (
@@ -53,7 +53,7 @@ from repro.util.rng import RngStreams
 __all__ = ["SkackCluster", "SkeapCluster", "SkueueCluster", "spawn_nodes"]
 
 
-def spawn_nodes(ctx, topology, node_class, pids=None) -> list:
+def spawn_nodes(ctx, topology, pids=None) -> list:
     """Instantiate protocol nodes over a topology snapshot.
 
     Shared bootstrap of every execution substrate: the sim clusters spawn
@@ -72,7 +72,7 @@ def spawn_nodes(ctx, topology, node_class, pids=None) -> list:
             continue
         pred = topology.pred(vid)
         succ = topology.succ(vid)
-        node = node_class(
+        node = Node(
             ctx,
             vid,
             topology.label(vid),
@@ -93,8 +93,9 @@ def spawn_nodes(ctx, topology, node_class, pids=None) -> list:
 class SkueueCluster:
     """A distributed queue over ``n_processes`` simulated processes."""
 
-    #: Registry name of the structure this cluster serves; the node class
-    #: and the metric vocabulary follow from it (repro.core.structures).
+    #: Registry name of the structure this cluster serves; the nodes'
+    #: discipline and the metric vocabulary follow from it
+    #: (repro.core.structures).
     structure = "queue"
 
     def __init__(
@@ -113,7 +114,6 @@ class SkueueCluster:
         if n_processes < 1:
             raise ValueError("need at least one process")
         spec = get_structure(self.structure)
-        self.node_class = spec.node_class
         self.rng = RngStreams(seed)
         metrics = Metrics(store_samples=store_samples)
         profile = profile if profile is not None else EngineProfile()
@@ -155,14 +155,12 @@ class SkueueCluster:
             self.runtime,
             salt=self.salt,
             route_steps=route_steps_for(len(self.topology)),
-            insert_name=spec.insert_name,
-            remove_name=spec.remove_name,
-            empty_name=spec.empty_name,
+            spec=spec,
             n_priorities=n_priorities,
             on_update_over=self._on_update_over,
             tracer=self.tracer,
         )
-        spawn_nodes(self.ctx, self.topology, self.node_class)
+        spawn_nodes(self.ctx, self.topology)
         self.runtime.kick()
         self._op_counts: dict[int, int] = {}
         self.live_pids: set[int] = set(range(n_processes))
@@ -323,9 +321,7 @@ class SkueueCluster:
         for kind in (LEFT, MIDDLE, RIGHT):
             vid = vid_of(new_pid, kind)
             lbl = virtual_label(mid, kind)
-            node = self.node_class(
-                self.ctx, vid, lbl, -1, -1.0, -1, -1.0, joining=True
-            )
+            node = Node(self.ctx, vid, lbl, -1, -1.0, -1, -1.0, joining=True)
             self.runtime.add_actor(node)
             via._route_start(A_JOIN_RT, lbl, (vid, lbl))
         self.joining_pids.add(new_pid)

@@ -276,8 +276,10 @@ class MembershipMixin:
             self._answer_ready(ready)
 
     def _answer_ready(self, ready: tuple) -> None:
-        _key, context, element = ready
-        requester_vid, req_id, _gen = context
+        """Serve a parked GET: ``ready`` ends ``(context, element)``, the
+        context being the GET's own ``extra`` (requester, req_id, ..)."""
+        context, element = ready[-2:]
+        requester_vid, req_id = context[:2]
         self.send(requester_vid, A_GET_REPLY, (req_id, element, requester_vid))
 
     # =====================================================================
@@ -542,15 +544,8 @@ class MembershipMixin:
             self.send(vid, A_REQUEUE, (0,))
         items = self.store.items
         parked = self.store.parked
-        self.store = self._new_store()
-        # drain the whole local buffer, including stack overflow chunks
-        # (each drained chunk is one wave's worth, order-preserving)
-        leftover: list = []
-        for _ in range(1024):
-            _runs, chunk = self._snapshot_own()
-            if not chunk:
-                break
-            leftover.extend(chunk)
+        self.store = self.ctx.spec.store()
+        leftover = self.buffer.drain()
         self.send(self.resp_vid, A_DEPART_DUMP, (items, parked, leftover))
         self._maybe_zombie_exit()
 
@@ -724,12 +719,7 @@ class MembershipMixin:
         self.pending_joins += joins
         self.pending_leaves += leaves
         if records:
-            merged = records + self.own_records
-            self.own_records = merged
-            batch = self.own_batch
-            batch.runs = []
-            for rec in merged:
-                batch.add(rec.kind)
+            self.buffer.requeue(records)
         self.wake_me()
 
     def _on_set_pred(self, payload: tuple) -> None:
@@ -787,7 +777,8 @@ class MembershipMixin:
 
     def _on_anchor_xfer(self, payload: tuple) -> None:
         state, epoch = payload
-        self.anchor_state = self._new_anchor_state().restore(state)
+        ctx = self.ctx
+        self.anchor_state = ctx.spec.anchor_state(ctx.n_priorities).restore(state)
         self.is_anchor = True
         self.update_epoch = max(self.update_epoch, epoch)
         self._broadcast_update_over(epoch, self.anchor_state.members)

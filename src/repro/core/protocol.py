@@ -1,7 +1,8 @@
 """The Skueue protocol node: stages 1-4 of Section III.
 
-One :class:`QueueNode` instance is one *virtual node* of the LDB.  The
-protocol is a continuous pipeline of aggregation waves:
+One :class:`Node` instance is one *virtual node* of the LDB, whatever
+the structure it serves.  The protocol is a continuous pipeline of
+aggregation waves:
 
 * **Stage 1** — requests buffer into the node's batch ``W``; once the
   node is not in-flight and holds a batch from every aggregation child,
@@ -22,9 +23,12 @@ for its SERVE before firing again — see DESIGN.md for why this is the
 faithful reading of Algorithm 1's round accounting.
 
 Membership (JOIN/LEAVE, Section IV) lives in
-:mod:`repro.core.membership`; the stack variant (Section VI) in
-:mod:`repro.core.stack`; the Skeap priority-queue variant in
-:mod:`repro.core.heap`.
+:mod:`repro.core.membership`.  Where queue, stack (Section VI) and heap
+(Skeap) differ — how requests buffer into a wave, which position stage 4
+places each at, whether PUT/GET carry tickets and hold the next wave
+back — the node asks ``ctx.spec``, its structure's entry in
+:mod:`repro.core.structures`; the buffers and placements themselves are
+in :mod:`repro.core.discipline`.
 """
 
 from __future__ import annotations
@@ -46,18 +50,15 @@ from repro.core.actions import (
     A_SERVE,
     A_WAKE,
 )
-from repro.core.anchor import QueueAnchorState
-from repro.core.batch import Batch, combine_runs
-from repro.core.decompose import QueueDecomposer
+from repro.core.batch import combine_runs
 from repro.core.membership import MembershipMixin
-from repro.core.requests import BOTTOM, OpRecord
-from repro.dht.storage import PARKED, QueueStore, key_in_range
+from repro.core.requests import BOTTOM, INSERT, OpRecord
+from repro.dht.storage import PARKED, key_in_range
 from repro.overlay.ldb import LEFT, MIDDLE, RIGHT
 from repro.overlay.routing import initial_route_state, route_step
 from repro.sim.process import Actor
-from repro.util.hashing import position_key
 
-__all__ = ["ClusterContext", "QueueNode"]
+__all__ = ["ClusterContext", "Node"]
 
 
 class ClusterContext:
@@ -69,9 +70,7 @@ class ClusterContext:
         "records",
         "salt",
         "route_steps",
-        "insert_name",
-        "remove_name",
-        "empty_name",
+        "spec",
         "n_priorities",
         "on_update_over",
         "tracer",
@@ -82,9 +81,7 @@ class ClusterContext:
         runtime,
         salt: str,
         route_steps: int,
-        insert_name: str = "enqueue",
-        remove_name: str = "dequeue",
-        empty_name: str = "dequeue_empty",
+        spec,
         n_priorities: int = 4,
         on_update_over: Callable[[int, int], None] | None = None,
         tracer=None,
@@ -94,9 +91,9 @@ class ClusterContext:
         self.records: list[OpRecord] = []
         self.salt = salt
         self.route_steps = route_steps
-        self.insert_name = insert_name
-        self.remove_name = remove_name
-        self.empty_name = empty_name
+        # the structure served (repro.core.structures.StructureSpec): the
+        # discipline every node asks, and the metric vocabulary
+        self.spec = spec
         self.n_priorities = n_priorities  # Skeap class count (heap clusters)
         self.on_update_over = on_update_over
         # optional repro.telemetry.Tracer; None keeps every protocol span
@@ -104,8 +101,8 @@ class ClusterContext:
         self.tracer = tracer
 
 
-class QueueNode(MembershipMixin, Actor):
-    """One virtual node running the distributed queue protocol."""
+class Node(MembershipMixin, Actor):
+    """One virtual node running the protocol for ``ctx.spec``'s structure."""
 
     __slots__ = (
         "ctx",
@@ -118,8 +115,7 @@ class QueueNode(MembershipMixin, Actor):
         "succ_vid",
         "succ_label",
         # stage 1 state
-        "own_batch",
-        "own_records",
+        "buffer",
         "child_batches",
         "inflight",
         "plan",
@@ -224,8 +220,8 @@ class QueueNode(MembershipMixin, Actor):
         self.succ_vid = succ_vid
         self.succ_label = succ_label
 
-        self.own_batch = Batch()
-        self.own_records: list[OpRecord] = []
+        spec = ctx.spec
+        self.buffer = spec.buffer(ctx.n_priorities, self._annihilate)
         self.child_batches: dict[int, tuple] = {}
         self.inflight = False
         self.plan = None
@@ -235,10 +231,12 @@ class QueueNode(MembershipMixin, Actor):
         self.wave_fired_at = None  # telemetry: when a non-empty wave left
 
         self.is_anchor = is_anchor
-        self.anchor_state = self._new_anchor_state() if is_anchor else None
+        self.anchor_state = (
+            spec.anchor_state(ctx.n_priorities) if is_anchor else None
+        )
 
-        self.store = self._new_store()
-        self.barrier = 0
+        self.store = spec.store()
+        self.barrier = 0  # PUT/GETs of the last wave still out (spec.barrier)
 
         self.updating = False
         self.update_epoch = 0
@@ -280,19 +278,9 @@ class QueueNode(MembershipMixin, Actor):
         self.nudge_fence = 0  # token value at the last fire: older probes
         #                       were launched during a wait that is over
 
-    # -- discipline hooks (overridden by the stack) ---------------------------
-    def _new_anchor_state(self):
-        return QueueAnchorState()
-
-    def _new_store(self):
-        return QueueStore()
-
-    def _make_decomposer(self, assignments):
-        return QueueDecomposer(assignments)
-
     # -- request injection (cluster facade) ------------------------------------
     def local_op(self, rec: OpRecord) -> None:
-        """Buffer a freshly generated queue operation (Section III-A)."""
+        """Buffer a freshly generated operation (Section III-A)."""
         ctx = self.ctx
         ctx.metrics.request_generated()
         if ctx.tracer is not None:
@@ -301,12 +289,31 @@ class QueueNode(MembershipMixin, Actor):
         self.wake_me()
 
     def _buffer_op(self, rec: OpRecord) -> None:
-        self.own_batch.add(rec.kind)
-        self.own_records.append(rec)
+        self.buffer.add(rec)
+
+    def _annihilate(self, push: OpRecord, pop: OpRecord) -> None:
+        """The buffer cancelled ``pop`` against the latest unsent push of
+        its own process (Section VI): both answer now, in no wave."""
+        ctx = self.ctx
+        now = ctx.runtime.now
+        # local_match before completed: completion is what a TCP host
+        # replicates, and a rebuild must know the pair was never valued
+        pop.result = push.element
+        pop.local_match = True
+        pop.completed = True
+        push.local_match = True
+        push.completed = True
+        metrics = ctx.metrics
+        metrics.observe(ctx.spec.insert_name, now - push.gen)
+        metrics.observe(ctx.spec.remove_name, now - pop.gen)
+        metrics.inc("annihilated_pairs")
+        if ctx.tracer is not None:
+            ctx.tracer.finish(push.req_id, result="annihilated")
+            ctx.tracer.finish(pop.req_id, result="annihilated")
 
     def _holds_own_ops(self) -> bool:
-        """Is any request buffered here for the next wave?"""
-        return bool(self.own_records)
+        """Is any request buffered here, for the next wave or a later one?"""
+        return bool(self.buffer)
 
     # -- message dispatch ---------------------------------------------------------
     def handle(self, action: int, payload: tuple) -> None:
@@ -627,9 +634,9 @@ class QueueNode(MembershipMixin, Actor):
 
     def _snapshot_own(self) -> tuple[list[int], list[OpRecord]]:
         """Move the local buffer out for this wave (``v.W -> v.B``)."""
-        runs, _, _ = self.own_batch.take()
-        records = self.own_records
-        self.own_records = []
+        runs, records = self.buffer.take()
+        if self.buffer:
+            self.wake_me()  # what had to wait rides the wave after this
         return runs, records
 
     def _fire(self, children: list[int]) -> None:
@@ -751,7 +758,7 @@ class QueueNode(MembershipMixin, Actor):
         if plan is None:
             raise RuntimeError(f"node {self.vid}: SERVE without a batch in flight")
         self.plan = None
-        decomposer = self._make_decomposer(assigns) if assigns else None
+        decomposer = self.ctx.spec.decomposer(assigns) if assigns else None
         served: list[int] = []
         for src, runs in plan:
             sub = decomposer.take(runs) if decomposer is not None else ()
@@ -796,44 +803,37 @@ class QueueNode(MembershipMixin, Actor):
         self.inflight_records = []
         if not runs:
             return
-        salt = self.ctx.salt
-        now = self.ctx.runtime.now
-        tracer = self.ctx.tracer
-        index = 0
-        for i, op in enumerate(runs):
-            lo, hi, value = sub[i]
-            if i % 2 == 0:  # inserts: exact positions lo..lo+op-1
-                for j in range(op):
-                    rec = records[index]
-                    index += 1
-                    rec.value = value + j
-                    if tracer is not None:
-                        tracer.valued(rec.req_id, rec.value)
-                    key = position_key(lo + j, salt)
-                    self._route_start(
-                        A_RT_PUT, key, (rec.element, rec.gen, rec.req_id)
-                    )
-            else:  # removals: clamped, the tail returns ⊥ (Lemma 10)
-                avail = hi - lo + 1
-                for j in range(op):
-                    rec = records[index]
-                    index += 1
-                    rec.value = value + j
-                    if tracer is not None:
-                        tracer.valued(rec.req_id, rec.value)
-                    if j < avail:
-                        key = position_key(lo + j, salt)
-                        self._route_start(
-                            A_RT_GET, key, (self.vid, rec.req_id, rec.gen)
-                        )
-                    else:
-                        rec.result = BOTTOM
-                        rec.completed = True
-                        self.ctx.metrics.observe(
-                            self.ctx.empty_name, now - rec.gen
-                        )
-                        if tracer is not None:
-                            tracer.finish(rec.req_id, result="empty")
+        ctx = self.ctx
+        spec = ctx.spec
+        salt = ctx.salt
+        now = ctx.runtime.now
+        tracer = ctx.tracer
+        ticketed = spec.ticketed
+        barrier = spec.barrier
+        for rec, (value, position) in zip(records, spec.place(sub, runs)):
+            rec.value = value
+            if tracer is not None:
+                tracer.valued(rec.req_id, value)
+            if position is None:  # past the structure's extent: ⊥ (Lemma 10)
+                rec.result = BOTTOM
+                rec.completed = True
+                ctx.metrics.observe(spec.empty_name, now - rec.gen)
+                if tracer is not None:
+                    tracer.finish(rec.req_id, result="empty")
+                continue
+            if rec.kind == INSERT:
+                action = A_RT_PUT
+                extra = (rec.element, rec.gen, rec.req_id)
+                if ticketed:
+                    extra += (position[-1], self.vid)
+            else:
+                action = A_RT_GET
+                extra = (self.vid, rec.req_id, rec.gen)
+                if ticketed:
+                    extra += (position[-1],)
+            if barrier:
+                self.barrier += 1
+            self._route_start(action, spec.key(*position, salt), extra)
 
     # -- routing (Lemma 3) ----------------------------------------------------------------------
     def _joining_route(self, action: int, key: float, payload: tuple, extra: tuple) -> None:
@@ -963,29 +963,36 @@ class QueueNode(MembershipMixin, Actor):
                 break
         return best
 
-    # -- DHT handlers (queue flavour) ---------------------------------------------------------
+    # -- DHT handlers ------------------------------------------------------------------------
     def _dht_put(self, key: float, extra: tuple) -> None:
-        element, gen, req_id = extra
-        waiter = self.store.put(key, element)
         ctx = self.ctx
-        ctx.metrics.observe(ctx.insert_name, ctx.runtime.now - gen)
+        element, gen, req_id = extra[:3]
+        if ctx.spec.ticketed:
+            served = self.store.put(key, extra[3], element)
+        else:
+            waiter = self.store.put(key, element)
+            served = () if waiter is None else ((waiter, element),)
+        ctx.metrics.observe(ctx.spec.insert_name, ctx.runtime.now - gen)
         ctx.records[req_id].completed = True
         if ctx.tracer is not None:
             ctx.tracer.finish(req_id, result="stored")
-        if waiter is not None:
-            requester_vid, waiter_req_id, _ = waiter
-            self.send(
-                requester_vid, A_GET_REPLY, (waiter_req_id, element, requester_vid)
-            )
+        if ctx.spec.barrier:
+            owner_vid = extra[4]
+            self.send(owner_vid, A_PUT_ACK, (owner_vid,))
+        for ready in served:
+            self._answer_ready(ready)
 
     def _dht_get(self, key: float, extra: tuple) -> None:
-        requester_vid, req_id, _gen = extra
-        result = self.store.get(key, extra)
+        requester_vid, req_id = extra[:2]
+        if self.ctx.spec.ticketed:
+            result = self.store.get(key, extra[3], context=extra)
+        else:
+            result = self.store.get(key, extra)
         if result is not PARKED:
             self.send(requester_vid, A_GET_REPLY, (req_id, result, requester_vid))
 
     def _on_get_reply(self, payload: tuple) -> None:
-        req_id, element, _issuer = payload
+        req_id, element, issuer = payload
         ctx = self.ctx
         rec = ctx.records[req_id]
         rec.result = element
@@ -995,12 +1002,21 @@ class QueueNode(MembershipMixin, Actor):
             # a reply forwarded from a departed node can land where the
             # record is only a stub (gen unknown): the origin host books
             # the completion; latency is observed where the gen is known
-            ctx.metrics.observe(ctx.remove_name, ctx.runtime.now - gen)
+            ctx.metrics.observe(ctx.spec.remove_name, ctx.runtime.now - gen)
         if ctx.tracer is not None:
             ctx.tracer.finish(req_id, result="served")
+        # a reply forwarded from a departed zombie completes the record
+        # but must not touch this node's own stage-4 barrier
+        if ctx.spec.barrier and issuer == self.vid:
+            self.barrier -= 1
+            self.wake_me()
 
-    def _on_put_ack(self, payload: tuple) -> None:  # stack only
-        raise RuntimeError("PUT_ACK on a queue node")
+    def _on_put_ack(self, payload: tuple) -> None:
+        if not self.ctx.spec.barrier:
+            raise RuntimeError(f"PUT_ACK on a {self.ctx.spec.name} node")
+        if payload[0] == self.vid:
+            self.barrier -= 1
+            self.wake_me()
 
     # -- record adoption (LEAVE, Section IV-B) ------------------------------------
     def _adopt_one(self, rec: OpRecord) -> OpRecord:
@@ -1020,14 +1036,12 @@ class QueueNode(MembershipMixin, Actor):
         """Take over unflushed requests of a departed replacement.
 
         The leaving process generated these before announcing its leave;
-        they keep their (pid, idx) identity and simply ride this node's
-        next batch, which preserves per-process order (the donor's earlier
-        operations were valued in strictly earlier waves).
+        they keep their (pid, idx) identity and replay through this
+        node's buffering rules, which preserves per-process order (the
+        donor's earlier operations were valued in strictly earlier waves).
         """
         for rec in records:
-            rec = self._adopt_one(rec)
-            self.own_batch.add(rec.kind)
-            self.own_records.append(rec)
+            self._buffer_op(self._adopt_one(rec))
         if records:
             self.wake_me()
 

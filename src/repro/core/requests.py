@@ -40,7 +40,6 @@ __all__ = [
     "REQ_SEQ_BITS",
     "MAX_REQ_SEQ",
     "OpRecord",
-    "kind_name",
     "pack_req_id",
     "unpack_req_id",
 ]
@@ -98,19 +97,6 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
-
-
-#: Operation names per structure, indexed by (INSERT, REMOVE).
-_KIND_NAMES = {
-    "queue": ("enqueue", "dequeue"),
-    "stack": ("push", "pop"),
-    "heap": ("insert", "delete_min"),
-}
-
-
-def kind_name(kind: int, structure: str = "queue") -> str:
-    """Human name of an operation kind on ``structure``."""
-    return _KIND_NAMES.get(structure, _KIND_NAMES["queue"])[kind]
 
 
 class OpRecord:

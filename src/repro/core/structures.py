@@ -1,13 +1,20 @@
-"""The structure registry: one place that knows queue, stack and heap.
+"""The structure registry: the one place that knows queue, stack and heap.
 
-Every layer that used to special-case the ``("queue", "stack")`` pair —
-the session factory in :mod:`repro.api`, the simulator clusters, the TCP
-:class:`~repro.net.server.NodeHost`, the launcher CLI — looks the
-structure up here instead.  Adding a structure is one
-:func:`register` call: the spec names the protocol node class, the
-metric names, the Definition-1 checker, and (as lazily resolved dotted
-references, to keep this module import-cycle-free) the simulator cluster
-facade and the session class of the public API.
+A structure is a :class:`StructureSpec`: what the one protocol node
+(:class:`repro.core.protocol.Node`) asks where the paper's structures
+differ — wave buffer, anchor state, decomposer, DHT store, stage-4
+placement and key function, whether PUT/GET carry tickets and whether
+they hold the node's next wave back (all from
+:mod:`repro.core.discipline`, :mod:`repro.core.anchor`,
+:mod:`repro.core.decompose`, :mod:`repro.dht.storage`) — plus what the
+layers above need by name: the metric and method vocabulary, the
+Definition-1 checker and (as lazily resolved dotted references, to keep
+this module import-cycle-free) the simulator cluster facade and the
+session class of the public API.  The node, the clusters, the TCP
+:class:`~repro.net.server.NodeHost`, the rebuild preload and the launcher
+CLI look the structure up here and branch on nothing else; adding one is
+a module holding its discipline plus one :func:`register` call (recipe
+in DESIGN.md, "Structures").
 
 Validation errors everywhere quote :func:`structure_names`, so a typo'd
 ``structure=`` argument tells the user exactly what is available.
@@ -19,10 +26,20 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable
 
-from repro.core.heap import HeapNode
-from repro.core.protocol import QueueNode
+from repro.core.anchor import HeapAnchorState, QueueAnchorState, StackAnchorState
+from repro.core.decompose import HeapDecomposer, QueueDecomposer, StackDecomposer
+from repro.core.discipline import (
+    HeapBuffer,
+    QueueBuffer,
+    StackBuffer,
+    place_heap,
+    place_queue,
+    place_stack,
+    stack_position_key,
+)
 from repro.core.requests import INSERT
-from repro.core.stack import StackNode
+from repro.dht.storage import HeapStore, QueueStore, StackStore
+from repro.util.hashing import heap_position_key, position_key
 from repro.verify.seqcons import (
     check_heap_history,
     check_queue_history,
@@ -72,13 +89,35 @@ class StructureSpec:
     """Everything the stack of layers needs to serve one structure."""
 
     name: str
-    node_class: type  # the protocol node (QueueNode subclass)
     insert_name: str  # metric names, also the session method vocabulary
     remove_name: str
     empty_name: str
     check_history: Callable  # Definition-1 checker over an OpRecord list
     cluster_ref: str  # "module:Class" of the simulator facade
     session_ref: str  # "module:Class" of the public-API session
+    rebuild_ref: str  # "module:Class" of the crash-rebuild reference model
+    # -- the discipline: what the one protocol node asks its structure ----
+    #: ``(n_priorities, annihilate) -> WaveBuffer``, one per node
+    buffer: Callable
+    #: ``(n_priorities) -> anchor state`` with ``assign``/``export``/``restore``
+    anchor_state: Callable
+    decomposer: type  # ``decomposer(assigns).take(runs)`` (stage 3)
+    store: type  # per-node DHT store
+    #: ``(sub, runs) -> (value, position | None)`` per request, in run order
+    place: Callable
+    #: ``key(*position, salt)``: the DHT key of a placed position
+    key: Callable
+    #: the position ends in a ticket: PUT carries ``(.., ticket, owner)``,
+    #: GET ``(.., max_ticket)``, and the store files elements by ticket
+    ticketed: bool = False
+    #: stage 4 holds the node's next wave until every PUT it issued is
+    #: acknowledged and every GET answered (the ack returns to the
+    #: ``owner`` a ticketed PUT names, so this needs ``ticketed``)
+    barrier: bool = False
+
+    def kind_name(self, kind: int) -> str:
+        """Human name of an operation kind (INSERT/REMOVE) here."""
+        return (self.insert_name, self.remove_name)[kind]
 
     @property
     def cluster_class(self) -> type:
@@ -87,6 +126,10 @@ class StructureSpec:
     @property
     def session_class(self) -> type:
         return _resolve(self.session_ref)
+
+    @property
+    def rebuild_model(self) -> type:
+        return _resolve(self.rebuild_ref)
 
 
 REGISTRY: dict[str, StructureSpec] = {}
@@ -116,36 +159,56 @@ def get_structure(name: str) -> StructureSpec:
 register(
     StructureSpec(
         name="queue",
-        node_class=QueueNode,
         insert_name="enqueue",
         remove_name="dequeue",
         empty_name="dequeue_empty",
         check_history=check_queue_history,
         cluster_ref="repro.core.cluster:SkueueCluster",
         session_ref="repro.api.session:QueueSession",
+        rebuild_ref="repro.ops.recovery:RefQueue",
+        buffer=lambda n_priorities, annihilate: QueueBuffer(),
+        anchor_state=lambda n_priorities: QueueAnchorState(),
+        decomposer=QueueDecomposer,
+        store=QueueStore,
+        place=place_queue,
+        key=position_key,
     )
 )
 register(
     StructureSpec(
         name="stack",
-        node_class=StackNode,
         insert_name="push",
         remove_name="pop",
         empty_name="pop_empty",
         check_history=check_stack_history,
         cluster_ref="repro.core.cluster:SkackCluster",
         session_ref="repro.api.session:StackSession",
+        rebuild_ref="repro.ops.recovery:RefStack",
+        buffer=lambda n_priorities, annihilate: StackBuffer(annihilate),
+        anchor_state=lambda n_priorities: StackAnchorState(),
+        decomposer=StackDecomposer,
+        store=StackStore,
+        place=place_stack,
+        key=stack_position_key,
+        ticketed=True,
+        barrier=True,
     )
 )
 register(
     StructureSpec(
         name="heap",
-        node_class=HeapNode,
         insert_name="insert",
         remove_name="delete_min",
         empty_name="delete_min_empty",
         check_history=check_heap_history,
         cluster_ref="repro.core.cluster:SkeapCluster",
         session_ref="repro.api.session:HeapSession",
+        rebuild_ref="repro.ops.recovery:RefHeap",
+        buffer=lambda n_priorities, annihilate: HeapBuffer(n_priorities),
+        anchor_state=HeapAnchorState,
+        decomposer=HeapDecomposer,
+        store=HeapStore,
+        place=place_heap,
+        key=heap_position_key,
     )
 )

@@ -1,6 +1,6 @@
 """Real asyncio TCP runtime for Skueue (DESIGN.md, "The net runtime").
 
-The same unmodified :class:`~repro.core.protocol.QueueNode` actors that
+The same unmodified :class:`~repro.core.protocol.Node` actors that
 run on the in-process simulators run here across OS processes:
 
 * :mod:`repro.net.transport` — length-prefixed JSON framing and the

@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
 from repro.core.cluster import spawn_nodes
-from repro.core.protocol import ClusterContext
+from repro.core.protocol import ClusterContext, Node
 from repro.core.structures import get_structure
 from repro.net.control import ControlPlane
 from repro.net.link import Connection, PeerLink, ResendFilter
@@ -80,7 +80,7 @@ from repro.overlay.ldb import (
 from repro.overlay.routing import route_steps_for
 from repro.sim.metrics import Metrics
 from repro.telemetry import MetricsRegistry, Tracer, render_run_metrics
-from repro.util.hashing import heap_position_key, label_of, position_key
+from repro.util.hashing import label_of
 
 __all__ = ["PER_HOST_FIELDS", "HostConfig", "NodeHost"]
 
@@ -192,7 +192,6 @@ class NodeHost:
     def __init__(self, config: HostConfig) -> None:
         self.config = config
         self.spec = get_structure(config.structure)
-        self.node_class = self.spec.node_class
         self.runtime = NetRuntime(
             self._send_remote,
             Metrics(),
@@ -418,8 +417,7 @@ class NodeHost:
             self.topology = LdbTopology(
                 list(range(config.n_processes)), salt=config.salt)
             self.ctx = self._new_context(len(self.topology))
-            spawn_nodes(self.ctx, self.topology, self.node_class,
-                        pids=config.owned_pids)
+            spawn_nodes(self.ctx, self.topology, pids=config.owned_pids)
             self._start_loops()
         self.control.adopt(cluster_map, time.monotonic())
 
@@ -437,7 +435,7 @@ class NodeHost:
         for pid in config.owned_pids:
             mid = label_of(pid, salt=config.salt)
             for kind in (LEFT, MIDDLE, RIGHT):
-                node = self.node_class(
+                node = Node(
                     self.ctx,
                     vid_of(pid, kind),
                     virtual_label(mid, kind),
@@ -458,9 +456,7 @@ class NodeHost:
             self.runtime,
             salt=self.config.salt,
             route_steps=route_steps_for(n_nodes),
-            insert_name=self.spec.insert_name,
-            remove_name=self.spec.remove_name,
-            empty_name=self.spec.empty_name,
+            spec=self.spec,
             n_priorities=self.config.n_priorities,
             on_update_over=self._update_over,
             tracer=self.tracer,
@@ -971,14 +967,13 @@ class NodeHost:
         self.ctx = self._new_context(len(self.topology))
         self.joining_pids.clear()
         nodes = spawn_nodes(
-            self.ctx, self.topology, self.node_class,
-            pids=cluster.pids_of(config.host_index),
+            self.ctx, self.topology, pids=cluster.pids_of(config.host_index)
         )
         for node in nodes:
             if node.is_anchor and anchor:
-                node.anchor_state = node._new_anchor_state().restore(
-                    tuple(anchor)
-                )
+                node.anchor_state = self.spec.anchor_state(
+                    config.n_priorities
+                ).restore(tuple(anchor))
         self._preload_stores(elements)
         # re-run the never-ordered tail: each record restarts at the host
         # that keeps it (its origin while that lives, its custodian since)
@@ -1000,24 +995,19 @@ class NodeHost:
         return len(self.runtime.actors)
 
     def _preload_stores(self, elements) -> None:
-        """Seed the rebuilt DHT shard with the replayed live elements."""
+        """Seed the rebuilt DHT shard with the replayed live elements:
+        each entry is ``(*position, element)``, the position being what
+        stage 4 would have placed the element at."""
+        spec = self.spec
         salt = self.config.salt
-        structure = self.config.structure
-        for entry in elements:
-            if structure == "queue":
-                pos, element = entry
-                key = position_key(int(pos), salt)
-            elif structure == "stack":
-                pos, ticket, element = entry
-                key = position_key(int(pos), salt)
-            else:  # heap
-                priority, pos, element = entry
-                key = heap_position_key(int(priority), int(pos), salt)
+        for *position, element in elements:
+            position = [int(part) for part in position]
+            key = spec.key(*position, salt)
             node = self.runtime.actors.get(self.topology.owner_of(key))
             if node is None:
                 continue  # another host's shard preloads it
-            if structure == "stack":
-                node.store.put(key, int(ticket), element)
+            if spec.ticketed:
+                node.store.put(key, position[-1], element)
             else:
                 node.store.put(key, element)
 

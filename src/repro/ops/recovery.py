@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.core.structures import get_structure
 from repro.net.records import clone, facts, learn
 
 __all__ = ["RebuildPlan", "merge_records", "plan_rebuild"]
@@ -77,9 +78,9 @@ class RebuildPlan:
     structure: str
     #: anchor export tuple for ``AnchorState.restore`` (per structure)
     anchor: tuple
-    #: live elements in structure order:
-    #: queue ``(position, element)``, stack ``(position, ticket, element)``,
-    #: heap ``(priority, position, element)``
+    #: live elements in structure order, ``(*position, element)`` with the
+    #: position stage 4 places an element at: queue ``(position,)``, stack
+    #: ``(position, ticket)``, heap ``(priority, position)``
     elements: list = field(default_factory=list)
     #: req_ids to re-run from scratch (never ordered by the anchor)
     reruns: list = field(default_factory=list)
@@ -91,10 +92,10 @@ class RebuildPlan:
     errors: list = field(default_factory=list)
 
 
-# -- reference structures ------------------------------------------------------
+# -- reference structures (a structure names its own: StructureSpec.rebuild_ref) --
 
 
-class _RefQueue:
+class RefQueue:
     def __init__(self, n_priorities: int = 0) -> None:
         self.items: list = []
 
@@ -117,16 +118,32 @@ class _RefQueue:
     def __contains__(self, element) -> bool:
         return element in self.items
 
+    def elements(self) -> list:
+        """The survivors as ``RebuildPlan.elements`` entries."""
+        return list(enumerate(self.items))
 
-class _RefStack(_RefQueue):
+    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
+        """The anchor export that hands out the positions after them."""
+        return (0, len(self.items) - 1, counter, epoch, members)
+
+
+class RefStack(RefQueue):
     def peek(self, rec: OpRecord):
         return self.items[-1] if self.items else None
 
     def consume(self, rec: OpRecord):
         return self.items.pop()
 
+    def elements(self) -> list:
+        # positions run 1..m; a survivor's ticket is its position
+        return [(pos, pos, el) for pos, el in enumerate(self.items, start=1)]
 
-class _RefHeap:
+    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
+        m = len(self.items)
+        return (m, m, counter, epoch, members)
+
+
+class RefHeap:
     def __init__(self, n_priorities: int) -> None:
         self.classes: list[list] = [[] for _ in range(max(1, n_priorities))]
 
@@ -155,8 +172,17 @@ class _RefHeap:
     def __contains__(self, element) -> bool:
         return any(element in chunk for chunk in self.classes)
 
+    def elements(self) -> list:
+        return [
+            (priority, pos, element)
+            for priority, chunk in enumerate(self.classes)
+            for pos, element in enumerate(chunk)
+        ]
 
-_REF = {"queue": _RefQueue, "stack": _RefStack, "heap": _RefHeap}
+    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
+        firsts = tuple(0 for _ in self.classes)
+        lasts = tuple(len(chunk) - 1 for chunk in self.classes)
+        return (firsts, lasts, counter, epoch, members)
 
 
 # -- the planner ---------------------------------------------------------------
@@ -176,8 +202,7 @@ def plan_rebuild(
     repaired records additionally a synthesized float ``value``.
     ``epoch``/``members`` seed the restored anchor's bookkeeping fields.
     """
-    if structure not in _REF:
-        raise ValueError(f"unknown structure {structure!r}")
+    model = get_structure(structure).rebuild_model  # ValueError if unknown
     plan = RebuildPlan(structure=structure, anchor=())
     recs = list(records.values())
 
@@ -202,7 +227,7 @@ def plan_rebuild(
     # each iteration values one pooled record or gives up on one
     # completed record, so 2·|recs| iterations always suffice
     for _ in range(2 * len(recs) + 2):
-        ref, mismatch = _replay(recs, structure, n_priorities, skip, dry=True)
+        ref, mismatch = _replay(recs, model, n_priorities, skip, dry=True)
         if mismatch is None:
             break
         if not _repair(mismatch, recs, pool, insert_by_element, skip, plan):
@@ -216,39 +241,21 @@ def plan_rebuild(
         plan.errors.append("repair fixpoint did not converge")
 
     # final pass: apply completions for real
-    ref, mismatch = _replay(recs, structure, n_priorities, skip, dry=False, plan=plan)
+    ref, mismatch = _replay(recs, model, n_priorities, skip, dry=False, plan=plan)
 
     values = [r.value for r in recs if r.value is not None]
     counter = int(max(values)) + 1 if values else 1
     plan.reruns = sorted(r.req_id for r in pool.values() if r.value is None)
-
-    if structure == "queue":
-        plan.elements = list(enumerate(ref.items))
-        m = len(ref.items)
-        plan.anchor = (0, m - 1, counter, epoch, members)
-    elif structure == "stack":
-        plan.elements = [
-            (pos, pos, element) for pos, element in enumerate(ref.items, start=1)
-        ]
-        m = len(ref.items)
-        plan.anchor = (m, m, counter, epoch, members)
-    else:  # heap
-        plan.elements = [
-            (priority, pos, element)
-            for priority, chunk in enumerate(ref.classes)
-            for pos, element in enumerate(chunk)
-        ]
-        firsts = tuple(0 for _ in ref.classes)
-        lasts = tuple(len(chunk) - 1 for chunk in ref.classes)
-        plan.anchor = (firsts, lasts, counter, epoch, members)
+    plan.elements = ref.elements()
+    plan.anchor = ref.anchor(counter, epoch, members)
     return plan
 
 
-def _replay(recs, structure, n_priorities, skip, dry, plan=None):
+def _replay(recs, model, n_priorities, skip, dry, plan=None):
     """Value-ordered replay.  In ``dry`` mode, stop at the first
     mismatching completed remove and return it; otherwise apply results
     to incomplete records and force recorded results through."""
-    ref = _REF[structure](n_priorities)
+    ref = model(n_priorities)
     ordered = sorted(
         (r for r in recs if r.value is not None and not r.local_match),
         key=lambda r: (r.value, r.pid, r.idx),

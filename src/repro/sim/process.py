@@ -10,7 +10,7 @@ once per round (synchronous), whenever the actor requested a check
 event-loop-driven (the real TCP runtime in :mod:`repro.net`).
 
 :class:`Runtime` is the **explicit contract** those engines implement.
-Protocol code (``QueueNode`` and friends) programs only against this
+Protocol code (``repro.core.protocol.Node``) programs only against this
 surface, which is what lets the *same unmodified* actors run on the
 in-process simulators and over real asyncio TCP (see DESIGN.md, "Runtime
 contract").  Three implementations exist:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import SkackCluster, SkueueCluster
+from repro import SkackCluster, SkeapCluster, SkueueCluster
 from tests.conftest import assert_topology_invariants, drive_random, verify
 
 
@@ -118,6 +118,21 @@ class TestLeave:
         for pid in range(6):
             mine = [v for v in results if v % 6 == pid]
             assert mine == sorted(mine)
+        verify(c)
+
+
+    def test_leave_hands_over_a_backlog_of_any_depth(self):
+        # one process walking two classes downwards fits two inserts to a
+        # wave: 2300 of them are 1150 waves' worth of buffer when the
+        # leave commits, and every one has to reach the adopter (the
+        # hand-over used to stop after 1024 waves; 251 ops never completed)
+        c = SkeapCluster(6, seed=5, n_priorities=2)
+        c.step(5)
+        for i in range(2300):
+            c.insert(2, f"x{i}", priority=(i + 1) % 2)
+        c.leave(2)
+        c.run_until_settled()
+        assert sum(rec.completed for rec in c.records) == 2300
         verify(c)
 
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro import BOTTOM, SkackCluster
+from repro.core.requests import INSERT, REMOVE
+from repro.net.records import NetOpRecord
+from repro.overlay.ldb import MIDDLE, vid_of
 from tests.conftest import drive_random, verify
 
 
@@ -44,6 +47,19 @@ class TestBasics:
         assert c.result_of(p2) == "a"
         c.run_until_done()
         verify(c)
+
+    def test_an_annihilated_pair_is_marked_before_it_completes(self, small_stack):
+        # completion is what a TCP host replicates (NetOpRecord's hook): a
+        # pair completed before it is marked reaches the replicas as
+        # "completed, never valued", which a post-crash rebuild drops
+        c = small_stack
+        seen = []
+        for req_id, kind in enumerate((INSERT, REMOVE)):
+            rec = NetOpRecord(req_id, 4, req_id, kind, "z", 0.0)
+            rec.on_completed = lambda r: seen.append((r.req_id, r.local_match))
+            c.records.append(rec)
+            c.runtime.actors[vid_of(4, MIDDLE)].local_op(rec)
+        assert seen == [(1, True), (0, True)]
 
     def test_no_cross_round_annihilation_after_flush(self):
         c = SkackCluster(n_processes=8, seed=1)

@@ -24,6 +24,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.structures import structure_names
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local
 from repro.net.transport import request
@@ -241,3 +242,23 @@ def test_fuzzer_net_runner_executes_a_crash_scenario():
     assert not result.failed, result.violation
     assert result.submitted > 0
     assert len(result.records) >= result.submitted
+
+
+@pytest.mark.parametrize("structure", structure_names())
+def test_a_crash_rebuilds_every_registered_structure(structure):
+    """The rebuild asks the structure's spec for the reference model, the
+    anchor state and the preload key: a SIGKILL mid-run on a stack or a
+    heap deployment recovers and verifies like the queue's.  (A stack
+    run annihilates pairs before the kill; their replicas must say so,
+    or the rebuild meets completed records that were never valued.)"""
+    from repro.testing.scenario import NET_RUNNER, Scenario, run_scenario
+
+    scenario = next(
+        sc for sc in (
+            Scenario.from_seed(seed, structure=structure, runner=NET_RUNNER)
+            for seed in range(50)
+        ) if sc.crashes
+    )
+    result = run_scenario(scenario)
+    assert not result.failed, result.violation
+    assert result.submitted > 0

@@ -155,10 +155,20 @@ class TestStructureRegistry:
     def test_specs_are_complete(self):
         for name in structure_names():
             spec = get_structure(name)
-            assert spec.node_class is not None
+            assert callable(spec.buffer) and callable(spec.place)
             assert callable(spec.check_history)
             assert spec.cluster_class.structure == name
             assert spec.session_class.structure == name
+
+    def test_kind_names_are_the_spec_vocabulary(self):
+        names = {name: (get_structure(name).kind_name(INSERT),
+                        get_structure(name).kind_name(REMOVE))
+                 for name in structure_names()}
+        assert names == {
+            "queue": ("enqueue", "dequeue"),
+            "stack": ("push", "pop"),
+            "heap": ("insert", "delete_min"),
+        }
 
     def test_unknown_structure_lists_valid_names(self):
         with pytest.raises(ValueError, match="'heap', 'queue', 'stack'"):

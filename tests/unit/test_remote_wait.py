@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.core.cluster import spawn_nodes
-from repro.core.protocol import ClusterContext, QueueNode
+from repro.core.protocol import ClusterContext, Node
 from repro.core.requests import INSERT, OpRecord
+from repro.core.structures import get_structure
 from repro.net.runtime import NetRuntime
 from repro.overlay.ldb import LEFT, MIDDLE, vid_of, virtual_label
 from repro.overlay.routing import route_steps_for
@@ -60,6 +63,12 @@ class _Topology:
         return self.vids[0]
 
 
+@pytest.fixture(autouse=True)
+def _undo_fire_wrapper(monkeypatch):
+    """``_Deployment`` wraps ``Node._fire``; put the original back."""
+    monkeypatch.setattr(Node, "_fire", Node._fire)
+
+
 class _Deployment:
     """Both shards, wired.  ``fires`` records which children each wave
     of each node combined; ``on_fire`` lets a test react at the exact
@@ -73,12 +82,15 @@ class _Deployment:
         self.on_fire = None
         deployment = self
 
-        class _Node(QueueNode):
-            def _fire(self, children):
-                deployment.fires.setdefault(self.vid, []).append(list(children))
-                super()._fire(children)
-                if deployment.on_fire is not None:
-                    deployment.on_fire(self)
+        fire = Node._fire
+
+        def recorded_fire(node, children):
+            deployment.fires.setdefault(node.vid, []).append(list(children))
+            fire(node, children)
+            if deployment.on_fire is not None:
+                deployment.on_fire(node)
+
+        Node._fire = recorded_fire
 
         topology = _Topology(MIDS)
         self.a, self.b = (
@@ -90,11 +102,11 @@ class _Deployment:
             runtime.on_actor_error = lambda vid, exc: self.errors.append(exc)
             runtime.start(loop)
             ctx = ClusterContext(
-                runtime, salt="remote-wait",
-                route_steps=route_steps_for(len(topology)),
+                runtime, "remote-wait", route_steps_for(len(topology)),
+                get_structure("queue"),
             )
             ctx.records = self.records  # req_id == index, as on the simulators
-            spawn_nodes(ctx, topology, _Node, pids=pids)
+            spawn_nodes(ctx, topology, pids=pids)
 
     def _ship(self, dest: int, action: int, payload: tuple) -> None:
         other = self.b if dest in self.b.actors else self.a
@@ -205,7 +217,7 @@ def test_a_child_that_never_reports_costs_a_bounded_wait_and_no_probe():
         start = loop.time()
         d.a.kick()  # host B stays dormant: the child never fires
         await d.until(lambda: len(d.fires.get(PARENT, ())) >= 2)
-        bound = QueueNode.REMOTE_PATIENCE * 0.002
+        bound = Node.REMOTE_PATIENCE * 0.002
         assert loop.time() - start >= bound
         assert all(children == [PARENT_MIDDLE] for children in d.fires[PARENT])
         assert d.counter(d.a, "wave_remote_waits") >= 2

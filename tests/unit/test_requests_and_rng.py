@@ -9,7 +9,6 @@ from repro.core.requests import (
     MAX_REQ_SEQ,
     OpRecord,
     REMOVE,
-    kind_name,
     pack_req_id,
     unpack_req_id,
 )
@@ -39,12 +38,6 @@ class TestOpRecord:
         assert rec.value is None
         assert not rec.completed
         assert not rec.local_match
-
-    def test_kind_names(self):
-        assert kind_name(INSERT) == "enqueue"
-        assert kind_name(REMOVE) == "dequeue"
-        assert kind_name(INSERT, structure="stack") == "push"
-        assert kind_name(REMOVE, structure="stack") == "pop"
 
 
 class TestReqIdPacking:

@@ -30,7 +30,8 @@ import asyncio
 import pytest
 
 from repro.core.actions import A_SET_NEIGH, A_SET_PRED, A_WAKE
-from repro.core.protocol import ClusterContext, QueueNode
+from repro.core.protocol import ClusterContext, Node
+from repro.core.structures import get_structure
 from repro.net.runtime import NetRuntime
 from repro.overlay.ldb import MIDDLE, RIGHT
 from repro.sim.async_runner import AsyncRunner
@@ -54,7 +55,7 @@ class _Recorder(Actor):
 
 
 def _node(ctx, vid, pred_vid=-1, succ_vid=-1):
-    return QueueNode(
+    return Node(
         ctx, vid, label=0.5, pred_vid=pred_vid, pred_label=0.1,
         succ_vid=succ_vid, succ_label=0.9,
     )
@@ -77,7 +78,7 @@ def engine(request):
 
 class TestSimEngines:
     def test_set_neigh_wakes_both_new_neighbours(self, engine):
-        ctx = ClusterContext(engine, salt="t", route_steps=1)
+        ctx = ClusterContext(engine, "t", 1, get_structure("queue"))
         pred, succ = _Recorder(2, engine), _Recorder(7, engine)
         engine.add_actor(pred)
         engine.add_actor(succ)
@@ -90,7 +91,7 @@ class TestSimEngines:
         assert succ.timeouts >= 1, "new successor never re-checked"
 
     def test_set_pred_wakes_the_new_predecessor(self, engine):
-        ctx = ClusterContext(engine, salt="t", route_steps=1)
+        ctx = ClusterContext(engine, "t", 1, get_structure("queue"))
         pred = _Recorder(2, engine)
         engine.add_actor(pred)
         node = _node(ctx, vid=4)
@@ -105,7 +106,7 @@ class TestSimEngines:
         predecessor and the same-process MIDDLE (the ``_parent_vid``
         fallback chain); both must be woken when the zombie leaves, or a
         parent mid-wait only notices at a sweep that may never come."""
-        ctx = ClusterContext(engine, salt="t", route_steps=1)
+        ctx = ClusterContext(engine, "t", 1, get_structure("queue"))
         leaver_vid = 1 * 3 + RIGHT
         fallback_vid = 1 * 3 + MIDDLE
         pred = _Recorder(2, engine)
@@ -135,7 +136,7 @@ class TestNetRuntime:
 
         async def scenario():
             runtime.start(asyncio.get_running_loop())
-            ctx = ClusterContext(runtime, salt="t", route_steps=1)
+            ctx = ClusterContext(runtime, "t", 1, get_structure("queue"))
             pred, succ = _Recorder(2, runtime), _Recorder(7, runtime)
             runtime.add_actor(pred)
             runtime.add_actor(succ)
@@ -161,7 +162,7 @@ class TestNetRuntime:
 
         async def scenario():
             runtime.start(asyncio.get_running_loop())
-            ctx = ClusterContext(runtime, salt="t", route_steps=1)
+            ctx = ClusterContext(runtime, "t", 1, get_structure("queue"))
             node = _node(ctx, vid=4)
             runtime.add_actor(node)
             node._on_set_neigh((2, 0.2, 7, 0.8, False))
@@ -179,7 +180,7 @@ class TestNetRuntime:
                 (dest, action)
             )
         )
-        ctx = ClusterContext(runtime, salt="t", route_steps=1)
+        ctx = ClusterContext(runtime, "t", 1, get_structure("queue"))
         leaver_vid = 1 * 3 + RIGHT
         leaver = _node(ctx, vid=leaver_vid, pred_vid=2, succ_vid=9)
         runtime.add_actor(leaver)

@@ -8,6 +8,8 @@ flag or an environment variable has to edit this file and say so.
 
 from __future__ import annotations
 
+import ast
+import collections
 import dataclasses
 import inspect
 import re
@@ -127,3 +129,55 @@ class TestHostConfigStatedOnce:
         assert PER_HOST_FIELDS == (
             "host_index", "bind_host", "port", "owned", "ops_port",
         )
+
+
+class TestStructurePlane:
+    """Queue, stack and heap are three disciplines on one node: what a
+    structure may vary is a field of ``StructureSpec``, the node writes
+    each step once, and code outside the registry does not ask a
+    structure for its name."""
+
+    SRC = Path(repro.__file__).resolve().parent
+    WRITTEN_ONCE = (
+        "_buffer_op", "_holds_own_ops", "_snapshot_own", "_adopt_records",
+        "_requeue_inflight", "_stage4", "_dht_put", "_dht_get",
+        "_on_get_reply", "_on_put_ack", "_answer_ready",
+    )
+
+    def _trees(self, root: Path):
+        for source in sorted(root.rglob("*.py")):
+            yield source, ast.parse(source.read_text())
+
+    def test_the_node_writes_each_step_once(self):
+        defined = collections.Counter(
+            node.name
+            for _source, tree in self._trees(self.SRC / "core")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        )
+        assert {name: defined[name] for name in self.WRITTEN_ONCE} == dict.fromkeys(
+            self.WRITTEN_ONCE, 1
+        )
+
+    def test_nothing_subclasses_the_node(self):
+        heirs = [
+            f"{source.relative_to(self.SRC)}:{node.name}"
+            for source, tree in self._trees(self.SRC)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for base in node.bases
+            if ast.unparse(base).split(".")[-1] == "Node"
+        ]
+        assert heirs == []
+
+    def test_only_the_registry_and_the_verb_sugar_compare_structure_names(self):
+        # check_priority (heap INSERTs take a class) and the API/CLI sugar
+        # that turns a structure into method names and demo arguments
+        allowed = ("core/structures.py", "api/", "net/launcher.py", "testing/")
+        offenders = [
+            str(source.relative_to(self.SRC))
+            for source in sorted(self.SRC.rglob("*.py"))
+            if re.search(r"structure\s*[!=]=", source.read_text())
+            and not str(source.relative_to(self.SRC)).startswith(allowed)
+        ]
+        assert offenders == []

@@ -10,12 +10,16 @@ sampling, and JSON-safe summaries (no Infinity leaking into dumps).
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 
 import pytest
 
+import repro
 from repro import SkueueCluster
-from repro.core.protocol import QueueNode
+from repro.core.protocol import Node
+from repro.core.requests import INSERT, REMOVE
+from repro.core.structures import structure_names
 from repro.sim.metrics import Metrics
 from repro.telemetry import (
     Counter,
@@ -251,19 +255,43 @@ class TestTracer:
 
 
 class TestSimTracing:
-    def test_cluster_trace_export_validates(self):
-        with SkueueCluster(n_processes=8, seed=3, trace_sample=1.0) as c:
-            for i in range(6):
-                c.enqueue(i % 8, i)
-            c.run_until_done()
-            for i in range(6):
-                c.dequeue(i % 8)
-            c.run_until_done()
-            export = c.trace_export()
+    @pytest.mark.parametrize("structure", structure_names())
+    def test_every_op_exports_its_lifecycle(self, structure):
+        """Stage 4 and the DHT handlers stamp once, for every structure:
+        a completed op exports ``submit`` and ``done``, a valued one
+        ``valued`` too, a locally annihilated pair closes at once, and
+        nothing stays open behind a drained run."""
+        with repro.connect("sync", n_processes=8, seed=3, structure=structure,
+                           trace_sample=1.0) as session:
+            for i in range(12):
+                session.submit(INSERT, f"early{i}", pid=i % 8)
+            session.drain()
+            # one round: on a stack, pids 0-3 pop their own unsent push
+            for i in range(8):
+                session.submit(INSERT, f"late{i}", pid=i)
+            for i in range(25):
+                session.submit(REMOVE, pid=i % 4 if i < 4 else 4 + i % 4)
+            session.drain()
+            export = session.trace()
+            tracer = session.cluster.tracer
+            records = session.cluster.records
         assert validate_chrome_trace(export) == []
-        assert export["traceEvents"]
-        phases = c.tracer.phase_summary()
-        assert phases["total"]["count"] >= 12
+        assert not tracer._active
+        events = export["traceEvents"]
+        names = collections.Counter(event["name"] for event in events)
+        results = collections.Counter(
+            event["args"]["result"] for event in events
+            if event["name"] == "done"
+        )
+        valued = [rec for rec in records if rec.value is not None]
+        assert names["submit"] == names["done"] == len(records) == 45
+        assert names["valued"] == len(valued) > 0
+        assert results["annihilated"] == sum(r.local_match for r in records)
+        assert results["empty"] >= 5
+        for rec in records:
+            lifecycle = tracer.lookup(rec.req_id)  # filed at `done`
+            assert ("deliver" in lifecycle["phases_ms"]) == (rec in valued)
+        assert tracer.phase_summary()["total"]["count"] == 45
 
     def test_untraced_cluster_exports_empty_envelope(self):
         with SkueueCluster(n_processes=8, seed=3) as c:
@@ -284,7 +312,7 @@ class TestWaveLivenessCounters:
         # shrink the patience window so ordinary pipelining waits cross
         # it and launch probes; the run still settles (probes are
         # read-only unless they confirm a genuine wait cycle)
-        monkeypatch.setattr(QueueNode, "WAVE_PATIENCE", 2)
+        monkeypatch.setattr(Node, "WAVE_PATIENCE", 2)
         with SkueueCluster(n_processes=8, seed=3) as c:
             for i in range(40):
                 c.enqueue(i % 8, i)
@@ -308,7 +336,7 @@ class TestWaveLivenessCounters:
         for _ in range(4000):
             c.step(1)
             for actor in list(c.runtime.actors.values()):
-                if isinstance(actor, QueueNode) and actor.wait_since is not None:
+                if isinstance(actor, Node) and actor.wait_since is not None:
                     actor._on_nudge((actor.vid, actor.nudge_token + 1))
             if c.metrics.counters.get("wave_force_fires"):
                 break
