@@ -17,7 +17,7 @@ def _join_wave(n: int, joiners: int, seed: int = 5) -> dict:
         cluster.join()
     cluster.runtime.run_until(
         lambda: not cluster.joining_pids
-        and not any(node.updating for node in cluster.runtime.actors.values()),
+        and not any(node.epoch is not None for node in cluster.runtime.actors.values()),
         max_rounds=60_000,
     )
     settle = cluster.runtime.round - start
@@ -33,7 +33,7 @@ def _leave_wave(n: int, leavers: int, seed: int = 6) -> dict:
         cluster.leave(pid)
     cluster.runtime.run_until(
         lambda: not cluster.leaving_pids
-        and not any(node.updating for node in cluster.runtime.actors.values()),
+        and not any(node.epoch is not None for node in cluster.runtime.actors.values()),
         max_rounds=120_000,
     )
     settle = cluster.runtime.round - start

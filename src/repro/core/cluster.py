@@ -379,7 +379,7 @@ class SkueueCluster:
         if self.joining_pids or self.leaving_pids:
             return False
         for node in self.runtime.actors.values():
-            if node.updating or node.joining or node.replaced or node.replacements:
+            if node.epoch is not None or node.joining or node.replaced or node.replacements:
                 return False
         return True
 

@@ -34,6 +34,16 @@ all acks it probes for the global minimum (a routed FIND_MIN to point 0.0
 — the owner's successor is the leftmost node), transfers its state there
 if the minimum moved (Section IV-A), and the (possibly new) anchor
 broadcasts UPDATE_OVER down the *new* tree, after which batching resumes.
+
+What a node knows about *the epoch it is in* is one :class:`EpochState`
+in ``Node.epoch`` — ``None`` outside an update, built whole on entry,
+dropped whole at the end — so nothing of one epoch can be read in the
+next.  What outlives an epoch stays on the node: ``update_epoch``,
+``finished_epoch``, ``depart_epoch`` and the facts of the node's own
+life (``joining``, ``leaving``, ``replaced``, ``dumped``, ``resp_vid``,
+``joiners``, ``replacements``, ..).  Every epoch stamp a message carries
+is judged by one rule, :meth:`MembershipMixin._admit`; DESIGN.md
+("Epochs") tabulates what each message does with the verdict.
 """
 
 from __future__ import annotations
@@ -69,9 +79,55 @@ from repro.dht.storage import key_in_range
 from repro.overlay.ldb import MIDDLE
 from repro.overlay.routing import route_steps_for
 
-__all__ = ["MembershipMixin"]
+__all__ = ["CURRENT", "EARLY", "STALE", "EpochState", "MembershipMixin"]
 
 _LEAVE_RETRY_ROUNDS = 12
+_META_RETRY_ROUNDS = 40
+_PASSIVE_GRACE_ROUNDS = 96
+
+#: verdicts of :meth:`MembershipMixin._admit` on an epoch stamp
+STALE, CURRENT, EARLY = range(3)
+
+
+class EpochState:
+    """One UPDATE epoch, as one node lives it."""
+
+    __slots__ = (
+        "number",
+        "release_at",
+        "pold",
+        "cold",
+        "local_done",
+        "acked",
+        "chain",
+        "metas",
+        "meta_sent",
+        "segment",
+    )
+
+    def __init__(
+        self,
+        number: int,
+        pold: int | None = None,
+        cold: list[int] | tuple = (),
+        release_at: float | None = None,
+    ) -> None:
+        self.number = number
+        # None: served the flagged wave (an *active* member).  Else this
+        # node missed the wave and entered *passively*: it is in nobody's
+        # Cold, has no splice duty, and may release itself at this time
+        self.release_at = release_at
+        passive = release_at is not None
+        # the ack target is whoever served this wave's batch — recorded at
+        # fire time, because splices may have changed the tree parent since
+        self.pold = pold
+        self.cold = set(cold)  # children served with us: their acks are owed
+        self.local_done = passive  # own segment spliced
+        self.acked = passive  # ACK_UP sent (the anchor: FIND_MIN sent)
+        self.chain: list[int] = []  # replacements departing this epoch
+        self.metas: dict[int, tuple] = {}  # their DEPART_METAs, by vid
+        self.meta_sent = False  # own DEPART_META sent: this node is departing
+        self.segment: list[tuple[float, int]] = []  # (label, vid) spliced in
 
 
 class MembershipMixin:
@@ -81,52 +137,60 @@ class MembershipMixin:
 
     # -- dispatch ---------------------------------------------------------------
     def _handle_membership(self, action: int, payload: tuple) -> None:
-        if action == A_JOIN_GRANT:
-            self._on_join_grant(payload)
-        elif action == A_SLICE_REQ:
-            self._on_slice_req(payload)
-        elif action == A_SLICE:
-            self._on_slice(payload)
-        elif action == A_LEAVE_REQ:
-            self._on_leave_req(payload)
-        elif action == A_RESP_LEAVE:
-            self._on_resp_leave(payload)
-        elif action == A_LEAVE_GRANT:
-            self._on_leave_grant(payload)
-        elif action == A_DEPART_REQ:
-            self._on_depart_req(payload)
-        elif action == A_DEPART_META:
-            self._on_depart_meta(payload)
-        elif action == A_DEPART_COMMIT:
-            self._on_depart_commit()
-        elif action == A_DEPART_DUMP:
-            self._on_depart_dump(payload)
-        elif action == A_SET_NEIGH:
-            self._on_set_neigh(payload)
-        elif action == A_SET_PRED:
-            self._on_set_pred(payload)
-        elif action == A_ABSORB:
-            self._on_absorb(payload)
-        elif action == A_ACK_UP:
-            self._on_ack_up(payload)
-        elif action == A_UPDATE_OVER:
-            self._on_update_over(payload)
-        elif action == A_MIN_IS:
-            self._on_min_is(payload)
-        elif action == A_ANCHOR_XFER:
-            self._on_anchor_xfer(payload)
-        elif action == A_REQUEUE:
-            self._on_requeue(payload)
-        elif action == A_JOIN_DEFER:
-            self._on_join_defer(payload)
-        elif action == A_RESP_XFER:
-            self._on_resp_xfer(payload)
-        elif action == A_NEW_RESP:
-            self._on_new_resp(payload)
-        elif action == A_CHASE:
-            self._on_chase(payload)
-        else:  # pragma: no cover - defensive
+        handler = _HANDLERS.get(action)
+        if handler is None:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown action {action}")
+        handler(self, payload)
+
+    def _admit(self, stamp: int) -> int:
+        """Judge the epoch stamp of a message against where this node is.
+
+        ``STALE``: that epoch ended here, or a later one was entered —
+        the stamp opens and closes nothing.  ``CURRENT``: the epoch this
+        node is in.  ``EARLY``: an epoch still running that this node is
+        not in — one it has not entered yet, or one it entered passively
+        and released from on its grace timer (``update_epoch`` says it
+        was there, ``finished_epoch`` that it never saw the end).  The
+        unstamped ``A_REQUEUE`` carries 0, which is stale everywhere.
+        """
+        if stamp <= self.finished_epoch or stamp < self.update_epoch:
+            return STALE
+        epoch = self.epoch
+        if epoch is not None and stamp == epoch.number:
+            return CURRENT
+        return EARLY
+
+    def _membership_tick(self) -> None:
+        """TIMEOUT's membership chores; the caller saw one of ``epoch``,
+        ``leaving``, ``deferred_joins`` set."""
+        epoch = self.epoch
+        if epoch is not None:
+            if (
+                epoch.release_at is not None
+                and not self.replaced
+                and not epoch.meta_sent
+                and self.ctx.runtime.now >= epoch.release_at
+            ):
+                # passively entered epoch (missed-wave bounce): the bounce
+                # may have raced that epoch's UPDATE_OVER, which will then
+                # never reach us — release after a grace period; if the
+                # epoch still runs we just get bounced (and re-released)
+                # again.  Departing nodes stay put: their exit (META/DUMP)
+                # needs no UPDATE_OVER.
+                self.epoch = epoch = None
+            elif epoch.chain and not epoch.local_done:
+                # re-prod replacements whose META is overdue (their batch
+                # may have been marooned outside the flagged wave — see
+                # A_CHASE)
+                for vid in epoch.chain:
+                    if vid not in epoch.metas:
+                        self.send(vid, A_DEPART_REQ, (self.vid, epoch.number))
+                self.runtime.call_later(self.aid, _META_RETRY_ROUNDS)
+        if epoch is None:
+            if self.leaving and not self.replaced:
+                self._leave_tick()
+            if self.deferred_joins:
+                self._release_deferred_joins()
 
     # =====================================================================
     # JOIN (Section IV-A)
@@ -139,9 +203,9 @@ class MembershipMixin:
             # cycle owner (our responsible node routes onward)
             self._route_start(A_JOIN_RT, key, extra)
             return
-        if self.replaced and self.meta_sent:
-            # departing zombie: its successor segment is being spliced, so
-            # the responsible node re-routes the JOIN once the dust settles
+        if self._departing():
+            # its successor segment is being spliced, so the responsible
+            # node re-routes the JOIN once the dust settles
             self.send(self.resp_vid, A_JOIN_DEFER, extra)
             return
         rel = (new_label - self.label) % 1.0
@@ -229,6 +293,8 @@ class MembershipMixin:
         self.send(new_vid, A_SLICE, (items, parked))
 
     def _on_slice(self, payload: tuple) -> None:
+        """Handed-over DHT data: a joiner's slice, or (``A_ABSORB``) a
+        departed replacement's, redistributed by final ownership."""
         items, parked = payload
         self._absorb_state(items, parked)
 
@@ -294,11 +360,9 @@ class MembershipMixin:
         """TIMEOUT part of leaving: (re)request permission from pred.
 
         Deferred while this node is itself responsible for joiners or
-        replacements (they clear at the next update phase) and while the
-        update phase runs.
+        replacements (they clear at the next update phase); not called
+        while an update phase runs, nor once the leave is granted.
         """
-        if self.replaced or self.updating:
-            return
         if self.joiners or self.replacements:
             self.runtime.call_later(self.aid, _LEAVE_RETRY_ROUNDS)
             return
@@ -314,8 +378,8 @@ class MembershipMixin:
             # the requester postpones (Section IV-B's priority rule)
             return
         if self.replaced:
-            if self.meta_sent:
-                return  # departing: the requester retries at its new pred
+            if self._departing():
+                return  # the requester retries at its new pred
             self.send(
                 self.resp_vid,
                 A_RESP_LEAVE,
@@ -351,9 +415,9 @@ class MembershipMixin:
             return  # duplicate grant
         self.replaced = True
         self.resp_vid = resp_vid
-        if self.updating and self.depart_requested:
+        if self.epoch is not None:
             # the grant raced this epoch's flagged wave: the responsible
-            # node is already waiting for our META
+            # node may already be waiting for our META
             self._send_depart_meta()
         # the grant can even arrive *last*, behind the whole departure
         # choreography it authorises (async delivery: DEPART_REQ, the
@@ -366,44 +430,56 @@ class MembershipMixin:
     # =====================================================================
     # Update phase (Section IV)
     # =====================================================================
+    def _on_flagged_serve(self, epoch: int, served_children: list[int]) -> None:
+        """A SERVE of the wave the anchor stamped with ``epoch``."""
+        verdict = self._admit(epoch)
+        if verdict == EARLY:
+            self._enter_update(epoch, served_children)
+            return
+        if verdict == CURRENT and self.sent_to is not None:
+            # a flagged serve landed on a node that already entered this
+            # epoch through a different edge — possible only when the
+            # serve relation is not a tree, i.e. when a transferred anchor
+            # consumed the wave while its own batch was still riding the
+            # cycle (see timeout()).  The server just added us to its
+            # Cold, but our splice duties report along our real entry
+            # path (pold), so this extra edge carries none: release it
+            # immediately, or the acknowledgement wave deadlocks on the
+            # cycle — every member waits for a served "child" that is
+            # actually its ancestor
+            self.send(self.sent_to, A_ACK_UP, (self.vid,))
+        self.wake_me()
+
     def _enter_update(self, epoch: int, served_children: list[int]) -> None:
         self.update_epoch = epoch
-        self.updating = True
-        self.passive_entry = False
-        self.acked = False
-        # the ack target is whoever served this wave's batch — recorded at
-        # fire time, because splices may have changed the tree parent since
-        self.pold = self.sent_to
-        self.cold_pending = set(served_children)
-        self.metas = {}
+        state = self.epoch = EpochState(
+            epoch, pold=self.sent_to, cold=served_children
+        )
         # tree batches still buffered here missed the flagged wave: their
         # senders requeue and join the epoch passively (relay batches stay
         # buffered — pending joiners are served after the update)
-        missed = [
-            vid
-            for vid, entry in self.child_batches.items()
-            if not entry[3]
-        ]
-        for vid in missed:
-            del self.child_batches[vid]
-            self.send(vid, A_REQUEUE, (epoch,))
+        self._bounce_tree_batches(epoch)
         if self.replaced:
             # my segment is my responsible node's job
-            self.update_local_done = True
-            if self.depart_requested:
-                self._send_depart_meta()
+            state.local_done = True
+            self._send_depart_meta()
             self._check_update_done()
-            return
-        if self.replacements:
-            self.update_local_done = False
-            self.chain_epoch = list(self.replacements)
-            for replacement_vid in self.chain_epoch:
+        elif self.replacements:
+            state.chain = list(self.replacements)
+            for replacement_vid in state.chain:
                 self.send(replacement_vid, A_DEPART_REQ, (self.vid, epoch))
-            self.runtime.call_later(self.aid, 40)  # META retry cadence
+            self.runtime.call_later(self.aid, _META_RETRY_ROUNDS)
         else:
             self._splice_segment([])
-            self.update_local_done = True
+            state.local_done = True
             self._check_update_done()
+
+    def _bounce_tree_batches(self, epoch: int) -> None:
+        """Send every buffered tree batch back to its sender to re-fire."""
+        batches = self.child_batches
+        for vid in [v for v, entry in batches.items() if not entry[3]]:
+            del batches[vid]
+            self.send(vid, A_REQUEUE, (epoch,))
 
     # -- departures ---------------------------------------------------------------
     def _enter_epoch_passively(self, epoch: int) -> None:
@@ -413,45 +489,38 @@ class MembershipMixin:
         acknowledgement (they are in nobody's Cold) and have no splice
         duties this epoch; departing replacements still send their META.
 
-        Re-entry of the *current* epoch is allowed when the node is not
-        updating: a passive member that released on its grace timer (the
-        epoch outlasted it) and got bounced again must be able to rejoin
-        — in particular, a replaced node re-entering is what (re)sends
-        the DEPART_META its responsible node is blocked on.  Only epochs
-        that actually finished here (UPDATE_OVER seen, ``finished_epoch``)
-        are refused, so a stale bounce cannot resurrect a closed epoch.
+        The caller admitted ``epoch`` as ``EARLY``.  That includes the
+        epoch this node released from on its grace timer (the epoch
+        outlasted it) and got bounced into again — for a replaced node,
+        re-entry is what (re)sends the DEPART_META its responsible node
+        is blocked on — and excludes every epoch that finished here, so
+        a stale bounce cannot resurrect a closed epoch.
         """
-        if epoch < self.update_epoch or epoch <= self.finished_epoch:
-            return
-        if epoch == self.update_epoch and self.updating:
-            return  # already participating (actively or passively)
         self.update_epoch = epoch
-        self.updating = True
-        self.passive_entry = True
-        self.passive_release_at = self.ctx.runtime.now + 96
-        self.pold = None
-        self.cold_pending = set()
-        self.update_local_done = True
-        self.acked = True
-        if self.replaced and self.depart_requested:
+        self.epoch = EpochState(
+            epoch, release_at=self.ctx.runtime.now + _PASSIVE_GRACE_ROUNDS
+        )
+        if self.replaced:
             self._send_depart_meta()
-        self.runtime.call_later(self.aid, 97)
+        self.runtime.call_later(self.aid, _PASSIVE_GRACE_ROUNDS + 1)
 
     def _on_depart_req(self, payload: tuple) -> None:
         requester_vid, epoch = payload
         if requester_vid == self.vid:
             # our own META-retry to a replacement that departed between
-            # retries, forwarded home by its zombie: honouring it would
-            # mark *this* node depart_requested/meta_sent — state that
-            # later suppresses the genuine META when this node itself
-            # leaves (the replacement's META is already in flight to us,
-            # or already processed; either way there is nothing to do)
+            # retries, forwarded home by its zombie: the replacement's
+            # META is already in flight to us, or already processed —
+            # either way this node was asked nothing
+            return
+        if self._admit(epoch) == STALE:
             return
         # the requester is authoritative: responsibility may have been
         # transferred to a freshly spliced member since our grant
         self.resp_vid = requester_vid
-        self.depart_requested = True
-        if self.updating:
+        self.depart_epoch = epoch
+        if self.epoch is not None:
+            # (a request for the epoch after the one still open here is
+            # answered on entering that one)
             self._send_depart_meta()
         elif not self.inflight:
             self._enter_epoch_passively(epoch)
@@ -473,7 +542,7 @@ class MembershipMixin:
         plan = self.plan
         if (
             plan is not None
-            and not self.updating
+            and self.epoch is None
             and self.inflight
             and any(src == origin_vid for src, _ in plan)
         ):
@@ -493,9 +562,11 @@ class MembershipMixin:
         self.resp_vid = new_resp
 
     def _send_depart_meta(self) -> None:
-        if self.meta_sent:
+        """Answer the DEPART_REQ stamped with the open epoch, once."""
+        epoch = self.epoch
+        if epoch.meta_sent or self.depart_epoch != epoch.number:
             return
-        self.meta_sent = True
+        epoch.meta_sent = True
         # relay children whose latest batch was never fired upward must be
         # told to requeue their in-flight requests after integration
         pending_relays = tuple(
@@ -512,24 +583,26 @@ class MembershipMixin:
 
     def _on_depart_meta(self, payload: tuple) -> None:
         vid = payload[0]
-        self.metas[vid] = payload
-        if all(v in self.metas for v in self.chain_epoch):
-            metas = [self.metas[v] for v in self.chain_epoch]
-            self._splice_segment(metas)
-            for replacement_vid in self.chain_epoch:
+        epoch = self.epoch
+        if epoch is None or epoch.local_done or vid not in epoch.chain:
+            return  # not awaited: no DEPART_REQ of the open epoch asked for it
+        chain, metas = epoch.chain, epoch.metas
+        metas[vid] = payload
+        if all(v in metas for v in chain):
+            self._splice_segment([metas[v] for v in chain])
+            for replacement_vid in chain:
                 self.send(replacement_vid, A_DEPART_COMMIT, ())
             # departed replacements leave the chain; grants that arrived
             # mid-update stay for the next epoch
-            departed = set(self.chain_epoch)
+            departed = set(chain)
             self.replacements = [
                 v for v in self.replacements if v not in departed
             ]
             self.replacement_set -= departed
-            self.chain_epoch = []
-            self.update_local_done = True
+            epoch.local_done = True
             self._check_update_done()
 
-    def _on_depart_commit(self) -> None:
+    def _on_depart_commit(self, _payload: tuple) -> None:
         # hand every stored element, parked GET and unflushed request to
         # the responsible node, which redistributes/adopts them; from now
         # on this node is a forwarding zombie outside the cycle
@@ -539,9 +612,7 @@ class MembershipMixin:
         # missed-wave requeue of _enter_update): bounce them so their
         # senders re-fire at the spliced cycle.  Relay batches are
         # handled by the META/splice choreography (pending_relays).
-        for vid in [v for v, entry in self.child_batches.items() if not entry[3]]:
-            del self.child_batches[vid]
-            self.send(vid, A_REQUEUE, (0,))
+        self._bounce_tree_batches(0)
         items = self.store.items
         parked = self.store.parked
         self.store = self.ctx.spec.store()
@@ -552,7 +623,8 @@ class MembershipMixin:
     def _on_depart_dump(self, payload: tuple) -> None:
         items, parked, leftover = payload
         self._adopt_records(leftover)
-        members = self.segment_members
+        epoch = self.epoch
+        members = epoch.segment if epoch is not None else ()
         if not members:
             self._absorb_state(items, parked)
             return
@@ -582,27 +654,35 @@ class MembershipMixin:
             else:
                 self.send(owner, A_ABSORB, (owner_items, owner_parked))
 
-    def _on_absorb(self, payload: tuple) -> None:
-        items, parked = payload
-        self._absorb_state(items, parked)
+    def _departing(self) -> bool:
+        """Granted, and past the DEPART_META that lets the responsible
+        node splice this node's successor segment."""
+        epoch = self.epoch
+        return self.replaced and epoch is not None and epoch.meta_sent
 
     def _maybe_zombie_exit(self) -> None:
         """A departed replacement disappears once its ack duties are done."""
+        epoch = self.epoch
         if (
             self.replaced
             and self.dumped
-            and self.acked
-            and not self.departed
+            and epoch is not None
+            and epoch.acked
+            and not epoch.cold
             and not self.is_anchor
-            and not self.cold_pending
         ):
-            self.departed = True
-            self._flush_deferred_joins()
-            self.runtime.remove_actor(self.aid, forward_to=self.resp_vid)
-            # a parent waiting on this zombie's batch only notices the
-            # removal when its child set is re-evaluated — push that
-            # re-check instead of leaving it to a (possibly absent) sweep
-            self._wake_stale_parents(None)
+            self._zombie_exit()
+
+    def _zombie_exit(self) -> None:
+        if self.departed:
+            return
+        self.departed = True
+        self._release_deferred_joins()
+        self.runtime.remove_actor(self.aid, forward_to=self.resp_vid)
+        # a parent waiting on this zombie's batch only notices the
+        # removal when its child set is re-evaluated — push that
+        # re-check instead of leaving it to a (possibly absent) sweep
+        self._wake_stale_parents(None)
 
     # -- splice ----------------------------------------------------------------------
     def _splice_segment(self, metas: list[tuple]) -> None:
@@ -656,13 +736,14 @@ class MembershipMixin:
         self.succ_label, self.succ_vid = chain[1]
         last_label, last_vid = chain[-2]
         self.send(final_succ_vid, A_SET_PRED, (last_vid, last_label))
-        self.segment_members = members
+        epoch = self.epoch
+        epoch.segment = members
         self.joiners = []
         self.relay_children = []  # every relay is integrated with the segment
         # replacements that are NOT departing this epoch now sit behind the
         # spliced members: their direct predecessor — the last member —
         # inherits the grant chain, restoring the contiguity invariant
-        departing = set(self.chain_epoch)
+        departing = set(epoch.chain)
         remaining = [v for v in self.replacements if v not in departing]
         if remaining and members:
             new_resp = members[-1][1]
@@ -734,25 +815,23 @@ class MembershipMixin:
     # -- acknowledgement wave over the old tree -----------------------------------------
     def _on_ack_up(self, payload: tuple) -> None:
         (child_vid,) = payload
-        self.cold_pending.discard(child_vid)
-        self._check_update_done()
-        self._maybe_zombie_exit()
+        epoch = self.epoch
+        if epoch is not None:
+            epoch.cold.discard(child_vid)
+            self._check_update_done()
+            self._maybe_zombie_exit()
 
     def _check_update_done(self) -> None:
-        if (
-            not self.updating
-            or not self.update_local_done
-            or self.cold_pending
-            or self.acked
-        ):
+        epoch = self.epoch
+        if epoch is None or not epoch.local_done or epoch.cold or epoch.acked:
             return
-        self.acked = True
+        epoch.acked = True
         if self.is_anchor:
             # finale: find the (possibly new) leftmost node via the owner
             # of point 0 — its successor is the global minimum
-            self._route_start(A_FIND_MIN, 0.0, (self.vid, self.update_epoch))
+            self._route_start(A_FIND_MIN, 0.0, (self.vid, epoch.number))
         else:
-            self.send(self.pold, A_ACK_UP, (self.vid,))
+            self.send(epoch.pold, A_ACK_UP, (self.vid,))
             self._maybe_zombie_exit()
 
     def _on_find_min(self, extra: tuple) -> None:
@@ -768,19 +847,15 @@ class MembershipMixin:
             self.anchor_state = None
             self.is_anchor = False
             self.send(min_vid, A_ANCHOR_XFER, (state, epoch))
-            if self.replaced and self.dumped and not self.departed:
+            if self.replaced and self.dumped:
                 # a departed anchor-replacement exits once its duties end
-                self.departed = True
-                self._flush_deferred_joins()
-                self.runtime.remove_actor(self.aid, forward_to=self.resp_vid)
-                self._wake_stale_parents(None)  # see _maybe_zombie_exit
+                self._zombie_exit()
 
     def _on_anchor_xfer(self, payload: tuple) -> None:
         state, epoch = payload
         ctx = self.ctx
         self.anchor_state = ctx.spec.anchor_state(ctx.n_priorities).restore(state)
         self.is_anchor = True
-        self.update_epoch = max(self.update_epoch, epoch)
         self._broadcast_update_over(epoch, self.anchor_state.members)
 
     # -- resuming -------------------------------------------------------------------------
@@ -796,8 +871,8 @@ class MembershipMixin:
         part of the cycle suspended in the epoch forever (batching stays
         suspended while updating, so such a gap deadlocks the deployment).
         A bidirectional flood over a connected cycle reaches everyone,
-        and each node relays a given epoch at most once (the epoch guards
-        in ``_on_update_over``), so the cost is O(n) messages per epoch.
+        and each node relays a given epoch at most once (``_finish_update``
+        makes it stale for ``_admit``), so the cost is O(n) messages per epoch.
         ``members`` piggybacks the anchor's network-size estimate so every
         node can refresh its De Bruijn routing depth locally.
         """
@@ -814,18 +889,15 @@ class MembershipMixin:
         if self.replaced and self.dumped:
             # a zombie reached via a stale tree pointer: nothing to resume
             return
-        if epoch < self.update_epoch:
-            return  # stale broadcast from an earlier epoch, still in flight
-        if epoch <= self.finished_epoch:
-            return  # duplicate (tree + ring deliver more than once)
-        # note the duplicate test is finished_epoch, not update_epoch: a
-        # passive entrant that released on its grace timer carries
-        # update_epoch == epoch with updating False, yet has neither
-        # finished nor *relayed* the epoch — dropping the flood here
-        # would break the ring's bidirectional coverage guarantee (see
-        # _broadcast_update_over) for any active node spliced between
-        # two such neighbours.  finished_epoch advances only inside
-        # _finish_update, so each node still relays an epoch once.
+        if self._admit(epoch) == STALE:
+            # a duplicate (tree + ring deliver more than once) or an
+            # earlier epoch's broadcast still in flight.  A passive
+            # entrant that released on its grace timer is *not* stale:
+            # it has neither finished nor relayed the epoch, and dropping
+            # the flood there would break the ring's bidirectional
+            # coverage guarantee (see _broadcast_update_over) for any
+            # active node spliced between two such neighbours
+            return
         self._broadcast_update_over(epoch, members)
 
     def _on_requeue(self, payload: tuple) -> None:
@@ -844,54 +916,66 @@ class MembershipMixin:
                 if src != -1:
                     self.send(src, A_REQUEUE, (epoch,))
             self._requeue_inflight()
-        self._enter_epoch_passively(epoch)
+        if self._admit(epoch) == EARLY:
+            self._enter_epoch_passively(epoch)
 
     def _on_join_defer(self, payload: tuple) -> None:
         if self.replaced and self.resp_vid is not None:
             # a deferred JOIN must end at a node that will live to re-route
             # it: bubble along the responsibility chain to a real node
             self.send(self.resp_vid, A_JOIN_DEFER, payload)
-            return
-        if not self.updating:
-            # no update in progress: the ring is stable, re-route right away
+        elif self.epoch is None:
+            # no update in progress: the ring is stable, re-route right
+            # away — the label's present owner grants
             new_vid, new_label = payload
             self._route_start(A_JOIN_RT, new_label, (new_vid, new_label))
-            return
-        self.deferred_joins.append(payload)
+        else:
+            self.deferred_joins.append(payload)
 
-    def _flush_deferred_joins(self) -> None:
-        """A departing node hands its pending deferred JOINs onward."""
-        if self.deferred_joins:
-            deferred, self.deferred_joins = self.deferred_joins, []
-            for payload in deferred:
-                self.send(self.resp_vid, A_JOIN_DEFER, payload)
+    def _release_deferred_joins(self) -> None:
+        """Give every held JOIN its next hop: called once no epoch is
+        open here, and by a zombie on its way out (which bubbles them)."""
+        deferred, self.deferred_joins = self.deferred_joins, []
+        for payload in deferred:
+            self._on_join_defer(payload)
 
     def _finish_update(self, epoch: int, members: int = 0) -> None:
-        self.updating = False
-        self.passive_entry = False
+        self.epoch = None
         self.update_epoch = max(self.update_epoch, epoch)
         self.finished_epoch = max(self.finished_epoch, epoch)
-        self.pold = None
-        self.acked = False
-        self.segment_members = []
-        # META/DEPART_REQ state is per-epoch: a replacement whose grant
-        # arrived mid-update stays for the next epoch, where its (new)
-        # responsible node re-requests a *fresh* META — a stale
-        # meta_sent from this epoch would silence it forever.  Committed
-        # replacements never reach here (they dump and zombie out).
-        self.meta_sent = False
-        self.depart_requested = False
         if members > 0:
             # the paper's size estimate, piggybacked on UPDATE_OVER: every
             # node refreshes its routing depth without a global view (the
             # sim facade used to substitute len(actors) here)
             self.ctx.route_steps = route_steps_for(members)
-        if self.deferred_joins:
-            deferred, self.deferred_joins = self.deferred_joins, []
-            for new_vid, new_label in deferred:
-                # re-route: the post-splice owner of the label grants
-                self._route_start(A_JOIN_RT, new_label, (new_vid, new_label))
+        self._release_deferred_joins()
         hook = self.ctx.on_update_over
         if hook is not None:
             hook(epoch, members)
         self.wake_me()
+
+
+_HANDLERS = {
+    A_JOIN_GRANT: MembershipMixin._on_join_grant,
+    A_SLICE_REQ: MembershipMixin._on_slice_req,
+    A_SLICE: MembershipMixin._on_slice,
+    A_LEAVE_REQ: MembershipMixin._on_leave_req,
+    A_RESP_LEAVE: MembershipMixin._on_resp_leave,
+    A_LEAVE_GRANT: MembershipMixin._on_leave_grant,
+    A_DEPART_REQ: MembershipMixin._on_depart_req,
+    A_DEPART_META: MembershipMixin._on_depart_meta,
+    A_DEPART_COMMIT: MembershipMixin._on_depart_commit,
+    A_DEPART_DUMP: MembershipMixin._on_depart_dump,
+    A_SET_NEIGH: MembershipMixin._on_set_neigh,
+    A_SET_PRED: MembershipMixin._on_set_pred,
+    A_ABSORB: MembershipMixin._on_slice,
+    A_ACK_UP: MembershipMixin._on_ack_up,
+    A_UPDATE_OVER: MembershipMixin._on_update_over,
+    A_MIN_IS: MembershipMixin._on_min_is,
+    A_ANCHOR_XFER: MembershipMixin._on_anchor_xfer,
+    A_REQUEUE: MembershipMixin._on_requeue,
+    A_JOIN_DEFER: MembershipMixin._on_join_defer,
+    A_RESP_XFER: MembershipMixin._on_resp_xfer,
+    A_NEW_RESP: MembershipMixin._on_new_resp,
+    A_CHASE: MembershipMixin._on_chase,
+}

@@ -36,9 +36,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.actions import (
-    A_ACK_UP,
     A_AGG,
-    A_DEPART_REQ,
     A_GET_REPLY,
     A_JOIN_RT,
     A_FIND_MIN,
@@ -129,16 +127,12 @@ class Node(MembershipMixin, Actor):
         # DHT (stage 4)
         "store",
         "barrier",
-        # membership (Section IV)
-        "updating",
+        # membership (Section IV): the open UPDATE epoch, then what
+        # outlives an epoch (see the repro.core.membership docstring)
+        "epoch",
         "update_epoch",
         "finished_epoch",
-        "passive_entry",
-        "passive_release_at",
-        "pold",
-        "cold_pending",
-        "update_local_done",
-        "acked",
+        "depart_epoch",
         "joining",
         "joining_range_end",
         "carved_ranges",
@@ -149,8 +143,6 @@ class Node(MembershipMixin, Actor):
         "relay_children",
         "leaving",
         "replaced",
-        "meta_sent",
-        "depart_requested",
         "dumped",
         "departed",
         "replacements",
@@ -158,10 +150,6 @@ class Node(MembershipMixin, Actor):
         "pending_joins",
         "pending_leaves",
         "deferred_joins",
-        "segment_members",
-        "chain_epoch",
-        "metas",
-        "leave_request_pending",
         "wait_since",
         "remote_wait_since",
         # event-driven patience (A_NUDGE deadlock probe)
@@ -238,15 +226,10 @@ class Node(MembershipMixin, Actor):
         self.store = spec.store()
         self.barrier = 0  # PUT/GETs of the last wave still out (spec.barrier)
 
-        self.updating = False
-        self.update_epoch = 0
-        self.finished_epoch = 0
-        self.passive_entry = False
-        self.passive_release_at = 0.0
-        self.pold = None
-        self.cold_pending: set[int] = set()
-        self.update_local_done = True
-        self.acked = False
+        self.epoch = None  # the open UPDATE epoch (membership.EpochState)
+        self.update_epoch = 0  # highest epoch entered
+        self.finished_epoch = 0  # highest epoch seen to end
+        self.depart_epoch = 0  # epoch the latest DEPART_REQ asked for
         self.joining = joining
         self.joining_range_end = label
         self.carved_ranges: list[tuple[float, float, int]] = []  # (lo, hi, vid)
@@ -257,8 +240,6 @@ class Node(MembershipMixin, Actor):
         self.relay_children: list[int] = []
         self.leaving = False
         self.replaced = False
-        self.meta_sent = False
-        self.depart_requested = False
         self.dumped = False
         self.departed = False
         self.replacements: list[int] = []
@@ -266,10 +247,6 @@ class Node(MembershipMixin, Actor):
         self.pending_joins = 0
         self.pending_leaves = 0
         self.deferred_joins: list[tuple] = []
-        self.segment_members: list[tuple[float, int]] = []
-        self.chain_epoch: list[int] = []
-        self.metas: dict[int, tuple] = {}
-        self.leave_request_pending = False
         self.wait_since = None  # when this node began waiting on children
         self.remote_wait_since = None  # ... idle, on a remote successor-child
         self.force_fire = False  # a NUDGE probe confirmed a wait cycle
@@ -436,33 +413,9 @@ class Node(MembershipMixin, Actor):
         return sv
 
     def timeout(self) -> None:
-        if (
-            self.updating
-            and self.passive_entry
-            and not self.replaced
-            and self.ctx.runtime.now >= self.passive_release_at
-        ):
-            # passively entered epoch (missed-wave bounce): the bounce may
-            # have raced that epoch's UPDATE_OVER, which will then never
-            # reach us — release after a grace period; if the epoch still
-            # runs we just get bounced (and re-released) again.  Replaced
-            # nodes stay put: their exit (META/DUMP) needs no UPDATE_OVER.
-            self.passive_entry = False
-            self.updating = False
-        if self.updating and self.chain_epoch and not self.update_local_done:
-            # re-prod replacements whose META is overdue (their batch may
-            # have been marooned outside the flagged wave — see A_CHASE)
-            for vid in self.chain_epoch:
-                if vid not in self.metas:
-                    self.send(vid, A_DEPART_REQ, (self.vid, self.update_epoch))
-            self.runtime.call_later(self.aid, 40)
-        if self.leaving and not self.replaced:
-            self._leave_tick()
-        if self.deferred_joins and not self.updating:
-            deferred, self.deferred_joins = self.deferred_joins, []
-            for new_vid, new_label in deferred:
-                self._route_start(A_JOIN_RT, new_label, (new_vid, new_label))
-        if self.updating or self.barrier:
+        if self.epoch is not None or self.leaving or self.deferred_joins:
+            self._membership_tick()
+        if self.epoch is not None or self.barrier:
             return
         if self.inflight and not self.is_anchor:
             return
@@ -579,7 +532,7 @@ class Node(MembershipMixin, Actor):
             # fire is about a wait that already resolved itself, and
             # letting it through would leak a force-fire into the next
             # wave (abandoning children that are merely pipelining)
-            if payload[1] > self.nudge_fence and not self.updating:
+            if payload[1] > self.nudge_fence and self.epoch is None:
                 self.force_fire = True
                 self.wake_me()
             return
@@ -587,7 +540,7 @@ class Node(MembershipMixin, Actor):
         if key in self.nudge_seen:
             return  # already forwarded this probe during the current wait
         self.nudge_seen.add(key)
-        if self.updating or self.joining:
+        if self.epoch is not None or self.joining:
             return
         if self.barrier:
             self.send(origin, A_NUDGE, payload)
@@ -721,17 +674,17 @@ class Node(MembershipMixin, Actor):
     def _on_agg(self, payload: tuple) -> None:
         child_vid, runs, joins, leaves, is_relay = payload
         if is_relay and (
-            child_vid not in self.relay_children
-            or (self.replaced and self.meta_sent)
+            child_vid not in self.relay_children or self._departing()
         ):
             # a relay batch that lost its responsible node mid-departure
             # (or reached a departing zombie): it never went up the tree,
             # so the sender simply resends after integration
             self.send(child_vid, A_REQUEUE, (0,))
             return
-        if self.updating and not is_relay:
+        if self.epoch is not None and not is_relay:
             # a tree batch arriving mid-update missed the flagged wave:
-            # bounce it so the sender requeues and joins the epoch
+            # bounce it so the sender requeues and joins the epoch (the
+            # open epoch is the highest entered: update_epoch names it)
             self.send(child_vid, A_REQUEUE, (self.update_epoch,))
             return
         entry = self.child_batches.get(child_vid)
@@ -774,27 +727,9 @@ class Node(MembershipMixin, Actor):
                 "wave_duration", ctx.runtime.now - self.wave_fired_at
             )
             self.wave_fired_at = None
-        if epoch and epoch > self.update_epoch:
-            self._enter_update(epoch, served)
+        if epoch:
+            self._on_flagged_serve(epoch, served)
         else:
-            if (
-                epoch
-                and epoch == self.update_epoch
-                and self.updating
-                and self.sent_to is not None
-            ):
-                # a flagged serve landed on a node that already entered
-                # this epoch through a different edge — possible only
-                # when the serve relation is not a tree, i.e. when a
-                # transferred anchor consumed the wave while its own
-                # batch was still riding the cycle (see timeout()).  The
-                # server just added us to its Cold, but our splice
-                # duties report along our real entry path (pold), so
-                # this extra edge carries none: release it immediately,
-                # or the acknowledgement wave deadlocks on the cycle —
-                # every member waits for a served "child" that is
-                # actually its ancestor
-                self.send(self.sent_to, A_ACK_UP, (self.vid,))
             self.wake_me()
 
     # -- stage 4: DHT updates ---------------------------------------------------------------

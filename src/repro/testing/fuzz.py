@@ -9,6 +9,11 @@ under a schedule recorder, and written as a JSON
 artifact of a failed fuzz job; ``skueue-fuzz replay <artifact>``
 reproduces one locally (see docs/TESTING.md).
 
+``skueue-fuzz digest`` is the identity harness: it runs the same cells
+and prints one JSON line per cell — history digest, op count, messages
+sent, final clock, batch lengths and every counter — so the outputs of
+two checkouts compare with ``diff``.
+
 Seeds are independent, so the sweep parallelises over OS processes with
 ``--workers N`` (stdlib ``multiprocessing``; 1 = in-process, which is
 what a deliberately-broken-checkout test uses so monkeypatches apply).
@@ -45,7 +50,7 @@ from repro.testing.traces import (
     slim_liveness_trace,
 )
 
-__all__ = ["FuzzOutcome", "fuzz_one", "fuzz_sweep", "main"]
+__all__ = ["FuzzOutcome", "digest_cell", "fuzz_one", "fuzz_sweep", "main"]
 
 
 @dataclass
@@ -60,27 +65,6 @@ class FuzzOutcome:
     kind: str | None = None
     trace_path: str | None = None
     shrunk_ops: int | None = None
-    #: failure matches a documented open finding (see known_signatures)
-    known: bool = False
-
-
-def known_signatures(known_dir: str | Path) -> set[tuple[str, str]]:
-    """``(kind, clause)`` signatures of documented open findings.
-
-    Loaded from the traces under ``known_dir``.  Deliberately coarse:
-    while a failure *family* is open, every new seed that lands in it
-    reproduces the same kind/clause, and the sweep should triage it as
-    known rather than gate on it — families are tracked by their
-    checked-in traces, new families (different kind or clause) still
-    fail the sweep.  No carve-out is active today (the liveness-stall
-    family closed and its traces moved to ``tests/traces/``); the
-    mechanism stays for the next documented family.
-    """
-    signatures: set[tuple[str, str]] = set()
-    for path in sorted(Path(known_dir).glob("*.json")):
-        violation = load_trace(path).violation
-        signatures.add((violation.kind, violation.clause))
-    return signatures
 
 
 def fuzz_one(
@@ -148,6 +132,41 @@ def _cell(args: tuple) -> FuzzOutcome:
     return fuzz_one(*args)
 
 
+def digest_cell(args: tuple) -> str:
+    """One JSON line naming everything a ``(seed, structure, runner,
+    churn_profile)`` cell did that a behaviour-neutral change must keep."""
+    seed, structure, runner, churn_profile = args
+    result = run_scenario(
+        Scenario.from_seed(
+            seed, structure=structure, runner=runner, churn_profile=churn_profile
+        )
+    )
+    metrics = result.metrics
+    return json.dumps({
+        "seed": seed,
+        "structure": structure,
+        "runner": runner,
+        "churn": churn_profile,
+        "violation": result.violation.clause if result.failed else None,
+        "digest": history_digest(result.records),
+        "ops": len(result.records),
+        "messages": metrics.messages,
+        "clock": result.clock,
+        "max_batch_len": metrics.max_batch_len,
+        "batch_observations": metrics.batch_observations,
+        "counters": dict(sorted(metrics.counters.items())),
+    })
+
+
+def _sweep(fn, cells: list[tuple], workers: int):
+    """``fn`` over ``cells`` in order, in-process or on a worker pool."""
+    if workers <= 1:
+        yield from map(fn, cells)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, cells, chunksize=4)
+
+
 def fuzz_sweep(
     seeds,
     structures,
@@ -167,17 +186,10 @@ def fuzz_sweep(
         for runner in runners
     ]
     outcomes: list[FuzzOutcome] = []
-    if workers <= 1:
-        for cell in cells:
-            outcomes.append(_cell(cell))
-            if progress:
-                progress(outcomes[-1])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_cell, cells, chunksize=4):
-                outcomes.append(outcome)
-                if progress:
-                    progress(outcome)
+    for outcome in _sweep(_cell, cells, workers):
+        outcomes.append(outcome)
+        if progress:
+            progress(outcome)
     return outcomes
 
 
@@ -191,6 +203,23 @@ def _parse_axis(value: str, valid: tuple, name: str) -> tuple:
     return (value,)
 
 
+def _add_axes(parser: argparse.ArgumentParser, runner_help: str) -> None:
+    """The cell axes ``run`` and ``digest`` share."""
+    parser.add_argument("--seeds", type=int, default=100,
+                        help="number of seeds to sweep (default 100)")
+    parser.add_argument("--start-seed", type=int, default=0,
+                        help="first seed of the sweep (default 0)")
+    parser.add_argument("--structure", default="all",
+                        help="queue | stack | heap | all (default all)")
+    parser.add_argument("--runner", default="all", help=runner_help)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel worker processes (default 1)")
+    parser.add_argument("--churn", default="default", dest="churn_profile",
+                        help="churn weight: default | heavy (heavy layers "
+                             "3-6 extra join/leave events per scenario to "
+                             "bias toward splice-straddling interleavings)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="skueue-fuzz",
@@ -199,42 +228,29 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="sweep seeds (the default command)")
-    run_p.add_argument("--seeds", type=int, default=100,
-                       help="number of seeds to sweep (default 100)")
-    run_p.add_argument("--start-seed", type=int, default=0,
-                       help="first seed of the sweep (default 0)")
-    run_p.add_argument("--structure", default="all",
-                       help="queue | stack | heap | all (default all)")
-    run_p.add_argument("--runner", default="all",
-                       help="sync | async | net | all (default all; 'net' "
-                            "runs over OS processes + TCP with host-crash "
-                            "faults and is never part of 'all')")
+    _add_axes(run_p, "sync | async | net | all (default all; 'net' runs "
+                     "over OS processes + TCP with host-crash faults and "
+                     "is never part of 'all')")
     run_p.add_argument("--out", default="fuzz-failures",
                        help="artifact directory (default fuzz-failures/)")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (default 1)")
     run_p.add_argument("--no-shrink", action="store_true",
                        help="write unshrunk failing scenarios")
-    run_p.add_argument("--churn", default="default", dest="churn_profile",
-                       help="churn weight: default | heavy (heavy layers "
-                            "3-6 extra join/leave events per scenario to "
-                            "bias toward splice-straddling interleavings)")
-    run_p.add_argument("--known-dir", default=None,
-                       help="directory of documented open-finding traces: "
-                            "failures matching their (kind, clause) "
-                            "signatures are reported but do not fail the "
-                            "sweep (no longer used by CI — the open-stall "
-                            "carve-out ended when the liveness family "
-                            "closed)")
+
+    digest_p = sub.add_parser(
+        "digest",
+        help="print one JSON line per cell (history digest, message and "
+             "round counts, every counter): diff two checkouts' outputs",
+    )
+    _add_axes(digest_p, "sync | async | all (default all)")
 
     replay_p = sub.add_parser("replay", help="replay a failure-trace artifact")
     replay_p.add_argument("trace", help="path to a trace-*.json artifact")
 
     # bare `skueue-fuzz --seeds N ...` means `run`: options live on the
-    # subparser only, so they cannot be registered (and then silently
+    # subparsers only, so they cannot be registered (and then silently
     # re-defaulted) twice
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] not in ("run", "replay", "-h", "--help"):
+    if not argv or argv[0] not in ("run", "digest", "replay", "-h", "--help"):
         argv.insert(0, "run")
     args = parser.parse_args(argv)
 
@@ -258,20 +274,27 @@ def main(argv=None) -> int:
             f"unknown churn profile {args.churn_profile!r} "
             f"(expected one of {', '.join(CHURN_PROFILES)})"
         )
-    if args.runner == NET_RUNNER:
+    if args.runner == NET_RUNNER and args.command == "run":
         runners: tuple = (NET_RUNNER,)
     else:
         runners = _parse_axis(args.runner, RUNNERS, "runner")
     seeds = range(args.start_seed, args.start_seed + args.seeds)
-    known = known_signatures(args.known_dir) if args.known_dir else set()
+
+    if args.command == "digest":
+        cells = [
+            (seed, structure, runner, args.churn_profile)
+            for seed in seeds
+            for structure in structures
+            for runner in runners
+        ]
+        for line in _sweep(digest_cell, cells, args.workers):
+            print(line, flush=True)
+        return 0
 
     def progress(outcome: FuzzOutcome) -> None:
         if outcome.failed:
-            if (outcome.kind, outcome.clause) in known:
-                outcome.known = True
-            tag = "KNOWN" if outcome.known else "FAIL"
             print(
-                f"{tag} seed={outcome.seed} {outcome.structure}/{outcome.runner} "
+                f"FAIL seed={outcome.seed} {outcome.structure}/{outcome.runner} "
                 f"clause={outcome.clause} shrunk_to={outcome.shrunk_ops} ops "
                 f"-> {outcome.trace_path}",
                 flush=True,
@@ -287,16 +310,14 @@ def main(argv=None) -> int:
         progress=progress,
         churn_profile=args.churn_profile,
     )
-    new = [o for o in outcomes if o.failed and not o.known]
-    known_hits = [o for o in outcomes if o.failed and o.known]
+    failing = sum(outcome.failed for outcome in outcomes)
     print(
         f"skueue-fuzz: {len(outcomes)} scenarios "
         f"({len(seeds)} seeds x {len(structures)} structures x "
-        f"{len(runners)} runners), {len(new)} failing"
-        + (f", {len(known_hits)} known-open" if known_hits else ""),
+        f"{len(runners)} runners), {failing} failing",
         flush=True,
     )
-    return 1 if new else 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the CLI

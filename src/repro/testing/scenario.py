@@ -48,6 +48,7 @@ from repro.sim.delays import (
     FixedDelay,
     UniformDelay,
 )
+from repro.sim.metrics import Metrics
 from repro.verify.violations import Violation, capture_violation
 
 __all__ = [
@@ -305,6 +306,10 @@ class ScenarioResult:
     records: list[OpRecord] = field(default_factory=list)
     submitted: int = 0
     skipped: int = 0
+    #: the cluster's metrics and final clock (sim runners only): what
+    #: ``skueue-fuzz digest`` prints beside the history
+    metrics: Metrics | None = None
+    clock: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -356,6 +361,18 @@ def run_scenario(scenario: Scenario, schedule_hint=None) -> ScenarioResult:
             aborted[pid] = min(round_no, aborted.get(pid, round_no))
 
         submitted = skipped = 0
+
+        def result(violation: Violation | None) -> ScenarioResult:
+            return ScenarioResult(
+                scenario,
+                violation,
+                list(cluster.records),
+                submitted,
+                skipped,
+                cluster.metrics,
+                cluster.runtime.now,
+            )
+
         try:
             for round_no in range(scenario.n_rounds):
                 for event, pid in churn_by_round.get(round_no, ()):
@@ -379,36 +396,28 @@ def run_scenario(scenario: Scenario, schedule_hint=None) -> ScenarioResult:
                 cluster.step()
             cluster.run_until_settled(scenario.settle_budget)
         except RuntimeError as exc:
-            return ScenarioResult(
-                scenario,
+            return result(
                 Violation(
                     kind="liveness",
                     clause="stalled",
                     message=str(exc),
                     structure=scenario.structure,
-                ),
-                list(cluster.records),
-                submitted,
-                skipped,
+                )
             )
         except Exception as exc:  # noqa: BLE001 - any protocol raise is a finding
-            return ScenarioResult(
-                scenario,
+            return result(
                 Violation(
                     kind="crash",
                     clause=type(exc).__name__,
                     message=str(exc),
                     structure=scenario.structure,
-                ),
-                list(cluster.records),
-                submitted,
-                skipped,
+                )
             )
-        records = list(cluster.records)
-        violation = capture_violation(
-            spec.check_history, records, scenario.structure
+        return result(
+            capture_violation(
+                spec.check_history, list(cluster.records), scenario.structure
+            )
         )
-        return ScenarioResult(scenario, violation, records, submitted, skipped)
 
 
 # -- canonical history serialisation ----------------------------------------

@@ -83,6 +83,23 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["reproduced"] is False
 
+    def test_digest_prints_one_comparable_line_per_cell(self, capsys):
+        argv = ["digest", "--seeds", "2", "--structure", "stack", "--churn", "heavy"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first  # two checkouts: use diff
+        cells = [json.loads(line) for line in first.splitlines()]
+        assert [(c["seed"], c["runner"]) for c in cells] == [
+            (0, "sync"), (0, "async"), (1, "sync"), (1, "async"),
+        ]
+        assert all(c["violation"] is None and c["messages"] > 0 for c in cells)
+        assert {"digest", "ops", "clock", "max_batch_len", "counters"} <= set(cells[0])
+
+    def test_digest_has_no_net_runner(self):
+        with pytest.raises(SystemExit):
+            main(["digest", "--runner", "net"])
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(SystemExit):
             main(["--structure", "deque"])
@@ -124,29 +141,6 @@ class TestMain:
         assert main(["replay", str(artifact)]) == 2
         err = capsys.readouterr().err
         assert "digest" in err and "corrupted" in err
-
-    def test_known_dir_triages_documented_families(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Failures matching an open finding's (kind, clause) signature
-        are reported as KNOWN and do not fail the sweep."""
-        monkeypatch.setattr(HeapAnchorState, "assign", _broken_heap_assign)
-        out = tmp_path / "artifacts"
-        # without a known-dir the mutation fails the sweep...
-        assert main(["--seeds", "10", "--structure", "heap",
-                     "--runner", "sync", "--out", str(out)]) == 1
-        capsys.readouterr()
-        # ...with a known-dir holding a matching signature it is triaged
-        known = tmp_path / "known"
-        known.mkdir()
-        artifact = sorted(out.glob("trace-*.json"))[0]
-        artifact.rename(known / artifact.name)
-        assert main(["--seeds", "10", "--structure", "heap",
-                     "--runner", "sync", "--out", str(out),
-                     "--known-dir", str(known)]) == 0
-        stdout = capsys.readouterr().out
-        assert "KNOWN seed=" in stdout
-        assert "known-open" in stdout
 
 
 @pytest.mark.slow

@@ -30,6 +30,7 @@ import asyncio
 import pytest
 
 from repro.core.actions import A_SET_NEIGH, A_SET_PRED, A_WAKE
+from repro.core.membership import EpochState
 from repro.core.protocol import ClusterContext, Node
 from repro.core.structures import get_structure
 from repro.net.runtime import NetRuntime
@@ -59,6 +60,13 @@ def _node(ctx, vid, pred_vid=-1, succ_vid=-1):
         ctx, vid, label=0.5, pred_vid=pred_vid, pred_label=0.1,
         succ_vid=succ_vid, succ_label=0.9,
     )
+
+
+def _acked_epoch():
+    """An epoch whose acknowledgement duties are over."""
+    epoch = EpochState(1)
+    epoch.local_done = epoch.acked = True
+    return epoch
 
 
 def _run(engine, rounds=6):
@@ -116,7 +124,8 @@ class TestSimEngines:
             engine.add_actor(actor)
         leaver = _node(ctx, vid=leaver_vid, pred_vid=2, succ_vid=9)
         engine.add_actor(leaver)
-        leaver.replaced = leaver.dumped = leaver.acked = True
+        leaver.replaced = leaver.dumped = True
+        leaver.epoch = _acked_epoch()
         leaver.resp_vid = 9
         leaver._maybe_zombie_exit()
         assert leaver.departed
@@ -184,7 +193,8 @@ class TestNetRuntime:
         leaver_vid = 1 * 3 + RIGHT
         leaver = _node(ctx, vid=leaver_vid, pred_vid=2, succ_vid=9)
         runtime.add_actor(leaver)
-        leaver.replaced = leaver.dumped = leaver.acked = True
+        leaver.replaced = leaver.dumped = True
+        leaver.epoch = _acked_epoch()
         leaver.resp_vid = 9
         leaver._maybe_zombie_exit()
         assert leaver.departed

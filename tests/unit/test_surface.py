@@ -181,3 +181,153 @@ class TestStructurePlane:
             and not str(source.relative_to(self.SRC)).startswith(allowed)
         ]
         assert offenders == []
+
+
+class TestEpochPlane:
+    """What a node knows about the UPDATE epoch it is in is one
+    ``EpochState`` in ``Node.epoch``: built whole on entry, dropped
+    whole at the end, judged against by one admission rule."""
+
+    CORE = Path(repro.__file__).resolve().parent / "core"
+    #: the per-epoch slots ``Node`` had before the plane (PR 21)
+    LOOSE = (
+        "updating", "passive_entry", "passive_release_at", "pold",
+        "cold_pending", "update_local_done", "acked", "meta_sent",
+        "depart_requested", "chain_epoch", "metas", "segment_members",
+    )
+
+    def _functions(self, name: str):
+        """``(function, its nodes)`` for each function of ``core/<name>``,
+        ``EpochState``'s own body left out."""
+        tree = ast.parse((self.CORE / name).read_text())
+        tree.body = [
+            node for node in tree.body
+            if not (isinstance(node, ast.ClassDef) and node.name == "EpochState")
+        ]
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                yield func.name, list(ast.walk(func))
+
+    @staticmethod
+    def _is_self_attr(node, attr: str) -> bool:
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        )
+
+    def test_no_per_epoch_name_is_left_on_the_node(self):
+        from repro.core.protocol import Node
+
+        assert not set(self.LOOSE) & set(Node.__slots__)
+        offenders = [
+            f"{source.name}:{func}: self.{name}"
+            for source in sorted(self.CORE.glob("*.py"))
+            for func, nodes in self._functions(source.name)
+            for node in nodes
+            for name in self.LOOSE
+            if self._is_self_attr(node, name)
+        ]
+        assert offenders == []
+
+    def test_an_epoch_is_built_in_two_places_and_dropped_in_two(self):
+        built, dropped = [], []
+        for source in sorted(self.CORE.glob("*.py")):
+            for func, nodes in self._functions(source.name):
+                for node in nodes:
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "EpochState"
+                    ):
+                        built.append(func)
+                    if (
+                        isinstance(node, ast.Assign)
+                        and any(self._is_self_attr(t, "epoch") for t in node.targets)
+                        and isinstance(node.value, ast.Constant)
+                        and node.value.value is None
+                    ):
+                        dropped.append(func)
+        assert sorted(built) == ["_enter_epoch_passively", "_enter_update"]
+        # (and Node.__init__, where there is nothing to drop yet)
+        assert sorted(dropped) == ["__init__", "_finish_update", "_membership_tick"]
+
+    def test_the_protocol_module_only_asks_whether_an_epoch_is_open(self):
+        from repro.core.membership import EpochState
+
+        for func, nodes in self._functions("protocol.py"):
+            parents = {
+                id(child): parent
+                for parent in nodes
+                for child in ast.iter_child_nodes(parent)
+            }
+            for node in nodes:
+                if not self._is_self_attr(node, "epoch"):
+                    continue
+                use = parents[id(node)]
+                if func == "__init__":
+                    assert isinstance(use, ast.Assign)
+                    continue
+                assert (
+                    isinstance(use, ast.Compare)
+                    and isinstance(use.ops[0], (ast.Is, ast.IsNot))
+                    and ast.unparse(use.comparators[0]) == "None"
+                ), f"protocol.py:{func}: {ast.unparse(use)}"
+        # ... and names no field of it: none of the slots appears as an
+        # attribute of anything
+        attrs = {
+            node.attr
+            for _func, nodes in self._functions("protocol.py")
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+        }
+        assert not attrs & set(EpochState.__slots__)
+
+    def test_epoch_numbers_are_compared_by_the_admission_rule_alone(self):
+        comparing = {
+            func
+            for func, nodes in self._functions("membership.py")
+            for node in nodes
+            if isinstance(node, ast.Compare)
+            and any(
+                self._is_self_attr(side, counter)
+                for side in [node.left, *node.comparators]
+                for counter in ("update_epoch", "finished_epoch")
+            )
+        }
+        assert comparing == {"_admit"}
+        assert not [
+            func
+            for func, nodes in self._functions("protocol.py")
+            for node in nodes
+            if isinstance(node, ast.Compare)
+            and "_epoch" in ast.unparse(node)
+        ]
+
+    def test_every_membership_action_has_one_handler(self):
+        from repro.core import actions, membership, protocol
+
+        table = next(
+            node.value
+            for node in ast.parse((self.CORE / "membership.py").read_text()).body
+            if isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) == "_HANDLERS"
+        )
+        keys = [ast.unparse(key) for key in table.keys]
+        assert len(keys) == len(set(keys))
+        # what Node.handle and the router's _deliver take themselves
+        own = {
+            ast.unparse(side)
+            for func, nodes in self._functions("protocol.py")
+            if func in ("handle", "_deliver")
+            for node in nodes
+            if isinstance(node, ast.Compare)
+            for side in [node.left, *node.comparators]
+            if ast.unparse(side).startswith("A_")
+        }
+        assert sorted(keys) == sorted(set(actions.__all__) - own)
+        assert protocol.Node._handle_membership is (
+            membership.MembershipMixin._handle_membership
+        )
+        source = inspect.getsource(membership.MembershipMixin._handle_membership)
+        assert "elif" not in source
