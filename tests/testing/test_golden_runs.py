@@ -4,6 +4,10 @@
 {queue, stack, heap} x {sync, async} x {default, heavy churn}, the
 ``history_digest`` and the op count of
 ``run_scenario(Scenario.from_seed(seed, structure, runner, churn))``.
+Beside the grid sits one named group of cells from beyond it,
+``anchor-transfer``: the six cells of seeds 0-1499 in which a
+transferred anchor fires while a batch of its own is still in flight
+(``Node.timeout``'s inflight-anchor gate) — a path no grid cell runs.
 The digest covers every record's value, result and completion flags, and
 both engines draw their delivery order from the seed per message sent —
 so a refactor that adds, drops or reorders one ``send`` anywhere in
@@ -45,6 +49,22 @@ GROUPS = [
 ]
 
 
+#: found by counting ``_fire`` calls entered with a batch in flight over
+#: seeds 0-1499 x every structure x both runners x both churn profiles
+ANCHOR_TRANSFER = [
+    (517, "heap", "async", "heavy"),
+    (969, "heap", "async", "heavy"),
+    (980, "stack", "async", "heavy"),
+    (1131, "queue", "async", "heavy"),
+    (1131, "stack", "async", "heavy"),
+    (1131, "heap", "async", "heavy"),
+]
+
+
+def cell_key(seed: int, structure: str, runner: str, churn: str) -> str:
+    return f"{seed}/{structure}/{runner}/{churn}"
+
+
 def run_cell(seed: int, structure: str, runner: str, churn: str) -> list:
     """``[digest, op count]`` of one scenario, as stored in the table."""
     result = run_scenario(Scenario.from_seed(seed, structure, runner, churn))
@@ -71,8 +91,10 @@ def load_table() -> dict:
 
 def test_the_table_covers_every_cell():
     table = load_table()
+    extra = table.pop("anchor-transfer")
     assert sorted(table) == sorted("/".join(group) for group in GROUPS)
     assert all(len(rows) == len(SEEDS) for rows in table.values())
+    assert list(extra) == [cell_key(*cell) for cell in ANCHOR_TRANSFER]
 
 
 @pytest.mark.parametrize("group", GROUPS, ids="/".join)
@@ -81,17 +103,31 @@ def test_histories_match_the_recorded_table(group):
     assert diverged is None, f"first diverging golden run {diverged}"
 
 
+@pytest.mark.parametrize("cell", ANCHOR_TRANSFER, ids=lambda cell: cell_key(*cell))
+def test_anchor_transfer_histories_match_the_recorded_table(cell):
+    assert run_cell(*cell) == load_table()["anchor-transfer"][cell_key(*cell)]
+
+
 def main(argv: list[str]) -> int:
+    n_cells = len(GROUPS) * len(SEEDS) + len(ANCHOR_TRANSFER)
     if argv == ["--record"]:
         # one row per line, so a re-record diffs cell by cell
-        groups = (
+        groups = [
             f'"{"/".join(group)}": [\n'
             + ",\n".join(json.dumps(run_cell(seed, *group)) for seed in SEEDS)
             + "\n]"
             for group in GROUPS
+        ]
+        groups.append(
+            '"anchor-transfer": {\n'
+            + ",\n".join(
+                f"{json.dumps(cell_key(*cell))}: {json.dumps(run_cell(*cell))}"
+                for cell in ANCHOR_TRANSFER
+            )
+            + "\n}"
         )
         TABLE_PATH.write_text("{\n" + ",\n".join(groups) + "\n}\n")
-        print(f"recorded {len(GROUPS) * len(SEEDS)} golden runs -> {TABLE_PATH}")
+        print(f"recorded {n_cells} golden runs -> {TABLE_PATH}")
         return 0
     if argv == ["--check"]:
         table = load_table()
@@ -100,7 +136,12 @@ def main(argv: list[str]) -> int:
             if diverged is not None:
                 print(f"first diverging golden run {diverged}")
                 return 1
-        print(f"{len(GROUPS) * len(SEEDS)} golden runs match {TABLE_PATH.name}")
+        for cell in ANCHOR_TRANSFER:
+            want, got = table["anchor-transfer"][cell_key(*cell)], run_cell(*cell)
+            if got != want:
+                print(f"first diverging golden run {cell}: recorded {want}, got {got}")
+                return 1
+        print(f"{n_cells} golden runs match {TABLE_PATH.name}")
         return 0
     print(__doc__)
     return 2
