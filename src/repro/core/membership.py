@@ -430,13 +430,16 @@ class MembershipMixin:
     # =====================================================================
     # Update phase (Section IV)
     # =====================================================================
-    def _on_flagged_serve(self, epoch: int, served_children: list[int]) -> None:
-        """A SERVE of the wave the anchor stamped with ``epoch``."""
+    def _on_flagged_serve(
+        self, epoch: int, served_children: list[int], sent_to: int | None
+    ) -> None:
+        """A SERVE of the wave the anchor stamped with ``epoch``, for the
+        batch this node had sent to ``sent_to`` (``None``: the anchor)."""
         verdict = self._admit(epoch)
         if verdict == EARLY:
-            self._enter_update(epoch, served_children)
+            self._enter_update(epoch, served_children, sent_to)
             return
-        if verdict == CURRENT and self.sent_to is not None:
+        if verdict == CURRENT and sent_to is not None:
             # a flagged serve landed on a node that already entered this
             # epoch through a different edge — possible only when the
             # serve relation is not a tree, i.e. when a transferred anchor
@@ -447,14 +450,14 @@ class MembershipMixin:
             # immediately, or the acknowledgement wave deadlocks on the
             # cycle — every member waits for a served "child" that is
             # actually its ancestor
-            self.send(self.sent_to, A_ACK_UP, (self.vid,))
+            self.send(sent_to, A_ACK_UP, (self.vid,))
         self.wake_me()
 
-    def _enter_update(self, epoch: int, served_children: list[int]) -> None:
+    def _enter_update(
+        self, epoch: int, served_children: list[int], sent_to: int | None
+    ) -> None:
         self.update_epoch = epoch
-        state = self.epoch = EpochState(
-            epoch, pold=self.sent_to, cold=served_children
-        )
+        state = self.epoch = EpochState(epoch, pold=sent_to, cold=served_children)
         # tree batches still buffered here missed the flagged wave: their
         # senders requeue and join the epoch passively (relay batches stay
         # buffered — pending joiners are served after the update)
@@ -522,13 +525,13 @@ class MembershipMixin:
             # (a request for the epoch after the one still open here is
             # answered on entering that one)
             self._send_depart_meta()
-        elif not self.inflight:
+        elif self.flight is None:
             self._enter_epoch_passively(epoch)
         else:
             # our batch is marooned in a wave outside the flagged one:
             # chase it — whoever still buffers it unconsumed bounces it
             # back, which requeues us and lets us join the epoch
-            self.send(self.sent_to, A_CHASE, (self.vid, epoch))
+            self.send(self.flight.sent_to, A_CHASE, (self.vid, epoch))
 
     def _on_chase(self, payload: tuple) -> None:
         origin_vid, epoch = payload
@@ -539,16 +542,15 @@ class MembershipMixin:
             del self.child_batches[origin_vid]
             self.send(origin_vid, A_REQUEUE, (epoch,))
             return
-        plan = self.plan
+        flight = self.flight
         if (
-            plan is not None
+            flight is not None
             and self.epoch is None
-            and self.inflight
-            and any(src == origin_vid for src, _ in plan)
+            and any(src == origin_vid for src, _ in flight.plan)
         ):
             # we combined the marooned batch and our own batch is also
             # outside the flagged wave: chase one level up
-            self.send(self.sent_to, A_CHASE, (self.vid, epoch))
+            self.send(flight.sent_to, A_CHASE, (self.vid, epoch))
 
     def _on_resp_xfer(self, payload: tuple) -> None:
         (chain,) = payload
@@ -763,7 +765,7 @@ class MembershipMixin:
         self.joining = False
         self.relay_parent = None
         self.resp_vid = None
-        if requeue and self.inflight:
+        if requeue and self.flight is not None:
             self._requeue_inflight()
         if was_joining:
             # routed messages buffered while ungranted must not outlive
@@ -788,19 +790,15 @@ class MembershipMixin:
         rejoin the front of the local buffer and go out with the next
         wave.
         """
-        records = self.inflight_records
-        self.inflight_records = []
-        self.plan = None
-        self.inflight = False
+        flight, self.flight = self.flight, None
         # the batch never reached the anchor, so its join/leave counters
         # were never seen either: restore our own share (children restore
         # theirs via the requeue cascade)
-        joins, leaves = self.inflight_counts
-        self.inflight_counts = (0, 0)
+        joins, leaves = flight.counts
         self.pending_joins += joins
         self.pending_leaves += leaves
-        if records:
-            self.buffer.requeue(records)
+        if flight.records:
+            self.buffer.requeue(flight.records)
         self.wake_me()
 
     def _on_set_pred(self, payload: tuple) -> None:
@@ -911,8 +909,8 @@ class MembershipMixin:
         it was not served in the flagged wave and is in nobody's Cold.
         """
         (epoch,) = payload
-        if self.inflight and self.plan is not None:
-            for src, _runs in self.plan:
+        if self.flight is not None:
+            for src, _runs in self.flight.plan:
                 if src != -1:
                     self.send(src, A_REQUEUE, (epoch,))
             self._requeue_inflight()

@@ -56,7 +56,7 @@ from repro.overlay.ldb import LEFT, MIDDLE, RIGHT
 from repro.overlay.routing import initial_route_state, route_step
 from repro.sim.process import Actor
 
-__all__ = ["ClusterContext", "Node"]
+__all__ = ["ClusterContext", "Flight", "Node"]
 
 
 class ClusterContext:
@@ -99,6 +99,30 @@ class ClusterContext:
         self.tracer = tracer
 
 
+class Flight:
+    """A batch sent up and not yet served — Algorithm 1's ``v.B``.
+
+    Built whole when the node fires, taken whole when its SERVE (or a
+    requeue) arrives, and never changed in between.
+    """
+
+    __slots__ = ("plan", "records", "counts", "sent_to", "fired_at")
+
+    def __init__(
+        self,
+        plan: list[tuple[int, list[int]]],
+        records: list[OpRecord],
+        counts: tuple[int, int],
+        sent_to: int | None,
+        fired_at: float | None,
+    ) -> None:
+        self.plan = plan  # (src, runs) in combination order; src -1: own
+        self.records = records  # the own requests, in the order of plan[0]
+        self.counts = counts  # own (joins, leaves) counted into the batch
+        self.sent_to = sent_to  # who must serve it (ack target); None: anchor
+        self.fired_at = fired_at  # telemetry: when it left, traced non-empty
+
+
 class Node(MembershipMixin, Actor):
     """One virtual node running the protocol for ``ctx.spec``'s structure."""
 
@@ -115,12 +139,7 @@ class Node(MembershipMixin, Actor):
         # stage 1 state
         "buffer",
         "child_batches",
-        "inflight",
-        "plan",
-        "inflight_records",
-        "inflight_counts",
-        "sent_to",
-        "wave_fired_at",
+        "flight",
         # anchor (stage 2)
         "is_anchor",
         "anchor_state",
@@ -211,12 +230,7 @@ class Node(MembershipMixin, Actor):
         spec = ctx.spec
         self.buffer = spec.buffer(ctx.n_priorities, self._annihilate)
         self.child_batches: dict[int, tuple] = {}
-        self.inflight = False
-        self.plan = None
-        self.inflight_records: list[OpRecord] = []
-        self.inflight_counts = (0, 0)  # own join/leave counters in flight
-        self.sent_to = None  # where the in-flight batch went (ack target)
-        self.wave_fired_at = None  # telemetry: when a non-empty wave left
+        self.flight = None  # the batch in flight (Flight), if any
 
         self.is_anchor = is_anchor
         self.anchor_state = (
@@ -355,7 +369,10 @@ class Node(MembershipMixin, Actor):
                     sibling is not None
                     and not sibling.joining
                     and sibling._parent_vid() == self.vid
-                    and not (sibling.inflight and sibling.sent_to != self.vid)
+                    and (
+                        sibling.flight is None
+                        or sibling.flight.sent_to == self.vid
+                    )
                 ):
                     out.append(own)
                 sv = self.succ_vid
@@ -369,8 +386,9 @@ class Node(MembershipMixin, Actor):
                     if (
                         succ_node is not None
                         and succ_node._parent_vid() == self.vid
-                        and not (
-                            succ_node.inflight and succ_node.sent_to != self.vid
+                        and (
+                            succ_node.flight is None
+                            or succ_node.flight.sent_to == self.vid
                         )
                     ):
                         out.append(sv)
@@ -417,15 +435,16 @@ class Node(MembershipMixin, Actor):
             self._membership_tick()
         if self.epoch is not None or self.barrier:
             return
-        if self.inflight and not self.is_anchor:
+        if self.flight is not None and not self.is_anchor:
             return
-        # an inflight *anchor* stays eligible: ANCHOR_XFER can land on a
+        # an *anchor* in flight stays eligible: ANCHOR_XFER can land on a
         # node whose own batch is already riding the next wave up the
         # tree — a tree that now roots at this very node.  Blocking on
-        # inflight would deadlock the whole cycle (everyone inflight,
+        # the flight would deadlock the whole cycle (everyone in flight,
         # nobody waiting, so not even a NUDGE probe originates); instead
-        # the anchor consumes the wave below, with its own in-flight
-        # state saved around the fire.
+        # the anchor consumes the wave below.  An anchor's wave never
+        # occupies the slot (see _fire), so the earlier batch stays where
+        # it is until its own SERVE comes back.
         if self.joining and self.relay_parent is None:
             return  # dormant joining left/right node: integrated passively
         children = self._aggregation_children()
@@ -483,27 +502,7 @@ class Node(MembershipMixin, Actor):
             extras = [c for c in batches if c not in known]
             self.ctx.metrics.inc("wave_extras", len(extras))
             children = children + extras
-        if self.inflight:
-            # transferred-anchor consume (see the gate above): the wave
-            # fired here completes synchronously in _process_serve, and
-            # the SERVE it releases is what will eventually come back
-            # for the saved batch — whose plan/records must survive
-            saved = (
-                self.plan,
-                self.inflight_records,
-                self.inflight_counts,
-                self.sent_to,
-            )
-            self._fire(children)
-            (
-                self.plan,
-                self.inflight_records,
-                self.inflight_counts,
-                self.sent_to,
-            ) = saved
-            self.inflight = True
-        else:
-            self._fire(children)
+        self._fire(children)
 
     def _on_nudge(self, payload: tuple) -> None:
         """Walk a patience probe along the wave-dependency graph.
@@ -545,7 +544,8 @@ class Node(MembershipMixin, Actor):
         if self.barrier:
             self.send(origin, A_NUDGE, payload)
             return
-        if self.inflight:
+        flight = self.flight
+        if flight is not None:
             # our batch already reached sent_to's wave: the only edge we
             # are blocked on is "sent_to's wave must complete".  If
             # sent_to *is* the origin, the origin's dependency on us is
@@ -553,11 +553,11 @@ class Node(MembershipMixin, Actor):
             # is about to — the A_AGG is on the wire), so bouncing the
             # probe back would confirm a phantom cycle.  The one case
             # where the batch is truly captive at the origin — consumed
-            # into a transferred anchor's saved plan on a rootless wave —
-            # needs per-wave sequence tags to dissolve, not a bounce
+            # into a transferred anchor's earlier flight on a rootless wave
+            # — needs per-wave sequence tags to dissolve, not a bounce
             # (see ROADMAP.md, "Parked liveness finding").
-            if self.sent_to is not None and self.sent_to != origin:
-                self.send(self.sent_to, A_NUDGE, payload)
+            if flight.sent_to is not None and flight.sent_to != origin:
+                self.send(flight.sent_to, A_NUDGE, payload)
             return
         batches = self.child_batches
         for child in self._aggregation_children():
@@ -568,9 +568,9 @@ class Node(MembershipMixin, Actor):
         """Push a TIMEOUT at the *other* plausible parents of this node.
 
         ``_aggregation_children`` stops expecting a child whose batch is
-        lodged in a different node's wave (``inflight and sent_to !=
-        self``) — but that exclusion is a local read of *this* node's
-        state, which the waiting parent cannot observe change.  Whenever
+        lodged in a different node's wave (``flight.sent_to != self``) —
+        but that exclusion is a local read of *this* node's state, which
+        the waiting parent cannot observe change.  Whenever
         the batch goes somewhere (here: to ``dest``), wake the remaining
         candidates from :meth:`_parent_vid`'s fallback chain so a parent
         stuck waiting on us re-evaluates immediately instead of at the
@@ -597,7 +597,7 @@ class Node(MembershipMixin, Actor):
         runs, records = self._snapshot_own()
         joins = self.pending_joins
         leaves = self.pending_leaves
-        self.inflight_counts = (joins, leaves)
+        counts = (joins, leaves)
         self.pending_joins = 0
         self.pending_leaves = 0
 
@@ -611,15 +611,13 @@ class Node(MembershipMixin, Actor):
             joins += child_joins
             leaves += child_leaves
 
-        self.plan = plan
-        self.inflight_records = records
-        self.inflight = True
+        fired_at = None
         tracer = self.ctx.tracer
         if tracer is not None:
             if records and tracer.tracing:
                 tracer.wave_join(records, self.vid)
             if combined:
-                self.wave_fired_at = self.ctx.runtime.now
+                fired_at = self.ctx.runtime.now
         # firing ends the wait this node may have been stuck in: any
         # probe state belongs to that wait and must not leak into the
         # next wave (the fence invalidates probes still walking the graph)
@@ -634,16 +632,17 @@ class Node(MembershipMixin, Actor):
                 state.epoch += 1
                 state.members += joins - leaves
                 epoch = state.epoch
-            self.sent_to = None
+            # the anchor's wave completes here and now: its batch is
+            # served as a local and never occupies the slot
             assigns = tuple(state.assign(combined))
-            self._process_serve(assigns, epoch)
+            self._serve(Flight(plan, records, counts, None, fired_at), assigns, epoch)
         else:
             dest = (
                 self.relay_parent
                 if self.relay_parent is not None
                 else self._parent_vid()
             )
-            self.sent_to = dest
+            self.flight = Flight(plan, records, counts, dest, fired_at)
             is_relay = self.relay_parent is not None
             self.send(
                 dest, A_AGG, (self.vid, tuple(combined), joins, leaves, is_relay)
@@ -703,39 +702,33 @@ class Node(MembershipMixin, Actor):
 
     # -- stage 3: decomposition --------------------------------------------------------
     def _on_serve(self, payload: tuple) -> None:
-        assigns, epoch = payload
-        self._process_serve(assigns, epoch)
-
-    def _process_serve(self, assigns: tuple, epoch: int) -> None:
-        plan = self.plan
-        if plan is None:
+        flight, self.flight = self.flight, None
+        if flight is None:
             raise RuntimeError(f"node {self.vid}: SERVE without a batch in flight")
-        self.plan = None
+        assigns, epoch = payload
+        self._serve(flight, assigns, epoch)
+
+    def _serve(self, flight: Flight, assigns: tuple, epoch: int) -> None:
+        """Split ``assigns`` over ``flight``'s sub-batches, own requests first."""
         decomposer = self.ctx.spec.decomposer(assigns) if assigns else None
         served: list[int] = []
-        for src, runs in plan:
+        for src, runs in flight.plan:
             sub = decomposer.take(runs) if decomposer is not None else ()
             if src == -1:
-                self._stage4(sub, runs)
+                self._stage4(sub, runs, flight.records)
             else:
                 self.send(src, A_SERVE, (sub, epoch))
                 served.append(src)
-        self.inflight = False
-        if self.wave_fired_at is not None:
+        if flight.fired_at is not None:
             ctx = self.ctx
-            ctx.metrics.note_stat(
-                "wave_duration", ctx.runtime.now - self.wave_fired_at
-            )
-            self.wave_fired_at = None
+            ctx.metrics.note_stat("wave_duration", ctx.runtime.now - flight.fired_at)
         if epoch:
-            self._on_flagged_serve(epoch, served)
+            self._on_flagged_serve(epoch, served, flight.sent_to)
         else:
             self.wake_me()
 
     # -- stage 4: DHT updates ---------------------------------------------------------------
-    def _stage4(self, sub: tuple, runs: list[int]) -> None:
-        records = self.inflight_records
-        self.inflight_records = []
+    def _stage4(self, sub: tuple, runs: list[int], records: list[OpRecord]) -> None:
         if not runs:
             return
         ctx = self.ctx

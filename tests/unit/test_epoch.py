@@ -34,7 +34,7 @@ from repro.core.actions import (
     A_UPDATE_OVER,
 )
 from repro.core.membership import CURRENT, EARLY, STALE, EpochState
-from repro.core.protocol import ClusterContext
+from repro.core.protocol import ClusterContext, Flight
 from repro.core.structures import get_structure
 from repro.sim.sync_runner import SyncRunner
 
@@ -57,14 +57,14 @@ class _World:
         for peer in self.peers.values():
             self.engine.add_actor(peer)
         self.node = _node(ctx, NODE, pred_vid=PRED, succ_vid=SUCC)
-        self.node.sent_to = PRED  # where an acknowledgement would go
         self.engine.add_actor(self.node)
 
     def put(self, state: str, number: int = E) -> None:
         node = self.node
         if state == "active":
-            # CHILD was served too and has not acknowledged yet
-            node._on_flagged_serve(number, [CHILD])
+            # CHILD was served too and has not acknowledged yet; PRED
+            # served this node, so that is where its acknowledgement goes
+            node._on_flagged_serve(number, [CHILD], PRED)
         elif state != "none":
             node._enter_epoch_passively(number)
         if state == "released":
@@ -95,8 +95,8 @@ class _World:
         ]
 
     def serve(self, stamp: int) -> None:
-        """A flagged SERVE for an (empty) batch this node has in flight."""
-        self.node.inflight, self.node.plan = True, [(-1, [])]
+        """A flagged SERVE for an (empty) batch this node sent to PRED."""
+        self.node.flight = Flight([(-1, [])], [], (0, 0), PRED, None)
         self.node.handle(A_SERVE, ((), stamp))
 
     def facts(self) -> tuple:
@@ -322,7 +322,7 @@ def test_an_unawaited_depart_meta_is_dropped(world, state):
 
 def test_a_grant_behind_its_own_departure_exits_the_zombie(world):
     node = world.node
-    node._on_flagged_serve(E, [])  # nothing owed: acknowledges at once
+    node._on_flagged_serve(E, [], PRED)  # nothing owed: acknowledges at once
     assert node.epoch.acked
     node.handle(A_DEPART_REQ, (RESP, E))
     node.handle(A_DEPART_COMMIT, ())

@@ -331,3 +331,99 @@ class TestEpochPlane:
         )
         source = inspect.getsource(membership.MembershipMixin._handle_membership)
         assert "elif" not in source
+
+
+class TestWavePlane:
+    """The batch a node has in flight is one ``Flight`` in
+    ``Node.flight`` — Algorithm 1's ``v.B``: built whole at the fire,
+    taken whole by the SERVE or the requeue, never changed in between."""
+
+    CORE = TestEpochPlane.CORE
+    #: the per-wave slots ``Node`` had before the plane (PR 22)
+    LOOSE = (
+        "inflight", "plan", "inflight_records", "inflight_counts", "sent_to",
+        "wave_fired_at",
+    )
+
+    def _functions(self):
+        """``(function, its nodes)`` for each function of ``core/``,
+        ``Flight``'s own body left out."""
+        for source in sorted(self.CORE.glob("*.py")):
+            tree = ast.parse(source.read_text())
+            tree.body = [
+                node for node in tree.body
+                if not (isinstance(node, ast.ClassDef) and node.name == "Flight")
+            ]
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    yield func.name, list(ast.walk(func))
+
+    def test_no_per_wave_name_is_left_on_the_node(self):
+        from repro.core.protocol import Node
+
+        assert not set(self.LOOSE) & set(Node.__slots__)
+        assert "flight" in Node.__slots__ and len(Node.__slots__) == 43
+        offenders = [
+            f"{func}: self.{name}"
+            for func, nodes in self._functions()
+            for node in nodes
+            for name in self.LOOSE
+            if TestEpochPlane._is_self_attr(node, name)
+        ]
+        assert offenders == []
+
+    def test_a_flight_is_built_at_the_fire_and_taken_in_two_places(self):
+        built, dropped = [], []
+        for func, nodes in self._functions():
+            for node in nodes:
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "Flight":
+                    built.append(func)
+                if not isinstance(node, ast.Assign):
+                    continue
+                # `self.flight = None` and `flight, self.flight = self.flight, None`
+                pairs = [
+                    pair
+                    for target in node.targets
+                    for pair in (
+                        zip(target.elts, node.value.elts)
+                        if isinstance(target, ast.Tuple)
+                        and isinstance(node.value, ast.Tuple)
+                        else [(target, node.value)]
+                    )
+                ]
+                if any(
+                    TestEpochPlane._is_self_attr(target, "flight")
+                    and isinstance(value, ast.Constant)
+                    and value.value is None
+                    for target, value in pairs
+                ):
+                    dropped.append(func)
+        # the anchor's own wave and the batch sent up: both in _fire
+        assert set(built) == {"_fire"}
+        # (and Node.__init__, where there is nothing to take yet)
+        assert sorted(dropped) == ["__init__", "_on_serve", "_requeue_inflight"]
+
+    def test_a_flight_is_never_changed(self):
+        """Nothing assigns to an attribute of a ``Flight`` outside its
+        ``__init__`` (an object's own ``self.records`` is the record
+        table or a wave buffer, not a flight)."""
+        from repro.core.protocol import Flight
+
+        stores = [
+            f"{func}: {ast.unparse(node)}"
+            for func, nodes in self._functions()
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in Flight.__slots__
+            and ast.unparse(node.value) != "self"
+        ]
+        assert stores == []
+        tree = ast.parse((self.CORE / "protocol.py").read_text())
+        flight = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Flight"
+        )
+        assert [
+            node.name for node in flight.body if isinstance(node, ast.FunctionDef)
+        ] == ["__init__"]
