@@ -411,8 +411,10 @@ class MembershipMixin:
 
     def _on_leave_grant(self, payload: tuple) -> None:
         (resp_vid,) = payload
-        if self.replaced:
-            return  # duplicate grant
+        if self.replaced or resp_vid == self.vid:
+            # a duplicate — or our own grant to a requester that departed
+            # between LEAVE_REQ retries, forwarded home by its zombie
+            return
         self.replaced = True
         self.resp_vid = resp_vid
         if self.epoch is not None:

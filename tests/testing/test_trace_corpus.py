@@ -22,7 +22,9 @@ then shrunk to a minimal reproducer:
   own departure choreography, an ``ANCHOR_XFER`` landing on an
   inflight node, and the cyclic-serve ACK deadlock that consume
   enables; see test_open_findings.py and the "Wave liveness across
-  splices" catalog in DESIGN.md).
+  splices" catalog in DESIGN.md), and ``stall-grant-echo`` — a
+  re-sent ``LEAVE_GRANT`` forwarded home by the departed requester's
+  zombie, which the granter took for a grant of its own leave.
 
 On a healthy checkout the recorded violation must be *gone*: replaying
 the exact scenario under the exact recorded schedule settles and

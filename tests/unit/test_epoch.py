@@ -8,8 +8,8 @@ it can be relative to an epoch — never entered (*none*), served the
 flagged wave (*active*), bounced into it (*passive*), timed out of it
 (*released*), seen its end (*finished*) — and through the four
 liveness-catalog entries of DESIGN.md that were "a per-epoch flag read
-in the wrong epoch": passive re-entry, the zombie echo, the swallowed
-flood, the grant that arrives last.
+in the wrong epoch": passive re-entry, the zombie echo (and its sibling
+the grant echo), the swallowed flood, the grant that arrives last.
 """
 
 from __future__ import annotations
@@ -266,6 +266,21 @@ def test_a_self_addressed_depart_req_leaves_no_state(world, state):
     world.node.handle(A_LEAVE_GRANT, (RESP,))
     world.node.handle(A_DEPART_REQ, (RESP, E))
     assert [a for a, _ in world.delivered()[RESP]] == [A_DEPART_META]
+
+
+@pytest.mark.parametrize("state", ("none", "active"))
+def test_a_self_addressed_leave_grant_leaves_no_state(world, state):
+    """The grant echo: a granter re-sends LEAVE_GRANT on every retried
+    LEAVE_REQ; one that lands after the requester departed is forwarded
+    by its zombie to the responsible node — the granter itself."""
+    world.put(state)
+    before = world.facts()
+    world.node.handle(A_LEAVE_GRANT, (NODE,))
+    assert world.facts() == before
+    assert not world.membership_traffic()
+    # ... so this node's own leave, when it comes, is still grantable
+    world.node.handle(A_LEAVE_GRANT, (RESP,))
+    assert world.node.replaced and world.node.resp_vid == RESP
 
 
 def test_a_replacement_that_stays_answers_the_next_epochs_request(world):
