@@ -71,18 +71,29 @@ def run_cell(seed: int, structure: str, runner: str, churn: str) -> list:
     return [history_digest(result.records), len(result.records)]
 
 
+def divergence(cell: tuple, want: list) -> str | None:
+    """Name ``cell`` and what it did, if its run left the table."""
+    got = run_cell(*cell)
+    if got == want:
+        return None
+    seed, structure, runner, churn = cell
+    return (
+        f"(seed={seed}, structure={structure}, runner={runner}, "
+        f"churn={churn}): recorded {want}, got {got}"
+    )
+
+
 def first_divergence(table: dict, group: tuple) -> str | None:
     """Name the first seed of ``group`` whose run left the table."""
     want = table["/".join(group)]
-    for seed in SEEDS:
-        got = run_cell(seed, *group)
-        if got != want[seed]:
-            structure, runner, churn = group
-            return (
-                f"(seed={seed}, structure={structure}, runner={runner}, "
-                f"churn={churn}): recorded {want[seed]}, got {got}"
-            )
-    return None
+    diverged = (divergence((seed, *group), want[seed]) for seed in SEEDS)
+    return next(filter(None, diverged), None)
+
+
+def anchor_transfer_divergence(table: dict) -> str | None:
+    want = table["anchor-transfer"]
+    diverged = (divergence(cell, want[cell_key(*cell)]) for cell in ANCHOR_TRANSFER)
+    return next(filter(None, diverged), None)
 
 
 def load_table() -> dict:
@@ -105,7 +116,8 @@ def test_histories_match_the_recorded_table(group):
 
 @pytest.mark.parametrize("cell", ANCHOR_TRANSFER, ids=lambda cell: cell_key(*cell))
 def test_anchor_transfer_histories_match_the_recorded_table(cell):
-    assert run_cell(*cell) == load_table()["anchor-transfer"][cell_key(*cell)]
+    diverged = divergence(cell, load_table()["anchor-transfer"][cell_key(*cell)])
+    assert diverged is None, f"diverging golden run {diverged}"
 
 
 def main(argv: list[str]) -> int:
@@ -131,16 +143,11 @@ def main(argv: list[str]) -> int:
         return 0
     if argv == ["--check"]:
         table = load_table()
-        for group in GROUPS:
-            diverged = first_divergence(table, group)
-            if diverged is not None:
-                print(f"first diverging golden run {diverged}")
-                return 1
-        for cell in ANCHOR_TRANSFER:
-            want, got = table["anchor-transfer"][cell_key(*cell)], run_cell(*cell)
-            if got != want:
-                print(f"first diverging golden run {cell}: recorded {want}, got {got}")
-                return 1
+        grid = (first_divergence(table, group) for group in GROUPS)
+        diverged = next(filter(None, grid), None) or anchor_transfer_divergence(table)
+        if diverged is not None:
+            print(f"first diverging golden run {diverged}")
+            return 1
         print(f"{n_cells} golden runs match {TABLE_PATH.name}")
         return 0
     print(__doc__)

@@ -33,6 +33,19 @@ HOST_CONFIG_FIELDS = (
 )
 
 
+def _functions_outside(source: Path, skipped_class: str):
+    """``(function, its nodes)`` for each function of ``source``, the
+    body of ``skipped_class`` left out."""
+    tree = ast.parse(source.read_text())
+    tree.body = [
+        node for node in tree.body
+        if not (isinstance(node, ast.ClassDef) and node.name == skipped_class)
+    ]
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            yield func.name, list(ast.walk(func))
+
+
 def _parameters(func) -> tuple[str, ...]:
     names = tuple(inspect.signature(func).parameters)
     return names[1:] if names[0] == "self" else names
@@ -199,14 +212,7 @@ class TestEpochPlane:
     def _functions(self, name: str):
         """``(function, its nodes)`` for each function of ``core/<name>``,
         ``EpochState``'s own body left out."""
-        tree = ast.parse((self.CORE / name).read_text())
-        tree.body = [
-            node for node in tree.body
-            if not (isinstance(node, ast.ClassDef) and node.name == "EpochState")
-        ]
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                yield func.name, list(ast.walk(func))
+        return _functions_outside(self.CORE / name, "EpochState")
 
     @staticmethod
     def _is_self_attr(node, attr: str) -> bool:
@@ -349,14 +355,7 @@ class TestWavePlane:
         """``(function, its nodes)`` for each function of ``core/``,
         ``Flight``'s own body left out."""
         for source in sorted(self.CORE.glob("*.py")):
-            tree = ast.parse(source.read_text())
-            tree.body = [
-                node for node in tree.body
-                if not (isinstance(node, ast.ClassDef) and node.name == "Flight")
-            ]
-            for func in ast.walk(tree):
-                if isinstance(func, ast.FunctionDef):
-                    yield func.name, list(ast.walk(func))
+            yield from _functions_outside(source, "Flight")
 
     def test_no_per_wave_name_is_left_on_the_node(self):
         from repro.core.protocol import Node
@@ -381,21 +380,14 @@ class TestWavePlane:
                 if not isinstance(node, ast.Assign):
                     continue
                 # `self.flight = None` and `flight, self.flight = self.flight, None`
-                pairs = [
-                    pair
-                    for target in node.targets
-                    for pair in (
-                        zip(target.elts, node.value.elts)
-                        if isinstance(target, ast.Tuple)
-                        and isinstance(node.value, ast.Tuple)
-                        else [(target, node.value)]
-                    )
-                ]
+                value = node.value
+                values = value.elts if isinstance(value, ast.Tuple) else [value]
                 if any(
-                    TestEpochPlane._is_self_attr(target, "flight")
-                    and isinstance(value, ast.Constant)
-                    and value.value is None
-                    for target, value in pairs
+                    TestEpochPlane._is_self_attr(part, "flight")
+                    for target in node.targets
+                    for part in ast.walk(target)
+                ) and any(
+                    isinstance(v, ast.Constant) and v.value is None for v in values
                 ):
                     dropped.append(func)
         # the anchor's own wave and the batch sent up: both in _fire
