@@ -55,13 +55,7 @@ from collections import deque
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net.link import FOLD_SUBMITS, Connection
 from repro.net.membership import ClusterMap
-from repro.net.transport import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    decode_payload,
-    encode_payload,
-    record_from_wire,
-)
+from repro.net.transport import decode_payload, encode_payload, record_from_wire
 from repro.telemetry import trace_sampled
 
 __all__ = ["SkueueClient"]
@@ -94,14 +88,6 @@ class _Session(Connection):
 class SkueueClient:
     """Asyncio client for a :class:`~repro.net.launcher.NetDeployment`.
 
-    ``codec`` selects the wire codec this client *offers* in its
-    ``hello``: ``"auto"`` (default) offers binary-then-JSON and lets
-    each host pick, ``"json"``/``"binary"`` pin one.  The host's answer
-    in the ``welcome`` sets the send codec per connection; receiving is
-    always codec-agnostic (frames are self-describing), so a client may
-    end up speaking different codecs to different hosts of one
-    deployment.
-
     Submissions issued in the same event-loop tick to the same host are
     flushed as a single ``submit_batch`` frame with one buffered socket
     write.  Order per host is the session outbox's append order, so
@@ -126,16 +112,9 @@ class SkueueClient:
         self,
         host_map: dict[int, tuple[str, int]],
         *,
-        codec: str = "auto",
         trace_sample: float = 0.0,
     ) -> None:
         self.host_map = {int(k): (v[0], int(v[1])) for k, v in host_map.items()}
-        if codec == "auto":
-            self._offered = [CODEC_BINARY, CODEC_JSON]
-        elif codec in (CODEC_JSON, CODEC_BINARY):
-            self._offered = [codec]
-        else:
-            raise ValueError(f"unknown wire codec {codec!r}")
         self.trace_sample = float(trace_sample)
         self._sessions: dict[int, _Session] = {}
         self.n_hosts = len(self.host_map)
@@ -215,9 +194,7 @@ class SkueueClient:
         try:
             await session.open(address)
             session.welcome = asyncio.get_running_loop().create_future()
-            # the hello itself always rides as JSON: the codec is only
-            # negotiated by it
-            session.send({"op": "hello", "codecs": list(self._offered)})
+            session.send({"op": "hello"})
             # belt for the EOF notification: a peer that accepted the
             # connection but never answers (crashed between accept and
             # reply) must look like a refused connect
@@ -238,8 +215,6 @@ class SkueueClient:
         except BaseException:
             self._end_session(session)
             raise
-        chosen = welcome["codec"]
-        session.codec = chosen if chosen in self._offered else CODEC_JSON
         session.nonce = welcome["nonce"]
         self._apply_map_json(welcome["map"])
 
@@ -641,7 +616,15 @@ class SkueueClient:
             if future is not None and not future.done():
                 future.set_result(message)
         elif op == "error":
-            self.errors.append(f"[host {session.index}] {message['message']}")
+            future = session.welcome
+            if future is not None and not future.done():
+                # nothing but the hello was sent yet: this answers it
+                future.set_exception(ConnectionError(
+                    f"host {session.index} refused the hello: "
+                    f"{message['message']}"))
+            else:
+                self.errors.append(
+                    f"[host {session.index}] {message['message']}")
         elif op in ("pong", "bye", "wired", "leaving"):
             pass
         else:

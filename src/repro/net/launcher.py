@@ -42,7 +42,7 @@ from pathlib import Path
 from repro.core.structures import structure_names
 from repro.net.membership import ClusterMap
 from repro.net.server import HostConfig, run_host, run_joining_host
-from repro.net.transport import WIRE_CODECS, request
+from repro.net.transport import request
 from repro.sim.profile import EngineProfile
 from repro.telemetry import maybe_profile, profile_env_prefix
 
@@ -311,7 +311,6 @@ def launch_local(
     id_slots: int = 0,
     n_priorities: int = 4,
     profile: "EngineProfile | None" = None,
-    codec: "str | list[str] | tuple[str, ...]" = "binary",
     trace_sample: float = 0.0,
     trace_slow_ms: float = 0.0,
 ) -> NetDeployment:
@@ -320,12 +319,6 @@ def launch_local(
     Every host binds port 0 (the kernel hands out a free ephemeral port,
     reported back through the READY line), so any number of deployments
     — parallel CI jobs included — coexist without port coordination.
-
-    ``codec`` is each host's *send* codec (``"binary"`` default,
-    ``"json"`` for a wire you can read in a packet dump).  Receiving is
-    always codec-agnostic, so a per-host sequence (e.g. ``["json",
-    "binary", "json"]``) builds a deliberately mixed-codec deployment —
-    the cross-codec e2e tests deploy exactly that.
 
     ``id_slots`` fixes the req_id origin-residue modulus, which caps how
     many host indices the deployment can ever hand out; the default
@@ -354,14 +347,6 @@ def launch_local(
     id_slots = id_slots or n_hosts
     if id_slots < n_hosts:
         raise ValueError(f"id_slots={id_slots} < n_hosts={n_hosts}")
-    if isinstance(codec, str):
-        codecs = [codec] * n_hosts
-    else:
-        codecs = list(codec)
-        if len(codecs) != n_hosts:
-            raise ValueError(
-                f"per-host codec list names {len(codecs)} hosts, not {n_hosts}"
-            )
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_path() + os.pathsep + env.get("PYTHONPATH", "")
     processes: list[subprocess.Popen] = []
@@ -379,7 +364,6 @@ def launch_local(
                 epoch=epoch,
                 id_slots=id_slots,
                 n_priorities=n_priorities,
-                codec=codecs[index],
                 trace_sample=trace_sample,
                 trace_slow_ms=trace_slow_ms,
                 **tuning,
@@ -432,7 +416,6 @@ def launch_local(
             "structure": structure,
             "id_slots": id_slots,
             "n_priorities": n_priorities,
-            "codec": codecs,
             "trace_sample": trace_sample,
             "trace_slow_ms": trace_slow_ms,
         },
@@ -505,9 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--structure", choices=structure_names(), default="queue",
                       help="which distributed structure to deploy")
-    demo.add_argument("--codec", choices=WIRE_CODECS, default="binary",
-                      help="wire codec the hosts send (frames are "
-                           "self-describing, so clients may differ)")
 
     args = parser.parse_args(argv)
     if args.command == "serve":
@@ -530,10 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
     if args.command == "demo":
-        with launch_local(
-            args.hosts, args.processes, seed=args.seed,
-            structure=args.structure, codec=args.codec,
-        ) as deployment:
+        with launch_local(args.hosts, args.processes, seed=args.seed,
+                          structure=args.structure) as deployment:
             summary = asyncio.run(_demo(deployment, args.ops, args.seed))
         print(json.dumps(summary))
         return 0

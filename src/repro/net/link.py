@@ -23,14 +23,7 @@ import traceback
 from collections import deque
 from itertools import groupby, islice
 
-from repro.net.transport import (
-    BULK_OPS,
-    CODEC_JSON,
-    FrameDecodeError,
-    codec_for,
-    encode_frame,
-    read_frame,
-)
+from repro.net.transport import BULK_OPS, FrameDecodeError, encode_frame, read_frame
 
 __all__ = [
     "FOLD_DONES",
@@ -83,9 +76,7 @@ class Pipe:
     #: the ``(member, wrap)`` pair :meth:`encode` folds by; each user sets one
     FOLD: tuple
 
-    def __init__(self, codec: str = CODEC_JSON, on_write=None,
-                 on_error=None) -> None:
-        self.codec = codec  # what this side *sends*; reads are codec-agnostic
+    def __init__(self, on_write=None, on_error=None) -> None:
         # telemetry hook: called (frames, bytes) after each socket write
         self.on_write = on_write
         # (where, detail): a frame was dropped or a loop died
@@ -131,19 +122,18 @@ class Pipe:
         dropped and noted while the rest of the write goes out.
         """
         out = bytearray()
-        codec = self.codec
         member, wrap = self.FOLD
         for is_member, group in groupby(frames, member):
             run = list(group)
             if is_member and len(run) > 1:
                 try:
-                    out += encode_frame(wrap(run), codec)
+                    out += encode_frame(wrap(run))
                     continue
                 except Exception:
                     pass  # every member may still be legal on its own
             for frame in run:
                 try:
-                    out += encode_frame(frame, codec_for(frame, codec))
+                    out += encode_frame(frame)
                 except Exception:
                     self.on_error("write", traceback.format_exc())
         return out

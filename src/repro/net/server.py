@@ -61,13 +61,7 @@ from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import TIMEOUT_LAG, NetRuntime
 from repro.ops.health import build_health, build_status, start_ops_server
-from repro.net.transport import (
-    WIRE_CODECS,
-    decode_payload,
-    encode_payload,
-    negotiate_codec,
-    request_async,
-)
+from repro.net.transport import decode_payload, encode_payload, request_async
 from repro.overlay.ldb import (
     LEFT,
     MIDDLE,
@@ -136,10 +130,6 @@ class HostConfig:
     confirm_seconds: float = 1.5
     # completion replicas mirrored to this many ring successors
     replication: int = 2
-    # -- TCP hot path (PR 8) --------------------------------------------------
-    # wire codec this host *sends* (receiving is always codec-agnostic:
-    # frames are self-describing); "json" keeps the wire debuggable
-    codec: str = "binary"
     # -- telemetry plane (PR 9) ----------------------------------------------
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)
@@ -149,10 +139,6 @@ class HostConfig:
 
     def __post_init__(self) -> None:
         get_structure(self.structure)  # unknown names raise, listing valid ones
-        if self.codec not in WIRE_CODECS:
-            raise ValueError(
-                f"unknown wire codec {self.codec!r}; pick one of {WIRE_CODECS}"
-            )
         if not self.salt:
             self.salt = f"skueue-{self.seed}"
         if not self.id_slots:
@@ -504,7 +490,6 @@ class NodeHost:
                 link = PeerLink(
                     (address[0], int(address[1])),
                     me,
-                    codec=self.config.codec,
                     on_write=self.count_write,
                     on_error=self.note_error,
                 )
@@ -706,12 +691,6 @@ class NodeHost:
                 self.clients.add(conn)
                 nonce = self._next_nonce
                 self._next_nonce += 1
-                # codec negotiation: this host's configured send codec
-                # when the client offered it; JSON otherwise (a joining
-                # host and the ops tools send no `codecs` offer)
-                conn.codec = negotiate_codec(
-                    message.get("codecs"), self.config.codec
-                )
                 conn.send({
                     "op": "welcome",
                     "host": self.config.host_index,
@@ -721,7 +700,6 @@ class NodeHost:
                     "nonce": nonce,
                     "id_slots": self.config.id_slots,
                     "n_priorities": self.config.n_priorities,
-                    "codec": conn.codec,
                     "trace_sample": self.config.trace_sample,
                     "map": control.cluster.to_json(),
                 })

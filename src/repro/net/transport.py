@@ -1,17 +1,15 @@
-"""Wire format of the TCP runtime: framing + pluggable payload codecs.
+"""Wire format of the TCP runtime: framing + two payload codecs.
 
 Every frame is **self-describing**: a 4-byte header whose first byte
 names the codec that serialised the body (:data:`CODEC_TAGS`) and whose
 remaining 3 bytes are the big-endian body length.  Codec tag ``0x00`` is
-UTF-8 JSON — bit-for-bit the legacy header, since JSON bodies were
-always shorter than 2^24 — and ``0x01`` is the compact struct-packed
-binary codec below.  Receivers therefore decode *any* mix of codecs on
-one connection; the ``hello``/``welcome`` negotiation (see
-docs/PROTOCOL.md) only selects what each side *sends*, which is what
-keeps mixed-codec deployments working.  Frames above
-:data:`MAX_FRAME_BYTES` are rejected on both ends — a peer that sends
-one is buggy or malicious, and accepting it would let a single
-connection exhaust host memory.
+UTF-8 JSON and ``0x01`` is the compact struct-packed binary codec below.
+Which one a frame rides is fixed by its op alone (:func:`codec_for`):
+the rare multi-megabyte :data:`BULK_OPS` ride JSON, everything else
+binary — no connection state, no negotiation.  Receivers decode either
+tag on any connection.  Frames above :data:`MAX_FRAME_BYTES` are
+rejected on both ends — a peer that sends one is buggy or malicious, and
+accepting it would let a single connection exhaust host memory.
 
 JSON alone cannot carry the protocol's payloads: batches, position
 intervals and :class:`~repro.core.requests.OpRecord` fields are built
@@ -31,7 +29,7 @@ The binary codec serialises exactly this tagged domain (it gives the
 three hot tags — tuple, dict, ⊥ — one-byte type codes instead of
 single-key JSON objects), so ``decode(encode(x, codec))`` is the same
 value for both codecs and the payload layer above never has to know
-which one a connection negotiated.
+which one a frame rode.
 
 Python's ``json`` round-trips floats exactly (``repr``-based) and the
 binary codec packs IEEE-754 doubles, so LDB labels and DHT keys survive
@@ -58,7 +56,6 @@ __all__ = [
     "CODEC_JSON",
     "FRAME_TYPES",
     "MAX_FRAME_BYTES",
-    "WIRE_CODECS",
     "FrameDecodeError",
     "FrameError",
     "FrameReader",
@@ -67,7 +64,6 @@ __all__ = [
     "decode_payload",
     "encode_frame",
     "encode_payload",
-    "negotiate_codec",
     "read_frame",
     "record_from_wire",
     "record_to_wire",
@@ -79,31 +75,28 @@ __all__ = [
 #: low 3 bytes of the header, the top byte names the codec).
 MAX_FRAME_BYTES = 0xFFFFFF
 
-#: Wire codec names, in the order clients offer them by default.
+#: Wire codec names.
 CODEC_JSON = "json"
 CODEC_BINARY = "binary"
-WIRE_CODECS = (CODEC_JSON, CODEC_BINARY)
 
 #: codec name -> header tag byte (the first of the 4 header bytes)
 CODEC_TAGS = {CODEC_JSON: 0x00, CODEC_BINARY: 0x01}
 _TAG_CODECS = {tag: name for name, tag in CODEC_TAGS.items()}
 
 #: Rare-but-huge control-plane frames (record archives, recovery dumps)
-#: that always ride JSON no matter what a connection negotiated: on
-#: multi-megabyte bodies CPython's C-accelerated ``json`` beats the
-#: pure-Python struct packer by enough that packing them binary can
-#: stall a host's event loop past the failure detector's patience.
-#: Self-describing frames make the per-frame override free.
+#: that ride JSON: on multi-megabyte bodies CPython's C-accelerated
+#: ``json`` beats the pure-Python struct packer by enough that packing
+#: them binary can stall a host's event loop past the failure detector's
+#: patience.
 BULK_OPS = frozenset(
     {"retire", "recover_dump", "rebuild", "records", "wire", "forwards"}
 )
 
 
-def codec_for(message: dict, negotiated: str) -> str:
-    """The codec one frame actually ships with (see :data:`BULK_OPS`)."""
-    if negotiated != CODEC_JSON and message.get("op") in BULK_OPS:
-        return CODEC_JSON
-    return negotiated
+def codec_for(message: dict) -> str:
+    """The codec a frame rides, fixed by its op: JSON for
+    :data:`BULK_OPS`, binary for everything else."""
+    return CODEC_JSON if message.get("op") in BULK_OPS else CODEC_BINARY
 
 #: The authoritative frame registry: every ``op`` the TCP runtime puts on
 #: the wire, with a one-line summary.  ``docs/PROTOCOL.md`` is the prose
@@ -124,7 +117,7 @@ FRAME_TYPES: dict[str, str] = {
     "batch": "host -> host: coalesced data-plane frames, one write per flush",
     # client session
     "hello": "client -> host: request a submission nonce + cluster map",
-    "welcome": "host -> client: nonce, id_slots, chosen codec + cluster map",
+    "welcome": "host -> client: nonce, id_slots + cluster map",
     "submit": "client -> host: ENQUEUE/DEQUEUE at a pid this host owns",
     "submit_batch": "client -> host: coalesced submits, one frame per flush",
     "done": "host -> client: a submitted request completed (+ result)",
@@ -168,15 +161,6 @@ class FrameDecodeError(FrameError):
     header).  Unlike a bad header this leaves the stream correctly
     framed — the bytes were consumed — so a receiver may drop the frame
     and keep the connection serviceable."""
-
-
-def negotiate_codec(offered, preferred: str) -> str:
-    """The send codec a host picks for a connection: its own preference
-    if the peer offered it, else JSON (every implementation speaks it)."""
-    offered = list(offered or (CODEC_JSON,))
-    if preferred in offered:
-        return preferred
-    return CODEC_JSON
 
 
 # -- payload codec -------------------------------------------------------------
@@ -295,8 +279,7 @@ _F64 = struct.Struct(">d")
 #: the pack calls, exactly where the frame rate lives.  A frame with a
 #: key outside its schema falls back to the generic map encoding, so
 #: the schema list is an optimisation surface, never a compatibility
-#: constraint (both peers run the same checkout; the codec was
-#: negotiated).
+#: constraint (both peers run the same checkout).
 #: ``tr`` is the optional per-op trace tag (see docs/PROTOCOL.md,
 #: "Telemetry"): a sampled submit carries it, hosts echo it on the
 #: ``msg``/``complete``/``done`` frames that move the op, and every
@@ -572,8 +555,11 @@ def decode_frame_body(codec_tag: int, body: bytes) -> dict:
     return message
 
 
-def encode_frame(message: dict, codec: str = CODEC_JSON) -> bytes:
-    """Serialise one control/actor message into a self-describing frame."""
+def encode_frame(message: dict, codec: str | None = None) -> bytes:
+    """Serialise one control/actor message into a self-describing frame,
+    in :func:`codec_for`'s codec unless one is named."""
+    if codec is None:
+        codec = codec_for(message)
     body = _encode_body(message, codec)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -655,8 +641,8 @@ def request(
     """One blocking request/response round-trip on a throwaway socket
     (the launcher's and the ops CLI's way to talk to a host).
 
-    No ``hello`` is sent, so the host answers in JSON.  Frames other
-    than ``expect_op`` are skipped; an ``error`` answer raises.
+    Frames other than ``expect_op`` are skipped; an ``error`` answer
+    raises.
     """
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.sendall(encode_frame(message))

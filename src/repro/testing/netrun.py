@@ -125,7 +125,6 @@ def run_net_scenario(scenario: Scenario, schedule_hint=None) -> ScenarioResult:
         structure=scenario.structure,
         id_slots=16,
         n_priorities=scenario.n_priorities,
-        codec=scenario.codec,
     ) as deployment:
         try:
             acked, submitted_ids, skipped, records = asyncio.run(

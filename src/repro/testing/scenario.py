@@ -104,9 +104,6 @@ class Scenario:
     crashes: tuple = ()
     #: bound on the settle phase (rounds on sync, events on async)
     settle_budget: int = 60_000
-    #: wire codec, net runner only ("json"/"binary"); sim runners carry
-    #: the default and ignore it (no wire exists)
-    codec: str = "binary"
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -219,7 +216,6 @@ class Scenario:
         # SIGKILL per scenario — k=2 replication tolerates one crash,
         # and NET_HOSTS-host deployments only have one to spare
         crashes = []
-        codec = "binary"
         if runner == NET_RUNNER:
             # pid-level churn needs the TCP join/leave driver the net
             # runner doesn't script; the crash axis replaces it
@@ -229,9 +225,6 @@ class Scenario:
                     (rng.randrange(1, max(2, n_rounds - 1)),
                      rng.randrange(NET_HOSTS))
                 )
-            # wire-codec axis (net-only draw, like crashes, so sim-runner
-            # seed expansion stays byte-identical): sweep both formats
-            codec = rng.choice(("json", "binary"))
 
         return cls(
             seed=seed,
@@ -245,7 +238,6 @@ class Scenario:
             churn=tuple(churn),
             aborts=tuple(aborts),
             crashes=tuple(crashes),
-            codec=codec,
         )
 
     # -- derived views -------------------------------------------------------
@@ -275,7 +267,6 @@ class Scenario:
             "aborts": [list(ab) for ab in self.aborts],
             "crashes": [list(ev) for ev in self.crashes],
             "settle_budget": self.settle_budget,
-            "codec": self.codec,
         }
 
     @classmethod
@@ -293,7 +284,6 @@ class Scenario:
             aborts=tuple(tuple(ab) for ab in data["aborts"]),
             crashes=tuple(tuple(ev) for ev in data.get("crashes", ())),
             settle_budget=data.get("settle_budget", 60_000),
-            codec=data.get("codec", "binary"),
         )
 
 

@@ -1,7 +1,8 @@
-"""Codec parity properties: every frame in the catalogue must decode to
-the *same* message whether it rode the JSON or the binary wire, and
-garbage bytes behind a valid header must be rejected without losing
-frame sync (so a connection survives a poisoned frame).
+"""Codec properties: a frame's codec is fixed by its op (bulk frames
+ride JSON, everything else binary), every frame in the catalogue must
+decode to the *same* message whether it rode the JSON or the binary
+wire, and garbage bytes behind a valid header must be rejected without
+losing frame sync (so a connection survives a poisoned frame).
 
 ``SAMPLE_FRAMES`` is diff-tested against ``transport.FRAME_TYPES``:
 adding a frame op without a parity sample here fails the suite.
@@ -9,19 +10,21 @@ adding a frame op without a parity sample here fails the suite.
 
 from __future__ import annotations
 
+import ast
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.net import transport
 from repro.net.transport import (
     CODEC_BINARY,
     CODEC_JSON,
     CODEC_TAGS,
-    WIRE_CODECS,
     FrameDecodeError,
     FrameError,
     FrameReader,
@@ -30,12 +33,14 @@ from repro.net.transport import (
     decode_payload,
     encode_frame,
     encode_payload,
-    negotiate_codec,
     record_from_wire,
     record_to_wire,
 )
 
 _HEADER = struct.Struct(">I")
+
+#: both body codecs, for the parity properties below
+CODECS = (CODEC_JSON, CODEC_BINARY)
 
 
 def _record_wire(req_id: int = 17, *, result: object = BOTTOM) -> dict:
@@ -71,9 +76,9 @@ SAMPLE_FRAMES: dict[str, dict] = {
         {"op": "complete", "req": 3, "src": 0, "seq": 2, "value": 1},
     ]},
     # client session
-    "hello": {"op": "hello", "codecs": list(WIRE_CODECS)},
+    "hello": {"op": "hello"},
     "welcome": {"op": "welcome", "nonce": 3, "id_slots": 8,
-                "codec": CODEC_BINARY, "map": {"version": 1}},
+                "map": {"version": 1}},
     "submit": {"op": "submit", "req": 1025, "pid": 3, "kind": INSERT,
                "item": encode_payload(("elem", 0)), "pri": 2},
     "submit_batch": {"op": "submit_batch", "subs": [
@@ -96,7 +101,7 @@ SAMPLE_FRAMES: dict[str, dict] = {
     # live membership
     "join": {"op": "join", "pids": 2},
     "join_ok": {"op": "join_ok", "host": 3, "pids": [6, 7],
-                "config": {"codec": CODEC_BINARY, "coalesce": True}},
+                "config": {"structure": "heap", "replication": 2}},
     "join_commit": {"op": "join_commit", "host": 3,
                     "address": ["127.0.0.1", 9004]},
     "join_done": {"op": "join_done", "host": 3},
@@ -130,7 +135,7 @@ class TestFrameParity:
         assert set(SAMPLE_FRAMES) == set(transport.FRAME_TYPES)
 
     @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
-    @pytest.mark.parametrize("codec", sorted(WIRE_CODECS))
+    @pytest.mark.parametrize("codec", CODECS)
     def test_every_frame_round_trips_on_both_codecs(self, op, codec):
         frame = SAMPLE_FRAMES[op]
         reader = FrameReader()
@@ -146,7 +151,7 @@ class TestFrameParity:
                 CODEC_TAGS[codec],
                 encode_frame(frame, codec)[_HEADER.size:],
             )
-            for codec in WIRE_CODECS
+            for codec in CODECS
         }
         assert per_codec[CODEC_JSON] == per_codec[CODEC_BINARY] == frame
 
@@ -162,28 +167,58 @@ class TestFrameParity:
                    for msg in reader.feed(blob[i:i + 1])]
         assert decoded == [SAMPLE_FRAMES[op]
                            for op in ("ping", "msg", "records")
-                           for _ in WIRE_CODECS]
+                           for _ in CODECS]
 
     def test_nested_records_survive_both_codecs(self):
         frame = SAMPLE_FRAMES["records"]
-        for codec in WIRE_CODECS:
+        for codec in CODECS:
             (decoded,) = list(FrameReader().feed(encode_frame(frame, codec)))
             rec = record_from_wire(decoded["records"][0])
             assert rec.item == ("payload", 17)
             assert rec.result is BOTTOM
             assert rec.priority == 1 and rec.completed
 
-    def test_bulk_ops_pin_json_regardless_of_negotiation(self):
-        for op in sorted(transport.BULK_OPS):
-            assert codec_for({"op": op}, CODEC_BINARY) == CODEC_JSON
-        assert codec_for({"op": "msg"}, CODEC_BINARY) == CODEC_BINARY
-        assert codec_for({"op": "msg"}, CODEC_JSON) == CODEC_JSON
 
-    def test_negotiation_falls_back_to_json(self):
-        assert negotiate_codec(["binary", "json"], "binary") == "binary"
-        assert negotiate_codec(["json"], "binary") == "json"
-        assert negotiate_codec(None, "binary") == "json"  # legacy hello
-        assert negotiate_codec(["exotic"], "binary") == "json"
+class TestWireRule:
+    """One codec decision: :func:`codec_for`, which reads the frame's op
+    and nothing else."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    @pytest.mark.parametrize("op", sorted(transport.FRAME_TYPES))
+    def test_a_frame_rides_json_if_and_only_if_it_is_bulk(self, op):
+        frame = SAMPLE_FRAMES[op]
+        wire = encode_frame(frame)
+        assert (wire[0] == CODEC_TAGS[CODEC_JSON]) == (op in transport.BULK_OPS)
+        assert wire[0] == CODEC_TAGS[codec_for(frame)]
+        assert list(FrameReader().feed(wire)) == [frame]
+
+    def test_bulk_ops_are_catalogued_frames(self):
+        assert transport.BULK_OPS <= set(transport.FRAME_TYPES)
+
+    def test_a_named_codec_overrides_the_rule(self):
+        bulk = SAMPLE_FRAMES["records"]
+        assert encode_frame(bulk, CODEC_BINARY)[0] == CODEC_TAGS[CODEC_BINARY]
+        hot = SAMPLE_FRAMES["msg"]
+        assert encode_frame(hot, CODEC_JSON)[0] == CODEC_TAGS[CODEC_JSON]
+
+    def test_negotiation_is_gone(self):
+        for gone in ("negotiate_codec", "WIRE_CODECS"):
+            assert not hasattr(transport, gone)
+
+    def test_only_the_transport_names_a_codec(self):
+        wanted = {"CODEC_JSON", "CODEC_BINARY", "codec_for"}
+        offenders = set()
+        for source in sorted(self.SRC.rglob("*.py")):
+            where = source.relative_to(self.SRC).as_posix()
+            if where == "net/transport.py":
+                continue
+            for node in ast.walk(ast.parse(source.read_text())):
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if isinstance(node, ast.ImportFrom):
+                    names |= {alias.name for alias in node.names}
+                offenders |= {(where, name) for name in names & wanted}
+        assert offenders == set()
 
 
 class TestTraceFieldParity:
@@ -194,7 +229,7 @@ class TestTraceFieldParity:
     HOT = ("msg", "complete", "done", "submit")
 
     @pytest.mark.parametrize("op", HOT)
-    @pytest.mark.parametrize("codec", sorted(WIRE_CODECS))
+    @pytest.mark.parametrize("codec", CODECS)
     def test_tr_round_trips_on_every_hot_frame(self, op, codec):
         frame = dict(SAMPLE_FRAMES[op])
         frame["tr"] = 12884901888  # a real (host 3) req_id: > 2**32
@@ -203,7 +238,7 @@ class TestTraceFieldParity:
         assert decoded["tr"] == 12884901888
 
     @pytest.mark.parametrize("op", HOT)
-    @pytest.mark.parametrize("codec", sorted(WIRE_CODECS))
+    @pytest.mark.parametrize("codec", CODECS)
     def test_legacy_frames_without_tr_still_decode(self, op, codec):
         # the exact bytes a pre-telemetry peer sends: no tr key at all
         frame = SAMPLE_FRAMES[op]
@@ -256,7 +291,7 @@ class TestFuzzedParity:
         frame = {"op": "msg", "dest": 0, "action": "x",
                  "payload": encode_payload(payload)}
         decoded = {}
-        for codec in WIRE_CODECS:
+        for codec in CODECS:
             (msg,) = list(FrameReader().feed(encode_frame(frame, codec)))
             decoded[codec] = msg
             assert decode_payload(msg["payload"]) == payload
@@ -312,7 +347,7 @@ class TestGarbageRejection:
         assert not isinstance(err.value, FrameDecodeError)
 
     @settings(max_examples=300, deadline=None)
-    @given(codec=st.sampled_from(sorted(WIRE_CODECS)),
+    @given(codec=st.sampled_from(CODECS),
            body=st.binary(max_size=200))
     def test_fuzzed_bodies_either_decode_or_raise_cleanly(self, codec, body):
         reader = FrameReader()

@@ -229,12 +229,6 @@ def test_fuzzer_net_runner_executes_a_crash_scenario():
 
     expanded = [Scenario.from_seed(seed, structure="queue", runner=NET_RUNNER)
                 for seed in range(50)]
-    # the codec axis is swept: net seeds draw both wires, and the drawn
-    # codec survives the trace round trip (replays pin the same wire)
-    assert {sc.codec for sc in expanded} == {"json", "binary"}
-    for sc in expanded[:4]:
-        assert sc.to_json()["codec"] == sc.codec
-        assert Scenario.from_json(sc.to_json()).codec == sc.codec
 
     # pick the first seed whose expansion actually schedules a SIGKILL
     scenario = next(sc for sc in expanded if sc.crashes)

@@ -70,6 +70,12 @@ class TestFromSeed:
         del data["crashes"]
         assert Scenario.from_json(data).crashes == ()
 
+    def test_a_trace_that_names_a_wire_codec_still_loads(self):
+        # traces recorded while the net runner drew a codec carry a
+        # "codec" key; the loader reads named keys only
+        data = {**Scenario.from_seed(4).to_json(), "codec": "json"}
+        assert Scenario.from_json(data) == Scenario.from_seed(4)
+
 
 class TestRunScenario:
     @pytest.mark.parametrize("structure", STRUCTURES)

@@ -4,8 +4,8 @@
 Everything here used to be reachable only through multi-second ``-m
 net`` runs of real processes: adoption of cluster maps, coordinator
 succession, eviction → dump → rebuild, the hold queue, join and leave.
-``Net`` stands in for the peer links (frames cross the real binary
-codec; the test decides what is lost, shelved or reordered), ``Host``
+``Net`` stands in for the peer links (frames cross the real wire
+codecs; the test decides what is lost, shelved or reordered), ``Host``
 for ``NodeHost`` (it counts what the control plane asks of its data
 plane), and the clock is whatever the test says it is.
 """
@@ -23,13 +23,7 @@ from repro.net.control import HELD_OPS, ControlPlane
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.server import HostConfig, NodeHost
-from repro.net.transport import (
-    CODEC_BINARY,
-    FRAME_TYPES,
-    FrameReader,
-    codec_for,
-    encode_frame,
-)
+from repro.net.transport import FRAME_TYPES, FrameReader, encode_frame
 
 SLOTS = 8  # req_id % SLOTS is the origin host
 HEARTBEAT = 0.25
@@ -182,7 +176,7 @@ class Net:
                            self.now)
 
     def post(self, src: int, dest: int, frame: dict) -> None:
-        blob = encode_frame(dict(frame), codec_for(frame, CODEC_BINARY))
+        blob = encode_frame(dict(frame))
         (decoded,) = FrameReader().feed(blob)
         self.sent.append((src, dest, decoded))
         if dest in self.dead or self.lose(src, dest, decoded):

@@ -33,8 +33,6 @@ from repro.net.link import (
 from repro.net.membership import ClusterMap
 from repro.net.server import HostConfig, NodeHost
 from repro.net.transport import (
-    CODEC_BINARY,
-    CODEC_JSON,
     MAX_FRAME_BYTES,
     FrameReader,
     decode_payload,
@@ -144,13 +142,12 @@ async def settle(rounds: int = 20) -> None:
         await _real_sleep(0)
 
 
-def make_pipe(fold, codec=CODEC_BINARY, cap=None, notes=None):
+def make_pipe(fold, cap=None, notes=None):
     class Folding(Pipe):
         FOLD = fold
         MAX_BATCH = cap
 
-    return Folding(codec=codec,
-                   on_error=None if notes is None else
+    return Folding(on_error=None if notes is None else
                    lambda where, detail: notes.append((where, detail)))
 
 
@@ -238,7 +235,7 @@ class TestFold:
         big = "x" * (MAX_FRAME_BYTES // 2 - 1024)
         frames = [make(i, big) for i in range(3)]
         notes = []
-        out = decode(make_pipe(fold, CODEC_JSON, notes=notes).encode(frames))
+        out = decode(make_pipe(fold, notes=notes).encode(frames))
         assert out == frames and not notes  # nothing wrapped, nothing dropped
 
     def test_one_unencodable_frame_is_dropped_and_the_rest_written(self):
@@ -377,7 +374,7 @@ class TestPipe:
                            lost.append,
                            on_error=lambda *entry: notes.append(entry))
             a.start(reader, MemoryWriter())
-            good = encode_frame({"op": "ping"}, CODEC_BINARY)
+            good = encode_frame({"op": "ping"})
             poisoned = good[:4] + b"\xff" * (len(good) - 4)
             reader.feed_data(good + poisoned + good)
             await settle()
@@ -423,7 +420,7 @@ class TestPeerLink:
     def test_frames_sent_before_the_dial_completes_go_out_in_order(
             self, dialer):
         async def scenario():
-            peer = PeerLink(("10.0.0.1", 9), 3, codec=CODEC_BINARY)
+            peer = PeerLink(("10.0.0.1", 9), 3)
             peer.send({"op": "heartbeat", "host": 3})
             peer.start()
             peer.send({"op": "heartbeat", "host": 3})
@@ -446,7 +443,7 @@ class TestPeerLink:
             first.gate = asyncio.Event()
             dialer.prepared.append(first)
             dialer.refuse = 0
-            peer = PeerLink(("10.0.0.1", 9), 3, codec=CODEC_BINARY)
+            peer = PeerLink(("10.0.0.1", 9), 3)
             peer.start()
             for _ in range(3):
                 peer.send({"op": "msg", "dest": 1, "action": 2, "payload": 0})
@@ -484,7 +481,7 @@ class TestPeerLink:
             self, dialer, sleeps):
         async def scenario():
             dialer.refuse = 10 ** 6
-            peer = PeerLink(("10.0.0.1", 9), 3, codec=CODEC_BINARY)
+            peer = PeerLink(("10.0.0.1", 9), 3)
             peer.start()
             peer.send({"op": "heartbeat", "host": 3})
             await settle(4 * PeerLink.MAX_ATTEMPTS)
@@ -513,7 +510,7 @@ class TestPeerLink:
             held = MemoryWriter()
             held.gate = asyncio.Event()
             dialer.prepared.append(held)
-            peer = PeerLink(("10.0.0.1", 9), 3, codec=CODEC_BINARY)
+            peer = PeerLink(("10.0.0.1", 9), 3)
             peer.start()
             peer.send({"op": "complete", "req": 1})
             peer.send({"op": "complete", "req": 2})
@@ -606,6 +603,23 @@ class TestHostConnections:
         assert done and conn.closed and writer.closed and not errors
         assert [f["op"] for f in writer.frames()] == ["welcome", "pong"]
 
+    def test_a_hello_is_answered_in_binary_and_names_no_codec(self):
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2))
+            reader, writer = asyncio.StreamReader(), MemoryWriter()
+            await host._accept(reader, writer)
+            reader.feed_data(encode_frame({"op": "hello"}))
+            await settle()
+            await host._async_stop()
+            return writer
+
+        writer = asyncio.run(scenario())
+        welcome = writer.frames()[0]
+        assert welcome["op"] == "welcome" and welcome["nonce"] == 1
+        assert "codec" not in welcome
+        assert writer.writes[0][0] == 0x01  # the binary tag
+
 
 # -- the client's sessions -----------------------------------------------------------
 
@@ -613,7 +627,7 @@ class TestHostConnections:
 @pytest.fixture()
 def client():
     """A client with one greeted session over an in-memory stream."""
-    client = SkueueClient({0: ("127.0.0.1", 1)}, codec="binary")
+    client = SkueueClient({0: ("127.0.0.1", 1)})
     client.host_for = lambda pid: 0
     return client
 
@@ -624,7 +638,6 @@ def greeted(client: SkueueClient) -> tuple[_Session, asyncio.StreamReader,
     session = client._sessions[0] = _Session(
         0, client._on_frame, client._on_lost, client._note_error)
     session.start(reader, writer)
-    session.codec = CODEC_BINARY
     session.nonce = 1
     return session, reader, writer
 
@@ -816,6 +829,29 @@ class TestClientSessions:
         assert [f["op"] for f in dialer.handed[0].frames()] == ["hello"]
         assert dialer.handed[0].closed
 
+    def test_a_hello_answered_by_an_error_fails_at_once_with_the_reason(
+            self, client, monkeypatch):
+        # an unwired host answers the hello with `error`: the handshake
+        # fails on that answer, not on the hello's 15 s patience
+        async def dial(address):
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame(
+                {"op": "error", "message": "host not wired yet"}))
+            return reader, MemoryWriter()
+
+        monkeypatch.setattr(link, "dial", dial)
+
+        async def run():
+            started = time.monotonic()
+            with pytest.raises(ConnectionError) as refused:
+                await client.connect(timeout=2.0)
+            return time.monotonic() - started, refused.value
+
+        waited, refused = asyncio.run(run())
+        assert waited < 0.5
+        assert "not wired" in str(refused)
+        assert client._sessions == {} and client.errors == []
+
     def test_a_lost_session_resubmits_what_was_in_limbo(self, client, dialer):
         async def run():
             client.cluster = ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2)
@@ -826,8 +862,7 @@ class TestClientSessions:
             await settle()
             fresh = client._sessions[0]  # redialled at the application level
             fresh.on_frame(fresh, {
-                "op": "welcome", "host": 0, "nonce": 9, "codec": CODEC_BINARY,
-                "map": None})
+                "op": "welcome", "host": 0, "nonce": 9, "map": None})
             await settle()
             (hello, resubmit) = dialer.handed[0].frames()
             fresh.on_frame(fresh, {"op": "done", "req": resubmit["req"],
@@ -912,9 +947,9 @@ class TestStructure:
 
     def test_the_client_keeps_one_table_and_one_teardown(self):
         source = (NET / "client.py").read_text()
-        for gone in ("_send_codecs", "_submit_buf", "_flush_tasks", "_writers",
-                     "_readers", "_counters", "_nonces", "_welcome_futures",
-                     "_host_locks", "_reply_waiters"):
+        for gone in ("_send_codecs", "_offered", "_submit_buf", "_flush_tasks",
+                     "_writers", "_readers", "_counters", "_nonces",
+                     "_welcome_futures", "_host_locks", "_reply_waiters"):
             assert gone not in source
 
         def closes_something_else(func):

@@ -5,7 +5,8 @@ milliseconds.
 ``paths``), so a rename in ``src/`` that it imports shows up only as a
 failed benchmark run — after the PR.  This walks ``perfbench/*.py`` with
 ``ast``, resolves every ``from repro… import name``, and binds the
-constructor spellings ``perfbench/layers.py`` uses for the record plane.
+``encode_frame`` spellings perfbench uses and the constructor spellings
+``perfbench/layers.py`` uses for the record plane.
 It reads ``perfbench/`` and never edits it.
 """
 
@@ -48,6 +49,26 @@ def test_every_name_perfbench_imports_resolves(module, name):
     assert hasattr(importlib.import_module(module), name), (
         f"perfbench imports {name} from {module}, which no longer has it"
     )
+
+
+def test_frame_spellings_of_perfbench_bind_and_round_trip():
+    """``frames.py``/``layers.py`` name the binary codec; ``tcp.py``
+    leaves the codec to the wire rule (a ``health`` frame: binary)."""
+    from repro.net.transport import (
+        CODEC_BINARY,
+        CODEC_TAGS,
+        FrameReader,
+        encode_frame,
+    )
+
+    named = {"op": "msg", "dest": 5, "action": 2, "payload": [1, 2]}
+    inspect.signature(encode_frame).bind(named, CODEC_BINARY)
+    probe = {"op": "health", "detail": "status"}
+    inspect.signature(encode_frame).bind(probe)
+    for frame, wire in ((named, encode_frame(named, CODEC_BINARY)),
+                        (probe, encode_frame(probe))):
+        assert wire[0] == CODEC_TAGS[CODEC_BINARY]
+        assert list(FrameReader().feed(wire)) == [frame]
 
 
 def test_record_plane_spellings_of_layers_py_bind_and_run():

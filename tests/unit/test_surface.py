@@ -29,7 +29,7 @@ HOST_CONFIG_FIELDS = (
     "round_seconds", "timeout_lag", "sweep_seconds", "epoch", "structure",
     "salt", "id_slots", "n_priorities", "owned", "ops_port",
     "heartbeat_seconds", "miss_threshold", "confirm_seconds", "replication",
-    "codec", "trace_sample", "trace_slow_ms",
+    "trace_sample", "trace_slow_ms",
 )
 
 
@@ -55,13 +55,13 @@ class TestOptionCensus:
     def test_launch_local(self):
         assert _parameters(launch_local) == (
             "n_hosts", "n_processes", "seed", "structure", "round_seconds",
-            "ready_timeout", "id_slots", "n_priorities", "profile", "codec",
+            "ready_timeout", "id_slots", "n_priorities", "profile",
             "trace_sample", "trace_slow_ms",
         )
 
     def test_skueue_client(self):
         assert _parameters(SkueueClient.__init__) == (
-            "host_map", "codec", "trace_sample",
+            "host_map", "trace_sample",
         )
 
     def test_skueue_cluster(self):
@@ -81,6 +81,16 @@ class TestOptionCensus:
         names = tuple(f.name for f in dataclasses.fields(HostConfig))
         assert names == HOST_CONFIG_FIELDS
 
+    def test_scenario_fields(self):
+        from repro.testing.scenario import Scenario
+
+        names = tuple(f.name for f in dataclasses.fields(Scenario))
+        assert names == (
+            "seed", "structure", "runner", "n_processes", "n_priorities",
+            "delay", "shuffle_delivery", "ops", "churn", "aborts", "crashes",
+            "settle_budget",
+        )
+
     def test_engine_profile(self):
         names = tuple(f.name for f in dataclasses.fields(EngineProfile))
         assert names == ("safety_tick", "timeout_lag")
@@ -92,7 +102,7 @@ class TestOptionCensus:
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert flags == {
             "--help", "--hosts", "--processes", "--ops", "--seed",
-            "--structure", "--codec",
+            "--structure",
         }
 
     def test_environment_variables(self):
@@ -115,7 +125,7 @@ class TestHostConfigStatedOnce:
             structure="heap", salt="pepper", id_slots=16, n_priorities=6,
             owned=[9, 10], ops_port=4101, heartbeat_seconds=0.5,
             miss_threshold=6, confirm_seconds=2.5, replication=3,
-            codec="json", trace_sample=0.25, trace_slow_ms=40.0,
+            trace_sample=0.25, trace_slow_ms=40.0,
         )
 
     def test_every_field_is_off_default(self):
@@ -138,7 +148,7 @@ class TestHostConfigStatedOnce:
             assert value == getattr(cfg, name), name
         # what a joining host does with it (run_joining_host)
         joiner = HostConfig(host_index=5, owned=[20], **shared)
-        assert joiner.replication == 3 and joiner.codec == "json"
+        assert joiner.replication == 3 and joiner.trace_sample == 0.25
         assert PER_HOST_FIELDS == (
             "host_index", "bind_host", "port", "owned", "ops_port",
         )
