@@ -135,13 +135,6 @@ class MembershipMixin:
 
     __slots__ = ()
 
-    # -- dispatch ---------------------------------------------------------------
-    def _handle_membership(self, action: int, payload: tuple) -> None:
-        handler = _HANDLERS.get(action)
-        if handler is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown action {action}")
-        handler(self, payload)
-
     def _admit(self, stamp: int) -> int:
         """Judge the epoch stamp of a message against where this node is.
 
@@ -834,7 +827,7 @@ class MembershipMixin:
             self.send(epoch.pold, A_ACK_UP, (self.vid,))
             self._maybe_zombie_exit()
 
-    def _on_find_min(self, extra: tuple) -> None:
+    def _on_find_min(self, _key: float, extra: tuple) -> None:
         reply_vid, epoch = extra
         self.send(reply_vid, A_MIN_IS, (self.succ_vid, epoch))
 
@@ -954,28 +947,3 @@ class MembershipMixin:
             hook(epoch, members)
         self.wake_me()
 
-
-_HANDLERS = {
-    A_JOIN_GRANT: MembershipMixin._on_join_grant,
-    A_SLICE_REQ: MembershipMixin._on_slice_req,
-    A_SLICE: MembershipMixin._on_slice,
-    A_LEAVE_REQ: MembershipMixin._on_leave_req,
-    A_RESP_LEAVE: MembershipMixin._on_resp_leave,
-    A_LEAVE_GRANT: MembershipMixin._on_leave_grant,
-    A_DEPART_REQ: MembershipMixin._on_depart_req,
-    A_DEPART_META: MembershipMixin._on_depart_meta,
-    A_DEPART_COMMIT: MembershipMixin._on_depart_commit,
-    A_DEPART_DUMP: MembershipMixin._on_depart_dump,
-    A_SET_NEIGH: MembershipMixin._on_set_neigh,
-    A_SET_PRED: MembershipMixin._on_set_pred,
-    A_ABSORB: MembershipMixin._on_slice,
-    A_ACK_UP: MembershipMixin._on_ack_up,
-    A_UPDATE_OVER: MembershipMixin._on_update_over,
-    A_MIN_IS: MembershipMixin._on_min_is,
-    A_ANCHOR_XFER: MembershipMixin._on_anchor_xfer,
-    A_REQUEUE: MembershipMixin._on_requeue,
-    A_JOIN_DEFER: MembershipMixin._on_join_defer,
-    A_RESP_XFER: MembershipMixin._on_resp_xfer,
-    A_NEW_RESP: MembershipMixin._on_new_resp,
-    A_CHASE: MembershipMixin._on_chase,
-}

@@ -38,15 +38,14 @@ from typing import Callable
 from repro.core.actions import (
     A_AGG,
     A_GET_REPLY,
-    A_JOIN_RT,
-    A_FIND_MIN,
     A_NUDGE,
     A_PUT_ACK,
     A_REQUEUE,
     A_RT_GET,
     A_RT_PUT,
     A_SERVE,
-    A_WAKE,
+    CATALOG,
+    RANGE,
 )
 from repro.core.batch import combine_runs
 from repro.core.membership import MembershipMixin
@@ -308,26 +307,12 @@ class Node(MembershipMixin, Actor):
 
     # -- message dispatch ---------------------------------------------------------
     def handle(self, action: int, payload: tuple) -> None:
-        if action == A_AGG:
-            self._on_agg(payload)
-        elif action == A_SERVE:
-            self._on_serve(payload)
-        elif action == A_RT_PUT or action == A_RT_GET or action == A_JOIN_RT or action == A_FIND_MIN:
-            key, bits, steps, ideal, extra = payload
-            if self.joining:
-                self._joining_route(action, key, payload, extra)
-            else:
-                self._route_hop(action, key, bits, steps, ideal, extra)
-        elif action == A_GET_REPLY:
-            self._on_get_reply(payload)
-        elif action == A_PUT_ACK:
-            self._on_put_ack(payload)
-        elif action == A_WAKE:
-            self.wake_me()  # remote form of Runtime.wake
-        elif action == A_NUDGE:
-            self._on_nudge(payload)
-        else:
-            self._handle_membership(action, payload)
+        """Run ``action``'s entry of the catalog (:data:`_TAKE`); the
+        code is trusted — the TCP host refuses a foreign one."""
+        _TAKE[action](self, payload)
+
+    def _on_wake(self, _payload: tuple) -> None:
+        self.wake_me()  # remote form of Runtime.wake
 
     # -- stage 1: aggregation -------------------------------------------------------
     def _sibling_integrated(self, kind: int) -> bool:
@@ -776,7 +761,7 @@ class Node(MembershipMixin, Actor):
         if self.resp_vid is None:
             self.pre_grant_buffer.append((action, payload))
             return
-        if (action == A_RT_PUT or action == A_RT_GET) and key_in_range(
+        if CATALOG[action].routed == RANGE and key_in_range(
             key, self.label, self.joining_range_end
         ):
             self._deliver(action, key, extra)
@@ -810,12 +795,9 @@ class Node(MembershipMixin, Actor):
     ) -> None:
         tracer = self.ctx.tracer
         if tracer is not None and tracer.tracing:
-            # the routed payloads carry their req_id: PUT as
-            # (element, gen, req_id), GET as (requester_vid, req_id, gen)
-            if action == A_RT_PUT:
-                tracer.hop(extra[2], self.vid)
-            elif action == A_RT_GET:
-                tracer.hop(extra[1], self.vid)
+            where = CATALOG[action].trace_req
+            if where is not None:
+                tracer.hop(extra[where], self.vid)
         if self.replaced and self.dumped:
             # spliced out and data handed over: the responsible node (or
             # the final owner it redistributed to) continues the walk
@@ -861,21 +843,14 @@ class Node(MembershipMixin, Actor):
             self.send(nxt, action, (key, bits, steps, ideal, extra))
 
     def _deliver(self, action: int, key: float, extra: tuple) -> None:
-        if action == A_RT_PUT or action == A_RT_GET:
+        """The walk ended here: run ``action``'s handler — unless the
+        key's range went to a pending joiner, which takes it instead."""
+        if CATALOG[action].routed == RANGE:
             forward = self._joiner_for_key(key)
             if forward is not None:
                 self.send(forward, action, (key, 0, 0, 0.0, extra))
                 return
-            if action == A_RT_PUT:
-                self._dht_put(key, extra)
-            else:
-                self._dht_get(key, extra)
-        elif action == A_JOIN_RT:
-            self._grant_join(key, extra)
-        elif action == A_FIND_MIN:
-            self._on_find_min(extra)
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unroutable action {action}")
+        _HANDLER[action](self, key, extra)
 
     def _joiner_for_key(self, key: float) -> int | None:
         """Forward PUT/GETs whose range was handed to a pending joiner."""
@@ -984,3 +959,26 @@ class Node(MembershipMixin, Actor):
             f"({'LMR'[self.kind]}) label={self.label:.6f}"
             f"{' anchor' if self.is_anchor else ''}>"
         )
+
+
+def _routed_entry(action: int) -> Callable[[Node, tuple], None]:
+    """What ``Node.handle`` runs for a routed ``action``: a pending
+    joiner relays the message, anyone else takes the walk's next hop."""
+
+    def take(node: Node, payload: tuple) -> None:
+        key, bits, steps, ideal, extra = payload
+        if node.joining:
+            node._joining_route(action, key, payload, extra)
+        else:
+            node._route_hop(action, key, bits, steps, ideal, extra)
+
+    return take
+
+
+#: per code, the ``Node`` method its catalog row names
+_HANDLER = tuple(getattr(Node, spec.handler) for spec in CATALOG)
+#: per code, what ``Node.handle`` calls with ``(node, payload)``
+_TAKE = tuple(
+    _routed_entry(spec.code) if spec.routed else _HANDLER[spec.code]
+    for spec in CATALOG
+)

@@ -20,12 +20,14 @@ on three rules:
    ahead of it, so adopting a map whose epoch rose *is* entering
    recovery — there is no eviction frame, no flag to set and none to
    forget — and applying the rebuild of that generation is leaving it.
-3. **One hold queue.**  A frame that needs a serving shard is admissible
-   iff the host is wired, not recovering and — for the generation-fenced
-   data frames — stamped with ``gen``.  A frame of an older generation
-   is dropped; anything else that came early waits in :attr:`held` and
-   is replayed, in arrival order and through the ordinary dispatch,
-   whenever the predicate may have flipped.
+3. **One hold queue.**  A frame's admission rule is its
+   :class:`~repro.net.transport.FrameSpec`'s.  A frame that needs a
+   serving shard is admissible iff the host is wired, not recovering
+   and — for the generation-fenced data frames — stamped with ``gen``.
+   A frame of an older generation is dropped; anything else that came
+   early waits in :attr:`held` and is replayed, in arrival order and
+   through the ordinary dispatch, whenever the predicate may have
+   flipped.
 
 Around these sit the coordinator's duties (join reserve/commit, leave,
 forwards merge, retire), the failure detector and suspect → evict, and
@@ -47,6 +49,10 @@ from typing import Callable, Protocol
 from repro.net.membership import ClusterMap
 from repro.net.records import RecordTable
 from repro.net.transport import (
+    FENCED,
+    FENCED_DEDUP,
+    FRAME_TYPES,
+    OPEN,
     decode_payload,
     encode_payload,
     record_from_wire,
@@ -55,18 +61,28 @@ from repro.net.transport import (
 from repro.ops.detector import FailureDetector
 from repro.ops.recovery import merge_records, plan_rebuild
 
-__all__ = ["HELD_OPS", "ControlPlane", "DataPlane"]
-
-#: Frames that need a serving shard and wait in the hold queue for one
-#: (the generation-fenced ``msg``/``complete``/``replica_put`` wait there
-#: too, see :meth:`ControlPlane.admit`).
-HELD_OPS = frozenset(
-    {"submit", "submit_batch", "join", "join_commit", "leave", "retire"}
-)
+__all__ = ["ControlPlane", "DataPlane", "frame_handlers"]
 
 #: Seconds between a recovering host's dump re-offers (and the acting
 #: coordinator's map re-pushes to hosts whose dump is missing).
 _REOFFER_SECONDS = 1.0
+
+
+def frame_handlers(*planes) -> dict[str, tuple[Callable, str]]:
+    """The one frame table: ``{op: (handler, admission)}`` over every
+    ``_on_<op>`` method of ``planes``, each called as ``handler(conn,
+    message, now)`` once ``admission`` (the op's
+    :class:`~repro.net.transport.FrameSpec`) lets the frame in."""
+    table: dict[str, tuple[Callable, str]] = {}
+    for plane in planes:
+        for name in dir(plane):
+            if not name.startswith("_on_"):
+                continue
+            op = name[4:]
+            if op in table:
+                raise ValueError(f"two handlers for frame {op!r}")
+            table[op] = (getattr(plane, name), FRAME_TYPES[op].admission)
+    return table
 
 
 class DataPlane(Protocol):
@@ -146,9 +162,6 @@ class ControlPlane:
         self._rebuilt: dict | None = None
         #: ops log ring, served by ``/status``
         self.log: deque[str] = deque(maxlen=200)
-        # op -> handler(conn, message, now): every `_on_<op>` below
-        self._handlers = {name[4:]: getattr(self, name)
-                          for name in dir(self) if name.startswith("_on_")}
 
     # -- the one state ---------------------------------------------------------
     @property
@@ -245,10 +258,18 @@ class ControlPlane:
             self.data.dispatch(conn, message)
 
     # -- the one hold queue ----------------------------------------------------
-    def admit(self, conn, message: dict, gen: int | None = None) -> bool:
-        """Whether ``message`` may be handled now.  If not it was dropped
-        (``gen`` names a generation already rebuilt over) or is held for
-        replay.  ``gen`` is None for frames no generation fences."""
+    def admit(self, conn, message: dict, admission: str) -> bool:
+        """Whether ``message`` may be handled now under ``admission`` (its
+        op's :class:`~repro.net.transport.FrameSpec`).  If not it was
+        dropped (a fenced ``gen`` names a generation already rebuilt
+        over) or is held for replay."""
+        if admission == OPEN:
+            return True
+        # the generation fence: data-plane frames from before a crash
+        # eviction must not leak into the rebuilt actors (their waves
+        # restarted from the merged record set) or the purged replicas
+        fenced = admission == FENCED_DEDUP or admission == FENCED
+        gen = message.get("gen", 0) if fenced else None
         cluster = self.cluster
         if cluster is not None:
             epoch = cluster.recovery_epoch
@@ -258,16 +279,6 @@ class ControlPlane:
                 return False
         self.held.append((conn, message))
         return False
-
-    def handle(self, conn, message: dict, now: float) -> bool:
-        """Run a control-plane frame; False if ``message`` is not one."""
-        op = message.get("op")
-        handler = self._handlers.get(op)
-        if handler is None:
-            return False
-        if op not in HELD_OPS or self.admit(conn, message):
-            handler(conn, message, now)
-        return True
 
     # -- periodic duties -------------------------------------------------------
     def beat(self, now: float) -> None:

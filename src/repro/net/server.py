@@ -51,17 +51,24 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 
-from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
+from repro.core.actions import A_JOIN_RT, CATALOG
 from repro.core.cluster import spawn_nodes
 from repro.core.protocol import ClusterContext, Node
 from repro.core.structures import get_structure
-from repro.net.control import ControlPlane
+from repro.net.control import ControlPlane, frame_handlers
 from repro.net.link import Connection, PeerLink, ResendFilter
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import TIMEOUT_LAG, NetRuntime
 from repro.ops.health import build_health, build_status, start_ops_server
-from repro.net.transport import decode_payload, encode_payload, request_async
+from repro.net.transport import (
+    CLIENT,
+    FENCED,
+    FENCED_DEDUP,
+    decode_payload,
+    encode_payload,
+    request_async,
+)
 from repro.overlay.ldb import (
     LEFT,
     MIDDLE,
@@ -239,6 +246,8 @@ class NodeHost:
             slow_ms=config.trace_slow_ms,
         )
         self._wire_telemetry()
+        # op -> (handler, admission): every `_on_<op>` of both planes
+        self._frame_table = frame_handlers(self, self.control)
 
     # -- telemetry -----------------------------------------------------------
     def _wire_telemetry(self) -> None:
@@ -564,17 +573,13 @@ class NodeHost:
         tracer = self.tracer
         if tracer.tracing:
             # tag frames that carry a traced op's req_id so the peer
-            # opens a span too (routed PUT/GET ride the
-            # (key, bits, steps, ideal, extra) envelope; replies lead
-            # with the req_id) — untraced traffic pays one bool check
-            req = None
-            if action == A_RT_PUT or action == A_RT_GET:
-                extra = payload[4] if len(payload) == 5 else payload
-                req = extra[2] if action == A_RT_PUT else extra[1]
-            elif action == A_GET_REPLY:
-                req = payload[0]
-            if req is not None and tracer.active(req):
-                frame["tr"] = req
+            # opens a span too (the catalog's trace_req says where it
+            # sits) — untraced traffic pays one bool check
+            spec = CATALOG[action]
+            if spec.trace_req is not None:
+                req = (payload[4] if spec.routed else payload)[spec.trace_req]
+                if tracer.active(req):
+                    frame["tr"] = req
         return frame
 
     def _replay_unrouted(self) -> None:
@@ -620,7 +625,8 @@ class NodeHost:
             for sub in message.get("frames", []):
                 self.handle_frame(conn, sub)
             return
-        if op == "msg" or op == "complete":
+        entry = self._frame_table.get(op)
+        if entry is not None and entry[1] == FENCED_DEDUP:
             src = message.get("src")
             if src is not None:
                 self.control.detector.heard_from(src, time.monotonic())
@@ -629,129 +635,143 @@ class NodeHost:
         self.dispatch(conn, message)
 
     def dispatch(self, conn: Connection, message: dict) -> None:
-        """Handle one frame — or leave it with the control plane's hold
-        queue, which replays it here once this host can (see
+        """Run one frame's handler once its admission rule lets it in —
+        or leave it with the control plane's hold queue, which replays it
+        here once this host can (see
         :meth:`repro.net.control.ControlPlane.admit`)."""
         op = message.get("op")
-        control = self.control
         try:
-            if op == "msg" or op == "complete" or op == "replica_put":
-                # the generation fence: data-plane frames from before a
-                # crash eviction must not leak into the rebuilt actors
-                # (their waves restarted from the merged record set) or
-                # the replicas (the rebuild purges them)
-                if self._stopping or not control.admit(
-                    conn, message, message.get("gen", 0)
-                ):
-                    return
-                tr = message.get("tr")
-                if tr is not None:
-                    # a peer is routing (or completing) a traced op
-                    # through us: open a span so our local hop/valuation
-                    # stamps land too
-                    self.tracer.ensure(int(tr))
-                if op == "msg":
-                    self.runtime.deliver(
-                        message["dest"],
-                        message["action"],
-                        decode_payload(message["payload"]),
-                    )
-                elif op == "complete":  # facts for a record this host keeps
-                    self.records.apply(message["req"], decode_complete(message))
-                else:  # a ring predecessor mirrors a record here
-                    req_id = self.records.put_replica(message["record"])
-                    if message.get("ack"):
-                        self._send_peer(int(message["origin"]),
-                                        {"op": "replica_ack", "req": req_id})
-            elif op == "submit" or op == "submit_batch":
+            entry = self._frame_table.get(op)
+            if entry is None:
+                conn.send({"op": "error", "message": f"unknown op {op!r}"})
+                return
+            handler, admission = entry
+            if admission == CLIENT:
                 # a held submit whose session hung up meanwhile is not
                 # replayed: its client resubmits what was in limbo
                 if conn not in self.connections:
                     return
                 self.clients.add(conn)
-                if not control.admit(conn, message):
-                    return
-                if op == "submit":
-                    self._submit(conn, message)
-                    return
-                for sub in message.get("subs", []):
-                    req_id, pid, kind, item = sub[0], sub[1], sub[2], sub[3]
-                    unpacked = {"op": "submit", "req": req_id, "pid": pid,
-                                "kind": kind, "item": item}
-                    if len(sub) > 4 and sub[4]:
-                        unpacked["pri"] = sub[4]
-                    self._submit(conn, unpacked)
-            elif op == "replica_ack":
-                self.records.acked(int(message["req"]))
-            elif op == "hello":
-                if not control.wired:
-                    # the welcome's cluster map is what clients shard by
-                    conn.send({"op": "error", "message": "host not wired yet"})
-                    return
-                self.clients.add(conn)
-                nonce = self._next_nonce
-                self._next_nonce += 1
-                conn.send({
-                    "op": "welcome",
-                    "host": self.config.host_index,
-                    "n_hosts": len(control.cluster.hosts),
-                    "n_processes": self.config.n_processes,
-                    "structure": self.config.structure,
-                    "nonce": nonce,
-                    "id_slots": self.config.id_slots,
-                    "n_priorities": self.config.n_priorities,
-                    "trace_sample": self.config.trace_sample,
-                    "map": control.cluster.to_json(),
-                })
-            elif op == "wire":
-                self.wire_genesis(ClusterMap.from_json(message["map"]))
-                conn.send({"op": "wired", "host": self.config.host_index})
-            elif op == "health":
-                if message.get("detail") == "status":
-                    conn.send({"op": "health", **build_status(self)})
-                else:
-                    conn.send({"op": "health", **build_health(self)})
-            elif op == "collect":
-                conn.send(
-                    {
-                        "op": "records",
-                        "host": self.config.host_index,
-                        "records": self.records.dump(),
-                        "errors": self.errors + control.adopted_errors,
-                    }
-                )
-            elif op == "metrics":
-                conn.send(
-                    {
-                        "op": "metrics",
-                        "host": self.config.host_index,
-                        "summary": self.runtime.metrics.summary(),
-                        "phases": self.tracer.phase_summary(),
-                        "registry": self.telemetry.snapshot(),
-                    }
-                )
-            elif op == "ping":
-                cluster = control.cluster
-                conn.send(
-                    {
-                        "op": "pong",
-                        "host": self.config.host_index,
-                        "wired": control.wired,
-                        "joining": sorted(self.joining_pids),
-                        "draining": control.draining,
-                        "map_version": 0 if cluster is None else cluster.version,
-                        "update_epoch": self.update_epoch,
-                        "ops_port": self.ops_port,
-                    }
-                )
-            elif op == "shutdown":
-                conn.send({"op": "bye", "host": self.config.host_index})
-                asyncio.get_running_loop().call_soon(self.stop)
-            elif not control.handle(conn, message, time.monotonic()):
-                # not a membership, detector or recovery frame either
-                conn.send({"op": "error", "message": f"unknown op {op!r}"})
+            elif self._stopping and admission in (FENCED_DEDUP, FENCED):
+                return
+            if self.control.admit(conn, message, admission):
+                handler(conn, message, time.monotonic())
         except Exception:
             self.note_error(f"frame {op!r}", traceback.format_exc())
+
+    def _on_msg(self, conn, message: dict, now: float) -> None:
+        action = message["action"]
+        if type(action) is not int or not 0 <= action < len(CATALOG):
+            # Node.handle indexes the catalog unchecked: -1 or True
+            # would run another message's handler
+            self.note_error("frame 'msg'", f"no actor message {action!r}")
+            return
+        self._trace_transit(message)
+        self.runtime.deliver(
+            message["dest"], action, decode_payload(message["payload"]))
+
+    def _on_complete(self, conn, message: dict, now: float) -> None:
+        # facts for a record this host keeps
+        self._trace_transit(message)
+        self.records.apply(message["req"], decode_complete(message))
+
+    def _trace_transit(self, message: dict) -> None:
+        tr = message.get("tr")
+        if tr is not None:
+            # a peer is routing (or completing) a traced op through us:
+            # open a span so our local hop/valuation stamps land too
+            self.tracer.ensure(int(tr))
+
+    def _on_replica_put(self, conn, message: dict, now: float) -> None:
+        # a ring predecessor mirrors a record here
+        req_id = self.records.put_replica(message["record"])
+        if message.get("ack"):
+            self._send_peer(int(message["origin"]),
+                            {"op": "replica_ack", "req": req_id})
+
+    def _on_replica_ack(self, conn, message: dict, now: float) -> None:
+        self.records.acked(int(message["req"]))
+
+    def _on_submit_batch(self, conn, message: dict, now: float) -> None:
+        for sub in message.get("subs", []):
+            req_id, pid, kind, item = sub[0], sub[1], sub[2], sub[3]
+            unpacked = {"op": "submit", "req": req_id, "pid": pid,
+                        "kind": kind, "item": item}
+            if len(sub) > 4 and sub[4]:
+                unpacked["pri"] = sub[4]
+            self._on_submit(conn, unpacked, now)
+
+    def _on_hello(self, conn, message: dict, now: float) -> None:
+        control = self.control
+        if not control.wired:
+            # the welcome's cluster map is what clients shard by
+            conn.send({"op": "error", "message": "host not wired yet"})
+            return
+        self.clients.add(conn)
+        nonce = self._next_nonce
+        self._next_nonce += 1
+        conn.send({
+            "op": "welcome",
+            "host": self.config.host_index,
+            "n_hosts": len(control.cluster.hosts),
+            "n_processes": self.config.n_processes,
+            "structure": self.config.structure,
+            "nonce": nonce,
+            "id_slots": self.config.id_slots,
+            "n_priorities": self.config.n_priorities,
+            "trace_sample": self.config.trace_sample,
+            "map": control.cluster.to_json(),
+        })
+
+    def _on_wire(self, conn, message: dict, now: float) -> None:
+        self.wire_genesis(ClusterMap.from_json(message["map"]))
+        conn.send({"op": "wired", "host": self.config.host_index})
+
+    def _on_health(self, conn, message: dict, now: float) -> None:
+        if message.get("detail") == "status":
+            conn.send({"op": "health", **build_status(self)})
+        else:
+            conn.send({"op": "health", **build_health(self)})
+
+    def _on_collect(self, conn, message: dict, now: float) -> None:
+        conn.send(
+            {
+                "op": "records",
+                "host": self.config.host_index,
+                "records": self.records.dump(),
+                "errors": self.errors + self.control.adopted_errors,
+            }
+        )
+
+    def _on_metrics(self, conn, message: dict, now: float) -> None:
+        conn.send(
+            {
+                "op": "metrics",
+                "host": self.config.host_index,
+                "summary": self.runtime.metrics.summary(),
+                "phases": self.tracer.phase_summary(),
+                "registry": self.telemetry.snapshot(),
+            }
+        )
+
+    def _on_ping(self, conn, message: dict, now: float) -> None:
+        cluster = self.control.cluster
+        conn.send(
+            {
+                "op": "pong",
+                "host": self.config.host_index,
+                "wired": self.control.wired,
+                "joining": sorted(self.joining_pids),
+                "draining": self.control.draining,
+                "map_version": 0 if cluster is None else cluster.version,
+                "update_epoch": self.update_epoch,
+                "ops_port": self.ops_port,
+            }
+        )
+
+    def _on_shutdown(self, conn, message: dict, now: float) -> None:
+        conn.send({"op": "bye", "host": self.config.host_index})
+        asyncio.get_running_loop().call_soon(self.stop)
 
     # -- membership, the actors' side (DataPlane) ------------------------------
     def start_joins(self, pids: list[int]) -> None:
@@ -853,7 +873,7 @@ class NodeHost:
             })
 
     # -- request intake ------------------------------------------------------
-    def _submit(self, conn: Connection, message: dict) -> None:
+    def _on_submit(self, conn, message: dict, now: float) -> None:
         pid = message["pid"]
         req_id = message["req"]
         priority = int(message.get("pri", 0))

@@ -46,19 +46,25 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.core.requests import BOTTOM, OpRecord
 
 __all__ = [
     "BULK_OPS",
+    "CLIENT",
     "CODEC_BINARY",
     "CODEC_JSON",
+    "FENCED",
+    "FENCED_DEDUP",
     "FRAME_TYPES",
+    "HELD",
     "MAX_FRAME_BYTES",
+    "OPEN",
     "FrameDecodeError",
     "FrameError",
     "FrameReader",
+    "FrameSpec",
     "codec_for",
     "decode_frame_body",
     "decode_payload",
@@ -98,55 +104,75 @@ def codec_for(message: dict) -> str:
     :data:`BULK_OPS`, binary for everything else."""
     return CODEC_JSON if message.get("op") in BULK_OPS else CODEC_BINARY
 
+
+#: :attr:`FrameSpec.admission`, the rule a receiving host runs before the
+#: frame's handler (``NodeHost.dispatch``; the hold queue is
+#: :meth:`repro.net.control.ControlPlane.admit`):
+FENCED_DEDUP = "fenced+dedup"  # a reconnect resend's duplicate dropped, then FENCED
+FENCED = "fenced"  # stamped `gen`: dropped if superseded, held if ahead or not serving
+CLIENT = "client"  # dropped once its client session hung up, else HELD
+HELD = "held"  # held until this host serves (wired, not recovering)
+OPEN = "open"  # handled as it arrives
+
+
+class FrameSpec(NamedTuple):
+    """One frame type: what it says and how a host admits it."""
+
+    summary: str  # ``sender -> receiver: meaning``
+    admission: str = OPEN
+
+
 #: The authoritative frame registry: every ``op`` the TCP runtime puts on
-#: the wire, with a one-line summary.  ``docs/PROTOCOL.md`` is the prose
-#: catalog; ``tests/unit/test_docs.py`` diffs the two and also scans the
+#: the wire.  ``docs/PROTOCOL.md`` is the prose catalog;
+#: ``tests/unit/test_docs.py`` diffs the two and also scans the
 #: ``repro.net`` sources so no frame can ship undocumented.
-FRAME_TYPES: dict[str, str] = {
+FRAME_TYPES: dict[str, FrameSpec] = {
     # bootstrap / control plane
-    "wire": "launcher -> host: peer map + genesis cluster map; spawn and kick",
-    "wired": "host -> launcher: wire acknowledged",
-    "ping": "any -> host: liveness/status probe",
-    "pong": "host -> any: liveness answer + wired/joining/draining status",
-    "shutdown": "any -> host: orderly stop",
-    "bye": "host -> any: shutdown acknowledged",
-    "error": "host -> any: request could not be processed",
+    "wire": FrameSpec("launcher -> host: peer map + genesis cluster map; spawn and kick"),
+    "wired": FrameSpec("host -> launcher: wire acknowledged"),
+    "ping": FrameSpec("any -> host: liveness/status probe"),
+    "pong": FrameSpec("host -> any: liveness answer + wired/joining/draining status"),
+    "shutdown": FrameSpec("any -> host: orderly stop"),
+    "bye": FrameSpec("host -> any: shutdown acknowledged"),
+    "error": FrameSpec("host -> any: request could not be processed"),
     # host <-> host data plane
-    "msg": "host -> host: one actor message (dest, action, payload)",
-    "complete": "host -> host: value/result/completion sync for a req_id",
-    "batch": "host -> host: coalesced data-plane frames, one write per flush",
+    "msg": FrameSpec("host -> host: one actor message (dest, action, payload)", FENCED_DEDUP),
+    "complete": FrameSpec("host -> host: value/result/completion sync for a req_id", FENCED_DEDUP),
+    "batch": FrameSpec("host -> host: coalesced data-plane frames, one write per flush"),
     # client session
-    "hello": "client -> host: request a submission nonce + cluster map",
-    "welcome": "host -> client: nonce, id_slots + cluster map",
-    "submit": "client -> host: ENQUEUE/DEQUEUE at a pid this host owns",
-    "submit_batch": "client -> host: coalesced submits, one frame per flush",
-    "done": "host -> client: a submitted request completed (+ result)",
-    "done_batch": "host -> client: coalesced DONE pushes, one frame per flush",
-    "rejected": "host -> client: submission not accepted (drain/ownership)",
-    "collect": "client -> host: dump this host's (+ adopted) OpRecords",
-    "records": "host -> client: the collect answer (+ errors)",
-    "metrics": "client <-> host: metrics summary request/answer",
+    "hello": FrameSpec("client -> host: request a submission nonce + cluster map"),
+    "welcome": FrameSpec("host -> client: nonce, id_slots + cluster map"),
+    "submit": FrameSpec("client -> host: ENQUEUE/DEQUEUE at a pid this host owns", CLIENT),
+    "submit_batch": FrameSpec("client -> host: coalesced submits, one frame per flush", CLIENT),
+    "done": FrameSpec("host -> client: a submitted request completed (+ result)"),
+    "done_batch": FrameSpec("host -> client: coalesced DONE pushes, one frame per flush"),
+    "rejected": FrameSpec("host -> client: submission not accepted (drain/ownership)"),
+    "collect": FrameSpec("client -> host: dump this host's (+ adopted) OpRecords"),
+    "records": FrameSpec("host -> client: the collect answer (+ errors)"),
+    "metrics": FrameSpec("client <-> host: metrics summary request/answer"),
     # live membership
-    "join": "joining host -> coordinator: reserve a host_index + fresh pids",
-    "join_ok": "coordinator -> joining host: reservation + deployment config",
-    "join_commit": "joining host -> coordinator: listening; publish me + route JOINs",
-    "join_done": "coordinator -> joining host: map published, JOINs routed",
-    "leave": "operator -> host: drain this host and retire it",
-    "leaving": "host -> operator: drain started",
-    "forwards": "draining host -> coordinator: incremental vid forwards",
-    "retire": "drained host -> coordinator: records/forwards handoff",
-    "retired": "coordinator -> drained host: handoff accepted, safe to stop",
-    "map": "any -> host: pull the current cluster map",
-    "host_map": "host -> peers/clients: versioned cluster map (push or pull answer)",
-    "update_over": "host -> clients: an update phase finished (epoch, members)",
+    "join": FrameSpec("joining host -> coordinator: reserve a host_index + fresh pids", HELD),
+    "join_ok": FrameSpec("coordinator -> joining host: reservation + deployment config"),
+    "join_commit": FrameSpec(
+        "joining host -> coordinator: listening; publish me + route JOINs", HELD),
+    "join_done": FrameSpec("coordinator -> joining host: map published, JOINs routed"),
+    "leave": FrameSpec("operator -> host: drain this host and retire it", HELD),
+    "leaving": FrameSpec("host -> operator: drain started"),
+    "forwards": FrameSpec("draining host -> coordinator: incremental vid forwards"),
+    "retire": FrameSpec("drained host -> coordinator: records/forwards handoff", HELD),
+    "retired": FrameSpec("coordinator -> drained host: handoff accepted, safe to stop"),
+    "map": FrameSpec("any -> host: pull the current cluster map"),
+    "host_map": FrameSpec("host -> peers/clients: versioned cluster map (push or pull answer)"),
+    "update_over": FrameSpec("host -> clients: an update phase finished (epoch, members)"),
     # crash-stop fault tolerance + ops plane
-    "heartbeat": "host -> host: periodic liveness beacon over the peer link",
-    "suspect": "host -> coordinator: peer silent past threshold (corroboration)",
-    "recover_dump": "host -> coordinator: all record facts held, for the rebuild",
-    "rebuild": "coordinator -> hosts: merged records + deterministic rebuild plan",
-    "replica_put": "host -> successor: mirror record facts (submit/value/completion)",
-    "replica_ack": "successor -> host: completion replica durably held",
-    "health": "any -> host: ops-plane health/status snapshot request/answer",
+    "heartbeat": FrameSpec("host -> host: periodic liveness beacon over the peer link"),
+    "suspect": FrameSpec("host -> coordinator: peer silent past threshold (corroboration)"),
+    "recover_dump": FrameSpec("host -> coordinator: all record facts held, for the rebuild"),
+    "rebuild": FrameSpec("coordinator -> hosts: merged records + deterministic rebuild plan"),
+    "replica_put": FrameSpec(
+        "host -> successor: mirror record facts (submit/value/completion)", FENCED),
+    "replica_ack": FrameSpec("successor -> host: completion replica durably held"),
+    "health": FrameSpec("any -> host: ops-plane health/status snapshot request/answer"),
 }
 
 _HEADER = struct.Struct(">I")

@@ -71,20 +71,21 @@ def bounce_forwarded_batch(runtime: "Runtime", action: int, payload: tuple) -> b
     Forwarding addresses left by departed nodes are for *routed* traffic
     (DHT messages, membership control) — they point at the node that
     took over the departed node's data, which sits at an arbitrary cycle
-    position.  A tree-up aggregation batch (``A_AGG``) following such a
-    forward would inject an edge into the wave graph that can point
-    *downstream* of the sender, closing a serve-dependency cycle that
-    freezes the whole pipeline (every member of the cycle waits for a
-    SERVE that transitively depends on its own batch).  Every engine
+    position.  A tree-up aggregation batch (a ``tree_batch`` row of
+    :data:`repro.core.actions.CATALOG`) following such a forward would
+    inject an edge into the wave graph that can point *downstream* of
+    the sender, closing a serve-dependency cycle that freezes the whole
+    pipeline (every member of the cycle waits for a SERVE that
+    transitively depends on its own batch).  Every engine
     therefore bounces such batches back to their sender as a REQUEUE:
     the sender reclaims the batch (it was never combined, so no
     positions are lost) and re-fires at its — by then healed — parent.
 
     Returns True when the message was bounced and must not be delivered.
     """
-    from repro.core.actions import A_AGG, A_REQUEUE
+    from repro.core.actions import A_REQUEUE, CATALOG
 
-    if action != A_AGG:
+    if not CATALOG[action].tree_batch:
         return False
     runtime.send(payload[0], A_REQUEUE, (0,))
     return True

@@ -16,14 +16,23 @@ import ast
 import asyncio
 from pathlib import Path
 
+import pytest
 
 import repro.net.control as control_module
 from repro.core.requests import INSERT
-from repro.net.control import HELD_OPS, ControlPlane
+from repro.net.control import ControlPlane, frame_handlers
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.server import HostConfig, NodeHost
-from repro.net.transport import FRAME_TYPES, FrameReader, encode_frame
+from repro.net.transport import (
+    CLIENT,
+    FENCED,
+    FENCED_DEDUP,
+    FRAME_TYPES,
+    HELD,
+    FrameReader,
+    encode_frame,
+)
 
 SLOTS = 8  # req_id % SLOTS is the origin host
 HEARTBEAT = 0.25
@@ -72,6 +81,7 @@ class Host:
         self.submits: list[dict] = []   # admitted submits, in order
         self.errors: list[str] = []
         self.stopped = False
+        self.frame_table = frame_handlers(self, self.control)
 
     def _send(self, host: int, frame: dict) -> bool:
         if host not in self.links:
@@ -112,27 +122,27 @@ class Host:
 
     def dispatch(self, conn, message: dict) -> None:
         """``NodeHost.dispatch``, minus everything that needs an actor."""
-        op = message["op"]
-        control = self.control
-        if op in ("msg", "complete", "replica_put"):
-            if not control.admit(conn, message, message.get("gen", 0)):
-                return
-            if op == "msg":
-                self.msgs.append(message)
-            elif op == "complete":
-                self.records.apply(message["req"], decode_complete(message))
-            else:
-                req_id = self.records.put_replica(message["record"])
-                if message.get("ack"):
-                    self._send(int(message["origin"]),
-                               {"op": "replica_ack", "req": req_id})
-        elif op == "submit":
-            if control.admit(conn, message):
-                self.submits.append(message)
-        elif op == "replica_ack":
-            self.records.acked(int(message["req"]))
-        else:
-            assert control.handle(conn, message, self.net.now), op
+        handler, admission = self.frame_table[message["op"]]
+        if self.control.admit(conn, message, admission):
+            handler(conn, message, self.net.now)
+
+    def _on_msg(self, conn, message: dict, now: float) -> None:
+        self.msgs.append(message)
+
+    def _on_complete(self, conn, message: dict, now: float) -> None:
+        self.records.apply(message["req"], decode_complete(message))
+
+    def _on_replica_put(self, conn, message: dict, now: float) -> None:
+        req_id = self.records.put_replica(message["record"])
+        if message.get("ack"):
+            self._send(int(message["origin"]),
+                       {"op": "replica_ack", "req": req_id})
+
+    def _on_replica_ack(self, conn, message: dict, now: float) -> None:
+        self.records.acked(int(message["req"]))
+
+    def _on_submit(self, conn, message: dict, now: float) -> None:
+        self.submits.append(message)
 
     # -- what a test does to a host ----------------------------------------------
     def ask(self, message: dict) -> Conn:
@@ -422,10 +432,19 @@ def msg(gen: int, tag: int) -> dict:
 
 
 class TestHoldQueue:
-    def test_held_ops_are_exactly_the_frames_that_need_a_shard(self):
-        assert HELD_OPS == {"submit", "submit_batch", "join", "join_commit",
-                            "leave", "retire"}
-        assert HELD_OPS <= set(FRAME_TYPES)
+    def test_the_admission_column_names_the_frames_each_rule_gates(self):
+        def admitted_by(*rules):
+            return {op for op, spec in FRAME_TYPES.items()
+                    if spec.admission in rules}
+
+        # what waits for a serving shard without a generation stamp
+        assert admitted_by(HELD, CLIENT) == {
+            "submit", "submit_batch", "join", "join_commit", "leave",
+            "retire"}
+        assert admitted_by(CLIENT) == {"submit", "submit_batch"}
+        assert admitted_by(FENCED, FENCED_DEDUP) == {
+            "msg", "complete", "replica_put"}
+        assert admitted_by(FENCED_DEDUP) == {"msg", "complete"}
 
     def test_pre_wire_frames_wait_for_the_map(self):
         net = Net(2, wire=False)
@@ -476,8 +495,9 @@ class TestHoldQueue:
         net = Net(2)
         control = net.hosts[0].control
         frame = msg(0, 1)
-        assert control.admit(None, frame, 0) and not control.held
-        assert control.admit(None, {"op": "submit"}) and not control.held
+        assert control.admit(None, frame, FENCED_DEDUP) and not control.held
+        assert control.admit(None, {"op": "submit"}, CLIENT)
+        assert not control.held
 
 
 # -- membership ------------------------------------------------------------------
@@ -741,6 +761,60 @@ class TestLinks:
 
         for named in asyncio.run(scenario()):
             assert named == {2}
+
+
+# -- what NodeHost keeps: the frame table ------------------------------------------
+
+
+class TestFrameTable:
+    def test_every_op_has_at_most_one_handler(self):
+        def handled(cls):
+            return {name[4:] for name in dir(cls) if name.startswith("_on_")}
+
+        host_ops, control_ops = handled(NodeHost), handled(ControlPlane)
+        assert not host_ops & control_ops
+        assert host_ops | control_ops <= set(FRAME_TYPES)
+
+        class Twin:
+            def _on_ping(self, conn, message, now): ...
+
+        with pytest.raises(ValueError, match="ping"):
+            frame_handlers(Twin(), Twin())
+
+    def test_dispatch_is_a_lookup_not_an_op_chain(self):
+        (dispatch,) = [func for func in _functions(NET / "server.py")
+                       if func.name == "dispatch"]
+        compared = [ast.unparse(node) for node in ast.walk(dispatch)
+                    if isinstance(node, ast.Compare)
+                    and "op" in {ast.unparse(side) for side in
+                                 [node.left, *node.comparators]}]
+        assert not compared
+
+    def test_a_foreign_action_code_reaches_no_actor(self, monkeypatch):
+        """``Node.handle`` indexes the catalog unchecked, so the host
+        refuses a ``msg`` whose ``action`` is no code of it: -1 would run
+        the last row's handler, and ``True`` is ``A_SERVE``."""
+        from repro.core.actions import A_WAKE, CATALOG
+        from repro.core.protocol import Node
+
+        seen = []
+        monkeypatch.setattr(Node, "handle", lambda node, action, payload:
+                            seen.append((node.vid, action)))
+
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2))
+            for action in (-1, len(CATALOG), True, "0", A_WAKE):
+                host.handle_frame(Conn(), {"op": "msg", "dest": 1, "gen": 0,
+                                           "action": action, "payload": []})
+            delivered = list(seen)  # before the loop runs any wave
+            await host._async_stop()
+            return delivered, host.errors
+
+        delivered, errors = asyncio.run(scenario())
+        assert delivered == [(1, A_WAKE)]
+        assert len(errors) == 4 and all("no actor message" in e for e in errors)
+        assert len(CATALOG) == 32
 
 
 # -- structure, pinned -------------------------------------------------------------

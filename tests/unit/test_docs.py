@@ -1,13 +1,17 @@
-"""Documentation enforcement: the wire catalog and internal links.
+"""Documentation enforcement: the wire catalog, the actor messages and
+internal links.
 
-Two invariants, both cheap enough for tier-1:
+Three invariants, all cheap enough for tier-1:
 
 * ``docs/PROTOCOL.md`` documents **exactly** the frame vocabulary the
-  TCP runtime emits: its per-frame headings are diffed against the
-  authoritative registry (:data:`repro.net.transport.FRAME_TYPES`),
-  which in turn is diffed against the ``"op"`` literals actually
-  present in the ``repro.net`` sources.  A frame cannot ship
-  undocumented, and a removed frame cannot linger in the docs.
+  TCP runtime emits: its per-frame headings — op and admission — are
+  diffed against the authoritative registry
+  (:data:`repro.net.transport.FRAME_TYPES`), which in turn is diffed
+  against the ``"op"`` literals actually present in the ``repro.net``
+  sources.  A frame cannot ship undocumented, and a removed frame
+  cannot linger in the docs.
+* Its "Actor messages" table is :data:`repro.core.actions.CATALOG`,
+  row for row.
 * Internal markdown links in README/DESIGN/PROTOCOL resolve — no
   dangling cross-references (CI runs this in a dedicated docs job).
 """
@@ -20,14 +24,22 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.actions import CATALOG
 from repro.net.transport import FRAME_TYPES
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 PROTOCOL_MD = REPO_ROOT / "docs" / "PROTOCOL.md"
 NET_SOURCES = sorted((REPO_ROOT / "src" / "repro" / "net").glob("*.py"))
 
-# one `#### `op`` heading per documented frame
-_HEADING = re.compile(r"^#### `([a-z_]+)`\s*$", re.MULTILINE)
+# one `#### `op` · admission` heading per documented frame
+_HEADING = re.compile(r"^#### `([a-z_]+)` · (\S+)\s*$", re.MULTILINE)
+# one `| code | `A_NAME` | direction | routed | tree batch | meaning |` row
+# per actor message
+_ACTION_ROW = re.compile(
+    r"^\| (\d+) \| `(A_[A-Z_]+)` \| ([^|]+?) \| ([a-z]*) ?\| (yes)? ?\| "
+    r"([^|]+?) \|$",
+    re.MULTILINE,
+)
 # a frame emission in code: {"op": "x", ...}
 _EMISSION = re.compile(r'"op":\s*"([a-z_]+)"')
 # markdown links; external schemes are skipped below
@@ -36,12 +48,12 @@ _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 
 class TestFrameCatalog:
     def test_protocol_md_matches_the_frame_registry(self):
-        documented = set(_HEADING.findall(PROTOCOL_MD.read_text()))
-        registered = set(FRAME_TYPES)
+        documented = dict(_HEADING.findall(PROTOCOL_MD.read_text()))
+        registered = {op: spec.admission for op, spec in FRAME_TYPES.items()}
         assert documented == registered, (
             f"docs/PROTOCOL.md out of sync with transport.FRAME_TYPES: "
-            f"undocumented={sorted(registered - documented)}, "
-            f"stale={sorted(documented - registered)}"
+            f"undocumented={sorted(registered.items() - documented.items())}, "
+            f"stale={sorted(documented.items() - registered.items())}"
         )
 
     def test_every_emitted_frame_is_registered(self):
@@ -68,8 +80,23 @@ class TestFrameCatalog:
         )
 
     def test_registry_entries_have_summaries(self):
-        for op, summary in FRAME_TYPES.items():
-            assert summary and ("->" in summary or ":" in summary), op
+        for op, spec in FRAME_TYPES.items():
+            assert " -> " in spec.summary or " <-> " in spec.summary, op
+            assert ": " in spec.summary, op
+
+
+def test_protocol_md_actor_messages_match_the_catalog():
+    documented = _ACTION_ROW.findall(PROTOCOL_MD.read_text())
+    cataloged = []
+    for spec in CATALOG:
+        direction, meaning = spec.summary.split(": ", 1)
+        cataloged.append((str(spec.code), spec.name, direction,
+                          spec.routed or "", "yes" if spec.tree_batch else "",
+                          meaning))
+    assert documented == cataloged, (
+        "docs/PROTOCOL.md \"Actor messages\" out of sync with "
+        "repro.core.actions.CATALOG"
+    )
 
 
 @pytest.mark.parametrize(

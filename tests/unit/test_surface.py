@@ -320,33 +320,62 @@ class TestEpochPlane:
             and "_epoch" in ast.unparse(node)
         ]
 
-    def test_every_membership_action_has_one_handler(self):
-        from repro.core import actions, membership, protocol
 
-        table = next(
-            node.value
-            for node in ast.parse((self.CORE / "membership.py").read_text()).body
-            if isinstance(node, ast.Assign)
-            and ast.unparse(node.targets[0]) == "_HANDLERS"
-        )
-        keys = [ast.unparse(key) for key in table.keys]
-        assert len(keys) == len(set(keys))
-        # what Node.handle and the router's _deliver take themselves
-        own = {
-            ast.unparse(side)
-            for func, nodes in self._functions("protocol.py")
-            if func in ("handle", "_deliver")
-            for node in nodes
-            if isinstance(node, ast.Compare)
-            for side in [node.left, *node.comparators]
-            if ast.unparse(side).startswith("A_")
-        }
-        assert sorted(keys) == sorted(set(actions.__all__) - own)
-        assert protocol.Node._handle_membership is (
-            membership.MembershipMixin._handle_membership
-        )
-        source = inspect.getsource(membership.MembershipMixin._handle_membership)
-        assert "elif" not in source
+class TestActionCatalog:
+    """Every actor message is one row of ``repro.core.actions.CATALOG``,
+    and no code path names a code to decide what a message is."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def test_codes_are_dense_and_are_the_module_names(self):
+        from repro.core import actions
+
+        assert [spec.code for spec in actions.CATALOG] == list(
+            range(len(actions.CATALOG)))
+        names = [spec.name for spec in actions.CATALOG]
+        assert names == actions.__all__
+        for spec in actions.CATALOG:
+            assert getattr(actions, spec.name) == spec.code
+
+    def test_every_handler_is_a_node_method(self):
+        from repro.core.actions import CATALOG
+        from repro.core.protocol import Node
+
+        for spec in CATALOG:
+            assert callable(getattr(Node, spec.handler, None)), spec
+            # (node, payload), or a routed message's (node, key, extra)
+            arity = 3 if spec.routed else 2
+            assert len(inspect.signature(
+                getattr(Node, spec.handler)).parameters) == arity, spec
+
+    def test_the_aggregation_batch_alone_is_a_tree_batch(self):
+        from repro.core.actions import A_AGG, CATALOG
+
+        assert [spec.code for spec in CATALOG if spec.tree_batch] == [A_AGG]
+
+    def test_no_code_path_compares_an_action_to_a_code(self):
+        offenders = []
+        for package in ("core", "sim", "net"):
+            for source in sorted((self.SRC / package).glob("*.py")):
+                for node in ast.walk(ast.parse(source.read_text())):
+                    if not isinstance(node, ast.Compare):
+                        continue
+                    sides = [node.left, *node.comparators]
+                    names = [ast.unparse(side) for side in sides]
+                    if any(re.fullmatch(r"A_[A-Z_]+", name) for name in names):
+                        offenders.append(f"{source.name}: {ast.unparse(node)}")
+                    elif isinstance(node.ops[0], (ast.In, ast.NotIn)) and any(
+                        re.search(r"\bA_[A-Z_]+\b", name) for name in names[1:]
+                    ):
+                        offenders.append(f"{source.name}: {ast.unparse(node)}")
+        assert not offenders
+
+    def test_node_handle_is_one_indexed_call(self):
+        from repro.core.protocol import Node
+
+        source = inspect.getsource(Node.handle)
+        assert "if" not in source.split('"""')[-1]
+        assert not hasattr(Node, "_handle_membership")
 
 
 class TestWavePlane:
