@@ -1,4 +1,4 @@
-"""Baselines and reference oracles.
+"""Baselines.
 
 The paper's introduction motivates Skueue against server-based queues
 (ActiveMQ/IBM MQ-style): a central server is a throughput and storage
@@ -8,11 +8,8 @@ design choice (batching) on the same simulation substrate.
 
 from repro.baselines.central import CentralQueueCluster
 from repro.baselines.nobatch import NoBatchQueueCluster
-from repro.baselines.reference import SequentialQueue, SequentialStack
 
 __all__ = [
     "CentralQueueCluster",
     "NoBatchQueueCluster",
-    "SequentialQueue",
-    "SequentialStack",
 ]

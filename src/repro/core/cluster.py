@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.core.actions import A_JOIN_RT
 from repro.core.protocol import ClusterContext, Node
-from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.core.requests import INSERT, REMOVE, OpRecord, user_result
 from repro.core.structures import get_structure
 from repro.overlay.ldb import (
     LEFT,
@@ -50,7 +50,14 @@ from repro.sim.sync_runner import SyncRunner
 from repro.util.hashing import label_of
 from repro.util.rng import RngStreams
 
-__all__ = ["SkackCluster", "SkeapCluster", "SkueueCluster", "spawn_nodes"]
+__all__ = [
+    "SkackCluster",
+    "SkeapCluster",
+    "SkueueCluster",
+    "join_pid",
+    "promote_joiners",
+    "spawn_nodes",
+]
 
 
 def spawn_nodes(ctx, topology, pids=None) -> list:
@@ -88,6 +95,38 @@ def spawn_nodes(ctx, topology, pids=None) -> list:
         runtime.add_actor(node)
         nodes.append(node)
     return nodes
+
+
+def join_pid(ctx, pid: int, spawn: bool = True, via=None) -> None:
+    """Bootstrap a joining process, one virtual node at a time.
+
+    For each of ``pid``'s three virtual nodes (left, middle, right):
+    with ``spawn``, add its joining :class:`Node` to ``ctx.runtime``; with
+    ``via`` (an integrated node), route its JOIN from there.  The sim
+    clusters do both; over TCP the joining host spawns and the
+    coordinator routes.
+    """
+    mid = label_of(pid, salt=ctx.salt)
+    for kind in (LEFT, MIDDLE, RIGHT):
+        vid = vid_of(pid, kind)
+        lbl = virtual_label(mid, kind)
+        if spawn:
+            node = Node(ctx, vid, lbl, -1, -1.0, -1, -1.0, joining=True)
+            ctx.runtime.add_actor(node)
+        if via is not None:
+            via._route_start(A_JOIN_RT, lbl, (vid, lbl))
+
+
+def promote_joiners(actors, joining: set) -> list[int]:
+    """Remove from ``joining`` every pid whose three virtual nodes are
+    all present in ``actors`` and integrated; returns those pids."""
+    done = []
+    for pid in list(joining):
+        nodes = [actors.get(vid_of(pid, kind)) for kind in (LEFT, MIDDLE, RIGHT)]
+        if all(node is not None and not node.joining for node in nodes):
+            joining.discard(pid)
+            done.append(pid)
+    return done
 
 
 class SkueueCluster:
@@ -260,13 +299,7 @@ class SkueueCluster:
         if not 0 <= req_id < len(self.ctx.records):
             raise KeyError(f"req_id {req_id} was never issued on this cluster")
         rec = self.ctx.records[req_id]
-        if not rec.completed:
-            return None
-        if rec.kind == INSERT:
-            return True
-        if rec.result is BOTTOM:
-            return BOTTOM
-        return rec.result[1]  # unwrap the (req_id, item) element tag
+        return user_result(rec.kind, rec.result) if rec.completed else None
 
     # -- membership (Section IV) ------------------------------------------------------
     def can_join(self, pid: int) -> bool:
@@ -316,14 +349,7 @@ class SkueueCluster:
                 for pid in sorted(self.live_pids - self.leaving_pids)
                 if vid_of(pid, MIDDLE) in self.runtime.actors
             )
-        via = self.runtime.actors[vid_of(via_pid, MIDDLE)]
-        mid = label_of(new_pid, salt=self.salt)
-        for kind in (LEFT, MIDDLE, RIGHT):
-            vid = vid_of(new_pid, kind)
-            lbl = virtual_label(mid, kind)
-            node = Node(self.ctx, vid, lbl, -1, -1.0, -1, -1.0, joining=True)
-            self.runtime.add_actor(node)
-            via._route_start(A_JOIN_RT, lbl, (vid, lbl))
+        join_pid(self.ctx, new_pid, via=self.runtime.actors[vid_of(via_pid, MIDDLE)])
         self.joining_pids.add(new_pid)
         return new_pid
 
@@ -338,15 +364,7 @@ class SkueueCluster:
             self.runtime.actors[vid_of(pid, kind)].start_leave()
 
     def _on_update_over(self, epoch: int, members: int = 0) -> None:
-        # promote joiners whose three virtual nodes are all integrated
-        for pid in list(self.joining_pids):
-            nodes = [
-                self.runtime.actors.get(vid_of(pid, kind))
-                for kind in (LEFT, MIDDLE, RIGHT)
-            ]
-            if all(n is not None and not n.joining for n in nodes):
-                self.joining_pids.discard(pid)
-                self.live_pids.add(pid)
+        self.live_pids.update(promote_joiners(self.runtime.actors, self.joining_pids))
         # retire leavers whose three virtual nodes all departed
         for pid in list(self.leaving_pids):
             if all(

@@ -42,6 +42,7 @@ __all__ = [
     "OpRecord",
     "pack_req_id",
     "unpack_req_id",
+    "user_result",
 ]
 
 #: Operation kinds, shared by queue (enqueue/dequeue) and stack (push/pop).
@@ -97,6 +98,17 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
+
+
+def user_result(kind: int, result):
+    """What a caller sees of a completed operation: ``True`` for an
+    insert; ``BOTTOM`` or the bare item for a removal (the ``(req_id,
+    item)`` element tag unwrapped)."""
+    if kind == INSERT:
+        return True
+    if result is BOTTOM:
+        return BOTTOM
+    return result[1]
 
 
 class OpRecord:

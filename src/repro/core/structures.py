@@ -7,10 +7,11 @@ placement and key function, whether PUT/GET carry tickets and whether
 they hold the node's next wave back (all from
 :mod:`repro.core.discipline`, :mod:`repro.core.anchor`,
 :mod:`repro.core.decompose`, :mod:`repro.dht.storage`) — plus what the
-layers above need by name: the metric and method vocabulary, the
-Definition-1 checker and (as lazily resolved dotted references, to keep
-this module import-cycle-free) the simulator cluster facade and the
-session class of the public API.  The node, the clusters, the TCP
+layers above need by name: the metric and method vocabulary and (as lazily
+resolved dotted references, to keep this module import-cycle-free) the
+sequential model that both the Definition-1 checker and the crash
+rebuild replay, the simulator cluster facade and the session class of
+the public API.  The node, the clusters, the TCP
 :class:`~repro.net.server.NodeHost`, the rebuild preload and the launcher
 CLI look the structure up here and branch on nothing else; adding one is
 a module holding its discipline plus one :func:`register` call (recipe
@@ -40,11 +41,7 @@ from repro.core.discipline import (
 from repro.core.requests import INSERT
 from repro.dht.storage import HeapStore, QueueStore, StackStore
 from repro.util.hashing import heap_position_key, position_key
-from repro.verify.seqcons import (
-    check_heap_history,
-    check_queue_history,
-    check_stack_history,
-)
+from repro.verify import seqcons
 
 __all__ = [
     "REGISTRY",
@@ -92,10 +89,11 @@ class StructureSpec:
     insert_name: str  # metric names, also the session method vocabulary
     remove_name: str
     empty_name: str
-    check_history: Callable  # Definition-1 checker over an OpRecord list
+    #: "module:Class" of the sequential model (repro.verify.models) the
+    #: Definition-1 checker and the crash rebuild both replay
+    model_ref: str
     cluster_ref: str  # "module:Class" of the simulator facade
     session_ref: str  # "module:Class" of the public-API session
-    rebuild_ref: str  # "module:Class" of the crash-rebuild reference model
     # -- the discipline: what the one protocol node asks its structure ----
     #: ``(n_priorities, annihilate) -> WaveBuffer``, one per node
     buffer: Callable
@@ -119,6 +117,14 @@ class StructureSpec:
         """Human name of an operation kind (INSERT/REMOVE) here."""
         return (self.insert_name, self.remove_name)[kind]
 
+    def check_history(self, records) -> None:
+        """Definition 1 over an OpRecord list; raises on violation."""
+        seqcons.check_history(records, self.model)
+
+    @property
+    def model(self) -> type:
+        return _resolve(self.model_ref)
+
     @property
     def cluster_class(self) -> type:
         return _resolve(self.cluster_ref)
@@ -126,10 +132,6 @@ class StructureSpec:
     @property
     def session_class(self) -> type:
         return _resolve(self.session_ref)
-
-    @property
-    def rebuild_model(self) -> type:
-        return _resolve(self.rebuild_ref)
 
 
 REGISTRY: dict[str, StructureSpec] = {}
@@ -162,10 +164,9 @@ register(
         insert_name="enqueue",
         remove_name="dequeue",
         empty_name="dequeue_empty",
-        check_history=check_queue_history,
+        model_ref="repro.verify.models:QueueModel",
         cluster_ref="repro.core.cluster:SkueueCluster",
         session_ref="repro.api.session:QueueSession",
-        rebuild_ref="repro.ops.recovery:RefQueue",
         buffer=lambda n_priorities, annihilate: QueueBuffer(),
         anchor_state=lambda n_priorities: QueueAnchorState(),
         decomposer=QueueDecomposer,
@@ -180,10 +181,9 @@ register(
         insert_name="push",
         remove_name="pop",
         empty_name="pop_empty",
-        check_history=check_stack_history,
+        model_ref="repro.verify.models:StackModel",
         cluster_ref="repro.core.cluster:SkackCluster",
         session_ref="repro.api.session:StackSession",
-        rebuild_ref="repro.ops.recovery:RefStack",
         buffer=lambda n_priorities, annihilate: StackBuffer(annihilate),
         anchor_state=lambda n_priorities: StackAnchorState(),
         decomposer=StackDecomposer,
@@ -200,10 +200,9 @@ register(
         insert_name="insert",
         remove_name="delete_min",
         empty_name="delete_min_empty",
-        check_history=check_heap_history,
+        model_ref="repro.verify.models:HeapModel",
         cluster_ref="repro.core.cluster:SkeapCluster",
         session_ref="repro.api.session:HeapSession",
-        rebuild_ref="repro.ops.recovery:RefHeap",
         buffer=lambda n_priorities, annihilate: HeapBuffer(n_priorities),
         anchor_state=HeapAnchorState,
         decomposer=HeapDecomposer,

@@ -52,7 +52,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
+from repro.core.requests import INSERT, REMOVE, OpRecord, pack_req_id, user_result
 from repro.net.link import FOLD_SUBMITS, Connection
 from repro.net.membership import ClusterMap
 from repro.net.transport import decode_payload, encode_payload, record_from_wire
@@ -483,12 +483,7 @@ class SkueueClient:
                     f"req_id {req_id} was never submitted by this client"
                 )
             return None
-        kind, result = self._results[req_id]
-        if kind == INSERT:
-            return True
-        if result is BOTTOM:
-            return BOTTOM
-        return result[1]  # unwrap the (req_id, item) element tag
+        return user_result(*self._results[req_id])
 
     # -- history / introspection ----------------------------------------------
     async def collect_records(

@@ -51,9 +51,9 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 
-from repro.core.actions import A_JOIN_RT, CATALOG
-from repro.core.cluster import spawn_nodes
-from repro.core.protocol import ClusterContext, Node
+from repro.core.actions import CATALOG
+from repro.core.cluster import join_pid, promote_joiners, spawn_nodes
+from repro.core.protocol import ClusterContext
 from repro.core.structures import get_structure
 from repro.net.control import ControlPlane, frame_handlers
 from repro.net.link import Connection, PeerLink, ResendFilter
@@ -69,19 +69,10 @@ from repro.net.transport import (
     encode_payload,
     request_async,
 )
-from repro.overlay.ldb import (
-    LEFT,
-    MIDDLE,
-    RIGHT,
-    LdbTopology,
-    pid_of,
-    vid_of,
-    virtual_label,
-)
+from repro.overlay.ldb import MIDDLE, LdbTopology, pid_of, vid_of
 from repro.overlay.routing import route_steps_for
 from repro.sim.metrics import Metrics
 from repro.telemetry import MetricsRegistry, Tracer, render_run_metrics
-from repro.util.hashing import label_of
 
 __all__ = ["PER_HOST_FIELDS", "HostConfig", "NodeHost"]
 
@@ -428,19 +419,7 @@ class NodeHost:
         config = self.config
         self.ctx = self._new_context(3 * max(1, len(cluster_map.pid_owner)))
         for pid in config.owned_pids:
-            mid = label_of(pid, salt=config.salt)
-            for kind in (LEFT, MIDDLE, RIGHT):
-                node = Node(
-                    self.ctx,
-                    vid_of(pid, kind),
-                    virtual_label(mid, kind),
-                    -1,
-                    -1.0,
-                    -1,
-                    -1.0,
-                    joining=True,
-                )
-                self.runtime.add_actor(node)
+            join_pid(self.ctx, pid)
             self.joining_pids.add(pid)
         self._start_loops()
         self.control.adopt(cluster_map, time.monotonic())
@@ -778,10 +757,7 @@ class NodeHost:
         """Coordinator: route a JOIN for each virtual node of ``pids``."""
         starter = self._route_starter()
         for pid in pids:
-            mid = label_of(pid, salt=self.config.salt)
-            for kind in (LEFT, MIDDLE, RIGHT):
-                lbl = virtual_label(mid, kind)
-                starter._route_start(A_JOIN_RT, lbl, (vid_of(pid, kind), lbl))
+            join_pid(self.ctx, pid, spawn=False, via=starter)
 
     def _route_starter(self):
         """A local on-cycle middle node to start routed JOINs from."""
@@ -856,13 +832,7 @@ class NodeHost:
         """Runs on every local node's UPDATE_OVER: promote integrated
         joiners and push one notification per epoch to client sessions."""
         self.update_epoch = max(self.update_epoch, epoch)
-        for pid in list(self.joining_pids):
-            nodes = [
-                self.runtime.actors.get(vid_of(pid, kind))
-                for kind in (LEFT, MIDDLE, RIGHT)
-            ]
-            if all(node is not None and not node.joining for node in nodes):
-                self.joining_pids.discard(pid)
+        promote_joiners(self.runtime.actors, self.joining_pids)
         if epoch > self._pushed_epoch:
             self._pushed_epoch = epoch
             self.push_clients({

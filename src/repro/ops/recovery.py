@@ -10,7 +10,8 @@ The key observation is the protocol's own correctness theorem: the
 execution witnessed by the checker is exactly the value-ordered replay
 of all operations.  So given every record fact the cluster still holds
 (own records + custody archives + replicas), replaying the *valued*
-operations in value order against a reference structure deterministically
+operations in value order against the structure's sequential model (the
+one the checker replays, :mod:`repro.verify.models`) deterministically
 reproduces
 
 * the result of every valued-but-incomplete operation (→ completed now),
@@ -25,7 +26,7 @@ scratch after the rebuild.
 consumed an element but whose value replica never landed, or an insert
 consumed by a *completed* (hence acknowledged) remove whose own value was
 lost.  The replay detects these as mismatches between a completed
-remove's recorded result and what the reference structure serves, and
+remove's recorded result and what the model serves, and
 repairs them one at a time in a fixpoint loop: synthesize the missing
 event (a lost remove consuming the stale front, or the missing insert of
 a consumed element) by assigning the unvalued record a fresh *float*
@@ -92,99 +93,6 @@ class RebuildPlan:
     errors: list = field(default_factory=list)
 
 
-# -- reference structures (a structure names its own: StructureSpec.rebuild_ref) --
-
-
-class RefQueue:
-    def __init__(self, n_priorities: int = 0) -> None:
-        self.items: list = []
-
-    def push(self, rec: OpRecord) -> None:
-        self.items.append(rec.element)
-
-    def peek(self, rec: OpRecord):
-        return self.items[0] if self.items else None
-
-    def consume(self, rec: OpRecord):
-        return self.items.pop(0)
-
-    def discard(self, element) -> bool:
-        try:
-            self.items.remove(element)
-            return True
-        except ValueError:
-            return False
-
-    def __contains__(self, element) -> bool:
-        return element in self.items
-
-    def elements(self) -> list:
-        """The survivors as ``RebuildPlan.elements`` entries."""
-        return list(enumerate(self.items))
-
-    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
-        """The anchor export that hands out the positions after them."""
-        return (0, len(self.items) - 1, counter, epoch, members)
-
-
-class RefStack(RefQueue):
-    def peek(self, rec: OpRecord):
-        return self.items[-1] if self.items else None
-
-    def consume(self, rec: OpRecord):
-        return self.items.pop()
-
-    def elements(self) -> list:
-        # positions run 1..m; a survivor's ticket is its position
-        return [(pos, pos, el) for pos, el in enumerate(self.items, start=1)]
-
-    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
-        m = len(self.items)
-        return (m, m, counter, epoch, members)
-
-
-class RefHeap:
-    def __init__(self, n_priorities: int) -> None:
-        self.classes: list[list] = [[] for _ in range(max(1, n_priorities))]
-
-    def push(self, rec: OpRecord) -> None:
-        self.classes[rec.priority].append(rec.element)
-
-    def peek(self, rec: OpRecord):
-        for chunk in self.classes:
-            if chunk:
-                return chunk[0]
-        return None
-
-    def consume(self, rec: OpRecord):
-        for chunk in self.classes:
-            if chunk:
-                return chunk.pop(0)
-        raise IndexError("consume on empty heap")
-
-    def discard(self, element) -> bool:
-        for chunk in self.classes:
-            if element in chunk:
-                chunk.remove(element)
-                return True
-        return False
-
-    def __contains__(self, element) -> bool:
-        return any(element in chunk for chunk in self.classes)
-
-    def elements(self) -> list:
-        return [
-            (priority, pos, element)
-            for priority, chunk in enumerate(self.classes)
-            for pos, element in enumerate(chunk)
-        ]
-
-    def anchor(self, counter: int, epoch: int, members: int) -> tuple:
-        firsts = tuple(0 for _ in self.classes)
-        lasts = tuple(len(chunk) - 1 for chunk in self.classes)
-        return (firsts, lasts, counter, epoch, members)
-
-
 # -- the planner ---------------------------------------------------------------
 
 
@@ -202,7 +110,7 @@ def plan_rebuild(
     repaired records additionally a synthesized float ``value``.
     ``epoch``/``members`` seed the restored anchor's bookkeeping fields.
     """
-    model = get_structure(structure).rebuild_model  # ValueError if unknown
+    model = get_structure(structure).model  # ValueError if unknown
     plan = RebuildPlan(structure=structure, anchor=())
     recs = list(records.values())
 
@@ -267,7 +175,7 @@ def _replay(recs, model, n_priorities, skip, dry, plan=None):
                 rec.completed = True
                 plan.completions.append(rec.req_id)
             continue
-        served = ref.peek(rec)
+        served = ref.peek()
         if rec.completed:
             want = rec.result
             if want is BOTTOM or want is None:
@@ -279,7 +187,7 @@ def _replay(recs, model, n_priorities, skip, dry, plan=None):
                     return ref, (rec, served)
                 continue
             if served == want:
-                ref.consume(rec)
+                ref.consume()
                 continue
             if rec.req_id in skip:
                 ref.discard(want)  # trust the record; unblock the replay
@@ -293,11 +201,11 @@ def _replay(recs, model, n_priorities, skip, dry, plan=None):
             if served is None:
                 rec.result = BOTTOM
             else:
-                rec.result = ref.consume(rec)
+                rec.result = ref.consume()
             rec.completed = True
             plan.completions.append(rec.req_id)
         elif served is not None:
-            ref.consume(rec)
+            ref.consume()
     return ref, None
 
 

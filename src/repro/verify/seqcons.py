@@ -8,7 +8,8 @@ The checker therefore:
 
 1. builds the candidate order from the recorded values,
 2. verifies property 4 (per-process program order) directly, and
-3. *replays* the order against a reference sequential queue/stack/heap,
+3. *replays* the order against the structure's sequential model
+   (:mod:`repro.verify.models`, the same one the crash rebuild replays),
    comparing every removal's result — which is equivalent to properties
    1-3 combined with the uniqueness of elements (an element is returned
    iff it was inserted earlier and not yet removed, in FIFO/LIFO order —
@@ -34,14 +35,14 @@ required.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.verify.models import HeapModel, QueueModel, StackModel
 from repro.verify.violations import ConsistencyViolation, Violation
 
 __all__ = [
     "ConsistencyViolation",
     "check_heap_history",
+    "check_history",
     "check_queue_history",
     "check_stack_history",
     "order_key",
@@ -152,139 +153,60 @@ def _check_matching(records: list[OpRecord], keys) -> None:
             )
 
 
-def check_queue_history(records: list[OpRecord]) -> None:
-    """Verify a queue history against Definition 1; raises on violation."""
+def check_history(records: list[OpRecord], model: type) -> None:
+    """Verify a history against Definition 1 for the sequential
+    structure ``model`` (a :mod:`repro.verify.models` class); raises
+    :class:`ConsistencyViolation` on the first violated clause."""
     keys = _common_checks(records)
     _check_matching(records, keys)
-    # replay: properties 2 and 3 (and 1 again) via a reference FIFO queue
-    order = sorted(records, key=lambda r: keys[r.req_id])
-    fifo: deque[tuple] = deque()
-    for rec in order:
-        if rec.kind == INSERT:
-            fifo.append(rec.element)
-        else:
-            if not fifo:
-                if rec.result is not BOTTOM:
-                    _fail(
-                        "property 2",
-                        f"property 2 violated: {rec!r} returned "
-                        f"{rec.result!r} from an empty queue",
-                        rec,
-                    )
-            else:
-                expected = fifo.popleft()
-                if rec.result is BOTTOM:
-                    _fail(
-                        "property 2",
-                        f"property 2 violated: {rec!r} returned BOTTOM but "
-                        f"{expected!r} was in the queue",
-                        rec,
-                    )
-                if rec.result != expected:
-                    _fail(
-                        "property 3",
-                        f"property 3 violated (FIFO): {rec!r} returned "
-                        f"{rec.result!r}, expected {expected!r}",
-                        rec,
-                    )
-
-
-def check_heap_history(records: list[OpRecord]) -> None:
-    """Verify a heap history against (the priority reading of) Definition 1.
-
-    The reference structure is a sequential constant-priority queue: one
-    FIFO per class.  Replaying the witness order, every removal must
-    return the *oldest element of the lowest non-empty class* — which is
-    properties 2 and 3 for Skeap: ⊥ exactly on empty, minimum priority
-    first, FIFO within a class.
-    """
-    keys = _common_checks(records)
-    _check_matching(records, keys)
-    priority_of: dict[int, int] = {}
     for rec in records:
         if rec.kind == INSERT:
-            priority = rec.priority
-            if not isinstance(priority, int) or priority < 0:
-                _fail(
-                    "invalid-priority",
-                    f"{rec!r}: invalid priority {priority!r}",
-                    rec,
-                )
-            priority_of[rec.req_id] = priority
-    order = sorted(records, key=lambda r: keys[r.req_id])
-    classes: dict[int, deque] = {}
-    for rec in order:
+            problem = model.admit(rec)
+            if problem is not None:
+                _fail("invalid-priority", problem, rec)
+    _replay(records, keys, model())
+
+
+def _replay(records: list[OpRecord], keys, model) -> None:
+    """Properties 2 and 3 (and 1 again): replay the witness order against
+    the sequential model; every removal must return what it serves."""
+    for rec in sorted(records, key=lambda r: keys[r.req_id]):
         if rec.kind == INSERT:
-            classes.setdefault(rec.priority, deque()).append(rec.element)
-        else:
-            live = [p for p, fifo in classes.items() if fifo]
-            if not live:
-                if rec.result is not BOTTOM:
-                    _fail(
-                        "property 2",
-                        f"property 2 violated: {rec!r} returned "
-                        f"{rec.result!r} from an empty heap",
-                        rec,
-                    )
-                continue
-            lowest = min(live)
-            expected = classes[lowest].popleft()
-            if rec.result is BOTTOM:
+            model.push(rec)
+            continue
+        expected = model.peek()
+        if expected is None:
+            if rec.result is not BOTTOM:
                 _fail(
                     "property 2",
-                    f"property 2 violated: {rec!r} returned BOTTOM but "
-                    f"{expected!r} was stored at priority {lowest}",
+                    f"property 2 violated: {rec!r} returned "
+                    f"{rec.result!r} from an empty {model.noun}",
                     rec,
                 )
-            if rec.result != expected:
-                got_priority = priority_of.get(rec.result[0])
-                if got_priority is not None and got_priority != lowest:
-                    _fail(
-                        "property 3",
-                        f"property 3 violated (minimum priority): {rec!r} "
-                        f"returned {rec.result!r} of class {got_priority} "
-                        f"while class {lowest} held {expected!r}",
-                        rec,
-                    )
-                _fail(
-                    "property 3",
-                    f"property 3 violated (FIFO within class {lowest}): "
-                    f"{rec!r} returned {rec.result!r}, expected {expected!r}",
-                    rec,
-                )
+            continue
+        if rec.result is BOTTOM:
+            _fail(
+                "property 2",
+                f"property 2 violated: {rec!r} returned BOTTOM but "
+                f"{model.holding(expected)}",
+                rec,
+            )
+        if rec.result != expected:
+            _fail("property 3", model.misorder(rec, expected), rec)
+        model.consume()
+
+
+def check_queue_history(records: list[OpRecord]) -> None:
+    """Verify a queue history against Definition 1; raises on violation."""
+    check_history(records, QueueModel)
 
 
 def check_stack_history(records: list[OpRecord]) -> None:
     """Verify a stack history against (the LIFO reading of) Definition 1."""
-    keys = _common_checks(records)
-    _check_matching(records, keys)
-    order = sorted(records, key=lambda r: keys[r.req_id])
-    lifo: list[tuple] = []
-    for rec in order:
-        if rec.kind == INSERT:
-            lifo.append(rec.element)
-        else:
-            if not lifo:
-                if rec.result is not BOTTOM:
-                    _fail(
-                        "property 2",
-                        f"property 2 violated: {rec!r} returned "
-                        f"{rec.result!r} from an empty stack",
-                        rec,
-                    )
-            else:
-                expected = lifo.pop()
-                if rec.result is BOTTOM:
-                    _fail(
-                        "property 2",
-                        f"property 2 violated: {rec!r} returned BOTTOM but "
-                        f"{expected!r} was on the stack",
-                        rec,
-                    )
-                if rec.result != expected:
-                    _fail(
-                        "property 3",
-                        f"property 3 violated (LIFO): {rec!r} returned "
-                        f"{rec.result!r}, expected {expected!r}",
-                        rec,
-                    )
+    check_history(records, StackModel)
+
+
+def check_heap_history(records: list[OpRecord]) -> None:
+    """Verify a heap history against (the priority reading of) Definition 1:
+    ⊥ exactly on empty, minimum priority first, FIFO within a class."""
+    check_history(records, HeapModel)

@@ -2,12 +2,7 @@
 
 import random
 
-from repro.baselines import (
-    CentralQueueCluster,
-    NoBatchQueueCluster,
-    SequentialQueue,
-    SequentialStack,
-)
+from repro.baselines import CentralQueueCluster, NoBatchQueueCluster
 from repro.core.requests import BOTTOM
 from repro.experiments import (
     FixedRateWorkload,
@@ -17,25 +12,6 @@ from repro.experiments import (
     render_table,
     run_experiment,
 )
-
-
-
-class TestReferenceOracles:
-    def test_queue(self):
-        q = SequentialQueue()
-        assert q.dequeue() is BOTTOM
-        q.enqueue(1)
-        q.enqueue(2)
-        assert q.dequeue() == 1
-        assert len(q) == 1
-
-    def test_stack(self):
-        s = SequentialStack()
-        assert s.pop() is BOTTOM
-        s.push(1)
-        s.push(2)
-        assert s.pop() == 2
-        assert len(s) == 1
 
 
 class TestCentralBaseline:

@@ -99,19 +99,18 @@ def test_stack_async_adversarial(program, seed):
 @settings(max_examples=20, deadline=None)
 def test_single_process_queue_matches_sequential(ops, seed):
     """With one request source, the distributed queue IS a queue."""
-    from repro.baselines.reference import SequentialQueue
+    from repro.verify.models import QueueModel
 
     cluster = SkueueCluster(n_processes=4, seed=seed)
-    reference = SequentialQueue()
+    reference = QueueModel()
     handles = []
     expected = []
     for i, is_insert in enumerate(ops):
         if is_insert:
-            cluster.enqueue(0, f"v{i}")
-            reference.enqueue(f"v{i}")
+            reference.push(cluster.records[cluster.enqueue(0, f"v{i}")])
         else:
             handles.append(cluster.dequeue(0))
-            expected.append(reference.dequeue())
+            expected.append(BOTTOM if reference.peek() is None else reference.consume()[1])
         # fully quiesce between ops: strict sequential semantics
         cluster.run_until_done(60_000)
     for handle, want in zip(handles, expected):

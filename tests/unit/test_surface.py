@@ -23,6 +23,7 @@ from repro.experiments.harness import run_experiment
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local, main
 from repro.net.server import PER_HOST_FIELDS, HostConfig
+from repro.verify.models import QueueModel
 
 HOST_CONFIG_FIELDS = (
     "host_index", "n_hosts", "n_processes", "seed", "bind_host", "port",
@@ -154,6 +155,17 @@ class TestHostConfigStatedOnce:
         )
 
 
+class _SpyModel(QueueModel):
+    """A queue model that records who built it: the checker builds it
+    with no class count, the rebuild with ``n_priorities``."""
+
+    built: list = []
+
+    def __init__(self, n_priorities: int | None = None) -> None:
+        super().__init__()
+        self.built.append("checker" if n_priorities is None else "rebuild")
+
+
 class TestStructurePlane:
     """Queue, stack and heap are three disciplines on one node: what a
     structure may vary is a field of ``StructureSpec``, the node writes
@@ -192,6 +204,26 @@ class TestStructurePlane:
             if ast.unparse(base).split(".")[-1] == "Node"
         ]
         assert heirs == []
+
+    def test_checker_and_rebuild_replay_the_one_model(self, monkeypatch):
+        from repro.core import structures
+        from repro.core.requests import INSERT, REMOVE, OpRecord
+        from repro.ops.recovery import plan_rebuild
+
+        spy = dataclasses.replace(
+            structures.get_structure("queue"), model_ref=f"{__name__}:_SpyModel"
+        )
+        monkeypatch.setitem(structures.REGISTRY, "queue", spy)
+        _SpyModel.built.clear()
+        records = [OpRecord(0, 0, 0, INSERT, "a", 0.0), OpRecord(1, 1, 0, REMOVE, None, 0.0)]
+        for value, rec in enumerate(records, start=1):
+            rec.value, rec.completed = value, True
+        records[1].result = (0, "a")
+        spy.check_history(records)
+        assert _SpyModel.built == ["checker"]
+        plan_rebuild({rec.req_id: rec for rec in records}, "queue")
+        assert set(_SpyModel.built[1:]) == {"rebuild"}
+        assert len(dataclasses.fields(structures.StructureSpec)) == 15
 
     def test_only_the_registry_and_the_verb_sugar_compare_structure_names(self):
         # check_priority (heap INSERTs take a class) and the API/CLI sugar
