@@ -17,6 +17,7 @@ from conftest import run_once
 from repro.baselines import CentralQueueCluster, NoBatchQueueCluster
 from repro.core.cluster import SkueueCluster
 from repro.experiments.tables import render_table
+from repro.core.requests import INSERT, REMOVE
 
 
 def _drive(cluster, n: int, rate: int, rounds: int, seed: int = 2) -> float:
@@ -25,9 +26,9 @@ def _drive(cluster, n: int, rate: int, rounds: int, seed: int = 2) -> float:
         for _ in range(rate):
             pid = rng.randrange(n)
             if rng.random() < 0.5:
-                cluster.enqueue(pid)
+                cluster.submit(pid, INSERT)
             else:
-                cluster.dequeue(pid)
+                cluster.submit(pid, REMOVE)
         cluster.step()
     cluster.run_until_done(400_000)
     return cluster.metrics.mean_latency()

@@ -1,8 +1,8 @@
 """Micro-benchmark: handle-API submission overhead vs the raw facade.
 
 The unified API wraps every operation in an ``OpHandle`` and routes it
-through a backend object; this measures what that costs relative to
-calling the engine-level :class:`SkueueCluster` facade directly, on an
+through the session; this measures what that costs relative to calling
+the session's backend, the :class:`SkueueCluster`, directly, on an
 identical deterministic workload (same seed, same ops, sync runner,
 delivery shuffling off).  The measured unit is wall-clock per completed
 run; simulated rounds are reported as extra info (they must be

@@ -9,6 +9,7 @@ from conftest import run_once
 from repro.experiments.tables import render_table
 from repro.core.cluster import SkueueCluster
 from repro.util.rng import RngStreams
+from repro.core.requests import INSERT
 
 
 def _fill(n: int, elements: int, seed: int = 11) -> dict:
@@ -18,7 +19,7 @@ def _fill(n: int, elements: int, seed: int = 11) -> dict:
     injected = 0
     while injected < elements:
         for _ in range(min(per_round, elements - injected)):
-            cluster.enqueue(rng.randrange(n))
+            cluster.submit(rng.randrange(n), INSERT)
             injected += 1
         cluster.step()
     cluster.run_until_done(60_000)

@@ -12,6 +12,7 @@ from repro.experiments.harness import run_experiment
 from repro.experiments.tables import render_table
 from repro.experiments.workload import FixedRateWorkload
 from repro.sim.profile import EngineProfile
+from repro.core.requests import INSERT
 
 
 def _latency_sweep():
@@ -88,7 +89,7 @@ def test_burst_flush(benchmark):
         cluster = SkueueCluster(n_processes=300, seed=4, shuffle_delivery=False)
         # one node buffers 500 requests in a single round
         for i in range(500):
-            cluster.enqueue(7, item=i)
+            cluster.submit(7, INSERT, i)
         start = cluster.runtime.round
         cluster.run_until_done(20_000)
         return cluster.runtime.round - start, cluster.metrics.mean_latency()

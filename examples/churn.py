@@ -11,13 +11,14 @@ Run:  python examples/churn.py
 import random
 
 from repro import SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from repro.verify import check_queue_history
 
 
 def main() -> None:
     cluster = SkueueCluster(n_processes=10, seed=99)
     rng = random.Random(99)
-    print(f"start: {len(cluster.live_pids)} processes")
+    print(f"start: {len(cluster.live_pids())} processes")
 
     events = []
     for round_number in range(600):
@@ -25,7 +26,7 @@ def main() -> None:
             new_pid = cluster.join()
             events.append(f"round {cluster.runtime.round}: process {new_pid} joining")
         if rng.random() < 0.008:
-            candidates = sorted(cluster.live_pids - cluster.leaving_pids)
+            candidates = cluster.live_pids()
             if len(candidates) > 4:
                 leaver = rng.choice(candidates)
                 cluster.leave(leaver)
@@ -33,17 +34,17 @@ def main() -> None:
                     f"round {cluster.runtime.round}: process {leaver} leaving"
                 )
         if rng.random() < 0.4:
-            pid = rng.choice(sorted(cluster.live_pids - cluster.leaving_pids))
+            pid = rng.choice(cluster.live_pids())
             if rng.random() < 0.5:
-                cluster.enqueue(pid, f"item-{round_number}")
+                cluster.submit(pid, INSERT, f"item-{round_number}")
             else:
-                cluster.dequeue(pid)
+                cluster.submit(pid, REMOVE)
         cluster.step()
 
     cluster.run_until_settled(200_000)
     for line in events:
         print(" ", line)
-    print(f"end: {len(cluster.live_pids)} processes, ring intact "
+    print(f"end: {len(cluster.live_pids())} processes, ring intact "
           f"({len(cluster.cycle_vids())} virtual nodes)")
 
     check_queue_history(cluster.records)

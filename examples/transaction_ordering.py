@@ -13,6 +13,7 @@ Run:  python examples/transaction_ordering.py
 import random
 
 from repro import SkueueCluster
+from repro.core.requests import INSERT
 from repro.verify import order_key
 
 
@@ -26,7 +27,7 @@ def main() -> None:
         pid = rng.randrange(n)
         amount = rng.randrange(1, 100)
         kind = rng.choice(["deposit", "withdraw"])
-        cluster.enqueue(pid, (kind, amount))
+        cluster.submit(pid, INSERT, (kind, amount))
         cluster.step(rng.randrange(3))
     cluster.run_until_done(60_000)
 

@@ -10,12 +10,13 @@ process is answered immediately, without any network round-trip.
 Run:  python examples/undo_stack.py
 """
 
-from repro import BOTTOM, SkackCluster
+from repro import BOTTOM, SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from repro.verify import check_stack_history
 
 
 def main() -> None:
-    cluster = SkackCluster(n_processes=12, seed=55)
+    cluster = SkueueCluster(n_processes=12, structure="stack", seed=55)
 
     # three users make edits (quiesced so the order is deterministic)
     edits = [
@@ -24,19 +25,19 @@ def main() -> None:
         (9, "delete word"),
     ]
     for pid, edit in edits:
-        cluster.push(pid, edit)
+        cluster.submit(pid, INSERT, edit)
         cluster.run_until_done()
         print(f"user {pid} edit: {edit}")
 
     # undo twice from a different user: most recent edits come back first
     for _ in range(2):
-        handle = cluster.pop(3)
+        handle = cluster.submit(3, REMOVE)
         cluster.run_until_done()
         print(f"undo -> {cluster.result_of(handle)!r}")
 
     # the instant-undo path: push+pop at the same process annihilate
-    cluster.push(7, "typo fix")
-    handle = cluster.pop(7)
+    cluster.submit(7, INSERT, "typo fix")
+    handle = cluster.submit(7, REMOVE)
     print(
         f"instant undo (local annihilation) -> {cluster.result_of(handle)!r} "
         f"[answered in 0 rounds, "
@@ -45,10 +46,10 @@ def main() -> None:
     cluster.run_until_done()
 
     # drain: one edit left, then empty
-    handle = cluster.pop(0)
+    handle = cluster.submit(0, REMOVE)
     cluster.run_until_done()
     print(f"undo -> {cluster.result_of(handle)!r}")
-    handle = cluster.pop(0)
+    handle = cluster.submit(0, REMOVE)
     cluster.run_until_done()
     assert cluster.result_of(handle) is BOTTOM
     print("undo -> ⊥ (nothing left to undo)")

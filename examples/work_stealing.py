@@ -12,6 +12,7 @@ Run:  python examples/work_stealing.py
 import random
 
 from repro import BOTTOM, SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from repro.verify import check_queue_history
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     published = []
     for task_id in range(48):
         producer = rng.choice(list(producers))
-        cluster.enqueue(producer, f"task-{task_id}")
+        cluster.submit(producer, INSERT, f"task-{task_id}")
         published.append(f"task-{task_id}")
         cluster.step(rng.randrange(4))
     cluster.run_until_done(60_000)
@@ -37,7 +38,7 @@ def main() -> None:
     pending = []
     while True:
         for worker in workers:
-            pending.append((worker, cluster.dequeue(worker)))
+            pending.append((worker, cluster.submit(worker, REMOVE)))
         cluster.run_until_done(60_000)
         done = 0
         for worker, handle in pending:

@@ -18,12 +18,14 @@ Quickstart (the unified handle API — same script on every backend)::
 
 Swap ``"sync"`` for ``"async"`` (adversarial delays) or ``"tcp"`` (real
 multi-process deployment) and nothing else changes; see ``repro.api``.
-The engine-level facades (:class:`SkueueCluster`, :class:`SkackCluster`)
-remain available for round-precise simulation control.
+For round-precise simulation control, the session's backend is itself a
+:class:`SkueueCluster` (``session.cluster``), which serves every
+structure (``SkueueCluster(n, structure="stack")``) and can also be
+built directly.
 """
 
 from repro.api import Op, connect
-from repro.core.cluster import SkackCluster, SkeapCluster, SkueueCluster
+from repro.core.cluster import SkueueCluster
 from repro.core.requests import BOTTOM
 from repro.sim.profile import EngineProfile
 
@@ -33,8 +35,6 @@ __all__ = [
     "BOTTOM",
     "EngineProfile",
     "Op",
-    "SkackCluster",
-    "SkeapCluster",
     "SkueueCluster",
     "__version__",
     "connect",

@@ -24,9 +24,10 @@ Backends
 --------
 ``sync``
     Deterministic synchronous rounds (:class:`SyncRunner`); the paper's
-    round metrics.  Extra kwargs go to :class:`SkueueCluster`.
+    round metrics.  The backend is a :class:`SkueueCluster` (also
+    ``session.cluster``); extra kwargs go to its constructor.
 ``async``
-    Adversarial asynchronous delays (:class:`AsyncRunner`).
+    Adversarial asynchronous delays (:class:`AsyncRunner`), same cluster.
 ``tcp``
     Real asyncio TCP over NodeHost OS processes.  Launches a local
     deployment by default (``n_hosts=``); pass ``host_map=`` or
@@ -35,14 +36,15 @@ Backends
     nonces keep their request-id spaces disjoint, see
     :func:`repro.core.requests.pack_req_id`).
 
-The older per-runtime facades (:class:`repro.SkueueCluster`'s raw
-req_id ints, :class:`repro.net.SkueueClient`) remain as thin
-compatibility shims over the same machinery; new code should start
-here.
+Both backends answer the same protocol (``submit``/``submit_many``,
+``live_pids``, ``is_done``/``wait``/``await_result``/``wait_all``,
+``result_of``, ``history``, ``metrics``/``telemetry``/``trace``,
+``close``), so the session delegates without asking which one it holds.
 """
 
 from __future__ import annotations
 
+from repro.core.cluster import SkueueCluster
 from repro.core.structures import get_structure
 from repro.sim.profile import EngineProfile
 from repro.api.handles import OpHandle
@@ -77,16 +79,15 @@ def connect(
     through ``profile=`` (an :class:`~repro.sim.profile.EngineProfile`:
     ``safety_tick``, ``timeout_lag`` — identical typing on every
     backend).  Remaining kwargs are backend-specific (cluster options on
-    the simulators, e.g. the sync runner's ``shuffle_delivery=``;
-    ``n_hosts``/``host_map``/``deployment`` and launch options on TCP).
+    the simulators, e.g. the sync runner's ``shuffle_delivery=`` and the
+    engine bound ``max_rounds=``; ``n_hosts``/``host_map``/``deployment``
+    and launch options on TCP).
     """
     spec = get_structure(structure)
     if backend in ("sync", "async"):
-        from repro.api._sim import SimBackend
-
-        impl = SimBackend(
-            structure=structure, runner=backend, n_processes=n_processes,
-            seed=seed, **kwargs,
+        impl = SkueueCluster(
+            n_processes, seed=seed, runner=backend, structure=structure,
+            **kwargs,
         )
     elif backend == "tcp":
         from repro.api._tcp import TcpBackend

@@ -13,9 +13,10 @@ its own host-assigned nonce, so sessions never collide on req_ids.
 
 The deployment may be *elastic*: hosts join and drain while sessions
 submit.  The backend tracks the pushed cluster map instead of a
-hard-coded deployment size — :meth:`TcpBackend.submit_pids` reflects
+hard-coded deployment size — :meth:`TcpBackend.live_pids` reflects
 joins/leaves live, and the session layer spreads its round-robin over
-exactly those pids.
+exactly those pids.  The backend answers the same names as the
+simulator cluster (:class:`~repro.core.cluster.SkueueCluster`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class TcpBackend:
                     f"deployment serves a {info['structure']!r}, session "
                     f"asked for a {structure!r}"
                 )
-            self.n_processes = info["n_processes"]
             self.n_priorities = info["n_priorities"]
         except BaseException:
             self.close()
@@ -95,14 +95,9 @@ class TcpBackend:
     @property
     def n_processes(self) -> int:
         """Live process count (follows the cluster map under churn)."""
-        pids = self.client.live_pids()
-        return len(pids) if pids else self._static_n_processes
+        return len(self.live_pids())
 
-    @n_processes.setter
-    def n_processes(self, value: int) -> None:
-        self._static_n_processes = value
-
-    def submit_pids(self) -> list[int]:
+    def live_pids(self) -> list[int]:
         """Pids the session's round-robin should spread over right now.
 
         Under churn the pid space is neither contiguous nor static: a
@@ -144,18 +139,25 @@ class TcpBackend:
     def wait_all(self, timeout: float | None = None) -> None:
         self._call(self.client.wait_all(self._timeout(timeout)))
 
-    def result(self, req_id: int):
+    def result_of(self, req_id: int):
         return self.client.result_of(req_id)
 
     # -- history / lifecycle ----------------------------------------------------
     def history(self) -> list[OpRecord]:
         return self._call(self.client.collect_records())
 
-    def host_metrics(self) -> dict[int, dict]:
-        return self._call(self.client.host_metrics())
+    def metrics(self) -> dict[int, dict]:
+        """One run-metrics summary per host, keyed by host index."""
+        return {host: data["summary"] for host, data in self.telemetry().items()}
 
-    def host_telemetry(self) -> dict[int, dict]:
+    def telemetry(self) -> dict[int, dict]:
         return self._call(self.client.host_telemetry())
+
+    def trace(self) -> dict:
+        raise AttributeError(
+            "trace export over the client port is not supported; use "
+            "`skueue-ops trace --seed HOST:PORT` or the /trace route"
+        )
 
     def close(self) -> None:
         if self._closed:

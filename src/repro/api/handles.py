@@ -13,7 +13,7 @@ This mirrors how wait-free queue constructions treat the per-operation
 handle, not polling, as the unit of progress: the caller owns a thing
 that makes progress observable, rather than a key into someone else's
 table.  The raw ``req_id`` stays exposed for interop with histories and
-the old facades.
+the engine-level cluster and client.
 """
 
 from __future__ import annotations

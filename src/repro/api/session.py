@@ -15,8 +15,14 @@ The surface is identical on every backend:
   sequential-consistency check over it.
 
 ``pid`` is optional everywhere: by default the session spreads
-operations round-robin over the deployment's processes, so simple
-workloads never mention pids at all.
+operations round-robin over the processes that accept them right now
+(the backend's ``live_pids()``, which follows joins and leaves), so
+simple workloads never mention pids at all.
+
+The backend is a :class:`~repro.core.cluster.SkueueCluster` on the
+simulators and a :class:`~repro.api._tcp.TcpBackend` on TCP; both answer
+the same names, and the session delegates to them without asking which
+one it holds.  Each backend validates an operation's priority itself.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from repro.core.cluster import SkueueCluster
 from repro.core.requests import INSERT, REMOVE, OpRecord
 from repro.core.structures import get_structure
 from repro.api.handles import OpHandle
@@ -146,14 +153,10 @@ class Session:
     def _pick_pid(self, pid: int | None) -> int:
         if pid is not None:
             return pid
-        pids = getattr(self._backend, "submit_pids", None)
-        pool = pids() if pids is not None else None
-        if pool:
-            # elastic backends (TCP under churn): spread over the pids
-            # that are actually live right now
-            pid = pool[self._rr_pid % len(pool)]
-        else:
-            pid = self._rr_pid % self.n_processes
+        pool = self._backend.live_pids()
+        if not pool:
+            raise RuntimeError("no process accepts operations")
+        pid = pool[self._rr_pid % len(pool)]
         self._rr_pid += 1
         return pid
 
@@ -163,17 +166,10 @@ class Session:
         return OpHandle(self._backend, req_id, kind, pid, item,
                         structure=self.structure, priority=priority)
 
-    def _check_priority(self, kind: int, priority: int) -> None:
-        from repro.core.structures import check_priority
-
-        check_priority(self.structure, kind, priority,
-                       getattr(self._backend, "n_priorities", None))
-
     def submit(self, op, item: object = None, *, pid: int | None = None,
                priority: int = 0) -> OpHandle:
         """Submit one operation by designator; returns its handle."""
         kind = _parse_kind(op)
-        self._check_priority(kind, priority)
         pid = self._pick_pid(pid)
         req_id = self._backend.submit(pid, kind, item, priority)
         return self._wrap(req_id, kind, pid, item, priority)
@@ -182,12 +178,13 @@ class Session:
         """Pipeline many operations; handles come back in submission order.
 
         ``ops`` is an iterable of specs (see :func:`_parse_op`).  Per-pid
-        program order follows the iterable's order on every backend.
+        program order follows the iterable's order on every backend.  The
+        backend validates the whole batch before it issues any of it.
         """
-        parsed = []
-        for kind, item, pid, priority in map(_parse_op, ops):
-            self._check_priority(kind, priority)
-            parsed.append((self._pick_pid(pid), kind, item, priority))
+        parsed = [
+            (self._pick_pid(pid), kind, item, priority)
+            for kind, item, pid, priority in map(_parse_op, ops)
+        ]
         req_ids = self._backend.submit_many(parsed)
         return [
             self._wrap(req_id, kind, pid, item, priority)
@@ -205,7 +202,7 @@ class Session:
     def result_of(self, req_id: int):
         """Result by raw req_id: completed result, ``None`` while
         pending; :class:`KeyError` for ids never submitted here."""
-        return self._backend.result(req_id)
+        return self._backend.result_of(req_id)
 
     # -- history / verification -----------------------------------------------
     def history(self) -> list[OpRecord]:
@@ -233,10 +230,7 @@ class Session:
         :meth:`~repro.sim.metrics.Metrics.summary`; on TCP it is one
         such summary per host, keyed by host index.
         """
-        cluster = getattr(self._backend, "cluster", None)
-        if cluster is not None:
-            return cluster.metrics.summary()
-        return self._backend.host_metrics()
+        return self._backend.metrics()
 
     def telemetry(self) -> dict:
         """Full telemetry per host: the run-metrics summary plus the
@@ -244,13 +238,7 @@ class Session:
         metrics-registry snapshot (``registry``).  Keyed by host index;
         simulators answer as a single host ``0``.
         """
-        cluster = getattr(self._backend, "cluster", None)
-        if cluster is not None:
-            payload: dict = {"summary": cluster.metrics.summary()}
-            if cluster.tracer is not None:
-                payload["phases"] = cluster.tracer.phase_summary()
-            return {0: payload}
-        return self._backend.host_telemetry()
+        return self._backend.telemetry()
 
     def trace(self) -> dict:
         """Chrome trace-event export of the sampled op lifecycles
@@ -259,23 +247,17 @@ class Session:
         TCP use ``skueue-ops trace`` or any host's ``/trace`` route,
         which see every client's ops, not just this session's.
         """
-        cluster = getattr(self._backend, "cluster", None)
-        if cluster is None:
-            raise AttributeError(
-                "trace export over the client port is not supported; use "
-                "`skueue-ops trace --seed HOST:PORT` or the /trace route"
-            )
-        return cluster.trace_export()
+        return self._backend.trace()
 
     # -- escape hatches ---------------------------------------------------------
     @property
-    def cluster(self):
-        """The underlying simulator cluster (sim backends only)."""
-        cluster = getattr(self._backend, "cluster", None)
-        if cluster is None:
+    def cluster(self) -> SkueueCluster:
+        """The simulator cluster, which is the backend itself (sim
+        backends only)."""
+        if not isinstance(self._backend, SkueueCluster):
             raise AttributeError("this backend does not expose a cluster "
                                  "(TCP deployments run in other processes)")
-        return cluster
+        return self._backend
 
     @property
     def backend(self):
@@ -333,6 +315,6 @@ class HeapSession(Session):
         return self.submit(REMOVE, pid=pid)
 
     @property
-    def n_priorities(self) -> int | None:
+    def n_priorities(self) -> int:
         """Priority class count of the underlying deployment."""
-        return getattr(self._backend, "n_priorities", None)
+        return self._backend.n_priorities

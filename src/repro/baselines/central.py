@@ -111,7 +111,11 @@ class CentralQueueCluster:
     def metrics(self) -> Metrics:
         return self.runtime.metrics
 
-    def _inject(self, pid: int, kind: int, item) -> int:
+    def submit(self, pid: int, kind: int, item=None, priority: int = 0) -> int:
+        """Issue one operation (INSERT/REMOVE) at process ``pid``;
+        returns its request id.  A FIFO queue: ``priority`` must be 0."""
+        if priority:
+            raise ValueError("the baseline queue takes no priorities")
         client_vid = pid + 1
         idx = self._op_counts.get(pid, 0)
         self._op_counts[pid] = idx + 1
@@ -122,12 +126,6 @@ class CentralQueueCluster:
             _SERVER_ID, _OP, (client_vid, rec.req_id, kind)
         )
         return rec.req_id
-
-    def enqueue(self, pid: int, item=None) -> int:
-        return self._inject(pid, INSERT, item)
-
-    def dequeue(self, pid: int) -> int:
-        return self._inject(pid, REMOVE, None)
 
     def step(self, rounds: int = 1) -> None:
         self.runtime.run(rounds)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.anchor import QueueAnchorState
-from repro.core.requests import BOTTOM, INSERT, OpRecord, REMOVE
+from repro.core.requests import BOTTOM, INSERT, OpRecord
 from repro.dht.storage import PARKED, QueueStore
 from repro.overlay.ldb import LdbTopology, MIDDLE, vid_of
 from repro.overlay.routing import initial_route_state, route_step, route_steps_for
@@ -209,7 +209,11 @@ class NoBatchQueueCluster:
     def metrics(self) -> Metrics:
         return self.runtime.metrics
 
-    def _inject(self, pid: int, kind: int, item) -> int:
+    def submit(self, pid: int, kind: int, item=None, priority: int = 0) -> int:
+        """Issue one operation (INSERT/REMOVE) at process ``pid``;
+        returns its request id.  A FIFO queue: ``priority`` must be 0."""
+        if priority:
+            raise ValueError("the baseline queue takes no priorities")
         vid = vid_of(pid, MIDDLE)
         idx = self._op_counts.get(pid, 0)
         self._op_counts[pid] = idx + 1
@@ -219,12 +223,6 @@ class NoBatchQueueCluster:
         node = self.runtime.actors[vid]
         node.route_start(A_TO_ANCHOR, self.anchor_label, (vid, rec.req_id, kind))
         return rec.req_id
-
-    def enqueue(self, pid: int, item=None) -> int:
-        return self._inject(pid, INSERT, item)
-
-    def dequeue(self, pid: int) -> int:
-        return self._inject(pid, REMOVE, None)
 
     def step(self, rounds: int = 1) -> None:
         self.runtime.run(rounds)

@@ -2,7 +2,7 @@
 
 from repro.core.anchor import QueueAnchorState, StackAnchorState
 from repro.core.batch import Batch, combine_runs
-from repro.core.cluster import SkackCluster, SkueueCluster
+from repro.core.cluster import SkueueCluster
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "OpRecord",
     "QueueAnchorState",
     "REMOVE",
-    "SkackCluster",
     "SkueueCluster",
     "StackAnchorState",
     "combine_runs",

@@ -1,22 +1,27 @@
-"""Simulation facade: build a Skueue/Skack cluster and drive it.
+"""The simulator cluster: one class for every structure and both engines.
 
-A cluster owns one simulation engine, builds the LDB over an initial set
-of processes, and exposes the paper's four operations —
-ENQUEUE/DEQUEUE (PUSH/POP for the stack) plus JOIN/LEAVE — along with
-run helpers and introspection for tests, examples and benchmarks.
+A :class:`SkueueCluster` owns one simulation engine (``runner="sync"``
+rounds or ``"async"`` events), builds the LDB over an initial set of
+processes and serves the structure named by ``structure=`` (any name of
+:mod:`repro.core.structures`: queue, stack, heap).  It exposes the
+paper's four operations — INSERT/REMOVE through :meth:`SkueueCluster.submit`
+plus JOIN/LEAVE — along with run helpers and introspection for tests,
+examples and benchmarks.
 
-This is the *engine-level* surface; the recommended public API is the
-backend-agnostic handle layer in :mod:`repro.api`
-(``repro.api.connect(backend="sync"|"async"|"tcp")``), which wraps this
-facade for the simulators.  ``enqueue``/``dequeue`` here keep returning
-raw request-id ints for compatibility; new code should prefer the
-:class:`~repro.api.OpHandle` objects the session layer returns.
+It is also the sync/async backend of the public API:
+``repro.connect("sync"|"async")`` builds one and wraps it in a session,
+so ``session.backend is session.cluster``.  Waiting on a request *drives
+the engine* until its record completes, bounded by ``max_rounds`` (a
+:class:`RuntimeError` past the bound is a protocol bug, not slow
+progress); timeouts in seconds mean nothing here and are ignored.
 
 Typical (engine-level) use::
 
+    from repro.core.requests import INSERT, REMOVE
+
     cluster = SkueueCluster(n_processes=32, seed=7)
-    handle = cluster.enqueue(pid=3, item="job-1")
-    deq = cluster.dequeue(pid=20)
+    cluster.submit(3, INSERT, "job-1")
+    deq = cluster.submit(20, REMOVE)
     cluster.run_until_done()
     assert cluster.result_of(deq) == "job-1"
 
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 from repro.core.actions import A_JOIN_RT
 from repro.core.protocol import ClusterContext, Node
-from repro.core.requests import INSERT, REMOVE, OpRecord, user_result
-from repro.core.structures import get_structure
+from repro.core.requests import OpRecord, user_result
+from repro.core.structures import check_priority, get_structure
 from repro.overlay.ldb import (
     LEFT,
     MIDDLE,
@@ -51,8 +56,6 @@ from repro.util.hashing import label_of
 from repro.util.rng import RngStreams
 
 __all__ = [
-    "SkackCluster",
-    "SkeapCluster",
     "SkueueCluster",
     "join_pid",
     "promote_joiners",
@@ -130,18 +133,15 @@ def promote_joiners(actors, joining: set) -> list[int]:
 
 
 class SkueueCluster:
-    """A distributed queue over ``n_processes`` simulated processes."""
-
-    #: Registry name of the structure this cluster serves; the nodes'
-    #: discipline and the metric vocabulary follow from it
-    #: (repro.core.structures).
-    structure = "queue"
+    """A simulated deployment of one structure over ``n_processes``
+    processes; also the sync/async session backend of :mod:`repro.api`."""
 
     def __init__(
         self,
         n_processes: int,
         seed: int = 0,
         runner: str = "sync",
+        structure: str = "queue",
         delay_policy=None,
         shuffle_delivery: bool = True,
         store_samples: bool = False,
@@ -149,10 +149,17 @@ class SkueueCluster:
         n_priorities: int = 4,
         profile: EngineProfile | None = None,
         trace_sample: float = 0.0,
+        max_rounds: int = 200_000,
     ) -> None:
         if n_processes < 1:
             raise ValueError("need at least one process")
-        spec = get_structure(self.structure)
+        spec = get_structure(structure)
+        #: registry name of the structure served; the nodes' discipline
+        #: and the metric vocabulary follow from it
+        self.structure = structure
+        #: engine budget of every wait and run helper (rounds on sync,
+        #: events on async)
+        self.max_rounds = max_rounds
         self.rng = RngStreams(seed)
         metrics = Metrics(store_samples=store_samples)
         profile = profile if profile is not None else EngineProfile()
@@ -202,7 +209,8 @@ class SkueueCluster:
         spawn_nodes(self.ctx, self.topology)
         self.runtime.kick()
         self._op_counts: dict[int, int] = {}
-        self.live_pids: set[int] = set(range(n_processes))
+        #: integrated processes, leavers included until they are gone
+        self.members: set[int] = set(range(n_processes))
         self.joining_pids: set[int] = set()
         self.leaving_pids: set[int] = set()
         self._next_pid = n_processes
@@ -226,16 +234,30 @@ class SkueueCluster:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- metrics / records ------------------------------------------------------
+    # -- metrics / records / telemetry -------------------------------------------
     @property
     def metrics(self) -> Metrics:
+        """The run's :class:`~repro.sim.metrics.Metrics`; calling it
+        answers its summary, as a session backend's ``metrics()``."""
         return self.runtime.metrics
 
     @property
     def records(self) -> list[OpRecord]:
         return self.ctx.records
 
-    def trace_export(self) -> dict:
+    def history(self) -> list[OpRecord]:
+        """Every operation record issued on this cluster."""
+        return list(self.ctx.records)
+
+    def telemetry(self) -> dict:
+        """The run-metrics summary plus the tracer's phase histograms,
+        answered as a single host ``0``."""
+        payload: dict = {"summary": self.metrics.summary()}
+        if self.tracer is not None:
+            payload["phases"] = self.tracer.phase_summary()
+        return {0: payload}
+
+    def trace(self) -> dict:
         """Chrome trace-event JSON of the sampled op lifecycles (empty
         envelope when the cluster was built without ``trace_sample``)."""
         if self.tracer is None:
@@ -246,41 +268,54 @@ class SkueueCluster:
     def now(self) -> float:
         return self.runtime.now
 
-    # -- queue operations ---------------------------------------------------------
-    def enqueue(self, pid: int, item: object = None) -> int:
-        """Issue ENQUEUE(item) at process ``pid``; returns a request id."""
-        return self._inject(pid, INSERT, item)
+    @property
+    def n_priorities(self) -> int:
+        return self.ctx.n_priorities
 
-    def dequeue(self, pid: int) -> int:
-        """Issue DEQUEUE() at process ``pid``; returns a request id."""
-        return self._inject(pid, REMOVE, None)
+    # -- operations -------------------------------------------------------------------
+    def live_pids(self) -> list[int]:
+        """Pids that accept operations right now: integrated and not
+        leaving (``0..n-1`` until the membership changes)."""
+        return sorted(self.members - self.leaving_pids)
+
+    @property
+    def n_processes(self) -> int:
+        """Live process count (follows joins and leaves)."""
+        return len(self.members) - len(self.leaving_pids)
 
     def submit(
         self, pid: int, kind: int, item: object = None, priority: int = 0
     ) -> int:
-        """Issue one operation by kind (INSERT/REMOVE); returns a request id.
+        """Issue one operation (INSERT/REMOVE) at process ``pid``;
+        returns its request id.  ``priority`` is the Skeap class of a
+        heap INSERT and must be 0 on every other structure."""
+        return self._inject(self._entry(pid, kind, priority), pid, kind, item, priority)
 
-        The generic entry point shared with the :mod:`repro.api` session
-        layer; :meth:`enqueue`/:meth:`dequeue` are name-sugar over it.
-        ``priority`` is the Skeap class of a heap INSERT and must be 0
-        on every other structure.
-        """
-        return self._inject(pid, kind, item, priority)
+    def submit_many(self, ops: list[tuple[int, int, object, int]]) -> list[int]:
+        """Issue ``(pid, kind, item, priority)`` operations in order.
 
-    def _check_priority(self, kind: int, priority: int) -> None:
-        from repro.core.structures import check_priority
+        Every operation is validated before the first is issued, so a
+        rejected batch leaves nothing in flight."""
+        nodes = [self._entry(pid, kind, priority) for pid, kind, _, priority in ops]
+        return [
+            self._inject(node, *op) for node, op in zip(nodes, ops)
+        ]
 
-        check_priority(self.structure, kind, priority, self.ctx.n_priorities)
-
-    def _inject(
-        self, pid: int, kind: int, item: object, priority: int = 0
-    ) -> int:
+    def _entry(self, pid: int, kind: int, priority: int) -> Node:
+        """The node an operation at ``pid`` enters through; raises
+        :class:`ValueError` if ``pid`` takes no operations or the
+        priority does not fit the structure."""
         if pid in self.leaving_pids:
             raise ValueError(f"process {pid} is leaving and takes no requests")
-        self._check_priority(kind, priority)
+        check_priority(self.structure, kind, priority, self.ctx.n_priorities)
         node = self.runtime.actors.get(vid_of(pid, MIDDLE))
         if node is None:
             raise ValueError(f"process {pid} is not in the system")
+        return node
+
+    def _inject(
+        self, node: Node, pid: int, kind: int, item: object, priority: int
+    ) -> int:
         idx = self._op_counts.get(pid, 0)
         self._op_counts[pid] = idx + 1
         rec = OpRecord(
@@ -291,15 +326,38 @@ class SkueueCluster:
         node.local_op(rec)
         return rec.req_id
 
-    def result_of(self, req_id: int):
-        """Result of a request: ``True`` for a completed insert, the
-        dequeued item or ``BOTTOM`` for a completed removal, ``None``
-        while still pending.  Raises :class:`KeyError` for a req_id that
-        was never issued on this cluster."""
+    # -- completion -------------------------------------------------------------------
+    def _record(self, req_id: int) -> OpRecord:
         if not 0 <= req_id < len(self.ctx.records):
             raise KeyError(f"req_id {req_id} was never issued on this cluster")
-        rec = self.ctx.records[req_id]
+        return self.ctx.records[req_id]
+
+    def result_of(self, req_id: int):
+        """Result of a request: ``True`` for a completed insert, the
+        removed item or ``BOTTOM`` for a completed removal, ``None``
+        while still pending.  Raises :class:`KeyError` for a req_id that
+        was never issued on this cluster."""
+        rec = self._record(req_id)
         return user_result(rec.kind, rec.result) if rec.completed else None
+
+    def is_done(self, req_id: int) -> bool:
+        return self._record(req_id).completed
+
+    def wait(self, req_id: int, timeout: float | None = None):
+        """Drive the engine until ``req_id`` completes; its result."""
+        rec = self._record(req_id)
+        if not rec.completed:
+            self.runtime.run_until(lambda: rec.completed, self.max_rounds)
+        return self.result_of(req_id)
+
+    async def await_result(self, req_id: int):
+        # the engine completes synchronously under the hood; awaiting is
+        # still useful so one async workload script runs unmodified
+        # against every backend
+        return self.wait(req_id)
+
+    def wait_all(self, timeout: float | None = None) -> None:
+        self.run_until_done()
 
     # -- membership (Section IV) ------------------------------------------------------
     def can_join(self, pid: int) -> bool:
@@ -310,18 +368,18 @@ class SkueueCluster:
         impossible events instead of racing an exception.
         """
         return (
-            pid not in self.live_pids
+            pid not in self.members
             and pid not in self.joining_pids
             and vid_of(pid, MIDDLE) not in self.runtime.actors
         )
 
     def can_leave(self, pid: int, margin: int = 1) -> bool:
         """Would :meth:`leave` accept ``pid``, keeping ``margin`` extra
-        live processes beyond the facade's own refuse-to-empty floor?"""
+        live processes beyond the cluster's own refuse-to-empty floor?"""
         return (
-            pid in self.live_pids
+            pid in self.members
             and pid not in self.leaving_pids
-            and len(self.live_pids) - len(self.leaving_pids) > 1 + margin
+            and self.n_processes > 1 + margin
         )
 
     def can_submit(self, pid: int) -> bool:
@@ -336,17 +394,13 @@ class SkueueCluster:
         """A new process joins via an existing one; returns its pid."""
         if new_pid is None:
             new_pid = self._next_pid
-        if (
-            new_pid in self.live_pids
-            or new_pid in self.joining_pids
-            or vid_of(new_pid, MIDDLE) in self.runtime.actors
-        ):
+        if not self.can_join(new_pid):
             raise ValueError(f"process {new_pid} already present")
         self._next_pid = max(self._next_pid, new_pid + 1)
         if via_pid is None:
             via_pid = next(
                 pid
-                for pid in sorted(self.live_pids - self.leaving_pids)
+                for pid in self.live_pids()
                 if vid_of(pid, MIDDLE) in self.runtime.actors
             )
         join_pid(self.ctx, new_pid, via=self.runtime.actors[vid_of(via_pid, MIDDLE)])
@@ -355,16 +409,16 @@ class SkueueCluster:
 
     def leave(self, pid: int) -> None:
         """Process ``pid`` asks to leave (takes effect at an update phase)."""
-        if pid not in self.live_pids:
+        if pid not in self.members:
             raise ValueError(f"process {pid} is not live")
-        if len(self.live_pids) - len(self.leaving_pids) <= 1:
+        if self.n_processes <= 1:
             raise ValueError("refusing to empty the cluster")
         self.leaving_pids.add(pid)
         for kind in (LEFT, MIDDLE, RIGHT):
             self.runtime.actors[vid_of(pid, kind)].start_leave()
 
     def _on_update_over(self, epoch: int, members: int = 0) -> None:
-        self.live_pids.update(promote_joiners(self.runtime.actors, self.joining_pids))
+        self.members.update(promote_joiners(self.runtime.actors, self.joining_pids))
         # retire leavers whose three virtual nodes all departed
         for pid in list(self.leaving_pids):
             if all(
@@ -372,7 +426,7 @@ class SkueueCluster:
                 for kind in (LEFT, MIDDLE, RIGHT)
             ):
                 self.leaving_pids.discard(pid)
-                self.live_pids.discard(pid)
+                self.members.discard(pid)
         # ctx.route_steps is refreshed by the protocol itself from the
         # member estimate piggybacked on UPDATE_OVER (no facade substitute)
 
@@ -383,13 +437,17 @@ class SkueueCluster:
         else:
             self.runtime.run_for(float(rounds))
 
-    def run_until_done(self, max_rounds: int = 200_000) -> None:
-        """Advance until every generated request completed."""
-        self.runtime.run_until(lambda: self.metrics.all_done, max_rounds)
+    def run_until_done(self, max_rounds: int | None = None) -> None:
+        """Advance until every generated request completed (within
+        ``max_rounds``, the cluster's bound by default)."""
+        self.runtime.run_until(lambda: self.metrics.all_done, self._bound(max_rounds))
 
-    def run_until_settled(self, max_rounds: int = 200_000) -> None:
+    def run_until_settled(self, max_rounds: int | None = None) -> None:
         """Advance until requests are done *and* membership is quiescent."""
-        self.runtime.run_until(self._settled, max_rounds)
+        self.runtime.run_until(self._settled, self._bound(max_rounds))
+
+    def _bound(self, max_rounds: int | None) -> int:
+        return self.max_rounds if max_rounds is None else max_rounds
 
     def _settled(self) -> bool:
         if not self.metrics.all_done:
@@ -431,40 +489,3 @@ class SkueueCluster:
             if len(out) > guard:
                 raise AssertionError("succ pointers do not close a cycle")
         return out
-
-
-class SkackCluster(SkueueCluster):
-    """A distributed stack (Skack, Section VI) over simulated processes."""
-
-    structure = "stack"
-
-    def push(self, pid: int, item: object = None) -> int:
-        """Issue PUSH(item) at process ``pid``; returns a request id."""
-        return self._inject(pid, INSERT, item)
-
-    def pop(self, pid: int) -> int:
-        """Issue POP() at process ``pid``; returns a request id."""
-        return self._inject(pid, REMOVE, None)
-
-
-class SkeapCluster(SkueueCluster):
-    """A distributed priority queue (Skeap) over simulated processes.
-
-    ``n_priorities`` fixes the constant number of priority classes;
-    every INSERT names one and DELETE-MIN always serves the lowest
-    non-empty class (FIFO within a class).
-    """
-
-    structure = "heap"
-
-    def insert(self, pid: int, item: object = None, priority: int = 0) -> int:
-        """Issue INSERT(item, priority) at process ``pid``."""
-        return self._inject(pid, INSERT, item, priority)
-
-    def delete_min(self, pid: int) -> int:
-        """Issue DELETE-MIN() at process ``pid``; returns a request id."""
-        return self._inject(pid, REMOVE, None)
-
-    @property
-    def n_priorities(self) -> int:
-        return self.ctx.n_priorities

@@ -10,8 +10,8 @@ they hold the node's next wave back (all from
 layers above need by name: the metric and method vocabulary and (as lazily
 resolved dotted references, to keep this module import-cycle-free) the
 sequential model that both the Definition-1 checker and the crash
-rebuild replay, the simulator cluster facade and the session class of
-the public API.  The node, the clusters, the TCP
+rebuild replay and the session class of the public API.  The node, the
+simulator cluster, the TCP
 :class:`~repro.net.server.NodeHost`, the rebuild preload and the launcher
 CLI look the structure up here and branch on nothing else; adding one is
 a module holding its discipline plus one :func:`register` call (recipe
@@ -58,8 +58,8 @@ def check_priority(
 ) -> None:
     """Shared submission-side validation of an operation's priority.
 
-    One rule for every surface (session, simulator cluster, TCP client),
-    so the backends cannot drift: only heap INSERTs carry a priority,
+    One rule for both backends (simulator cluster, TCP client), so they
+    cannot drift: only heap INSERTs carry a priority,
     and it must fall in ``[0, n_priorities)`` when the class count is
     known (``None``: not learned yet, bound checked downstream).
     """
@@ -92,7 +92,6 @@ class StructureSpec:
     #: "module:Class" of the sequential model (repro.verify.models) the
     #: Definition-1 checker and the crash rebuild both replay
     model_ref: str
-    cluster_ref: str  # "module:Class" of the simulator facade
     session_ref: str  # "module:Class" of the public-API session
     # -- the discipline: what the one protocol node asks its structure ----
     #: ``(n_priorities, annihilate) -> WaveBuffer``, one per node
@@ -124,10 +123,6 @@ class StructureSpec:
     @property
     def model(self) -> type:
         return _resolve(self.model_ref)
-
-    @property
-    def cluster_class(self) -> type:
-        return _resolve(self.cluster_ref)
 
     @property
     def session_class(self) -> type:
@@ -165,7 +160,6 @@ register(
         remove_name="dequeue",
         empty_name="dequeue_empty",
         model_ref="repro.verify.models:QueueModel",
-        cluster_ref="repro.core.cluster:SkueueCluster",
         session_ref="repro.api.session:QueueSession",
         buffer=lambda n_priorities, annihilate: QueueBuffer(),
         anchor_state=lambda n_priorities: QueueAnchorState(),
@@ -182,7 +176,6 @@ register(
         remove_name="pop",
         empty_name="pop_empty",
         model_ref="repro.verify.models:StackModel",
-        cluster_ref="repro.core.cluster:SkackCluster",
         session_ref="repro.api.session:StackSession",
         buffer=lambda n_priorities, annihilate: StackBuffer(annihilate),
         anchor_state=lambda n_priorities: StackAnchorState(),
@@ -201,7 +194,6 @@ register(
         remove_name="delete_min",
         empty_name="delete_min_empty",
         model_ref="repro.verify.models:HeapModel",
-        cluster_ref="repro.core.cluster:SkeapCluster",
         session_ref="repro.api.session:HeapSession",
         buffer=lambda n_priorities, annihilate: HeapBuffer(n_priorities),
         anchor_state=HeapAnchorState,

@@ -81,14 +81,13 @@ def run_experiment(
         profile=profile,
     )
     with session:
+        # submit on the cluster directly: the measurement loop has no use
+        # for per-op handles, and wrapping ~10^5 of them would tax the
+        # wall-clock figures pytest-benchmark tracks
         cluster = session.cluster
-        # submit through the backend directly: the measurement loop has
-        # no use for per-op handles, and wrapping ~10^5 of them would
-        # tax the wall-clock figures pytest-benchmark tracks
-        backend = session.backend
         for _ in range(rounds):
             for pid, kind, *rest in workload.requests_for_round():
-                backend.submit(pid, kind, None, rest[0] if rest else 0)
+                cluster.submit(pid, kind, None, rest[0] if rest else 0)
             cluster.step()
         before_drain = cluster.runtime.round
         session.drain()

@@ -544,12 +544,6 @@ class SkueueClient:
             for reply in await self._query_hosts({"op": "metrics"}, timeout)
         }
 
-    async def host_metrics(self, timeout: float | None = 30.0) -> dict[int, dict]:
-        """Per-host run-metrics summaries (:meth:`host_telemetry`'s
-        ``summary`` part)."""
-        telemetry = await self.host_telemetry(timeout)
-        return {host: data["summary"] for host, data in telemetry.items()}
-
     async def _recover_lost(self, index: int) -> None:
         """A host's connection ended: resubmit its in-limbo requests.
 

@@ -78,6 +78,18 @@ def build_status(host) -> dict:
     return data
 
 
+class _BadQuery(ValueError):
+    """A query parameter that does not parse: answered ``400``."""
+
+
+def _query_number(query: dict, name: str, default: str, cast):
+    raw = query.get(name, [default])[0]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise _BadQuery(f"query parameter {name}={raw!r} is not {cast.__name__}") from None
+
+
 def build_trace(host, query: dict) -> tuple[str, dict]:
     """The /trace payload; returns ``(status, payload)``.
 
@@ -89,7 +101,7 @@ def build_trace(host, query: dict) -> tuple[str, dict]:
     if tracer is None:
         return "404 Not Found", {"error": "host has no tracer"}
     if query.get("req"):
-        req_id = int(query["req"][0])
+        req_id = _query_number(query, "req", "", int)
         record = tracer.lookup(req_id)
         if record is None:
             return (
@@ -119,27 +131,31 @@ async def _serve_http(host, reader, writer) -> None:
         path = split.path
         query = parse_qs(split.query)
         status, content_type = "200 OK", "application/json"
-        if path.startswith("/health"):
-            body = json.dumps(build_health(host), default=str).encode()
-        elif path.startswith("/status"):
-            body = json.dumps(build_status(host), default=str).encode()
-        elif path.startswith("/metrics"):
-            # Prometheus text exposition; the host renders its registry
-            # (duck-typed so simulators/tests can serve a stub host)
-            content_type = "text/plain; version=0.0.4"
-            render = getattr(host, "metrics_text", None)
-            body = (render() if render is not None else "").encode()
-        elif path.startswith("/trace"):
-            status, payload = build_trace(host, query)
-            body = json.dumps(payload, default=str).encode()
-        elif path.startswith("/profile"):
-            content_type = "text/plain"
-            seconds = float(query.get("seconds", ["2.0"])[0])
-            top = int(query.get("top", ["40"])[0])
-            body = (await capture_profile(seconds, top=top)).encode()
-        else:
-            status = "404 Not Found"
-            body = json.dumps({"error": f"no route {path!r}"}).encode()
+        try:
+            if path.startswith("/health"):
+                body = json.dumps(build_health(host), default=str).encode()
+            elif path.startswith("/status"):
+                body = json.dumps(build_status(host), default=str).encode()
+            elif path.startswith("/metrics"):
+                # Prometheus text exposition; the host renders its registry
+                # (duck-typed so simulators/tests can serve a stub host)
+                content_type = "text/plain; version=0.0.4"
+                render = getattr(host, "metrics_text", None)
+                body = (render() if render is not None else "").encode()
+            elif path.startswith("/trace"):
+                status, payload = build_trace(host, query)
+                body = json.dumps(payload, default=str).encode()
+            elif path.startswith("/profile"):
+                seconds = _query_number(query, "seconds", "2.0", float)
+                top = _query_number(query, "top", "40", int)
+                content_type = "text/plain"
+                body = (await capture_profile(seconds, top=top)).encode()
+            else:
+                status = "404 Not Found"
+                body = json.dumps({"error": f"no route {path!r}"}).encode()
+        except _BadQuery as exc:
+            status, content_type = "400 Bad Request", "application/json"
+            body = json.dumps({"error": str(exc)}).encode()
         writer.write(
             f"HTTP/1.0 {status}\r\n"
             f"Content-Type: {content_type}\r\n"

@@ -155,3 +155,8 @@ class Metrics:
                 name: s.to_dict() for name, s in sorted(self.stats.items())
             }
         return out
+
+    #: calling the metrics is their summary: the answer of a session
+    #: backend's ``metrics()`` (repro.api), while ``metrics.latency`` and
+    #: the counters stay the live objects
+    __call__ = summary

@@ -52,6 +52,13 @@ class TestConnect:
             assert q.n_processes == 4
             assert not q.cluster.runtime.shuffle_delivery
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_backend_is_the_cluster(self, backend):
+        with connect(backend, structure="heap", n_priorities=3, max_rounds=99) as heap:
+            assert heap.backend is heap.cluster
+            assert heap.cluster.structure == "heap" and heap.n_priorities == 3
+            assert heap.cluster.max_rounds == 99
+
 
 class TestHandles:
     def test_enqueue_dequeue_round_trip(self, queue):
@@ -75,6 +82,20 @@ class TestHandles:
         handles = [queue.enqueue(i) for i in range(queue.n_processes + 2)]
         assert [h.pid for h in handles[:3]] == [0, 1, 2]
         assert handles[queue.n_processes].pid == 0  # wrapped around
+
+    def test_default_pids_follow_leaves_and_joins(self, queue):
+        cluster = queue.cluster
+        cluster.leave(1)
+        pids = [queue.enqueue(i).pid for i in range(2 * queue.n_processes)]
+        assert 1 not in pids and set(pids) == set(range(8)) - {1}
+        queue.drain()
+        joined = cluster.join()
+        cluster.run_until_settled()
+        assert cluster.live_pids() == [0, *range(2, 8), joined]
+        pids = [queue.enqueue(i).pid for i in range(queue.n_processes)]
+        assert sorted(pids) == cluster.live_pids()
+        queue.drain()
+        queue.verify()
 
     def test_handles_are_awaitable(self, queue):
         async def go():
@@ -150,6 +171,17 @@ class TestBatchAndDrain:
         with pytest.raises(ValueError):
             queue.submit_batch([Op("frobnicate")])
 
+    @pytest.mark.parametrize("bad", [
+        ("enqueue", "b", 99),  # no such process
+        ("enqueue", "b", 3),  # leaving
+        ("enqueue", "b", 0, 1),  # a queue takes no priorities
+    ])
+    def test_a_rejected_batch_issues_nothing(self, queue, bad):
+        queue.cluster.leave(3)
+        with pytest.raises(ValueError):
+            queue.submit_batch([("enqueue", "a", 0), bad])
+        assert queue.history() == [] and queue.cluster.metrics.generated == 0
+
     def test_drain_completes_everything(self, queue):
         handles = [queue.enqueue(i) for i in range(10)]
         assert not all(h.done() for h in handles)
@@ -161,6 +193,17 @@ class TestBatchAndDrain:
     def test_uniform_workload_script(self, queue):
         handles, records = run_uniform_workload(queue, ops=40, seed=5)
         assert len(records) == len(handles)
+
+
+class TestTelemetry:
+    def test_metrics_telemetry_and_trace_answer_from_the_cluster(self, queue):
+        queue.enqueue("x")
+        queue.drain()
+        summary = queue.metrics()
+        assert summary == queue.cluster.metrics.summary()
+        assert summary["completed"] == 1
+        assert queue.telemetry() == {0: {"summary": summary}}
+        assert queue.trace() == {"traceEvents": [], "displayTimeUnit": "ms"}
 
 
 class TestResults:
@@ -188,6 +231,6 @@ class TestResults:
                 cluster.result_of(99)
             with pytest.raises(KeyError):
                 cluster.result_of(-1)
-            handle = cluster.enqueue(0, "x")
+            handle = cluster.submit(0, INSERT, "x")
             cluster.run_until_done()
             assert cluster.result_of(handle) is True

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core.cluster import SkackCluster, SkeapCluster, SkueueCluster
+from repro.core.cluster import SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from repro.core.structures import get_structure
 
 
@@ -25,18 +26,18 @@ def drive_random(
         if join_probability and rng.random() < join_probability:
             cluster.join()
         if leave_probability and rng.random() < leave_probability:
-            candidates = sorted(cluster.live_pids - cluster.leaving_pids)
+            candidates = cluster.live_pids()
             if candidates:
                 pid = rng.choice(candidates)
                 if cluster.can_leave(pid, margin=2):
                     cluster.leave(pid)
         if rng.random() < op_probability:
-            pid = rng.choice(sorted(cluster.live_pids - cluster.leaving_pids))
+            pid = rng.choice(cluster.live_pids())
             if cluster.can_submit(pid):
                 if rng.random() < insert_probability:
-                    cluster._inject(pid, 0, f"item-{r}")
+                    cluster.submit(pid, INSERT, f"item-{r}")
                 else:
-                    cluster._inject(pid, 1, None)
+                    cluster.submit(pid, REMOVE)
         cluster.step()
     return rng
 
@@ -150,11 +151,11 @@ def small_queue():
 
 @pytest.fixture
 def small_stack():
-    with SkackCluster(n_processes=8, seed=42) as cluster:
+    with SkueueCluster(n_processes=8, structure="stack", seed=42) as cluster:
         yield cluster
 
 
 @pytest.fixture
 def small_heap():
-    with SkeapCluster(n_processes=8, seed=42, n_priorities=3) as cluster:
+    with SkueueCluster(n_processes=8, structure="heap", seed=42, n_priorities=3) as cluster:
         yield cluster

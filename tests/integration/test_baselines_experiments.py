@@ -3,7 +3,7 @@
 import random
 
 from repro.baselines import CentralQueueCluster, NoBatchQueueCluster
-from repro.core.requests import BOTTOM
+from repro.core.requests import BOTTOM, INSERT, REMOVE
 from repro.experiments import (
     FixedRateWorkload,
     PerNodeWorkload,
@@ -19,12 +19,12 @@ class TestCentralBaseline:
         # the central baseline assigns no Section-V values (it has no
         # anchor counter), so verify results directly
         c = CentralQueueCluster(10, seed=1, service_rate=100)
-        c.enqueue(0, "a")
-        c.enqueue(1, "b")
+        c.submit(0, INSERT, "a")
+        c.submit(1, INSERT, "b")
         c.step(3)
-        h1 = c.dequeue(2)
-        h2 = c.dequeue(3)
-        h3 = c.dequeue(4)
+        h1 = c.submit(2, REMOVE)
+        h2 = c.submit(3, REMOVE)
+        h3 = c.submit(4, REMOVE)
         c.run_until_done()
         assert c.records[h1].result[1] == "a"
         assert c.records[h2].result[1] == "b"
@@ -35,7 +35,7 @@ class TestCentralBaseline:
         rng = random.Random(0)
         for _ in range(50):
             for _ in range(8):
-                c.enqueue(rng.randrange(20))
+                c.submit(rng.randrange(20), INSERT)
             c.step()
         assert c.server.backlog_size > 100  # load 8/r vs capacity 2/r
         c.run_until_done()
@@ -45,9 +45,9 @@ class TestCentralBaseline:
 class TestNoBatchBaseline:
     def test_correct_results(self):
         c = NoBatchQueueCluster(20, seed=1, anchor_service_rate=100)
-        c.enqueue(0, "x")
+        c.submit(0, INSERT, "x")
         c.run_until_done()
-        h = c.dequeue(5)
+        h = c.submit(5, REMOVE)
         c.run_until_done()
         rec = c.records[h]
         assert rec.result[1] == "x"
@@ -59,9 +59,9 @@ class TestNoBatchBaseline:
             for _ in range(10):
                 pid = rng.randrange(30)
                 if rng.random() < 0.5:
-                    c.enqueue(pid)
+                    c.submit(pid, INSERT)
                 else:
-                    c.dequeue(pid)
+                    c.submit(pid, REMOVE)
             c.step()
         assert c.anchor_backlog > 50
         c.run_until_done()

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from repro import SkackCluster, SkueueCluster
+from repro import SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from repro.sim.delays import AdversarialSkewDelay, ExponentialDelay, UniformDelay
 from tests.conftest import verify
 
@@ -29,9 +30,9 @@ def test_queue_consistent_under_extreme_delays(policy):
     for i in range(60):
         pid = rng.randrange(8)
         if rng.random() < 0.5:
-            c.enqueue(pid, i)
+            c.submit(pid, INSERT, i)
         else:
-            c.dequeue(pid)
+            c.submit(pid, REMOVE)
         c.step(rng.randrange(2))
     c.run_until_done()
     verify(c)
@@ -44,14 +45,16 @@ def test_queue_consistent_under_extreme_delays(policy):
 )
 def test_stack_consistent_under_extreme_delays(policy):
     # the stage-4 barrier is exactly what the adversary attacks here
-    c = SkackCluster(n_processes=8, seed=14, runner="async", delay_policy=policy)
+    c = SkueueCluster(
+        n_processes=8, structure="stack", seed=14, runner="async", delay_policy=policy
+    )
     rng = random.Random(14)
     for i in range(60):
         pid = rng.randrange(8)
         if rng.random() < 0.5:
-            c.push(pid, i)
+            c.submit(pid, INSERT, i)
         else:
-            c.pop(pid)
+            c.submit(pid, REMOVE)
         c.step(rng.randrange(2))
     c.run_until_done()
     verify(c)
@@ -69,19 +72,19 @@ def test_churn_under_async_delays():
         if rng.random() < 0.015:
             c.join()
         if rng.random() < 0.01:
-            candidates = sorted(c.live_pids - c.leaving_pids)
+            candidates = c.live_pids()
             if len(candidates) > 4:
                 c.leave(rng.choice(candidates))
         if rng.random() < 0.4:
-            pid = rng.choice(sorted(c.live_pids - c.leaving_pids))
+            pid = rng.choice(c.live_pids())
             if rng.random() < 0.5:
-                c.enqueue(pid, i)
+                c.submit(pid, INSERT, i)
             else:
-                c.dequeue(pid)
+                c.submit(pid, REMOVE)
         c.step()
     c.run_until_settled(max_rounds=3_000_000)
     verify(c)
-    assert len(c.cycle_vids()) == 3 * len(c.live_pids)
+    assert len(c.cycle_vids()) == 3 * len(c.members)
 
 
 def test_gets_outrun_puts_and_park():
@@ -94,7 +97,7 @@ def test_gets_outrun_puts_and_park():
     )
     # enqueue and dequeue in the same wave: the GET may race its PUT
     for i in range(10):
-        c.enqueue(i % 6, i)
-        c.dequeue((i + 3) % 6)
+        c.submit(i % 6, INSERT, i)
+        c.submit((i + 3) % 6, REMOVE)
     c.run_until_done()
     verify(c)

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.core.cluster import SkeapCluster
-from repro.core.requests import BOTTOM
+from repro.core.cluster import SkueueCluster
+from repro.core.requests import BOTTOM, INSERT, REMOVE
 from tests.conftest import assert_topology_invariants, verify
 
 
@@ -33,17 +33,15 @@ def drive_heap_random(
         if join_probability and rng.random() < join_probability:
             cluster.join()
         if leave_probability and rng.random() < leave_probability:
-            candidates = sorted(cluster.live_pids - cluster.leaving_pids)
+            candidates = cluster.live_pids()
             if len(candidates) > 3:
                 cluster.leave(rng.choice(candidates))
         if rng.random() < op_probability:
-            pid = rng.choice(sorted(cluster.live_pids - cluster.leaving_pids))
+            pid = rng.choice(cluster.live_pids())
             if rng.random() < insert_probability:
-                cluster.insert(
-                    pid, f"item-{r}", priority=rng.randrange(n_priorities)
-                )
+                cluster.submit(pid, INSERT, f"item-{r}", priority=rng.randrange(n_priorities))
             else:
-                cluster.delete_min(pid)
+                cluster.submit(pid, REMOVE)
         cluster.step()
     return rng
 
@@ -51,14 +49,14 @@ def drive_heap_random(
 class TestHeapSemantics:
     def test_lowest_class_served_first(self, small_heap):
         heap = small_heap
-        heap.insert(0, "bulk", priority=2)
-        heap.insert(1, "normal", priority=1)
+        heap.submit(0, INSERT, "bulk", priority=2)
+        heap.submit(1, INSERT, "normal", priority=1)
         heap.run_until_done()
-        heap.insert(2, "urgent", priority=0)
+        heap.submit(2, INSERT, "urgent", priority=0)
         heap.run_until_done()
         order = []
         for pid in (3, 4, 5):
-            req = heap.delete_min(pid)
+            req = heap.submit(pid, REMOVE)
             heap.run_until_done()
             order.append(heap.result_of(req))
         assert order == ["urgent", "normal", "bulk"]
@@ -67,11 +65,11 @@ class TestHeapSemantics:
     def test_fifo_within_a_class(self, small_heap):
         heap = small_heap
         for i in range(4):
-            heap.insert(0, f"job-{i}", priority=1)  # one pid: program order
+            heap.submit(0, INSERT, f"job-{i}", priority=1)  # one pid: program order
         heap.run_until_done()
         results = []
         for pid in (1, 2, 3, 4):
-            req = heap.delete_min(pid)
+            req = heap.submit(pid, REMOVE)
             heap.run_until_done()
             results.append(heap.result_of(req))
         assert results == [f"job-{i}" for i in range(4)]
@@ -79,17 +77,17 @@ class TestHeapSemantics:
 
     def test_empty_heap_returns_bottom(self, small_heap):
         heap = small_heap
-        req = heap.delete_min(3)
+        req = heap.submit(3, REMOVE)
         heap.run_until_done()
         assert heap.result_of(req) is BOTTOM
         verify(heap)
 
     def test_delete_beyond_stored_returns_bottom_for_the_tail(self, small_heap):
         heap = small_heap
-        heap.insert(1, "only", priority=2)
+        heap.submit(1, INSERT, "only", priority=2)
         heap.run_until_done()
-        first = heap.delete_min(2)
-        second = heap.delete_min(3)
+        first = heap.submit(2, REMOVE)
+        second = heap.submit(3, REMOVE)
         heap.run_until_done()
         results = {heap.result_of(first), heap.result_of(second)}
         assert results == {"only", BOTTOM}
@@ -100,17 +98,17 @@ class TestHeapSemantics:
         # the heap batch layout ranks removals before inserts, so this
         # pair cannot share a wave — program order forces the overflow
         heap = small_heap
-        heap.insert(5, "mine", priority=1)
-        req = heap.delete_min(5)
+        heap.submit(5, INSERT, "mine", priority=1)
+        req = heap.submit(5, REMOVE)
         heap.run_until_done()
         assert heap.result_of(req) == "mine"
         verify(heap)
 
     def test_priority_validation(self, small_heap):
         with pytest.raises(ValueError):
-            small_heap.insert(0, "x", priority=3)
+            small_heap.submit(0, INSERT, "x", priority=3)
         with pytest.raises(ValueError):
-            small_heap.insert(0, "x", priority=-1)
+            small_heap.submit(0, INSERT, "x", priority=-1)
 
     def test_queue_rejects_priorities(self):
         from repro.core.cluster import SkueueCluster
@@ -123,8 +121,8 @@ class TestHeapSemantics:
 class TestHeapWorkloads:
     @pytest.mark.parametrize("runner", ["sync", "async"])
     def test_random_mixed_priorities_verify(self, runner):
-        with SkeapCluster(
-            n_processes=12, seed=9, runner=runner, n_priorities=4
+        with SkueueCluster(
+            n_processes=12, seed=9, runner=runner, n_priorities=4, structure="heap"
         ) as heap:
             drive_heap_random(heap, rounds=220, op_probability=0.5, seed=9)
             heap.run_until_done()
@@ -134,29 +132,27 @@ class TestHeapWorkloads:
 
     def test_single_class_degenerates_to_a_queue(self):
         # n_priorities=1 must reproduce FIFO behaviour end to end
-        with SkeapCluster(n_processes=8, seed=4, n_priorities=1) as heap:
+        with SkueueCluster(n_processes=8, structure="heap", seed=4, n_priorities=1) as heap:
             for i in range(5):
-                heap.insert(2, f"item-{i}")
+                heap.submit(2, INSERT, f"item-{i}")
             heap.run_until_done()
             results = []
             for i in range(5):
-                req = heap.delete_min(3)
+                req = heap.submit(3, REMOVE)
                 heap.run_until_done()
                 results.append(heap.result_of(req))
             assert results == [f"item-{i}" for i in range(5)]
             verify(heap)
 
     def test_skewed_priorities_drain_in_class_order(self):
-        with SkeapCluster(n_processes=8, seed=6, n_priorities=3) as heap:
+        with SkueueCluster(n_processes=8, structure="heap", seed=6, n_priorities=3) as heap:
             rng = random.Random(61)
             for i in range(30):
-                heap.insert(
-                    rng.randrange(8), ("job", i), priority=rng.randrange(3)
-                )
+                heap.submit(rng.randrange(8), INSERT, ("job", i), priority=rng.randrange(3))
             heap.run_until_done()
             assert heap.size == 30
             for _ in range(30):
-                heap.delete_min(rng.randrange(8))
+                heap.submit(rng.randrange(8), REMOVE)
             heap.run_until_done()
             assert heap.size == 0
             verify(heap)
@@ -165,8 +161,8 @@ class TestHeapWorkloads:
 class TestHeapChurn:
     @pytest.mark.parametrize("runner", ["sync", "async"])
     def test_join_and_leave_under_heap_load(self, runner):
-        with SkeapCluster(
-            n_processes=10, seed=17, runner=runner, n_priorities=3
+        with SkueueCluster(
+            n_processes=10, seed=17, runner=runner, n_priorities=3, structure="heap"
         ) as heap:
             drive_heap_random(
                 heap,
@@ -183,10 +179,10 @@ class TestHeapChurn:
     def test_anchor_handoff_keeps_class_counters(self):
         # drain the anchor-owning process: the per-class first/last
         # arrays must survive the A_ANCHOR_XFER handoff
-        with SkeapCluster(n_processes=8, seed=23, n_priorities=3) as heap:
+        with SkueueCluster(n_processes=8, structure="heap", seed=23, n_priorities=3) as heap:
             rng = random.Random(23)
             for i in range(12):
-                heap.insert(rng.randrange(8), i, priority=rng.randrange(3))
+                heap.submit(rng.randrange(8), INSERT, i, priority=rng.randrange(3))
             heap.run_until_done()
             anchor_pid = heap.anchor.pid
             heap.leave(anchor_pid)
@@ -194,8 +190,8 @@ class TestHeapChurn:
             assert heap.anchor.pid != anchor_pid
             assert heap.size == 12
             for _ in range(12):
-                pid = rng.choice(sorted(heap.live_pids))
-                heap.delete_min(pid)
+                pid = rng.choice(heap.live_pids())
+                heap.submit(pid, REMOVE)
             heap.run_until_done()
             assert heap.size == 0
             verify(heap)

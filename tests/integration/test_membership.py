@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro import SkackCluster, SkeapCluster, SkueueCluster
+from repro import SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from tests.conftest import assert_topology_invariants, drive_random, verify
 
 
@@ -14,18 +15,18 @@ class TestJoin:
         c = SkueueCluster(n_processes=6, seed=seed)
         rng = random.Random(seed)
         for i in range(10):
-            c.enqueue(rng.randrange(6), f"pre{i}")
+            c.submit(rng.randrange(6), INSERT, f"pre{i}")
         c.run_until_done(20_000)
         new_pid = c.join()
         drive_random(c, rounds=150, op_probability=0.3, seed=seed)
         c.run_until_settled(60_000)
         verify(c)
-        assert new_pid in c.live_pids
+        assert new_pid in c.members
         assert len(c.cycle_vids()) == 21
         assert_topology_invariants(c)
         # the new process is fully operational
-        handle = c.dequeue(new_pid)
-        c.enqueue(new_pid, "hello")
+        handle = c.submit(new_pid, REMOVE)
+        c.submit(new_pid, INSERT, "hello")
         c.run_until_done(30_000)
         verify(c)
 
@@ -44,7 +45,7 @@ class TestJoin:
     def test_join_gets_dht_data(self):
         c = SkueueCluster(n_processes=4, seed=1)
         for i in range(60):
-            c.enqueue(i % 4, i)
+            c.submit(i % 4, INSERT, i)
         c.run_until_done(30_000)
         c.join()
         c.run_until_settled(60_000)
@@ -53,7 +54,7 @@ class TestJoin:
         # dequeues return every element exactly once, and each process's
         # items come back in its program order (cross-process interleaving
         # is decided by the combination order — any fixed order is valid)
-        handles = [c.dequeue(0) for _ in range(60)]
+        handles = [c.submit(0, REMOVE) for _ in range(60)]
         c.run_until_done(60_000)
         results = [c.result_of(h) for h in handles]
         assert sorted(results) == list(range(60))
@@ -74,7 +75,7 @@ class TestLeave:
         c = SkueueCluster(n_processes=8, seed=2)
         rng = random.Random(2)
         for i in range(12):
-            c.enqueue(rng.randrange(8), f"pre{i}")
+            c.submit(rng.randrange(8), INSERT, f"pre{i}")
         c.run_until_done(20_000)
         anchor_pid = c.anchor.pid
         leaver = anchor_pid if leave_anchor else (anchor_pid + 1) % 8
@@ -82,7 +83,7 @@ class TestLeave:
         drive_random(c, rounds=250, op_probability=0.3, seed=20)
         c.run_until_settled(90_000)
         verify(c)
-        assert leaver not in c.live_pids
+        assert leaver not in c.members
         assert len(c.cycle_vids()) == 21
         assert_topology_invariants(c)
         # no element was lost with the departing process: everything
@@ -101,17 +102,17 @@ class TestLeave:
         with pytest.raises(ValueError):
             c.leave(0)  # wait — already leaving; also not re-leavable
         with pytest.raises(ValueError):
-            c.enqueue(0)  # leaving processes take no requests
+            c.submit(0, INSERT)  # leaving processes take no requests
 
     def test_leave_preserves_elements(self):
         c = SkueueCluster(n_processes=6, seed=4)
         for i in range(40):
-            c.enqueue(i % 6, i)
+            c.submit(i % 6, INSERT, i)
         c.run_until_done(30_000)
         c.leave(2)
         c.run_until_settled(90_000)
         assert sum(c.occupancies()) == 40
-        handles = [c.dequeue(0) for _ in range(40)]
+        handles = [c.submit(0, REMOVE) for _ in range(40)]
         c.run_until_done(60_000)
         results = [c.result_of(h) for h in handles]
         assert sorted(results) == list(range(40))
@@ -126,10 +127,10 @@ class TestLeave:
         # wave: 2300 of them are 1150 waves' worth of buffer when the
         # leave commits, and every one has to reach the adopter (the
         # hand-over used to stop after 1024 waves; 251 ops never completed)
-        c = SkeapCluster(6, seed=5, n_priorities=2)
+        c = SkueueCluster(6, structure="heap", seed=5, n_priorities=2)
         c.step(5)
         for i in range(2300):
-            c.insert(2, f"x{i}", priority=(i + 1) % 2)
+            c.submit(2, INSERT, f"x{i}", priority=(i + 1) % 2)
         c.leave(2)
         c.run_until_settled()
         assert sum(rec.completed for rec in c.records) == 2300
@@ -150,12 +151,12 @@ class TestChurn:
         )
         c.run_until_settled(150_000)
         verify(c)
-        assert len(c.cycle_vids()) == 3 * len(c.live_pids)
+        assert len(c.cycle_vids()) == 3 * len(c.members)
         assert_topology_invariants(c)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stack_churn(self, seed):
-        c = SkackCluster(n_processes=10, seed=seed)
+        c = SkueueCluster(n_processes=10, structure="stack", seed=seed)
         drive_random(
             c,
             rounds=500,
@@ -166,5 +167,5 @@ class TestChurn:
         )
         c.run_until_settled(150_000)
         verify(c)
-        assert len(c.cycle_vids()) == 3 * len(c.live_pids)
+        assert len(c.cycle_vids()) == 3 * len(c.members)
         assert_topology_invariants(c)

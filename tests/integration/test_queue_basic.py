@@ -5,21 +5,22 @@ import random
 import pytest
 
 from repro import BOTTOM, SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 from tests.conftest import assert_topology_invariants, drive_random, verify
 
 
 class TestBasics:
     def test_fifo_end_to_end(self, small_queue):
         c = small_queue
-        c.enqueue(2, "a")
+        c.submit(2, INSERT, "a")
         c.run_until_done()
-        c.enqueue(5, "b")
+        c.submit(5, INSERT, "b")
         c.run_until_done()
-        d1, d2, d3 = c.dequeue(7), None, None
+        d1, d2, d3 = c.submit(7, REMOVE), None, None
         c.run_until_done()
-        d2 = c.dequeue(1)
+        d2 = c.submit(1, REMOVE)
         c.run_until_done()
-        d3 = c.dequeue(3)
+        d3 = c.submit(3, REMOVE)
         c.run_until_done()
         assert c.result_of(d1) == "a"
         assert c.result_of(d2) == "b"
@@ -29,22 +30,22 @@ class TestBasics:
     def test_size_tracks_anchor(self, small_queue):
         c = small_queue
         for i in range(5):
-            c.enqueue(i % 8, i)
+            c.submit(i % 8, INSERT, i)
         c.run_until_done()
         assert c.size == 5
-        c.dequeue(0)
-        c.dequeue(1)
+        c.submit(0, REMOVE)
+        c.submit(1, REMOVE)
         c.run_until_done()
         assert c.size == 3
 
     def test_pending_result_is_none(self, small_queue):
         c = small_queue
-        handle = c.dequeue(0)
+        handle = c.submit(0, REMOVE)
         assert c.result_of(handle) is None
 
     def test_inject_validation(self, small_queue):
         with pytest.raises(ValueError):
-            small_queue.enqueue(99)
+            small_queue.submit(99, INSERT)
 
     def test_topology_invariants_static(self, small_queue):
         small_queue.step(5)
@@ -52,8 +53,8 @@ class TestBasics:
 
     def test_single_process_cluster(self):
         c = SkueueCluster(n_processes=1, seed=0)
-        h1 = c.enqueue(0, "only")
-        d = c.dequeue(0)
+        h1 = c.submit(0, INSERT, "only")
+        d = c.submit(0, REMOVE)
         c.run_until_done()
         assert c.result_of(d) == "only"
         verify(c)
@@ -61,11 +62,11 @@ class TestBasics:
     def test_occupancy_conservation(self):
         c = SkueueCluster(n_processes=10, seed=3)
         for i in range(40):
-            c.enqueue(i % 10, i)
+            c.submit(i % 10, INSERT, i)
         c.run_until_done()
         assert sum(c.occupancies()) == 40
         for i in range(15):
-            c.dequeue(i % 10)
+            c.submit(i % 10, REMOVE)
         c.run_until_done()
         assert sum(c.occupancies()) == 25
         verify(c)
@@ -97,10 +98,10 @@ class TestRandomWorkloads:
     def test_burst_from_one_node(self):
         c = SkueueCluster(n_processes=20, seed=11)
         for i in range(200):
-            c.enqueue(3, i)
+            c.submit(3, INSERT, i)
         c.run_until_done(30_000)
         for i in range(200):
-            c.dequeue(17)
+            c.submit(17, REMOVE)
         c.run_until_done(30_000)
         verify(c)
         # FIFO: the dequeues returned 0..199 in order
@@ -123,9 +124,9 @@ class TestAsyncRunner:
         for i in range(40):
             pid = rng.randrange(8)
             if rng.random() < 0.5:
-                c.enqueue(pid, i)
+                c.submit(pid, INSERT, i)
             else:
-                c.dequeue(pid)
+                c.submit(pid, REMOVE)
             c.step(rng.randrange(3))
         c.run_until_done()
         verify(c)

@@ -15,7 +15,8 @@ import random
 
 import pytest
 
-from repro import SkeapCluster, SkueueCluster
+from repro import SkueueCluster
+from repro.core.requests import INSERT, REMOVE
 
 N = 64
 OP_ROUNDS = 120
@@ -33,21 +34,18 @@ EXPECTED = {
 def _drive(structure: str, runner: str):
     """Seeded mixed load with one join and one leave in the middle, so
     the membership paths that share the fire site are on the schedule."""
-    cluster_class = SkeapCluster if structure == "heap" else SkueueCluster
     rng = random.Random(f"invariance-{structure}")
-    with cluster_class(N, seed=5, runner=runner) as cluster:
+    with SkueueCluster(N, seed=5, runner=runner, structure=structure) as cluster:
         for round_no in range(OP_ROUNDS):
             for _ in range(3):
                 pid = rng.randrange(N)
                 if not cluster.can_submit(pid):
                     continue
                 if rng.random() < 0.55:
-                    if structure == "heap":
-                        cluster.insert(pid, round_no, priority=rng.randrange(4))
-                    else:
-                        cluster.enqueue(pid, round_no)
+                    priority = rng.randrange(4) if structure == "heap" else 0
+                    cluster.submit(pid, INSERT, round_no, priority)
                 else:
-                    cluster.dequeue(pid)
+                    cluster.submit(pid, REMOVE)
             if round_no == 40:
                 cluster.join()
             if round_no == 70:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BOTTOM, SkackCluster
+from repro import BOTTOM, SkueueCluster
 from repro.core.requests import INSERT, REMOVE
 from repro.net.records import NetOpRecord
 from repro.overlay.ldb import MIDDLE, vid_of
@@ -12,15 +12,15 @@ from tests.conftest import drive_random, verify
 class TestBasics:
     def test_lifo_end_to_end(self, small_stack):
         c = small_stack
-        c.push(2, "x")
+        c.submit(2, INSERT, "x")
         c.run_until_done()
-        c.push(5, "y")
+        c.submit(5, INSERT, "y")
         c.run_until_done()
-        d1 = c.pop(7)
+        d1 = c.submit(7, REMOVE)
         c.run_until_done()
-        d2 = c.pop(1)
+        d2 = c.submit(1, REMOVE)
         c.run_until_done()
-        d3 = c.pop(3)
+        d3 = c.submit(3, REMOVE)
         c.run_until_done()
         assert c.result_of(d1) == "y"
         assert c.result_of(d2) == "x"
@@ -29,8 +29,8 @@ class TestBasics:
 
     def test_local_annihilation_immediate(self, small_stack):
         c = small_stack
-        c.push(4, "z")
-        handle = c.pop(4)
+        c.submit(4, INSERT, "z")
+        handle = c.submit(4, REMOVE)
         # answered before any message is even delivered (Section VI)
         assert c.result_of(handle) == "z"
         assert c.metrics.counters["annihilated_pairs"] == 1
@@ -39,10 +39,10 @@ class TestBasics:
 
     def test_annihilation_is_lifo_nested(self, small_stack):
         c = small_stack
-        c.push(4, "a")
-        c.push(4, "b")
-        p1 = c.pop(4)
-        p2 = c.pop(4)
+        c.submit(4, INSERT, "a")
+        c.submit(4, INSERT, "b")
+        p1 = c.submit(4, REMOVE)
+        p2 = c.submit(4, REMOVE)
         assert c.result_of(p1) == "b"
         assert c.result_of(p2) == "a"
         c.run_until_done()
@@ -62,10 +62,10 @@ class TestBasics:
         assert seen == [(1, True), (0, True)]
 
     def test_no_cross_round_annihilation_after_flush(self):
-        c = SkackCluster(n_processes=8, seed=1)
-        c.push(3, "deep")
+        c = SkueueCluster(n_processes=8, structure="stack", seed=1)
+        c.submit(3, INSERT, "deep")
         c.run_until_done()  # flushed to the DHT
-        handle = c.pop(3)
+        handle = c.submit(3, REMOVE)
         assert c.result_of(handle) is None  # must do the full protocol
         c.run_until_done()
         assert c.result_of(handle) == "deep"
@@ -73,14 +73,14 @@ class TestBasics:
 
     def test_position_reuse_with_tickets(self):
         # push/pop/push/push reuses stack positions: tickets disambiguate
-        c = SkackCluster(n_processes=6, seed=2)
-        c.push(0, "first")
+        c = SkueueCluster(n_processes=6, structure="stack", seed=2)
+        c.submit(0, INSERT, "first")
         c.run_until_done()
-        c.pop(1)
+        c.submit(1, REMOVE)
         c.run_until_done()
-        c.push(2, "second")
+        c.submit(2, INSERT, "second")
         c.run_until_done()
-        h = c.pop(3)
+        h = c.submit(3, REMOVE)
         c.run_until_done()
         assert c.result_of(h) == "second"
         verify(c)
@@ -89,25 +89,25 @@ class TestBasics:
 class TestRandomWorkloads:
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_random(self, seed):
-        c = SkackCluster(n_processes=12, seed=seed)
+        c = SkueueCluster(n_processes=12, structure="stack", seed=seed)
         drive_random(c, rounds=120, op_probability=0.5, seed=100 + seed)
         c.run_until_done(60_000)
         verify(c)
 
     def test_push_heavy(self):
-        c = SkackCluster(n_processes=10, seed=7)
+        c = SkueueCluster(n_processes=10, structure="stack", seed=7)
         drive_random(c, rounds=80, insert_probability=0.9, seed=7)
         c.run_until_done(60_000)
         verify(c)
 
     def test_pop_heavy(self):
-        c = SkackCluster(n_processes=10, seed=8)
+        c = SkueueCluster(n_processes=10, structure="stack", seed=8)
         drive_random(c, rounds=80, insert_probability=0.1, seed=8)
         c.run_until_done(60_000)
         verify(c)
 
     def test_stack_batches_constant_size(self):
-        c = SkackCluster(n_processes=10, seed=6)
+        c = SkueueCluster(n_processes=10, structure="stack", seed=6)
         drive_random(c, rounds=150, op_probability=0.9, seed=6)
         c.run_until_done(60_000)
         # Theorem 20: [pops, pushes] — never longer
@@ -119,7 +119,7 @@ class TestRandomWorkloads:
         # stage-4 barrier delays re-entering stage 1 (Section VII-C)
         from repro import SkueueCluster
 
-        stack = SkackCluster(n_processes=30, seed=5)
+        stack = SkueueCluster(n_processes=30, structure="stack", seed=5)
         queue = SkueueCluster(n_processes=30, seed=5)
         drive_random(stack, rounds=150, op_probability=0.8, seed=55)
         drive_random(queue, rounds=150, op_probability=0.8, seed=55)

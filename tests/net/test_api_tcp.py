@@ -151,3 +151,22 @@ def test_result_of_unknown_and_drain_semantics():
         queue.drain()
         assert all(h.done() for h in handles)
         assert queue.dequeue(pid=2).result() in (BOTTOM, *range(6))
+
+
+def test_the_tcp_backend_answers_the_cluster_protocol():
+    """The names a sim session's cluster answers, answered per host."""
+    with connect("tcp", n_processes=4, seed=9, n_hosts=2) as queue:
+        assert queue.backend.live_pids() == [0, 1, 2, 3] and queue.n_processes == 4
+        handles = queue.submit_batch([("enqueue", i) for i in range(4)])
+        queue.drain()
+        assert [queue.result_of(h.req_id) for h in handles] == [True] * 4
+        metrics = queue.metrics()
+        assert set(metrics) == {0, 1}
+        assert sum(summary["completed"] for summary in metrics.values()) == 4
+        telemetry = queue.telemetry()
+        assert {host: data["summary"] for host, data in telemetry.items()} == metrics
+        assert all("registry" in data for data in telemetry.values())
+        with pytest.raises(AttributeError):
+            queue.trace()
+        with pytest.raises(AttributeError):
+            queue.cluster

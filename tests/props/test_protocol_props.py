@@ -8,8 +8,8 @@ cluster executes them, and the checker verifies the full history.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cluster import SkackCluster, SkueueCluster
-from repro.core.requests import BOTTOM
+from repro.core.cluster import SkueueCluster
+from repro.core.requests import BOTTOM, INSERT, REMOVE
 from repro.sim.delays import ExponentialDelay, UniformDelay
 from repro.verify import check_queue_history, check_stack_history
 
@@ -30,9 +30,9 @@ def test_queue_sync_random_programs(program, seed):
     cluster = SkueueCluster(n_processes=6, seed=seed)
     for i, (pid, is_insert, gap) in enumerate(program):
         if is_insert:
-            cluster.enqueue(pid, f"item-{i}")
+            cluster.submit(pid, INSERT, f"item-{i}")
         else:
-            cluster.dequeue(pid)
+            cluster.submit(pid, REMOVE)
         cluster.step(gap)
     cluster.run_until_done(60_000)
     check_queue_history(cluster.records)
@@ -41,12 +41,12 @@ def test_queue_sync_random_programs(program, seed):
 @given(programs, st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_stack_sync_random_programs(program, seed):
-    cluster = SkackCluster(n_processes=6, seed=seed)
+    cluster = SkueueCluster(n_processes=6, structure="stack", seed=seed)
     for i, (pid, is_insert, gap) in enumerate(program):
         if is_insert:
-            cluster.push(pid, f"item-{i}")
+            cluster.submit(pid, INSERT, f"item-{i}")
         else:
-            cluster.pop(pid)
+            cluster.submit(pid, REMOVE)
         cluster.step(gap)
     cluster.run_until_done(60_000)
     check_stack_history(cluster.records)
@@ -64,9 +64,9 @@ def test_queue_async_adversarial(program, seed):
     for i, (pid, is_insert, gap) in enumerate(program):
         pid = pid % 5
         if is_insert:
-            cluster.enqueue(pid, f"item-{i}")
+            cluster.submit(pid, INSERT, f"item-{i}")
         else:
-            cluster.dequeue(pid)
+            cluster.submit(pid, REMOVE)
         cluster.step(gap)
     cluster.run_until_done()
     check_queue_history(cluster.records)
@@ -75,18 +75,18 @@ def test_queue_async_adversarial(program, seed):
 @given(programs, st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=12, deadline=None)
 def test_stack_async_adversarial(program, seed):
-    cluster = SkackCluster(
+    cluster = SkueueCluster(
         n_processes=5,
         seed=seed,
         runner="async",
-        delay_policy=ExponentialDelay(1.2),
+        delay_policy=ExponentialDelay(1.2), structure="stack",
     )
     for i, (pid, is_insert, gap) in enumerate(program):
         pid = pid % 5
         if is_insert:
-            cluster.push(pid, f"item-{i}")
+            cluster.submit(pid, INSERT, f"item-{i}")
         else:
-            cluster.pop(pid)
+            cluster.submit(pid, REMOVE)
         cluster.step(gap)
     cluster.run_until_done()
     check_stack_history(cluster.records)
@@ -107,9 +107,9 @@ def test_single_process_queue_matches_sequential(ops, seed):
     expected = []
     for i, is_insert in enumerate(ops):
         if is_insert:
-            reference.push(cluster.records[cluster.enqueue(0, f"v{i}")])
+            reference.push(cluster.records[cluster.submit(0, INSERT, f"v{i}")])
         else:
-            handles.append(cluster.dequeue(0))
+            handles.append(cluster.submit(0, REMOVE))
             expected.append(BOTTOM if reference.peek() is None else reference.consume()[1])
         # fully quiesce between ops: strict sequential semantics
         cluster.run_until_done(60_000)

@@ -157,7 +157,6 @@ class TestStructureRegistry:
             spec = get_structure(name)
             assert callable(spec.buffer) and callable(spec.place)
             assert callable(spec.check_history)
-            assert spec.cluster_class.structure == name
             assert spec.session_class.structure == name
 
     def test_kind_names_are_the_spec_vocabulary(self):

@@ -776,7 +776,7 @@ class TestClientSessions:
             _session, reader, writer = greeted(client)
             first = asyncio.ensure_future(client.host_telemetry(timeout=1.0))
             await asyncio.sleep(0)  # first has sent and is waiting
-            second = asyncio.ensure_future(client.host_metrics(timeout=1.0))
+            second = asyncio.ensure_future(client.host_telemetry(timeout=1.0))
             await asyncio.sleep(0)
             reader.feed_data(metrics_reply(1) + metrics_reply(2))
             answers = await asyncio.gather(first, second)
@@ -786,7 +786,7 @@ class TestClientSessions:
         (first, second), writer = asyncio.run(run())
         assert [f["op"] for f in writer.frames()] == ["metrics", "metrics"]
         assert first[0]["summary"] == {"n": 1}  # oldest waiter, first reply
-        assert second[0] == {"n": 2}
+        assert second[0]["summary"] == {"n": 2}
 
     @pytest.mark.parametrize("how", ["drop", "eof", "close"])
     def test_an_ended_session_fails_its_queued_queries_at_once(

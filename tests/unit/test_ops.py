@@ -1,9 +1,17 @@
 """Unit tests for the ops plane: failure detector state machine,
-crash eviction on the cluster map, and the rebuild planner."""
+crash eviction on the cluster map, the rebuild planner and the HTTP
+listener's answers."""
+
+import asyncio
+import json
+from types import SimpleNamespace
+
+import pytest
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.net.membership import ClusterMap
 from repro.ops.detector import FailureDetector
+from repro.ops.health import _serve_http
 from repro.ops.recovery import merge_records, plan_rebuild
 
 HB = 0.25
@@ -340,3 +348,56 @@ class TestPlanHeap:
         d = rec(24, 1, 0, REMOVE, value=4)
         plan, merged = plan_for([d], structure="heap", n_priorities=2)
         assert merged[24].result is BOTTOM and merged[24].completed
+
+
+
+# -- ops HTTP listener ---------------------------------------------------------
+
+
+class _RecordingWriter:
+    def __init__(self) -> None:
+        self.data = b""
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _get(host, target: str) -> tuple[bytes, dict]:
+    """One GET through the listener's handler, socket-free: the status
+    line and the JSON body of the answer."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"GET {target} HTTP/1.0\r\nHost: x\r\n\r\n".encode())
+        reader.feed_eof()
+        writer = _RecordingWriter()
+        await _serve_http(host, reader, writer)
+        return writer
+
+    writer = asyncio.run(run())
+    assert writer.closed
+    head, _, body = writer.data.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(body)
+
+
+class TestOpsHttp:
+    HOST = SimpleNamespace(tracer=SimpleNamespace(lookup=lambda req: None))
+
+    @pytest.mark.parametrize(
+        "target", ["/trace?req=abc", "/profile?seconds=abc", "/profile?top=x"])
+    def test_a_malformed_query_answers_400(self, target):
+        status, body = _get(self.HOST, target)
+        assert status == b"HTTP/1.0 400 Bad Request"
+        assert "is not" in body["error"]
+
+    def test_a_well_formed_query_still_reaches_its_route(self):
+        status, body = _get(self.HOST, "/trace?req=7")
+        assert status == b"HTTP/1.0 404 Not Found"
+        assert "req 7" in body["error"]

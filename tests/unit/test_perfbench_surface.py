@@ -6,8 +6,10 @@ milliseconds.
 failed benchmark run — after the PR.  This walks ``perfbench/*.py`` with
 ``ast``, resolves every ``from repro… import name``, and binds the
 ``encode_frame`` spellings perfbench uses and the constructor spellings
-``perfbench/layers.py`` uses for the record plane.
-It reads ``perfbench/`` and never edits it.
+``perfbench/layers.py`` uses for the record plane, and runs the
+simulator calls of ``perfbench/sim.py`` and ``layers.py`` (sessions whose
+backend is the cluster, the cluster itself, ``run_experiment``) on tiny
+cells.  It reads ``perfbench/`` and never edits it.
 """
 
 from __future__ import annotations
@@ -98,3 +100,74 @@ def test_record_plane_spellings_of_layers_py_bind_and_run():
     assert fired == [rec]
     NetRuntime(no_remote, sweep_seconds=0.0).close()
     assert not plan_rebuild(merge_records([[rec]]), "queue").errors
+
+
+def _connect_like_sim_py(runner: str, structure: str, max_rounds: int = 10**9):
+    kwargs = {"shuffle_delivery": False} if runner == "sync" else {}
+    return repro.connect(
+        runner, structure=structure, n_processes=8, seed=0,
+        max_rounds=max_rounds, store_samples=True, n_priorities=4, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("runner, structure",
+                         [("sync", "queue"), ("sync", "heap"), ("async", "queue")])
+def test_session_spellings_of_sim_py_bind_and_run(runner, structure):
+    """``sim.py``'s cells: a session whose backend is the cluster, driven
+    by ``backend.submit`` and ``cluster.step``, drained, read through
+    ``cluster.metrics`` and verified."""
+    from repro.core.requests import REMOVE
+
+    with _connect_like_sim_py(runner, structure) as session:
+        cluster, backend = session.cluster, session.backend
+        assert backend is cluster
+        inspect.signature(backend.submit).bind(0, INSERT, None, 3)
+        first = backend.submit(0, INSERT, None, 3 if structure == "heap" else 0)
+        backend.submit(1, REMOVE, None, 0)
+        cluster.step()
+        assert backend.is_done(first) in (False, True)
+        session.drain()
+        assert backend.is_done(first)
+        metrics = cluster.metrics
+        assert metrics.generated == metrics.completed == 2
+        assert metrics.messages > 0 and metrics.max_batch_len >= 1
+        assert metrics.mean_latency() > 0 and cluster.now > 0
+        for stat in metrics.latency.values():
+            assert stat.count == len(stat.samples) and stat.mean > 0
+        assert len(session.verify()) == 2
+
+
+def test_a_drain_past_the_bound_raises_runtime_error():
+    with _connect_like_sim_py("sync", "queue", max_rounds=1) as session:
+        session.backend.submit(0, INSERT, None, 0)
+        with pytest.raises(RuntimeError):
+            session.drain()
+
+
+def test_handle_and_backend_spellings_of_layers_py_bind_and_run():
+    with repro.connect("sync", n_processes=8, seed=1) as session:
+        handle = session.enqueue(None, pid=3)
+        req = session.backend.submit(4, INSERT, None, 0)
+        session.drain()
+        assert handle.result() is True and session.backend.is_done(req)
+
+
+def test_cluster_and_experiment_spellings_of_sim_py_bind_and_run():
+    from repro import SkueueCluster
+    from repro.experiments import run_experiment
+    from repro.experiments.workload import PerNodeWorkload
+
+    with SkueueCluster(8, seed=0, shuffle_delivery=False) as cluster:
+        cluster.run_until_settled()
+        start = cluster.now
+        cluster.join()
+        cluster.run_until_settled()
+        cluster.leave(5)
+        cluster.run_until_settled()
+        assert cluster.now > start
+        assert len(cluster.occupancies()) == 3 * 8
+    stack = run_experiment(
+        PerNodeWorkload(8, 0.5, seed=0), 8, 20, structure="stack", seed=0,
+        verify=True,
+    )
+    assert stack.mean_rounds_per_request > 0

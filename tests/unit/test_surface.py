@@ -66,10 +66,17 @@ class TestOptionCensus:
         )
 
     def test_skueue_cluster(self):
+        # `structure` replaced the choice among three classes and
+        # `max_rounds` moved here from the deleted session adapter
         assert _parameters(SkueueCluster.__init__) == (
-            "n_processes", "seed", "runner", "delay_policy",
+            "n_processes", "seed", "runner", "structure", "delay_policy",
             "shuffle_delivery", "store_samples", "salt", "n_priorities",
-            "profile", "trace_sample",
+            "profile", "trace_sample", "max_rounds",
+        )
+
+    def test_connect(self):
+        assert _parameters(repro.connect) == (
+            "backend", "structure", "n_processes", "seed", "kwargs",
         )
 
     def test_run_experiment(self):
@@ -223,7 +230,7 @@ class TestStructurePlane:
         assert _SpyModel.built == ["checker"]
         plan_rebuild({rec.req_id: rec for rec in records}, "queue")
         assert set(_SpyModel.built[1:]) == {"rebuild"}
-        assert len(dataclasses.fields(structures.StructureSpec)) == 15
+        assert len(dataclasses.fields(structures.StructureSpec)) == 14
 
     def test_only_the_registry_and_the_verb_sugar_compare_structure_names(self):
         # check_priority (heap INSERTs take a class) and the API/CLI sugar

@@ -295,9 +295,9 @@ class TestSimTracing:
 
     def test_untraced_cluster_exports_empty_envelope(self):
         with SkueueCluster(n_processes=8, seed=3) as c:
-            c.enqueue(0, "x")
+            c.submit(0, INSERT, "x")
             c.run_until_done()
-            assert c.trace_export()["traceEvents"] == []
+            assert c.trace()["traceEvents"] == []
 
 
 # -- wave-liveness escape hatch counters (A_NUDGE path) -----------------------
@@ -315,10 +315,10 @@ class TestWaveLivenessCounters:
         monkeypatch.setattr(Node, "WAVE_PATIENCE", 2)
         with SkueueCluster(n_processes=8, seed=3) as c:
             for i in range(40):
-                c.enqueue(i % 8, i)
+                c.submit(i % 8, INSERT, i)
             c.run_until_done()
             for i in range(40):
-                c.dequeue(i % 8)
+                c.submit(i % 8, REMOVE)
             c.run_until_done()
             assert c.metrics.counters["wave_nudge_probes"] > 0
             assert "wave_force_fires" not in c.metrics.counters  # no cycles
@@ -332,7 +332,7 @@ class TestWaveLivenessCounters:
         abandoned batches ride later waves as extras)."""
         c = SkueueCluster(n_processes=8, seed=3)
         for i in range(60):
-            c.enqueue(i % 8, i)
+            c.submit(i % 8, INSERT, i)
         for _ in range(4000):
             c.step(1)
             for actor in list(c.runtime.actors.values()):
