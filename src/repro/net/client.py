@@ -55,7 +55,7 @@ from collections import deque
 from repro.core.requests import INSERT, REMOVE, OpRecord, pack_req_id, user_result
 from repro.net.link import FOLD_SUBMITS, Connection
 from repro.net.membership import ClusterMap
-from repro.net.transport import decode_payload, encode_payload, record_from_wire
+from repro.net.transport import check_packable, record_from_wire
 from repro.telemetry import trace_sampled
 
 __all__ = ["SkueueClient"]
@@ -327,13 +327,14 @@ class SkueueClient:
         """
         if session.closed:
             raise ConnectionError(f"host {session.index} hung up")
+        check_packable(item)  # the caller's error, not the write loop's
         req_id = pack_req_id(session.nonce, session.seq, session.index,
                              self.id_slots)
         session.seq += 1
         self._pending[req_id] = asyncio.get_running_loop().create_future()
         self._pending_meta[req_id] = (pid, kind, item, priority)
         frame = {"op": "submit", "req": req_id, "pid": pid, "kind": kind,
-                 "item": encode_payload(item)}
+                 "item": item}
         if priority:
             frame["pri"] = priority
         if self.trace_sample > 0.0 and trace_sampled(req_id, self.trace_sample):
@@ -568,11 +569,10 @@ class SkueueClient:
 
     # -- frame handling --------------------------------------------------------
     def _handle_done(self, req_id: int, kind: int, result: object) -> None:
-        decoded = (kind, decode_payload(result))
         for rid in (req_id, self._redirects.pop(req_id, None)):
             if rid is None:
                 continue
-            self._results[rid] = decoded
+            self._results[rid] = (kind, result)
             # the meta is only needed while a resubmission is still
             # possible; drop it on completion (it holds the enqueued
             # item object)

@@ -41,12 +41,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.core.requests import OpRecord
-from repro.net.transport import (
-    decode_payload,
-    encode_payload,
-    record_from_wire,
-    record_to_wire,
-)
+from repro.net.transport import record_from_wire, record_to_wire
 
 __all__ = [
     "NetOpRecord",
@@ -102,7 +97,7 @@ def encode_complete(req_id: int, known: tuple) -> dict:
     if value is not None:
         frame["value"] = value
     if result is not None:
-        frame["result"] = encode_payload(result)
+        frame["result"] = result
     if local_match:
         frame["local_match"] = True
     if completed:
@@ -112,10 +107,9 @@ def encode_complete(req_id: int, known: tuple) -> dict:
 
 def decode_complete(frame: dict) -> tuple:
     """Inverse of :func:`encode_complete`: the frame's facts tuple."""
-    result = frame.get("result")
     return (
         frame.get("value"),
-        None if result is None else decode_payload(result),
+        frame.get("result"),
         bool(frame.get("local_match")),
         bool(frame.get("done")),
     )

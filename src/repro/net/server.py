@@ -65,8 +65,6 @@ from repro.net.transport import (
     CLIENT,
     FENCED,
     FENCED_DEDUP,
-    decode_payload,
-    encode_payload,
     request_async,
 )
 from repro.overlay.ldb import MIDDLE, LdbTopology, pid_of, vid_of
@@ -505,10 +503,7 @@ class NodeHost:
         op = message.get("op")
         if op == "msg":
             self.runtime.deliver(
-                message["dest"],
-                message["action"],
-                decode_payload(message["payload"]),
-            )
+                message["dest"], message["action"], message["payload"])
         elif op == "complete":
             # re-resolve the holder: learning a fact twice is harmless,
             # and `deliver` follows the departed host's custodian chain
@@ -548,7 +543,7 @@ class NodeHost:
 
     def _msg_frame(self, dest: int, action: int, payload: tuple) -> dict:
         frame = {"op": "msg", "dest": dest, "action": action,
-                 "gen": self.control.gen, "payload": encode_payload(payload)}
+                 "gen": self.control.gen, "payload": payload}
         tracer = self.tracer
         if tracer.tracing:
             # tag frames that carry a traced op's req_id so the peer
@@ -646,8 +641,7 @@ class NodeHost:
             self.note_error("frame 'msg'", f"no actor message {action!r}")
             return
         self._trace_transit(message)
-        self.runtime.deliver(
-            message["dest"], action, decode_payload(message["payload"]))
+        self.runtime.deliver(message["dest"], action, message["payload"])
 
     def _on_complete(self, conn, message: dict, now: float) -> None:
         # facts for a record this host keeps
@@ -882,7 +876,7 @@ class NodeHost:
             pid,
             idx,
             message["kind"],
-            decode_payload(message["item"]),
+            message["item"],
             self.runtime.now,
             priority=priority,
         )
@@ -910,7 +904,7 @@ class NodeHost:
                 "op": "done",
                 "req": rec.req_id,
                 "kind": rec.kind,
-                "result": encode_payload(rec.result),
+                "result": rec.result,
             }
             if traced:
                 frame["tr"] = rec.req_id

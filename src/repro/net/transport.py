@@ -11,25 +11,31 @@ tag on any connection.  Frames above :data:`MAX_FRAME_BYTES` are
 rejected on both ends — a peer that sends one is buggy or malicious, and
 accepting it would let a single connection exhaust host memory.
 
-JSON alone cannot carry the protocol's payloads: batches, position
-intervals and :class:`~repro.core.requests.OpRecord` fields are built
-from *tuples* (compared by value in the sequential-consistency checker),
-dicts with float keys (DHT handover slices), and the ⊥ sentinel
-``BOTTOM``.  The codec therefore tags containers:
+The binary codec carries the protocol's own values: besides JSON's
+scalars, lists and string-keyed objects it has type bytes for *tuples*
+(batches, position intervals and element tags are tuples, compared by
+value in the sequential-consistency checker), dicts with keys of any
+packable type (DHT handover slices key by float), the ⊥ sentinel
+``BOTTOM`` and :class:`~repro.core.requests.OpRecord` (a LEAVE's
+``DEPART_DUMP`` hands unflushed requests across host boundaries).  A
+value is packed in one walk and unpacked in one walk, so every hot frame
+carries and receives its payload as built.
+
+JSON cannot carry those values, so a JSON bulk body tags them
+(:func:`encode_payload`/:func:`decode_payload`):
 
 * ``{"t": [...]}`` — tuple (items encoded recursively),
 * ``{"d": [[k, v], ...]}`` — dict (keys of any encodable type),
 * ``{"b": 0}`` — the ``BOTTOM`` singleton,
-* ``{"r": {...}}`` — an :class:`~repro.core.requests.OpRecord` (flattened
-  via :func:`record_to_wire`; a LEAVE's ``DEPART_DUMP`` hands unflushed
-  requests across host boundaries),
+* ``{"r": {...}}`` — an ``OpRecord`` (flattened via
+  :func:`record_to_wire`),
 * lists, strings, ints, floats, bools, ``None`` pass through.
 
-The binary codec serialises exactly this tagged domain (it gives the
-three hot tags — tuple, dict, ⊥ — one-byte type codes instead of
-single-key JSON objects), so ``decode(encode(x, codec))`` is the same
-value for both codecs and the payload layer above never has to know
-which one a frame rode.
+Only the builders of bulk bodies tag — :func:`record_to_wire`/
+:func:`record_from_wire` (a ``replica_put`` reuses them for its one
+record) and the rebuild plan in :mod:`repro.net.control`.  A tagged
+value is ordinary data to the binary codec (nested maps and lists), so
+it round-trips there too.
 
 Python's ``json`` round-trips floats exactly (``repr``-based) and the
 binary codec packs IEEE-754 doubles, so LDB labels and DHT keys survive
@@ -46,6 +52,7 @@ import asyncio
 import json
 import socket
 import struct
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from repro.core.requests import BOTTOM, OpRecord
@@ -65,6 +72,7 @@ __all__ = [
     "FrameError",
     "FrameReader",
     "FrameSpec",
+    "check_packable",
     "codec_for",
     "decode_frame_body",
     "decode_payload",
@@ -269,9 +277,11 @@ def record_from_wire(data: dict) -> OpRecord:
 # -- binary body codec ---------------------------------------------------------
 #
 # One type byte per value; all lengths/counts big-endian.  The domain is
-# exactly what `encode_payload` produces (JSON-safe values plus the tag
-# objects), so a binary body decodes to the same tagged structure the
-# JSON body would — parity is structural, not best-effort.
+# the protocol's own values: JSON's scalars, lists and dicts (keys of any
+# packable type) plus tuples, ⊥ and OpRecords, each under its own type
+# byte, so a value is packed in one walk and unpacked in one walk.  A
+# tagged dict (`encode_payload`'s form) is a plain map here and round-trips
+# as one.
 
 _B_NONE = 0x00
 _B_TRUE = 0x01
@@ -285,17 +295,17 @@ _B_STR8 = 0x08       # u8 byte-length + UTF-8
 _B_STR32 = 0x09      # u32 byte-length + UTF-8
 _B_LIST8 = 0x0A      # u8 count + items
 _B_LIST32 = 0x0B     # u32 count + items
-_B_MAP8 = 0x0C       # u8 count + key/value pairs (generic dict)
+_B_MAP8 = 0x0C       # u8 count + key/value pairs
 _B_MAP32 = 0x0D      # u32 count + key/value pairs
-_B_TUPLE = 0x0E      # u32 count + items             == {"t": [...]}
-_B_BOTTOM = 0x0F     # (no body)                     == {"b": 0}
-_B_TDICT = 0x10      # u32 count + [k, v] pairs      == {"d": [[k, v], ...]}
+_B_TUPLE32 = 0x0E    # u32 count + items
+_B_BOTTOM = 0x0F     # (no body): the ⊥ singleton
 _B_FRAME = 0x11      # u8 schema id + u16 presence bits + packed fields
-_B_RECORD = 0x12     # the 11 record_to_wire fields, packed positionally
+_B_RECORD = 0x12     # a record_to_wire dict: its 11 fields, positionally
+_B_OPRECORD = 0x13   # an OpRecord: its 11 slots, positionally
+_B_TUPLE8 = 0x14     # u8 count + items
 
 _I32 = struct.Struct(">i")
 _I64 = struct.Struct(">q")
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
@@ -334,17 +344,14 @@ _SCHEMA_BY_OP = {
 _RECORD_FIELDS = ("req_id", "pid", "idx", "kind", "item", "gen", "pri",
                   "value", "result", "completed", "local_match")
 _RECORD_FIELDSET = frozenset(_RECORD_FIELDS)
+#: an OpRecord's slots in the same order (``priority`` is ``pri``)
+_record_slots = attrgetter(*OpRecord.__slots__)
 
 
 def _pack_value(obj, out: bytearray) -> None:
-    # ordering matters: bool is an int subclass, so test it first
-    if obj is None:
-        out.append(_B_NONE)
-    elif obj is True:
-        out.append(_B_TRUE)
-    elif obj is False:
-        out.append(_B_FALSE)
-    elif type(obj) is int or isinstance(obj, int) and not isinstance(obj, bool):
+    # the scalars inline, the commonest first; bool is not `type() is int`
+    kind = type(obj)
+    if kind is int:
         if -128 <= obj <= 127:
             out.append(_B_INT8)
             out.append(obj & 0xFF)
@@ -361,86 +368,123 @@ def _pack_value(obj, out: bytearray) -> None:
             out.append(_B_BIGINT)
             out.append(len(raw))
             out += raw
-    elif isinstance(obj, float):
+    elif obj is None:
+        out.append(_B_NONE)
+    elif obj is True:
+        out.append(_B_TRUE)
+    elif obj is False:
+        out.append(_B_FALSE)
+    elif kind is float:
         out.append(_B_FLOAT)
         out += _F64.pack(obj)
-    elif isinstance(obj, str):
-        raw = obj.encode()
-        if len(raw) <= 255:
-            out.append(_B_STR8)
-            out.append(len(raw))
-        else:
-            out.append(_B_STR32)
-            out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(obj, list):
-        if len(obj) <= 255:
-            out.append(_B_LIST8)
-            out.append(len(obj))
-        else:
-            out.append(_B_LIST32)
-            out += _U32.pack(len(obj))
-        for item in obj:
-            _pack_value(item, out)
-    elif isinstance(obj, dict):
-        if len(obj) == 1:
-            # the payload tags ride as one-byte type codes — this is
-            # where the binary codec earns its "compact"
-            ((key, value),) = obj.items()
-            if key == "t" and type(value) is list:
-                out.append(_B_TUPLE)
-                out += _U32.pack(len(value))
-                for item in value:
-                    _pack_value(item, out)
-                return
-            if key == "b":
-                out.append(_B_BOTTOM)
-                return
-            if key == "d" and type(value) is list:
-                out.append(_B_TDICT)
-                out += _U32.pack(len(value))
-                for pair in value:
-                    if type(pair) is not list or len(pair) != 2:
-                        raise FrameError(f"malformed dict tag pair {pair!r}")
-                    _pack_value(pair[0], out)
-                    _pack_value(pair[1], out)
-                return
-        elif "op" in obj:
-            schema = _SCHEMA_BY_OP.get(obj["op"])
-            if schema is not None:
-                sid, fields, _ = schema
-                bits = 0
-                present = 0
-                for i, field in enumerate(fields):
-                    if field in obj:
-                        bits |= 1 << i
-                        present += 1
-                if present == len(obj) - 1:
-                    # every non-op key is in the schema — pack positionally
-                    out.append(_B_FRAME)
-                    out.append(sid)
-                    out.append(bits >> 8)
-                    out.append(bits & 0xFF)
-                    for i, field in enumerate(fields):
-                        if bits >> i & 1:
-                            _pack_value(obj[field], out)
-                    return
-        elif len(obj) == 11 and "req_id" in obj and obj.keys() == _RECORD_FIELDSET:
-            out.append(_B_RECORD)
-            for field in _RECORD_FIELDS:
-                _pack_value(obj[field], out)
-            return
-        if len(obj) <= 255:
-            out.append(_B_MAP8)
-            out.append(len(obj))
-        else:
-            out.append(_B_MAP32)
-            out += _U32.pack(len(obj))
-        for key, value in obj.items():
-            _pack_value(key, out)
-            _pack_value(value, out)
     else:
-        raise FrameError(f"cannot binary-encode {type(obj).__name__} {obj!r}")
+        packer = _PACKERS.get(kind)
+        if packer is None:
+            packer = _base_packer(kind)
+        packer(obj, out)
+
+
+def _pack_str(obj: str, out: bytearray) -> None:
+    raw = obj.encode()
+    if len(raw) <= 255:
+        out.append(_B_STR8)
+        out.append(len(raw))
+    else:
+        out.append(_B_STR32)
+        out += _U32.pack(len(raw))
+    out += raw
+
+
+def _items_packer(short: int, long: int):
+    """The packer of a list or a tuple: count, then each item."""
+
+    def pack(items, out: bytearray) -> None:
+        if len(items) <= 255:
+            out.append(short)
+            out.append(len(items))
+        else:
+            out.append(long)
+            out += _U32.pack(len(items))
+        for item in items:
+            _pack_value(item, out)
+
+    return pack
+
+
+def _pack_dict(obj: dict, out: bytearray) -> None:
+    if "op" in obj:
+        op = obj["op"]
+        schema = _SCHEMA_BY_OP.get(op) if type(op) is str else None
+        if schema is not None:
+            sid, fields, _ = schema
+            bits = 0
+            present = 0
+            for i, field in enumerate(fields):
+                if field in obj:
+                    bits |= 1 << i
+                    present += 1
+            if present == len(obj) - 1:
+                # every non-op key is in the schema — pack positionally
+                out.append(_B_FRAME)
+                out.append(sid)
+                out.append(bits >> 8)
+                out.append(bits & 0xFF)
+                for i, field in enumerate(fields):
+                    if bits >> i & 1:
+                        _pack_value(obj[field], out)
+                return
+    elif len(obj) == 11 and "req_id" in obj and obj.keys() == _RECORD_FIELDSET:
+        out.append(_B_RECORD)
+        for field in _RECORD_FIELDS:
+            _pack_value(obj[field], out)
+        return
+    if len(obj) <= 255:
+        out.append(_B_MAP8)
+        out.append(len(obj))
+    else:
+        out.append(_B_MAP32)
+        out += _U32.pack(len(obj))
+    for key, value in obj.items():
+        _pack_value(key, out)
+        _pack_value(value, out)
+
+
+def _pack_bottom(obj, out: bytearray) -> None:
+    out.append(_B_BOTTOM)
+
+
+def _pack_oprecord(rec: OpRecord, out: bytearray) -> None:
+    out.append(_B_OPRECORD)
+    for value in _record_slots(rec):
+        _pack_value(value, out)
+
+
+#: type -> packer for everything but the inline scalars; a subclass
+#: (``NetOpRecord``, a NumPy float) takes its nearest base's
+_PACKERS = {
+    str: _pack_str,
+    tuple: _items_packer(_B_TUPLE8, _B_TUPLE32),
+    list: _items_packer(_B_LIST8, _B_LIST32),
+    dict: _pack_dict,
+    type(BOTTOM): _pack_bottom,
+    OpRecord: _pack_oprecord,
+    int: lambda obj, out: _pack_value(int(obj), out),
+    float: lambda obj, out: _pack_value(float(obj), out),
+}
+
+
+def _base_packer(kind: type):
+    for base in kind.__mro__[1:]:
+        packer = _PACKERS.get(base)
+        if packer is not None:
+            return packer
+    raise FrameError(f"cannot binary-encode a {kind.__name__}")
+
+
+def check_packable(obj: object) -> None:
+    """Raise :class:`FrameError` now if ``obj`` cannot ride a binary
+    frame, rather than when the frame is written."""
+    _pack_value(obj, bytearray())
 
 
 def _unpack_value(buf: bytes, pos: int):
@@ -449,78 +493,27 @@ def _unpack_value(buf: bytes, pos: int):
     except IndexError:
         raise FrameDecodeError("truncated binary frame") from None
     pos += 1
-    try:
+    try:  # the commonest type bytes first
+        if tag == _B_INT8:
+            value = buf[pos]
+            return (value - 256 if value > 127 else value), pos + 1
+        if tag == _B_INT64:
+            return _I64.unpack_from(buf, pos)[0], pos + 8
         if tag == _B_NONE:
             return None, pos
         if tag == _B_TRUE:
             return True, pos
         if tag == _B_FALSE:
             return False, pos
-        if tag == _B_INT8:
-            value = buf[pos]
-            return (value - 256 if value > 127 else value), pos + 1
+        if tag == _B_TUPLE8:
+            items, pos = _unpack_items(buf, pos + 1, buf[pos])
+            return tuple(items), pos
+        if tag == _B_LIST8:
+            return _unpack_items(buf, pos + 1, buf[pos])
         if tag == _B_INT32:
             return _I32.unpack_from(buf, pos)[0], pos + 4
-        if tag == _B_INT64:
-            return _I64.unpack_from(buf, pos)[0], pos + 8
-        if tag == _B_BIGINT:
-            n = buf[pos]
-            pos += 1
-            raw = bytes(buf[pos : pos + n])
-            if len(raw) != n:
-                raise FrameDecodeError("truncated big int")
-            return int.from_bytes(raw, "big", signed=True), pos + n
-        if tag == _B_FLOAT:
-            return _F64.unpack_from(buf, pos)[0], pos + 8
-        if tag in (_B_STR8, _B_STR32):
-            if tag == _B_STR8:
-                n = buf[pos]
-                pos += 1
-            else:
-                n = _U32.unpack_from(buf, pos)[0]
-                pos += 4
-            raw = bytes(buf[pos : pos + n])
-            if len(raw) != n:
-                raise FrameDecodeError("truncated string")
-            return raw.decode(), pos + n
-        if tag in (_B_LIST8, _B_LIST32, _B_TUPLE):
-            if tag == _B_LIST8:
-                n = buf[pos]
-                pos += 1
-            else:
-                n = _U32.unpack_from(buf, pos)[0]
-                pos += 4
-            items = []
-            for _ in range(n):
-                item, pos = _unpack_value(buf, pos)
-                items.append(item)
-            if tag == _B_TUPLE:
-                return {"t": items}, pos
-            return items, pos
         if tag == _B_BOTTOM:
-            return {"b": 0}, pos
-        if tag == _B_TDICT:
-            n = _U32.unpack_from(buf, pos)[0]
-            pos += 4
-            pairs = []
-            for _ in range(n):
-                key, pos = _unpack_value(buf, pos)
-                value, pos = _unpack_value(buf, pos)
-                pairs.append([key, value])
-            return {"d": pairs}, pos
-        if tag in (_B_MAP8, _B_MAP32):
-            if tag == _B_MAP8:
-                n = buf[pos]
-                pos += 1
-            else:
-                n = _U32.unpack_from(buf, pos)[0]
-                pos += 4
-            mapping = {}
-            for _ in range(n):
-                key, pos = _unpack_value(buf, pos)
-                value, pos = _unpack_value(buf, pos)
-                mapping[key] = value
-            return mapping, pos
+            return BOTTOM, pos
         if tag == _B_FRAME:
             sid = buf[pos]
             bits = (buf[pos + 1] << 8) | buf[pos + 2]
@@ -537,14 +530,65 @@ def _unpack_value(buf: bytes, pos: int):
                 if bits >> i & 1:
                     message[field], pos = _unpack_value(buf, pos)
             return message, pos
+        if tag == _B_LIST32:
+            return _unpack_items(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
+        if tag == _B_TUPLE32:
+            items, pos = _unpack_items(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
+            return tuple(items), pos
+        if tag == _B_FLOAT:
+            return _F64.unpack_from(buf, pos)[0], pos + 8
+        if tag in (_B_STR8, _B_STR32):
+            if tag == _B_STR8:
+                n = buf[pos]
+                pos += 1
+            else:
+                n = _U32.unpack_from(buf, pos)[0]
+                pos += 4
+            raw = bytes(buf[pos : pos + n])
+            if len(raw) != n:
+                raise FrameDecodeError("truncated string")
+            return raw.decode(), pos + n
+        if tag in (_B_MAP8, _B_MAP32):
+            if tag == _B_MAP8:
+                n = buf[pos]
+                pos += 1
+            else:
+                n = _U32.unpack_from(buf, pos)[0]
+                pos += 4
+            mapping = {}
+            for _ in range(n):
+                key, pos = _unpack_value(buf, pos)
+                value, pos = _unpack_value(buf, pos)
+                mapping[key] = value  # TypeError: an unhashable key
+            return mapping, pos
+        if tag == _B_OPRECORD:
+            fields, pos = _unpack_items(buf, pos, len(OpRecord.__slots__))
+            rec = OpRecord(*fields[:6], priority=fields[6])
+            rec.value, rec.result, rec.completed, rec.local_match = fields[7:]
+            return rec, pos
         if tag == _B_RECORD:
             record = {}
             for field in _RECORD_FIELDS:
                 record[field], pos = _unpack_value(buf, pos)
             return record, pos
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        if tag == _B_BIGINT:
+            n = buf[pos]
+            pos += 1
+            raw = bytes(buf[pos : pos + n])
+            if len(raw) != n:
+                raise FrameDecodeError("truncated big int")
+            return int.from_bytes(raw, "big", signed=True), pos + n
+    except (struct.error, IndexError, UnicodeDecodeError, TypeError) as exc:
         raise FrameDecodeError(f"malformed binary frame: {exc}") from None
     raise FrameDecodeError(f"unknown binary type byte 0x{tag:02x}")
+
+
+def _unpack_items(buf: bytes, pos: int, n: int) -> tuple[list, int]:
+    items = []
+    for _ in range(n):
+        item, pos = _unpack_value(buf, pos)
+        items.append(item)
+    return items, pos
 
 
 # -- framing -------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Codec properties: a frame's codec is fixed by its op (bulk frames
 ride JSON, everything else binary), every frame in the catalogue must
 decode to the *same* message whether it rode the JSON or the binary
-wire, and garbage bytes behind a valid header must be rejected without
-losing frame sync (so a connection survives a poisoned frame).
+wire, any native payload (tuples, ⊥, float-keyed dicts, records) must
+come back off the binary wire type for type, and garbage bytes behind a
+valid header must be rejected without losing frame sync (so a connection
+survives a poisoned frame).
 
 ``SAMPLE_FRAMES`` is diff-tested against ``transport.FRAME_TYPES``:
 adding a frame op without a parity sample here fails the suite.
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.net.records import NetOpRecord
 from repro.net import transport
 from repro.net.transport import (
     CODEC_BINARY,
@@ -304,6 +307,84 @@ class TestFuzzedParity:
             encode_frame(frame, CODEC_BINARY)
 
 
+# -- hypothesis: native values on the binary wire -----------------------------
+
+_RECORD_SLOTS = OpRecord.__slots__
+
+
+def _records(values):
+    """An OpRecord or a NetOpRecord (hooks unset), every slot drawn."""
+    ints = st.integers(min_value=-(2**70), max_value=2**70)
+    return st.builds(
+        _record,
+        st.sampled_from((OpRecord, NetOpRecord)), ints,
+        st.none() | ints, st.none() | ints, st.sampled_from((INSERT, REMOVE)),
+        values, st.none() | st.floats(allow_nan=False), ints, st.none() | ints,
+        values, st.booleans(), st.booleans(),
+    )
+
+
+def _record(cls, req_id, pid, idx, kind, item, gen, priority, value, result,
+            completed, local_match) -> OpRecord:
+    rec = cls(req_id, pid, idx, kind, item, gen, priority=priority)
+    rec.value, rec.result = value, result
+    rec.completed, rec.local_match = completed, local_match
+    return rec
+
+
+_natives = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=4),
+        _records(children),
+    ),
+    max_leaves=25,
+)
+
+
+def _same(got, sent) -> bool:
+    """``got`` is ``sent`` as the wire must hand it back: equal and of the
+    same type all the way down.  A record comes back a plain OpRecord
+    (hooks belong to the host that holds it); ⊥ is the singleton."""
+    if isinstance(sent, OpRecord):
+        return type(got) is OpRecord and all(
+            _same(getattr(got, slot), getattr(sent, slot))
+            for slot in _RECORD_SLOTS)
+    if type(got) is not type(sent):
+        return False
+    if isinstance(sent, (list, tuple)):
+        return len(got) == len(sent) and all(map(_same, got, sent))
+    if isinstance(sent, dict):
+        return len(got) == len(sent) and all(
+            _same(k, j) and _same(got[k], sent[j]) for k, j in zip(got, sent))
+    return got == sent
+
+
+class TestNativeValues:
+    """The binary codec packs the protocol's values as they are: what a
+    host puts in a hot frame is what its peer's handler gets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_natives)
+    def test_any_native_payload_decodes_type_exactly(self, payload):
+        frame = {"op": "msg", "dest": 0, "action": 1, "payload": payload}
+        (msg,) = list(FrameReader().feed(encode_frame(frame, CODEC_BINARY)))
+        assert msg.keys() == frame.keys()
+        assert _same(msg["payload"], payload)
+
+    def test_the_singletons_and_the_scalars_keep_their_type(self):
+        payload = (BOTTOM, True, False, 1, 1.0, [BOTTOM], {1.0: True})
+        frame = {"op": "msg", "payload": payload}
+        (msg,) = list(FrameReader().feed(encode_frame(frame, CODEC_BINARY)))
+        got = msg["payload"]
+        assert got[0] is BOTTOM and got[5][0] is BOTTOM
+        assert [type(v) for v in got] == [type(v) for v in payload]
+        assert type(next(iter(got[6]))) is float and got[6][1.0] is True
+
+
 # -- garbage rejection: poisoned bodies must not break framing -----------------
 
 
@@ -323,6 +404,9 @@ class TestGarbageRejection:
         (CODEC_BINARY, b"\x08\x10only"),       # str8 length overruns body
         (CODEC_BINARY, b"\x03\x00\x00"),       # trailing bytes behind an int8
         (CODEC_BINARY, b"\x03\x07"),           # valid int, not an object
+        (CODEC_BINARY, b"\x0c\x01\x0a\x00\x00"),  # map keyed by a list
+        (CODEC_BINARY, b"\x0c\x01\x14\x01\x0a\x00\x00"),  # ... by a tuple of one
+        (CODEC_BINARY, b"\x10\x00\x00\x00\x00"),  # no type byte 0x10
     ])
     def test_garbage_body_raises_frame_decode_error(self, codec, body):
         with pytest.raises(FrameDecodeError):

@@ -35,7 +35,6 @@ from repro.net.server import HostConfig, NodeHost
 from repro.net.transport import (
     MAX_FRAME_BYTES,
     FrameReader,
-    decode_payload,
     encode_frame,
 )
 
@@ -662,7 +661,7 @@ class TestClientSessions:
         assert frame["op"] == "submit_batch"
         # within the batch: exactly the per-client submission order
         assert [sub[0] for sub in frame["subs"]] == req_ids
-        assert [decode_payload(sub[3]) for sub in frame["subs"]] == [
+        assert [sub[3] for sub in frame["subs"]] == [
             ("item", pid) for pid in range(6)
         ]
         assert len(writer.writes) == 1 and writer.drains == 1
@@ -874,7 +873,7 @@ class TestClientSessions:
         session, fresh, hello, resubmit, result = asyncio.run(run())
         assert session.closed and fresh is not session
         assert hello["op"] == "hello" and resubmit["op"] == "submit"
-        assert decode_payload(resubmit["item"]) == "in limbo"
+        assert resubmit["item"] == "in limbo"
         assert result is True and client.rejected_resubmits == 1
 
 

@@ -6,7 +6,8 @@ milliseconds.
 failed benchmark run — after the PR.  This walks ``perfbench/*.py`` with
 ``ast``, resolves every ``from repro… import name``, and binds the
 ``encode_frame`` spellings perfbench uses and the constructor spellings
-``perfbench/layers.py`` uses for the record plane, and runs the
+``perfbench/layers.py`` uses for the record plane, runs the codec corpus
+of ``perfbench/frames.py`` through its own round-trip check, and runs the
 simulator calls of ``perfbench/sim.py`` and ``layers.py`` (sessions whose
 backend is the cluster, the cluster itself, ``run_experiment``) on tiny
 cells.  It reads ``perfbench/`` and never edits it.
@@ -71,6 +72,19 @@ def test_frame_spellings_of_perfbench_bind_and_round_trip():
                         (probe, encode_frame(probe))):
         assert wire[0] == CODEC_TAGS[CODEC_BINARY]
         assert list(FrameReader().feed(wire)) == [frame]
+
+
+def test_the_codec_corpus_of_frames_py_round_trips():
+    """``frames.py::hot_frames()`` raises unless every corpus frame
+    survives the binary codec; otherwise only a traced benchmark run
+    would call it.  Executed from its source, so nothing is written
+    under ``perfbench/``."""
+    path = PERFBENCH / "frames.py"
+    namespace = {"__name__": "perfbench_frames"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    frames = namespace["hot_frames"]()
+    assert {"submit_batch16", "msg_agg", "msg_serve", "done_batch16",
+            "replica_put", "complete"} <= set(frames)
 
 
 def test_record_plane_spellings_of_layers_py_bind_and_run():

@@ -279,7 +279,7 @@ class TestRecordTable:
         stub.completed = True
         assert sent == [(1, {
             "op": "complete", "req": 9,
-            "result": {"t": [9, "payload"]}, "done": True,
+            "result": (9, "payload"), "done": True,
         })]
 
     def test_adopt_wire_copy_forwards_value_and_completion(self):
@@ -298,7 +298,7 @@ class TestRecordTable:
         assert sent == [
             (1, {"op": "complete", "req": 5, "value": 42}),
             (1, {"op": "complete", "req": 5, "value": 42,
-                 "result": {"t": [5, "x"]}, "done": True}),
+                 "result": (5, "x"), "done": True}),
         ]
 
     def test_adopt_local_origin_returns_the_canonical_record(self):
