@@ -11,7 +11,7 @@ from repro.experiments.figures import full_scale
 from repro.experiments.harness import run_experiment
 from repro.experiments.tables import render_table
 from repro.experiments.workload import FixedRateWorkload
-from repro.sim.profile import EngineProfile
+from repro.sim.process import SAFETY_TICK
 from repro.core.requests import INSERT
 
 
@@ -59,13 +59,10 @@ def test_waves_do_not_ride_the_safety_sweep(benchmark):
 
     def compare():
         out = {}
-        for name, profile in (
-            ("default", None),
-            ("no_sweep", EngineProfile(safety_tick=0)),
-        ):
+        for name, safety_tick in (("default", SAFETY_TICK), ("no_sweep", 0)):
             workload = FixedRateWorkload(800, 0.5, requests_per_round=10, seed=9)
             result = run_experiment(workload, 800, rounds=120, seed=9,
-                                    profile=profile)
+                                    safety_tick=safety_tick)
             out[name] = result.mean_rounds_per_request
         return out
 

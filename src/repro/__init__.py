@@ -27,13 +27,11 @@ built directly.
 from repro.api import Op, connect
 from repro.core.cluster import SkueueCluster
 from repro.core.requests import BOTTOM
-from repro.sim.profile import EngineProfile
 
 __version__ = "1.3.0"
 
 __all__ = [
     "BOTTOM",
-    "EngineProfile",
     "Op",
     "SkueueCluster",
     "__version__",

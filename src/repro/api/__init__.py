@@ -46,12 +46,10 @@ from __future__ import annotations
 
 from repro.core.cluster import SkueueCluster
 from repro.core.structures import get_structure
-from repro.sim.profile import EngineProfile
 from repro.api.handles import OpHandle
 from repro.api.session import HeapSession, Op, QueueSession, Session, StackSession
 
 __all__ = [
-    "EngineProfile",
     "HeapSession",
     "Op",
     "OpHandle",
@@ -75,13 +73,12 @@ def connect(
     ``structure`` selects FIFO (``"queue"``), LIFO (``"stack"``) or
     constant-priority (``"heap"``, Skeap — pass ``n_priorities=`` to size
     the class count) semantics; any registered structure name is
-    accepted (see :mod:`repro.core.structures`).  Engine tuning goes
-    through ``profile=`` (an :class:`~repro.sim.profile.EngineProfile`:
-    ``safety_tick``, ``timeout_lag`` — identical typing on every
-    backend).  Remaining kwargs are backend-specific (cluster options on
-    the simulators, e.g. the sync runner's ``shuffle_delivery=`` and the
-    engine bound ``max_rounds=``; ``n_hosts``/``host_map``/``deployment``
-    and launch options on TCP).
+    accepted (see :mod:`repro.core.structures`).  Remaining kwargs are
+    backend-specific: cluster options on the simulators (e.g. the sync
+    runner's ``shuffle_delivery=``, the engine bound ``max_rounds=`` and
+    ``safety_tick=``, the rounds between whole-system TIMEOUT sweeps,
+    0 for none); ``n_hosts``/``host_map``/``deployment`` and launch
+    options on TCP.
     """
     spec = get_structure(structure)
     if backend in ("sync", "async"):

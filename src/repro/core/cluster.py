@@ -50,7 +50,7 @@ from repro.overlay.ldb import (
 from repro.overlay.routing import route_steps_for
 from repro.sim.async_runner import AsyncRunner
 from repro.sim.metrics import Metrics
-from repro.sim.profile import EngineProfile
+from repro.sim.process import SAFETY_TICK
 from repro.sim.sync_runner import SyncRunner
 from repro.util.hashing import label_of
 from repro.util.rng import RngStreams
@@ -145,9 +145,8 @@ class SkueueCluster:
         delay_policy=None,
         shuffle_delivery: bool = True,
         store_samples: bool = False,
-        salt: str | None = None,
         n_priorities: int = 4,
-        profile: EngineProfile | None = None,
+        safety_tick: int = SAFETY_TICK,
         trace_sample: float = 0.0,
         max_rounds: int = 200_000,
     ) -> None:
@@ -162,7 +161,6 @@ class SkueueCluster:
         self.max_rounds = max_rounds
         self.rng = RngStreams(seed)
         metrics = Metrics(store_samples=store_samples)
-        profile = profile if profile is not None else EngineProfile()
         if runner == "sync":
             self.runtime = SyncRunner(
                 self.rng,
@@ -170,20 +168,19 @@ class SkueueCluster:
                 # sync-only: shuffle each round's delivery order (the
                 # non-FIFO channels of the asynchronous model)
                 shuffle_delivery=shuffle_delivery,
-                safety_tick=profile.safety_tick,
+                safety_tick=safety_tick,
             )
         elif runner == "async":
             self.runtime = AsyncRunner(
                 self.rng,
                 metrics,
                 delay_policy=delay_policy,
-                timeout_lag=profile.timeout_lag,
-                safety_tick=profile.safety_tick,
+                safety_tick=safety_tick,
             )
         else:
             raise ValueError(f"unknown runner {runner!r}")
-        self.salt = salt if salt is not None else f"skueue-{seed}"
-        self.topology = LdbTopology(list(range(n_processes)), salt=self.salt)
+        salt = f"skueue-{seed}"
+        self.topology = LdbTopology(list(range(n_processes)), salt=salt)
         # per-op lifecycle tracing (repro.telemetry): stamped in engine
         # rounds, sampled by a deterministic req_id hash — no RNG stream
         # is consumed, so traced and untraced runs schedule identically
@@ -199,7 +196,7 @@ class SkueueCluster:
             )
         self.ctx = ClusterContext(
             self.runtime,
-            salt=self.salt,
+            salt=salt,
             route_steps=route_steps_for(len(self.topology)),
             spec=spec,
             n_priorities=n_priorities,

@@ -137,11 +137,7 @@ class ControlPlane:
         #: the recovery generation whose rebuild was last applied
         self.gen = 0
         records.holder_of = lambda origin: self.cluster.complete_target(origin)
-        self.detector = FailureDetector(
-            heartbeat_seconds=config.heartbeat_seconds,
-            miss_threshold=config.miss_threshold,
-            confirm_seconds=config.confirm_seconds,
-        )
+        self.detector = FailureDetector()
         self.draining = False
         #: (conn, frame) pairs that arrived before they could be handled
         self.held: deque[tuple[object, dict]] = deque()

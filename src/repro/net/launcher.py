@@ -43,12 +43,14 @@ from repro.core.structures import structure_names
 from repro.net.membership import ClusterMap
 from repro.net.server import HostConfig, run_host, run_joining_host
 from repro.net.transport import request
-from repro.sim.profile import EngineProfile
 from repro.telemetry import maybe_profile, profile_env_prefix
 
 __all__ = ["NetDeployment", "launch_local", "main"]
 
 _READY_PREFIX = "SKUEUE-READY"
+
+#: Seconds a spawned host has to print its READY line.
+_READY_TIMEOUT = 30.0
 
 
 def _src_path() -> str:
@@ -182,7 +184,6 @@ class NetDeployment:
     def add_host(
         self,
         n_pids: int = 1,
-        ready_timeout: float = 30.0,
         integrate_timeout: float | None = 60.0,
     ) -> int:
         """Join a fresh host into the live deployment; returns its index.
@@ -207,7 +208,7 @@ class NetDeployment:
         )
         try:
             index, port = _read_ready_line(
-                proc, time.monotonic() + ready_timeout
+                proc, time.monotonic() + _READY_TIMEOUT
             )
         except BaseException:
             proc.kill()
@@ -279,38 +280,14 @@ class NetDeployment:
                             f"{timeout}s after SIGKILL (no eviction)")
 
 
-def host_tuning(profile: "EngineProfile | None", round_seconds: float) -> dict:
-    """The :class:`HostConfig` fields an engine profile overrides.
-
-    ``EngineProfile``'s defaults are schedule constants of the round
-    model (a quarter-round TIMEOUT lag, a 64-round sweep); the TCP
-    runtime's own defaults are wall-clock values chosen by measurement
-    (``HostConfig.timeout_lag``, the re-arm pace, and ``sweep_seconds``).
-    Neither converts into the other, so a profile field left at its
-    default overrides nothing — ``profile=None`` and
-    ``profile=EngineProfile()`` deploy the same hosts — and a field the
-    caller set is scaled from round units by ``round_seconds``.
-    """
-    tuning: dict = {}
-    if profile is not None:
-        unset = EngineProfile()
-        if profile.timeout_lag != unset.timeout_lag:
-            tuning["timeout_lag"] = profile.timeout_lag * round_seconds
-        if profile.safety_tick != unset.safety_tick:
-            tuning["sweep_seconds"] = profile.safety_tick * round_seconds
-    return tuning
-
-
 def launch_local(
     n_hosts: int,
     n_processes: int,
     seed: int = 0,
     structure: str = "queue",
     round_seconds: float = 0.01,
-    ready_timeout: float = 30.0,
     id_slots: int = 0,
     n_priorities: int = 4,
-    profile: "EngineProfile | None" = None,
     trace_sample: float = 0.0,
     trace_slow_ms: float = 0.0,
 ) -> NetDeployment:
@@ -325,21 +302,11 @@ def launch_local(
     is ``n_hosts``, so pass something larger (e.g. 16) when hosts will
     join at runtime.
 
-    ``profile`` is the engine tuning surface (see
-    :class:`repro.sim.profile.EngineProfile` and :func:`host_tuning`): a
-    field set off its default is scaled by ``round_seconds`` into the
-    wall-clock setting this runtime uses — ``timeout_lag`` into
-    ``HostConfig.timeout_lag``, the re-arm pace paid once per wave;
-    ``safety_tick`` into ``.sweep_seconds``, 0 disabling the sweep.
-    ``None`` and ``EngineProfile()`` both keep the
-    :class:`~repro.net.server.HostConfig` defaults.
-
     ``trace_sample`` sets every host's per-op trace sampling rate (the
     telemetry plane, see DESIGN.md); ``trace_slow_ms`` keeps a flight
     ring of ops slower than the threshold, served by ``skueue-ops
     trace --slow``.  Both default off.
     """
-    tuning = host_tuning(profile, round_seconds)
     if n_hosts < 1:
         raise ValueError("need at least one host")
     if n_processes < n_hosts:
@@ -366,7 +333,6 @@ def launch_local(
                 n_priorities=n_priorities,
                 trace_sample=trace_sample,
                 trace_slow_ms=trace_slow_ms,
-                **tuning,
             )
             proc = subprocess.Popen(
                 [
@@ -381,7 +347,7 @@ def launch_local(
                 env=env,
             )
             processes.append(proc)
-        deadline = time.monotonic() + ready_timeout
+        deadline = time.monotonic() + _READY_TIMEOUT
         proc_by_index: dict[int, subprocess.Popen] = {}
         for proc in processes:
             index, port = _read_ready_line(proc, deadline)
@@ -466,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
 
     serve = sub.add_parser("serve", help="run one NodeHost (spawned by the launcher)")
     serve.add_argument("--config-json", required=True,
-                       help="HostConfig as a JSON object (timeout_lag: the "
-                            "re-arm pace in seconds, paid once per wave)")
+                       help="HostConfig as a JSON object, keyed by its "
+                            "field names; an unknown key is an error")
 
     join = sub.add_parser(
         "join", help="join a running deployment as a brand-new host"

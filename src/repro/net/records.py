@@ -218,13 +218,18 @@ class RecordTable:
     def origin_of(self, req_id: int) -> int:
         return req_id % self.id_slots
 
+    def refusal(self, req_id: int) -> str | None:
+        """Why :meth:`add_local` would refuse ``req_id``; None if it would not."""
+        if req_id in self.local:
+            return f"duplicate req_id {req_id}"
+        if self.origin_of(req_id) != self.host_index:
+            return f"req_id {req_id} does not belong to host {self.host_index}"
+        return None
+
     def add_local(self, rec: NetOpRecord) -> None:
-        if rec.req_id in self.local:
-            raise ValueError(f"duplicate req_id {rec.req_id}")
-        if self.origin_of(rec.req_id) != self.host_index:
-            raise ValueError(
-                f"req_id {rec.req_id} does not belong to host {self.host_index}"
-            )
+        reason = self.refusal(rec.req_id)
+        if reason is not None:
+            raise ValueError(reason)
         self.local[rec.req_id] = rec
 
     def adopt(self, rec: OpRecord) -> OpRecord:

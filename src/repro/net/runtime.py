@@ -16,9 +16,9 @@ maps onto the event loop as follows:
   again at every level the wave climbs;
 * ``wake`` — cross-actor readiness push: local targets get the ordinary
   TIMEOUT path, remote targets an ``A_WAKE`` message over the peer link;
-* an optional periodic *safety sweep* (``sweep_seconds``, 0 disables)
-  re-runs TIMEOUT on every local actor as a belt-and-braces recheck —
-  not load-bearing since readiness became push-driven;
+* a periodic *safety sweep* (``sweep_seconds``, 0 disables) re-runs
+  TIMEOUT on every local actor, the simulators' sweep on a real clock
+  (DESIGN.md, "Event-driven waves", says why it is not assumed inert);
 * ``now`` — wall clock scaled to *round units* (one unit ≈ one nominal
   message delay, ``round_seconds``), so protocol constants expressed in
   rounds (retry cadences, grace periods) keep their meaning.
@@ -47,8 +47,9 @@ __all__ = [
     "RecordTable",
 ]
 
-#: Default re-arm pace in seconds (``HostConfig.timeout_lag``): how long a
-#: node that re-arms lets requests gather before it fires its next batch.
+#: Default re-arm pace in seconds, the one every ``NodeHost`` runs: how
+#: long a node that re-arms lets requests gather before it fires its next
+#: batch.
 #: Chosen by measurement on the repo benchmark: a shorter pace buys
 #: latency with idle-wave CPU (see DESIGN.md, "The net runtime").
 TIMEOUT_LAG = 0.015

@@ -49,17 +49,19 @@ import asyncio
 import errno
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.core.actions import CATALOG
 from repro.core.cluster import join_pid, promote_joiners, spawn_nodes
 from repro.core.protocol import ClusterContext
+from repro.core.requests import INSERT, REMOVE
 from repro.core.structures import get_structure
 from repro.net.control import ControlPlane, frame_handlers
 from repro.net.link import Connection, PeerLink, ResendFilter
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
-from repro.net.runtime import TIMEOUT_LAG, NetRuntime
+from repro.net.runtime import NetRuntime
+from repro.ops.detector import HEARTBEAT_SECONDS
 from repro.ops.health import build_health, build_status, start_ops_server
 from repro.net.transport import (
     CLIENT,
@@ -97,16 +99,10 @@ class HostConfig:
     bind_host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port, report via .port
     round_seconds: float = 0.01
-    # re-arm pace in seconds, paid once per wave: a node that re-arms
-    # (after its SERVE, a fresh request, a membership wake) runs TIMEOUT
-    # this much later; a TIMEOUT for an arriving child batch is not paced
-    timeout_lag: float = TIMEOUT_LAG
-    sweep_seconds: float = 0.25
     epoch: float = 0.0  # shared wall-clock origin for `now` (0: host start)
     # any registered structure name: "queue" (Skueue), "stack" (Skack),
     # "heap" (Skeap), ... — see repro.core.structures
     structure: str = "queue"
-    salt: str = field(default="")
     # fixed req_id origin-residue modulus; 0 means n_hosts
     id_slots: int = 0
     # Skeap priority class count (ignored by queue/stack deployments)
@@ -114,16 +110,9 @@ class HostConfig:
     # explicit pid set for hosts joining a live deployment (None: genesis
     # round-robin shard over range(n_processes))
     owned: list[int] | None = None
-    # -- crash-stop fault tolerance + ops plane (defaults keep old JSON
-    #    configs loading unchanged) ------------------------------------------
+    # -- crash-stop fault tolerance + ops plane -------------------------------
     # HTTP ops listener port (0: ephemeral, announced via SKUEUE-OPS)
     ops_port: int = 0
-    # liveness beacon period on every peer link
-    heartbeat_seconds: float = 0.25
-    # consecutive silent heartbeat windows before a peer is suspected
-    miss_threshold: int = 4
-    # uncorroborated suspicion age that still justifies eviction
-    confirm_seconds: float = 1.5
     # completion replicas mirrored to this many ring successors
     replication: int = 2
     # -- telemetry plane (PR 9) ----------------------------------------------
@@ -135,10 +124,13 @@ class HostConfig:
 
     def __post_init__(self) -> None:
         get_structure(self.structure)  # unknown names raise, listing valid ones
-        if not self.salt:
-            self.salt = f"skueue-{self.seed}"
         if not self.id_slots:
             self.id_slots = self.n_hosts
+
+    @property
+    def salt(self) -> str:
+        """The label and key salt every host derives from the seed."""
+        return f"skueue-{self.seed}"
 
     @property
     def owned_pids(self) -> list[int]:
@@ -178,8 +170,6 @@ class NodeHost:
             self._send_remote,
             Metrics(),
             round_seconds=config.round_seconds,
-            timeout_lag=config.timeout_lag,
-            sweep_seconds=config.sweep_seconds,
             epoch=config.epoch,
         )
         self.runtime.on_actor_error = self._actor_error
@@ -464,7 +454,7 @@ class NodeHost:
 
     async def _heartbeat_loop(self) -> None:
         while not self._stopping:
-            await asyncio.sleep(self.config.heartbeat_seconds)
+            await asyncio.sleep(HEARTBEAT_SECONDS)
             self.control.beat(time.monotonic())
 
     # -- following the cluster map (DataPlane) ---------------------------------
@@ -840,15 +830,19 @@ class NodeHost:
     def _on_submit(self, conn, message: dict, now: float) -> None:
         pid = message["pid"]
         req_id = message["req"]
+        kind = message["kind"]
         priority = int(message.get("pri", 0))
-        if not 0 <= priority < max(1, self.config.n_priorities):
-            # a buggy/foreign client slipped past the client-side check:
-            # refuse loudly rather than corrupt the anchor's class arrays
-            conn.send(
-                {"op": "error",
-                 "message": f"priority {priority} outside "
-                            f"[0, {self.config.n_priorities}) (req {req_id})"}
-            )
+        if kind not in (INSERT, REMOVE):
+            refusal = f"kind {kind!r} is neither INSERT nor REMOVE"
+        elif not 0 <= priority < max(1, self.config.n_priorities):
+            refusal = f"priority {priority} outside [0, {self.config.n_priorities})"
+        else:
+            refusal = self.records.refusal(req_id)
+        if refusal is not None:
+            # a buggy/foreign client slipped past the client-side checks:
+            # refuse loudly, before a program-order index is spent, rather
+            # than run a malformed op or corrupt the anchor's class arrays
+            conn.send({"op": "error", "message": f"{refusal} (req {req_id})"})
             return
         cluster = self.control.cluster
         owner = cluster.owner_of(pid)
@@ -875,7 +869,7 @@ class NodeHost:
             req_id,
             pid,
             idx,
-            message["kind"],
+            kind,
             message["item"],
             self.runtime.now,
             priority=priority,

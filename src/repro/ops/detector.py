@@ -11,8 +11,8 @@ or sleeps (``tests/unit/test_ops.py``).
 Design points:
 
 * **Suspicion is a counter, not a flag.**  A host is *suspected* after
-  ``miss_threshold`` consecutive silent windows of ``heartbeat_seconds``
-  each, and the counter resets to zero the moment a frame arrives —
+  :data:`MISS_THRESHOLD` consecutive silent windows of
+  :data:`HEARTBEAT_SECONDS` each, and the counter resets to zero the moment a frame arrives —
   a slow peer that keeps squeaking through never crosses the threshold,
   and a falsely-suspected peer (GC pause, TCP retransmit burst) clears
   itself on the next frame (*false-positive recovery*).
@@ -21,7 +21,7 @@ Design points:
   acting coordinator — fires when the local suspicion is corroborated by
   at least one other live host (via SUSPECT frames, recorded with
   :meth:`corroborate`), or when the suspicion has aged past
-  ``confirm_seconds`` with nobody contradicting it, or when there is no
+  :data:`CONFIRM_SECONDS` with nobody contradicting it, or when there is no
   third host left to ask.
 * **Flapping tolerance.**  :meth:`clear` (frame arrived from a suspect)
   wipes both the local counter and any recorded corroboration, so a
@@ -30,25 +30,25 @@ Design points:
 
 from __future__ import annotations
 
-__all__ = ["FailureDetector"]
+__all__ = [
+    "CONFIRM_SECONDS",
+    "HEARTBEAT_SECONDS",
+    "MISS_THRESHOLD",
+    "FailureDetector",
+]
+
+#: Liveness beacon period on every peer link, in seconds.
+HEARTBEAT_SECONDS = 0.25
+#: Consecutive silent heartbeat windows before a peer is suspected.
+MISS_THRESHOLD = 4
+#: Age in seconds at which an uncorroborated suspicion justifies eviction.
+CONFIRM_SECONDS = 1.5
 
 
 class FailureDetector:
     """Suspect/evict bookkeeping for one host's view of its peers."""
 
-    def __init__(
-        self,
-        heartbeat_seconds: float = 0.25,
-        miss_threshold: int = 4,
-        confirm_seconds: float = 1.5,
-    ) -> None:
-        if heartbeat_seconds <= 0:
-            raise ValueError("heartbeat_seconds must be positive")
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be at least 1")
-        self.heartbeat_seconds = heartbeat_seconds
-        self.miss_threshold = miss_threshold
-        self.confirm_seconds = confirm_seconds
+    def __init__(self) -> None:
         self._last_heard: dict[int, float] = {}
         self._misses: dict[int, int] = {}
         self._suspected_at: dict[int, float] = {}
@@ -102,9 +102,9 @@ class FailureDetector:
         for host, last in self._last_heard.items():
             silent = now - last
             # epsilon guards the window division against float dust
-            misses = int(silent / self.heartbeat_seconds + 1e-9)
+            misses = int(silent / HEARTBEAT_SECONDS + 1e-9)
             self._misses[host] = misses
-            if misses >= self.miss_threshold and host not in self._suspected_at:
+            if misses >= MISS_THRESHOLD and host not in self._suspected_at:
                 self._suspected_at[host] = now
                 fresh.append(host)
         return fresh
@@ -121,7 +121,7 @@ class FailureDetector:
 
         ``n_live`` is the current live host count *including* the
         suspect and the caller.  With a third host available we demand
-        either one corroborating SUSPECT report or ``confirm_seconds``
+        either one corroborating SUSPECT report or :data:`CONFIRM_SECONDS`
         of unbroken local suspicion; in a two-host cluster there is
         nobody to ask, so local suspicion suffices.
         """
@@ -132,7 +132,7 @@ class FailureDetector:
             return True
         if self._corroborators.get(host):
             return True
-        return (now - since) >= self.confirm_seconds
+        return (now - since) >= CONFIRM_SECONDS
 
     def age_of(self, host: int, now: float) -> float | None:
         """Seconds since the last frame from ``host`` (None if unwatched)."""

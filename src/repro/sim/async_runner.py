@@ -4,8 +4,8 @@ Messages are delivered after a policy-controlled, strictly positive delay;
 deliveries are therefore arbitrarily reordered (non-FIFO channels) but
 never lost or duplicated — exactly the paper's channel assumptions.
 TIMEOUT is event-driven: the protocol requests a check whenever local
-state changed; ``timeout_lag`` adds a small scheduling delay so TIMEOUT
-races realistically with message deliveries.
+state changed; a TIMEOUT runs a quarter round (:data:`TIMEOUT_LAG`) after
+it is requested, so it races realistically with message deliveries.
 
 Used to *validate* sequential consistency under asynchrony; the paper's
 performance figures are defined in rounds and measured on the synchronous
@@ -21,10 +21,13 @@ from typing import Callable
 
 from repro.sim.delays import UniformDelay
 from repro.sim.metrics import Metrics
-from repro.sim.process import Actor, bounce_forwarded_batch
+from repro.sim.process import SAFETY_TICK, Actor, bounce_forwarded_batch
 from repro.util.rng import RngStreams
 
 __all__ = ["AsyncRunner"]
+
+#: Time units between ``wake_me()`` and the TIMEOUT it requests.
+TIMEOUT_LAG = 0.25
 
 _MSG = 0
 _TIMEOUT = 1
@@ -45,13 +48,11 @@ class AsyncRunner:
         rng: RngStreams | None = None,
         metrics: Metrics | None = None,
         delay_policy: Callable | None = None,
-        timeout_lag: float = 0.25,
-        safety_tick: float = 48.0,
+        safety_tick: float = SAFETY_TICK,
     ) -> None:
         self.rng = rng or RngStreams(0)
         self.metrics = metrics or Metrics()
         self.delay_policy = delay_policy or UniformDelay(0.5, 1.5)
-        self.timeout_lag = timeout_lag
         # periodic whole-system TIMEOUT sweep (see SyncRunner.safety_tick)
         self.safety_tick = safety_tick
         self.time = 0.0
@@ -93,12 +94,12 @@ class AsyncRunner:
         self._timeout_pending.add(actor_id)
         heapq.heappush(
             self._heap,
-            (self.time + self.timeout_lag, next(self._seq), _TIMEOUT, actor_id, 0, ()),
+            (self.time + TIMEOUT_LAG, next(self._seq), _TIMEOUT, actor_id, 0, ()),
         )
 
     def wake(self, actor_id: int) -> None:
         """Cross-actor wake: a TIMEOUT event for ``actor_id`` after the
-        usual ``timeout_lag``, deduplicated with the actor's own pending
+        usual :data:`TIMEOUT_LAG`, deduplicated with the actor's own pending
         ``request_timeout``.  Draws nothing from the delay RNG, so waking
         a peer never perturbs a recorded schedule."""
         self.request_timeout(self.resolve(actor_id))

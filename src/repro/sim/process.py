@@ -29,7 +29,17 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.metrics import Metrics
 
-__all__ = ["Actor", "Runtime", "ScheduleHint", "bounce_forwarded_batch"]
+__all__ = [
+    "SAFETY_TICK",
+    "Actor",
+    "Runtime",
+    "ScheduleHint",
+    "bounce_forwarded_batch",
+]
+
+#: Rounds (sync) or time units (async) between the simulators' whole-
+#: system TIMEOUT sweeps; ``safety_tick=0`` turns the sweep off.
+SAFETY_TICK = 64
 
 
 @runtime_checkable
@@ -114,11 +124,11 @@ class Runtime(Protocol):
       readiness may depend on it, so no readiness condition has to wait
       for polling.  For an actor hosted elsewhere (sharded TCP) the
       engine ships an ``A_WAKE`` message and the receiver answers with
-      ``wake_me()``.  Engines may still run an optional safety sweep
-      (``safety_tick``/``sweep_seconds``) as a belt-and-braces recheck,
-      but since the wave engine became event-driven the sweep is *not*
-      load-bearing: ``safety_tick=0`` disables it and everything still
-      makes progress;
+      ``wake_me()``.  Engines also run a periodic safety sweep
+      (``safety_tick``/``sweep_seconds``).  ``safety_tick=0`` disables
+      it and everything still makes progress, but it is not inert: on
+      the async engine some readiness change still reaches a waiting
+      node only through the sweep (DESIGN.md, "Event-driven waves");
     * ``actors`` is the engine's **local** view: in the simulators it
       holds every actor, in a sharded TCP deployment only the shard
       hosted by this OS process.  Protocol code treats a missing entry

@@ -1,7 +1,7 @@
 """Event-driven waves: the protocol runs with the safety sweep disabled.
 
-``EngineProfile(safety_tick=0)`` removes the periodic whole-system
-TIMEOUT sweep on every engine; readiness then travels exclusively over
+``safety_tick=0`` removes the periodic whole-system TIMEOUT sweep on
+both simulators; readiness then travels exclusively over
 the pushed ``Runtime.wake`` edges (batch arrival, SERVE, neighbour
 splices, zombie exits, A_NUDGE probes) plus each node's own
 ``wake_me``/``call_later``.  These tests pin the property the redesign
@@ -13,7 +13,7 @@ import random
 import pytest
 
 import repro
-from repro import EngineProfile, SkueueCluster
+from repro import SkueueCluster
 from tests.conftest import (
     assert_topology_invariants,
     drive_random,
@@ -21,15 +21,12 @@ from tests.conftest import (
     verify,
 )
 
-NO_SWEEP = EngineProfile(safety_tick=0)
-
-
 @pytest.mark.parametrize("backend", ["sync", "async"])
 @pytest.mark.parametrize("structure", ["queue", "stack"])
 def test_uniform_workload_with_sweep_disabled(backend, structure):
     rng = random.Random(f"no-sweep-{structure}")
     with repro.connect(
-        backend, structure=structure, n_processes=8, seed=11, profile=NO_SWEEP
+        backend, structure=structure, n_processes=8, seed=11, safety_tick=0
     ) as session:
         handles = []
         inserted = 0
@@ -48,7 +45,7 @@ def test_uniform_workload_with_sweep_disabled(backend, structure):
 def test_priority_workload_with_sweep_disabled(backend):
     with repro.connect(
         backend, structure="heap", n_processes=6, seed=5, n_priorities=3,
-        profile=NO_SWEEP,
+        safety_tick=0,
     ) as session:
         run_priority_workload(session, ops=40, seed=5, n_priorities=3)
 
@@ -56,7 +53,7 @@ def test_priority_workload_with_sweep_disabled(backend):
 @pytest.mark.parametrize("seed", range(2))
 def test_churn_with_sweep_disabled(seed):
     """JOIN/LEAVE splices rely on the new membership wake edges."""
-    c = SkueueCluster(n_processes=6, seed=seed, profile=NO_SWEEP)
+    c = SkueueCluster(n_processes=6, seed=seed, safety_tick=0)
     drive_random(
         c, rounds=250, op_probability=0.3, seed=seed,
         join_probability=0.02, leave_probability=0.015,
@@ -66,6 +63,7 @@ def test_churn_with_sweep_disabled(seed):
     assert_topology_invariants(c)
 
 
-def test_profile_reaches_the_engine():
-    c = SkueueCluster(n_processes=4, seed=0, profile=NO_SWEEP)
+@pytest.mark.parametrize("runner", ["sync", "async"])
+def test_safety_tick_reaches_the_engine(runner):
+    c = SkueueCluster(n_processes=4, seed=0, runner=runner, safety_tick=0)
     assert c.runtime.safety_tick == 0

@@ -18,12 +18,14 @@ to alter it re-records the table on purpose::
     PYTHONPATH=src python tests/testing/test_golden_runs.py --record
 
 Nothing else writes the table (the fuzzer does not know it exists).
-``--check`` prints the first diverging cell and exits 1, which is what
-the CI ``fuzz`` job runs before its long sweeps.
+``--check`` runs every cell, prints how many cells of each group moved
+and every cell whose run now ends in a violation, and exits 1 if any
+cell moved; the CI ``fuzz`` job runs it before its long sweeps.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import sys
 from pathlib import Path
@@ -67,7 +69,10 @@ def cell_key(seed: int, structure: str, runner: str, churn: str) -> str:
 
 def run_cell(seed: int, structure: str, runner: str, churn: str) -> list:
     """``[digest, op count]`` of one scenario, as stored in the table."""
-    result = run_scenario(Scenario.from_seed(seed, structure, runner, churn))
+    return table_row(run_scenario(Scenario.from_seed(seed, structure, runner, churn)))
+
+
+def table_row(result) -> list:
     return [history_digest(result.records), len(result.records)]
 
 
@@ -90,14 +95,41 @@ def first_divergence(table: dict, group: tuple) -> str | None:
     return next(filter(None, diverged), None)
 
 
-def anchor_transfer_divergence(table: dict) -> str | None:
-    want = table["anchor-transfer"]
-    diverged = (divergence(cell, want[cell_key(*cell)]) for cell in ANCHOR_TRANSFER)
-    return next(filter(None, diverged), None)
-
-
 def load_table() -> dict:
     return json.loads(TABLE_PATH.read_text())
+
+
+def recorded_cells(table: dict):
+    """``(group name, cell, recorded row)`` for every cell of ``table``."""
+    for group in GROUPS:
+        rows = table["/".join(group)]
+        for seed in SEEDS:
+            yield "/".join(group), (seed, *group), rows[seed]
+    for cell in ANCHOR_TRANSFER:
+        yield "anchor-transfer", cell, table["anchor-transfer"][cell_key(*cell)]
+
+
+def check(table: dict) -> int:
+    """Run every cell; print the moved count per group and each cell
+    that ends in a violation.  0 when no cell moved, else 1."""
+    moved = collections.defaultdict(list)
+    n_cells = 0
+    for name, cell, want in recorded_cells(table):
+        n_cells += 1
+        result = run_scenario(Scenario.from_seed(*cell))
+        if table_row(result) != want:
+            moved[name].append(cell_key(*cell))
+        if result.violation is not None:
+            violation = result.violation
+            print(f"violation {cell_key(*cell)}: {violation.kind} "
+                  f"({violation.clause}): {violation.message}")
+    for name, keys in moved.items():
+        print(f"{name}: {len(keys)} moved ({', '.join(keys)})")
+    if moved:
+        print(f"{sum(map(len, moved.values()))} of {n_cells} golden runs moved")
+        return 1
+    print(f"{n_cells} golden runs match {TABLE_PATH.name}")
+    return 0
 
 
 def test_the_table_covers_every_cell():
@@ -142,14 +174,7 @@ def main(argv: list[str]) -> int:
         print(f"recorded {n_cells} golden runs -> {TABLE_PATH}")
         return 0
     if argv == ["--check"]:
-        table = load_table()
-        grid = (first_divergence(table, group) for group in GROUPS)
-        diverged = next(filter(None, grid), None) or anchor_transfer_divergence(table)
-        if diverged is not None:
-            print(f"first diverging golden run {diverged}")
-            return 1
-        print(f"{n_cells} golden runs match {TABLE_PATH.name}")
-        return 0
+        return check(load_table())
     print(__doc__)
     return 2
 

@@ -816,6 +816,37 @@ class TestFrameTable:
         assert len(errors) == 4 and all("no actor message" in e for e in errors)
         assert len(CATALOG) == 32
 
+    def test_a_submit_the_host_cannot_run_is_refused_to_its_sender(self):
+        """A ``kind`` that is neither INSERT nor REMOVE would run as a
+        removal, and a ``req`` the record table refuses (a duplicate, or
+        one of another host's residue) would raise after the pid's
+        program-order index was spent.  The host answers each with an
+        ``error`` frame before it spends one, and logs no error."""
+        from repro.core.requests import REMOVE
+
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2,
+                                       id_slots=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2, 2))
+            conn = Conn()
+            host.connections.add(conn)  # an accepted client session
+            for req, kind in ((2, 7), (4, "x"), (3, INSERT), (6, INSERT),
+                              (6, REMOVE)):
+                host.handle_frame(conn, {"op": "submit", "req": req, "pid": 0,
+                                         "kind": kind, "item": "job"})
+            counts = dict(host._op_counts)
+            host.connections.discard(conn)
+            await host._async_stop()
+            return conn.replies, counts, host.errors
+
+        replies, counts, errors = asyncio.run(scenario())
+        refused = [frame for frame in replies if frame["op"] == "error"]
+        assert [frame["message"].rpartition("(req ")[2] for frame in refused] == [
+            "2)", "4)", "3)", "6)"]
+        # only the one accepted submit may have been answered `done` yet
+        assert {frame["req"] for frame in replies if frame["op"] == "done"} <= {6}
+        assert counts == {0: 1} and errors == []
+
 
 # -- structure, pinned -------------------------------------------------------------
 

@@ -10,18 +10,11 @@ import pytest
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.net.membership import ClusterMap
-from repro.ops.detector import FailureDetector
+from repro.ops.detector import HEARTBEAT_SECONDS, FailureDetector
 from repro.ops.health import _serve_http
 from repro.ops.recovery import merge_records, plan_rebuild
 
-HB = 0.25
-
-
-def make_detector(**kwargs):
-    kwargs.setdefault("heartbeat_seconds", HB)
-    kwargs.setdefault("miss_threshold", 4)
-    kwargs.setdefault("confirm_seconds", 1.5)
-    return FailureDetector(**kwargs)
+HB = HEARTBEAT_SECONDS
 
 
 # -- failure detector ----------------------------------------------------------
@@ -29,7 +22,7 @@ def make_detector(**kwargs):
 
 class TestDetector:
     def test_silence_past_threshold_suspects_exactly_once(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         assert det.observe(0.9) == []  # 3 windows: below threshold
         assert det.observe(1.0) == [1]  # 4th window
@@ -37,7 +30,7 @@ class TestDetector:
         assert det.suspects() == [1]
 
     def test_any_frame_clears_suspicion(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.observe(1.2)
         assert det.is_suspect(1)
@@ -46,7 +39,7 @@ class TestDetector:
         assert det.suspects() == []
 
     def test_slow_peer_never_crosses_threshold(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         now = 0.0
         for _ in range(20):  # squeaks through every 3 windows
@@ -56,7 +49,7 @@ class TestDetector:
         assert det.suspects() == []
 
     def test_flapping_must_re_earn_the_full_threshold(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.corroborate(1, reporter=2)
         det.observe(1.2)
@@ -69,7 +62,7 @@ class TestDetector:
         assert not det.should_evict(1, now=1.3 + 4 * HB, n_live=3)
 
     def test_false_positive_recovery_then_real_death(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.observe(1.1)
         det.heard_from(1, now=1.15)  # was a GC pause, not a crash
@@ -77,7 +70,7 @@ class TestDetector:
         assert det.observe(1.15 + 4 * HB) == [1]  # now it really died
 
     def test_eviction_needs_corroboration_or_patience(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.observe(1.0)
         assert not det.should_evict(1, now=1.0, n_live=3)
@@ -85,20 +78,20 @@ class TestDetector:
         assert det.should_evict(1, now=1.0, n_live=3)
 
     def test_eviction_by_confirm_window(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.observe(1.0)
         assert not det.should_evict(1, now=2.0, n_live=3)
         assert det.should_evict(1, now=1.0 + 1.5, n_live=3)
 
     def test_two_host_cluster_evicts_on_local_suspicion(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.observe(1.0)
         assert det.should_evict(1, now=1.0, n_live=2)
 
     def test_forget_and_snapshot(self):
-        det = make_detector()
+        det = FailureDetector()
         det.register(1, now=0.0)
         det.register(2, now=0.0)
         det.observe(1.0)

@@ -103,7 +103,7 @@ class TestArrivalTimeout:
         assert (paced.timeouts, arrived.timeouts) == (1, 1)
 
     def test_async_arrival_pays_the_lag_and_deduplicates(self):
-        engine = AsyncRunner(safety_tick=0, timeout_lag=0.25)
+        engine = AsyncRunner(safety_tick=0)  # TIMEOUT_LAG: 0.25
         paced, arrived = _Recorder(1, engine), _Recorder(2, engine)
         engine.add_actor(paced)
         engine.add_actor(arrived)

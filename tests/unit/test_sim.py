@@ -10,7 +10,7 @@ from repro.sim.delays import (
     UniformDelay,
 )
 from repro.sim.metrics import Metrics
-from repro.sim.process import Actor
+from repro.sim.process import SAFETY_TICK, Actor
 from repro.sim.sync_runner import SyncRunner
 from repro.util.rng import RngStreams
 
@@ -32,6 +32,10 @@ class Echo(Actor):
 
     def timeout(self):
         self.log.append((self.runtime.now, "timeout", None))
+
+
+def test_both_simulators_sweep_on_one_default():
+    assert SyncRunner().safety_tick == AsyncRunner().safety_tick == SAFETY_TICK
 
 
 class TestSyncRunner:

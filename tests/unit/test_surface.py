@@ -18,19 +18,19 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import EngineProfile, SkueueCluster
+from repro import SkueueCluster
 from repro.experiments.harness import run_experiment
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local, main
 from repro.net.server import PER_HOST_FIELDS, HostConfig
+from repro.ops.detector import FailureDetector
+from repro.sim import AsyncRunner, SyncRunner
 from repro.verify.models import QueueModel
 
 HOST_CONFIG_FIELDS = (
     "host_index", "n_hosts", "n_processes", "seed", "bind_host", "port",
-    "round_seconds", "timeout_lag", "sweep_seconds", "epoch", "structure",
-    "salt", "id_slots", "n_priorities", "owned", "ops_port",
-    "heartbeat_seconds", "miss_threshold", "confirm_seconds", "replication",
-    "trace_sample", "trace_slow_ms",
+    "round_seconds", "epoch", "structure", "id_slots", "n_priorities",
+    "owned", "ops_port", "replication", "trace_sample", "trace_slow_ms",
 )
 
 
@@ -56,8 +56,7 @@ class TestOptionCensus:
     def test_launch_local(self):
         assert _parameters(launch_local) == (
             "n_hosts", "n_processes", "seed", "structure", "round_seconds",
-            "ready_timeout", "id_slots", "n_priorities", "profile",
-            "trace_sample", "trace_slow_ms",
+            "id_slots", "n_priorities", "trace_sample", "trace_slow_ms",
         )
 
     def test_skueue_client(self):
@@ -70,8 +69,8 @@ class TestOptionCensus:
         # `max_rounds` moved here from the deleted session adapter
         assert _parameters(SkueueCluster.__init__) == (
             "n_processes", "seed", "runner", "structure", "delay_policy",
-            "shuffle_delivery", "store_samples", "salt", "n_priorities",
-            "profile", "trace_sample", "max_rounds",
+            "shuffle_delivery", "store_samples", "n_priorities",
+            "safety_tick", "trace_sample", "max_rounds",
         )
 
     def test_connect(self):
@@ -82,7 +81,7 @@ class TestOptionCensus:
     def test_run_experiment(self):
         assert _parameters(run_experiment) == (
             "workload", "n_processes", "rounds", "structure", "seed",
-            "max_drain_rounds", "verify", "n_priorities", "profile",
+            "max_drain_rounds", "verify", "n_priorities", "safety_tick",
         )
 
     def test_host_config_fields(self):
@@ -99,10 +98,16 @@ class TestOptionCensus:
             "settle_budget",
         )
 
-    def test_engine_profile(self):
-        names = tuple(f.name for f in dataclasses.fields(EngineProfile))
-        assert names == ("safety_tick", "timeout_lag")
-        assert not hasattr(EngineProfile, "merge")
+    def test_simulator_runners(self):
+        assert _parameters(SyncRunner.__init__) == (
+            "rng", "metrics", "shuffle_delivery", "safety_tick",
+        )
+        assert _parameters(AsyncRunner.__init__) == (
+            "rng", "metrics", "delay_policy", "safety_tick",
+        )
+
+    def test_failure_detector_takes_no_tuning(self):
+        assert _parameters(FailureDetector.__init__) == ()
 
     def test_skueue_node_demo_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -128,12 +133,10 @@ class TestHostConfigStatedOnce:
     def _off_default(self) -> HostConfig:
         return HostConfig(
             host_index=2, n_hosts=3, n_processes=9, seed=7,
-            bind_host="0.0.0.0", port=4001, round_seconds=0.02,
-            timeout_lag=0.008, sweep_seconds=0.0, epoch=12.5,
-            structure="heap", salt="pepper", id_slots=16, n_priorities=6,
-            owned=[9, 10], ops_port=4101, heartbeat_seconds=0.5,
-            miss_threshold=6, confirm_seconds=2.5, replication=3,
-            trace_sample=0.25, trace_slow_ms=40.0,
+            bind_host="0.0.0.0", port=4001, round_seconds=0.02, epoch=12.5,
+            structure="heap", id_slots=16, n_priorities=6, owned=[9, 10],
+            ops_port=4101, replication=3, trace_sample=0.25,
+            trace_slow_ms=40.0,
         )
 
     def test_every_field_is_off_default(self):
@@ -160,6 +163,23 @@ class TestHostConfigStatedOnce:
         assert PER_HOST_FIELDS == (
             "host_index", "bind_host", "port", "owned", "ops_port",
         )
+        assert joiner.salt == cfg.salt == "skueue-7"
+
+    @pytest.mark.parametrize("name", [
+        "timeout_lag", "sweep_seconds", "salt", "heartbeat_seconds",
+        "miss_threshold", "confirm_seconds",
+    ])
+    def test_a_removed_key_is_refused(self, name):
+        data = self._off_default().to_json()
+        data[name] = data["round_seconds"]
+        with pytest.raises(TypeError):
+            HostConfig.from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["sync", "async"])
+def test_connect_refuses_a_profile(backend):
+    with pytest.raises(TypeError):
+        repro.connect(backend, profile=None)
 
 
 class _SpyModel(QueueModel):
