@@ -262,6 +262,12 @@ class MembershipMixin:
         if first_grant:
             self.resp_vid = resp_vid
             self.joining_range_end = end_label
+            # a later joiner's carve (A_SLICE_REQ) can overtake this
+            # grant: the range still ends at the nearest carve, or keys
+            # handed to that joiner would be stored here as well
+            for lo, _hi, _vid in self.carved_ranges:
+                if key_in_range(lo, self.label, self.joining_range_end):
+                    self.joining_range_end = lo
             if self.kind == MIDDLE:
                 self.relay_parent = resp_vid
                 self.wake_me()

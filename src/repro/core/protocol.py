@@ -71,6 +71,7 @@ class ClusterContext:
         "n_priorities",
         "on_update_over",
         "tracer",
+        "key_owner",
     )
 
     def __init__(
@@ -96,6 +97,10 @@ class ClusterContext:
         # optional repro.telemetry.Tracer; None keeps every protocol span
         # stamp down to a single attribute test (the telemetry-off path)
         self.tracer = tracer
+        # key -> vid of the node believed to own it, or None.  A TCP host
+        # knows the whole membership and sets it; the simulators leave it
+        # None and route every PUT/GET along Lemma 3's De Bruijn walk
+        self.key_owner: Callable[[float], int] | None = None
 
 
 class Flight:
@@ -769,6 +774,19 @@ class Node(MembershipMixin, Actor):
             self.send(self.resp_vid, action, payload)
 
     def _route_start(self, action: int, key: float, extra: tuple) -> None:
+        key_owner = self.ctx.key_owner
+        if (key_owner is not None and not self.joining
+                and CATALOG[action].routed == RANGE):
+            # first hop straight to the hinted owner, then only Lemma 3's
+            # final linear walk; a stale hint costs hops, not the op
+            # (DESIGN.md, "The net runtime").  CYCLE routes keep the walk:
+            # a map naming a joiner would hint its JOIN to the joiner
+            owner = key_owner(key)
+            if owner == self.vid:
+                self._route_hop(action, key, 0, 0, 0.0, extra)
+            else:
+                self.send(owner, action, (key, 0, 0, 0.0, extra))
+            return
         bits, steps, ideal = initial_route_state(
             key, self.ctx.route_steps, origin=max(0.0, self.label)
         )
@@ -798,9 +816,12 @@ class Node(MembershipMixin, Actor):
             where = CATALOG[action].trace_req
             if where is not None:
                 tracer.hop(extra[where], self.vid)
-        if self.replaced and self.dumped:
+        if self.dumped:
             # spliced out and data handed over: the responsible node (or
-            # the final owner it redistributed to) continues the walk
+            # the final owner it redistributed to) continues the walk.
+            # The LEAVE_GRANT that sets `replaced` can arrive after the
+            # dump; a delivery here meanwhile would store into the
+            # emptied store of a node about to exit
             self.send(self.resp_vid, action, (key, bits, steps, ideal, extra))
             return
         if steps > 0 and self.kind == MIDDLE:

@@ -4,10 +4,12 @@ A deployment is a set of NodeHost processes plus any number of clients.
 Genesis processes (pids) are sharded round-robin: host ``h`` emulates
 every genesis pid with ``pid % n_hosts == h`` — all three virtual nodes
 of a pid together, so the protocol's same-process sibling reads stay
-local (see DESIGN.md, "The net runtime").  Every genesis host builds the
-*same* :class:`~repro.overlay.ldb.LdbTopology` snapshot from the shared
-salt, so pred/succ wiring, routing parameters and the anchor agree
-globally without any coordination traffic.
+local (see DESIGN.md, "The net runtime").  Every host builds the *same*
+:class:`~repro.overlay.ldb.LdbTopology` snapshot of its cluster map from
+the shared salt, so pred/succ wiring, routing parameters and the anchor
+agree globally without any coordination traffic — and each stage-4
+PUT/GET makes its first hop straight to the vnode that snapshot names
+as its key's owner.
 
 Beyond genesis the membership is **live**: hosts join a running
 deployment (``skueue-node join``) bringing fresh pids that enter the
@@ -180,6 +182,8 @@ class NodeHost:
         self.records.on_done = self._push_done
         # the cluster map, the recovery generation, the hold queue
         self.control = ControlPlane(config, self.records, self._send_peer, self)
+        # the owner table: the LDB snapshot of the map's non-leaving pids
+        # (see _follow_owners)
         self.topology: LdbTopology | None = None
         self.ctx: ClusterContext | None = None
         self.peers: dict[int, PeerLink] = {}
@@ -387,11 +391,9 @@ class NodeHost:
         """The launcher's ``wire`` frame: spawn this host's shard of the
         genesis snapshot (once), then adopt the map it carries."""
         if not self.control.wired:
-            config = self.config
-            self.topology = LdbTopology(
-                list(range(config.n_processes)), salt=config.salt)
+            self._follow_owners(cluster_map)
             self.ctx = self._new_context(len(self.topology))
-            spawn_nodes(self.ctx, self.topology, pids=config.owned_pids)
+            spawn_nodes(self.ctx, self.topology, pids=self.config.owned_pids)
             self._start_loops()
         self.control.adopt(cluster_map, time.monotonic())
 
@@ -424,7 +426,20 @@ class NodeHost:
             tracer=self.tracer,
         )
         ctx.records = self.records
+        ctx.key_owner = self._key_owner
         return ctx
+
+    def _follow_owners(self, cluster: ClusterMap) -> None:
+        """Rebuild the owner table from ``cluster``: the snapshot genesis
+        and a rebuild spawn from, the DHT shard a rebuild preloads, and
+        the hint each PUT/GET's first hop follows.  A leaving host's pids
+        are left out — their keys are handed on as the host drains."""
+        self.topology = LdbTopology(cluster.live_pids(), salt=self.config.salt)
+
+    def _key_owner(self, key: float) -> int:
+        """``ClusterContext.key_owner``: a hint, never trusted — a stale
+        one costs hops, not the op (DESIGN.md, "The net runtime")."""
+        return self.topology.owner_of(key)
 
     def _start_loops(self) -> None:
         loop = asyncio.get_running_loop()
@@ -459,7 +474,9 @@ class NodeHost:
 
     # -- following the cluster map (DataPlane) ---------------------------------
     def map_changed(self, cluster: ClusterMap) -> None:
-        """Reconcile links and forwards with the map just adopted."""
+        """Reconcile links, forwards and the owner table with the map
+        just adopted."""
+        self._follow_owners(cluster)
         me = self.config.host_index
         for index, address in cluster.hosts.items():
             if index != me and index not in self.peers:
@@ -919,7 +936,9 @@ class NodeHost:
     def respawn(self, cluster: ClusterMap, anchor, elements, reruns) -> int:
         """Spawn this host's shard of the overlay ``cluster`` describes."""
         config = self.config
-        self.topology = LdbTopology(sorted(cluster.pid_owner), salt=config.salt)
+        # the map every host rebuilds from (no host of it is leaving: an
+        # eviction cancels every drain), not a newer one we may hold
+        self._follow_owners(cluster)
         self.ctx = self._new_context(len(self.topology))
         self.joining_pids.clear()
         nodes = spawn_nodes(

@@ -23,18 +23,23 @@ dropping their partial progress is invisible — they are *re-run* from
 scratch after the rebuild.
 
 **Repairs.**  Facts can die in flight with the host: a remove that
-consumed an element but whose value replica never landed, or an insert
+consumed an element but whose value replica never landed, an insert
 consumed by a *completed* (hence acknowledged) remove whose own value was
-lost.  The replay detects these as mismatches between a completed
-remove's recorded result and what the model serves, and
-repairs them one at a time in a fixpoint loop: synthesize the missing
-event (a lost remove consuming the stale front, or the missing insert of
-a consumed element) by assigning the unvalued record a fresh *float*
-value squeezed just below the mismatching remove's value.  The checker
-orders records by ``(value, pid, ...)`` tuples, so float values slot into
-the int sequence exactly where the lost execution step belonged.  Each
-iteration values one record or gives up on one record, so the loop
-terminates; anything unrepairable lands in ``plan.errors``.
+lost, or inserts the anchor valued in a SERVE that died on the link to
+the dead host — the survivors' waves go on without it until the
+eviction, so their removes take the positions after those inserts'.
+The replay detects these as mismatches between a completed remove's
+recorded result and what the model serves, and repairs them one at a
+time in a fixpoint loop: synthesize the missing event (a lost remove
+consuming the stale front, the missing insert of a consumed element, or
+a lost insert feeding the valued-but-incomplete remove the replay had
+give the element a completed remove holds) by assigning the unvalued
+record a fresh *float* value squeezed in where that step belonged.  The
+checker orders records by ``(value, pid, ...)`` tuples, so float values
+slot into the int sequence exactly there; a synthesized value keeps its
+process's program order.  Each iteration values one record or gives up
+on one record, so the loop terminates; anything unrepairable lands in
+``plan.errors``.
 
 Everything here is pure — records in, plan out — and unit-tested per
 structure in ``tests/unit/test_ops.py``.  The net layer feeds it merged
@@ -128,17 +133,17 @@ def plan_rebuild(
                 pool[rec.req_id] = rec
 
     skip: set[int] = set()  # completed records we gave up reconciling
-    insert_by_element = {
-        rec.element: rec for rec in pool.values() if rec.kind == INSERT
-    }
+
+    def replay() -> tuple:
+        return _replay(recs, model, n_priorities, skip, dry=True)
 
     # each iteration values one pooled record or gives up on one
     # completed record, so 2·|recs| iterations always suffice
     for _ in range(2 * len(recs) + 2):
-        ref, mismatch = _replay(recs, model, n_priorities, skip, dry=True)
+        ref, mismatch = replay()
         if mismatch is None:
             break
-        if not _repair(mismatch, recs, pool, insert_by_element, skip, plan):
+        if not _repair(mismatch, records, pool, replay, plan):
             rec = mismatch[0]
             skip.add(rec.req_id)
             plan.errors.append(
@@ -161,9 +166,13 @@ def plan_rebuild(
 
 def _replay(recs, model, n_priorities, skip, dry, plan=None):
     """Value-ordered replay.  In ``dry`` mode, stop at the first
-    mismatching completed remove and return it; otherwise apply results
-    to incomplete records and force recorded results through."""
+    mismatching completed remove and return ``(rec, served, taken)`` —
+    ``taken`` maps the insert req_id of each element consumed so far to
+    the remove that took it; otherwise
+    apply results to incomplete records and force recorded results
+    through."""
     ref = model(n_priorities)
+    taken: dict = {}
     ordered = sorted(
         (r for r in recs if r.value is not None and not r.local_match),
         key=lambda r: (r.value, r.pid, r.idx),
@@ -184,16 +193,16 @@ def _replay(recs, model, n_priorities, skip, dry, plan=None):
                 if rec.req_id in skip:
                     continue
                 if dry:
-                    return ref, (rec, served)
+                    return ref, (rec, served, taken)
                 continue
             if served == want:
-                ref.consume()
+                taken[ref.consume()[0]] = rec
                 continue
             if rec.req_id in skip:
                 ref.discard(want)  # trust the record; unblock the replay
                 continue
             if dry:
-                return ref, (rec, served)
+                return ref, (rec, served, taken)
             ref.discard(want)
             continue
         # incomplete but valued: the replay decides its fate
@@ -205,72 +214,91 @@ def _replay(recs, model, n_priorities, skip, dry, plan=None):
             rec.completed = True
             plan.completions.append(rec.req_id)
         elif served is not None:
-            ref.consume()
+            taken[ref.consume()[0]] = rec
     return ref, None
 
 
-def _repair(mismatch, recs, pool, insert_by_element, skip, plan) -> bool:
-    """Synthesize one lost event explaining ``mismatch``; True on success."""
-    rec, served = mismatch
+def _repair(mismatch, records, pool, replay, plan) -> bool:
+    """Synthesize one lost event explaining ``mismatch``; True on success.
+
+    ``replay()`` reruns the dry replay over the records as they stand."""
+    rec, served, taken = mismatch
+    recs = records.values()
     want = rec.result
+    origin = None
+    if want is not BOTTOM and want is not None:
+        origin = records.get(want[0])  # the insert of the consumed element
+        if origin is not None and origin.kind != INSERT:
+            origin = None
     # a consumed element whose insert never got a value: materialise it
-    if want is not BOTTOM and want is not None and want in insert_by_element:
-        lost = insert_by_element[want]
-        if lost.value is None:
-            del insert_by_element[want]
-            return _assign(lost, rec, recs, plan)
+    if origin is not None and origin.req_id in pool and origin.value is None:
+        for chain in _chains(pool, rec.value, recs, lambda r: r is origin):
+            return _apply(chain, plan)
+    # the replay gave the element to a valued remove that never completed
+    # (its own position was a lost insert's): feed it a lost insert, which
+    # the structure must serve ahead of the element — just before the
+    # remove (LIFO) or just before the element's insert (FIFO)
+    taker = taken.get(want[0]) if origin is not None else None
+    if taker is not None and not taker.completed:
+        spots = [taker.value]
+        if origin.value is not None:
+            spots.append(origin.value)
+        for before in spots:
+            for chain in _chains(pool, before, recs, lambda r: r.kind == INSERT):
+                _, again = replay()
+                if again is None or again[2].get(chain[-1].req_id) is taker:
+                    return _apply(chain, plan)
+                for lost in chain:
+                    lost.value = None
     # the structure serves a stale element: a lost remove must have
     # consumed it before `rec` ran
     if served is not None:
-        candidate = _pick_remove(pool, rec, recs)
-        if candidate is not None:
-            return _assign(candidate, rec, recs, plan)
+        for chain in _chains(pool, rec.value, recs, lambda r: r.kind == REMOVE):
+            return _apply(chain, plan)
     return False
 
 
-def _pick_remove(pool, before, recs):
-    """An unvalued remove that can legally run just before ``before``:
-    lowest idx of its pid among the pooled records, and every valued
-    same-pid sibling on the correct side of the synthesized value."""
-    removes = sorted(
-        (r for r in pool.values() if r.kind == REMOVE and r.value is None),
-        key=lambda r: (r.pid, r.idx),
+def _chains(pool, before: float, recs, last):
+    """Ways to value lost records just below ``before``, one per pid.
+
+    Each is the pid's unvalued pooled records in program order up to the
+    first that ``last`` accepts — the earlier ones ran before it, so they
+    are valued too — yielded with their values already assigned,
+    ascending between the value preceding ``before`` and ``before``.  A
+    pid whose valued records could not stay in program order around
+    them is passed over."""
+    floor = max(
+        (r.value for r in recs if r.value is not None and r.value < before),
+        default=before - 1,
     )
-    seen_pids = set()
-    for cand in removes:
-        if cand.pid in seen_pids:
+    runs: dict[int, list[OpRecord]] = {}
+    for rec in pool.values():
+        if rec.value is None:
+            runs.setdefault(rec.pid, []).append(rec)
+    for pid in sorted(runs):
+        run = sorted(runs[pid], key=lambda r: r.idx)
+        end = next((i for i, r in enumerate(run) if last(r)), None)
+        if end is None:
             continue
-        seen_pids.add(cand.pid)
-        ok = True
-        for other in recs:
-            if other.pid != cand.pid or other.value is None:
-                continue
-            # program order: earlier siblings must end up below the
-            # synthesized value (just under before.value), later ones above
-            if other.idx < cand.idx and other.value >= before.value:
-                ok = False
-                break
-            if other.idx > cand.idx and other.value < before.value:
-                ok = False
-                break
-        if ok:
-            return cand
-    return None
+        run = run[:end + 1]
+        lo, hi = run[0].idx, run[-1].idx
+        if any(
+            lo < other.idx < hi
+            or (other.idx < lo and other.value >= before)
+            or (other.idx > hi and other.value < before)
+            for other in recs
+            if other.pid == pid and other.value is not None
+        ):
+            continue
+        step = (before - floor) / (len(run) + 1)
+        values = [floor + step * (i + 1) for i in range(len(run))]
+        if not all(a < b for a, b in zip([floor] + values, values + [before])):
+            continue  # pragma: no cover - float exhaustion
+        for lost, value in zip(run, values):
+            lost.value = value
+        yield run
 
 
-def _assign(lost, before, recs, plan) -> bool:
-    """Give ``lost`` a float value in the open interval between the event
-    preceding ``before`` and ``before`` itself."""
-    floor = None
-    for other in recs:
-        if other.value is not None and other.value < before.value:
-            if floor is None or other.value > floor:
-                floor = other.value
-    if floor is None:
-        floor = before.value - 1
-    value = (floor + before.value) / 2
-    if not (floor < value < before.value):  # pragma: no cover - float exhaustion
-        return False
-    lost.value = value
-    plan.repairs.append(lost.req_id)
+def _apply(chain, plan) -> bool:
+    plan.repairs.extend(lost.req_id for lost in chain)
     return True

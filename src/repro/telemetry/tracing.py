@@ -4,7 +4,8 @@ A trace follows one request through the protocol stages the ROADMAP's
 CPU-per-op item needs attributed: **submit** (buffered at its node) →
 **wave_join** (the batch fires into a wave) → **valued** (stage 3
 assigned its position) → routing **hops** (stage 4 PUT/GET walking the
-De Bruijn overlay) → **done**.  Sampling is deterministic — a
+De Bruijn overlay; over TCP, from the owner the host's map names) →
+**done**.  Sampling is deterministic — a
 multiplicative hash of the req_id against the configured rate — so it
 draws nothing from any engine's RNG streams (replayable schedules stay
 bit-identical) and every party that knows the req_id makes the same

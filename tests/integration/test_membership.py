@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro import SkueueCluster
+from repro.core.actions import A_DEPART_COMMIT, A_JOIN_GRANT, A_RT_GET, A_SLICE_REQ
+from repro.core.protocol import Node
 from repro.core.requests import INSERT, REMOVE
+from repro.overlay.ldb import MIDDLE, vid_of
 from tests.conftest import assert_topology_invariants, drive_random, verify
 
 
@@ -68,6 +71,27 @@ class TestJoin:
         with pytest.raises(ValueError):
             c.join(new_pid=1)
 
+    def test_a_carve_that_overtakes_the_grant_still_ends_the_range(
+            self, monkeypatch):
+        """Two joiners granted by one node: the later one's A_SLICE_REQ
+        can reach the earlier joiner before that joiner's own grant.  The
+        grant must not widen the range back over the carved slice, or a
+        PUT for the later joiner's keys is stored at the earlier one."""
+        c = SkueueCluster(n_processes=4, seed=1)
+        c.join(new_pid=4)
+        joiner = c.runtime.actors[vid_of(4, MIDDLE)]
+        resp = vid_of(0, MIDDLE)
+        carve, end = (joiner.label + 0.1) % 1.0, (joiner.label + 0.2) % 1.0
+        sent = []
+        monkeypatch.setattr(Node, "send", lambda node, dest, action, payload:
+                            sent.append((dest, action)))
+        joiner.handle(A_SLICE_REQ, (99, carve, end))
+        joiner.handle(A_JOIN_GRANT, (resp, end, {}, {}))
+        assert joiner.joining_range_end == carve
+        carved_key = (carve + 0.05) % 1.0
+        joiner.handle(A_RT_GET, (carved_key, 0, 0, 0.0, (resp, 0, 0.0)))
+        assert sent[-1] == (resp, A_RT_GET)
+
 
 class TestLeave:
     @pytest.mark.parametrize("leave_anchor", [False, True])
@@ -103,6 +127,25 @@ class TestLeave:
             c.leave(0)  # wait — already leaving; also not re-leavable
         with pytest.raises(ValueError):
             c.submit(0, INSERT)  # leaving processes take no requests
+
+    def test_a_dumped_node_forwards_routes_before_its_leave_grant(
+            self, monkeypatch):
+        """Async delivery can bring DEPART_COMMIT (the dump) before the
+        LEAVE_GRANT that sets ``replaced``.  A PUT/GET delivered in that
+        window would land in the emptied store of a node about to exit;
+        the responsible node, which holds the dump, takes it instead."""
+        c = SkueueCluster(n_processes=4, seed=1)
+        node = c.runtime.actors[vid_of(1, MIDDLE)]
+        resp = vid_of(0, MIDDLE)
+        sent = []
+        monkeypatch.setattr(Node, "send", lambda node, dest, action, payload:
+                            sent.append((dest, action)))
+        node.resp_vid = resp  # the DEPART_REQ names the responsible node
+        node.handle(A_DEPART_COMMIT, ())
+        assert node.dumped and not node.replaced
+        # a key the node itself owns: [label, succ)
+        node.handle(A_RT_GET, (node.label, 0, 0, 0.0, (resp, 0, 0.0)))
+        assert sent[-1] == (resp, A_RT_GET)
 
     def test_leave_preserves_elements(self):
         c = SkueueCluster(n_processes=6, seed=4)

@@ -13,6 +13,8 @@ from repro.net.membership import ClusterMap
 from repro.ops.detector import HEARTBEAT_SECONDS, FailureDetector
 from repro.ops.health import _serve_http
 from repro.ops.recovery import merge_records, plan_rebuild
+from repro.verify.models import QueueModel, StackModel
+from repro.verify.seqcons import check_history
 
 HB = HEARTBEAT_SECONDS
 
@@ -282,6 +284,51 @@ class TestPlanQueue:
         assert merged[17].result == (8, "a")
         assert plan.elements == []
 
+    def test_repair_inserts_whose_serve_died_with_their_host(self):
+        # the anchor valued L between a and b, but the SERVE carrying the
+        # value died on the link to L's host; the survivors' removes went
+        # on: v1 and v2 were valued and never completed (v2's position
+        # was L's, whose PUT never happened), then r completed with b.
+        # Without L the replay hands b to v2 — feed v2 the lost insert
+        a = rec(8, 1, 0, INSERT, "a", value=1, completed=True)
+        lost = rec(16, 0, 0, INSERT, "L")
+        b = rec(24, 1, 1, INSERT, "b", value=3, completed=True)
+        v1 = rec(32, 2, 0, REMOVE, value=4)
+        v2 = rec(40, 2, 1, REMOVE, value=5)
+        r = rec(48, 2, 2, REMOVE, value=6, completed=True, result=(24, "b"))
+        plan, merged = plan_for([a, lost, b, v1, v2, r])
+        assert plan.repairs == [16] and plan.errors == []
+        assert 1 < merged[16].value < 3
+        assert merged[32].result == (8, "a")
+        assert merged[40].result == (16, "L")
+        check_history(list(merged.values()), QueueModel)
+
+    def test_a_repaired_insert_keeps_its_process_order(self):
+        # the lost insert's earlier sibling was valued after the remove
+        # that holds its element: it cannot slot in before that remove
+        sibling = rec(8, 1, 0, INSERT, "s", value=7, completed=True)
+        lost = rec(16, 1, 1, INSERT, "x")
+        d = rec(24, 2, 0, REMOVE, value=5, completed=True, result=(16, "x"))
+        plan, merged = plan_for([sibling, lost, d])
+        assert 16 not in plan.repairs and merged[16].value is None
+        assert plan.errors
+
+    def test_a_lost_remove_brings_its_earlier_lost_records(self):
+        # the lost remove's process ran an insert just before it whose
+        # value died too: valuing the remove alone would re-run that
+        # insert after it (Definition 1, property 4) — both are valued
+        a = rec(8, 0, 0, INSERT, "a", value=1, completed=True)
+        c = rec(9, 0, 1, INSERT, "c", value=2, completed=True)
+        before = rec(16, 1, 0, INSERT, "b")
+        lost = rec(17, 1, 1, REMOVE)
+        d = rec(24, 2, 0, REMOVE, value=5, completed=True, result=(9, "c"))
+        plan, merged = plan_for([a, c, before, lost, d])
+        assert plan.repairs == [16, 17] and plan.errors == []
+        assert 2 < merged[16].value < merged[17].value < 5
+        assert merged[17].result == (8, "a")
+        assert plan.elements == [(0, (16, "b"))]
+        check_history(list(merged.values()), QueueModel)
+
     def test_irreconcilable_record_is_an_error_not_a_crash(self):
         # result names an element no record ever inserted
         d = rec(24, 2, 0, REMOVE, value=6, completed=True, result=(99, "zz"))
@@ -313,6 +360,20 @@ class TestPlanStack:
         plan, _ = plan_for([a, b, c], structure="stack")
         assert plan.elements == [(1, 1, (24, "c"))]
         assert plan.reruns == [] and plan.errors == []
+
+    def test_repair_a_push_whose_serve_died_with_its_host(self):
+        # L was pushed after b and popped by v, whose pop never completed;
+        # r then popped b.  Without L the replay hands b to v
+        a = rec(8, 1, 0, INSERT, "a", value=1, completed=True)
+        b = rec(16, 1, 1, INSERT, "b", value=2, completed=True)
+        lost = rec(24, 0, 0, INSERT, "L")
+        v = rec(32, 2, 0, REMOVE, value=4)
+        r = rec(40, 2, 1, REMOVE, value=5, completed=True, result=(16, "b"))
+        plan, merged = plan_for([a, b, lost, v, r], structure="stack")
+        assert plan.repairs == [24] and plan.errors == []
+        assert 2 < merged[24].value < 4
+        assert merged[32].result == (24, "L")
+        check_history(list(merged.values()), StackModel)
 
     def test_incomplete_pop_takes_the_top(self):
         a = rec(8, 0, 0, INSERT, "a", value=1, completed=True)
