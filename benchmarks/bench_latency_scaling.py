@@ -11,7 +11,6 @@ from repro.experiments.figures import full_scale
 from repro.experiments.harness import run_experiment
 from repro.experiments.tables import render_table
 from repro.experiments.workload import FixedRateWorkload
-from repro.sim.process import SAFETY_TICK
 from repro.core.requests import INSERT
 
 
@@ -45,37 +44,26 @@ def test_latency_scales_logarithmically(benchmark):
 
 
 def test_waves_do_not_ride_the_safety_sweep(benchmark):
-    """Wave pacing must come from pushed wakes, not the TIMEOUT sweep.
+    """Wave pacing must come from pushed wakes, not a TIMEOUT sweep.
 
-    Before the event-driven redesign, disabling the sweep
-    (``safety_tick=0``) stalled the pipeline: waves only advanced when
-    the periodic whole-system sweep happened to re-check a waiting node,
-    so per-request latency was a multiple of the sweep period (the fig2
-    queue point at n=1000 sat at ~1488 avg rounds).  Now readiness is
-    pushed, so the no-sweep run must match the default run closely; a
-    regression to sweep-paced waves shows up as a large ratio (~sweep
-    period per wave hop) long before it trips the absolute anchor.
+    Before the event-driven redesign, disabling the periodic
+    whole-system sweep stalled the pipeline: waves only advanced when
+    the sweep happened to re-check a waiting node, so per-request
+    latency was a multiple of the sweep period (the fig2 queue point at
+    n=1000 sat at ~1488 avg rounds).  The simulators now run no sweep at
+    all and readiness is pushed; a regression to waves that wait on a
+    missing push shows up as a stall or a latency far past the anchor.
     """
 
-    def compare():
-        out = {}
-        for name, safety_tick in (("default", SAFETY_TICK), ("no_sweep", 0)):
-            workload = FixedRateWorkload(800, 0.5, requests_per_round=10, seed=9)
-            result = run_experiment(workload, 800, rounds=120, seed=9,
-                                    safety_tick=safety_tick)
-            out[name] = result.mean_rounds_per_request
-        return out
+    def measure():
+        workload = FixedRateWorkload(800, 0.5, requests_per_round=10, seed=9)
+        return run_experiment(workload, 800, rounds=120, seed=9).mean_rounds_per_request
 
-    avg = run_once(benchmark, compare)
-    ratio = avg["no_sweep"] / avg["default"]
-    print(f"\nn=800 avg rounds: default={avg['default']:.1f} "
-          f"no_sweep={avg['no_sweep']:.1f} (ratio {ratio:.2f})")
-    # calibrated: both sit at ~194 avg rounds; sweep-paced waves would
-    # push the no-sweep run past 1000 (and the old engine never finished)
-    assert ratio < 1.25, f"no-sweep run degraded x{ratio:.2f} vs default"
-    assert avg["no_sweep"] < 500, (
-        f"no-sweep avg {avg['no_sweep']:.1f} looks sweep-paced"
-    )
+    avg = run_once(benchmark, measure)
+    print(f"\nn=800 avg rounds: {avg:.1f}")
+    # calibrated: ~194 avg rounds; sweep-paced waves sat past 1000 (and
+    # the old engine without its sweep never finished)
+    assert avg < 500, f"avg {avg:.1f} looks sweep-paced"
     benchmark.extra_info["avg_rounds"] = avg
 
 

@@ -75,10 +75,8 @@ def connect(
     the class count) semantics; any registered structure name is
     accepted (see :mod:`repro.core.structures`).  Remaining kwargs are
     backend-specific: cluster options on the simulators (e.g. the sync
-    runner's ``shuffle_delivery=``, the engine bound ``max_rounds=`` and
-    ``safety_tick=``, the rounds between whole-system TIMEOUT sweeps,
-    0 for none); ``n_hosts``/``host_map``/``deployment`` and launch
-    options on TCP.
+    runner's ``shuffle_delivery=`` and the engine bound ``max_rounds=``);
+    ``n_hosts``/``host_map``/``deployment`` and launch options on TCP.
     """
     spec = get_structure(structure)
     if backend in ("sync", "async"):

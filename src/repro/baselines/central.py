@@ -92,9 +92,7 @@ class CentralQueueCluster:
         self, n_processes: int, seed: int = 0, service_rate: int = 8
     ) -> None:
         self.rng = RngStreams(seed)
-        self.runtime = SyncRunner(
-            self.rng, Metrics(), shuffle_delivery=False, safety_tick=0
-        )
+        self.runtime = SyncRunner(self.rng, Metrics(), shuffle_delivery=False)
         self.records: list[OpRecord] = []
         self.n_processes = n_processes
         self.server = _Server(

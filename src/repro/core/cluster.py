@@ -50,7 +50,6 @@ from repro.overlay.ldb import (
 from repro.overlay.routing import route_steps_for
 from repro.sim.async_runner import AsyncRunner
 from repro.sim.metrics import Metrics
-from repro.sim.process import SAFETY_TICK
 from repro.sim.sync_runner import SyncRunner
 from repro.util.hashing import label_of
 from repro.util.rng import RngStreams
@@ -146,7 +145,6 @@ class SkueueCluster:
         shuffle_delivery: bool = True,
         store_samples: bool = False,
         n_priorities: int = 4,
-        safety_tick: int = SAFETY_TICK,
         trace_sample: float = 0.0,
         max_rounds: int = 200_000,
     ) -> None:
@@ -168,14 +166,12 @@ class SkueueCluster:
                 # sync-only: shuffle each round's delivery order (the
                 # non-FIFO channels of the asynchronous model)
                 shuffle_delivery=shuffle_delivery,
-                safety_tick=safety_tick,
             )
         elif runner == "async":
             self.runtime = AsyncRunner(
                 self.rng,
                 metrics,
                 delay_policy=delay_policy,
-                safety_tick=safety_tick,
             )
         else:
             raise ValueError(f"unknown runner {runner!r}")

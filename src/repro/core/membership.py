@@ -684,7 +684,7 @@ class MembershipMixin:
         self.runtime.remove_actor(self.aid, forward_to=self.resp_vid)
         # a parent waiting on this zombie's batch only notices the
         # removal when its child set is re-evaluated — push that
-        # re-check instead of leaving it to a (possibly absent) sweep
+        # re-check: readiness is pushed, nothing polls
         self._wake_stale_parents(None)
 
     # -- splice ----------------------------------------------------------------------

@@ -193,8 +193,10 @@ class Node(MembershipMixin, Actor):
     #: from a membership splice briefly leaving neighbouring nodes with
     #: disagreeing parent/child views — does the origin fire without the
     #: stragglers to dissolve it.  Normal waves complete in O(log n) ≪ 48
-    #: rounds, so steady state never launches a probe; expiry is armed
-    #: with ``call_later`` (event-driven), not detected by a sweep.
+    #: rounds on the sync engine, but the async engine's random delays do
+    #: outlast it without churn: ``sim_paper``'s async cell (n=1000, no
+    #: churn) launches 1300-1430 probes per run and force-fires none.
+    #: Expiry is armed with ``call_later`` (event-driven).
     WAVE_PATIENCE = 48
 
     #: Rounds an *idle* node waits for the batch of a successor-child
@@ -563,8 +565,8 @@ class Node(MembershipMixin, Actor):
         the waiting parent cannot observe change.  Whenever
         the batch goes somewhere (here: to ``dest``), wake the remaining
         candidates from :meth:`_parent_vid`'s fallback chain so a parent
-        stuck waiting on us re-evaluates immediately instead of at the
-        next safety sweep (there may be none: ``safety_tick=0``).
+        stuck waiting on us re-evaluates: readiness is pushed, and nothing
+        else would run its TIMEOUT.
         """
         runtime = self.ctx.runtime
         kind = self.kind

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api import connect
-from repro.sim.process import SAFETY_TICK
 
 __all__ = ["ExperimentResult", "run_experiment"]
 
@@ -53,7 +52,6 @@ def run_experiment(
     max_drain_rounds: int = 100_000,
     verify: bool = False,
     n_priorities: int = 4,
-    safety_tick: int = SAFETY_TICK,
 ) -> ExperimentResult:
     """Drive ``workload`` for ``rounds`` rounds, drain, and report.
 
@@ -64,8 +62,7 @@ def run_experiment(
 
     With ``verify=True`` the full history is checked against Definition 1
     after the run (used by the integration tests; skipped in benchmarks
-    where histories get large).  ``safety_tick`` is the cluster's
-    whole-system TIMEOUT sweep period in rounds (0: no sweep).
+    where histories get large).
 
     Runs on the unified session API (``repro.api.connect``) with the
     deterministic ``sync`` backend; the engine-level escape hatch
@@ -80,7 +77,6 @@ def run_experiment(
         max_rounds=max_drain_rounds,
         shuffle_delivery=False,
         n_priorities=n_priorities,
-        safety_tick=safety_tick,
     )
     with session:
         # submit on the cluster directly: the measurement loop has no use

@@ -16,9 +16,10 @@ maps onto the event loop as follows:
   again at every level the wave climbs;
 * ``wake`` — cross-actor readiness push: local targets get the ordinary
   TIMEOUT path, remote targets an ``A_WAKE`` message over the peer link;
-* a periodic *safety sweep* (``sweep_seconds``, 0 disables) re-runs
-  TIMEOUT on every local actor, the simulators' sweep on a real clock
-  (DESIGN.md, "Event-driven waves", says why it is not assumed inert);
+* a periodic *sweep* (``sweep_seconds``, 0 disables) re-runs TIMEOUT on
+  every local actor.  Only this runtime has one: it covers no missing
+  wake, it runs paced TIMEOUTs early, which shortens the open-loop
+  latency tail (DESIGN.md, "The net runtime" has the measurements);
 * ``now`` — wall clock scaled to *round units* (one unit ≈ one nominal
   message delay, ``round_seconds``), so protocol constants expressed in
   rounds (retry cadences, grace periods) keep their meaning.

@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.sim.delays import UniformDelay
 from repro.sim.metrics import Metrics
-from repro.sim.process import SAFETY_TICK, Actor, bounce_forwarded_batch
+from repro.sim.process import Actor, bounce_forwarded_batch
 from repro.util.rng import RngStreams
 
 __all__ = ["AsyncRunner"]
@@ -31,7 +31,6 @@ TIMEOUT_LAG = 0.25
 
 _MSG = 0
 _TIMEOUT = 1
-_SWEEP = 9
 
 
 class AsyncRunner:
@@ -48,13 +47,10 @@ class AsyncRunner:
         rng: RngStreams | None = None,
         metrics: Metrics | None = None,
         delay_policy: Callable | None = None,
-        safety_tick: float = SAFETY_TICK,
     ) -> None:
         self.rng = rng or RngStreams(0)
         self.metrics = metrics or Metrics()
         self.delay_policy = delay_policy or UniformDelay(0.5, 1.5)
-        # periodic whole-system TIMEOUT sweep (see SyncRunner.safety_tick)
-        self.safety_tick = safety_tick
         self.time = 0.0
         #: optional scheduling override (see repro.sim.process.ScheduleHint)
         self.schedule_hint = None
@@ -143,13 +139,6 @@ class AsyncRunner:
                     return True  # tree-up batch to a departed parent
                 actor = self.actors[self.resolve(dest)]
             actor.handle(action, payload)
-        elif kind == _SWEEP:
-            for actor in list(self.actors.values()):
-                actor.timeout()
-            heapq.heappush(
-                self._heap,
-                (self.time + self.safety_tick, next(self._seq), _SWEEP, 0, 0, ()),
-            )
         else:
             self._timeout_pending.discard(dest)
             actor = self.actors.get(dest)
@@ -186,11 +175,6 @@ class AsyncRunner:
         ids = actor_ids if actor_ids is not None else list(self.actors.keys())
         for actor_id in ids:
             self.request_timeout(actor_id)
-        if self.safety_tick:
-            heapq.heappush(
-                self._heap,
-                (self.time + self.safety_tick, next(self._seq), _SWEEP, 0, 0, ()),
-            )
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -4,10 +4,10 @@ An actor is the paper's *process* (here: one virtual node of the LDB, or a
 baseline server/client).  Messages are remote action calls ``(action,
 payload)``; actions are identified by small integer codes owned by each
 protocol module so dispatch stays cheap at 10^5-actor scale.  The
-``timeout`` method is the paper's TIMEOUT action: the engines invoke it
-once per round (synchronous), whenever the actor requested a check
-(asynchronous, where "periodically" has no global clock to hang onto), or
-event-loop-driven (the real TCP runtime in :mod:`repro.net`).
+``timeout`` method is the paper's TIMEOUT action.  "Periodically" has no
+global clock to hang onto, so every engine runs it event-driven: when the
+actor asked (``wake_me``), a peer pushed a wake, a ``call_later`` timer
+expired, or the engine was kicked.
 
 :class:`Runtime` is the **explicit contract** those engines implement.
 Protocol code (``repro.core.protocol.Node``) programs only against this
@@ -30,16 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.metrics import Metrics
 
 __all__ = [
-    "SAFETY_TICK",
     "Actor",
     "Runtime",
     "ScheduleHint",
     "bounce_forwarded_batch",
 ]
-
-#: Rounds (sync) or time units (async) between the simulators' whole-
-#: system TIMEOUT sweeps; ``safety_tick=0`` turns the sweep off.
-SAFETY_TICK = 64
 
 
 @runtime_checkable
@@ -124,11 +119,12 @@ class Runtime(Protocol):
       readiness may depend on it, so no readiness condition has to wait
       for polling.  For an actor hosted elsewhere (sharded TCP) the
       engine ships an ``A_WAKE`` message and the receiver answers with
-      ``wake_me()``.  Engines also run a periodic safety sweep
-      (``safety_tick``/``sweep_seconds``).  ``safety_tick=0`` disables
-      it and everything still makes progress, but it is not inert: on
-      the async engine some readiness change still reaches a waiting
-      node only through the sweep (DESIGN.md, "Event-driven waves");
+      ``wake_me()``.  Readiness is pushed: the simulators run no
+      periodic sweep, so a TIMEOUT runs only because the actor asked, a
+      peer woke it, a ``call_later`` timer expired or the engine was
+      kicked.  Only the TCP runtime keeps a sweep (``sweep_seconds``);
+      it covers no missing wake there either, it runs paced TIMEOUTs
+      early (DESIGN.md, "The net runtime");
     * ``actors`` is the engine's **local** view: in the simulators it
       holds every actor, in a sharded TCP deployment only the shard
       hosted by this OS process.  Protocol code treats a missing entry

@@ -25,7 +25,7 @@ import heapq
 from typing import Callable, Iterable
 
 from repro.sim.metrics import Metrics
-from repro.sim.process import SAFETY_TICK, Actor, bounce_forwarded_batch
+from repro.sim.process import Actor, bounce_forwarded_batch
 from repro.util.rng import RngStreams
 
 __all__ = ["SyncRunner"]
@@ -45,17 +45,10 @@ class SyncRunner:
         rng: RngStreams | None = None,
         metrics: Metrics | None = None,
         shuffle_delivery: bool = True,
-        safety_tick: int = SAFETY_TICK,
     ) -> None:
         self.rng = rng or RngStreams(0)
         self.metrics = metrics or Metrics()
         self.shuffle_delivery = shuffle_delivery
-        # whole-system TIMEOUT sweep every this many rounds, 0 disables.
-        # Readiness is pushed via ``wake``, so the sweep is a recheck
-        # rather than the clock: the paper's per-round TIMEOUT semantics
-        # survive because an actor whose state did not change takes the
-        # same (no-op) branch anyway.
-        self.safety_tick = safety_tick
         self.round = 0
         #: optional scheduling override (see repro.sim.process.ScheduleHint)
         self.schedule_hint = None
@@ -144,8 +137,6 @@ class SyncRunner:
         while timers and timers[0][0] <= self.round:
             _, actor_id = heapq.heappop(timers)
             self._timeout_now.add(actor_id)
-        if self.safety_tick and self.round % self.safety_tick == 0:
-            self._timeout_now.update(actors.keys())
         # sorted: int-set iteration order is an implementation detail of
         # the running interpreter, and TIMEOUT order decides how waves
         # batch — canonicalise it so a seeded run (and a recorded

@@ -164,10 +164,11 @@ def slim_liveness_trace(trace: FailureTrace) -> FailureTrace:
 
     A liveness trace records one decision per event up to the settle
     budget — tens of thousands — but the schedule only *matters* up to
-    the point the system wedged; past it the recording is the safety
-    sweep spinning.  Keep a generous prefix (the replayer falls back to
-    the live seeded RNG beyond it, still deterministically), which cuts
-    artifacts from ~700 KB to a few KB without losing the reproducer.
+    the point the system wedged; past it the recording is the wedged
+    nodes' retry timers spinning.  Keep a generous prefix (the replayer
+    falls back to the live seeded RNG beyond it, still deterministically),
+    which cuts artifacts from ~700 KB to a few KB without losing the
+    reproducer.
     Consistency/crash traces are returned untouched: their runs
     complete, so the full schedule is the bit-identical evidence.
     """

@@ -1,7 +1,6 @@
-"""Event-driven waves: the protocol runs with the safety sweep disabled.
+"""Event-driven waves: the protocol runs with no periodic TIMEOUT sweep.
 
-``safety_tick=0`` removes the periodic whole-system TIMEOUT sweep on
-both simulators; readiness then travels exclusively over
+The simulators poll nothing; readiness travels exclusively over
 the pushed ``Runtime.wake`` edges (batch arrival, SERVE, neighbour
 splices, zombie exits, A_NUDGE probes) plus each node's own
 ``wake_me``/``call_later``.  These tests pin the property the redesign
@@ -26,7 +25,7 @@ from tests.conftest import (
 def test_uniform_workload_with_sweep_disabled(backend, structure):
     rng = random.Random(f"no-sweep-{structure}")
     with repro.connect(
-        backend, structure=structure, n_processes=8, seed=11, safety_tick=0
+        backend, structure=structure, n_processes=8, seed=11
     ) as session:
         handles = []
         inserted = 0
@@ -44,8 +43,7 @@ def test_uniform_workload_with_sweep_disabled(backend, structure):
 @pytest.mark.parametrize("backend", ["sync", "async"])
 def test_priority_workload_with_sweep_disabled(backend):
     with repro.connect(
-        backend, structure="heap", n_processes=6, seed=5, n_priorities=3,
-        safety_tick=0,
+        backend, structure="heap", n_processes=6, seed=5, n_priorities=3
     ) as session:
         run_priority_workload(session, ops=40, seed=5, n_priorities=3)
 
@@ -53,7 +51,7 @@ def test_priority_workload_with_sweep_disabled(backend):
 @pytest.mark.parametrize("seed", range(2))
 def test_churn_with_sweep_disabled(seed):
     """JOIN/LEAVE splices rely on the new membership wake edges."""
-    c = SkueueCluster(n_processes=6, seed=seed, safety_tick=0)
+    c = SkueueCluster(n_processes=6, seed=seed)
     drive_random(
         c, rounds=250, op_probability=0.3, seed=seed,
         join_probability=0.02, leave_probability=0.015,
@@ -62,8 +60,3 @@ def test_churn_with_sweep_disabled(seed):
     verify(c)
     assert_topology_invariants(c)
 
-
-@pytest.mark.parametrize("runner", ["sync", "async"])
-def test_safety_tick_reaches_the_engine(runner):
-    c = SkueueCluster(n_processes=4, seed=0, runner=runner, safety_tick=0)
-    assert c.runtime.safety_tick == 0

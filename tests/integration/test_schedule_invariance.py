@@ -25,9 +25,9 @@ OP_ROUNDS = 120
 #: ``events`` is ``AsyncRunner.events_processed``; the sync engine has none.
 EXPECTED = {
     ("queue", "sync"): (16755, 121.37921348314607, None),
-    ("queue", "async"): (16523, 146.66051308883726, 19241),
+    ("queue", "async"): (16569, 147.9156427692033, 19422),
     ("heap", "sync"): (17686, 157.39495798319328, None),
-    ("heap", "async"): (18238, 205.0930410792374, 23325),
+    ("heap", "async"): (18224, 205.17641268831045, 23275),
 }
 
 

@@ -49,7 +49,7 @@ class _World:
     """One node whose every correspondent only records."""
 
     def __init__(self):
-        self.engine = SyncRunner(safety_tick=0)
+        self.engine = SyncRunner()
         ctx = ClusterContext(self.engine, "t", 1, get_structure("queue"))
         self.peers = {
             vid: _Recorder(vid, self.engine) for vid in (PRED, SUCC, RESP, CHILD)

@@ -83,6 +83,30 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
     asyncio.run(scenario())
 
 
+class TestNothingPolls:
+    """A simulated TIMEOUT runs only because the actor asked, a peer
+    woke it, a ``call_later`` timer expired or the engine was kicked:
+    an actor with none of those gets no TIMEOUT, however long it waits."""
+
+    def test_sync_idle_actor_gets_no_timeout(self):
+        engine = SyncRunner()
+        idle, kicked = _Recorder(1, engine), _Recorder(2, engine)
+        engine.add_actor(idle)
+        engine.add_actor(kicked)
+        engine.kick([2])
+        engine.run(1000)
+        assert (idle.timeouts, kicked.timeouts) == (0, 1)
+
+    def test_async_idle_actor_gets_no_timeout(self):
+        engine = AsyncRunner()
+        idle, kicked = _Recorder(1, engine), _Recorder(2, engine)
+        engine.add_actor(idle)
+        engine.add_actor(kicked)
+        engine.kick([2])
+        engine.run_for(1000.0)
+        assert (idle.timeouts, kicked.timeouts) == (0, 1)
+
+
 class TestArrivalTimeout:
     """``request_timeout(aid, arrival=True)``: a child's batch arrived.
 
@@ -92,7 +116,7 @@ class TestArrivalTimeout:
     """
 
     def test_sync_arrival_runs_with_this_rounds_timeouts(self):
-        engine = SyncRunner(safety_tick=0)
+        engine = SyncRunner()
         paced, arrived = _Recorder(1, engine), _Recorder(2, engine)
         engine.add_actor(paced)
         engine.add_actor(arrived)
@@ -103,7 +127,7 @@ class TestArrivalTimeout:
         assert (paced.timeouts, arrived.timeouts) == (1, 1)
 
     def test_async_arrival_pays_the_lag_and_deduplicates(self):
-        engine = AsyncRunner(safety_tick=0)  # TIMEOUT_LAG: 0.25
+        engine = AsyncRunner()  # TIMEOUT_LAG: 0.25
         paced, arrived = _Recorder(1, engine), _Recorder(2, engine)
         engine.add_actor(paced)
         engine.add_actor(arrived)
@@ -156,22 +180,22 @@ class TestWakeDiscipline:
     The contract pinned here: ``wake(actor_id)`` schedules a TIMEOUT for
     the actor wherever it lives, follows forwarding addresses, draws no
     randomness (so waking a peer never perturbs a recorded schedule),
-    deduplicates with a pending ``request_timeout``, and works with the
-    safety sweep disabled — the sweep is not the clock.
+    deduplicates with a pending ``request_timeout``, and is the clock:
+    the simulators run no periodic sweep.
     """
 
     def test_sync_wake_runs_timeout_next_round_without_sweep(self):
-        engine = SyncRunner(safety_tick=0)
+        engine = SyncRunner()
         actor = _Recorder(7, engine)
         engine.add_actor(actor)
         engine.wake(7)
         engine.step()
         assert actor.timeouts == 1
-        engine.step()  # no wake, no sweep: nothing re-checks the actor
+        engine.step()  # no wake: nothing re-checks the actor
         assert actor.timeouts == 1
 
     def test_sync_wake_follows_forwarding_and_draws_no_randomness(self):
-        engine = SyncRunner(safety_tick=0)
+        engine = SyncRunner()
         departed, absorber = _Recorder(3, engine), _Recorder(5, engine)
         engine.add_actor(departed)
         engine.add_actor(absorber)
@@ -184,7 +208,7 @@ class TestWakeDiscipline:
         assert departed.timeouts == 0
 
     def test_async_wake_deduplicates_and_draws_no_randomness(self):
-        engine = AsyncRunner(safety_tick=0)
+        engine = AsyncRunner()
         actor = _Recorder(4, engine)
         engine.add_actor(actor)
         state = engine._delay_rng.getstate()

@@ -10,7 +10,7 @@ from repro.sim.delays import (
     UniformDelay,
 )
 from repro.sim.metrics import Metrics
-from repro.sim.process import SAFETY_TICK, Actor
+from repro.sim.process import Actor
 from repro.sim.sync_runner import SyncRunner
 from repro.util.rng import RngStreams
 
@@ -34,13 +34,9 @@ class Echo(Actor):
         self.log.append((self.runtime.now, "timeout", None))
 
 
-def test_both_simulators_sweep_on_one_default():
-    assert SyncRunner().safety_tick == AsyncRunner().safety_tick == SAFETY_TICK
-
-
 class TestSyncRunner:
     def test_next_round_delivery(self):
-        runner = SyncRunner(safety_tick=0)
+        runner = SyncRunner()
         a, b = Echo(1, runner), Echo(2, runner)
         runner.add_actor(a)
         runner.add_actor(b)
@@ -56,7 +52,7 @@ class TestSyncRunner:
             runner.add_actor(Echo(1, runner))
 
     def test_forwarding(self):
-        runner = SyncRunner(safety_tick=0)
+        runner = SyncRunner()
         a, b = Echo(1, runner), Echo(2, runner)
         runner.add_actor(a)
         runner.add_actor(b)
@@ -81,7 +77,7 @@ class TestSyncRunner:
             runner.step()
 
     def test_timers(self):
-        runner = SyncRunner(safety_tick=0)
+        runner = SyncRunner()
         a = Echo(1, runner)
         runner.add_actor(a)
         runner.call_later(1, 3)
@@ -89,14 +85,6 @@ class TestSyncRunner:
         assert a.log == []
         runner.step()
         assert a.log == [(3.0, "timeout", None)]
-
-    def test_safety_tick_wakes_everyone(self):
-        runner = SyncRunner(safety_tick=4)
-        a = Echo(1, runner)
-        runner.add_actor(a)
-        runner.run(9)
-        ticks = [entry for entry in a.log if entry[1] == "timeout"]
-        assert len(ticks) == 2  # rounds 4 and 8
 
     def test_run_until_bound(self):
         runner = SyncRunner()
@@ -113,7 +101,7 @@ class TestSyncRunner:
 
 class TestAsyncRunner:
     def test_delivery_and_time(self):
-        runner = AsyncRunner(delay_policy=FixedDelay(2.0), safety_tick=0)
+        runner = AsyncRunner(delay_policy=FixedDelay(2.0))
         a, b = Echo(1, runner), Echo(2, runner)
         runner.add_actor(a)
         runner.add_actor(b)
@@ -123,7 +111,7 @@ class TestAsyncRunner:
 
     def test_non_fifo_reordering_possible(self):
         runner = AsyncRunner(
-            rng=RngStreams(5), delay_policy=UniformDelay(0.1, 5.0), safety_tick=0
+            rng=RngStreams(5), delay_policy=UniformDelay(0.1, 5.0)
         )
         a, b = Echo(1, runner), Echo(2, runner)
         runner.add_actor(a)

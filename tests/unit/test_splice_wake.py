@@ -4,8 +4,8 @@ When a LEAVE splices a node out of the cycle mid-wave, the nodes that
 were (or just became) its aggregation parents cannot observe the change
 through their own state — the splice must *push* a re-check.  Three
 edges carry that push, and each must hold on every runtime (sync,
-async, net) with the safety sweep disabled, so the push is the only
-clock:
+async, net) with no sweep (the simulators have none; the net runtime's
+is turned off here), so the push is the only clock:
 
 * ``A_SET_NEIGH`` (the splice rewires an integrated node): wakes both
   new neighbours, whose child sets just changed;
@@ -79,7 +79,7 @@ def _run(engine, rounds=6):
 
 @pytest.fixture(params=[SyncRunner, AsyncRunner], ids=["sync", "async"])
 def engine(request):
-    eng = request.param(safety_tick=0)  # no sweep: pushes are the clock
+    eng = request.param()  # no sweep: pushes are the clock
     yield eng
     eng.close()
 
@@ -113,7 +113,7 @@ class TestSimEngines:
         """A departing RIGHT node's plausible wave parents are its
         predecessor and the same-process MIDDLE (the ``_parent_vid``
         fallback chain); both must be woken when the zombie leaves, or a
-        parent mid-wait only notices at a sweep that may never come."""
+        parent mid-wait never notices: nothing polls."""
         ctx = ClusterContext(engine, "t", 1, get_structure("queue"))
         leaver_vid = 1 * 3 + RIGHT
         fallback_vid = 1 * 3 + MIDDLE

@@ -70,7 +70,7 @@ class TestOptionCensus:
         assert _parameters(SkueueCluster.__init__) == (
             "n_processes", "seed", "runner", "structure", "delay_policy",
             "shuffle_delivery", "store_samples", "n_priorities",
-            "safety_tick", "trace_sample", "max_rounds",
+            "trace_sample", "max_rounds",
         )
 
     def test_connect(self):
@@ -81,7 +81,7 @@ class TestOptionCensus:
     def test_run_experiment(self):
         assert _parameters(run_experiment) == (
             "workload", "n_processes", "rounds", "structure", "seed",
-            "max_drain_rounds", "verify", "n_priorities", "safety_tick",
+            "max_drain_rounds", "verify", "n_priorities",
         )
 
     def test_host_config_fields(self):
@@ -100,10 +100,10 @@ class TestOptionCensus:
 
     def test_simulator_runners(self):
         assert _parameters(SyncRunner.__init__) == (
-            "rng", "metrics", "shuffle_delivery", "safety_tick",
+            "rng", "metrics", "shuffle_delivery",
         )
         assert _parameters(AsyncRunner.__init__) == (
-            "rng", "metrics", "delay_policy", "safety_tick",
+            "rng", "metrics", "delay_policy",
         )
 
     def test_failure_detector_takes_no_tuning(self):
