@@ -864,10 +864,12 @@ class NodeHost:
         cluster = self.control.cluster
         owner = cluster.owner_of(pid)
         node = self.runtime.actors.get(vid_of(pid, MIDDLE))
-        if owner != self.config.host_index or node is None:
+        if owner != self.config.host_index or node is None or node.leaving:
             # not rejectable with certainty by the client: its map was
-            # stale (join/leave raced the submission).  Send the current
-            # map along so one round-trip re-shards the retry.
+            # stale (join/leave raced the submission), or the pid is
+            # leaving and, as on the simulators, takes no requests (one
+            # buffered after its DEPART_COMMIT dump rides no wave).  Send
+            # the current map along so one round-trip re-shards the retry.
             conn.send({
                 "op": "rejected",
                 "req": req_id,

@@ -33,6 +33,7 @@ from repro.net.transport import (
     FrameReader,
     encode_frame,
 )
+from repro.overlay.ldb import MIDDLE, vid_of
 
 SLOTS = 8  # req_id % SLOTS is the origin host
 HEARTBEAT = 0.25
@@ -846,6 +847,30 @@ class TestFrameTable:
         # only the one accepted submit may have been answered `done` yet
         assert {frame["req"] for frame in replies if frame["op"] == "done"} <= {6}
         assert counts == {0: 1} and errors == []
+
+    def test_a_submit_at_a_leaving_pid_is_rejected(self):
+        """A leaving node takes no requests, as on the simulators: one
+        buffered after its DEPART_COMMIT dump would ride no wave.  The
+        client resubmits a ``rejected`` op elsewhere."""
+
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=3, n_processes=3))
+            host.wire_genesis(ClusterMap.genesis(
+                {i: ("127.0.0.1", 1) for i in range(3)}, 3))
+            host.runtime.actors[vid_of(0, MIDDLE)].start_leave()
+            conn = Conn()
+            host.connections.add(conn)
+            host.handle_frame(conn, {"op": "submit", "req": 3, "pid": 0,
+                                     "kind": INSERT, "item": "job"})
+            opened = set(host.records.local)
+            host.connections.discard(conn)
+            await host._async_stop()
+            return conn.replies, opened
+
+        replies, opened = asyncio.run(scenario())
+        assert [(frame["op"], frame["req"]) for frame in replies] == [
+            ("rejected", 3)]
+        assert not opened
 
 
 # -- structure, pinned -------------------------------------------------------------
