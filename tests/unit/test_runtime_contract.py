@@ -83,28 +83,24 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
     asyncio.run(scenario())
 
 
-class TestNothingPolls:
+@pytest.mark.parametrize(
+    "factory, run",
+    [(SyncRunner, lambda engine: engine.run(1000)),
+     (AsyncRunner, lambda engine: engine.run_for(1000.0))],
+    ids=["sync", "async"],
+)
+def test_nothing_polls(factory, run):
     """A simulated TIMEOUT runs only because the actor asked, a peer
     woke it, a ``call_later`` timer expired or the engine was kicked:
-    an actor with none of those gets no TIMEOUT, however long it waits."""
-
-    def test_sync_idle_actor_gets_no_timeout(self):
-        engine = SyncRunner()
-        idle, kicked = _Recorder(1, engine), _Recorder(2, engine)
-        engine.add_actor(idle)
-        engine.add_actor(kicked)
-        engine.kick([2])
-        engine.run(1000)
-        assert (idle.timeouts, kicked.timeouts) == (0, 1)
-
-    def test_async_idle_actor_gets_no_timeout(self):
-        engine = AsyncRunner()
-        idle, kicked = _Recorder(1, engine), _Recorder(2, engine)
-        engine.add_actor(idle)
-        engine.add_actor(kicked)
-        engine.kick([2])
-        engine.run_for(1000.0)
-        assert (idle.timeouts, kicked.timeouts) == (0, 1)
+    an actor with none of those gets no TIMEOUT over 1000 rounds (sync)
+    or time units (async)."""
+    engine = factory()
+    idle, kicked = _Recorder(1, engine), _Recorder(2, engine)
+    engine.add_actor(idle)
+    engine.add_actor(kicked)
+    engine.kick([2])
+    run(engine)
+    assert (idle.timeouts, kicked.timeouts) == (0, 1)
 
 
 class TestArrivalTimeout:
