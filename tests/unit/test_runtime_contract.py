@@ -103,6 +103,27 @@ def test_nothing_polls(factory, run):
     assert (idle.timeouts, kicked.timeouts) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "factory, run",
+    [(SyncRunner, lambda engine, span: engine.run(span)),
+     (AsyncRunner, lambda engine, span: engine.run_for(float(span)))],
+    ids=["sync", "async"],
+)
+def test_a_timer_fires_once_when_due(factory, run):
+    """A ``call_later`` timer is one TIMEOUT at its due round (sync) or
+    time (async): none before it, and nothing re-checks the actor after."""
+    engine = factory()
+    timed = _Recorder(1, engine)
+    engine.add_actor(timed)
+    engine.call_later(1, 10)
+    run(engine, 9)
+    assert timed.timeouts == 0
+    run(engine, 1)
+    assert timed.timeouts == 1
+    run(engine, 1000)
+    assert timed.timeouts == 1
+
+
 class TestArrivalTimeout:
     """``request_timeout(aid, arrival=True)``: a child's batch arrived.
 
