@@ -356,7 +356,7 @@ def launch_local(
             _drain_stdout(proc)
         if len(host_map) != n_hosts:
             raise RuntimeError(f"only {len(host_map)}/{n_hosts} hosts became ready")
-        genesis = ClusterMap.genesis(host_map, n_processes, id_slots)
+        genesis = ClusterMap.genesis(host_map, n_processes, id_slots, config.salt)
         peers = {str(i): list(addr) for i, addr in host_map.items()}
         for index, address in host_map.items():
             reply = request(

@@ -1,19 +1,21 @@
 """Versioned cluster membership for the TCP runtime (`ClusterMap`).
 
-The static deployment of PR 1 derived everything from two integers
-(``pid % n_hosts`` for ownership, ``req_id % n_hosts`` for completion
-routing).  With live host join/leave neither stays well-defined, so the
-control plane carries an explicit, versioned map instead:
+A static deployment could derive everything from two integers (a
+modulo rule for ownership, ``req_id % n_hosts`` for completion routing).
+With live host join/leave neither stays well-defined, so the control
+plane carries an explicit, versioned map instead:
 
 * ``hosts`` — live host_index -> (address, port).  Host indices are
   **never reused**; a joining host gets ``next_host`` and keeps it for
   the deployment's lifetime.
 * ``pid_owner`` — pid -> host_index for every submittable pid.  Genesis
-  pids are sharded round-robin (matching the old modulo rule bit for
-  bit); a joining host brings *fresh* pids (``next_pid`` onward) that
-  enter the overlay through the paper's JOIN machinery, and a draining
-  host's pids disappear with it — pids never migrate between hosts, so
-  the same-process sibling locality argument of DESIGN.md is preserved
+  gives each host one contiguous arc of the pids in middle-label order
+  (:meth:`ClusterMap.genesis`), so an aggregation-tree path crosses
+  each host boundary at most once; a joining host brings *fresh* pids
+  (``next_pid`` onward, wherever their labels fall) that enter the
+  overlay through the paper's JOIN machinery, and a draining host's
+  pids disappear with it — pids never migrate between hosts, so the
+  same-process sibling locality argument of DESIGN.md is preserved
   across churn.
 * ``leaving`` — hosts currently draining; clients stop picking their
   pids, but in-flight requests on them still complete (the LEAVE
@@ -42,6 +44,8 @@ outside this module.
 """
 
 from __future__ import annotations
+
+from repro.util.hashing import label_of
 
 __all__ = ["ClusterMap"]
 
@@ -96,16 +100,32 @@ class ClusterMap:
         host_map: dict[int, tuple[str, int]],
         n_processes: int,
         id_slots: int = 0,
+        salt: str = "",
     ) -> "ClusterMap":
-        """The launch-time map: round-robin pids, version 1."""
-        n_hosts = len(host_map)
+        """The launch-time map, version 1: each host owns one contiguous
+        arc of the pids in middle-label order (``salt`` draws the labels,
+        as it does for every host's :class:`~repro.overlay.ldb.LdbTopology`).
+
+        A tree edge between two pids leads to the smaller middle label
+        (only a left node's parent is another pid's: its cycle
+        predecessor, below half the middle label), so the owner's rank
+        among the hosts never rises going up the aggregation tree and a
+        root path changes host at most ``len(host_map) - 1`` times,
+        whatever the pid count.
+        """
+        hosts = sorted(host_map)
+        by_label = sorted(range(n_processes),
+                          key=lambda pid: label_of(pid, salt=salt))
         return cls(
             version=1,
             hosts={int(k): (v[0], int(v[1])) for k, v in host_map.items()},
-            pid_owner={pid: pid % n_hosts for pid in range(n_processes)},
+            pid_owner={
+                pid: hosts[rank * len(hosts) // n_processes]
+                for rank, pid in enumerate(by_label)
+            },
             next_pid=n_processes,
-            next_host=n_hosts,
-            id_slots=id_slots or n_hosts,
+            next_host=len(hosts),
+            id_slots=id_slots or len(hosts),
             n_genesis=n_processes,
         )
 

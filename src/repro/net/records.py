@@ -31,6 +31,11 @@ or was evicted, kept by the host the cluster map names for it
 (:meth:`~repro.net.membership.ClusterMap.complete_target`) — canonical
 from then on, served by ``collect``, and where ``complete`` frames land.
 
+A finished record — an own one once its DONE is out, a replica or
+custody copy once it is completed — is held as
+:func:`~repro.net.transport.pack_record` bytes, about half its live
+size with its dict slot; only :class:`RecordTable` packs and unpacks.
+
 Nothing here opens a socket or touches the event loop: the table is
 handed ``send(host, frame)``, which is what lets
 ``tests/unit/test_records.py`` drive every path without one.
@@ -38,10 +43,16 @@ handed ``send(host, frame)``, which is what lets
 
 from __future__ import annotations
 
+from sys import getrefcount
 from typing import Callable, Iterable
 
 from repro.core.requests import OpRecord
-from repro.net.transport import record_from_wire, record_to_wire
+from repro.net.transport import (
+    pack_record,
+    record_from_wire,
+    record_to_wire,
+    unpack_record,
+)
 
 __all__ = [
     "NetOpRecord",
@@ -157,13 +168,15 @@ class NetOpRecord(OpRecord):
             self.on_valued(self)
 
 
-def _keep(table: dict, rec: OpRecord) -> None:
-    """Hold ``rec`` in ``table``, or add its facts to the copy held."""
-    have = table.get(rec.req_id)
-    if have is None:
-        table[rec.req_id] = rec
-    else:
-        learn(have, *facts(rec))
+def _unpacked(held):
+    """A held record as a record: a packed one answers a fresh copy."""
+    return unpack_record(held) if type(held) is bytes else held
+
+
+#: references to a held record while :meth:`RecordTable.pack_finished`
+#: looks at it — the store's slot, the loop's name, ``getrefcount``'s
+#: argument — when nothing else holds it
+_SOLE_REFS = 3
 
 
 def _blank(req_id: int, cls: type = OpRecord) -> OpRecord:
@@ -189,19 +202,21 @@ class RecordTable:
 
     __slots__ = (
         "host_index", "id_slots", "local", "custody", "replicas", "targets",
-        "holder_of", "on_done", "_send", "_proxies", "_parked", "_pending",
+        "holder_of", "on_done", "uncompleted", "_send", "_proxies", "_parked",
+        "_pending", "_finished", "_valued_hook", "_completed_hook",
     )
 
     def __init__(self, host_index: int, id_slots: int,
                  send: Callable[[int, dict], bool]) -> None:
         self.host_index = host_index
         self.id_slots = id_slots
+        # each store holds a finished record packed (`pack_finished`)
         #: records submitted here (canonical while this host lives)
-        self.local: dict[int, NetOpRecord] = {}
+        self.local: dict[int, NetOpRecord | bytes] = {}
         #: archives of retired or evicted hosts this host answers for
-        self.custody: dict[int, OpRecord] = {}
+        self.custody: dict[int, OpRecord | bytes] = {}
         #: records mirrored here by ring predecessors
-        self.replicas: dict[int, OpRecord] = {}
+        self.replicas: dict[int, OpRecord | bytes] = {}
         #: the ring successors mirroring this host's records
         self.targets: list[int] = []
         self.holder_of: Callable[[int], int | None] = lambda origin: origin
@@ -213,6 +228,13 @@ class RecordTable:
         self._parked: dict[int, OpRecord] = {}
         # completed own records whose DONE awaits the first replica ack
         self._pending: dict[int, NetOpRecord] = {}
+        #: own records opened and not completed yet (a drain waits for 0)
+        self.uncompleted = 0
+        # (store, req_id) of records finished since the last pack
+        self._finished: list[tuple[dict, int]] = []
+        # every own record's hooks: one bound method each, not two per record
+        self._valued_hook = self._replicate
+        self._completed_hook = self._completed
 
     # -- ctx.records ---------------------------------------------------------
     def origin_of(self, req_id: int) -> int:
@@ -238,7 +260,7 @@ class RecordTable:
         in-process), else its wave proxy."""
         local = self.local.get(rec.req_id)
         if local is not None:
-            return local
+            return _unpacked(local)
         proxy = self._proxies.get(rec.req_id)
         if proxy is None:
             proxy = self._proxies[rec.req_id] = clone(rec, NetOpRecord)
@@ -250,7 +272,7 @@ class RecordTable:
     def __getitem__(self, req_id: int):
         rec = self.local.get(req_id)
         if rec is not None:
-            return rec
+            return _unpacked(rec)  # a packed one is finished: no hooks
         rec = self._proxies.get(req_id)
         if rec is not None:
             return rec
@@ -261,22 +283,25 @@ class RecordTable:
         return stub
 
     def get(self, req_id: int) -> OpRecord | None:
-        """The canonical record for ``req_id`` if this host keeps it."""
+        """The canonical record for ``req_id`` if this host keeps it (a
+        copy, if it is held packed)."""
         rec = self.local.get(req_id)
-        return rec if rec is not None else self.custody.get(req_id)
+        return _unpacked(rec if rec is not None else self.custody.get(req_id))
 
     # -- own records: replication and the DONE gate --------------------------
     def open(self, rec: NetOpRecord) -> None:
         """Register a fresh submission and mirror it before its wave
         starts: should this host die mid-protocol, the successors still
         hold the request."""
+        self.pack_finished()
         # valued: replicate at once.  A crash between valuation and
         # completion would otherwise re-run an *ordered* op with a fresh
         # value, and a later same-pid op that already completed could
         # overtake it (Definition 1, property 4).
-        rec.on_valued = self._replicate
-        rec.on_completed = self._completed
+        rec.on_valued = self._valued_hook
+        rec.on_completed = self._completed_hook
         self.add_local(rec)
+        self.uncompleted += 1
         self._replicate(rec)
 
     def _replicate(self, rec: OpRecord, ack: bool = False) -> None:
@@ -292,19 +317,25 @@ class RecordTable:
             self._send(target, frame)
 
     def _completed(self, rec: NetOpRecord) -> None:
+        self.uncompleted -= 1
         if self.targets:
             # gate the client's DONE on the first replica ack: an
             # acknowledged op then survives any single host crash
             self._pending[rec.req_id] = rec
             self._replicate(rec, ack=True)
         else:
-            self.on_done(rec)
+            self._release(rec)
 
     def acked(self, req_id: int) -> None:
         """A replica holder confirmed ``req_id``'s completion."""
         rec = self._pending.pop(req_id, None)
         if rec is not None:
-            self.on_done(rec)
+            self._release(rec)
+
+    def _release(self, rec: NetOpRecord) -> None:
+        """The DONE may be shown: the own record is finished."""
+        self.on_done(rec)
+        self._finished.append((self.local, rec.req_id))
 
     def set_targets(self, targets: list[int]) -> None:
         if targets != self.targets:
@@ -321,16 +352,60 @@ class RecordTable:
             for req_id in list(self._pending):
                 self.acked(req_id)
             return
-        for rec in self.local.values():
+        for rec in map(_unpacked, self.local.values()):
             self._replicate(rec, ack=rec.req_id in self._pending)
-        for rec in self.custody.values():
+        for rec in map(_unpacked, self.custody.values()):
             self._replicate(rec)
 
     def put_replica(self, wire: dict) -> int:
         """Hold (or add to) a predecessor's record; returns its req_id."""
+        self.pack_finished()
         rec = record_from_wire(wire)
-        _keep(self.replicas, rec)
+        self._hold(self.replicas, rec)
         return rec.req_id
+
+    # -- the stores: one merge, finished records packed ------------------------
+    def _hold(self, store: dict, rec: OpRecord) -> None:
+        """Keep ``rec`` in ``store`` (custody or replicas), or add its
+        facts to the copy held."""
+        if rec.req_id in store:
+            self._learn(store, rec.req_id, facts(rec))
+            return
+        store[rec.req_id] = rec
+        if rec.completed:
+            self._finished.append((store, rec.req_id))
+
+    def _learn(self, store: dict, req_id: int, known: tuple) -> None:
+        """:func:`learn` into the record ``store`` holds for ``req_id``: a
+        packed one is unpacked, taught and packed again."""
+        held = store[req_id]
+        if type(held) is bytes:
+            rec = unpack_record(held)
+            if learn(rec, *known):
+                store[req_id] = pack_record(rec)
+        elif (learn(held, *known) and held.completed
+              and store is not self.local):
+            # an own record is finished once its DONE is out (`_release`)
+            self._finished.append((store, req_id))
+
+    def pack_finished(self) -> None:
+        """Hold every record finished since the last call as
+        :func:`~repro.net.transport.pack_record` bytes — about half its
+        live size — if nothing but this table holds it.  One that is
+        still held elsewhere (by an actor, or by a caller that reads its
+        facts) stays live, so the holder goes on seeing what it learns,
+        and is tried again next time.  Runs as each submission opens and
+        each replica arrives, so the list stays about one op long."""
+        held = []
+        for store, req_id in self._finished:
+            rec = store.get(req_id)
+            if type(rec) is bytes or rec is None or not rec.completed:
+                continue  # packed already, or purged by a rebuild fold
+            if getrefcount(rec) > _SOLE_REFS:
+                held.append((store, req_id))
+            else:
+                store[req_id] = pack_record(rec)
+        self._finished = held
 
     # -- facts learned away from the record ----------------------------------
     def _tell_origin(self, rec: NetOpRecord) -> None:
@@ -351,17 +426,18 @@ class RecordTable:
     def apply(self, req_id: int, known: tuple) -> None:
         """Facts for a record this host should keep (a ``complete`` frame
         arrived, or :meth:`deliver` found the holder is us)."""
-        rec = self.get(req_id)
-        if rec is None:
-            # racing a retire handoff: held for the archive
-            self._park(req_id, known)
-        else:
-            learn(rec, *known)
+        for store in (self.local, self.custody):
+            if req_id in store:
+                self._learn(store, req_id, known)
+                return
+        # racing a retire handoff: held for the archive
+        self._park(req_id, known)
 
     def _park(self, req_id: int, known: tuple) -> None:
-        parked = _blank(req_id)
+        parked = self._parked.get(req_id)
+        if parked is None:
+            parked = self._parked[req_id] = _blank(req_id)
         learn(parked, *known)
-        _keep(self._parked, parked)
 
     def replay_parked(self) -> None:
         """Retry parked facts after a map change; what still has no
@@ -379,7 +455,7 @@ class RecordTable:
             parked = self._parked.pop(rec.req_id, None)
             if parked is not None:
                 learn(rec, *facts(parked))
-            _keep(self.custody, rec)
+            self._hold(self.custody, rec)
 
     def fold(self, merged: Iterable[OpRecord], custody_of,
              targets: list[int]) -> None:
@@ -396,11 +472,10 @@ class RecordTable:
         for rec in merged:
             origin = self.origin_of(rec.req_id)
             if origin == self.host_index:
-                mine = self.local.get(rec.req_id)
-                if mine is not None:
-                    learn(mine, *facts(rec))
+                if rec.req_id in self.local:
+                    self._learn(self.local, rec.req_id, facts(rec))
             elif origin in custody_of:
-                _keep(self.custody, rec)
+                self._hold(self.custody, rec)
         self.replicas.clear()
         self.resync()
 
@@ -416,10 +491,11 @@ class RecordTable:
         """Wire copies of the records this host answers for — own and
         custody, what ``collect`` serves and ``retire`` hands over — plus,
         for ``recover_dump``, the replicas."""
-        held = [self.local, self.custody]
+        stores = [self.local, self.custody]
         if replicas:
-            held.append(self.replicas)
-        return [record_to_wire(rec) for table in held for rec in table.values()]
+            stores.append(self.replicas)
+        return [record_to_wire(_unpacked(held))
+                for store in stores for held in store.values()]
 
     def counts(self) -> dict:
         """The record lines of the ``/health`` payload."""

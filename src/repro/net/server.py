@@ -1,13 +1,16 @@
 """`NodeHost`: one OS process hosting a shard of virtual nodes over TCP.
 
 A deployment is a set of NodeHost processes plus any number of clients.
-Genesis processes (pids) are sharded round-robin: host ``h`` emulates
-every genesis pid with ``pid % n_hosts == h`` — all three virtual nodes
-of a pid together, so the protocol's same-process sibling reads stay
-local (see DESIGN.md, "The net runtime").  Every host builds the *same*
-:class:`~repro.overlay.ldb.LdbTopology` snapshot of its cluster map from
-the shared salt, so pred/succ wiring, routing parameters and the anchor
-agree globally without any coordination traffic — and each stage-4
+A genesis host emulates the pids the launcher's cluster map gives it —
+one contiguous arc of the middle-label order
+(:meth:`~repro.net.membership.ClusterMap.genesis`), so an aggregation
+tree path crosses each host boundary at most once — and all three
+virtual nodes of a pid together, so the protocol's same-process sibling
+reads stay local (see DESIGN.md, "The net runtime").  Every host builds
+the *same* :class:`~repro.overlay.ldb.LdbTopology` snapshot of its
+cluster map from the shared salt, so pred/succ wiring, routing
+parameters and the anchor agree globally without any coordination
+traffic — and each stage-4
 PUT/GET makes its first hop straight to the vnode that snapshot names
 as its key's owner.
 
@@ -73,6 +76,7 @@ from repro.net.transport import (
 )
 from repro.overlay.ldb import MIDDLE, LdbTopology, pid_of, vid_of
 from repro.overlay.routing import route_steps_for
+from repro.overlay.tree import cross_host_tree
 from repro.sim.metrics import Metrics
 from repro.telemetry import MetricsRegistry, Tracer, render_run_metrics
 
@@ -109,8 +113,8 @@ class HostConfig:
     id_slots: int = 0
     # Skeap priority class count (ignored by queue/stack deployments)
     n_priorities: int = 4
-    # explicit pid set for hosts joining a live deployment (None: genesis
-    # round-robin shard over range(n_processes))
+    # the fresh pids of a host joining a live deployment (None: a genesis
+    # host, which spawns the pids the `wire` frame's map gives it)
     owned: list[int] | None = None
     # -- crash-stop fault tolerance + ops plane -------------------------------
     # HTTP ops listener port (0: ephemeral, announced via SKUEUE-OPS)
@@ -133,16 +137,6 @@ class HostConfig:
     def salt(self) -> str:
         """The label and key salt every host derives from the seed."""
         return f"skueue-{self.seed}"
-
-    @property
-    def owned_pids(self) -> list[int]:
-        if self.owned is not None:
-            return list(self.owned)
-        return [
-            pid
-            for pid in range(self.n_processes)
-            if pid % self.n_hosts == self.host_index
-        ]
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -182,9 +176,10 @@ class NodeHost:
         self.records.on_done = self._push_done
         # the cluster map, the recovery generation, the hold queue
         self.control = ControlPlane(config, self.records, self._send_peer, self)
-        # the owner table: the LDB snapshot of the map's non-leaving pids
-        # (see _follow_owners)
+        # the owner table: the LDB snapshot of the map's non-leaving pids,
+        # and its tree's host crossings (see _follow_owners)
         self.topology: LdbTopology | None = None
+        self.cross_host = (0, 0)
         self.ctx: ClusterContext | None = None
         self.peers: dict[int, PeerLink] = {}
         self.connections: set[Connection] = set()
@@ -269,6 +264,12 @@ class NodeHost:
         reg.gauge("skueue_records_replica",
                   "records mirrored here by ring predecessors").set_fn(
             lambda: len(self.records.replicas))
+        reg.gauge("skueue_cross_host_tree_edges",
+                  "aggregation tree edges between pids of different hosts"
+                  ).set_fn(lambda: self.cross_host[0])
+        reg.gauge("skueue_cross_host_depth",
+                  "most host changes on one aggregation tree path to the anchor"
+                  ).set_fn(lambda: self.cross_host[1])
         reg.gauge("skueue_recovery_generation",
                   "cluster recovery generation (fences the data plane)"
                   ).set_fn(lambda: self.control.gen)
@@ -393,7 +394,8 @@ class NodeHost:
         if not self.control.wired:
             self._follow_owners(cluster_map)
             self.ctx = self._new_context(len(self.topology))
-            spawn_nodes(self.ctx, self.topology, pids=self.config.owned_pids)
+            spawn_nodes(self.ctx, self.topology,
+                        pids=cluster_map.pids_of(self.config.host_index))
             self._start_loops()
         self.control.adopt(cluster_map, time.monotonic())
 
@@ -406,9 +408,8 @@ class NodeHost:
         is granted and spliced it runs in joining mode, relaying through
         its responsible node exactly as on the simulators.
         """
-        config = self.config
         self.ctx = self._new_context(3 * max(1, len(cluster_map.pid_owner)))
-        for pid in config.owned_pids:
+        for pid in self.config.owned:
             join_pid(self.ctx, pid)
             self.joining_pids.add(pid)
         self._start_loops()
@@ -433,8 +434,11 @@ class NodeHost:
         """Rebuild the owner table from ``cluster``: the snapshot genesis
         and a rebuild spawn from, the DHT shard a rebuild preloads, and
         the hint each PUT/GET's first hop follows.  A leaving host's pids
-        are left out — their keys are handed on as the host drains."""
+        are left out — their keys are handed on as the host drains.  The
+        placement gauges read the same snapshot: a joiner's fresh pids
+        land wherever their labels fall, and the crossings show it."""
         self.topology = LdbTopology(cluster.live_pids(), salt=self.config.salt)
+        self.cross_host = cross_host_tree(self.topology, cluster.owner_of)
 
     def _key_owner(self, key: float) -> int:
         """``ClusterContext.key_owner``: a hint, never trusted — a stale
@@ -791,7 +795,7 @@ class NodeHost:
             await asyncio.sleep(0.1)
             if self.runtime.actors:
                 continue
-            if any(not rec.completed for rec in self.records.local.values()):
+            if self.records.uncompleted:
                 continue
             if self.config.host_index in self.control.cluster.leaving:
                 break

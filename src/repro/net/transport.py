@@ -78,11 +78,13 @@ __all__ = [
     "decode_payload",
     "encode_frame",
     "encode_payload",
+    "pack_record",
     "read_frame",
     "record_from_wire",
     "record_to_wire",
     "request",
     "request_async",
+    "unpack_record",
 ]
 
 #: Upper bound on one frame's body (16 MiB - 1: the length rides in the
@@ -271,6 +273,22 @@ def record_from_wire(data: dict) -> OpRecord:
     rec.result = decode_payload(data["result"])
     rec.completed = data["completed"]
     rec.local_match = data["local_match"]
+    return rec
+
+
+def pack_record(rec: OpRecord) -> bytes:
+    """``rec`` as the binary codec's ``OpRecord`` bytes: the compact form
+    a host holds a finished record in."""
+    out = bytearray()
+    _pack_oprecord(rec, out)
+    return bytes(out)
+
+
+def unpack_record(data: bytes) -> OpRecord:
+    """Inverse of :func:`pack_record`: a fresh plain :class:`OpRecord`."""
+    rec, end = _unpack_value(data, 0)
+    if type(rec) is not OpRecord or end != len(data):
+        raise FrameDecodeError("not a packed record")
     return rec
 
 

@@ -49,6 +49,7 @@ dumps (``repro.net.control``) and applies the plan (``repro.net.server``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.core.structures import get_structure
@@ -251,52 +252,93 @@ def _repair(mismatch, records, pool, replay, plan) -> bool:
                 for lost in chain:
                     lost.value = None
     # the structure serves a stale element: a lost remove must have
-    # consumed it before `rec` ran
+    # consumed it before `rec` ran, and after it was inserted
     if served is not None:
-        for chain in _chains(pool, rec.value, recs, lambda r: r.kind == REMOVE):
+        inserted = records.get(served[0])
+        after = inserted.value if inserted is not None else None
+        for chain in _chains(pool, rec.value, recs, lambda r: r.kind == REMOVE,
+                             after):
             return _apply(chain, plan)
     return False
 
 
-def _chains(pool, before: float, recs, last):
-    """Ways to value lost records just below ``before``, one per pid.
+def _chains(pool, before: float, recs, last, after=None):
+    """Ways to value lost records below ``before``.
 
-    Each is the pid's unvalued pooled records in program order up to the
+    Each is a pid's unvalued pooled records in program order up to the
     first that ``last`` accepts — the earlier ones ran before it, so they
     are valued too — yielded with their values already assigned,
-    ascending between the value preceding ``before`` and ``before``.  A
-    pid whose valued records could not stay in program order around
-    them is passed over."""
-    floor = max(
-        (r.value for r in recs if r.value is not None and r.value < before),
-        default=before - 1,
-    )
+    ascending below ``before`` (and above ``after``, if given).  First
+    the anchor values a lost batch held (see :func:`_lost_batch_slots`),
+    wherever the chain fits: shortest chains first, as each record
+    valued is one more the replay must place, then the latest values.
+    Then, for every pid, fresh values just below ``before``.  A pid
+    whose valued records could not stay in program order around the
+    chain is passed over."""
     runs: dict[int, list[OpRecord]] = {}
     for rec in pool.values():
         if rec.value is None:
             runs.setdefault(rec.pid, []).append(rec)
+    held = {rec.value for rec in recs if rec.value is not None}
+    chains = []
     for pid in sorted(runs):
         run = sorted(runs[pid], key=lambda r: r.idx)
         end = next((i for i, r in enumerate(run) if last(r)), None)
-        if end is None:
-            continue
-        run = run[:end + 1]
-        lo, hi = run[0].idx, run[-1].idx
+        if end is not None:
+            chains.append(run[:end + 1])
+    candidates = sorted(
+        ((run, slots[:len(run)]) for run in chains
+         for slots in _lost_batch_slots(run, recs, held, before, after)
+         if len(slots) >= len(run)),
+        key=lambda candidate: (len(candidate[0]), -candidate[1][0]),
+    )
+    floor = max((value for value in held if value < before), default=before - 1)
+    for run in chains:
+        step = (before - floor) / (len(run) + 1)
+        values = [floor + step * (i + 1) for i in range(len(run))]
+        if all(a < b for a, b in zip([floor] + values, values + [before])):
+            candidates.append((run, values))
+    for run, values in candidates:
+        pid, lo, hi = run[0].pid, run[0].idx, run[-1].idx
         if any(
             lo < other.idx < hi
-            or (other.idx < lo and other.value >= before)
-            or (other.idx > hi and other.value < before)
+            or (other.idx < lo and other.value >= values[0])
+            or (other.idx > hi and other.value <= values[-1])
             for other in recs
             if other.pid == pid and other.value is not None
         ):
             continue
-        step = (before - floor) / (len(run) + 1)
-        values = [floor + step * (i + 1) for i in range(len(run))]
-        if not all(a < b for a, b in zip([floor] + values, values + [before])):
-            continue  # pragma: no cover - float exhaustion
         for lost, value in zip(run, values):
             lost.value = value
         yield run
+
+
+def _lost_batch_slots(run, recs, held, before, after) -> list[list[int]]:
+    """The anchor values ``run``'s lost batch may have held.
+
+    A node keeps one batch in flight, so the batch after a pid's last
+    valued record is one whose SERVE died, and the anchor gave it whole
+    values that no record holds, above that record: one of the runs of
+    missing values there.  The survivors' waves went on around them
+    until the eviction: valued just below the remove that exposed it
+    instead, a lost record lands after records it ran before.  Returns
+    those runs between ``after`` and ``before``; none for a pid with no
+    valued record."""
+    prior = max((other.value for other in recs
+                 if other.pid == run[0].pid and other.value is not None
+                 and other.idx < run[0].idx), default=None)
+    if prior is None:
+        return []
+    start = int(prior if after is None else max(prior, after)) + 1
+    stop = ceil(before)
+    whole = sorted(value for value in held
+                   if start <= value < stop and value == int(value))
+    gaps = []
+    for end in [*whole, stop]:
+        if start < end:
+            gaps.append(list(range(start, int(end))))
+        start = int(end) + 1
+    return gaps
 
 
 def _apply(chain, plan) -> bool:

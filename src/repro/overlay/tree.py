@@ -21,11 +21,14 @@ used by the live protocol and by whole-topology validation in tests.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.overlay.ldb import LEFT, MIDDLE, RIGHT, LdbTopology, kind_of, pid_of, vid_of
 
 __all__ = [
     "children_local",
     "children_of",
+    "cross_host_tree",
     "is_anchor_local",
     "parent_local",
     "parent_of",
@@ -95,3 +98,20 @@ def tree_height(topology: LdbTopology) -> int:
         return depth[trail[0]] if trail else base
 
     return max(depth_of(vid) for vid in topology.vids)
+
+
+def cross_host_tree(
+    topology: LdbTopology, host_of: Callable[[int], int | None]
+) -> tuple[int, int]:
+    """``(edges, depth)`` of the tree's host crossings when ``host_of``
+    names each pid's host: the tree edges whose ends sit on different
+    hosts, and the most of them on one path to the anchor."""
+    crossings = {topology.min_vid(): 0}
+    edges = 0
+    # label order: a parent's label is smaller, so it is counted first
+    for vid in topology.vids[1:]:
+        parent = parent_local(vid, topology.pred(vid))
+        cross = host_of(pid_of(vid)) != host_of(pid_of(parent))
+        edges += cross
+        crossings[vid] = crossings[parent] + cross
+    return edges, max(crossings.values())

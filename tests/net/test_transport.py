@@ -158,7 +158,9 @@ class TestClusterMapWireForm:
         )
         assert clone.version == 1
         assert clone.hosts == genesis.hosts
-        assert clone.pid_owner == {pid: pid % 2 for pid in range(6)}
+        assert clone.pid_owner == genesis.pid_owner
+        assert sorted(clone.pids_of(0) + clone.pids_of(1)) == list(range(6))
+        assert len(clone.pids_of(0)) == len(clone.pids_of(1)) == 3
         assert clone.id_slots == 16
         assert clone.coordinator == 0
         assert clone.live_pids() == list(range(6))
@@ -177,7 +179,7 @@ class TestClusterMapWireForm:
         assert clone.leaving == {1}
         assert set(clone.hosts) == {0, 1, 2}
         # draining host's pids are excluded from the pickable set
-        assert clone.live_pids() == [0, 2, 4, 5]
+        assert clone.live_pids() == sorted(cmap.pids_of(0) + [4, 5])
         clone.retire_host(1, adopter=0, forwards={3: 6, 4: 6})
         assert 1 not in clone.hosts
         assert clone.complete_target(1) == 0

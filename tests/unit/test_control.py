@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import time
 from pathlib import Path
 
 import pytest
@@ -291,7 +292,7 @@ class TestEviction:
         net.run(2.0)
         settled(net, 1)
         (survivor,) = net.live
-        assert survivor.respawns == [(1, [0, 2])]
+        assert survivor.respawns == [(1, net.genesis.pids_of(0))]
         assert survivor.records.targets == []
 
     def test_lost_eviction_notice_is_said_again(self):
@@ -569,7 +570,8 @@ class TestMembership:
         assert drainer.drains == 1
         net.run(0.2)
         assert all(h.control.cluster.leaving == {2} for h in net.live)
-        assert net.hosts[0].control.cluster.live_pids() == [0, 1, 3, 4]
+        assert net.hosts[0].control.cluster.live_pids() == sorted(
+            net.genesis.pids_of(0) + net.genesis.pids_of(1))
         rec.completed = True
         net.pump()
         retired = net.hosts[0].ask({
@@ -580,7 +582,7 @@ class TestMembership:
         net.pump()
         settled(net, 0)
         coordinator = net.hosts[0]
-        assert coordinator.records.custody[rec.req_id].completed
+        assert coordinator.records.get(rec.req_id).completed
         assert coordinator.control.adopted_errors == ["[host 2] boom"]
         for host in net.live:
             cluster = host.control.cluster
@@ -764,6 +766,47 @@ class TestLinks:
             assert named == {2}
 
 
+# -- what NodeHost keeps: records ---------------------------------------------------
+
+
+class TestHostRecords:
+    def test_a_served_op_is_held_packed_once_the_next_one_opens(self):
+        """The actors hold no record after its DONE, so the table packs
+        every finished one; what a drain waits for is a count."""
+        from repro.core.requests import REMOVE
+
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=4))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 4))
+            conn = Conn()
+            host.connections.add(conn)
+            for req in range(1, 61):
+                host.handle_frame(conn, {
+                    "op": "submit", "req": req, "pid": req % 4,
+                    "kind": REMOVE if req % 3 == 0 else INSERT, "item": req})
+                if req % 10 == 0:
+                    await asyncio.sleep(0.05)  # a few waves
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                done = [frame["req"] for frame in conn.replies
+                        if frame["op"] == "done"]
+                if len(done) == 60:
+                    break
+                await asyncio.sleep(0.05)
+            uncompleted = host.records.uncompleted
+            host.handle_frame(conn, {"op": "submit", "req": 61, "pid": 1,
+                                     "kind": INSERT, "item": 61})
+            held, errors = dict(host.records.local), list(host.errors)
+            host.connections.discard(conn)
+            await host._async_stop()
+            return done, uncompleted, held, errors
+
+        done, uncompleted, held, errors = asyncio.run(scenario())
+        assert sorted(done) == list(range(1, 61)) and uncompleted == 0
+        assert all(isinstance(held[req], bytes) for req in done)
+        assert not isinstance(held[61], bytes) and not errors
+
+
 # -- what NodeHost keeps: the frame table ------------------------------------------
 
 
@@ -855,12 +898,14 @@ class TestFrameTable:
 
         async def scenario():
             host = NodeHost(HostConfig(host_index=0, n_hosts=3, n_processes=3))
-            host.wire_genesis(ClusterMap.genesis(
-                {i: ("127.0.0.1", 1) for i in range(3)}, 3))
-            host.runtime.actors[vid_of(0, MIDDLE)].start_leave()
+            genesis = ClusterMap.genesis(
+                {i: ("127.0.0.1", 1) for i in range(3)}, 3)
+            host.wire_genesis(genesis)
+            (pid,) = genesis.pids_of(0)
+            host.runtime.actors[vid_of(pid, MIDDLE)].start_leave()
             conn = Conn()
             host.connections.add(conn)
-            host.handle_frame(conn, {"op": "submit", "req": 3, "pid": 0,
+            host.handle_frame(conn, {"op": "submit", "req": 3, "pid": pid,
                                      "kind": INSERT, "item": "job"})
             opened = set(host.records.local)
             host.connections.discard(conn)

@@ -592,7 +592,7 @@ class TestHostConnections:
             state = (set(host.connections), set(host.clients),
                      dict(host._submitters), len(conn.outbox))
             await asyncio.sleep(0.1)  # the wave completes both requests
-            done = all(rec.completed for rec in host.records.local.values())
+            done = not host.records.uncompleted
             await host._async_stop()
             return conn, outstanding, state, done, writer, host.errors
 

@@ -120,7 +120,9 @@ class TestEvictHost:
         cmap.evict_host(1, adopter=2)
         assert sorted(cmap.hosts) == [0, 2]
         assert cmap.pids_of(1) == []
-        assert sorted(cmap.pid_owner) == [0, 2, 3, 5]
+        evicted = three_host_map().pids_of(1)
+        assert len(evicted) == 2
+        assert sorted(cmap.pid_owner) == sorted(set(range(6)) - set(evicted))
         assert cmap.departed == {1: 2}
         assert cmap.complete_target(1) == 2
         assert cmap.version == version + 1
@@ -301,6 +303,30 @@ class TestPlanQueue:
         assert 1 < merged[16].value < 3
         assert merged[32].result == (8, "a")
         assert merged[40].result == (16, "L")
+        check_history(list(merged.values()), QueueModel)
+
+    def test_a_lost_batch_is_valued_where_its_serve_died(self):
+        # pid 1's batch after z (L, then a remove that took a) was valued
+        # 5 and 6, and its SERVE died; the survivors went on: c, then r1
+        # took b, r2 waited on L's hole, r3 took c.  Valued just below r1
+        # the lost batch would come after c, hand c to r2 and leave r3
+        # unexplained; in the values it held, every record reconciles
+        z = rec(1, 1, 0, INSERT, "z", value=1, completed=True)
+        rz = rec(2, 2, 0, REMOVE, value=2, completed=True, result=(1, "z"))
+        a = rec(3, 0, 0, INSERT, "a", value=3, completed=True)
+        b = rec(4, 0, 1, INSERT, "b", value=4, completed=True)
+        lost_insert = rec(5, 1, 1, INSERT, "L")
+        lost_remove = rec(6, 1, 2, REMOVE)
+        c = rec(7, 0, 2, INSERT, "c", value=7, completed=True)
+        r1 = rec(8, 2, 1, REMOVE, value=8, completed=True, result=(4, "b"))
+        r2 = rec(9, 2, 2, REMOVE, value=9)
+        r3 = rec(10, 0, 3, REMOVE, value=10, completed=True, result=(7, "c"))
+        plan, merged = plan_for(
+            [z, rz, a, b, lost_insert, lost_remove, c, r1, r2, r3])
+        assert plan.errors == [] and plan.repairs == [5, 6]
+        assert (merged[5].value, merged[6].value) == (5, 6)  # the values held
+        assert merged[6].result == (3, "a")
+        assert merged[9].result == (5, "L")
         check_history(list(merged.values()), QueueModel)
 
     def test_a_repaired_insert_keeps_its_process_order(self):

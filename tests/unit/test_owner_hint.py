@@ -105,11 +105,13 @@ class TestHostOwnerTable:
             host.control.adopt(draining, 0.0)
             while_draining = [host.ctx.key_owner(key) for key in keys]
             await host._async_stop()
-            return host.config.salt, at_genesis, while_draining
+            return host.config.salt, genesis, at_genesis, while_draining
 
-        salt, at_genesis, while_draining = asyncio.run(scenario())
+        salt, genesis, at_genesis, while_draining = asyncio.run(scenario())
         full = LdbTopology(list(range(9)), salt=salt)
         assert at_genesis == [full.owner_of(key) for key in keys]
-        kept = LdbTopology([0, 1, 3, 4, 6, 7], salt=salt)
+        drained = set(genesis.pids_of(2))
+        assert len(drained) == 3
+        kept = LdbTopology(sorted(set(range(9)) - drained), salt=salt)
         assert while_draining == [kept.owner_of(key) for key in keys]
-        assert not {pid_of(vid) for vid in while_draining} & {2, 5, 8}
+        assert not {pid_of(vid) for vid in while_draining} & drained

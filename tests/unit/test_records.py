@@ -13,12 +13,13 @@ from __future__ import annotations
 import ast
 import gc
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import repro.net.records as records_module
-from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net.records import (
     NetOpRecord,
     RecordTable,
@@ -34,6 +35,7 @@ from repro.net.transport import (
     encode_frame,
     record_from_wire,
     record_to_wire,
+    unpack_record,
 )
 from repro.ops.recovery import merge_records
 
@@ -46,6 +48,21 @@ def rid(origin: int, n: int = 1) -> int:
 
 def blank(req_id: int, kind: int = REMOVE, cls=OpRecord) -> OpRecord:
     return cls(req_id, 0, 0, kind, None, 0.0)
+
+
+def held(store: dict, req_id: int) -> OpRecord:
+    """The record a table's store holds, unpacked if it is held packed."""
+    rec = store[req_id]
+    return unpack_record(rec) if isinstance(rec, bytes) else rec
+
+
+def pack_between(table: RecordTable, store: dict, req_id: int,
+                 packed: bool) -> None:
+    """With ``packed``, have ``table`` pack what is finished, and check
+    that the record is held packed exactly when it is completed."""
+    if packed:
+        table.pack_finished()
+        assert isinstance(store[req_id], bytes) == held(store, req_id).completed
 
 
 class Wire:
@@ -174,44 +191,59 @@ VALUE = (11, None, False, False)
 DONE = (None, (rid(2), "e"), False, True)
 
 
-def via_complete(order):
+def via_complete(order, packed=False):
     wire = Wire()
-    rec = wire.submit(0)
-    for known in order:
-        wire.tables[0].apply(rec.req_id, known)
-    return rec
+    table = wire.tables[0]
+    req_id = wire.submit(0).req_id  # the table alone holds the record
+    first, *rest = order
+    table.apply(req_id, first)
+    pack_between(table, table.local, req_id, packed)
+    for known in rest:
+        table.apply(req_id, known)
+    return table.get(req_id)
 
 
-def via_replica_put(order):
+def via_replica_put(order, packed=False):
     wire = Wire()
-    for known in order:
+    table = wire.tables[1]
+    for n, known in enumerate(order):
+        if n:
+            pack_between(table, table.replicas, rid(0), packed)
         copy = blank(rid(0))
         learn(copy, *known)
-        wire.tables[1].put_replica(record_to_wire(copy))
-    return wire.tables[1].replicas[rid(0)]
+        table.put_replica(record_to_wire(copy))
+    return held(table.replicas, rid(0))
 
 
-def via_retire_handoff(order):
+def via_retire_handoff(order, packed=False):
     wire = Wire()
     coordinator = wire.tables[0]
     first, *late = order
-    for known in late:  # `complete` frames racing the retire frame
+    # `complete` frames racing the retire frame, or (packed) arriving
+    # after it, at the archive
+    racing, after = ([], late) if packed else (late, [])
+    for known in racing:
         coordinator.apply(rid(1), known)
     archived = blank(rid(1))
     learn(archived, *first)
     coordinator.archive([record_to_wire(archived)])
-    return coordinator.custody[rid(1)]
+    pack_between(coordinator, coordinator.custody, rid(1), packed)
+    for known in after:
+        coordinator.apply(rid(1), known)
+    return coordinator.get(rid(1))
 
 
-def via_rebuild_fold(order):
+def via_rebuild_fold(order, packed=False):
     wire = Wire()
-    rec = wire.submit(0)
-    learn(rec, *order[0])
+    table = wire.tables[0]
+    req_id = wire.submit(0).req_id
+    table.apply(req_id, order[0])
+    pack_between(table, table.local, req_id, packed)
     merged = blank(rid(0))
     for known in order[1:]:
         learn(merged, *known)
-    wire.tables[0].fold([merged], set(), [])
-    return rec
+    table.fold([merged], set(), [])
+    return table.get(req_id)
 
 
 def via_merge_records(order):
@@ -223,20 +255,28 @@ def via_merge_records(order):
     return merge_records(dumps)[rid(0)]
 
 
-PATHS = [via_complete, via_replica_put, via_retire_handoff,
-         via_rebuild_fold, via_merge_records]
+TABLE_PATHS = [via_complete, via_replica_put, via_retire_handoff,
+               via_rebuild_fold]
+PATHS = [*TABLE_PATHS, via_merge_records]
+ORDERS = pytest.mark.parametrize(
+    "order",
+    [(VALUE, DONE), (DONE, VALUE), (DONE, VALUE, DONE)],
+    ids=["value-then-completion", "completion-then-value",
+         "completed-copy-meets-uncompleted"],
+)
 
 
 class TestFivePathsOneRecord:
     @pytest.mark.parametrize("path", PATHS, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize(
-        "order",
-        [(VALUE, DONE), (DONE, VALUE), (DONE, VALUE, DONE)],
-        ids=["value-then-completion", "completion-then-value",
-             "completed-copy-meets-uncompleted"],
-    )
+    @ORDERS
     def test_same_facts_any_arrival_order(self, path, order):
         assert facts(path(order)) == (11, (rid(2), "e"), False, True)
+
+    @pytest.mark.parametrize("path", TABLE_PATHS, ids=lambda f: f.__name__)
+    @ORDERS
+    def test_same_facts_with_the_record_packed_between_arrivals(self, path,
+                                                                order):
+        assert facts(path(order, packed=True)) == (11, (rid(2), "e"), False, True)
 
     def test_replica_of_a_completed_record_is_not_lowered_by_a_stale_one(self):
         table = Wire().tables[1]
@@ -244,8 +284,10 @@ class TestFivePathsOneRecord:
         learn(done, 3, BOTTOM, False, True)
         table.put_replica(record_to_wire(done))
         table.put_replica(record_to_wire(blank(rid(0))))  # the submit copy
-        assert facts(table.replicas[rid(0)]) == (3, BOTTOM, False, True)
-        assert isinstance(table.replicas[rid(0)], OpRecord)  # not a wire dict
+        # the second put packed the completed copy before learning into it
+        assert isinstance(table.replicas[rid(0)], bytes)
+        assert facts(held(table.replicas, rid(0))) == (3, BOTTOM, False, True)
+        assert type(held(table.replicas, rid(0))) is OpRecord  # not a wire dict
 
 
 # -- stubs, wave proxies and the origin ----------------------------------------
@@ -415,6 +457,85 @@ class TestCustody:
         assert set(table.custody) == {rid(2, 5)} and not table.replicas
         wire.pump()
         assert wire.done[0] == [rec.req_id for rec in mine]
+
+
+# -- finished records are held packed -------------------------------------------
+
+
+class TestPackedRecords:
+    def test_a_packed_own_id_answers_an_unpacked_copy_with_no_hooks(self):
+        wire = Wire()
+        table = wire.tables[0]
+        req_id = wire.submit(0).req_id
+        table.apply(req_id, (4, BOTTOM, False, True))
+        assert wire.done[0] == [req_id]
+        table.pack_finished()
+        assert isinstance(table.local[req_id], bytes)
+        first, second = table[req_id], table[req_id]
+        assert type(first) is OpRecord and first is not second
+        assert facts(first) == (4, BOTTOM, False, True)
+        first.value = 99  # what the protocol writes on it is lost: it is done
+        assert facts(table.get(req_id)) == (4, BOTTOM, False, True)
+        assert table.adopt(first) is not first  # the adopter gets a copy too
+        assert wire.done[0] == [req_id] and not wire.queue
+
+    def test_a_record_someone_else_holds_stays_live(self):
+        wire = Wire()
+        table = wire.tables[0]
+        rec = wire.submit(0)
+        rec.completed = True
+        table.pack_finished()
+        assert table.local[rec.req_id] is rec  # so `rec` sees what is learned
+        table.apply(rec.req_id, (5, None, False, False))
+        assert rec.value == 5
+        del rec
+        table.pack_finished()  # tried again, and packed once let go
+        assert isinstance(table.local[rid(0)], bytes)
+
+    def test_own_records_share_their_hooks(self):
+        wire = Wire()
+        first, second = wire.submit(0, 1), wire.submit(0, 2)
+        assert first.on_valued is second.on_valued
+        assert first.on_completed is second.on_completed
+
+    def test_uncompleted_counts_open_own_records(self):
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1])
+        recs = [wire.submit(0, n) for n in (1, 2, 3)]
+        assert table.uncompleted == 3
+        recs[0].completed = True  # gated on the replica ack, but completed
+        table.apply(recs[1].req_id, (None, BOTTOM, False, True))
+        assert table.uncompleted == 1
+        table.apply(recs[1].req_id, (None, BOTTOM, False, True))  # a duplicate
+        merged = clone(recs[2])
+        learn(merged, 7, BOTTOM, False, True)
+        table.fold([merged, clone(merged)], set(), [1])
+        assert table.uncompleted == 0
+
+    def test_ten_thousand_finished_records_take_at_most_200_bytes_each(self):
+        n = 10_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = RecordTable(0, SLOTS, lambda host, frame: True)
+            for seq in range(n):
+                req_id = pack_req_id(1, seq, 0, SLOTS)
+                kind = INSERT if seq % 2 == 0 else REMOVE
+                rec = NetOpRecord(req_id, seq % 8, seq // 8, kind,
+                                  seq if kind == INSERT else None, seq / 1000)
+                table.open(rec)
+                result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
+                learn(rec, seq, result, False, True)
+            del rec
+            table.pack_finished()
+            gc.collect()
+            per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(held, bytes) for held in table.local.values())
+        assert per_record <= 200, f"{per_record:.0f} B per finished record"
 
 
 # -- structure, pinned ----------------------------------------------------------
