@@ -5,7 +5,7 @@ and Sequentially Consistent Distributed Queue"*, IPDPS 2018 (full
 version: arXiv:1802.07504): the linearized De Bruijn overlay, the
 consistent-hashing DHT, the batched four-stage queue protocol with
 JOIN/LEAVE, the distributed stack variant, a Definition-1 sequential
-consistency checker, baselines, and the paper's full evaluation harness.
+consistency checker, and the paper's evaluation sweeps.
 
 Quickstart (the unified handle API — same script on every backend)::
 

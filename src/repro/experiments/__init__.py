@@ -1,8 +1,8 @@
-"""Evaluation harness: regenerates every figure of Section VII."""
+"""The paper's experiments (Section VII): workloads, the run harness, and
+the Figure 2-4 sweeps (``repro.experiments.figures``)."""
 
 from repro.experiments.figures import figure2, figure3, figure4
 from repro.experiments.harness import ExperimentResult, run_experiment
-from repro.experiments.tables import render_series, render_table
 from repro.experiments.workload import FixedRateWorkload, PerNodeWorkload
 
 __all__ = [
@@ -12,7 +12,5 @@ __all__ = [
     "figure2",
     "figure3",
     "figure4",
-    "render_series",
-    "render_table",
     "run_experiment",
 ]

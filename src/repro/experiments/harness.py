@@ -61,8 +61,8 @@ def run_experiment(
     priority-aware workloads — ``(pid, kind, priority)`` triples.
 
     With ``verify=True`` the full history is checked against Definition 1
-    after the run (used by the integration tests; skipped in benchmarks
-    where histories get large).
+    after the run (used by the integration tests; skipped in the
+    measurements, where histories get large).
 
     Runs on the unified session API (``repro.api.connect``) with the
     deterministic ``sync`` backend; the engine-level escape hatch
@@ -80,8 +80,7 @@ def run_experiment(
     )
     with session:
         # submit on the cluster directly: the measurement loop has no use
-        # for per-op handles, and wrapping ~10^5 of them would tax the
-        # wall-clock figures pytest-benchmark tracks
+        # for per-op handles, and wrapping ~10^5 of them costs wall-clock
         cluster = session.cluster
         for _ in range(rounds):
             for pid, kind, *rest in workload.requests_for_round():

@@ -67,6 +67,11 @@ __all__ = ["ControlPlane", "DataPlane", "frame_handlers"]
 #: coordinator's map re-pushes to hosts whose dump is missing).
 _REOFFER_SECONDS = 1.0
 
+#: Ring successors a host mirrors its records to.  A client's DONE waits
+#: for the first replica ack (``RecordTable``), so an acknowledged op
+#: survives one host crash: the fault model is f = 1.
+_REPLICAS = 2
+
 
 def frame_handlers(*planes) -> dict[str, tuple[Callable, str]]:
     """The one frame table: ``{op: (handler, admission)}`` over every
@@ -246,7 +251,7 @@ class ControlPlane:
         successors it names, retry what waited for it, tell the clients
         (who therefore hear of an eviction only once it is rebuilt)."""
         self.records.set_targets(
-            self.cluster.successors_of(self.index, self.config.replication))
+            self.cluster.successors_of(self.index, _REPLICAS))
         self.records.replay_parked()
         self.data.push_clients(frame)
         held, self.held = self.held, deque()
@@ -563,7 +568,7 @@ class ControlPlane:
             [record_from_wire(data) for data in message["records"]],
             {origin for origin in cluster.departed
              if cluster.complete_target(origin) == self.index},
-            cluster.successors_of(self.index, self.config.replication),
+            cluster.successors_of(self.index, _REPLICAS),
         )
         # the map every host rebuilds from, not a newer one we may hold:
         # a joiner committed since enters through the JOIN machinery

@@ -119,8 +119,6 @@ class HostConfig:
     # -- crash-stop fault tolerance + ops plane -------------------------------
     # HTTP ops listener port (0: ephemeral, announced via SKUEUE-OPS)
     ops_port: int = 0
-    # completion replicas mirrored to this many ring successors
-    replication: int = 2
     # -- telemetry plane (PR 9) ----------------------------------------------
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)

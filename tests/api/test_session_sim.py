@@ -234,3 +234,34 @@ class TestResults:
             handle = cluster.submit(0, INSERT, "x")
             cluster.run_until_done()
             assert cluster.result_of(handle) is True
+
+
+def test_api_does_no_extra_protocol_work():
+    """The handle layer must not change what the engine executes: the
+    same deterministic op stream takes the same number of simulated
+    rounds through a session as through the bare cluster."""
+    n_processes, n_ops = 64, 800
+    ops = []
+    for i in range(n_ops):
+        kind = INSERT if i % 3 != 2 else REMOVE
+        ops.append(((i * 7) % n_processes, kind, f"item-{i}" if kind == INSERT else None))
+
+    with repro.SkueueCluster(
+        n_processes=n_processes, seed=13, shuffle_delivery=False
+    ) as cluster:
+        for pid, kind, item in ops:
+            cluster.submit(pid, kind, item)
+        cluster.run_until_done()
+        raw_rounds = cluster.runtime.round
+        assert cluster.metrics.completed == n_ops
+
+    with connect(
+        "sync", n_processes=n_processes, seed=13, shuffle_delivery=False
+    ) as session:
+        handles = session.submit_batch([
+            ("enqueue", item, pid) if kind == INSERT else ("dequeue", pid)
+            for pid, kind, item in ops
+        ])
+        session.drain()
+        assert len(handles) == n_ops and all(h.done() for h in handles)
+        assert session.cluster.runtime.round == raw_rounds

@@ -112,6 +112,17 @@ class TestRandomWorkloads:
         ]
         assert results == list(range(200))
 
+    def test_burst_flushes_in_fewer_rounds_than_requests(self):
+        # Corollary 16: one node flushes an arbitrary backlog in one
+        # wave; a per-request protocol would need >= 500 rounds at the
+        # origin alone
+        c = SkueueCluster(n_processes=300, seed=4, shuffle_delivery=False)
+        for i in range(500):
+            c.submit(7, INSERT, i)
+        start = c.runtime.round
+        c.run_until_done(20_000)
+        assert c.runtime.round - start < 500
+
 
 class TestAsyncRunner:
     def test_async_basic(self):

@@ -104,7 +104,7 @@ SAMPLE_FRAMES: dict[str, dict] = {
     # live membership
     "join": {"op": "join", "pids": 2},
     "join_ok": {"op": "join_ok", "host": 3, "pids": [6, 7],
-                "config": {"structure": "heap", "replication": 2}},
+                "config": {"structure": "heap", "n_priorities": 6}},
     "join_commit": {"op": "join_commit", "host": 3,
                     "address": ["127.0.0.1", 9004]},
     "join_done": {"op": "join_done", "host": 3},

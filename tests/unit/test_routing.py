@@ -68,6 +68,26 @@ class TestRouteOnTopology:
             means.append(sum(hops) / len(hops))
         # x16 nodes, < x3 hops
         assert means[1] < means[0] * 3
+        # and over x16 nodes at larger sizes, < x2.5 mean hops; the p99
+        # stays near the mean, and the max — a w.h.p. tail that may spike
+        # on long linear walks between middle nodes — gets a loose bound
+        rng = RngStreams(7).py("routing-bench")
+        rows = []
+        for n in (250, 1000, 4000):
+            topology = LdbTopology(list(range(n)), salt="route-bench")
+            hops = []
+            for _ in range(400):
+                target = rng.random()
+                dest, hop_count, _ = route_on_topology(
+                    topology, rng.choice(topology.vids), target)
+                assert dest == topology.owner_of(target)
+                hops.append(hop_count)
+            hops.sort()
+            rows.append((sum(hops) / len(hops), hops[int(0.99 * len(hops))], hops[-1]))
+        assert rows[-1][0] < rows[0][0] * 2.5, rows
+        for mean, p99, most in rows:
+            assert p99 < mean * 4 + 20, rows
+            assert most < mean * 10 + 60, rows
 
     def test_single_process(self):
         topology = LdbTopology([0], salt="solo")
