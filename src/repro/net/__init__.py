@@ -3,9 +3,9 @@
 The same unmodified :class:`~repro.core.protocol.Node` actors that
 run on the in-process simulators run here across OS processes:
 
-* :mod:`repro.net.transport` — self-describing frames: a binary codec
-  that packs protocol payloads (batches, intervals, records) as they
-  are, and JSON for the bulk frames;
+* :mod:`repro.net.transport` — self-describing frames: one binary
+  codec that packs protocol payloads (batches, intervals, records) as
+  they are;
 * :mod:`repro.net.runtime`   — :class:`NetRuntime`, the asyncio
   implementation of the :class:`repro.sim.process.Runtime` contract;
 * :mod:`repro.net.records`   — the record plane: one merge for a

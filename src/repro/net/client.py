@@ -55,7 +55,7 @@ from collections import deque
 from repro.core.requests import INSERT, REMOVE, OpRecord, pack_req_id, user_result
 from repro.net.link import FOLD_SUBMITS, Connection
 from repro.net.membership import ClusterMap
-from repro.net.transport import check_packable, record_from_wire
+from repro.net.transport import check_packable
 from repro.telemetry import trace_sampled
 
 __all__ = ["SkueueClient"]
@@ -502,7 +502,7 @@ class SkueueClient:
         replies = await self._query_hosts({"op": "collect"}, timeout)
         records: list[OpRecord] = []
         for reply in replies:
-            records.extend(record_from_wire(data) for data in reply["records"])
+            records.extend(reply["records"])
             self.errors.extend(reply["errors"])
         self._raise_errors()
         records.sort(key=lambda rec: rec.req_id)

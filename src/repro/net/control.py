@@ -53,10 +53,6 @@ from repro.net.transport import (
     FENCED_DEDUP,
     FRAME_TYPES,
     OPEN,
-    decode_payload,
-    encode_payload,
-    record_from_wire,
-    record_to_wire,
 )
 from repro.ops.detector import FailureDetector
 from repro.ops.recovery import merge_records, plan_rebuild
@@ -154,7 +150,7 @@ class ControlPlane:
         # -- recovery ---------------------------------------------------------
         #: crash evictions observed: ``{"host", "adopter", "gen"}``
         self.evictions: list[dict] = []
-        # acting coordinator: host -> (wire records, update epoch) offered
+        # acting coordinator: host -> (records, update epoch) offered
         # for the generation being rebuilt
         self._dumps: dict[int, tuple[list, int]] = {}
         self._offered_at = 0.0
@@ -333,8 +329,7 @@ class ControlPlane:
         fresh = {vid: target for vid, target in departed.items()
                  if cluster.forwards.get(vid) != target}
         if fresh:
-            frame = {"op": "forwards",
-                     "forwards": {str(k): v for k, v in fresh.items()}}
+            frame = {"op": "forwards", "forwards": fresh}
             if self.is_coordinator:
                 self._on_forwards(None, frame, now)
             else:
@@ -356,9 +351,9 @@ class ControlPlane:
         if not self.is_coordinator or self.recovering:
             return
         fresh = {
-            int(vid): target
+            vid: target
             for vid, target in message.get("forwards", {}).items()
-            if self.cluster.forwards.get(int(vid)) != target
+            if self.cluster.forwards.get(vid) != target
         }
         if fresh:
             self._publish(lambda m: m.merge_forwards(fresh), now)
@@ -444,9 +439,7 @@ class ControlPlane:
                 return
             self.records.archive(message.get("records", ()))
             self.adopted_errors.extend(message.get("errors", ()))
-            forwards = {
-                int(k): v for k, v in message.get("forwards", {}).items()
-            }
+            forwards = message.get("forwards", {})
             self._publish(
                 lambda m: m.retire_host(host_index, self.index, forwards), now)
         # else a retry whose first answer was lost: already done
@@ -515,10 +508,7 @@ class ControlPlane:
     def _plan_rebuild(self, now: float) -> None:
         """Acting-coordinator side: merge every dump, plan, broadcast."""
         dumps, self._dumps = self._dumps, {}
-        merged = merge_records(
-            [record_from_wire(data) for data in records]
-            for records, _epoch in dumps.values()
-        )
+        merged = merge_records(records for records, _epoch in dumps.values())
         plan = plan_rebuild(
             merged,
             self.config.structure,
@@ -534,9 +524,9 @@ class ControlPlane:
             "op": "rebuild",
             "gen": self.cluster.recovery_epoch,
             "map": self.cluster.to_json(),
-            "records": [record_to_wire(rec) for rec in merged.values()],
-            "anchor": encode_payload(plan.anchor),
-            "elements": encode_payload(plan.elements),
+            "records": list(merged.values()),
+            "anchor": plan.anchor,
+            "elements": plan.elements,
             "reruns": list(plan.reruns),
         }
         self.note(
@@ -565,7 +555,7 @@ class ControlPlane:
         self.gen = gen
         cluster = self.cluster
         self.records.fold(
-            [record_from_wire(data) for data in message["records"]],
+            message["records"],
             {origin for origin in cluster.departed
              if cluster.complete_target(origin) == self.index},
             cluster.successors_of(self.index, _REPLICAS),
@@ -573,9 +563,7 @@ class ControlPlane:
         # the map every host rebuilds from, not a newer one we may hold:
         # a joiner committed since enters through the JOIN machinery
         actors = self.data.respawn(
-            rebuilt,
-            decode_payload(message["anchor"]),
-            decode_payload(message["elements"]),
+            rebuilt, message["anchor"], message["elements"],
             message.get("reruns", ()),
         )
         self._serve({"op": "host_map", "map": cluster.to_json()}, now)

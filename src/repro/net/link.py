@@ -23,7 +23,7 @@ import traceback
 from collections import deque
 from itertools import groupby, islice
 
-from repro.net.transport import BULK_OPS, FrameDecodeError, encode_frame, read_frame
+from repro.net.transport import FrameDecodeError, encode_frame, read_frame
 
 __all__ = [
     "FOLD_DONES",
@@ -59,10 +59,10 @@ FOLD_SUBMITS = (
                  "subs": [[f["req"], f["pid"], f["kind"], f["item"],
                            f.get("pri", 0)] for f in run]},
 )
-#: host -> host: everything but a bulk frame rides one ``batch``, each
-#: subframe keeping its own src/seq/gen for the receiver's dedup and fence
+#: host -> host: every frame rides one ``batch``, each subframe keeping
+#: its own src/seq/gen for the receiver's dedup and fence
 FOLD_PEER = (
-    lambda frame: frame.get("op") not in BULK_OPS,
+    lambda frame: True,
     lambda run: {"op": "batch", "frames": run},
 )
 
@@ -114,9 +114,8 @@ class Pipe:
         """One wire blob for a write: the fold.
 
         Runs of adjacent member frames become one wrapper; a lone member
-        ships raw; a non-member breaks the run and keeps its place (and
-        its own codec — :data:`~repro.net.transport.BULK_OPS` ride
-        JSON).  A wrapper that will not encode (it overflowed
+        ships raw; a non-member breaks the run and keeps its place.  A
+        wrapper that will not encode (it overflowed
         ``MAX_FRAME_BYTES``, or one member is poisoned) falls back to
         its members singly, and a single frame that will not encode is
         dropped and noted while the rest of the write goes out.

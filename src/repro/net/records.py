@@ -47,12 +47,7 @@ from sys import getrefcount
 from typing import Callable, Iterable
 
 from repro.core.requests import OpRecord
-from repro.net.transport import (
-    pack_record,
-    record_from_wire,
-    record_to_wire,
-    unpack_record,
-)
+from repro.net.transport import pack_record, unpack_record
 
 __all__ = [
     "NetOpRecord",
@@ -311,7 +306,7 @@ class RecordTable:
             "op": "replica_put",
             "origin": self.host_index,
             "ack": ack,
-            "record": record_to_wire(rec),
+            "record": clone(rec),  # the frame is encoded later
         }
         for target in self.targets:
             self._send(target, frame)
@@ -357,10 +352,10 @@ class RecordTable:
         for rec in map(_unpacked, self.custody.values()):
             self._replicate(rec)
 
-    def put_replica(self, wire: dict) -> int:
-        """Hold (or add to) a predecessor's record; returns its req_id."""
+    def put_replica(self, rec: OpRecord) -> int:
+        """Hold (or add to) a predecessor's record, a fresh one off the
+        wire; returns its req_id."""
         self.pack_finished()
-        rec = record_from_wire(wire)
         self._hold(self.replicas, rec)
         return rec.req_id
 
@@ -447,11 +442,11 @@ class RecordTable:
             self.deliver(rec.req_id, facts(rec))
 
     # -- custody --------------------------------------------------------------
-    def archive(self, wires: Iterable[dict]) -> None:
+    def archive(self, recs: Iterable[OpRecord]) -> None:
         """Take custody of a retiring host's records (its ``retire``
-        frame); facts that raced the handoff land on the archived copy."""
-        for data in wires:
-            rec = record_from_wire(data)
+        frame, fresh off the wire); facts that raced the handoff land on
+        the archived copy."""
+        for rec in recs:
             parked = self._parked.pop(rec.req_id, None)
             if parked is not None:
                 learn(rec, *facts(parked))
@@ -467,7 +462,8 @@ class RecordTable:
         the origins in ``custody_of`` are kept here from now on; then
         the replicas — which described the old world — go; and last the
         whole history is mirrored again, every holder having just
-        purged its own."""
+        purged its own.  A record kept is a copy: ``merged`` is also the
+        ``rebuild`` frame the acting coordinator may push again."""
         self.targets = targets
         for rec in merged:
             origin = self.origin_of(rec.req_id)
@@ -475,7 +471,7 @@ class RecordTable:
                 if rec.req_id in self.local:
                     self._learn(self.local, rec.req_id, facts(rec))
             elif origin in custody_of:
-                self._hold(self.custody, rec)
+                self._hold(self.custody, clone(rec))
         self.replicas.clear()
         self.resync()
 
@@ -487,14 +483,14 @@ class RecordTable:
         self._parked.clear()
 
     # -- read-outs -----------------------------------------------------------
-    def dump(self, replicas: bool = False) -> list[dict]:
-        """Wire copies of the records this host answers for — own and
-        custody, what ``collect`` serves and ``retire`` hands over — plus,
-        for ``recover_dump``, the replicas."""
+    def dump(self, replicas: bool = False) -> list[OpRecord]:
+        """Copies of the records this host answers for — own and custody,
+        what ``collect`` serves and ``retire`` hands over — plus, for
+        ``recover_dump``, the replicas."""
         stores = [self.local, self.custody]
         if replicas:
             stores.append(self.replicas)
-        return [record_to_wire(_unpacked(held))
+        return [unpack_record(held) if type(held) is bytes else clone(held)
                 for store in stores for held in store.values()]
 
     def counts(self) -> dict:

@@ -27,7 +27,7 @@ business, a module without sockets: ``NodeHost`` hands it every
 membership, detector and recovery frame and is the data plane it steers
 (:class:`repro.net.control.DataPlane`).
 
-The wire vocabulary (one JSON frame each) is catalogued in
+The wire vocabulary (one frame each) is catalogued in
 ``docs/PROTOCOL.md`` and registered in
 :data:`repro.net.transport.FRAME_TYPES`; a test diffs the two against
 this module's emissions, so consult those rather than a summary here.
@@ -809,7 +809,7 @@ class NodeHost:
             "host": self.config.host_index,
             "records": self.records.dump(),
             "errors": list(self.errors),
-            "forwards": {str(k): v for k, v in self.runtime.forwards.items()},
+            "forwards": dict(self.runtime.forwards),
         }
         for _attempt in range(20):
             try:

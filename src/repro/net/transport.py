@@ -1,55 +1,37 @@
-"""Wire format of the TCP runtime: framing + two payload codecs.
+"""Wire format of the TCP runtime: framing + the binary payload codec.
 
 Every frame is **self-describing**: a 4-byte header whose first byte
-names the codec that serialised the body (:data:`CODEC_TAGS`) and whose
-remaining 3 bytes are the big-endian body length.  Codec tag ``0x00`` is
-UTF-8 JSON and ``0x01`` is the compact struct-packed binary codec below.
-Which one a frame rides is fixed by its op alone (:func:`codec_for`):
-the rare multi-megabyte :data:`BULK_OPS` ride JSON, everything else
-binary — no connection state, no negotiation.  Receivers decode either
-tag on any connection.  Frames above :data:`MAX_FRAME_BYTES` are
-rejected on both ends — a peer that sends one is buggy or malicious, and
-accepting it would let a single connection exhaust host memory.
+names the codec that serialised the body and whose remaining 3 bytes are
+the big-endian body length.  There is one codec, the compact
+struct-packed binary codec below, under tag ``0x01`` (:data:`CODEC_TAGS`);
+a header with any other tag is a framing error.  Frames above
+:data:`MAX_FRAME_BYTES` are rejected on both ends — a peer that sends one
+is buggy or malicious, and accepting it would let a single connection
+exhaust host memory.
 
-The binary codec carries the protocol's own values: besides JSON's
-scalars, lists and string-keyed objects it has type bytes for *tuples*
-(batches, position intervals and element tags are tuples, compared by
-value in the sequential-consistency checker), dicts with keys of any
-packable type (DHT handover slices key by float), the ⊥ sentinel
-``BOTTOM`` and :class:`~repro.core.requests.OpRecord` (a LEAVE's
-``DEPART_DUMP`` hands unflushed requests across host boundaries).  A
-value is packed in one walk and unpacked in one walk, so every hot frame
-carries and receives its payload as built.
+The codec carries the protocol's own values: besides JSON's scalars,
+lists and string-keyed objects it has type bytes for *tuples* (batches,
+position intervals and element tags are tuples, compared by value in the
+sequential-consistency checker), dicts with keys of any packable type
+(DHT handover slices key by float, forwards by vid), the ⊥ sentinel
+``BOTTOM`` and :class:`~repro.core.requests.OpRecord`.  A record crosses
+the wire only as an ``OpRecord`` — in ``replica_put``, ``records``,
+``retire``, ``recover_dump``, ``rebuild`` and a LEAVE's ``DEPART_DUMP``
+alike.  A value is packed in one walk and unpacked in one walk, so every
+frame carries and receives its payload as built.  A frame is encoded
+when its link next writes, not when it is sent, so a sender hands over a
+snapshot, never a record it goes on changing.
 
-JSON cannot carry those values, so a JSON bulk body tags them
-(:func:`encode_payload`/:func:`decode_payload`):
-
-* ``{"t": [...]}`` — tuple (items encoded recursively),
-* ``{"d": [[k, v], ...]}`` — dict (keys of any encodable type),
-* ``{"b": 0}`` — the ``BOTTOM`` singleton,
-* ``{"r": {...}}`` — an ``OpRecord`` (flattened via
-  :func:`record_to_wire`),
-* lists, strings, ints, floats, bools, ``None`` pass through.
-
-Only the builders of bulk bodies tag — :func:`record_to_wire`/
-:func:`record_from_wire` (a ``replica_put`` reuses them for its one
-record) and the rebuild plan in :mod:`repro.net.control`.  A tagged
-value is ordinary data to the binary codec (nested maps and lists), so
-it round-trips there too.
-
-Python's ``json`` round-trips floats exactly (``repr``-based) and the
-binary codec packs IEEE-754 doubles, so LDB labels and DHT keys survive
-the wire bit-for-bit either way.  Ints are arbitrary precision on both
-ends (the binary codec falls back to a length-prefixed big-int), which
-is what lets packed request ids
-(:func:`repro.core.requests.pack_req_id` — nonce and sequence in the
+Floats are packed as IEEE-754 doubles, so LDB labels and DHT keys
+survive the wire bit-for-bit.  Ints are arbitrary precision (a
+length-prefixed big-int past 64 bits), which is what lets packed request
+ids (:func:`repro.core.requests.pack_req_id` — nonce and sequence in the
 high bits) travel in plain ``req`` fields.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import struct
 from operator import attrgetter
@@ -58,10 +40,9 @@ from typing import Iterator, NamedTuple
 from repro.core.requests import BOTTOM, OpRecord
 
 __all__ = [
-    "BULK_OPS",
     "CLIENT",
     "CODEC_BINARY",
-    "CODEC_JSON",
+    "CODEC_TAGS",
     "FENCED",
     "FENCED_DEDUP",
     "FRAME_TYPES",
@@ -73,14 +54,11 @@ __all__ = [
     "FrameReader",
     "FrameSpec",
     "check_packable",
-    "codec_for",
     "decode_frame_body",
-    "decode_payload",
     "encode_frame",
     "encode_payload",
     "pack_record",
     "read_frame",
-    "record_from_wire",
     "record_to_wire",
     "request",
     "request_async",
@@ -91,28 +69,10 @@ __all__ = [
 #: low 3 bytes of the header, the top byte names the codec).
 MAX_FRAME_BYTES = 0xFFFFFF
 
-#: Wire codec names.
-CODEC_JSON = "json"
+#: The wire codec's name, and its header tag byte (the first of the 4
+#: header bytes).
 CODEC_BINARY = "binary"
-
-#: codec name -> header tag byte (the first of the 4 header bytes)
-CODEC_TAGS = {CODEC_JSON: 0x00, CODEC_BINARY: 0x01}
-_TAG_CODECS = {tag: name for name, tag in CODEC_TAGS.items()}
-
-#: Rare-but-huge control-plane frames (record archives, recovery dumps)
-#: that ride JSON: on multi-megabyte bodies CPython's C-accelerated
-#: ``json`` beats the pure-Python struct packer by enough that packing
-#: them binary can stall a host's event loop past the failure detector's
-#: patience.
-BULK_OPS = frozenset(
-    {"retire", "recover_dump", "rebuild", "records", "wire", "forwards"}
-)
-
-
-def codec_for(message: dict) -> str:
-    """The codec a frame rides, fixed by its op: JSON for
-    :data:`BULK_OPS`, binary for everything else."""
-    return CODEC_JSON if message.get("op") in BULK_OPS else CODEC_BINARY
+CODEC_TAGS = {CODEC_BINARY: 0x01}
 
 
 #: :attr:`FrameSpec.admission`, the rule a receiving host runs before the
@@ -186,6 +146,7 @@ FRAME_TYPES: dict[str, FrameSpec] = {
 }
 
 _HEADER = struct.Struct(">I")
+_HEADER_TAG = CODEC_TAGS[CODEC_BINARY] << 24
 
 
 class FrameError(ValueError):
@@ -199,14 +160,19 @@ class FrameDecodeError(FrameError):
     and keep the connection serviceable."""
 
 
-# -- payload codec -------------------------------------------------------------
+# -- the tagged JSON-safe form -------------------------------------------------
+#
+# No module of the runtime calls these two: a record rides the wire as an
+# ``OpRecord``.  They stay for one user, the codec corpus of
+# ``perfbench/frames.py``, whose frames carry the tagged form (to the
+# binary codec it is plain maps and lists).
 
 
 def encode_payload(obj: object) -> object:
-    """Encode ``obj`` into the JSON-safe tagged form."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    """``obj`` in the tagged JSON-safe form: ``{"t": [...]}`` a tuple,
+    ``{"d": [[k, v], ...]}`` a dict, ``{"b": 0}`` ⊥, ``{"r": {...}}``
+    an ``OpRecord``; scalars and lists pass through."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if obj is BOTTOM:
         return {"b": 0}
@@ -221,29 +187,8 @@ def encode_payload(obj: object) -> object:
     raise FrameError(f"cannot encode {type(obj).__name__} value {obj!r}")
 
 
-def decode_payload(obj: object) -> object:
-    """Inverse of :func:`encode_payload`."""
-    if isinstance(obj, list):
-        return [decode_payload(item) for item in obj]
-    if isinstance(obj, dict):
-        if "t" in obj:
-            return tuple(decode_payload(item) for item in obj["t"])
-        if "d" in obj:
-            return {decode_payload(k): decode_payload(v) for k, v in obj["d"]}
-        if "b" in obj:
-            return BOTTOM
-        if "r" in obj:
-            return record_from_wire(obj["r"])
-        raise FrameError(f"unknown tagged object {obj!r}")
-    return obj
-
-
-# -- OpRecord <-> wire ---------------------------------------------------------
-
-
 def record_to_wire(rec: OpRecord) -> dict:
-    """Flatten an :class:`OpRecord` for a COLLECT reply (client-side
-    consistency checking needs every field the checker reads)."""
+    """An :class:`OpRecord` flattened into a tagged dict."""
     return {
         "req_id": rec.req_id,
         "pid": rec.pid,
@@ -259,21 +204,7 @@ def record_to_wire(rec: OpRecord) -> dict:
     }
 
 
-def record_from_wire(data: dict) -> OpRecord:
-    rec = OpRecord(
-        data["req_id"],
-        data["pid"],
-        data["idx"],
-        data["kind"],
-        decode_payload(data["item"]),
-        data["gen"],
-        priority=data.get("pri", 0),
-    )
-    rec.value = data["value"]
-    rec.result = decode_payload(data["result"])
-    rec.completed = data["completed"]
-    rec.local_match = data["local_match"]
-    return rec
+# -- packed records --------------------------------------------------------------
 
 
 def pack_record(rec: OpRecord) -> bytes:
@@ -297,9 +228,7 @@ def unpack_record(data: bytes) -> OpRecord:
 # One type byte per value; all lengths/counts big-endian.  The domain is
 # the protocol's own values: JSON's scalars, lists and dicts (keys of any
 # packable type) plus tuples, ⊥ and OpRecords, each under its own type
-# byte, so a value is packed in one walk and unpacked in one walk.  A
-# tagged dict (`encode_payload`'s form) is a plain map here and round-trips
-# as one.
+# byte, so a value is packed in one walk and unpacked in one walk.
 
 _B_NONE = 0x00
 _B_TRUE = 0x01
@@ -318,7 +247,6 @@ _B_MAP32 = 0x0D      # u32 count + key/value pairs
 _B_TUPLE32 = 0x0E    # u32 count + items
 _B_BOTTOM = 0x0F     # (no body): the ⊥ singleton
 _B_FRAME = 0x11      # u8 schema id + u16 presence bits + packed fields
-_B_RECORD = 0x12     # a record_to_wire dict: its 11 fields, positionally
 _B_OPRECORD = 0x13   # an OpRecord: its 11 slots, positionally
 _B_TUPLE8 = 0x14     # u8 count + items
 
@@ -338,7 +266,7 @@ _F64 = struct.Struct(">d")
 #: "Telemetry"): a sampled submit carries it, hosts echo it on the
 #: ``msg``/``complete``/``done`` frames that move the op, and every
 #: receiver stamps its trace spans.  It rides the presence bitmask, so
-#: the 99%+ untraced frames pay zero bytes for it on either codec.
+#: the 99%+ untraced frames pay zero bytes for it.
 _FRAME_SCHEMAS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("msg", ("dest", "action", "payload", "gen", "src", "seq", "tr")),
     ("complete", ("req", "value", "result", "local_match", "done",
@@ -358,11 +286,7 @@ _SCHEMA_BY_OP = {
     for sid, (op, fields) in enumerate(_FRAME_SCHEMAS)
 }
 
-#: record_to_wire's fixed field order (always all present)
-_RECORD_FIELDS = ("req_id", "pid", "idx", "kind", "item", "gen", "pri",
-                  "value", "result", "completed", "local_match")
-_RECORD_FIELDSET = frozenset(_RECORD_FIELDS)
-#: an OpRecord's slots in the same order (``priority`` is ``pri``)
+#: an OpRecord's slots, in the order they are packed
 _record_slots = attrgetter(*OpRecord.__slots__)
 
 
@@ -451,11 +375,6 @@ def _pack_dict(obj: dict, out: bytearray) -> None:
                     if bits >> i & 1:
                         _pack_value(obj[field], out)
                 return
-    elif len(obj) == 11 and "req_id" in obj and obj.keys() == _RECORD_FIELDSET:
-        out.append(_B_RECORD)
-        for field in _RECORD_FIELDS:
-            _pack_value(obj[field], out)
-        return
     if len(obj) <= 255:
         out.append(_B_MAP8)
         out.append(len(obj))
@@ -584,11 +503,6 @@ def _unpack_value(buf: bytes, pos: int):
             rec = OpRecord(*fields[:6], priority=fields[6])
             rec.value, rec.result, rec.completed, rec.local_match = fields[7:]
             return rec, pos
-        if tag == _B_RECORD:
-            record = {}
-            for field in _RECORD_FIELDS:
-                record[field], pos = _unpack_value(buf, pos)
-            return record, pos
         if tag == _B_BIGINT:
             n = buf[pos]
             pos += 1
@@ -612,30 +526,14 @@ def _unpack_items(buf: bytes, pos: int, n: int) -> tuple[list, int]:
 # -- framing -------------------------------------------------------------------
 
 
-def _encode_body(message: dict, codec: str) -> bytes:
-    if codec == CODEC_JSON:
-        return json.dumps(message, separators=(",", ":")).encode()
-    if codec == CODEC_BINARY:
-        out = bytearray()
-        _pack_value(message, out)
-        return bytes(out)
-    raise FrameError(f"unknown wire codec {codec!r}")
-
-
-def decode_frame_body(codec_tag: int, body: bytes) -> dict:
+def decode_frame_body(body: bytes) -> dict:
     """Decode one frame body; raises :class:`FrameDecodeError` on
     garbage (the stream itself stays correctly framed)."""
-    if _TAG_CODECS[codec_tag] == CODEC_JSON:  # a tag `_parse_header` passed
-        try:
-            message = json.loads(body)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FrameDecodeError(f"malformed JSON frame: {exc}") from None
-    else:
-        message, end = _unpack_value(body, 0)
-        if end != len(body):
-            raise FrameDecodeError(
-                f"{len(body) - end} trailing bytes behind a binary frame"
-            )
+    message, end = _unpack_value(body, 0)
+    if end != len(body):
+        raise FrameDecodeError(
+            f"{len(body) - end} trailing bytes behind a binary frame"
+        )
     if not isinstance(message, dict):
         raise FrameDecodeError(
             f"frame body decodes to {type(message).__name__}, not an object"
@@ -643,36 +541,36 @@ def decode_frame_body(codec_tag: int, body: bytes) -> dict:
     return message
 
 
-def encode_frame(message: dict, codec: str | None = None) -> bytes:
-    """Serialise one control/actor message into a self-describing frame,
-    in :func:`codec_for`'s codec unless one is named."""
-    if codec is None:
-        codec = codec_for(message)
-    body = _encode_body(message, codec)
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _HEADER.pack((CODEC_TAGS[codec] << 24) | len(body)) + body
+def encode_frame(message: dict, codec: str = CODEC_BINARY) -> bytes:
+    """Serialise one control/actor message into a self-describing frame.
+    ``codec`` may only name the one codec there is."""
+    if codec != CODEC_BINARY:
+        raise FrameError(f"unknown wire codec {codec!r}")
+    out = bytearray()
+    _pack_value(message, out)
+    if len(out) > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {len(out)} bytes exceeds {MAX_FRAME_BYTES}")
+    return _HEADER.pack(_HEADER_TAG | len(out)) + out
 
 
-def _parse_header(header, max_frame: int) -> tuple[int, int]:
-    """``(codec tag, body length)`` of a frame header — the one place a
-    stream is judged unframeable (:class:`FrameError`): both the
-    incremental :class:`FrameReader` and :func:`read_frame` come here."""
+def _parse_header(header, max_frame: int) -> int:
+    """The body length a frame header announces — the one place a stream
+    is judged unframeable (:class:`FrameError`): both the incremental
+    :class:`FrameReader` and :func:`read_frame` come here."""
     (word,) = _HEADER.unpack_from(header)
     codec_tag, length = word >> 24, word & MAX_FRAME_BYTES
-    if codec_tag not in _TAG_CODECS:
+    if codec_tag != CODEC_TAGS[CODEC_BINARY]:
         raise FrameError(f"unknown codec tag 0x{codec_tag:02x}")
     if length > max_frame:
         raise FrameError(f"incoming frame of {length} bytes exceeds {max_frame}")
-    return codec_tag, length
+    return length
 
 
 class FrameReader:
     """Incremental frame decoder tolerating arbitrary packet boundaries.
 
     Feed it whatever ``recv`` produced; it yields every complete message
-    and buffers the tail.  Frames of either codec interleave freely (the
-    header names the codec).  The blocking helpers and the tests use it;
+    and buffers the tail.  The blocking helpers and the tests use it;
     the event-loop side reads with :func:`read_frame`.
     """
 
@@ -687,13 +585,12 @@ class FrameReader:
         while True:
             if len(self._buffer) < _HEADER.size:
                 return
-            codec_tag, length = _parse_header(self._buffer, self.max_frame)
-            end = _HEADER.size + length
+            end = _HEADER.size + _parse_header(self._buffer, self.max_frame)
             if len(self._buffer) < end:
                 return
             body = bytes(self._buffer[_HEADER.size : end])
             del self._buffer[:end]
-            yield decode_frame_body(codec_tag, body)
+            yield decode_frame_body(body)
 
     @property
     def buffered(self) -> int:
@@ -713,11 +610,10 @@ async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> dict | None:
     """
     try:
         header = await reader.readexactly(_HEADER.size)
-        codec_tag, length = _parse_header(header, max_frame)
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(_parse_header(header, max_frame))
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
-    return decode_frame_body(codec_tag, body)
+    return decode_frame_body(body)
 
 
 # -- one-shot request/response -------------------------------------------------

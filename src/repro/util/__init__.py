@@ -1,15 +1,13 @@
-"""Shared utilities: hashing to the unit interval, integer intervals, RNG streams."""
+"""Shared utilities: hashing to the unit interval, RNG streams."""
 
 from repro.util.hashing import (
     label_of,
     position_key,
     unit_hash,
 )
-from repro.util.intervals import Interval
 from repro.util.rng import RngStreams
 
 __all__ = [
-    "Interval",
     "RngStreams",
     "label_of",
     "position_key",

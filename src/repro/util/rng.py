@@ -1,7 +1,7 @@
 """Deterministic, componentised random-number streams.
 
 Every stochastic component of the simulation (workload generation, message
-delays, routing tie-breaks, ...) draws from its own named child of one root
+delays, routing tie-breaks, ...) draws from its own named stream of one root
 seed, so experiments are reproducible and adding randomness to one
 component never perturbs another.
 """
@@ -9,8 +9,6 @@ component never perturbs another.
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -21,7 +19,6 @@ class RngStreams:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._py: dict[str, random.Random] = {}
-        self._np: dict[str, np.random.Generator] = {}
 
     def py(self, name: str) -> random.Random:
         """Python ``random.Random`` stream for component ``name``."""
@@ -30,18 +27,3 @@ class RngStreams:
             rng = random.Random(f"{self.seed}:{name}")
             self._py[name] = rng
         return rng
-
-    def np(self, name: str) -> np.random.Generator:
-        """NumPy generator stream for component ``name``."""
-        rng = self._np.get(name)
-        if rng is None:
-            seq = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(hash(name) & 0x7FFFFFFF,)
-            )
-            rng = np.random.default_rng(seq)
-            self._np[name] = rng
-        return rng
-
-    def child(self, name: str) -> "RngStreams":
-        """A fully independent sub-family (e.g. per experiment repetition)."""
-        return RngStreams(hash((self.seed, name)) & 0x7FFFFFFF)

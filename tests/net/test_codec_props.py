@@ -1,18 +1,19 @@
-"""Codec properties: a frame's codec is fixed by its op (bulk frames
-ride JSON, everything else binary), every frame in the catalogue must
-decode to the *same* message whether it rode the JSON or the binary
-wire, any native payload (tuples, ⊥, float-keyed dicts, records) must
-come back off the binary wire type for type, and garbage bytes behind a
-valid header must be rejected without losing frame sync (so a connection
+"""Codec properties: every frame in the catalogue rides the one binary
+codec (tag ``0x01``; a ``0x00`` header is a framing error) and comes
+back as sent, cut at any byte; any native payload (tuples, ⊥,
+float-keyed dicts, records) comes back off the wire type for type; and
+garbage bytes behind a valid header -- a truncated or overlong body
+included -- are rejected without losing frame sync (so a connection
 survives a poisoned frame).
 
 ``SAMPLE_FRAMES`` is diff-tested against ``transport.FRAME_TYPES``:
-adding a frame op without a parity sample here fails the suite.
+adding a frame op without a sample here fails the suite.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import struct
 from pathlib import Path
 
@@ -26,33 +27,23 @@ from repro.net.records import NetOpRecord
 from repro.net import transport
 from repro.net.transport import (
     CODEC_BINARY,
-    CODEC_JSON,
     CODEC_TAGS,
     FrameDecodeError,
     FrameError,
     FrameReader,
-    codec_for,
-    decode_frame_body,
-    decode_payload,
     encode_frame,
-    encode_payload,
-    record_from_wire,
-    record_to_wire,
 )
 
 _HEADER = struct.Struct(">I")
 
-#: both body codecs, for the parity properties below
-CODECS = (CODEC_JSON, CODEC_BINARY)
 
-
-def _record_wire(req_id: int = 17, *, result: object = BOTTOM) -> dict:
-    """A fully-populated OpRecord in wire form (nested payload tags)."""
+def _record(req_id: int = 17, *, result: object = BOTTOM) -> OpRecord:
+    """A fully-populated OpRecord (tuple item, ⊥ result)."""
     rec = OpRecord(req_id, 3, 2, INSERT, ("payload", req_id), 4.0, priority=1)
     rec.value = 9
     rec.result = result
     rec.completed = True
-    return record_to_wire(rec)
+    return rec
 
 
 #: one representative body per catalogued frame type, shaped like the
@@ -70,10 +61,9 @@ SAMPLE_FRAMES: dict[str, dict] = {
     "error": {"op": "error", "message": "unknown op 'zap'"},
     # host <-> host data plane
     "msg": {"op": "msg", "dest": 5, "action": "anchor", "gen": 3.5,
-            "src": 1, "seq": 42,
-            "payload": encode_payload((17, ("item", 2), BOTTOM))},
+            "src": 1, "seq": 42, "payload": (17, ("item", 2), BOTTOM)},
     "complete": {"op": "complete", "req": 17, "src": 0, "seq": 7,
-                 "value": 9, "result": encode_payload(BOTTOM)},
+                 "value": 9, "result": BOTTOM},
     "batch": {"op": "batch", "frames": [
         {"op": "heartbeat", "host": 0, "src": 0, "seq": 1},
         {"op": "complete", "req": 3, "src": 0, "seq": 2, "value": 1},
@@ -83,21 +73,19 @@ SAMPLE_FRAMES: dict[str, dict] = {
     "welcome": {"op": "welcome", "nonce": 3, "id_slots": 8,
                 "map": {"version": 1}},
     "submit": {"op": "submit", "req": 1025, "pid": 3, "kind": INSERT,
-               "item": encode_payload(("elem", 0)), "pri": 2},
+               "item": ("elem", 0), "pri": 2},
     "submit_batch": {"op": "submit_batch", "subs": [
-        [1025, 3, INSERT, encode_payload(("elem", 0)), 0],
+        [1025, 3, INSERT, ("elem", 0), 0],
         [1026, 4, REMOVE, None, 0],
     ]},
-    "done": {"op": "done", "req": 1025, "kind": REMOVE,
-             "result": encode_payload(BOTTOM)},
+    "done": {"op": "done", "req": 1025, "kind": REMOVE, "result": BOTTOM},
     "done_batch": {"op": "done_batch", "dones": [
         [1025, INSERT, None],
-        [1026, REMOVE, encode_payload(("elem", 0))],
+        [1026, REMOVE, ("elem", 0)],
     ]},
     "rejected": {"op": "rejected", "req": 1025, "reason": "draining"},
     "collect": {"op": "collect"},
-    "records": {"op": "records", "records": [_record_wire(17),
-                                             _record_wire(18, result=None)],
+    "records": {"op": "records", "records": [_record(17), _record(18, result=None)],
                 "errors": []},
     "metrics": {"op": "metrics", "rounds": 12, "messages": 340,
                 "per_wave": {"anchor": 3.0}},
@@ -110,10 +98,9 @@ SAMPLE_FRAMES: dict[str, dict] = {
     "join_done": {"op": "join_done", "host": 3},
     "leave": {"op": "leave", "host": 2},
     "leaving": {"op": "leaving", "host": 2},
-    "forwards": {"op": "forwards", "host": 2,
-                 "forwards": {"11": 0, "12": 1}},
-    "retire": {"op": "retire", "host": 2, "records": [_record_wire(21)],
-               "forwards": {"11": 0}},
+    "forwards": {"op": "forwards", "forwards": {11: 0, 12: 1}},
+    "retire": {"op": "retire", "host": 2, "records": [_record(21)],
+               "errors": [], "forwards": {11: 0}},
     "retired": {"op": "retired", "host": 2},
     "map": {"op": "map"},
     "host_map": {"op": "host_map", "map": {"version": 2,
@@ -121,13 +108,14 @@ SAMPLE_FRAMES: dict[str, dict] = {
     "update_over": {"op": "update_over", "epoch": 4, "members": [0, 1, 3]},
     # crash-stop fault tolerance + ops plane
     "heartbeat": {"op": "heartbeat", "host": 1, "src": 1, "seq": 99},
-    "suspect": {"op": "suspect", "host": 2, "silent": 1.25},
-    "recover_dump": {"op": "recover_dump", "host": 1,
-                     "records": [_record_wire(30)]},
-    "rebuild": {"op": "rebuild", "epoch": 5,
-                "records": [_record_wire(30)], "plan": {"2": 0}},
-    "replica_put": {"op": "replica_put", "req": 30, "src": 1, "seq": 4,
-                    "facts": {"value": 3, "completed": True}},
+    "suspect": {"op": "suspect", "host": 2, "by": 1},
+    "recover_dump": {"op": "recover_dump", "gen": 1, "host": 1, "epoch": 4,
+                     "records": [_record(30)]},
+    "rebuild": {"op": "rebuild", "gen": 1, "map": {"version": 5},
+                "records": [_record(30)], "anchor": ((0, 2), (-1, 5), 9, 4, 24),
+                "elements": [(0, 3, ("elem", 1)), (1, 0, "x")], "reruns": [31]},
+    "replica_put": {"op": "replica_put", "gen": 1, "origin": 1,
+                    "record": _record(30), "ack": True, "src": 1, "seq": 4},
     "replica_ack": {"op": "replica_ack", "req": 30},
     "health": {"op": "health", "host": 0, "live": [0, 1], "epoch": 5},
 }
@@ -138,79 +126,78 @@ class TestFrameParity:
         assert set(SAMPLE_FRAMES) == set(transport.FRAME_TYPES)
 
     @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_every_frame_round_trips_on_both_codecs(self, op, codec):
+    def test_every_frame_round_trips(self, op):
         frame = SAMPLE_FRAMES[op]
         reader = FrameReader()
-        (decoded,) = list(reader.feed(encode_frame(frame, codec)))
-        assert decoded == frame
+        (decoded,) = list(reader.feed(encode_frame(frame)))
+        assert _same(decoded, frame)
         assert reader.buffered == 0
 
     @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
-    def test_json_and_binary_decode_identically(self, op):
+    def test_every_frame_split_at_any_byte_reassembles(self, op):
+        # each frame on its own, cut at every byte boundary in turn
         frame = SAMPLE_FRAMES[op]
-        per_codec = {
-            codec: decode_frame_body(
-                CODEC_TAGS[codec],
-                encode_frame(frame, codec)[_HEADER.size:],
-            )
-            for codec in CODECS
-        }
-        assert per_codec[CODEC_JSON] == per_codec[CODEC_BINARY] == frame
+        blob = encode_frame(frame)
+        for cut in range(1, len(blob)):
+            reader = FrameReader()
+            assert list(reader.feed(blob[:cut])) == []
+            assert reader.buffered == cut
+            (decoded,) = list(reader.feed(blob[cut:]))
+            assert _same(decoded, frame)
+            assert reader.buffered == 0
 
-    def test_codecs_interleave_on_one_stream(self):
+    def test_frames_split_at_any_byte_reassemble(self):
         reader = FrameReader()
-        blob = b"".join(
-            encode_frame(SAMPLE_FRAMES[op], codec)
-            for op in ("ping", "msg", "records")
-            for codec in (CODEC_JSON, CODEC_BINARY)
-        )
+        ops = ("ping", "msg", "records", "rebuild")
+        blob = b"".join(encode_frame(SAMPLE_FRAMES[op]) for op in ops)
         # arbitrary packet boundaries: feed one byte at a time
         decoded = [msg for i in range(len(blob))
                    for msg in reader.feed(blob[i:i + 1])]
-        assert decoded == [SAMPLE_FRAMES[op]
-                           for op in ("ping", "msg", "records")
-                           for _ in CODECS]
+        assert _same(decoded, [SAMPLE_FRAMES[op] for op in ops])
 
-    def test_nested_records_survive_both_codecs(self):
-        frame = SAMPLE_FRAMES["records"]
-        for codec in CODECS:
-            (decoded,) = list(FrameReader().feed(encode_frame(frame, codec)))
-            rec = record_from_wire(decoded["records"][0])
-            assert rec.item == ("payload", 17)
-            assert rec.result is BOTTOM
-            assert rec.priority == 1 and rec.completed
+    def test_records_ride_as_op_records(self):
+        (decoded,) = list(FrameReader().feed(encode_frame(SAMPLE_FRAMES["records"])))
+        rec = decoded["records"][0]
+        assert type(rec) is OpRecord
+        assert rec.item == ("payload", 17)
+        assert rec.result is BOTTOM
+        assert rec.priority == 1 and rec.completed
 
 
 class TestWireRule:
-    """One codec decision: :func:`codec_for`, which reads the frame's op
-    and nothing else."""
+    """One codec: every frame rides tag ``0x01`` and no other tag is
+    read."""
 
     SRC = Path(repro.__file__).resolve().parent
 
     @pytest.mark.parametrize("op", sorted(transport.FRAME_TYPES))
-    def test_a_frame_rides_json_if_and_only_if_it_is_bulk(self, op):
-        frame = SAMPLE_FRAMES[op]
-        wire = encode_frame(frame)
-        assert (wire[0] == CODEC_TAGS[CODEC_JSON]) == (op in transport.BULK_OPS)
-        assert wire[0] == CODEC_TAGS[codec_for(frame)]
-        assert list(FrameReader().feed(wire)) == [frame]
+    def test_every_catalogued_frame_rides_binary(self, op):
+        wire = encode_frame(SAMPLE_FRAMES[op])
+        assert wire[0] == CODEC_TAGS[CODEC_BINARY] == 0x01
+        assert wire == encode_frame(SAMPLE_FRAMES[op], CODEC_BINARY)
 
-    def test_bulk_ops_are_catalogued_frames(self):
-        assert transport.BULK_OPS <= set(transport.FRAME_TYPES)
+    @pytest.mark.parametrize("op", sorted(transport.FRAME_TYPES))
+    def test_a_json_header_is_a_framing_error(self, op):
+        # the frame as a JSON-speaking peer sent it: tagged JSON behind a
+        # 0x00 header -- refused at the header, whatever the op
+        body = json.dumps(transport.encode_payload(SAMPLE_FRAMES[op])).encode()
+        with pytest.raises(FrameError) as err:
+            list(FrameReader().feed(_HEADER.pack(len(body)) + body))
+        assert not isinstance(err.value, FrameDecodeError)
 
-    def test_a_named_codec_overrides_the_rule(self):
-        bulk = SAMPLE_FRAMES["records"]
-        assert encode_frame(bulk, CODEC_BINARY)[0] == CODEC_TAGS[CODEC_BINARY]
-        hot = SAMPLE_FRAMES["msg"]
-        assert encode_frame(hot, CODEC_JSON)[0] == CODEC_TAGS[CODEC_JSON]
+    def test_no_other_codec_can_be_named(self):
+        assert CODEC_TAGS == {CODEC_BINARY: 0x01}
+        with pytest.raises(FrameError):
+            encode_frame({"op": "ping"}, "json")
 
-    def test_negotiation_is_gone(self):
-        for gone in ("negotiate_codec", "WIRE_CODECS"):
+    def test_the_second_codec_is_gone(self):
+        for gone in ("negotiate_codec", "WIRE_CODECS", "CODEC_JSON",
+                     "codec_for", "BULK_OPS", "decode_payload",
+                     "record_from_wire", "_B_RECORD"):
             assert not hasattr(transport, gone)
 
     def test_only_the_transport_names_a_codec(self):
-        wanted = {"CODEC_JSON", "CODEC_BINARY", "codec_for"}
+        wanted = {"CODEC_BINARY", "CODEC_TAGS"}
         offenders = set()
         for source in sorted(self.SRC.rglob("*.py")):
             where = source.relative_to(self.SRC).as_posix()
@@ -226,27 +213,25 @@ class TestWireRule:
 
 class TestTraceFieldParity:
     """The optional ``tr`` trace tag (docs/PROTOCOL.md, "Telemetry")
-    must round-trip on every hot frame that can carry it, on both
-    codecs — and its absence (a legacy peer) must stay decodable."""
+    must round-trip on every hot frame that can carry it — and its
+    absence (a legacy peer) must stay decodable."""
 
     HOT = ("msg", "complete", "done", "submit")
 
     @pytest.mark.parametrize("op", HOT)
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_tr_round_trips_on_every_hot_frame(self, op, codec):
+    def test_tr_round_trips_on_every_hot_frame(self, op):
         frame = dict(SAMPLE_FRAMES[op])
         frame["tr"] = 12884901888  # a real (host 3) req_id: > 2**32
-        (decoded,) = list(FrameReader().feed(encode_frame(frame, codec)))
+        (decoded,) = list(FrameReader().feed(encode_frame(frame)))
         assert decoded == frame
         assert decoded["tr"] == 12884901888
 
     @pytest.mark.parametrize("op", HOT)
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_legacy_frames_without_tr_still_decode(self, op, codec):
+    def test_legacy_frames_without_tr_still_decode(self, op):
         # the exact bytes a pre-telemetry peer sends: no tr key at all
         frame = SAMPLE_FRAMES[op]
         assert "tr" not in frame
-        (decoded,) = list(FrameReader().feed(encode_frame(frame, codec)))
+        (decoded,) = list(FrameReader().feed(encode_frame(frame)))
         assert decoded == frame
         assert decoded.get("tr") is None
 
@@ -254,9 +239,9 @@ class TestTraceFieldParity:
         # the presence bitmask means an untagged frame pays zero bytes
         # for the schema slot — the PR-8 hot path is unchanged
         frame = dict(SAMPLE_FRAMES["msg"])
-        bare = encode_frame(frame, CODEC_BINARY)
+        bare = encode_frame(frame)
         frame["tr"] = 17
-        tagged = encode_frame(frame, CODEC_BINARY)
+        tagged = encode_frame(frame)
         assert len(tagged) > len(bare)
 
 
@@ -276,38 +261,7 @@ _keys = st.one_of(
     st.text(max_size=12),
     st.tuples(st.integers(min_value=0, max_value=99), st.text(max_size=6)),
 )
-_payloads = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(_keys, children, max_size=4),
-    ),
-    max_leaves=25,
-)
-
-
-class TestFuzzedParity:
-    @settings(max_examples=200, deadline=None)
-    @given(payload=_payloads)
-    def test_any_payload_decodes_identically_on_both_codecs(self, payload):
-        frame = {"op": "msg", "dest": 0, "action": "x",
-                 "payload": encode_payload(payload)}
-        decoded = {}
-        for codec in CODECS:
-            (msg,) = list(FrameReader().feed(encode_frame(frame, codec)))
-            decoded[codec] = msg
-            assert decode_payload(msg["payload"]) == payload
-        assert decoded[CODEC_JSON] == decoded[CODEC_BINARY]
-
-    def test_ints_beyond_the_bigint_width_are_rejected_not_corrupted(self):
-        frame = {"op": "msg", "payload": encode_payload(1 << 2100)}
-        assert list(FrameReader().feed(encode_frame(frame, CODEC_JSON)))
-        with pytest.raises(FrameError):
-            encode_frame(frame, CODEC_BINARY)
-
-
-# -- hypothesis: native values on the binary wire -----------------------------
+# -- hypothesis: native values on the wire -----------------------------
 
 _RECORD_SLOTS = OpRecord.__slots__
 
@@ -358,8 +312,12 @@ def _same(got, sent) -> bool:
     if isinstance(sent, (list, tuple)):
         return len(got) == len(sent) and all(map(_same, got, sent))
     if isinstance(sent, dict):
-        return len(got) == len(sent) and all(
-            _same(k, j) and _same(got[k], sent[j]) for k, j in zip(got, sent))
+        if len(got) != len(sent):
+            return False
+        if list(got) != list(sent):
+            # a schema frame decodes its fields in schema order
+            return all(k in got and _same(got[k], sent[k]) for k in sent)
+        return all(_same(k, j) and _same(got[k], sent[j]) for k, j in zip(got, sent))
     return got == sent
 
 
@@ -371,14 +329,18 @@ class TestNativeValues:
     @given(payload=_natives)
     def test_any_native_payload_decodes_type_exactly(self, payload):
         frame = {"op": "msg", "dest": 0, "action": 1, "payload": payload}
-        (msg,) = list(FrameReader().feed(encode_frame(frame, CODEC_BINARY)))
+        (msg,) = list(FrameReader().feed(encode_frame(frame)))
         assert msg.keys() == frame.keys()
         assert _same(msg["payload"], payload)
+
+    def test_ints_beyond_the_bigint_width_are_rejected_not_corrupted(self):
+        with pytest.raises(FrameError):
+            encode_frame({"op": "msg", "payload": 1 << 2100})
 
     def test_the_singletons_and_the_scalars_keep_their_type(self):
         payload = (BOTTOM, True, False, 1, 1.0, [BOTTOM], {1.0: True})
         frame = {"op": "msg", "payload": payload}
-        (msg,) = list(FrameReader().feed(encode_frame(frame, CODEC_BINARY)))
+        (msg,) = list(FrameReader().feed(encode_frame(frame)))
         got = msg["payload"]
         assert got[0] is BOTTOM and got[5][0] is BOTTOM
         assert [type(v) for v in got] == [type(v) for v in payload]
@@ -388,37 +350,51 @@ class TestNativeValues:
 # -- garbage rejection: poisoned bodies must not break framing -----------------
 
 
-def _poison(codec: str, body: bytes) -> bytes:
+def _poison(body: bytes) -> bytes:
     """A wire-valid header fronting an arbitrary (garbage?) body."""
-    return _HEADER.pack((CODEC_TAGS[codec] << 24) | len(body)) + body
+    return _HEADER.pack((CODEC_TAGS[CODEC_BINARY] << 24) | len(body)) + body
 
 
 class TestGarbageRejection:
-    @pytest.mark.parametrize("codec,body", [
-        (CODEC_JSON, b"not json at all"),
-        (CODEC_JSON, b'{"truncated": '),
-        (CODEC_JSON, b"\xff\xfe invalid utf-8"),
-        (CODEC_JSON, b"[1, 2, 3]"),          # valid JSON, not an object
-        (CODEC_BINARY, b""),                   # empty body
-        (CODEC_BINARY, b"\xff" * 8),           # unknown type byte
-        (CODEC_BINARY, b"\x08\x10only"),       # str8 length overruns body
-        (CODEC_BINARY, b"\x03\x00\x00"),       # trailing bytes behind an int8
-        (CODEC_BINARY, b"\x03\x07"),           # valid int, not an object
-        (CODEC_BINARY, b"\x0c\x01\x0a\x00\x00"),  # map keyed by a list
-        (CODEC_BINARY, b"\x0c\x01\x14\x01\x0a\x00\x00"),  # ... by a tuple of one
-        (CODEC_BINARY, b"\x10\x00\x00\x00\x00"),  # no type byte 0x10
+    @pytest.mark.parametrize("body", [
+        b"",                           # empty body
+        b"\xff" * 8,                   # unknown type byte
+        b"\x08\x10only",               # str8 length overruns body
+        b"\x03\x00\x00",               # trailing bytes behind an int8
+        b"\x03\x07",                   # valid int, not an object
+        b"\x0c\x01\x0a\x00\x00",       # map keyed by a list
+        b"\x0c\x01\x14\x01\x0a\x00\x00",  # ... by a tuple of one
+        b"\x10\x00\x00\x00\x00",       # no type byte 0x10
+        b"\x12" + b"\x00" * 11,         # no type byte 0x12 (the record dict)
+        b'{"op": "ping"}',             # a JSON body behind the binary tag
     ])
-    def test_garbage_body_raises_frame_decode_error(self, codec, body):
+    def test_garbage_body_raises_frame_decode_error(self, body):
         with pytest.raises(FrameDecodeError):
-            list(FrameReader().feed(_poison(codec, body)))
+            list(FrameReader().feed(_poison(body)))
+
+    @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
+    def test_a_truncated_body_is_a_decode_error(self, op):
+        # the frame's body short of its last byte, behind an honest header
+        body = encode_frame(SAMPLE_FRAMES[op])[_HEADER.size:-1]
+        reader = FrameReader()
+        with pytest.raises(FrameDecodeError):
+            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["ping"])))
+        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
+
+    @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
+    def test_trailing_bytes_behind_a_body_are_a_decode_error(self, op):
+        body = encode_frame(SAMPLE_FRAMES[op])[_HEADER.size:] + b"\x00"
+        reader = FrameReader()
+        with pytest.raises(FrameDecodeError):
+            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["ping"])))
+        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
 
     def test_stream_stays_framed_after_a_poisoned_body(self):
         # the recoverable property the server's read loop relies on: a
         # FrameDecodeError consumes exactly the poisoned frame, so the
         # next frame on the wire still parses and the connection lives
         reader = FrameReader()
-        blob = _poison(CODEC_BINARY, b"\xff\xfe\xfd") + encode_frame(
-            SAMPLE_FRAMES["ping"], CODEC_BINARY)
+        blob = _poison(b"\xff\xfe\xfd") + encode_frame(SAMPLE_FRAMES["ping"])
         with pytest.raises(FrameDecodeError):
             list(reader.feed(blob))
         assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
@@ -431,17 +407,16 @@ class TestGarbageRejection:
         assert not isinstance(err.value, FrameDecodeError)
 
     @settings(max_examples=300, deadline=None)
-    @given(codec=st.sampled_from(CODECS),
-           body=st.binary(max_size=200))
-    def test_fuzzed_bodies_either_decode_or_raise_cleanly(self, codec, body):
+    @given(body=st.binary(max_size=200))
+    def test_fuzzed_bodies_either_decode_or_raise_cleanly(self, body):
         reader = FrameReader()
         try:
-            for msg in reader.feed(_poison(codec, body)):
+            for msg in reader.feed(_poison(body)):
                 assert isinstance(msg, dict)
         except FrameDecodeError:
             pass  # rejected -- the only acceptable failure mode
         # either way the poisoned frame was consumed: framing holds
         assert reader.buffered == 0
-        assert list(reader.feed(encode_frame({"op": "ping"}, codec))) == [
+        assert list(reader.feed(encode_frame({"op": "ping"}))) == [
             {"op": "ping"}
         ]

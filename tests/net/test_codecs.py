@@ -1,12 +1,12 @@
-"""The wire end to end: hot frames ride binary and bulk frames JSON on
-the same connections (the rule is per frame, ``transport.codec_for``).
+"""The wire end to end: every frame rides the one binary codec on the
+same connections, records as ``OpRecord``s.
 
 The same mixed workload runs over a 3-host deployment of each of the
-queue, stack and heap structures — the merged history arrives as a JSON
-``records`` frame behind binary ``done`` pushes — and goes through the
-Definition-1 checkers; a poisoned body must not cost the connection.
-Marked ``net`` (excluded from tier-1; CI runs it in the dedicated net
-job).
+queue, stack and heap structures — the merged history arrives as
+``OpRecord``s in a ``records`` frame behind ``done`` pushes — and goes
+through the Definition-1 checkers; a poisoned body must not cost the
+connection.  Marked ``net`` (excluded from tier-1; CI runs it in the
+dedicated net job).
 """
 
 from __future__ import annotations

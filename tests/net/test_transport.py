@@ -1,4 +1,4 @@
-"""Unit tests for the wire format: framing + payload codec."""
+"""Unit tests for the wire format: framing + the binary payload codec."""
 
 from __future__ import annotations
 
@@ -12,29 +12,37 @@ from repro.net.transport import (
     MAX_FRAME_BYTES,
     FrameError,
     FrameReader,
-    decode_payload,
     encode_frame,
-    encode_payload,
-    record_from_wire,
-    record_to_wire,
 )
+
+#: a header of the binary codec announcing ``length`` body bytes
+_HEADER = struct.Struct(">I")
+
+
+def _header(length: int) -> bytes:
+    return _HEADER.pack((0x01 << 24) | length)
+
+
+def _wire(payload):
+    """``payload`` through one ``msg`` frame and back."""
+    (frame,) = FrameReader().feed(encode_frame({"op": "msg", "payload": payload}))
+    return frame["payload"]
 
 
 class TestPayloadCodec:
     def test_scalars_pass_through(self):
         for value in (None, True, False, 0, -7, 3.5, "text", ""):
-            assert decode_payload(encode_payload(value)) == value
+            assert _wire(value) == value
 
     def test_floats_round_trip_exactly(self):
         # LDB labels/DHT keys are 53-bit fractions; the wire must not
         # perturb them (routing decisions compare them for ownership)
         values = [0.1, 2**-53, 1 - 2**-53, 0.6822871999174586]
-        encoded = json.loads(json.dumps(encode_payload(values)))
-        assert decode_payload(encoded) == values
+        assert _wire(values) == values
 
     def test_tuples_survive_as_tuples(self):
         payload = (3, (0, "item"), [1, (2, 3)], ())
-        decoded = decode_payload(json.loads(json.dumps(encode_payload(payload))))
+        decoded = _wire(payload)
         assert decoded == payload
         assert isinstance(decoded, tuple)
         assert isinstance(decoded[1], tuple)
@@ -42,24 +50,22 @@ class TestPayloadCodec:
         assert isinstance(decoded[2][1], tuple)
 
     def test_bottom_singleton(self):
-        decoded = decode_payload(json.loads(json.dumps(encode_payload((BOTTOM,)))))
-        assert decoded[0] is BOTTOM
+        assert _wire((BOTTOM,))[0] is BOTTOM
 
     def test_dicts_with_float_keys(self):
         slice_ = {0.25: (1, "a"), 0.75: (2, "b")}
-        decoded = decode_payload(json.loads(json.dumps(encode_payload(slice_))))
-        assert decoded == slice_
+        assert _wire(slice_) == slice_
 
     def test_unencodable_rejected(self):
         with pytest.raises(FrameError):
-            encode_payload(object())
+            encode_frame({"op": "msg", "payload": object()})
 
     def test_record_round_trip(self):
         rec = OpRecord(17, 3, 2, INSERT, ("payload", 1), 4.0)
         rec.value = 9
         rec.result = BOTTOM
         rec.completed = True
-        back = record_from_wire(json.loads(json.dumps(record_to_wire(rec))))
+        back = _wire(rec)
         assert back.req_id == 17 and back.pid == 3 and back.idx == 2
         assert back.item == ("payload", 1)
         assert back.value == 9
@@ -75,7 +81,7 @@ class TestFraming:
         assert reader.buffered == 0
 
     def test_partial_reads_any_boundary(self):
-        message = {"op": "msg", "payload": encode_payload((1, (2.5, "x"), BOTTOM))}
+        message = {"op": "msg", "payload": (1, (2.5, "x"), BOTTOM)}
         wire = encode_frame(message) * 3
         for chunk_size in (1, 2, 3, 5, 7, len(wire)):
             reader = FrameReader()
@@ -83,8 +89,7 @@ class TestFraming:
             for i in range(0, len(wire), chunk_size):
                 out.extend(reader.feed(wire[i : i + chunk_size]))
             assert len(out) == 3
-            assert all(decode_payload(m["payload"]) == (1, (2.5, "x"), BOTTOM)
-                       for m in out)
+            assert all(m["payload"] == (1, (2.5, "x"), BOTTOM) for m in out)
             assert reader.buffered == 0
 
     def test_multiple_frames_in_one_read(self):
@@ -93,17 +98,15 @@ class TestFraming:
 
     def test_oversized_incoming_frame_rejected(self):
         reader = FrameReader(max_frame=64)
-        header = struct.pack(">I", 65)
-        with pytest.raises(FrameError):
-            list(reader.feed(header + b"x" * 65))
+        with pytest.raises(FrameError, match="exceeds 64"):
+            list(reader.feed(_header(65) + b"x" * 65))
 
     def test_oversized_header_rejected_before_body_arrives(self):
         # the length prefix alone must trigger rejection: a malicious
-        # 4 GiB announcement must not cause 4 GiB of buffering
-        reader = FrameReader()
-        header = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        with pytest.raises(FrameError):
-            list(reader.feed(header))
+        # announcement must not cause that much buffering
+        reader = FrameReader(max_frame=64)
+        with pytest.raises(FrameError, match="exceeds 64"):
+            list(reader.feed(_header(65)))
 
     def test_oversized_outgoing_frame_rejected(self):
         with pytest.raises(FrameError):
@@ -124,13 +127,9 @@ class TestOpRecordPayloadCodec:
         rec.value = 99
         rec.result = BOTTOM
         rec.local_match = True
-        wrapped = (["leftover"], {0.5: "ctx"}, [rec, rec])
-        decoded = decode_payload(
-            json.loads(json.dumps(encode_payload(wrapped)))
-        )
-        items, parked, leftover = decoded
+        items, parked, leftover = _wire((["leftover"], {0.5: "ctx"}, [rec, rec]))
         clone = leftover[0]
-        assert isinstance(clone, OpRecord)
+        assert isinstance(clone, OpRecord) and clone is not leftover[1]
         for attr in ("req_id", "pid", "idx", "kind", "item", "gen", "value",
                      "completed", "local_match"):
             assert getattr(clone, attr) == getattr(rec, attr)
@@ -138,10 +137,7 @@ class TestOpRecordPayloadCodec:
         assert clone.element == rec.element
 
     def test_nested_record_fields_keep_their_tuples(self):
-        rec = OpRecord(5, 0, 0, INSERT, (5, "payload"), 0.0)
-        clone = decode_payload(
-            json.loads(json.dumps(encode_payload(rec)))
-        )
+        clone = _wire(OpRecord(5, 0, 0, INSERT, (5, "payload"), 0.0))
         assert clone.item == (5, "payload")
         assert isinstance(clone.item, tuple)
 

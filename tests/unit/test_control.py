@@ -5,7 +5,7 @@ Everything here used to be reachable only through multi-second ``-m
 net`` runs of real processes: adoption of cluster maps, coordinator
 succession, eviction → dump → rebuild, the hold queue, join and leave.
 ``Net`` stands in for the peer links (frames cross the real wire
-codecs; the test decides what is lost, shelved or reordered), ``Host``
+codec; the test decides what is lost, shelved or reordered), ``Host``
 for ``NodeHost`` (it counts what the control plane asks of its data
 plane), and the clock is whatever the test says it is.
 """
@@ -426,6 +426,34 @@ class TestEviction:
         assert not adopter.records.replicas   # purged, then resynced by 0
 
 
+    def test_the_coordinators_own_rebuild_shares_no_record_with_its_table(self):
+        """The acting coordinator applies its own rebuild in-process and
+        keeps the frame to push again to a host that missed it; what it
+        folds into its table is a copy, so a fact learned later does not
+        rewrite the kept frame."""
+        net = Net(3)
+        net.run(0.5)
+        rec = net.hosts[2].submit_record(1)
+        rec.value = 7
+        net.pump()
+        net.kill(2)
+        net.run(3.0)
+        settled(net, 1)
+        coordinator = net.hosts[0]
+        assert coordinator.control.cluster.departed[2] == 0  # custody here
+        table = coordinator.records
+        kept = coordinator.control._rebuilt["records"]
+        held = [held for store in (table.local, table.custody, table.replicas)
+                for held in store.values()]
+        assert rec.req_id in table.custody
+        assert not {id(r) for r in kept} & {id(h) for h in held}
+        (sent,) = [r for r in kept if r.req_id == rec.req_id]
+        assert sent.value == 7 and not sent.local_match
+        table.apply(rec.req_id, (None, None, True, False))
+        assert table.get(rec.req_id).local_match
+        assert not sent.local_match
+
+
 # -- the hold queue --------------------------------------------------------------
 
 
@@ -576,7 +604,7 @@ class TestMembership:
         net.pump()
         retired = net.hosts[0].ask({
             "op": "retire", "host": 2, "records": drainer.records.dump(),
-            "errors": ["[host 2] boom"], "forwards": {"8": 1}})
+            "errors": ["[host 2] boom"], "forwards": {8: 1}})
         assert retired.ops == ["retired"]
         net.kill(2)   # the drained process exits
         net.pump()
@@ -642,7 +670,7 @@ class TestChurnMeetsCrash:
         assert net.hosts[0].control.cluster.leaving == {3}
         drainer.forwards = {30: 2}   # one of its nodes already left
         stale_retire = {"op": "retire", "host": 3, "records": [],
-                        "forwards": {"30": 2}}
+                        "forwards": {30: 2}}
         net.run(3.0)
         settled(net, 1)
         # the respawned shard serves as a full member: nothing says "draining"

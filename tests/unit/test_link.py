@@ -213,16 +213,13 @@ class TestFold:
         (wrapper,) = decode(make_pipe(FOLD_PEER).encode(frames))
         assert wrapper == {"op": "batch", "frames": frames}
 
-    def test_bulk_frames_break_the_run_and_ride_json(self):
+    def test_every_peer_frame_joins_the_batch(self):
         pipe = make_pipe(FOLD_PEER)
-        bulk = {"op": "retire", "host": 2, "records": [], "forwards": {}}
-        blob = pipe.encode([hot(1), hot(2), bulk, hot(3)])
-        out = decode(blob)
-        assert [f["op"] for f in out] == ["batch", "retire", "complete"]
-        assert out[0]["frames"] == [hot(1), hot(2)] and out[2] == hot(3)
-        # the codec tag is the first byte of each frame's header
-        assert blob[0] == 0x01
-        assert blob[len(pipe.encode([hot(1), hot(2)]))] == 0x00
+        retire = {"op": "retire", "host": 2, "records": [], "forwards": {7: 1}}
+        frames = [hot(1), hot(2), retire, hot(3)]
+        blob = pipe.encode(frames)
+        assert decode(blob) == [{"op": "batch", "frames": frames}]
+        assert blob[0] == 0x01  # the one codec's tag
 
     @pytest.mark.parametrize("fold, make", [
         (FOLD_PEER, lambda i, big: {"op": "msg", "dest": i, "action": 1,

@@ -1,13 +1,14 @@
-"""Hot frames carry the protocol's own values, one pass each way.
+"""Frames carry the protocol's own values, one pass each way.
 
 Each case runs a frame from the code that builds it, through its pipe's
 fold, ``encode_frame`` and a ``FrameReader``, into the handler that
-takes it — socket-free, with ``encode_payload``/``decode_payload``
+takes it — socket-free, with ``encode_payload``/``record_to_wire``
 patched to fail — and checks that what the handler got is what the
-builder put in, type for type.  An item the codec cannot carry is still
-refused when it is submitted, not when its frame is written.  The last
-test pins the only places in ``src/`` that still tag a value: the
-builders of JSON bulk bodies.
+builder put in, type for type.  Records ride as ``OpRecord``s in the
+peer ``batch`` like any other frame.  An item the codec cannot carry is
+still refused when it is submitted, not when its frame is written.  The
+last test pins that nothing in ``src/`` calls the tagging functions
+(their one user is the frozen benchmark corpus).
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ import pytest
 
 import repro
 from repro.core.actions import A_RT_PUT, A_SERVE
-from repro.core.requests import BOTTOM, INSERT, REMOVE, pack_req_id
+from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net import client as client_module
 from repro.net import control, records, server, transport
 from repro.net.client import SkueueClient, _Session
 from repro.net.link import Connection, PeerLink
 from repro.net.membership import ClusterMap
-from repro.net.records import NetOpRecord, encode_complete
+from repro.net.records import NetOpRecord, clone, encode_complete
 from repro.net.server import HostConfig, NodeHost
 from repro.net.transport import FrameReader
 
-TAGGING = ("encode_payload", "decode_payload")
+TAGGING = ("encode_payload", "record_to_wire")
 
 
 @pytest.fixture(autouse=True)
@@ -192,9 +193,29 @@ def test_dones_arrive_as_completed():
     assert all(same(results[r], outcome) for r, outcome in outcomes.items())
 
 
-def test_only_bulk_bodies_tag():
-    """``src/`` calls the tagging functions from the record's JSON form
-    and the rebuild frame alone (and from themselves, recursively)."""
+def test_records_ride_the_peer_batch_as_op_records():
+    rec = NetOpRecord(req(4), 0, 0, INSERT, ("job", 4), 0.5, priority=2)
+    rec.value = 9
+    link = PeerLink(("127.0.0.1", 1), src=0)
+    link.send({"op": "replica_put", "origin": 0, "ack": False,
+               "record": clone(rec), "gen": 0})
+    link.send({"op": "recover_dump", "gen": 1, "host": 0, "epoch": 3,
+               "records": [clone(rec)]})
+    link.send({"op": "forwards", "forwards": {17: 2}})
+    (batch,) = across(link)
+    assert batch["op"] == "batch"
+    put, dump, forwards = batch["frames"]
+    for got in (put["record"], *dump["records"]):
+        assert type(got) is OpRecord
+        assert all(same(getattr(got, slot), getattr(rec, slot))
+                   for slot in OpRecord.__slots__)
+    assert same(forwards["forwards"], {17: 2})
+    assert type(next(iter(forwards["forwards"]))) is int
+
+
+def test_nothing_in_src_tags():
+    """No module under ``src/`` calls ``encode_payload`` or
+    ``record_to_wire`` (they call each other, recursively)."""
     src = Path(repro.__file__).resolve().parent
     callers = set()
     for path in sorted(src.rglob("*.py")):
@@ -208,9 +229,5 @@ def test_only_bulk_bodies_tag():
                     callers.add((path.relative_to(src).as_posix(), func.name))
     assert callers == {
         ("net/transport.py", "encode_payload"),
-        ("net/transport.py", "decode_payload"),
         ("net/transport.py", "record_to_wire"),
-        ("net/transport.py", "record_from_wire"),
-        ("net/control.py", "_plan_rebuild"),
-        ("net/control.py", "_on_rebuild"),
     }

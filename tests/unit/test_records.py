@@ -4,8 +4,9 @@ hand-delivered frames.
 Everything here used to run only under ``-m net`` (inside ``NodeHost``):
 the one merge, completion forwarding, replication and the ack-gated
 DONE, the retire handoff, the rebuild fold.  ``Wire`` stands in for the
-peer links: frames go through the real binary codec into a queue the
-test delivers when (and in the order) it wants.
+peer links: frames wait in a queue the test delivers when (and in the
+order) it wants, and go through the real binary codec on delivery — as a
+link encodes a frame when it writes, not when it is sent.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from repro.net.records import (
     learn,
 )
 from repro.net.transport import (
-    CODEC_BINARY,
+    MAX_FRAME_BYTES,
     FrameReader,
     encode_frame,
-    record_from_wire,
-    record_to_wire,
     unpack_record,
 )
 from repro.ops.recovery import merge_records
@@ -84,8 +83,7 @@ class Wire:
     def _send(self, host: int, frame: dict) -> bool:
         if host in self.down:
             return False
-        (decoded,) = FrameReader().feed(encode_frame(dict(frame), CODEC_BINARY))
-        self.queue.append((host, decoded))
+        self.queue.append((host, dict(frame)))
         return True
 
     def pump(self, only: str | None = None) -> int:
@@ -98,6 +96,7 @@ class Wire:
                 return delivered
             self.queue = [hf for hf in self.queue if hf not in batch]
             for host, frame in batch:
+                (frame,) = FrameReader().feed(encode_frame(frame))
                 delivered += 1
                 table = self.tables[host]
                 if frame["op"] == "complete":
@@ -180,7 +179,8 @@ class TestLearn:
         learn(rec, 4, None, False, True)
         copy = clone(rec, NetOpRecord)
         assert type(copy) is NetOpRecord and copy.on_completed is None
-        assert record_to_wire(copy) == record_to_wire(rec)
+        assert [getattr(copy, slot) for slot in OpRecord.__slots__] == [
+            getattr(rec, slot) for slot in OpRecord.__slots__]
         copy.local_match = True
         assert not rec.local_match
 
@@ -211,7 +211,8 @@ def via_replica_put(order, packed=False):
             pack_between(table, table.replicas, rid(0), packed)
         copy = blank(rid(0))
         learn(copy, *known)
-        table.put_replica(record_to_wire(copy))
+        table.put_replica(copy)
+        del copy  # the table alone holds it, as one fresh off the wire
     return held(table.replicas, rid(0))
 
 
@@ -226,7 +227,8 @@ def via_retire_handoff(order, packed=False):
         coordinator.apply(rid(1), known)
     archived = blank(rid(1))
     learn(archived, *first)
-    coordinator.archive([record_to_wire(archived)])
+    coordinator.archive([archived])
+    del archived  # the table alone holds it, as one fresh off the wire
     pack_between(coordinator, coordinator.custody, rid(1), packed)
     for known in after:
         coordinator.apply(rid(1), known)
@@ -282,12 +284,12 @@ class TestFivePathsOneRecord:
         table = Wire().tables[1]
         done = blank(rid(0))
         learn(done, 3, BOTTOM, False, True)
-        table.put_replica(record_to_wire(done))
-        table.put_replica(record_to_wire(blank(rid(0))))  # the submit copy
+        table.put_replica(clone(done))  # what a frame decodes is fresh
+        table.put_replica(blank(rid(0)))  # the submit copy
         # the second put packed the completed copy before learning into it
         assert isinstance(table.replicas[rid(0)], bytes)
         assert facts(held(table.replicas, rid(0))) == (3, BOTTOM, False, True)
-        assert type(held(table.replicas, rid(0))) is OpRecord  # not a wire dict
+        assert type(held(table.replicas, rid(0))) is OpRecord
 
 
 # -- stubs, wave proxies and the origin ----------------------------------------
@@ -328,7 +330,7 @@ class TestRemoteCompletion:
     def test_wave_proxy_tells_the_origin_the_value_at_once(self):
         wire = Wire()
         rec = wire.submit(1, kind=INSERT)
-        proxy = wire.tables[2].adopt(record_from_wire(record_to_wire(rec)))
+        proxy = wire.tables[2].adopt(clone(rec))
         assert wire.tables[2][rec.req_id] is proxy  # remembered
         proxy.value = 42  # stage 3 on the adopter
         wire.pump("complete")
@@ -371,6 +373,17 @@ class TestReplicationGate:
         assert wire.tables[0].counts()["pending_done"] == 0
         assert wire.tables[2].replicas[rec.req_id].completed
 
+    def test_a_replica_put_carries_the_facts_of_its_send(self):
+        """The link encodes a frame when it writes, so the record a
+        ``replica_put`` carries is a copy taken at the send."""
+        wire = Wire()
+        wire.tables[0].set_targets([1])
+        rec = wire.submit(0)  # the submit copy: no facts yet
+        rec.value = 5  # the valued copy
+        puts = [frame["record"] for _host, frame in wire.queue]
+        assert [put.value for put in puts] == [None, 5]
+        assert all(type(put) is OpRecord for put in puts)
+
     def test_done_is_released_at_once_when_no_target_is_left(self):
         wire = Wire()
         wire.tables[0].set_targets([1])
@@ -389,7 +402,7 @@ class TestReplicationGate:
         table.set_targets([1])
         done, open_ = wire.submit(0, 1), wire.submit(0, 2)
         done.completed = True
-        table.archive([record_to_wire(blank(rid(3)))])
+        table.archive([blank(rid(3))])
         wire.queue.clear()
         table.set_targets([2])
         wire.pump("replica_put")
@@ -412,7 +425,7 @@ class TestCustody:
         wire.pump("complete")  # arrives before the `retire` frame
         assert coordinator.get(rid(1)) is None
         assert coordinator.counts()["adopted_records"] == 0
-        coordinator.archive([record_to_wire(blank(rid(1)))])
+        coordinator.archive([blank(rid(1))])
         assert facts(coordinator.get(rid(1))) == (None, (rid(2), "e"), False, True)
         assert not coordinator._parked
         wire.tables[2][rid(1)].completed = True  # and later ones apply directly
@@ -422,13 +435,28 @@ class TestCustody:
     def test_dump_serves_own_and_custody_and_replicas_on_request(self):
         table = Wire().tables[0]
         table.open(blank(rid(0), cls=NetOpRecord))
-        table.archive([record_to_wire(blank(rid(1)))])
-        table.put_replica(record_to_wire(blank(rid(2))))
-        def ids(wires):
-            return sorted(w["req_id"] for w in wires)
+        table.archive([blank(rid(1))])
+        table.put_replica(blank(rid(2)))
+        def ids(recs):
+            return sorted(rec.req_id for rec in recs)
 
         assert ids(table.dump()) == [rid(0), rid(1)]  # collect, retire
         assert ids(table.dump(replicas=True)) == [rid(0), rid(1), rid(2)]
+
+    def test_dump_hands_out_copies(self):
+        """A frame is encoded when its link writes: what ``dump`` hands a
+        ``recover_dump``/``retire``/``records`` frame must not change
+        after."""
+        wire = Wire()
+        table = wire.tables[0]
+        live = wire.submit(0)
+        table.archive([blank(rid(1))])
+        dumped = table.dump()
+        assert all(type(rec) is OpRecord for rec in dumped)
+        assert live not in dumped and table.custody[rid(1)] not in dumped
+        live.value = 7
+        table.apply(rid(1), (8, None, False, False))
+        assert [rec.value for rec in dumped] == [None, None]
 
     def test_rebuild_fold_fires_each_completion_once(self):
         wire = Wire()
@@ -438,7 +466,7 @@ class TestCustody:
         mine[0].completed = True  # already completed before the crash
         wire.pump()
         assert wire.done[0] == [mine[0].req_id]
-        table.put_replica(record_to_wire(blank(rid(3, 9))))  # pre-crash replica
+        table.put_replica(blank(rid(3, 9)))  # pre-crash replica
         merged = []
         for rec in mine:
             copy = clone(rec)
@@ -455,6 +483,7 @@ class TestCustody:
         assert fired == [mine[1].req_id, mine[2].req_id]
         assert all(facts(rec)[1:] == (BOTTOM, False, True) for rec in mine)
         assert set(table.custody) == {rid(2, 5)} and not table.replicas
+        assert table.custody[rid(2, 5)] is not merged[-2]  # a copy is kept
         wire.pump()
         assert wire.done[0] == [rec.req_id for rec in mine]
 
@@ -512,6 +541,33 @@ class TestPackedRecords:
         learn(merged, 7, BOTTOM, False, True)
         table.fold([merged, clone(merged)], set(), [1])
         assert table.uncompleted == 0
+
+    def test_a_recover_dump_of_110_000_finished_records_fits_one_frame(self):
+        """A host dumps the whole history it holds (own records and two
+        predecessors' replicas) into one ``recover_dump``.  Records ride
+        the wire packed as ``OpRecord``s, about 50 bytes each, so 110 000
+        of them stay well under ``MAX_FRAME_BYTES``; a frame over it is
+        dropped at every re-offer and the recovery never completes."""
+        n = 110_000
+        table = RecordTable(0, SLOTS, lambda host, frame: True)
+        for seq in range(n):
+            req_id = pack_req_id(7, seq, seq % 3, SLOTS)
+            kind = INSERT if seq % 2 == 0 else REMOVE
+            rec = OpRecord(req_id, seq % 8, seq // 8, kind,
+                           seq if kind == INSERT else None, 1000.0 + seq / 1000)
+            result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
+            learn(rec, seq + 1, result, False, True)
+            table.put_replica(rec)
+        del rec
+        frame = {"op": "recover_dump", "gen": 1, "host": 0, "epoch": 9,
+                 "records": table.dump(replicas=True)}
+        wire = encode_frame(frame)
+        assert len(wire) < MAX_FRAME_BYTES // 2
+        (decoded,) = FrameReader().feed(wire)
+        assert len(decoded["records"]) == n
+        last = decoded["records"][-1]
+        assert type(last) is OpRecord and facts(last) == (
+            n, (last.req_id - SLOTS, n - 2), False, True)
 
     def test_ten_thousand_finished_records_take_at_most_200_bytes_each(self):
         n = 10_000
@@ -572,9 +628,9 @@ class TestStructure:
         writers = set()
         for path in sorted(NET.glob("*.py")):
             writers |= _fact_writers(path)
-        # `record_from_wire` decodes a record's own wire form into a fresh
-        # record; every merge into an existing one is `learn`
-        assert writers == {"records.py:learn", "transport.py:record_from_wire"}
+        # every merge into an existing record is `learn` (the codec fills
+        # a fresh one in a tuple assignment)
+        assert writers == {"records.py:learn"}
         # the planner in ops.recovery writes replay results onto its merged
         # copies; `merge_records` itself only clones and learns
         recovery = NET.parent / "ops" / "recovery.py"

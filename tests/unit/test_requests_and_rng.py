@@ -105,14 +105,3 @@ class TestRngStreams:
     def test_same_name_same_object(self):
         streams = RngStreams(5)
         assert streams.py("x") is streams.py("x")
-
-    def test_numpy_streams(self):
-        streams = RngStreams(5)
-        arr = streams.np("n").random(4)
-        assert arr.shape == (4,)
-
-    def test_child_families(self):
-        streams = RngStreams(5)
-        child_a = streams.child("a")
-        child_b = streams.child("b")
-        assert child_a.py("x").random() != child_b.py("x").random()

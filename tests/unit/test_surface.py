@@ -12,7 +12,11 @@ import ast
 import collections
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -516,3 +520,42 @@ class TestWavePlane:
         assert [
             node.name for node in flight.body if isinstance(node, ast.FunctionDef)
         ] == ["__init__"]
+
+
+class TestDependencies:
+    """The library declares what it imports: ``pyproject.toml`` says
+    ``dependencies = []``, so every import under ``src/repro`` is the
+    standard library or ``repro`` itself."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def _declared(self) -> set[str]:
+        pyproject = self.SRC.parents[1] / "pyproject.toml"
+        specs = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        return {re.split(r"[^A-Za-z0-9_.-]", spec, maxsplit=1)[0] for spec in specs}
+
+    def test_every_import_is_stdlib_repro_or_declared(self):
+        allowed = set(sys.stdlib_module_names) | {"repro"} | self._declared()
+        stray = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                stray += [
+                    f"{path.relative_to(self.SRC)}:{node.lineno}: {module}"
+                    for module in modules if module.split(".")[0] not in allowed
+                ]
+        assert stray == []
+
+    @pytest.mark.parametrize("module", ["repro.net.server", "repro.net.client"])
+    def test_a_host_or_client_process_loads_no_numpy(self, module):
+        probe = f"import sys, {module}; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC.parent)}, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "False"
