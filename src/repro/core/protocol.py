@@ -189,13 +189,16 @@ class Node(MembershipMixin, Actor):
     #: skew compounds super-logarithmically under load).  After this many
     #: rounds the waiter sends an ``A_NUDGE`` probe along its missing
     #: child edges; the probe walks the wave-dependency graph and only if
-    #: it returns to its origin — a genuine cycle, which can only arise
-    #: from a membership splice briefly leaving neighbouring nodes with
-    #: disagreeing parent/child views — does the origin fire without the
-    #: stragglers to dissolve it.  Normal waves complete in O(log n) ≪ 48
-    #: rounds on the sync engine, but the async engine's random delays do
-    #: outlast it without churn: ``sim_paper``'s async cell (n=1000, no
-    #: churn) launches 1300-1430 probes per run and force-fires none.
+    #: it returns to its origin does the origin fire without the
+    #: stragglers.  It returns from a genuine cycle (a membership splice
+    #: briefly leaving neighbours with disagreeing parent/child views)
+    #: and from any stage-4 barrier it reaches (:meth:`_on_nudge`), so
+    #: the stack force-fires without churn and the queue and the heap do
+    #: not (DESIGN.md, "Event-driven waves").  Normal waves complete in
+    #: O(log n) ≪ 48 rounds on the sync engine, but the async engine's
+    #: random delays do outlast it without churn: ``sim_paper``'s async
+    #: cell (n=1000, no churn) launches 1300-1430 probes per run and
+    #: force-fires none.
     #: Expiry is armed with ``call_later`` (event-driven).
     WAVE_PATIENCE = 48
 

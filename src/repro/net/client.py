@@ -95,13 +95,10 @@ class SkueueClient:
 
     ``trace_sample`` turns on client-side trace sampling: each req_id
     that wins the deterministic draw (see
-    :func:`repro.telemetry.tracing.trace_sampled`) is submitted as a
-    standalone ``submit`` frame tagged with the optional ``tr`` field,
-    which makes every host on the op's path record lifecycle spans for
-    it (docs/PROTOCOL.md, "Telemetry").  Sampled submissions keep their
-    place in the stream but break the ``submit_batch`` around them — its
-    rows carry no tag — so keep the rate low (a few percent) on
-    throughput-sensitive runs.  A client
+    :func:`repro.telemetry.tracing.trace_sampled`) is submitted tagged
+    with the optional ``tr`` field — a sixth column of its
+    ``submit_batch`` row — which makes every host on the op's path
+    record lifecycle spans for it (docs/PROTOCOL.md, "Telemetry").  A client
     constructed with the default rate of ``0.0`` adopts whatever rate
     the deployment advertises in its ``welcome`` (set by
     ``launch_local(trace_sample=...)``), so deployments can turn on
@@ -320,10 +317,8 @@ class SkueueClient:
         outbox; returns the req_id.
 
         The pipe writes on the next loop iteration, so every submission
-        staged meanwhile rides the same ``submit_batch``
-        (:data:`repro.net.link.FOLD_SUBMITS`).  A traced submission —
-        the ``tr`` tag rides only on standalone submit frames — keeps
-        its place and breaks the batch around it.
+        staged meanwhile, traced or not, rides the same ``submit_batch``
+        (:data:`repro.net.link.FOLD_SUBMITS`).
         """
         if session.closed:
             raise ConnectionError(f"host {session.index} hung up")
@@ -586,9 +581,6 @@ class SkueueClient:
         if op == "done":
             self._handle_done(message["req"], message["kind"],
                               message["result"])
-        elif op == "done_batch":
-            for req_id, kind, result in message["dones"]:
-                self._handle_done(req_id, kind, result)
         elif op == "rejected":
             self._spawn(self._on_rejected(message))
         elif op == "host_map":

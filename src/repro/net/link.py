@@ -5,9 +5,11 @@ FIFO, nothing lost, nothing duplicated — and this module is where that
 promise is built, once, for hosts and clients alike (DESIGN.md, "Links"):
 one :class:`Pipe` (a FIFO outbox and the single write step: take what is
 queued, fold it, one ``write``, one ``drain``), one fold
-(:meth:`Pipe.encode`), one read loop (:class:`Connection`) with one
-filter for resent frames (:class:`ResendFilter`), one teardown
-(:meth:`Pipe.close`).  Its three users are the pipe plus what only they
+(:meth:`Pipe.encode`) and its inverse (:func:`unfold`), one read loop
+(:class:`Connection`, over one :class:`~repro.net.transport.FrameReader`)
+with one filter for resent frames (:class:`ResendFilter`), one teardown
+(:meth:`Pipe.close`).  Wrappers exist only here: what a read loop hands
+on is always a lone frame.  Its three users are the pipe plus what only they
 need: a host's accepted :class:`Connection`; its outbound
 :class:`PeerLink`, which dials, redials, stamps ``(src, seq)`` and
 resends; and the client's per-host session (:mod:`repro.net.client`), a
@@ -23,7 +25,7 @@ import traceback
 from collections import deque
 from itertools import groupby, islice
 
-from repro.net.transport import FrameDecodeError, encode_frame, read_frame
+from repro.net.transport import FrameDecodeError, FrameReader, encode_frame
 
 __all__ = [
     "FOLD_DONES",
@@ -34,6 +36,7 @@ __all__ = [
     "Pipe",
     "ResendFilter",
     "dial",
+    "unfold",
 ]
 
 
@@ -51,13 +54,14 @@ FOLD_DONES = (
     lambda run: {"op": "done_batch",
                  "dones": [[f["req"], f["kind"], f["result"]] for f in run]},
 )
-#: client -> host: submits ride one ``submit_batch``; a traced one stays
-#: standalone (batch rows have no slot for the ``tr`` tag)
+#: client -> host: submits ride one ``submit_batch``; a traced one's
+#: ``tr`` tag is its row's sixth column
 FOLD_SUBMITS = (
-    lambda frame: frame.get("op") == "submit" and "tr" not in frame,
+    lambda frame: frame.get("op") == "submit",
     lambda run: {"op": "submit_batch",
                  "subs": [[f["req"], f["pid"], f["kind"], f["item"],
-                           f.get("pri", 0)] for f in run]},
+                           f.get("pri", 0), *([f["tr"]] if "tr" in f else ())]
+                          for f in run]},
 )
 #: host -> host: every frame rides one ``batch``, each subframe keeping
 #: its own src/seq/gen for the receiver's dedup and fence
@@ -65,6 +69,39 @@ FOLD_PEER = (
     lambda frame: True,
     lambda run: {"op": "batch", "frames": run},
 )
+
+
+def _submit(row: list) -> dict:
+    req, pid, kind, item, pri, *tr = row
+    frame = {"op": "submit", "req": req, "pid": pid, "kind": kind, "item": item}
+    if pri:
+        frame["pri"] = pri
+    if tr:
+        frame["tr"] = tr[0]
+    return frame
+
+
+#: the reading end of the folds: wrapper op -> the lone frames it stands for
+UNFOLDS = {
+    "batch": lambda wrapper: wrapper["frames"],
+    "submit_batch": lambda wrapper: [_submit(row) for row in wrapper["subs"]],
+    "done_batch": lambda wrapper: [
+        {"op": "done", "req": req, "kind": kind, "result": result}
+        for req, kind, result in wrapper["dones"]],
+}
+
+
+def unfold(frame: dict) -> list[dict]:
+    """The frames ``frame`` stands for, in order: a wrapper's members,
+    or the frame itself.  A wrapper that does not unfold is garbage
+    behind a valid header (:class:`FrameDecodeError`)."""
+    members = UNFOLDS.get(frame.get("op"))
+    if members is None:
+        return [frame]
+    try:
+        return members(frame)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FrameDecodeError(f"malformed {frame['op']!r}: {exc!r}") from None
 
 
 class Pipe:
@@ -177,11 +214,17 @@ class Pipe:
         self._waiters.clear()
 
 
+#: what an HTTP request to a data port opens with (see :class:`Connection`)
+HTTP_GET = b"GET "
+
+
 class Connection(Pipe):
     """An open socket, both directions: the pipe writes, a read loop
-    hands each frame to ``on_frame(connection, frame)``, and whichever
-    side fails first ends both and calls ``on_lost(connection)`` — an
-    explicit :meth:`close` does not.  As accepted by a host it folds DONE
+    hands each frame — a wrapper as its members — to ``on_frame(
+    connection, frame)``, and whichever side fails first ends both and
+    calls ``on_lost(connection)`` — an explicit :meth:`close` does not.
+    A stream that opens with ``GET `` goes to ``on_http(head, reader,
+    writer)`` instead, if given.  As accepted by a host it folds DONE
     pushes; the client's session overrides the fold and the cap.
     """
 
@@ -189,10 +232,11 @@ class Connection(Pipe):
     MAX_BATCH = 256
     FOLD = FOLD_DONES
 
-    def __init__(self, on_frame, on_lost, **pipe) -> None:
+    def __init__(self, on_frame, on_lost, on_http=None, **pipe) -> None:
         super().__init__(**pipe)
         self.on_frame = on_frame
         self.on_lost = on_lost
+        self.on_http = on_http
 
     async def open(self, address: tuple[str, int]) -> None:
         self.start(*await dial(address))
@@ -205,21 +249,34 @@ class Connection(Pipe):
 
     async def _read_loop(self, reader) -> None:
         try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except FrameDecodeError:
-                    # garbage behind a valid header: the body was
-                    # consumed, the stream is still framed — drop the
-                    # frame, keep the connection serviceable
-                    self.on_error("read", traceback.format_exc())
-                    continue
-                if message is None:
-                    break
-                self.on_frame(self, message)
+            # a frame header (its tag byte is 0x01) or an HTTP method
+            data = await reader.readexactly(len(HTTP_GET))
+            if data == HTTP_GET and self.on_http is not None:
+                await self.on_http(data, reader, self.writer)
+                data = b""
+            frames = FrameReader()
+            while data:
+                self._deliver(frames, data)
+                data = await reader.read(65536)
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            pass  # the peer hung up
         except Exception:
             self.on_error("connection", traceback.format_exc())
         self._lost()
+
+    def _deliver(self, frames: FrameReader, data: bytes) -> None:
+        """Every frame ``data`` completes goes to ``on_frame``.  Garbage
+        behind a valid header costs that frame: its body was consumed,
+        the stream is still framed.  An unframeable stream raises."""
+        while True:
+            try:
+                for frame in frames.feed(data):
+                    for member in unfold(frame):
+                        self.on_frame(self, member)
+                return
+            except FrameDecodeError:
+                self.on_error("read", traceback.format_exc())
+                data = b""  # what is buffered behind it is still to read
 
     async def _write_loop(self) -> None:
         try:

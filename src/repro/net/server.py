@@ -55,6 +55,7 @@ import errno
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from repro.core.actions import CATALOG
 from repro.core.cluster import join_pid, promote_joiners, spawn_nodes
@@ -67,7 +68,7 @@ from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import NetRuntime
 from repro.ops.detector import HEARTBEAT_SECONDS
-from repro.ops.health import build_health, build_status, start_ops_server
+from repro.ops.health import build_health, build_status, serve_http
 from repro.net.transport import (
     CLIENT,
     FENCED,
@@ -91,7 +92,7 @@ _UNROUTED_GRACE = 10.0
 _RETIRE_LINGER = 0.5
 
 #: :class:`HostConfig` fields that describe one host, not the deployment.
-PER_HOST_FIELDS = ("host_index", "bind_host", "port", "owned", "ops_port")
+PER_HOST_FIELDS = ("host_index", "bind_host", "port", "owned")
 
 
 @dataclass(slots=True)
@@ -116,9 +117,6 @@ class HostConfig:
     # the fresh pids of a host joining a live deployment (None: a genesis
     # host, which spawns the pids the `wire` frame's map gives it)
     owned: list[int] | None = None
-    # -- crash-stop fault tolerance + ops plane -------------------------------
-    # HTTP ops listener port (0: ephemeral, announced via SKUEUE-OPS)
-    ops_port: int = 0
     # -- telemetry plane (PR 9) ----------------------------------------------
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)
@@ -209,9 +207,6 @@ class NodeHost:
         #: the last update epoch a local actor observed
         self.update_epoch = 0
         self._pushed_epoch = 0
-        # -- ops plane --------------------------------------------------------
-        self.ops_server: asyncio.base_events.Server | None = None
-        self.ops_port: int | None = None
         # -- telemetry plane (see DESIGN.md, "Telemetry") ---------------------
         self.telemetry = MetricsRegistry()
         # always constructed: a rate-0 tracer still opens spans for
@@ -334,23 +329,18 @@ class NodeHost:
                 self._accept, self.config.bind_host, 0
             )
         self.port = self.server.sockets[0].getsockname()[1]
-        try:
-            self.ops_server, self.ops_port = await start_ops_server(
-                self, self.config.bind_host, self.config.ops_port
-            )
-        except OSError as exc:
-            # the data plane works without the ops listener; note and go on
-            self.note_error("ops", f"ops listener failed to bind: {exc}")
         return self.port
 
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
 
     def stop(self) -> None:
-        self._stopping = True
         asyncio.get_running_loop().create_task(self._async_stop())
 
     async def _async_stop(self) -> None:
+        # set here, not in stop(): a host stopped by awaiting this alone
+        # would flag a wave message in flight to a dropped actor as a bug
+        self._stopping = True
         await asyncio.sleep(0.05)  # let in-flight replies (`bye`) flush
         for task in (self._drain_task, self._housekeeping_task,
                      self._heartbeat_task):
@@ -359,8 +349,6 @@ class NodeHost:
         self.runtime.close()
         if self.server is not None:
             self.server.close()
-        if self.ops_server is not None:
-            self.ops_server.close()
         pipes = [*self.connections, *self.peers.values()]
         for pipe in pipes:
             pipe.close()
@@ -373,7 +361,8 @@ class NodeHost:
 
     async def _accept(self, reader, writer) -> None:
         conn = Connection(self.handle_frame, self.forget_connection,
-                          on_write=self.count_write, on_error=self.note_error)
+                          partial(serve_http, self), on_write=self.count_write,
+                          on_error=self.note_error)
         self.connections.add(conn)
         conn.start(reader, writer)
 
@@ -597,18 +586,11 @@ class NodeHost:
 
     # -- frame dispatch ------------------------------------------------------
     def handle_frame(self, conn: Connection, message: dict) -> None:
-        """A frame off a socket: count it, unwrap a batch, drop the
-        duplicate of a reconnect resend, dispatch."""
-        op = message.get("op")
+        """A frame off a socket — a lone one, or a wrapper's member with
+        its own src/seq/gen: count it, drop the duplicate of a reconnect
+        resend, dispatch."""
         self._frames_in.inc()
-        if op == "batch":
-            # coalesced peer frames: each subframe carries its own
-            # src/seq/gen, so dedup + the generation fence apply per
-            # subframe
-            for sub in message.get("frames", []):
-                self.handle_frame(conn, sub)
-            return
-        entry = self._frame_table.get(op)
+        entry = self._frame_table.get(message.get("op"))
         if entry is not None and entry[1] == FENCED_DEDUP:
             src = message.get("src")
             if src is not None:
@@ -674,15 +656,6 @@ class NodeHost:
     def _on_replica_ack(self, conn, message: dict, now: float) -> None:
         self.records.acked(int(message["req"]))
 
-    def _on_submit_batch(self, conn, message: dict, now: float) -> None:
-        for sub in message.get("subs", []):
-            req_id, pid, kind, item = sub[0], sub[1], sub[2], sub[3]
-            unpacked = {"op": "submit", "req": req_id, "pid": pid,
-                        "kind": kind, "item": item}
-            if len(sub) > 4 and sub[4]:
-                unpacked["pri"] = sub[4]
-            self._on_submit(conn, unpacked, now)
-
     def _on_hello(self, conn, message: dict, now: float) -> None:
         control = self.control
         if not control.wired:
@@ -710,10 +683,8 @@ class NodeHost:
         conn.send({"op": "wired", "host": self.config.host_index})
 
     def _on_health(self, conn, message: dict, now: float) -> None:
-        if message.get("detail") == "status":
-            conn.send({"op": "health", **build_status(self)})
-        else:
-            conn.send({"op": "health", **build_health(self)})
+        build = build_status if message.get("detail") == "status" else build_health
+        conn.send({"op": "health", **build(self)})
 
     def _on_collect(self, conn, message: dict, now: float) -> None:
         conn.send(
@@ -747,7 +718,6 @@ class NodeHost:
                 "draining": self.control.draining,
                 "map_version": 0 if cluster is None else cluster.version,
                 "update_epoch": self.update_epoch,
-                "ops_port": self.ops_port,
             }
         )
 
@@ -1016,10 +986,6 @@ async def _start_announced(config: HostConfig, ready_prefix: str):
     host = NodeHost(config)
     port = await host.start()
     print(f"{ready_prefix} {config.host_index} {port}", flush=True)
-    if host.ops_port:
-        # announced *after* READY so launchers parsing only the READY
-        # line keep working; `skueue-ops` scrapes this one
-        print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
     return host, port
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "encode_frame",
     "encode_payload",
     "pack_record",
-    "read_frame",
     "record_to_wire",
     "request",
     "request_async",
@@ -555,8 +554,7 @@ def encode_frame(message: dict, codec: str = CODEC_BINARY) -> bytes:
 
 def _parse_header(header, max_frame: int) -> int:
     """The body length a frame header announces — the one place a stream
-    is judged unframeable (:class:`FrameError`): both the incremental
-    :class:`FrameReader` and :func:`read_frame` come here."""
+    is judged unframeable (:class:`FrameError`)."""
     (word,) = _HEADER.unpack_from(header)
     codec_tag, length = word >> 24, word & MAX_FRAME_BYTES
     if codec_tag != CODEC_TAGS[CODEC_BINARY]:
@@ -567,12 +565,12 @@ def _parse_header(header, max_frame: int) -> int:
 
 
 class FrameReader:
-    """Incremental frame decoder tolerating arbitrary packet boundaries.
+    """Incremental frame decoder tolerating arbitrary packet boundaries:
+    every stream, blocking or event-loop, is read by one.
 
-    Feed it whatever ``recv`` produced; it yields every complete message
-    and buffers the tail.  The blocking helpers and the tests use it;
-    the event-loop side reads with :func:`read_frame`.
-    """
+    Feed it whatever a socket read produced; it yields every complete
+    message and buffers the tail.  A garbage body raises once its frame
+    was consumed: feeding ``b""`` goes on behind it."""
 
     __slots__ = ("_buffer", "max_frame")
 
@@ -597,26 +595,17 @@ class FrameReader:
         return len(self._buffer)
 
 
-# -- asyncio stream helpers ----------------------------------------------------
-
-
-async def read_frame(reader, max_frame: int = MAX_FRAME_BYTES) -> dict | None:
-    """Read one frame from an ``asyncio.StreamReader``; ``None`` on EOF.
-
-    Raises :class:`FrameError` for an unframeable stream (unknown codec
-    tag, oversized announcement) and the :class:`FrameDecodeError`
-    subclass for a garbage *body* — in the latter case the bytes were
-    consumed and the caller may keep reading frames.
-    """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-        body = await reader.readexactly(_parse_header(header, max_frame))
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    return decode_frame_body(body)
-
-
 # -- one-shot request/response -------------------------------------------------
+
+
+def _answer(replies: Iterator[dict], expect_op: str) -> dict | None:
+    """The first of ``replies`` that is ``expect_op``; an ``error`` raises."""
+    for reply in replies:
+        if reply.get("op") == expect_op:
+            return reply
+        if reply.get("op") == "error":
+            raise RuntimeError(reply.get("message"))
+    return None
 
 
 def request(
@@ -636,11 +625,9 @@ def request(
             data = sock.recv(65536)
             if not data:
                 raise ConnectionError(f"host at {address} closed the connection")
-            for reply in frames.feed(data):
-                if reply.get("op") == expect_op:
-                    return reply
-                if reply.get("op") == "error":
-                    raise RuntimeError(reply.get("message"))
+            reply = _answer(frames.feed(data), expect_op)
+            if reply is not None:
+                return reply
 
 
 async def request_async(
@@ -655,14 +642,14 @@ async def request_async(
     try:
         writer.write(encode_frame(message))
         await writer.drain()
+        frames = FrameReader()
         while True:
-            reply = await asyncio.wait_for(read_frame(reader), timeout)
-            if reply is None:
+            data = await asyncio.wait_for(reader.read(65536), timeout)
+            if not data:
                 raise ConnectionError(f"host at {address} closed the connection")
-            if reply.get("op") == expect_op:
+            reply = _answer(frames.feed(data), expect_op)
+            if reply is not None:
                 return reply
-            if reply.get("op") == "error":
-                raise RuntimeError(reply.get("message"))
     finally:
         try:
             writer.close()

@@ -11,7 +11,8 @@ an injected clock:
   deterministic post-crash rebuild (replay completion, store preload,
   anchor restoration, repair of records whose facts died with a host).
 * :mod:`repro.ops.health` — `/health` and `/status` payload builders
-  plus the minimal per-host HTTP listener.
+  plus the minimal HTTP responder each host's data port hands a
+  ``GET`` to.
 * :mod:`repro.ops.cli` — the ``skueue-ops`` dashboard/log-tail CLI
   (imported lazily by its entry point; it pulls in ``repro.net``).
 
@@ -23,7 +24,7 @@ this package, so the pure half stays pure.
 """
 
 from repro.ops.detector import FailureDetector
-from repro.ops.health import build_health, build_status, start_ops_server
+from repro.ops.health import build_health, build_status
 from repro.ops.recovery import RebuildPlan, merge_records, plan_rebuild
 
 __all__ = [
@@ -33,5 +34,4 @@ __all__ = [
     "build_status",
     "merge_records",
     "plan_rebuild",
-    "start_ops_server",
 ]

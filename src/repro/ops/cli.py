@@ -1,9 +1,9 @@
 """``skueue-ops``: operations dashboard for a live TCP deployment.
 
 Point it at any live host; it pulls the cluster map, asks every host
-for its health/status payload over the main TCP port (the ``health``
-frame — no HTTP client needed), and renders either a terminal dashboard
-or machine-readable JSON:
+at its address there for its health/status payload (the ``health``
+frame), and renders either a terminal dashboard or machine-readable
+JSON:
 
 * ``skueue-ops status --seed HOST:PORT`` — one-shot cluster dashboard
   (per-host liveness, detector view, replica fan-out, evictions),
@@ -23,8 +23,9 @@ or machine-readable JSON:
 * ``skueue-ops profile --seed HOST:PORT --host N --seconds S`` — live
   cProfile capture of one host's event loop (the ``/profile`` route).
 
-The ops HTTP ports are discovered through each host's ``pong`` answer
-(``ops_port``), so every subcommand needs only the main TCP seed.
+A host answers frames and the HTTP routes on the same port — the one
+its cluster map entry names — so every subcommand needs only one seed
+address.
 
 Kept separate from :mod:`repro.ops`'s pure modules because it imports
 ``repro.net.transport``; the package ``__init__`` never imports us.
@@ -128,20 +129,6 @@ def _status(args: argparse.Namespace) -> int:
         if not args.watch:
             return 0
         time.sleep(args.interval)
-
-
-def _ops_addresses(seed: tuple[str, int]) -> dict[int, tuple[str, int]]:
-    """Each host's ops HTTP address, discovered through its pong."""
-    out: dict[int, tuple[str, int]] = {}
-    for index, address in sorted(_discover(seed).items()):
-        try:
-            pong = request(address, {"op": "ping"}, "pong", _PROBE_TIMEOUT)
-        except (OSError, RuntimeError, ConnectionError):
-            continue
-        port = pong.get("ops_port")
-        if port:
-            out[index] = (address[0], int(port))
-    return out
 
 
 def _http_get(address: tuple[str, int], path: str, timeout: float = 30.0) -> str:
@@ -255,11 +242,7 @@ def _scrape(
 
 
 def _top(args: argparse.Namespace) -> int:
-    addresses = _ops_addresses(args.seed)
-    if not addresses:
-        print("skueue-ops: no host answered with an ops port "
-              "(deployment launched with ops_port disabled?)", file=sys.stderr)
-        return 1
+    addresses = _discover(args.seed)
     previous: dict[int, dict[str, float]] = {}
     stamp = time.monotonic()
     while True:
@@ -275,10 +258,7 @@ def _top(args: argparse.Namespace) -> int:
 
 
 def _trace(args: argparse.Namespace) -> int:
-    addresses = _ops_addresses(args.seed)
-    if not addresses:
-        print("skueue-ops: no host answered with an ops port", file=sys.stderr)
-        return 1
+    addresses = _discover(args.seed)
     if args.req is not None:
         # the op finished on exactly one host's flight ring; ask them all
         for index, address in sorted(addresses.items()):
@@ -327,10 +307,10 @@ def _trace(args: argparse.Namespace) -> int:
 
 
 def _profile(args: argparse.Namespace) -> int:
-    addresses = _ops_addresses(args.seed)
+    addresses = _discover(args.seed)
     address = addresses.get(args.host)
     if address is None:
-        print(f"skueue-ops: host {args.host} has no reachable ops port "
+        print(f"skueue-ops: host {args.host} is not in the cluster map "
               f"(known: {sorted(addresses)})", file=sys.stderr)
         return 1
     text = _http_get(

@@ -1,10 +1,11 @@
-"""Ops-plane payload builders + the per-host HTTP listener.
+"""Ops-plane payload builders + the HTTP responder of each host's data port.
 
-Every :class:`~repro.net.server.NodeHost` exposes two read-only views:
+Every :class:`~repro.net.server.NodeHost` answers these read-only
+routes on its one port, to a connection that opens with ``GET ``:
 
 * ``/health`` — cheap liveness: detector snapshot, peer-link stats,
-  recovery state, record/replica counts.  Also served as the ``health``
-  frame on the main TCP port.
+  recovery state, record/replica counts.  Also answered as the
+  ``health`` frame.
 * ``/status`` — everything in ``/health`` plus the membership tables and
   the tail of the host's ops log ring.
 * ``/metrics`` — Prometheus text exposition (the host's telemetry
@@ -20,9 +21,9 @@ The builders are duck-typed over the host object and its control plane
 only), so this module never imports ``repro.net`` — which is what lets
 ``repro.net.server`` import *us* without a cycle (``repro.telemetry``
 is import-safe the same way: it imports neither ``repro.net`` nor
-``repro.sim``).  The listener is a deliberately tiny HTTP/1.0 responder
-(GET only): operators get ``curl``-ability without a web framework in
-the dependency set.
+``repro.sim``).  The responder is a deliberately tiny HTTP/1.0 one
+(GET only, one request per connection): operators get ``curl``-ability
+without a web framework in the dependency set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.telemetry import capture_profile
 
-__all__ = ["build_health", "build_status", "build_trace", "start_ops_server"]
+__all__ = ["build_health", "build_status", "build_trace", "serve_http"]
 
 
 def build_health(host) -> dict:
@@ -118,9 +119,10 @@ def build_trace(host, query: dict) -> tuple[str, dict]:
     return "200 OK", tracer.export()
 
 
-async def _serve_http(host, reader, writer) -> None:
+async def serve_http(host, head: bytes, reader, writer) -> None:
+    """Answer the one GET whose first bytes, ``head``, were already read."""
     try:
-        request = await asyncio.wait_for(reader.readline(), 5.0)
+        request = head + await asyncio.wait_for(reader.readline(), 5.0)
         while True:  # drain the header block; we route on the path alone
             line = await asyncio.wait_for(reader.readline(), 5.0)
             if line in (b"\r\n", b"\n", b""):
@@ -170,13 +172,3 @@ async def _serve_http(host, reader, writer) -> None:
             writer.close()
         except Exception:
             pass
-
-
-async def start_ops_server(host, bind_host: str, port: int):
-    """Bind the ops HTTP listener; returns ``(server, actual_port)``."""
-
-    async def handle(reader, writer):
-        await _serve_http(host, reader, writer)
-
-    server = await asyncio.start_server(handle, bind_host, port)
-    return server, server.sockets[0].getsockname()[1]

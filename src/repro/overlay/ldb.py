@@ -19,7 +19,7 @@ JOIN/LEAVE machinery.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 
 from repro.util.hashing import label_of
 
@@ -121,22 +121,3 @@ class LdbTopology:
         if i == 0:
             return self._order[-1][1]
         return self._order[i - 1][1]
-
-    # -- membership (used by tests to model post-update snapshots) -----------
-    def add_process(self, pid: int) -> None:
-        mid = label_of(pid, salt=self.salt)
-        for kind in (LEFT, MIDDLE, RIGHT):
-            vid = vid_of(pid, kind)
-            if vid in self.labels:
-                raise ValueError(f"process {pid} already present")
-            lbl = virtual_label(mid, kind)
-            self.labels[vid] = lbl
-            insort(self._order, (lbl, vid))
-        self._index = {vid: i for i, (_, vid) in enumerate(self._order)}
-
-    def remove_process(self, pid: int) -> None:
-        for kind in (LEFT, MIDDLE, RIGHT):
-            vid = vid_of(pid, kind)
-            lbl = self.labels.pop(vid)
-            self._order.remove((lbl, vid))
-        self._index = {vid: i for i, (_, vid) in enumerate(self._order)}

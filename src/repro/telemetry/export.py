@@ -3,7 +3,7 @@
 ``render_run_metrics`` renders a :class:`repro.sim.metrics.Metrics`
 (duck-typed: attribute access only, so this module imports neither
 ``repro.sim`` nor ``repro.net``) as Prometheus exposition text.  The
-ops listener serves it concatenated with the host registry's own
+host's HTTP route serves it concatenated with the host registry's own
 :meth:`~repro.telemetry.registry.MetricsRegistry.render` output, so one
 ``/metrics`` scrape carries both the protocol observables (the paper's
 round accounting) and the host-level telemetry series.

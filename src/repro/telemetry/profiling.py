@@ -12,7 +12,7 @@ Two entry points, both ``cProfile`` under the hood:
   N seconds from *inside* the loop and return the ``pstats`` text.
   Because a ``NodeHost`` runs everything on one thread, enabling the
   profiler around an ``asyncio.sleep`` observes every coroutine that
-  runs meanwhile — this is what the ops listener's ``/profile`` route
+  runs meanwhile — this is what a host's ``/profile`` HTTP route
   and ``skueue-ops profile --seconds N`` serve.
 
 Only one profiler can be active per interpreter; concurrent capture

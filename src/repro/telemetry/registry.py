@@ -10,7 +10,7 @@ allocation.
 The registry renders two surfaces:
 
 * :meth:`MetricsRegistry.render` — Prometheus text exposition format,
-  served verbatim at the ops listener's ``/metrics`` route;
+  served verbatim at a host's ``/metrics`` HTTP route;
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe dict, merged into the
   ``metrics`` frame answer so clients (and ``perfbench/``) read the
   same numbers over the main TCP port.

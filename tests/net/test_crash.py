@@ -188,13 +188,12 @@ def test_ops_surface_reports_eviction():
     with launch_local(3, 6, seed=11, id_slots=16) as deployment:
         address = deployment.host_map[2]
 
-        # the TCP pong advertises where the HTTP ops listener landed
+        # the HTTP routes ride the data port: no second listener to find
         pong = request(tuple(address), {"op": "ping"}, "pong")
-        ops_port = pong["ops_port"]
-        assert ops_port > 0
+        assert "ops_port" not in pong
 
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{ops_port}/health", timeout=10
+            f"http://127.0.0.1:{address[1]}/health", timeout=10
         ) as reply:
             health = json.loads(reply.read())
         assert health["host"] == 2
@@ -204,7 +203,7 @@ def test_ops_surface_reports_eviction():
         assert sorted(health["replica_targets"]) == [0, 1]
 
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{ops_port}/status", timeout=10
+            f"http://127.0.0.1:{address[1]}/status", timeout=10
         ) as reply:
             status = json.loads(reply.read())
         assert set(status["hosts"]) == {"0", "1", "2"}

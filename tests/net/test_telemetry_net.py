@@ -72,10 +72,8 @@ class TestLiveTelemetry:
         with launch_local(3, 8, seed=11, trace_sample=1.0,
                           trace_slow_ms=0.0) as dep:
             telemetry = _drive(dep.host_map)
-            ops_addresses = cli._ops_addresses(
-                next(iter(dep.host_map.values()))
-            )
-            yield dep, telemetry, ops_addresses
+            # a host serves its HTTP routes on its data port
+            yield dep, telemetry, dict(dep.host_map)
 
     def test_metrics_route_serves_core_series(self, deployment):
         dep, _, ops_addresses = deployment

@@ -81,14 +81,3 @@ class TestTopology:
     def test_needs_processes(self):
         with pytest.raises(ValueError):
             LdbTopology([])
-
-    def test_add_remove_process(self):
-        topology = LdbTopology(list(range(5)), salt="s")
-        topology.add_process(99)
-        assert len(topology) == 18
-        labels = [topology.label(v) for v in topology.vids]
-        assert labels == sorted(labels)
-        topology.remove_process(99)
-        assert len(topology) == 15
-        with pytest.raises(ValueError):
-            topology.add_process(3)  # duplicate

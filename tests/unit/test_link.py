@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import json
 import time
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from repro.net.membership import ClusterMap
 from repro.net.server import HostConfig, NodeHost
 from repro.net.transport import (
     MAX_FRAME_BYTES,
+    FrameDecodeError,
     FrameReader,
     encode_frame,
 )
@@ -195,14 +197,13 @@ class TestFold:
         for fold in (FOLD_DONES, FOLD_SUBMITS, FOLD_PEER):
             assert make_pipe(fold).encode([]) == b""
 
-    def test_submits_fold_to_rows_and_a_traced_one_stays_standalone(self):
+    def test_submits_fold_to_rows_and_a_traced_one_carries_its_tag(self):
         frames = [submit(1), submit(2, pri=2), submit(3, tr=3), submit(4)]
         out = decode(make_pipe(FOLD_SUBMITS).encode(frames))
         assert out == [
             {"op": "submit_batch",
-             "subs": [[1, 1, INSERT, 1, 0], [2, 2, INSERT, 2, 2]]},
-            submit(3, tr=3),
-            submit(4),
+             "subs": [[1, 1, INSERT, 1, 0], [2, 2, INSERT, 2, 2],
+                      [3, 3, INSERT, 3, 0, 3], [4, 0, INSERT, 4, 0]]},
         ]
 
     def test_a_lone_peer_frame_ships_raw_not_wrapped(self):
@@ -242,6 +243,63 @@ class TestFold:
             [done(1), poisoned, done(3), {"op": "pong", "host": 0}]))
         assert out == [done(1), done(3), {"op": "pong", "host": 0}]
         assert [where for where, _detail in notes] == ["write"]
+
+
+# -- the unfold: a wrapper becomes its members before anyone handles it --------------
+
+
+def chunked(reader: asyncio.StreamReader, blob: bytes, size: int) -> None:
+    for start in range(0, len(blob), size):
+        reader.feed_data(blob[start:start + size])
+
+
+def reading(notes: list):
+    """A connection over an in-memory stream; what it handed on, in order."""
+    got, reader = [], asyncio.StreamReader()
+    conn = Connection(lambda conn, frame: got.append(frame), lambda conn: None,
+                      on_error=lambda *entry: notes.append(entry))
+    conn.start(reader, MemoryWriter())
+    return conn, reader, got
+
+
+class TestUnfold:
+    @pytest.mark.parametrize("fold, frames", [
+        (FOLD_DONES, [done(1), {**done(2), "result": ("job", 2)}]),
+        (FOLD_SUBMITS, [submit(1), submit(2, pri=2), submit(3, tr=3)]),
+        (FOLD_PEER, [hot(1), {"op": "heartbeat", "host": 1, "src": 1,
+                              "seq": 9}]),
+    ], ids=["dones", "submits", "peer"])
+    def test_a_wrapper_unfolds_to_the_frames_it_took(self, fold, frames):
+        (wrapper,) = decode(make_pipe(fold).encode(frames))
+        assert wrapper["op"] in link.UNFOLDS
+        assert link.unfold(wrapper) == frames
+
+    @pytest.mark.parametrize("wrapper", [
+        {"op": "submit_batch", "subs": [[1, 2]]},
+        {"op": "done_batch", "dones": [[1, INSERT]]},
+        {"op": "batch"},
+    ])
+    def test_a_malformed_wrapper_is_garbage(self, wrapper):
+        with pytest.raises(FrameDecodeError):
+            link.unfold(wrapper)
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 4096])
+    def test_members_arrive_in_order_at_any_chunk_boundary(self, size):
+        sent = [done(1), done(2), {"op": "pong", "host": 0}, done(3),
+                submit(4, tr=4), submit(5)]
+        blob = (make_pipe(FOLD_DONES).encode(sent[:4])
+                + make_pipe(FOLD_SUBMITS).encode(sent[4:]))
+
+        async def scenario():
+            notes = []
+            conn, reader, got = reading(notes)
+            chunked(reader, blob, size)
+            await settle(200)
+            conn.close()
+            return got, notes
+
+        got, notes = asyncio.run(scenario())
+        assert got == sent and notes == []
 
 
 # -- the pipe: one write loop --------------------------------------------------------
@@ -360,7 +418,9 @@ class TestPipe:
         assert lost == [b]
         assert a.closed and b.closed and writer_a.closed and writer_b.closed
 
-    def test_garbage_behind_a_valid_header_drops_that_frame_only(self):
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["garbage-body", "malformed-wrapper"])
+    def test_garbage_behind_a_valid_header_drops_that_frame_only(self, wrapped):
         async def scenario():
             notes = []
             a, b, _wa, _wb, got_a, _gb, lost = joined(notes)
@@ -371,7 +431,8 @@ class TestPipe:
                            on_error=lambda *entry: notes.append(entry))
             a.start(reader, MemoryWriter())
             good = encode_frame({"op": "ping"})
-            poisoned = good[:4] + b"\xff" * (len(good) - 4)
+            poisoned = (encode_frame({"op": "submit_batch", "subs": [[1, 2]]})
+                        if wrapped else good[:4] + b"\xff" * (len(good) - 4))
             reader.feed_data(good + poisoned + good)
             await settle()
             alive = not a.closed
@@ -616,6 +677,51 @@ class TestHostConnections:
         assert "codec" not in welcome
         assert writer.writes[0][0] == 0x01  # the binary tag
 
+    def test_the_data_port_answers_http_and_frames_alike(self):
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2))
+            streams = []
+            for _ in range(2):
+                reader, writer = asyncio.StreamReader(), MemoryWriter()
+                await host._accept(reader, writer)
+                streams.append((reader, writer))
+            (http_in, http_out), (frames_in, frames_out) = streams
+            chunked(http_in, b"GET /health HTTP/1.0\r\nHost: x\r\n\r\n", 2)
+            frames_in.feed_data(encode_frame({"op": "ping"}))
+            await settle()
+            left = len(host.connections)
+            await host._async_stop()
+            return http_out, frames_out, left, host.errors
+
+        http_out, frames_out, left, errors = asyncio.run(scenario())
+        head, _, body = b"".join(http_out.writes).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 OK")
+        health = json.loads(body)
+        assert health["host"] == 0 and health["wired"] is True
+        assert http_out.closed and left == 1  # the HTTP connection ended
+        (pong,) = frames_out.frames()
+        assert pong["op"] == "pong" and pong["host"] == 0
+        assert not errors
+
+    def test_a_connection_that_never_sends_a_byte_does_not_hold_up_a_stop(self):
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            port = await host.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                while not host.connections:
+                    await asyncio.sleep(0.01)
+                host.stop()
+                await asyncio.wait_for(host.wait_stopped(), 5.0)
+                hung_up = await asyncio.wait_for(reader.read(), 5.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return hung_up, [conn.closed for conn in host.connections]
+
+        assert asyncio.run(asyncio.wait_for(scenario(), 10.0)) == (b"", [True])
+
 
 # -- the client's sessions -----------------------------------------------------------
 
@@ -720,23 +826,41 @@ class TestClientSessions:
             {"op": "submit", "req": req_id, "pid": 0, "kind": INSERT,
              "item": "only"}]
 
-    def test_a_traced_submit_keeps_its_place_and_its_tag(self, client):
+    def test_a_traced_submit_rides_the_batch_and_arrives_with_its_tag(
+            self, client):
         async def run():
-            session, _reader, writer = greeted(client)
-            client.trace_sample = 1.0
-            traced = client._queue_submit(session, 0, INSERT, "t")
-            client.trace_sample = 0.0
-            plain = [client._queue_submit(session, 0, INSERT, i)
-                     for i in range(2)]
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2))
+            host_reader = asyncio.StreamReader()
+            await host._accept(host_reader, MemoryWriter())
+            session = client._sessions[0] = _Session(
+                0, client._on_frame, client._on_lost, client._note_error)
+            writer = MemoryWriter(host_reader)  # the session writes to the host
+            session.start(asyncio.StreamReader(), writer)
+            session.nonce = 1
+            reqs = []
+            for traced in (False, True, False):
+                client.trace_sample = 1.0 if traced else 0.0
+                reqs.append(client._queue_submit(session, 0, INSERT, "t"))
             await session.flushed()
+            await settle()
+            spanned = [host.tracer.active(req)
+                       or host.tracer.lookup(req) is not None for req in reqs]
+            taken = [req in host.records.local for req in reqs]
+            counted = host._frames_in.value
             await client.close()
-            return traced, plain, writer
+            await host._async_stop()
+            return reqs, writer, spanned, taken, counted, host.errors
 
-        traced, plain, writer = asyncio.run(run())
-        first, second = writer.frames()
-        assert first["op"] == "submit" and first["tr"] == first["req"] == traced
-        assert [sub[0] for sub in second["subs"]] == plain
-        assert len(writer.writes) == 1  # still one buffered write
+        reqs, writer, spanned, taken, counted, errors = asyncio.run(run())
+        (frame,) = writer.frames()
+        assert len(writer.writes) == 1 and frame["op"] == "submit_batch"
+        assert [row[0] for row in frame["subs"]] == reqs
+        assert [len(row) for row in frame["subs"]] == [5, 6, 5]
+        assert frame["subs"][1][5] == reqs[1]
+        # the host admitted each submit on its own, and spanned the traced one
+        assert taken == [True] * 3 and spanned == [False, True, False]
+        assert counted == 3 and not errors
 
     def test_nothing_staged_writes_nothing(self, client):
         async def run():
@@ -926,6 +1050,28 @@ class TestStructure:
             ("transport.py", "request_async", "drain"),
         }
 
+    def test_only_the_link_plane_reads_a_wrapper(self):
+        keys = {"frames", "subs", "dones"}
+
+        def reads_a_wrapper(node):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get"):
+                key = node.args[0]
+            else:
+                return False
+            return isinstance(key, ast.Constant) and key.value in keys
+
+        readers = {
+            str(path.relative_to(NET.parent))
+            for path in NET.parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if reads_a_wrapper(node)
+        }
+        assert readers == {"net/link.py"}
+
     def test_the_server_module_defines_the_host_and_its_config_only(self):
         classes = {node.name for node in ast.walk(_tree("server.py"))
                    if isinstance(node, ast.ClassDef)}
@@ -937,7 +1083,8 @@ class TestStructure:
     def test_one_write_loop_one_fold_one_header_check(self):
         everything = "".join(path.read_text() for path in NET.glob("*.py"))
         for gone in ("coalesce_frames", "encode_batch", "_flush_later",
-                     "_flush_submits", "_drain_submits", "write_frame"):
+                     "_flush_submits", "_drain_submits", "write_frame",
+                     "read_frame", "_on_submit_batch"):
             assert gone not in everything
         assert (NET / "transport.py").read_text().count("unknown codec tag") == 1
 

@@ -1,8 +1,8 @@
 """Frames carry the protocol's own values, one pass each way.
 
 Each case runs a frame from the code that builds it, through its pipe's
-fold, ``encode_frame`` and a ``FrameReader``, into the handler that
-takes it — socket-free, with ``encode_payload``/``record_to_wire``
+fold, ``encode_frame``, a ``FrameReader`` and the link plane's unfold,
+into the handler that takes it — socket-free, with ``encode_payload``/``record_to_wire``
 patched to fail — and checks that what the handler got is what the
 builder put in, type for type.  Records ride as ``OpRecord``s in the
 peer ``batch`` like any other frame.  An item the codec cannot carry is
@@ -25,7 +25,7 @@ from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net import client as client_module
 from repro.net import control, records, server, transport
 from repro.net.client import SkueueClient, _Session
-from repro.net.link import Connection, PeerLink
+from repro.net.link import Connection, PeerLink, unfold
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, clone, encode_complete
 from repro.net.server import HostConfig, NodeHost
@@ -59,6 +59,11 @@ def across(pipe) -> list[dict]:
     frames = list(pipe.outbox)
     pipe.outbox.clear()
     return list(FrameReader().feed(bytes(pipe.encode(frames))))
+
+
+def members(frames: list[dict]) -> list[dict]:
+    """What the far end's connection hands its handler: wrappers unfolded."""
+    return [member for frame in frames for member in unfold(frame)]
 
 
 def host_and_client() -> tuple[NodeHost, SkueueClient, _Session]:
@@ -98,7 +103,7 @@ def test_an_actor_message_arrives_as_sent(action, payload):
         link.send(host._msg_frame(3, action, payload))
         link.send(host._msg_frame(4, action, payload))
         frames = across(link)
-        for frame in frames:
+        for frame in members(frames):
             host.handle_frame(quiet_connection(), frame)
         # before the loop turns: the host's own waves deliver here too
         arrived, errors = list(delivered), list(host.errors)
@@ -122,7 +127,7 @@ def test_a_completion_arrives_as_learned(result):
         link.send({**encode_complete(rec.req_id, (9001, result, False, True)),
                    "gen": host.control.gen})
         frames = across(link)
-        for frame in frames:
+        for frame in members(frames):
             host.handle_frame(quiet_connection(), frame)
         errors = list(host.errors)
         await host._async_stop()
@@ -145,7 +150,7 @@ def test_submits_arrive_as_submitted():
         frames = across(session)
         conn = quiet_connection()
         host.connections.add(conn)
-        for frame in frames:
+        for frame in members(frames):
             host.handle_frame(conn, frame)
         got = [host.records.local[r].item for r in reqs]
         errors = list(host.errors)
@@ -183,7 +188,7 @@ def test_dones_arrive_as_completed():
             host._submitters[req_id] = conn
             host._push_done(rec)
         frames = across(conn)
-        for frame in frames:
+        for frame in members(frames):
             client._on_frame(session, frame)
         await host._async_stop()
         return frames, client._results

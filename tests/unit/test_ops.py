@@ -11,7 +11,7 @@ import pytest
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.net.membership import ClusterMap
 from repro.ops.detector import HEARTBEAT_SECONDS, FailureDetector
-from repro.ops.health import _serve_http
+from repro.ops.health import serve_http
 from repro.ops.recovery import merge_records, plan_rebuild
 from repro.verify.models import QueueModel, StackModel
 from repro.verify.seqcons import check_history
@@ -458,7 +458,8 @@ def _get(host, target: str) -> tuple[bytes, dict]:
         reader.feed_data(f"GET {target} HTTP/1.0\r\nHost: x\r\n\r\n".encode())
         reader.feed_eof()
         writer = _RecordingWriter()
-        await _serve_http(host, reader, writer)
+        # the data port read the first four bytes to tell HTTP from frames
+        await serve_http(host, await reader.readexactly(4), reader, writer)
         return writer
 
     writer = asyncio.run(run())

@@ -34,7 +34,7 @@ from repro.verify.models import QueueModel
 HOST_CONFIG_FIELDS = (
     "host_index", "n_hosts", "n_processes", "seed", "bind_host", "port",
     "round_seconds", "epoch", "structure", "id_slots", "n_priorities",
-    "owned", "ops_port", "trace_sample", "trace_slow_ms",
+    "owned", "trace_sample", "trace_slow_ms",
 )
 
 
@@ -139,7 +139,7 @@ class TestHostConfigStatedOnce:
             host_index=2, n_hosts=3, n_processes=9, seed=7,
             bind_host="0.0.0.0", port=4001, round_seconds=0.02, epoch=12.5,
             structure="heap", id_slots=16, n_priorities=6, owned=[9, 10],
-            ops_port=4101, trace_sample=0.25, trace_slow_ms=40.0,
+            trace_sample=0.25, trace_slow_ms=40.0,
         )
 
     def test_every_field_is_off_default(self):
@@ -164,13 +164,13 @@ class TestHostConfigStatedOnce:
         joiner = HostConfig(host_index=5, owned=[20], **shared)
         assert joiner.n_priorities == 6 and joiner.trace_sample == 0.25
         assert PER_HOST_FIELDS == (
-            "host_index", "bind_host", "port", "owned", "ops_port",
+            "host_index", "bind_host", "port", "owned",
         )
         assert joiner.salt == cfg.salt == "skueue-7"
 
     @pytest.mark.parametrize("name", [
         "timeout_lag", "sweep_seconds", "salt", "heartbeat_seconds",
-        "miss_threshold", "confirm_seconds", "replication",
+        "miss_threshold", "confirm_seconds", "replication", "ops_port",
     ])
     def test_a_removed_key_is_refused(self, name):
         data = self._off_default().to_json()

@@ -21,6 +21,7 @@ from repro.core.protocol import Node
 from repro.core.requests import INSERT, REMOVE
 from repro.core.structures import structure_names
 from repro.sim.metrics import Metrics
+from repro.testing.scenario import Scenario, run_scenario
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -344,6 +345,24 @@ class TestWaveLivenessCounters:
         c.run_until_settled(60_000)
         text = render_run_metrics(c.metrics)
         assert 'skueue_events_total{event="wave_force_fires"}' in text
+
+    @pytest.mark.parametrize("runner", ["sync", "async"])
+    @pytest.mark.parametrize("structure", ["queue", "heap"])
+    def test_churn_free_queue_and_heap_cells_never_force_fire(
+            self, structure, runner):
+        """Without a membership splice the queue and the heap have no
+        wait cycle to dissolve.  The stack is left out on purpose: a
+        probe reaching a stage-4 barrier confirms, and churn-free stack
+        cells do force-fire (DESIGN.md, "Event-driven waves")."""
+        fired = {}
+        for seed in range(20):
+            scenario = Scenario.from_seed(seed, structure, runner).with_(churn=())
+            result = run_scenario(scenario)
+            assert not result.failed, seed
+            fires = result.metrics.counters.get("wave_force_fires", 0)
+            if fires:
+                fired[seed] = fires
+        assert fired == {}
 
 
 # -- run metrics (sim/metrics.py satellites) ----------------------------------
