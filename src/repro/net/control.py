@@ -138,6 +138,7 @@ class ControlPlane:
         #: the recovery generation whose rebuild was last applied
         self.gen = 0
         records.holder_of = lambda origin: self.cluster.complete_target(origin)
+        records.gen = lambda: self.gen
         self.detector = FailureDetector()
         self.draining = False
         #: (conn, frame) pairs that arrived before they could be handled

@@ -3,8 +3,9 @@
 docs/PROTOCOL.md "Channel properties" promises the paper's channel —
 FIFO, nothing lost, nothing duplicated — and this module is where that
 promise is built, once, for hosts and clients alike (DESIGN.md, "Links"):
-one :class:`Pipe` (a FIFO outbox and the single write step: take what is
-queued, fold it, one ``write``, one ``drain``), one fold
+one :class:`Pipe` (a FIFO outbox and the single write step: run the
+owner's pre-write hook, take what is queued, fold it, one ``write``, one
+``drain``), one fold
 (:meth:`Pipe.encode`) and its inverse (:func:`unfold`), one read loop
 (:class:`Connection`, over one :class:`~repro.net.transport.FrameReader`)
 with one filter for resent frames (:class:`ResendFilter`), one teardown
@@ -113,9 +114,13 @@ class Pipe:
     #: the ``(member, wrap)`` pair :meth:`encode` folds by; each user sets one
     FOLD: tuple
 
-    def __init__(self, on_write=None, on_error=None) -> None:
+    def __init__(self, on_write=None, on_error=None,
+                 before_write=None) -> None:
         # telemetry hook: called (frames, bytes) after each socket write
         self.on_write = on_write
+        # called at each write step before the outbox is taken: the
+        # owner's last chance to send what it queued elsewhere
+        self.before_write = before_write
         # (where, detail): a frame was dropped or a loop died
         self.on_error = on_error or (lambda where, detail: None)
         # frames not yet drained, oldest first: they leave only once the
@@ -133,6 +138,12 @@ class Pipe:
         if self.closed:
             return  # nobody will read the outbox again
         self.outbox.append(frame)
+        self.poke()
+
+    def poke(self) -> None:
+        """Have an idle write loop run a write step: the pre-write hook
+        may have something to send.  With nothing queued after it, the
+        step writes nothing."""
         wake = self._wake
         if wake is not None and not wake.done():
             wake.set_result(None)
@@ -178,7 +189,11 @@ class Pipe:
         """One write: sleep until something is queued, then everything
         queued (natural batching — no timer) is one blob, one drain."""
         outbox = self.outbox
-        while not outbox:
+        while True:
+            if self.before_write is not None:
+                self.before_write()
+            if outbox:
+                break
             self._wake = asyncio.get_running_loop().create_future()
             await self._wake
         frames = list(islice(outbox, self.MAX_BATCH))
@@ -329,10 +344,13 @@ class PeerLink(Pipe):
 
     def send(self, message: dict) -> None:
         # stamp a copy, never the caller's dict: one frame may be handed
-        # to several links (a `replica_put` to both successors, a
-        # `host_map` to every peer) and each needs its own seq
+        # to several links (a flush's `replica_put` to both successors,
+        # a `host_map` to every peer) and each needs its own seq
         self._seq += 1
         super().send({**message, "src": self.src, "seq": self._seq})
+
+    def poke(self) -> None:
+        super().poke()
         if self.gave_up and not self.closed:
             # fresh traffic re-arms a parked link (the peer may be back)
             self.gave_up = False

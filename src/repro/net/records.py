@@ -36,6 +36,15 @@ custody copy once it is completed — is held as
 :func:`~repro.net.transport.pack_record` bytes, about half its live
 size with its dict slot; only :class:`RecordTable` packs and unpacks.
 
+Mirrors travel in batches, like the wave.  The table queues each
+mirror as a row and :meth:`RecordTable.flush` sends one ``replica_put``
+per successor for everything queued since the last flush.  A record's
+first mirror is its ``OpRecord`` clone; its valuation and completion
+mirrors are fact rows ``[req, value, result, local_match, completed]``,
+and a completion also asks for an ack.  The host calls ``flush`` from
+each peer link's write step, so the rows leave in the write that would
+have carried one frame per mirror.
+
 Nothing here opens a socket or touches the event loop: the table is
 handed ``send(host, frame)``, which is what lets
 ``tests/unit/test_records.py`` drive every path without one.
@@ -47,9 +56,16 @@ from sys import getrefcount
 from typing import Callable, Iterable
 
 from repro.core.requests import OpRecord
-from repro.net.transport import pack_record, unpack_record
+from repro.net.transport import (
+    MAX_FRAME_BYTES,
+    pack_record,
+    packed_size,
+    unpack_record,
+)
 
 __all__ = [
+    "MIRROR_BYTES",
+    "MIRROR_ROWS",
     "NetOpRecord",
     "RecordTable",
     "clone",
@@ -168,6 +184,36 @@ def _unpacked(held):
     return unpack_record(held) if type(held) is bytes else held
 
 
+#: rows (records plus fact rows) one ``replica_put`` carries at most: a
+#: resync of a long history leaves in many frames
+MIRROR_ROWS = 256
+
+#: bytes one ``replica_put``'s rows add up to at most, unless one row
+#: alone is larger: a link drops a frame over ``MAX_FRAME_BYTES``, and a
+#: record may carry an item nearly that large
+MIRROR_BYTES = MAX_FRAME_BYTES // 2
+
+#: a row's bytes besides its item and result (ids, counters, flags, its
+#: ack), at most
+_ROW_BYTES = 64
+
+
+class _Mirror:
+    """The ``replica_put`` being filled: the targets and the ``gen`` in
+    force when its first row was queued, its three row lists and their
+    bytes so far."""
+
+    __slots__ = ("targets", "gen", "records", "facts", "acks", "size")
+
+    def __init__(self, targets: list[int], gen: int) -> None:
+        self.targets = targets
+        self.gen = gen
+        self.size = 0
+        self.records: list[OpRecord] = []
+        self.facts: list[list] = []
+        self.acks: list[int] = []
+
+
 #: references to a held record while :meth:`RecordTable.pack_finished`
 #: looks at it — the store's slot, the loop's name, ``getrefcount``'s
 #: argument — when nothing else holds it
@@ -190,15 +236,19 @@ class RecordTable:
     ``send(host, frame)`` ships one frame to a live host and answers
     whether a link existed; ``holder_of(origin)`` names the host keeping
     an origin's records today (the origin while it lives, its custodian
-    afterwards); ``on_done(rec)`` is called when an own record's
-    completion may be shown to the client.  ``id_slots`` is the
+    afterwards); ``gen()`` is the recovery generation every frame the
+    table makes is stamped with; ``on_done(rec)`` is called when an own
+    record's completion may be shown to the client; ``wake(targets)``
+    when a ``replica_put`` opens, so the links to ``targets`` run a
+    write step (and with it :meth:`flush`) soon.  ``id_slots`` is the
     genesis-fixed residue modulus, not the current host count.
     """
 
     __slots__ = (
         "host_index", "id_slots", "local", "custody", "replicas", "targets",
-        "holder_of", "on_done", "uncompleted", "_send", "_proxies", "_parked",
-        "_pending", "_finished", "_valued_hook", "_completed_hook",
+        "holder_of", "gen", "on_done", "wake", "uncompleted", "_send",
+        "_proxies", "_parked", "_pending", "_finished", "_mirror", "_closed",
+        "_valued_hook", "_completed_hook",
     )
 
     def __init__(self, host_index: int, id_slots: int,
@@ -215,7 +265,9 @@ class RecordTable:
         #: the ring successors mirroring this host's records
         self.targets: list[int] = []
         self.holder_of: Callable[[int], int | None] = lambda origin: origin
+        self.gen: Callable[[], int] = lambda: 0
         self.on_done: Callable[[NetOpRecord], None] = lambda rec: None
+        self.wake: Callable[[list[int]], None] = lambda targets: None
         self._send = send
         self._proxies: dict[int, NetOpRecord] = {}
         # facts whose record is not here (yet): a `complete` racing a
@@ -227,6 +279,10 @@ class RecordTable:
         self.uncompleted = 0
         # (store, req_id) of records finished since the last pack
         self._finished: list[tuple[dict, int]] = []
+        # the replica_put being filled, and those filled before it that
+        # the next flush sends (a changed gen or target set closes one)
+        self._mirror: _Mirror | None = None
+        self._closed: list[_Mirror] = []
         # every own record's hooks: one bound method each, not two per record
         self._valued_hook = self._replicate
         self._completed_hook = self._completed
@@ -297,19 +353,62 @@ class RecordTable:
         rec.on_completed = self._completed_hook
         self.add_local(rec)
         self.uncompleted += 1
-        self._replicate(rec)
+        if self.targets:
+            self._rows(_ROW_BYTES + packed_size(rec.item)).records.append(
+                clone(rec))
 
     def _replicate(self, rec: OpRecord, ack: bool = False) -> None:
+        """A later mirror: a fact row with the facts as they are now; a
+        completion's also asks for an ack."""
         if not self.targets:
             return
-        frame = {
-            "op": "replica_put",
-            "origin": self.host_index,
-            "ack": ack,
-            "record": clone(rec),  # the frame is encoded later
-        }
-        for target in self.targets:
-            self._send(target, frame)
+        mirror = self._rows(_ROW_BYTES + packed_size(rec.result))
+        mirror.facts.append([rec.req_id, *facts(rec)])
+        if ack:
+            mirror.acks.append(rec.req_id)
+
+    def _rows(self, size: int) -> _Mirror:
+        """The open ``replica_put``, for one more row of about ``size``
+        bytes.  It is closed first if the gen or the target set moved
+        since it opened, or if the row would not fit: a row rides a
+        frame stamped with the gen in force when it was queued, to the
+        targets named then, and a frame holds at most
+        :data:`MIRROR_ROWS` rows and :data:`MIRROR_BYTES` bytes (a row
+        larger than that rides alone)."""
+        mirror = self._mirror
+        if mirror is not None and (
+            mirror.targets is not self.targets or mirror.gen != self.gen()
+            or len(mirror.records) + len(mirror.facts) >= MIRROR_ROWS
+            or mirror.size + size > MIRROR_BYTES
+        ):
+            self._closed.append(mirror)
+            mirror = None
+        if mirror is None:
+            mirror = self._mirror = _Mirror(self.targets, self.gen())
+            self.wake(self.targets)
+        mirror.size += size
+        return mirror
+
+    def flush(self) -> None:
+        """Send what is queued: one ``replica_put`` per target for each
+        frame filled since the last flush, in the order they filled."""
+        mirror = self._mirror
+        if mirror is None:
+            return
+        self._mirror = None
+        closed, self._closed = self._closed, []
+        closed.append(mirror)
+        for mirror in closed:
+            frame = {"op": "replica_put", "origin": self.host_index,
+                     "gen": mirror.gen}
+            if mirror.records:
+                frame["records"] = mirror.records
+            if mirror.facts:
+                frame["facts"] = mirror.facts
+            if mirror.acks:
+                frame["acks"] = mirror.acks
+            for target in mirror.targets:
+                self._send(target, frame)
 
     def _completed(self, rec: NetOpRecord) -> None:
         self.uncompleted -= 1
@@ -321,11 +420,12 @@ class RecordTable:
         else:
             self._release(rec)
 
-    def acked(self, req_id: int) -> None:
-        """A replica holder confirmed ``req_id``'s completion."""
-        rec = self._pending.pop(req_id, None)
-        if rec is not None:
-            self._release(rec)
+    def acked(self, reqs: Iterable[int]) -> None:
+        """A replica holder confirmed these completions."""
+        for req_id in reqs:
+            rec = self._pending.pop(req_id, None)
+            if rec is not None:
+                self._release(rec)
 
     def _release(self, rec: NetOpRecord) -> None:
         """The DONE may be shown: the own record is finished."""
@@ -338,26 +438,51 @@ class RecordTable:
             self.resync()
 
     def resync(self) -> None:
-        """Full-history snapshot to the (changed) successor set.
+        """Full-history snapshot to the (changed) successor set: every
+        record goes as a record, in frames of at most
+        :data:`MIRROR_ROWS` rows and :data:`MIRROR_BYTES` bytes.
 
         O(history) per membership change — acceptable at the deployment
         sizes this runtime targets (see DESIGN.md)."""
         if not self.targets:
             # nobody to wait for: release every gated DONE
-            for req_id in list(self._pending):
-                self.acked(req_id)
+            self.acked(list(self._pending))
             return
-        for rec in map(_unpacked, self.local.values()):
-            self._replicate(rec, ack=rec.req_id in self._pending)
-        for rec in map(_unpacked, self.custody.values()):
-            self._replicate(rec)
+        pending = self._pending
+        for store in (self.local, self.custody):
+            for held in store.values():
+                if type(held) is bytes:
+                    rec, size = unpack_record(held), len(held)
+                else:
+                    rec = clone(held)
+                    size = (_ROW_BYTES + packed_size(rec.item)
+                            + packed_size(rec.result))
+                mirror = self._rows(size)
+                mirror.records.append(rec)
+                if rec.req_id in pending:
+                    mirror.acks.append(rec.req_id)
 
-    def put_replica(self, rec: OpRecord) -> int:
-        """Hold (or add to) a predecessor's record, a fresh one off the
-        wire; returns its req_id."""
+    def put_mirror(self, frame: dict) -> tuple[dict | None, list[int]]:
+        """Take a predecessor's ``replica_put``: its records first, then
+        its fact rows.  Answers the ``replica_ack`` owed for it (None if
+        it asked for none) and the req ids of fact rows whose record is
+        not held here — those are not acknowledged, and the frame's
+        other rows still apply."""
         self.pack_finished()
-        self._hold(self.replicas, rec)
-        return rec.req_id
+        replicas = self.replicas
+        for rec in frame.get("records", ()):
+            self._hold(replicas, rec)
+        unheld = []
+        for req_id, *known in frame.get("facts", ()):
+            if req_id in replicas:
+                self._learn(replicas, req_id, known)
+            else:
+                unheld.append(req_id)
+        acks = frame.get("acks")
+        if acks and unheld:
+            acks = [req_id for req_id in acks if req_id not in unheld]
+        ack = {"op": "replica_ack", "reqs": acks} if acks else None
+        return ack, unheld
 
     # -- the stores: one merge, finished records packed ------------------------
     def _hold(self, store: dict, rec: OpRecord) -> None:
@@ -412,7 +537,7 @@ class RecordTable:
         if holder == self.host_index:
             self.apply(req_id, known)
         elif holder is None or not self._send(
-            holder, encode_complete(req_id, known)
+            holder, {**encode_complete(req_id, known), "gen": self.gen()}
         ):
             # map lag (a join broadcast still in flight): `replay_parked`
             # retries on the next map
@@ -457,23 +582,27 @@ class RecordTable:
         """Adopt a rebuild's merged truth, in the order that keeps the
         DONE gate honest: ``targets`` (the successors under the rebuilt
         map) first, so a completion learned here waits for a holder that
-        is alive; then own records learn what the cluster knew
-        (completions fire the gate through their hooks) and records of
-        the origins in ``custody_of`` are kept here from now on; then
-        the replicas — which described the old world — go; and last the
-        whole history is mirrored again, every holder having just
-        purged its own.  A record kept is a copy: ``merged`` is also the
+        is alive; then records of the origins in ``custody_of`` are kept
+        here from now on; then the replicas — which described the old
+        world — go; then the whole history is mirrored again, every
+        holder having just purged its own; and last own records learn
+        what the cluster knew (completions fire the gate through their
+        hooks), so each fact row that learning queues follows its
+        record.  A record kept is a copy: ``merged`` is also the
         ``rebuild`` frame the acting coordinator may push again."""
         self.targets = targets
+        own = []
         for rec in merged:
             origin = self.origin_of(rec.req_id)
             if origin == self.host_index:
                 if rec.req_id in self.local:
-                    self._learn(self.local, rec.req_id, facts(rec))
+                    own.append(rec)
             elif origin in custody_of:
                 self._hold(self.custody, clone(rec))
         self.replicas.clear()
         self.resync()
+        for rec in own:
+            self._learn(self.local, rec.req_id, facts(rec))
 
     def reset_epoch(self) -> None:
         """Forget what belongs to a dead recovery epoch: wave proxies

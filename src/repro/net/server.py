@@ -167,9 +167,10 @@ class NodeHost:
         self.runtime.on_actor_error = self._actor_error
         # every record this host holds, and how their facts travel
         self.records = RecordTable(
-            config.host_index, config.id_slots, self._send_fenced
+            config.host_index, config.id_slots, self._send_peer
         )
         self.records.on_done = self._push_done
+        self.records.wake = self._poke_peers
         # the cluster map, the recovery generation, the hold queue
         self.control = ControlPlane(config, self.records, self._send_peer, self)
         # the owner table: the LDB snapshot of the map's non-leaving pids,
@@ -476,6 +477,9 @@ class NodeHost:
                     me,
                     on_write=self.count_write,
                     on_error=self.note_error,
+                    # queued replica rows join the write they would
+                    # have ridden as one frame each
+                    before_write=self.records.flush,
                 )
                 self.peers[index] = link
                 link.start()
@@ -579,10 +583,13 @@ class NodeHost:
         link.send(frame)
         return True
 
-    def _send_fenced(self, host: int, frame: dict) -> bool:
-        """The record plane's way out: a ``complete`` or ``replica_put``,
-        stamped with the recovery generation."""
-        return self._send_peer(host, {**frame, "gen": self.control.gen})
+    def _poke_peers(self, hosts: list[int]) -> None:
+        """Have the links to ``hosts`` run a write step soon, and with
+        it the record table's flush."""
+        for host in hosts:
+            link = self.peers.get(host)
+            if link is not None:
+                link.poke()
 
     # -- frame dispatch ------------------------------------------------------
     def handle_frame(self, conn: Connection, message: dict) -> None:
@@ -647,14 +654,16 @@ class NodeHost:
             self.tracer.ensure(int(tr))
 
     def _on_replica_put(self, conn, message: dict, now: float) -> None:
-        # a ring predecessor mirrors a record here
-        req_id = self.records.put_replica(message["record"])
-        if message.get("ack"):
-            self._send_peer(int(message["origin"]),
-                            {"op": "replica_ack", "req": req_id})
+        # a ring predecessor mirrors records and facts here
+        ack, unheld = self.records.put_mirror(message)
+        if unheld:
+            self.note_error("frame 'replica_put'",
+                            f"facts for records not held here: {unheld}")
+        if ack is not None:
+            self._send_peer(int(message["origin"]), ack)
 
     def _on_replica_ack(self, conn, message: dict, now: float) -> None:
-        self.records.acked(int(message["req"]))
+        self.records.acked(message["reqs"])
 
     def _on_hello(self, conn, message: dict, now: float) -> None:
         control = self.control
@@ -787,10 +796,12 @@ class NodeHost:
                 break
             except (ConnectionError, OSError):
                 await asyncio.sleep(0.25)
-        # flush our own outbound links, then linger so peers can push
+        # hand queued replica rows to their links, flush our own
+        # outbound links, then linger so peers can push
         # stragglers through our forwarding table before the process goes
         # away (their steady-state traffic stopped when the continuous
         # `forwards` pushes rerouted our departed vids)
+        self.records.flush()
         deadline = time.monotonic() + 2.0
         while (
             any(not link.idle for link in self.peers.values())

@@ -17,10 +17,15 @@ sequential-consistency checker), dicts with keys of any packable type
 ``BOTTOM`` and :class:`~repro.core.requests.OpRecord`.  A record crosses
 the wire only as an ``OpRecord`` — in ``replica_put``, ``records``,
 ``retire``, ``recover_dump``, ``rebuild`` and a LEAVE's ``DEPART_DUMP``
-alike.  A value is packed in one walk and unpacked in one walk, so every
-frame carries and receives its payload as built.  A frame is encoded
-when its link next writes, not when it is sent, so a sender hands over a
-snapshot, never a record it goes on changing.
+alike; a ``replica_put`` carries a record once, at its first mirror,
+and the later mirrors as fact rows ``[req, value, result, local_match,
+completed]``.  A value is packed in one walk and unpacked in one walk,
+so every frame carries and receives its payload as built.  A frame is
+encoded when its link next writes, not when it is sent, so a sender
+hands over a snapshot, never a record it goes on changing.  Replica
+rows wait one step longer: the record table queues them and sends one
+``replica_put`` per successor from the link's pre-write hook, so they
+join the write they would have ridden as one frame each.
 
 Floats are packed as IEEE-754 doubles, so LDB labels and DHT keys
 survive the wire bit-for-bit.  Ints are arbitrary precision (a
@@ -58,6 +63,7 @@ __all__ = [
     "encode_frame",
     "encode_payload",
     "pack_record",
+    "packed_size",
     "record_to_wire",
     "request",
     "request_async",
@@ -139,8 +145,9 @@ FRAME_TYPES: dict[str, FrameSpec] = {
     "recover_dump": FrameSpec("host -> coordinator: all record facts held, for the rebuild"),
     "rebuild": FrameSpec("coordinator -> hosts: merged records + deterministic rebuild plan"),
     "replica_put": FrameSpec(
-        "host -> successor: mirror record facts (submit/value/completion)", FENCED),
-    "replica_ack": FrameSpec("successor -> host: completion replica durably held"),
+        "host -> successor: mirrored records and fact rows (submit/value/completion)",
+        FENCED),
+    "replica_ack": FrameSpec("successor -> host: completion replicas durably held"),
     "health": FrameSpec("any -> host: ops-plane health/status snapshot request/answer"),
 }
 
@@ -271,8 +278,8 @@ _FRAME_SCHEMAS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("complete", ("req", "value", "result", "local_match", "done",
                   "gen", "src", "seq", "tr")),
     ("heartbeat", ("host", "gen", "src", "seq")),
-    ("replica_put", ("gen", "origin", "record", "ack", "src", "seq")),
-    ("replica_ack", ("req", "gen", "src", "seq")),
+    ("replica_put", ("gen", "origin", "records", "facts", "acks", "src", "seq")),
+    ("replica_ack", ("reqs", "src", "seq")),
     ("done", ("req", "kind", "result", "tr")),
     ("done_batch", ("dones",)),
     ("submit", ("req", "pid", "kind", "item", "pri", "tr")),
@@ -421,6 +428,24 @@ def check_packable(obj: object) -> None:
     """Raise :class:`FrameError` now if ``obj`` cannot ride a binary
     frame, rather than when the frame is written."""
     _pack_value(obj, bytearray())
+
+
+def packed_size(obj: object) -> int:
+    """At least the bytes ``obj`` takes in a binary frame, without
+    packing an int, a str, a tuple or a list: a str is counted at its
+    UTF-8 bound, and anything else is packed to count it."""
+    kind = type(obj)
+    if kind is str:
+        return 5 + (len(obj) if obj.isascii() else 4 * len(obj))
+    if kind is tuple or kind is list:
+        return 5 + sum(map(packed_size, obj))
+    if kind is int:
+        return 3 + obj.bit_length() // 8
+    if obj is None:
+        return 1
+    out = bytearray()
+    _pack_value(obj, out)
+    return len(out)
 
 
 def _unpack_value(buf: bytes, pos: int):

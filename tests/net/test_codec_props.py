@@ -115,8 +115,10 @@ SAMPLE_FRAMES: dict[str, dict] = {
                 "records": [_record(30)], "anchor": ((0, 2), (-1, 5), 9, 4, 24),
                 "elements": [(0, 3, ("elem", 1)), (1, 0, "x")], "reruns": [31]},
     "replica_put": {"op": "replica_put", "gen": 1, "origin": 1,
-                    "record": _record(30), "ack": True, "src": 1, "seq": 4},
-    "replica_ack": {"op": "replica_ack", "req": 30},
+                    "records": [_record(30)],
+                    "facts": [[30, 7, None, False, True]], "acks": [30],
+                    "src": 1, "seq": 4},
+    "replica_ack": {"op": "replica_ack", "reqs": [30], "src": 2, "seq": 5},
     "health": {"op": "health", "host": 0, "live": [0, 1], "epoch": 5},
 }
 
@@ -332,6 +334,15 @@ class TestNativeValues:
         (msg,) = list(FrameReader().feed(encode_frame(frame)))
         assert msg.keys() == frame.keys()
         assert _same(msg["payload"], payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_natives)
+    def test_packed_size_bounds_what_a_value_packs_to(self, payload):
+        """What a ``replica_put``'s rows are capped by never undercounts."""
+        frame = {"op": "msg", "payload": payload}
+        bare = {"op": "msg", "payload": None}
+        packed = len(encode_frame(frame)) - len(encode_frame(bare)) + 1
+        assert transport.packed_size(payload) >= packed
 
     def test_ints_beyond_the_bigint_width_are_rejected_not_corrupted(self):
         with pytest.raises(FrameError):

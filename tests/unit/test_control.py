@@ -63,11 +63,7 @@ class Host:
         self.index = index
         config = HostConfig(host_index=index, n_hosts=n_hosts,
                             n_processes=2 * n_hosts, id_slots=SLOTS)
-        self.records = RecordTable(
-            index, SLOTS,
-            lambda host, frame: self._send(
-                host, {**frame, "gen": self.control.gen}),
-        )
+        self.records = RecordTable(index, SLOTS, self._send)
         self.control = ControlPlane(config, self.records, self._send, self)
         self.update_epoch = 0
         self.links: set[int] = set()
@@ -135,13 +131,13 @@ class Host:
         self.records.apply(message["req"], decode_complete(message))
 
     def _on_replica_put(self, conn, message: dict, now: float) -> None:
-        req_id = self.records.put_replica(message["record"])
-        if message.get("ack"):
-            self._send(int(message["origin"]),
-                       {"op": "replica_ack", "req": req_id})
+        ack, unheld = self.records.put_mirror(message)
+        self.errors += [f"replica_put: unheld {req_id}" for req_id in unheld]
+        if ack is not None:
+            self._send(int(message["origin"]), ack)
 
     def _on_replica_ack(self, conn, message: dict, now: float) -> None:
-        self.records.acked(int(message["req"]))
+        self.records.acked(message["reqs"])
 
     def _on_submit(self, conn, message: dict, now: float) -> None:
         self.submits.append(message)
@@ -199,7 +195,14 @@ class Net:
             self.queue.append((src, dest, decoded))
 
     def pump(self) -> None:
-        while self.queue:
+        """Deliver until nothing is queued; replica rows a table holds
+        are flushed before each delivery, as a peer link's write step
+        flushes them."""
+        while True:
+            for host in self.live:
+                host.records.flush()
+            if not self.queue:
+                return
             src, dest, frame = self.queue.pop(0)
             if dest not in self.dead:
                 self.hosts[dest].dispatch(Conn(), frame)

@@ -14,10 +14,14 @@ Three invariants, all cheap enough for tier-1:
   row for row.
 * Internal markdown links in README/DESIGN/PROTOCOL resolve — no
   dangling cross-references (CI runs this in a dedicated docs job).
+* Every test id cited in README, DESIGN.md and docs/TESTING.md
+  (```tests/unit/test_x.py::TestY::test_z```, or the file name alone)
+  names a file, class and function that exist.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -44,6 +48,8 @@ _ACTION_ROW = re.compile(
 _EMISSION = re.compile(r'"op":\s*"([a-z_]+)"')
 # markdown links; external schemes are skipped below
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+# a cited test id in backticks; the id may wrap after its `::`
+_TEST_ID = re.compile(r"`((?:tests/)?[\w/]*test_\w+\.py)::\s*([\w:]+)`")
 
 
 class TestFrameCatalog:
@@ -114,3 +120,53 @@ def test_internal_links_resolve(document: str):
         if not resolved.exists():
             dangling.append(target)
     assert not dangling, f"{document} has dangling internal links: {dangling}"
+
+
+def _test_file(cited: str) -> Path | None:
+    """The test file a cited path names: as written, or a bare file name
+    that one file under ``tests/`` has."""
+    if cited.startswith("tests/"):
+        path = REPO_ROOT / cited
+        return path if path.is_file() else None
+    found = list((REPO_ROOT / "tests").rglob(cited))
+    return found[0] if len(found) == 1 else None
+
+
+def _resolves(path: Path, names: list[str]) -> bool:
+    """Whether ``names`` (class, then method; or a function) are defined
+    in ``path``, each inside the one before."""
+    scope = ast.parse(path.read_text()).body
+    for name in names:
+        found = [node for node in scope
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+def cited_test_ids(text: str) -> list[tuple[str, list[str]]]:
+    return [(cited, names.split("::"))
+            for cited, names in _TEST_ID.findall(text)]
+
+
+def test_the_cited_id_pattern_reads_a_wrapped_id():
+    text = ("guard `tests/integration/test_paper_shapes.py::\n"
+            "test_waves_advance_on_pushed_wakes` and `test_link.py::A::b`")
+    assert cited_test_ids(text) == [
+        ("tests/integration/test_paper_shapes.py",
+         ["test_waves_advance_on_pushed_wakes"]),
+        ("test_link.py", ["A", "b"]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "document", ["README.md", "DESIGN.md", "docs/TESTING.md"])
+def test_cited_test_ids_resolve(document: str):
+    dangling = []
+    for cited, names in cited_test_ids((REPO_ROOT / document).read_text()):
+        path = _test_file(cited)
+        if path is None or not _resolves(path, names):
+            dangling.append(f"{cited}::{'::'.join(names)}")
+    assert not dangling, f"{document} cites tests that do not exist: {dangling}"

@@ -369,6 +369,53 @@ class TestPipe:
         assert [s["seq"] for f in writer.frames() for s in f["frames"]] == \
             list(range(10))
 
+    def test_the_pre_write_hook_runs_before_the_outbox_is_taken(self):
+        """What the hook sends joins the write it runs in, behind what
+        was queued already."""
+        async def scenario():
+            pipe = make_pipe(FOLD_PEER)
+            writer = MemoryWriter()
+            calls = []
+
+            def hook():
+                calls.append(len(pipe.outbox))
+                if len(calls) == 1:
+                    pipe.send(hot(2))
+
+            pipe.before_write = hook
+            pipe.send(hot(1))
+            await pipe._flush(writer)
+            return writer, calls
+
+        writer, calls = asyncio.run(scenario())
+        assert calls == [1]  # once per step, before the snapshot
+        (only,) = writer.frames()
+        assert [f["seq"] for f in only["frames"]] == [1, 2]
+
+    def test_a_poke_with_nothing_queued_writes_nothing(self):
+        async def scenario():
+            a, b, writer_a, *_ = joined()
+            calls = []
+            a.before_write = lambda: calls.append(len(a.outbox))
+            await settle()
+            idle = len(calls)
+            a.poke()
+            await settle()
+            poked = (len(calls), len(writer_a.writes), writer_a.drains)
+            queued = []
+            a.before_write = lambda: queued and a.send(queued.pop())
+            queued.append(done(7))
+            a.poke()  # the hook has a frame to send
+            await settle()
+            a.close()
+            b.close()
+            return idle, poked, writer_a
+
+        idle, poked, writer = asyncio.run(scenario())
+        assert idle == 1  # the idle loop ran the hook once, then slept
+        assert poked == (2, 0, 0)  # woken, ran the hook, wrote nothing
+        assert writer.frames() == [done(7)] and writer.drains == 1
+
     def test_flushed_resolves_only_after_the_drain(self):
         async def scenario():
             a, b, writer_a, *_ = joined()
@@ -560,6 +607,29 @@ class TestPeerLink:
         receiver = Receiver()
         receiver.socket(dialer.handed[0])
         assert [f["seq"] for f in receiver.delivered] == [1, 2]
+
+    def test_a_poke_rearms_a_parked_link_and_its_hook_fills_the_write(
+            self, dialer, sleeps):
+        async def scenario():
+            dialer.refuse = 10 ** 6
+            queued = []
+            peer = PeerLink(("10.0.0.1", 9), 3, before_write=lambda: (
+                queued and peer.send(queued.pop())))
+            peer.start()
+            await settle(4 * PeerLink.MAX_ATTEMPTS)
+            parked = peer.gave_up
+            dialer.refuse = 0
+            queued.append({"op": "heartbeat", "host": 3})
+            peer.poke()
+            await settle()
+            peer.close()
+            return parked, peer
+
+        parked, peer = asyncio.run(scenario())
+        assert parked and not peer.gave_up
+        receiver = Receiver()
+        receiver.socket(dialer.handed[0])
+        assert [f["seq"] for f in receiver.delivered] == [1]
 
     def test_drain_pending_returns_in_flight_then_queued_in_order(
             self, dialer):

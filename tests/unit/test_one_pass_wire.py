@@ -202,15 +202,17 @@ def test_records_ride_the_peer_batch_as_op_records():
     rec = NetOpRecord(req(4), 0, 0, INSERT, ("job", 4), 0.5, priority=2)
     rec.value = 9
     link = PeerLink(("127.0.0.1", 1), src=0)
-    link.send({"op": "replica_put", "origin": 0, "ack": False,
-               "record": clone(rec), "gen": 0})
+    link.send({"op": "replica_put", "origin": 0, "gen": 0,
+               "records": [clone(rec)],
+               "facts": [[rec.req_id, 9, None, False, False]]})
     link.send({"op": "recover_dump", "gen": 1, "host": 0, "epoch": 3,
                "records": [clone(rec)]})
     link.send({"op": "forwards", "forwards": {17: 2}})
     (batch,) = across(link)
     assert batch["op"] == "batch"
     put, dump, forwards = batch["frames"]
-    for got in (put["record"], *dump["records"]):
+    assert put["facts"] == [[rec.req_id, 9, None, False, False]]
+    for got in (*put["records"], *dump["records"]):
         assert type(got) is OpRecord
         assert all(same(getattr(got, slot), getattr(rec, slot))
                    for slot in OpRecord.__slots__)

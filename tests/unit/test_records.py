@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro.net.records as records_module
+from repro.net.link import unfold
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
 from repro.net.records import (
     NetOpRecord,
@@ -65,13 +66,19 @@ def pack_between(table: RecordTable, store: dict, req_id: int,
 
 
 class Wire:
-    """Hosts' record tables joined by a frame queue (no sockets)."""
+    """Hosts' record tables joined by a frame queue (no sockets).
+
+    Replica rows wait in their table until :meth:`flush`, which
+    :meth:`pump` runs before each delivery round, as a host's peer link
+    runs it before each write."""
 
     def __init__(self, hosts=(0, 1, 2)) -> None:
         self.queue: list[tuple[int, dict]] = []
         self.down: set[int] = set()  # hosts no link leads to
         self.holder: dict[int, int] = {}  # origin -> custodian overrides
         self.done: dict[int, list[int]] = {h: [] for h in hosts}
+        # host -> req ids of fact rows it got for records it did not hold
+        self.unheld: dict[int, list[int]] = {h: [] for h in hosts}
         self.tables = {h: self._table(h) for h in hosts}
 
     def _table(self, host: int) -> RecordTable:
@@ -86,10 +93,15 @@ class Wire:
         self.queue.append((host, dict(frame)))
         return True
 
+    def flush(self) -> None:
+        for table in self.tables.values():
+            table.flush()
+
     def pump(self, only: str | None = None) -> int:
         """Deliver queued frames the way ``NodeHost`` dispatches them."""
         delivered = 0
         while True:
+            self.flush()
             batch = [(h, f) for h, f in self.queue
                      if only is None or f["op"] == only]
             if not batch:
@@ -102,13 +114,12 @@ class Wire:
                 if frame["op"] == "complete":
                     table.apply(frame["req"], decode_complete(frame))
                 elif frame["op"] == "replica_put":
-                    req_id = table.put_replica(frame["record"])
-                    if frame["ack"]:
-                        self.queue.append(
-                            (frame["origin"], {"op": "replica_ack", "req": req_id})
-                        )
+                    ack, unheld = table.put_mirror(frame)
+                    self.unheld[host] += unheld
+                    if ack is not None:
+                        self.queue.append((frame["origin"], ack))
                 else:
-                    table.acked(frame["req"])
+                    table.acked(frame["reqs"])
 
     def submit(self, host: int, n: int = 1, kind: int = REMOVE) -> NetOpRecord:
         rec = blank(rid(host, n), kind, NetOpRecord)
@@ -204,15 +215,18 @@ def via_complete(order, packed=False):
 
 
 def via_replica_put(order, packed=False):
+    """The first mirror arrives as the record, the later ones as fact
+    rows."""
     wire = Wire()
     table = wire.tables[1]
-    for n, known in enumerate(order):
-        if n:
-            pack_between(table, table.replicas, rid(0), packed)
-        copy = blank(rid(0))
-        learn(copy, *known)
-        table.put_replica(copy)
-        del copy  # the table alone holds it, as one fresh off the wire
+    first, *rest = order
+    copy = blank(rid(0))
+    learn(copy, *first)
+    table.put_mirror({"records": [copy]})
+    del copy  # the table alone holds it, as one fresh off the wire
+    for known in rest:
+        pack_between(table, table.replicas, rid(0), packed)
+        table.put_mirror({"facts": [[rid(0), *known]]})
     return held(table.replicas, rid(0))
 
 
@@ -284,8 +298,8 @@ class TestFivePathsOneRecord:
         table = Wire().tables[1]
         done = blank(rid(0))
         learn(done, 3, BOTTOM, False, True)
-        table.put_replica(clone(done))  # what a frame decodes is fresh
-        table.put_replica(blank(rid(0)))  # the submit copy
+        table.put_mirror({"records": [clone(done)]})  # fresh off the wire
+        table.put_mirror({"records": [blank(rid(0))]})  # the submit copy
         # the second put packed the completed copy before learning into it
         assert isinstance(table.replicas[rid(0)], bytes)
         assert facts(held(table.replicas, rid(0))) == (3, BOTTOM, False, True)
@@ -362,7 +376,7 @@ class TestReplicationGate:
         wire.tables[0].set_targets([1, 2])
         rec = wire.submit(0)
         rec.value = 5  # mirrored the moment it is assigned
-        assert wire.pump("replica_put") == 4  # submit + value, two targets
+        assert wire.pump("replica_put") == 2  # submit + value, two targets
         assert facts(wire.tables[1].replicas[rec.req_id]) == (5, None, False, False)
         learn(rec, None, BOTTOM, False, True)
         assert wire.done[0] == [] and wire.tables[0].counts()["pending_done"] == 1
@@ -374,15 +388,188 @@ class TestReplicationGate:
         assert wire.tables[2].replicas[rec.req_id].completed
 
     def test_a_replica_put_carries_the_facts_of_its_send(self):
-        """The link encodes a frame when it writes, so the record a
-        ``replica_put`` carries is a copy taken at the send."""
+        """Later mirrors are fact rows with the facts of their queueing:
+        the first mirror is a copy of the record taken at ``open``; the
+        valuation and completion mirrors are fact rows taken as they are
+        queued, not at the flush that sends them."""
         wire = Wire()
         wire.tables[0].set_targets([1])
         rec = wire.submit(0)  # the submit copy: no facts yet
-        rec.value = 5  # the valued copy
-        puts = [frame["record"] for _host, frame in wire.queue]
-        assert [put.value for put in puts] == [None, 5]
-        assert all(type(put) is OpRecord for put in puts)
+        rec.value = 5  # the valuation row
+        learn(rec, None, BOTTOM, False, True)  # the completion row
+        rec.local_match = True  # learned after both: no row carries it
+        wire.flush()
+        ((host, frame),) = wire.queue
+        assert host == 1 and frame["op"] == "replica_put"
+        (copy,) = frame["records"]
+        assert type(copy) is OpRecord and facts(copy) == (None, None, False, False)
+        assert frame["facts"] == [[rec.req_id, 5, None, False, False],
+                                  [rec.req_id, 5, BOTTOM, False, True]]
+        assert frame["acks"] == [rec.req_id]  # only the completion asks
+
+    def test_n_submits_of_one_batch_leave_as_one_put_per_target(self):
+        """The submits ``link.unfold`` makes of one ``submit_batch`` are
+        opened in one read callback: their records ride one
+        ``replica_put`` per target."""
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1, 2])
+        batch = {"op": "submit_batch",
+                 "subs": [[rid(0, n), 0, INSERT, f"e{n}", 0]
+                          for n in range(1, 17)]}
+        recs = []
+        for sub in unfold(batch):  # one read callback: NodeHost._on_submit each
+            rec = NetOpRecord(sub["req"], sub["pid"], 0, sub["kind"],
+                              sub["item"], 0.0)
+            table.open(rec)
+            recs.append(rec)
+        wire.flush()
+        assert [host for host, _frame in wire.queue] == [1, 2]
+        for _host, frame in wire.queue:
+            assert [r.req_id for r in frame["records"]] == [
+                rec.req_id for rec in recs]
+            assert "facts" not in frame and "acks" not in frame
+        assert wire.pump() == 2
+        assert set(wire.tables[2].replicas) == {rec.req_id for rec in recs}
+
+    def test_put_and_ack_pack_by_their_schema_rows(self):
+        """No key string on the wire: every key a flush or a holder
+        writes is in the frame's schema row (a stray one would fall back
+        to the generic map)."""
+        wire = Wire()
+        wire.tables[0].set_targets([1])
+        rec = wire.submit(0)
+        learn(rec, 3, BOTTOM, False, True)
+        wire.flush()
+        ((_host, put),) = wire.queue
+        ack, _unheld = wire.tables[1].put_mirror(put)
+        for frame in (put, ack):
+            blob = encode_frame({**frame, "src": 0, "seq": 1})
+            for key in (*frame, "src", "seq"):
+                assert key.encode() not in blob[4:], (frame["op"], key)
+
+    def test_rows_ride_a_frame_stamped_with_the_gen_they_were_queued_at(self):
+        wire = Wire()
+        table = wire.tables[0]
+        gen = [4]
+        table.gen = lambda: gen[0]
+        table.set_targets([1])
+        first = wire.submit(0, 1)
+        first.value = 9
+        gen[0] = 5  # a rebuild moved the generation before the flush
+        second = wire.submit(0, 2)  # closes the gen-4 frame, opens another
+        wire.flush()
+        assert [(frame["gen"], [r.req_id for r in frame["records"]],
+                 frame.get("facts"))
+                for _host, frame in wire.queue] == [
+            (4, [first.req_id], [[first.req_id, 9, None, False, False]]),
+            (5, [second.req_id], None),
+        ]
+
+    def test_a_ten_thousand_record_resync_leaves_in_capped_frames(self):
+        n = 10_000
+        wire = Wire()
+        table = wire.tables[0]
+        for seq in range(1, n + 1):
+            rec = wire.submit(0, seq, INSERT)
+            rec.item = f"element-{seq}"
+            learn(rec, seq, None, False, True)  # no targets: DONE at once
+        table.set_targets([1])
+        wire.flush()
+        frames = [frame for _host, frame in wire.queue]
+        assert len(frames) == -(-n // records_module.MIRROR_ROWS)
+        assert all(len(frame["records"]) <= records_module.MIRROR_ROWS
+                   for frame in frames)
+        assert max(len(encode_frame(frame)) for frame in frames) < (
+            MAX_FRAME_BYTES // 100)
+        wire.pump()
+        assert len(wire.tables[1].replicas) == n
+
+    @staticmethod
+    def _writable(frames: list[dict]) -> None:
+        """Each frame encodes under the cap a link drops a frame over,
+        and the rows did not fit one frame."""
+        assert len(frames) > 1
+        assert all(len(encode_frame(frame)) <= MAX_FRAME_BYTES
+                   for frame in frames)
+
+    def test_a_burst_of_large_items_leaves_in_frames_a_link_can_write(self):
+        """Twenty 1 MiB inserts and twenty removes that dequeue 1 MiB,
+        opened and completed in one callback: the records and the fact
+        rows are split by bytes, and the holder acks every one."""
+        big = "x" * (1 << 20)
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1])
+        recs = []
+        for seq in range(1, 41):
+            kind = INSERT if seq <= 20 else REMOVE
+            rec = NetOpRecord(rid(0, seq), 0, seq, kind,
+                              big if kind == INSERT else None, 0.0)
+            table.open(rec)
+            recs.append(rec)
+        for rec in recs:
+            result = None if rec.kind == INSERT else (rid(0, rec.idx - 20), big)
+            learn(rec, rec.idx, result, False, True)
+        wire.flush()
+        self._writable([frame for _host, frame in wire.queue])
+        wire.pump()
+        assert wire.unheld[1] == []
+        assert wire.done[0] == [rec.req_id for rec in recs]
+
+    def test_a_resync_of_large_items_leaves_in_frames_a_link_can_write(self):
+        """256 gated records of 100 KiB each, resent whole to a new
+        successor: capped by bytes, not only by the 256 rows, and every
+        gated DONE is released by the new holder's acks."""
+        mid = "y" * (100 << 10)
+        wire = Wire()
+        table = wire.tables[0]
+        wire.down.add(1)  # host 1 never gets a frame: every DONE stays gated
+        table.set_targets([1])
+        recs = []
+        for seq in range(1, records_module.MIRROR_ROWS + 1):
+            rec = NetOpRecord(rid(0, seq), 0, seq, INSERT, mid, 0.0)
+            table.open(rec)
+            learn(rec, seq, None, False, True)
+            recs.append(rec)
+        wire.flush()
+        assert wire.queue == [] and wire.done[0] == []
+        table.set_targets([2])
+        wire.flush()
+        self._writable([frame for _host, frame in wire.queue])
+        wire.pump()
+        assert wire.unheld[2] == []
+        assert sorted(wire.done[0]) == [rec.req_id for rec in recs]
+
+    def test_a_fact_row_for_an_unheld_record_is_noted_and_the_rest_apply(self):
+        wire = Wire()
+        holder = wire.tables[1]
+        held_rec = blank(rid(0, 1))
+        holder.put_mirror({"records": [clone(held_rec)]})
+        fresh = blank(rid(0, 2))
+        frame = {"op": "replica_put", "origin": 0, "gen": 0,
+                 "records": [fresh],
+                 "facts": [[rid(0, 3), 7, None, False, True],
+                           [rid(0, 1), 8, BOTTOM, False, True]],
+                 "acks": [rid(0, 3), rid(0, 1)]}
+        ack, unheld = holder.put_mirror(frame)
+        assert unheld == [rid(0, 3)]
+        assert rid(0, 3) not in holder.replicas
+        assert facts(held(holder.replicas, rid(0, 1))) == (8, BOTTOM, False, True)
+        assert rid(0, 2) in holder.replicas
+        # only what is held is acknowledged
+        assert ack == {"op": "replica_ack", "reqs": [rid(0, 1)]}
+
+    def test_a_lost_record_frame_shows_as_unheld_rows_not_an_ack(self):
+        wire = Wire()
+        wire.tables[0].set_targets([1])
+        rec = wire.submit(0)
+        wire.flush()
+        wire.queue.clear()  # the put with the record never arrives
+        learn(rec, 3, BOTTOM, False, True)  # a valuation and a completion row
+        wire.pump()
+        assert wire.unheld[1] == [rec.req_id, rec.req_id]
+        assert wire.done[0] == []  # not released on a replica nobody holds
 
     def test_done_is_released_at_once_when_no_target_is_left(self):
         wire = Wire()
@@ -403,7 +590,8 @@ class TestReplicationGate:
         done, open_ = wire.submit(0, 1), wire.submit(0, 2)
         done.completed = True
         table.archive([blank(rid(3))])
-        wire.queue.clear()
+        wire.flush()
+        wire.queue.clear()  # what went to host 1 never arrives
         table.set_targets([2])
         wire.pump("replica_put")
         assert set(wire.tables[2].replicas) == {done.req_id, open_.req_id, rid(3)}
@@ -436,7 +624,7 @@ class TestCustody:
         table = Wire().tables[0]
         table.open(blank(rid(0), cls=NetOpRecord))
         table.archive([blank(rid(1))])
-        table.put_replica(blank(rid(2)))
+        table.put_mirror({"records": [blank(rid(2))]})
         def ids(recs):
             return sorted(rec.req_id for rec in recs)
 
@@ -466,7 +654,7 @@ class TestCustody:
         mine[0].completed = True  # already completed before the crash
         wire.pump()
         assert wire.done[0] == [mine[0].req_id]
-        table.put_replica(blank(rid(3, 9)))  # pre-crash replica
+        table.put_mirror({"records": [blank(rid(3, 9))]})  # pre-crash replica
         merged = []
         for rec in mine:
             copy = clone(rec)
@@ -486,6 +674,30 @@ class TestCustody:
         assert table.custody[rid(2, 5)] is not merged[-2]  # a copy is kept
         wire.pump()
         assert wire.done[0] == [rec.req_id for rec in mine]
+
+
+    def test_a_fold_mirrors_each_record_before_the_facts_it_learns(self):
+        """A rebuild's history leaves in several capped frames; the
+        completions the fold learns must not ride ahead of their
+        records, which the holders purged."""
+        n = records_module.MIRROR_ROWS + 50
+        wire = Wire()
+        table = wire.tables[0]
+        table.set_targets([1])
+        mine = [wire.submit(0, seq) for seq in range(1, n + 1)]
+        wire.pump()
+        merged = []
+        for rec in mine:
+            copy = clone(rec)
+            learn(copy, rec.req_id, BOTTOM, False, True)
+            merged.append(copy)
+        wire.tables[1].fold([], set(), [2])  # the holder purges first
+        table.fold(merged, set(), [1])
+        wire.pump()
+        assert wire.unheld[1] == []
+        assert wire.done[0] == [rec.req_id for rec in mine]
+        assert all(held(wire.tables[1].replicas, rec.req_id).completed
+                   for rec in mine)
 
 
 # -- finished records are held packed -------------------------------------------
@@ -557,7 +769,7 @@ class TestPackedRecords:
                            seq if kind == INSERT else None, 1000.0 + seq / 1000)
             result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
             learn(rec, seq + 1, result, False, True)
-            table.put_replica(rec)
+            table.put_mirror({"records": [rec]})
         del rec
         frame = {"op": "recover_dump", "gen": 1, "host": 0, "epoch": 9,
                  "records": table.dump(replicas=True)}

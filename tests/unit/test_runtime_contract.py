@@ -308,10 +308,12 @@ class TestRecordTable:
 
     def test_remote_ids_get_forwarding_stubs(self):
         table, sent = self._table()
+        table.gen = lambda: 3  # the table stamps the frames it makes
         stub = table[7]  # 7 % 2 == 1: owned by host 1
         stub.completed = True
         stub.completed = True
-        assert sent == [(1, {"op": "complete", "req": 7, "done": True})]
+        assert sent == [(1, {"op": "complete", "req": 7, "done": True,
+                             "gen": 3})]
 
     def test_stub_forwards_learned_fields_with_completion(self):
         table, sent = self._table()
@@ -320,7 +322,7 @@ class TestRecordTable:
         stub.completed = True
         assert sent == [(1, {
             "op": "complete", "req": 9,
-            "result": (9, "payload"), "done": True,
+            "result": (9, "payload"), "done": True, "gen": 0,
         })]
 
     def test_adopt_wire_copy_forwards_value_and_completion(self):
@@ -337,9 +339,9 @@ class TestRecordTable:
         adopted.result = (5, "x")
         adopted.completed = True
         assert sent == [
-            (1, {"op": "complete", "req": 5, "value": 42}),
+            (1, {"op": "complete", "req": 5, "value": 42, "gen": 0}),
             (1, {"op": "complete", "req": 5, "value": 42,
-                 "result": (5, "x"), "done": True}),
+                 "result": (5, "x"), "done": True, "gen": 0}),
         ]
 
     def test_adopt_local_origin_returns_the_canonical_record(self):
