@@ -338,68 +338,70 @@ class Node(MembershipMixin, Actor):
         sibling = self.ctx.runtime.actors.get(self.pid * 3 + kind)
         return sibling is not None and not sibling.joining
 
+    def _successor_child(self) -> int | None:
+        """The cycle successor if it is a tree child of this node, else
+        ``None``.
+
+        The labels alone decide: the successor is a child iff it is a
+        left node and not the global minimum (the wrap back to the
+        anchor is not an edge of the tree).  A left node's parent is
+        always its cycle predecessor (:meth:`_parent_vid`), so nothing
+        of the successor's own state — another process's — is read.
+        """
+        sv = self.succ_vid
+        if sv % 3 == LEFT and self.succ_label > self.label:
+            return sv
+        return None
+
     def _aggregation_children(self) -> list[int]:
         """Current child set: tree children (Section III-B) + relay joiners.
 
-        These are the children this node *blocks* on, all of them local
-        reads.  The own-process child is expected only while it is
-        actually on the cycle; a node whose sibling edge is broken
-        parents itself at its cycle predecessor instead and its batch is
-        consumed there as an *extra* (see :meth:`timeout`).  A
-        successor-child hosted by another OS process is never in this
-        list: see :meth:`_awaited_remote_child`.
+        These are the children this node *blocks* on.  The own-process
+        child is expected only while it is actually on the cycle; a node
+        whose sibling edge is broken parents itself at its cycle
+        predecessor instead and its batch is consumed there as an
+        *extra* (see :meth:`timeout`).  The successor-child is expected
+        only where this engine hosts it; one hosted by another OS
+        process is never in this list: see :meth:`_awaited_remote_child`.
         """
         out: list[int] = []
         if not self.joining:
             kind = self.kind
             if kind != RIGHT:
-                own = self.pid * 3 + (MIDDLE if kind == LEFT else RIGHT)
-                sibling = self.ctx.runtime.actors.get(own)
-                # expect the same-process child only if it is on the cycle,
-                # currently considers us its parent, and has no batch stuck
-                # in another node's wave (its parent choice may have been
-                # the pred fallback while this node was absent) — waiting
-                # on such a batch can close a wave-dependency cycle
+                sibling = self.ctx.runtime.actors.get(
+                    self.pid * 3 + (MIDDLE if kind == LEFT else RIGHT)
+                )
+                # an integrated sibling parents itself here, as this node
+                # is running and not joining (_parent_vid); expect it
+                # unless its batch is stuck in another node's wave (its
+                # parent choice may have been the pred fallback while this
+                # node was absent) — waiting on such a batch can close a
+                # wave-dependency cycle
                 if (
                     sibling is not None
                     and not sibling.joining
-                    and sibling._parent_vid() == self.vid
                     and (
                         sibling.flight is None
                         or sibling.flight.sent_to == self.vid
                     )
                 ):
-                    out.append(own)
-                sv = self.succ_vid
-                # the successor is a child iff it is a left node and not the
-                # global minimum (the wrap back to the anchor is not an edge
-                # of the tree); as with siblings, don't block on a successor
-                # whose batch is lodged in another node's wave — it rejoins
-                # as an extra once served (see DESIGN.md on these reads)
-                if sv % 3 == LEFT and self.succ_label > self.label:
-                    succ_node = self.ctx.runtime.actors.get(sv)
-                    if (
-                        succ_node is not None
-                        and succ_node._parent_vid() == self.vid
-                        and (
-                            succ_node.flight is None
-                            or succ_node.flight.sent_to == self.vid
-                        )
-                    ):
-                        out.append(sv)
+                    out.append(sibling.vid)
+            sv = self._successor_child()
+            if sv is not None and sv in self.ctx.runtime.actors:
+                out.append(sv)
         if self.relay_children:
             out.extend(self.relay_children)
         return out
 
     def _awaited_remote_child(self) -> int | None:
         """The successor-child another OS process hosts, while this node
-        has nothing else to send; ``None`` otherwise (always, on the
-        simulators).
+        has nothing else to send; ``None`` otherwise (always, where the
+        engine hosts every actor).
 
-        A parent cannot read a remote child's state, so it must not block
-        on it: a node holding work — a buffered request, a join/leave
-        counter, a non-empty batch from another child — fires without
-        the remote child, whose batch rides the next wave as an extra.
+        A parent does not block on a child it does not host: a node
+        holding work — a buffered request, a join/leave counter, a
+        non-empty batch from another child — fires without the remote
+        child, whose batch rides the next wave as an extra.
         But a node with nothing else to send loses nothing by holding its
         empty batch back until the child reports, and gains a wave:
         firing early would leave it in flight when the child's batch
@@ -407,14 +409,12 @@ class Node(MembershipMixin, Actor):
         — at every cross-host level of the tree again.  The wait is
         bounded by ``REMOTE_PATIENCE`` and never probed (:meth:`timeout`).
         """
-        runtime = self.ctx.runtime
-        if not runtime.sharded or self.joining:
+        if self.joining:
             return None
-        sv = self.succ_vid
+        sv = self._successor_child()
         if (
-            sv % 3 != LEFT
-            or self.succ_label <= self.label
-            or sv in runtime.actors
+            sv is None
+            or sv in self.ctx.runtime.actors
             or self.pending_joins
             or self.pending_leaves
             or self._holds_own_ops()
@@ -562,14 +562,22 @@ class Node(MembershipMixin, Actor):
     def _wake_stale_parents(self, dest: int | None) -> None:
         """Push a TIMEOUT at the *other* plausible parents of this node.
 
-        ``_aggregation_children`` stops expecting a child whose batch is
-        lodged in a different node's wave (``flight.sent_to != self``) —
-        but that exclusion is a local read of *this* node's state, which
-        the waiting parent cannot observe change.  Whenever
-        the batch goes somewhere (here: to ``dest``), wake the remaining
-        candidates from :meth:`_parent_vid`'s fallback chain so a parent
-        stuck waiting on us re-evaluates: readiness is pushed, and nothing
-        else would run its TIMEOUT.
+        A same-process parent stops expecting its sibling child once the
+        child's batch is lodged in a different node's wave
+        (``flight.sent_to != self``), a read of state the waiting parent
+        cannot observe change.  Whenever the batch goes somewhere (here:
+        to ``dest``), wake the remaining candidates from
+        :meth:`_parent_vid`'s fallback chain so a parent stuck waiting on
+        us re-evaluates: readiness is pushed, and nothing else would run
+        its TIMEOUT.
+
+        The cycle predecessor reads nothing of this node, yet its wake
+        stays.  On a zombie exit (``dest`` is ``None``) the pred's child
+        set changes with this node's presence.  On the fire path the
+        wake is a TIMEOUT that, over TCP, runs the pred ahead of its
+        pace: a prototype without it raised ``tcp_open`` p99 from 93.8 to
+        114.2 ms on a 2-core box and moved the async churn schedules.
+        Firing on work instead of on such wakes is ROADMAP item 7.
         """
         runtime = self.ctx.runtime
         kind = self.kind

@@ -66,8 +66,6 @@ class NetRuntime:
     (see the module docstring).
     """
 
-    sharded = True  # `actors` is this host's shard; other ids live elsewhere
-
     def __init__(
         self,
         send_remote: Callable[[int, int, tuple], None],

@@ -40,8 +40,6 @@ class AsyncRunner:
     by ``tests/unit/test_runtime_contract.py``).
     """
 
-    sharded = False  # every actor is local
-
     def __init__(
         self,
         rng: RngStreams | None = None,

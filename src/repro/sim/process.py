@@ -128,15 +128,12 @@ class Runtime(Protocol):
     * ``actors`` is the engine's **local** view: in the simulators it
       holds every actor, in a sharded TCP deployment only the shard
       hosted by this OS process.  Protocol code treats a missing entry
-      as "not locally observable" and falls back to messaging;
-      ``sharded`` tells it which of the two a missing entry can mean.
+      as "not hosted here" and falls back to messaging; it reads an
+      entry only for the caller's own process (one process's three
+      virtual nodes are one engine's), never another's.
     """
 
     metrics: "Metrics"
-
-    #: True when ``actors`` is one shard of a larger deployment, so an id
-    #: missing from it may be an actor hosted by another OS process.
-    sharded: bool
 
     #: Optional scheduling override (trace recording/replay); engines
     #: with no RNG-driven choices may simply keep it ``None``.

@@ -38,8 +38,6 @@ class SyncRunner:
     by ``tests/unit/test_runtime_contract.py``).
     """
 
-    sharded = False  # every actor is local
-
     def __init__(
         self,
         rng: RngStreams | None = None,

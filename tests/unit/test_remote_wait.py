@@ -1,4 +1,9 @@
-"""Waves across hosts: wait for a remote child only when idle.
+"""The successor-child rule, and waves across hosts: wait for a remote
+child only when idle.
+
+A node's cycle successor is its tree child iff the labels say so; the
+successor's own state is another process's and is never read.  Whether
+the engine hosts the successor decides only how the parent waits.
 
 Two :class:`NetRuntime` shards share one event loop and hand each other
 messages through their ``send_remote`` hooks — the TCP runtime's wave
@@ -19,8 +24,9 @@ import asyncio
 
 import pytest
 
+from repro import SkueueCluster
 from repro.core.cluster import spawn_nodes
-from repro.core.protocol import ClusterContext, Node
+from repro.core.protocol import ClusterContext, Flight, Node
 from repro.core.requests import INSERT, OpRecord
 from repro.core.structures import get_structure
 from repro.net.runtime import NetRuntime
@@ -136,6 +142,24 @@ class _Deployment:
         assert not self.errors, self.errors
 
 
+@pytest.mark.parametrize("runner", ["sync", "async"])
+def test_the_child_set_ignores_the_successors_state(runner):
+    """A successor the labels make a child is expected whatever its
+    own ``pred_vid`` and flight say: those are another process's."""
+    with SkueueCluster(16, seed=3, runner=runner) as cluster:
+        actors = cluster.runtime.actors
+        parent = next(
+            node for node in actors.values()
+            if node.succ_vid % 3 == LEFT and node.succ_label > node.label
+        )
+        child = actors[parent.succ_vid]
+        elsewhere = next(vid for vid in actors if vid not in (parent.vid, child.vid))
+        child.pred_vid = elsewhere
+        child.flight = Flight([], [], (0, 0), elsewhere, None)
+        assert child.vid in parent._aggregation_children()
+        assert parent._awaited_remote_child() is None
+
+
 def test_the_overlay_has_exactly_one_cross_host_tree_edge():
     async def scenario():
         d = _Deployment()
@@ -148,7 +172,11 @@ def test_the_overlay_has_exactly_one_cross_host_tree_edge():
         ]
         assert crossing == [(CHILD, PARENT)]
         parent = d.a.actors[PARENT]
+        # the local sibling is blocked on, the remote label-child is not:
+        # while idle the parent holds its batch back for it instead
         assert parent._aggregation_children() == [PARENT_MIDDLE]
+        assert CHILD not in parent._aggregation_children()
+        assert not parent._holds_own_ops() and not parent.child_batches
         assert parent._awaited_remote_child() == CHILD
         d.close()
 

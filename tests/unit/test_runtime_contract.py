@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.core
 from repro.core.actions import A_WAKE
 from repro.net.runtime import NetOpRecord, NetRuntime, RecordTable
 from repro.sim.async_runner import AsyncRunner
@@ -27,8 +31,58 @@ def test_every_engine_implements_the_contract(factory):
     assert isinstance(engine.metrics, Metrics)
     assert isinstance(engine.now, float)
     assert isinstance(dict(engine.actors), dict)
-    # only the TCP runtime hosts a shard of a larger deployment
-    assert engine.sharded is (factory is _net_runtime)
+
+
+def _built_on_own_pid(key: ast.expr) -> bool:
+    """Does ``key`` contain ``self.pid * 3`` — one of the caller's own
+    process's three virtual nodes?"""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and ast.unparse(n.left) == "self.pid"
+        and isinstance(n.right, ast.Constant)
+        and n.right.value == 3
+        for n in ast.walk(key)
+    )
+
+
+def test_node_code_reads_no_other_processs_node():
+    """``actors`` holds another process's node only where one engine
+    hosts several processes, so node code may look up a node there only
+    by its own pid; any other id may only be tested for presence."""
+    seen, bad = 0, []
+    for module in ("protocol.py", "membership.py"):
+        tree = ast.parse((Path(repro.core.__file__).parent / module).read_text())
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "actors"):
+                continue
+            seen += 1
+            use = parents[node]
+            call = parents.get(use)
+            if isinstance(use, ast.Subscript) and use.value is node:
+                ok = _built_on_own_pid(use.slice)
+            elif (
+                isinstance(use, ast.Attribute)
+                and use.attr == "get"
+                and isinstance(call, ast.Call)
+                and call.func is use
+            ):
+                ok = bool(call.args) and _built_on_own_pid(call.args[0])
+            elif isinstance(use, ast.Compare):
+                ok = node in use.comparators and all(
+                    isinstance(op, (ast.In, ast.NotIn)) for op in use.ops
+                )
+            else:
+                ok = False
+            if not ok:
+                bad.append(f"{module}:{node.lineno}: {ast.unparse(use)}")
+    assert seen  # the pin looks at something
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner])
