@@ -440,7 +440,8 @@ def packed_size(obj: object) -> int:
     if kind is tuple or kind is list:
         return 5 + sum(map(packed_size, obj))
     if kind is int:
-        return 3 + obj.bit_length() // 8
+        bits = obj.bit_length()  # int8, int32, int64, else length-prefixed
+        return 2 if bits < 8 else 5 if bits < 32 else 9 if bits < 64 else 3 + bits // 8
     if obj is None:
         return 1
     out = bytearray()

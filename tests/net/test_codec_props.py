@@ -344,6 +344,15 @@ class TestNativeValues:
         packed = len(encode_frame(frame)) - len(encode_frame(bare)) + 1
         assert transport.packed_size(payload) >= packed
 
+    @pytest.mark.parametrize("value", [
+        127, 128, -128, -129, 2**31 - 1, 2**31, -(2**31) - 1, 2**39,
+        2**63 - 1, 2**63, -(2**63), 2**64,
+    ])
+    def test_packed_size_bounds_every_int_width(self, value):
+        packed = bytearray()
+        transport._pack_value(value, packed)
+        assert transport.packed_size(value) >= len(packed)
+
     def test_ints_beyond_the_bigint_width_are_rejected_not_corrupted(self):
         with pytest.raises(FrameError):
             encode_frame({"op": "msg", "payload": 1 << 2100})
