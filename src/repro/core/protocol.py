@@ -339,19 +339,12 @@ class Node(MembershipMixin, Actor):
         return sibling is not None and not sibling.joining
 
     def _successor_child(self) -> int | None:
-        """The cycle successor if it is a tree child of this node, else
-        ``None``.
-
-        The labels alone decide: the successor is a child iff it is a
-        left node and not the global minimum (the wrap back to the
-        anchor is not an edge of the tree).  A left node's parent is
-        always its cycle predecessor (:meth:`_parent_vid`), so nothing
-        of the successor's own state — another process's — is read.
-        """
+        """The cycle successor if the labels make it a tree child: a left
+        node (whose parent is always its cycle pred) that is not the
+        global minimum (the wrap back to the anchor is no tree edge).
+        Nothing of the successor, another process's node, is read."""
         sv = self.succ_vid
-        if sv % 3 == LEFT and self.succ_label > self.label:
-            return sv
-        return None
+        return sv if sv % 3 == LEFT and self.succ_label > self.label else None
 
     def _aggregation_children(self) -> list[int]:
         """Current child set: tree children (Section III-B) + relay joiners.
@@ -361,29 +354,21 @@ class Node(MembershipMixin, Actor):
         whose sibling edge is broken parents itself at its cycle
         predecessor instead and its batch is consumed there as an
         *extra* (see :meth:`timeout`).  The successor-child is expected
-        only where this engine hosts it; one hosted by another OS
-        process is never in this list: see :meth:`_awaited_remote_child`.
+        only where this engine hosts it: see :meth:`_awaited_remote_child`.
         """
         out: list[int] = []
         if not self.joining:
-            kind = self.kind
-            if kind != RIGHT:
-                sibling = self.ctx.runtime.actors.get(
-                    self.pid * 3 + (MIDDLE if kind == LEFT else RIGHT)
-                )
-                # an integrated sibling parents itself here, as this node
-                # is running and not joining (_parent_vid); expect it
-                # unless its batch is stuck in another node's wave (its
-                # parent choice may have been the pred fallback while this
-                # node was absent) — waiting on such a batch can close a
-                # wave-dependency cycle
+            if self.kind != RIGHT:  # the next sibling: MIDDLE of LEFT, RIGHT of MIDDLE
+                sibling = self.ctx.runtime.actors.get(self.pid * 3 + self.kind + 1)
+                # an integrated sibling takes this running, integrated node
+                # as its parent (_parent_vid); expect it unless its batch is
+                # stuck in another node's wave (it may have gone to the pred
+                # fallback while this node was absent) — waiting on such a
+                # batch can close a wave-dependency cycle
                 if (
                     sibling is not None
                     and not sibling.joining
-                    and (
-                        sibling.flight is None
-                        or sibling.flight.sent_to == self.vid
-                    )
+                    and (sibling.flight is None or sibling.flight.sent_to == self.vid)
                 ):
                     out.append(sibling.vid)
             sv = self._successor_child()
@@ -572,12 +557,11 @@ class Node(MembershipMixin, Actor):
         its TIMEOUT.
 
         The cycle predecessor reads nothing of this node, yet its wake
-        stays.  On a zombie exit (``dest`` is ``None``) the pred's child
-        set changes with this node's presence.  On the fire path the
-        wake is a TIMEOUT that, over TCP, runs the pred ahead of its
-        pace: a prototype without it raised ``tcp_open`` p99 from 93.8 to
-        114.2 ms on a 2-core box and moved the async churn schedules.
-        Firing on work instead of on such wakes is ROADMAP item 7.
+        stays: on a zombie exit (``dest`` is ``None``) its child set
+        changes with this node's presence, and on the fire path the wake
+        runs its TIMEOUT ahead of the TCP pace (a prototype without it
+        raised ``tcp_open`` p99 93.8 → 114.2 ms on a 2-core box and moved
+        the async churn schedules; firing on work is ROADMAP item 7).
         """
         runtime = self.ctx.runtime
         kind = self.kind
