@@ -325,8 +325,8 @@ class Node(MembershipMixin, Actor):
         self.wake_me()  # remote form of Runtime.wake
 
     # -- stage 1: aggregation -------------------------------------------------------
-    def _sibling_integrated(self, kind: int) -> bool:
-        """Is this process's virtual node of ``kind`` on the cycle?
+    def _integrated_sibling(self, kind: int) -> Node | None:
+        """This process's virtual node of ``kind``, if it is on the cycle.
 
         Consulting the sibling is a *local* read: the three virtual nodes
         are emulated by one physical process.  A sibling can be missing
@@ -336,7 +336,7 @@ class Node(MembershipMixin, Actor):
         ``p(v) = leftmost neighbour`` applies instead.
         """
         sibling = self.ctx.runtime.actors.get(self.pid * 3 + kind)
-        return sibling is not None and not sibling.joining
+        return sibling if sibling is not None and not sibling.joining else None
 
     def _successor_child(self) -> int | None:
         """The cycle successor if the labels make it a tree child: a left
@@ -359,16 +359,14 @@ class Node(MembershipMixin, Actor):
         out: list[int] = []
         if not self.joining:
             if self.kind != RIGHT:  # the next sibling: MIDDLE of LEFT, RIGHT of MIDDLE
-                sibling = self.ctx.runtime.actors.get(self.pid * 3 + self.kind + 1)
+                sibling = self._integrated_sibling(self.kind + 1)
                 # an integrated sibling takes this running, integrated node
                 # as its parent (_parent_vid); expect it unless its batch is
                 # stuck in another node's wave (it may have gone to the pred
                 # fallback while this node was absent) — waiting on such a
                 # batch can close a wave-dependency cycle
-                if (
-                    sibling is not None
-                    and not sibling.joining
-                    and (sibling.flight is None or sibling.flight.sent_to == self.vid)
+                if sibling is not None and (
+                    sibling.flight is None or sibling.flight.sent_to == self.vid
                 ):
                     out.append(sibling.vid)
             sv = self._successor_child()
@@ -648,12 +646,12 @@ class Node(MembershipMixin, Actor):
         """
         kind = self.kind
         if kind == MIDDLE:
-            if self._sibling_integrated(LEFT):
+            if self._integrated_sibling(LEFT) is not None:
                 return self.pid * 3 + LEFT
             return self.pred_vid
         if kind == LEFT:
             return self.pred_vid
-        if self._sibling_integrated(MIDDLE):
+        if self._integrated_sibling(MIDDLE) is not None:
             return self.pid * 3 + MIDDLE
         return self.pred_vid
 
@@ -834,7 +832,7 @@ class Node(MembershipMixin, Actor):
             # nearest usable middle becomes eligible at a small
             # precision cost
             target_kind = RIGHT if bits & 1 else LEFT
-            if not self._sibling_integrated(target_kind):
+            if self._integrated_sibling(target_kind) is None:
                 if ideal >= 0.5:
                     nxt = self.pred_vid
                     if self.pred_label > self.label:
