@@ -4,12 +4,13 @@
 The fail-stop scenario the ops plane exists for.  The script:
 
 1. launches a 3-host deployment (6 genesis processes) with k=2 record
-   replication and the heartbeat failure detector on every host,
+   replication and the failure detector on every host,
 2. starts a continuous mixed ENQUEUE/DEQUEUE workload over the
    currently-live pids,
-3. SIGKILLs one host mid-stream — no drain, no goodbye; the survivors
-   detect the silence, the acting coordinator evicts the corpse, and
-   every live host rebuilds from the merged record dumps + replicas,
+3. SIGKILLs one host mid-stream — no drain, no goodbye; the survivors'
+   redials to its port are refused, so they suspect it at once, the
+   acting coordinator evicts the corpse, and every live host rebuilds
+   from the merged record dumps + replicas,
 4. keeps submitting through the recovery, then collects the merged
    history and runs the Definition-1 sequential-consistency checker,
 5. prints the ``skueue-ops``-style cluster status showing the eviction
@@ -21,7 +22,7 @@ Run:  python examples/crash_demo.py                  (~15 s, 3 OS processes)
       python examples/crash_demo.py --snapshot ops.json
 
 See docs/PROTOCOL.md ("Crash-stop fault tolerance + ops plane") for the
-wire frames involved (heartbeat/suspect/evict/recover_dump/rebuild/
+wire frames involved (heartbeat/suspect/host_map/recover_dump/rebuild/
 replica_put/replica_ack) and DESIGN.md for the recovery choreography.
 """
 

@@ -289,18 +289,33 @@ class ControlPlane:
         for host in self.detector.observe(now):
             self.note(f"suspecting host {host}: silent for "
                       f"{self.detector.age_of(host, now):.2f}s")
-        suspects = [h for h in self.detector.suspects()
-                    if h in self.cluster.hosts]
-        if not suspects:
+        for host in self.detector.suspects():
+            self._report(host, now)
+
+    def dialed(self, host: int, refused: bool, now: float) -> None:
+        """A peer link's dial to ``host`` connected, or was refused.  A
+        refusal means nothing listens on its port: its process is gone,
+        so the suspicion starts now and goes to the acting coordinator
+        now, not at the next beat."""
+        if not refused:
+            self.detector.dialed(host)
+        elif self.cluster is not None and self.detector.refused(host, now):
+            self.note(f"suspecting host {host}: connection refused")
+            self._report(host, now)
+
+    def _report(self, host: int, now: float) -> None:
+        """Our suspicion of ``host``: tell the acting coordinator, or,
+        acting ourselves, evict once :meth:`FailureDetector.should_evict`
+        says the evidence suffices."""
+        if host not in self.cluster.hosts:
             return
         acting = self._acting_coordinator()
-        for host in suspects:
-            if acting != self.index:
-                self._send(acting, {"op": "suspect", "host": host,
-                                    "by": self.index})
-            elif self.detector.should_evict(host, now, len(self.cluster.hosts)):
-                adopter = self.cluster.successors_of(host, 1)[0]
-                self._publish(lambda m: m.evict_host(host, adopter), now)
+        if acting != self.index:
+            self._send(acting, {"op": "suspect", "host": host,
+                                "by": self.index})
+        elif self.detector.should_evict(host, now, len(self.cluster.hosts)):
+            adopter = self.cluster.successors_of(host, 1)[0]
+            self._publish(lambda m: m.evict_host(host, adopter), now)
 
     def tick(self, now: float, departed: dict[int, int]) -> None:
         """Housekeeping.  Serving: get ``departed`` (the forwards local
@@ -451,10 +466,16 @@ class ControlPlane:
         self.detector.heard_from(int(message["host"]), now)
 
     def _on_suspect(self, conn, message: dict, now: float) -> None:
-        reporter = int(message.get("by", -1))
-        if reporter >= 0:
-            self.detector.heard_from(reporter, now)
-        self.detector.corroborate(int(message["host"]), reporter)
+        host, reporter = message["host"], message.get("by")
+        # a witness is another live member: not the suspect, not us, and
+        # not a host the map no longer names (a retiree's last words)
+        if (self.cluster is None or reporter in (host, self.index)
+                or reporter not in self.cluster.hosts):
+            return
+        self.detector.heard_from(reporter, now)
+        self.detector.corroborate(host, reporter)
+        if self._acting_coordinator() == self.index:
+            self._report(host, now)  # a witness may be all it waited for
 
     # -- recovery --------------------------------------------------------------
     def _enter_recovery(self, previous: ClusterMap, now: float) -> None:

@@ -262,9 +262,10 @@ class NetDeployment:
         This is the fault-injection entry point for crash tests and
         demos — the process dies mid-protocol with whatever requests,
         store shards and (possibly) the anchor it held.  The survivors'
-        failure detectors notice the silence, the acting coordinator
-        evicts the corpse, and the cluster rebuilds from replicated
-        record facts (see DESIGN.md, "Crash-stop fault tolerance").
+        redials to its port are refused, so their failure detectors
+        suspect it at once, the acting coordinator evicts the corpse, and
+        the cluster rebuilds from replicated record facts (see
+        DESIGN.md, "Crash-stop fault tolerance").
         With ``wait_evicted`` the call blocks until the survivors'
         cluster map no longer names the dead host.
         """

@@ -12,9 +12,10 @@ with one filter for resent frames (:class:`ResendFilter`), one teardown
 (:meth:`Pipe.close`).  Wrappers exist only here: what a read loop hands
 on is always a lone frame.  Its three users are the pipe plus what only they
 need: a host's accepted :class:`Connection`; its outbound
-:class:`PeerLink`, which dials, redials, stamps ``(src, seq)`` and
-resends; and the client's per-host session (:mod:`repro.net.client`), a
-:class:`Connection` with the ``hello``/``welcome`` handshake on top.
+:class:`PeerLink`, which dials, redials (saying whether a dial was
+refused), stamps ``(src, seq)`` and resends; and the client's per-host
+session (:mod:`repro.net.client`), a :class:`Connection` with the
+``hello``/``welcome`` handshake on top.
 Nothing here knows a host, a client, a record or a cluster map.
 """
 
@@ -329,10 +330,14 @@ class PeerLink(Pipe):
     MAX_BATCH = 64
     FOLD = FOLD_PEER
 
-    def __init__(self, address: tuple[str, int], src: int, **pipe) -> None:
+    def __init__(self, address: tuple[str, int], src: int, on_dial=None,
+                 **pipe) -> None:
         super().__init__(**pipe)
         self.address = address
         self.src = src
+        # on_dial(refused): each dial that connects (False) or is refused
+        # (True); any other failure says nothing of the peer's process
+        self.on_dial = on_dial or (lambda refused: None)
         self._seq = 0
         # reconnect bookkeeping, surfaced through the ops /health payload
         self.attempts = 0
@@ -394,6 +399,8 @@ class PeerLink(Pipe):
             except OSError as exc:
                 self.attempts += 1
                 self.last_error = str(exc) or type(exc).__name__
+                if isinstance(exc, ConnectionRefusedError):
+                    self.on_dial(True)
                 if self.attempts >= self.MAX_ATTEMPTS:
                     # bounded retry: park until `send` re-arms us — the
                     # failure detector owns declaring the peer dead
@@ -407,6 +414,7 @@ class PeerLink(Pipe):
             backoff = 0.05
             self.attempts = 0
             self.last_error = None
+            self.on_dial(False)
             try:
                 while True:
                     await self._flush(self.writer)

@@ -480,6 +480,7 @@ class NodeHost:
                     # queued replica rows join the write they would
                     # have ridden as one frame each
                     before_write=self.records.flush,
+                    on_dial=partial(self._dialed, index),
                 )
                 self.peers[index] = link
                 link.start()
@@ -496,6 +497,13 @@ class NodeHost:
                 self._redispatch_peer_frame(frame)
         self.runtime.add_forwards(cluster.forwards)
         self._replay_unrouted()
+
+    def _dialed(self, host: int, refused: bool) -> None:
+        """A peer link's dial outcome, for the failure detector.  A
+        deployment that stops closes its hosts' ports one by one, so
+        while we stop too a refusal is no crash."""
+        if not self._stopping:
+            self.control.dialed(host, refused, time.monotonic())
 
     def _redispatch_peer_frame(self, message: dict) -> None:
         if self.control.recovering:

@@ -141,7 +141,7 @@ FRAME_TYPES: dict[str, FrameSpec] = {
     "update_over": FrameSpec("host -> clients: an update phase finished (epoch, members)"),
     # crash-stop fault tolerance + ops plane
     "heartbeat": FrameSpec("host -> host: periodic liveness beacon over the peer link"),
-    "suspect": FrameSpec("host -> coordinator: peer silent past threshold (corroboration)"),
+    "suspect": FrameSpec("host -> coordinator: peer refused a dial or fell silent (corroboration)"),
     "recover_dump": FrameSpec("host -> coordinator: all record facts held, for the rebuild"),
     "rebuild": FrameSpec("coordinator -> hosts: merged records + deterministic rebuild plan"),
     "replica_put": FrameSpec(

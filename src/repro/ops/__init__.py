@@ -5,8 +5,9 @@ This package holds the *pure* half of crash-stop fault tolerance — no
 sockets, no event loop — so every policy decision is unit-testable with
 an injected clock:
 
-* :mod:`repro.ops.detector` — the heartbeat failure detector state
-  machine (suspect thresholds, flapping tolerance, eviction decisions).
+* :mod:`repro.ops.detector` — the failure detector state machine: a
+  refused dial suspects at once, heartbeat silence is the ceiling
+  (thresholds, flapping tolerance, eviction decisions).
 * :mod:`repro.ops.recovery` — merging record dumps and planning the
   deterministic post-crash rebuild (replay completion, store preload,
   anchor restoration, repair of records whose facts died with a host).
@@ -16,8 +17,9 @@ an injected clock:
 * :mod:`repro.ops.cli` — the ``skueue-ops`` dashboard/log-tail CLI
   (imported lazily by its entry point; it pulls in ``repro.net``).
 
-The impure half — heartbeat tasks, SUSPECT/EVICT/RECOVER_DUMP/REBUILD
-frames — lives in :mod:`repro.net.server`, which imports this package
+The impure half — heartbeat tasks, the peer links' dial outcomes,
+SUSPECT/RECOVER_DUMP/REBUILD frames — lives in :mod:`repro.net.control`
+and :mod:`repro.net.server`, which import this package
 (never the other way around).  :mod:`repro.ops.recovery` merges records
 with :func:`repro.net.records.learn`; that module is as socket-free as
 this package, so the pure half stays pure.

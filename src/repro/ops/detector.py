@@ -1,31 +1,45 @@
-"""Heartbeat failure detector: the pure state machine.
+"""Failure detector: the pure state machine.
 
-Each host runs one :class:`FailureDetector` over its peer set.  The net
-layer feeds it two kinds of events — ``heard_from(host)`` whenever *any*
-frame arrives from a peer (heartbeats merely guarantee a minimum frame
-rate on otherwise-idle links) and ``observe(now)`` on every heartbeat
-tick — and reads back the suspect set.  All timing is injected, so the
-threshold/flapping/recovery behaviour is unit-testable without sockets
-or sleeps (``tests/unit/test_ops.py``).
+Each host runs one :class:`FailureDetector` over its peer set.  It
+suspects a peer on one of two signals:
+
+* **A refused dial** (:meth:`refused`): a peer link's redial was
+  answered ``ConnectionRefusedError``, so nothing listens on the peer's
+  port and its process is gone.  The kernel, not the process, completes
+  a connect, so a paused or overloaded host is still accepted: a
+  refusal never comes from a live host that is merely slow.  It
+  suspects at once, and only a later successful dial (:meth:`dialed`)
+  undoes it — frames the dead host sent before it died, still buffered
+  on the way in, do not.
+* **Silence** (:meth:`observe`): the ceiling, and the only signal when a
+  host's machine is lost or partitioned away (no refusal comes back
+  then).  The net layer feeds ``heard_from(host)`` whenever *any* frame
+  arrives from a peer (heartbeats merely guarantee a minimum frame rate
+  on otherwise-idle links) and ``observe(now)`` on every heartbeat tick.
+
+All timing is injected, so the threshold/flapping/recovery behaviour is
+unit-testable without sockets or sleeps (``tests/unit/test_ops.py``).
 
 Design points:
 
-* **Suspicion is a counter, not a flag.**  A host is *suspected* after
+* **Silence is a counter, not a flag.**  A host is *suspected* after
   :data:`MISS_THRESHOLD` consecutive silent windows of
   :data:`HEARTBEAT_SECONDS` each, and the counter resets to zero the moment a frame arrives —
   a slow peer that keeps squeaking through never crosses the threshold,
   and a falsely-suspected peer (GC pause, TCP retransmit burst) clears
   itself on the next frame (*false-positive recovery*).
-* **Eviction wants corroboration.**  One observer's silence can be its
+* **Eviction wants corroboration.**  One observer's suspicion can be its
   own network problem.  :meth:`should_evict` — consulted only by the
   acting coordinator — fires when the local suspicion is corroborated by
   at least one other live host (via SUSPECT frames, recorded with
   :meth:`corroborate`), or when the suspicion has aged past
   :data:`CONFIRM_SECONDS` with nobody contradicting it, or when there is no
-  third host left to ask.
-* **Flapping tolerance.**  :meth:`clear` (frame arrived from a suspect)
-  wipes both the local counter and any recorded corroboration, so a
-  flapping link must re-earn the full threshold each time.
+  third host left to ask.  A refusal takes the same road: it only
+  starts the suspicion sooner.
+* **Flapping tolerance.**  :meth:`clear` (frame arrived from a suspect
+  of silence) wipes both the local counter and any recorded
+  corroboration, so a flapping link must re-earn the full threshold
+  each time.
 """
 
 from __future__ import annotations
@@ -53,6 +67,8 @@ class FailureDetector:
         self._misses: dict[int, int] = {}
         self._suspected_at: dict[int, float] = {}
         self._corroborators: dict[int, set[int]] = {}
+        #: hosts whose suspicion rests on a refused dial
+        self._refused: set[int] = set()
 
     # -- membership ----------------------------------------------------------
     def register(self, host: int, now: float) -> None:
@@ -67,6 +83,7 @@ class FailureDetector:
         self._misses.pop(host, None)
         self._suspected_at.pop(host, None)
         self._corroborators.pop(host, None)
+        self._refused.discard(host)
         for peers in self._corroborators.values():
             peers.discard(host)
 
@@ -79,8 +96,30 @@ class FailureDetector:
         if host not in self._last_heard:
             return
         self._last_heard[host] = now
+        if host in self._refused:
+            return  # sent before its process died: a refusal outranks it
         if self._misses.get(host, 0) or host in self._suspected_at:
             self.clear(host, now)
+
+    def refused(self, host: int, now: float) -> bool:
+        """A dial to ``host`` was refused: nothing listens on its port.
+        Suspect it now; True only for the refusal that began a suspicion
+        (each host is reported once per episode, whatever its signal)."""
+        if host not in self._last_heard or host in self._refused:
+            return False
+        self._refused.add(host)
+        if host in self._suspected_at:
+            return False
+        self._suspected_at[host] = now
+        return True
+
+    def dialed(self, host: int) -> None:
+        """A dial to ``host`` connected: its port listens again, so the
+        refusal no longer speaks against it (its silence still may)."""
+        if host in self._refused:
+            self._refused.discard(host)
+            self._suspected_at.pop(host, None)
+            self._corroborators.pop(host, None)
 
     def clear(self, host: int, now: float) -> None:
         """Reset suspicion state: the peer proved itself alive."""

@@ -2,10 +2,12 @@
 
 Each test launches a TCP deployment, drives a mixed workload, then
 SIGKILLs one host mid-stream (``NetDeployment.kill_host`` — no drain,
-no goodbye).  The survivors must detect the silence, evict the corpse,
-rebuild from merged record dumps + replicas, and finish the workload —
-and the merged history must still pass the sequential-consistency
-checker.
+no goodbye).  The survivors must detect the crash — their redials to
+the dead host's port are refused, well before its silence would count
+— evict the corpse, rebuild from merged record dumps + replicas, and
+finish the workload — and the merged history must still pass the
+sequential-consistency checker.  A planned exit (a drain, or stopping
+the whole deployment) closes ports too, and must suspect nobody.
 
 The durability claim under test (k=2 replication, ack-gated DONE): any
 operation the *client* saw acknowledged before the crash is present and
@@ -28,12 +30,13 @@ from repro.core.structures import structure_names
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local
 from repro.net.transport import request
+from repro.ops.detector import HEARTBEAT_SECONDS, MISS_THRESHOLD
 from repro.verify.seqcons import check_queue_history
 
 pytestmark = pytest.mark.net
 
-# generous CI bound; the detector needs ~1.25s of silence + confirmation
-EVICT_WITHIN = 20.0
+# a refused redial evicts before the silence path could suspect anyone
+EVICT_WITHIN = MISS_THRESHOLD * HEARTBEAT_SECONDS
 
 
 async def _drive_load(client, stop, tag, acked, max_ops=4000):
@@ -63,6 +66,34 @@ def _completed_ids(records):
     return {rec.req_id for rec in records if rec.completed}
 
 
+def _ops_log(deployment) -> list[str]:
+    """Every live host's ops-log ring (the ``/status`` payload's ``log``)."""
+    lines: list[str] = []
+    for address in deployment.host_map.values():
+        status = request(tuple(address), {"op": "health", "detail": "status"},
+                         "health")
+        lines.extend(status["log"])
+    return lines
+
+
+def _kill_until_evicted(deployment, victim) -> float:
+    """SIGKILL ``victim``; seconds until the survivors' map drops it."""
+    started = time.monotonic()
+    deployment.kill_host(victim, wait_evicted=False)
+    while victim in deployment.cluster_map().hosts:
+        assert time.monotonic() - started < 30.0, f"host {victim} never evicted"
+        time.sleep(0.01)
+    return time.monotonic() - started
+
+
+def _assert_refused(lines, victim):
+    """The eviction rode a refused dial, not the silence path."""
+    assert any(f"suspecting host {victim}: connection refused" in line
+               for line in lines), lines
+    assert not any(f"suspecting host {victim}: silent" in line
+                   for line in lines), lines
+
+
 def _crash_scenario(deployment, victim):
     """Drive load, SIGKILL ``victim``, and return the post-mortem facts."""
 
@@ -78,17 +109,15 @@ def _crash_scenario(deployment, victim):
             # ops acknowledged before the kill: these must survive it
             done_before = {r for r in acked if client.is_done(r)}
             loop = asyncio.get_running_loop()
-            started = time.monotonic()
-            await loop.run_in_executor(
-                None, lambda: deployment.kill_host(victim, timeout=90.0)
-            )
-            evict_elapsed = time.monotonic() - started
+            evict_elapsed = await loop.run_in_executor(
+                None, _kill_until_evicted, deployment, victim)
 
             await asyncio.sleep(1.5)  # let post-crash load flow
             stop.set()
             await load
             await client.wait_all(timeout=120.0)
             records = await client.collect_records()
+            _assert_refused(_ops_log(deployment), victim)
             return acked, done_before, evict_elapsed, records
 
     return asyncio.run(scenario())
@@ -99,7 +128,7 @@ def test_kill_noncoordinator_under_load():
     with launch_local(3, 6, seed=42, id_slots=16) as deployment:
         acked, done_before, elapsed, records = _crash_scenario(deployment, 1)
 
-        assert elapsed < EVICT_WITHIN, f"eviction took {elapsed:.1f}s"
+        assert elapsed < EVICT_WITHIN, f"eviction took {elapsed:.2f}s"
         cluster = deployment.cluster_map()
         assert 1 not in cluster.hosts
         assert 1 in cluster.departed
@@ -117,7 +146,7 @@ def test_kill_coordinator_under_load():
     with launch_local(3, 6, seed=7, id_slots=16) as deployment:
         acked, done_before, elapsed, records = _crash_scenario(deployment, 0)
 
-        assert elapsed < EVICT_WITHIN, f"eviction took {elapsed:.1f}s"
+        assert elapsed < EVICT_WITHIN, f"eviction took {elapsed:.2f}s"
         cluster = deployment.cluster_map()
         assert 0 not in cluster.hosts
         assert 0 in cluster.departed
@@ -180,6 +209,32 @@ def test_eviction_cancels_a_drain_and_leave_can_be_reissued():
         assert set(cluster.departed) == {1, 3}
         assert len(acked) > 100
         check_queue_history(records)
+
+
+def test_a_drain_and_a_stop_suspect_nobody(capfd):
+    """A drained host and a stopping deployment close their ports as a
+    crash does: a peer's redial is refused.  Neither is a crash, so no
+    host logs a suspicion and nobody is evicted."""
+    with launch_local(3, 6, seed=3, id_slots=16) as deployment:
+
+        async def load():
+            async with SkueueClient(deployment.host_map) as client:
+                for n in range(60):
+                    await client.enqueue(n % 4, n)
+                await client.wait_all(timeout=60.0)
+
+        asyncio.run(load())
+        deployment.remove_host(2, timeout=60.0)
+        time.sleep(1.0)  # the retiree's port has been closed a while
+        cluster = deployment.cluster_map()
+        assert cluster.departed == {2: cluster.coordinator}
+        assert cluster.recovery_epoch == 0
+        assert not any("suspecting host" in line
+                       for line in _ops_log(deployment))
+    time.sleep(0.5)  # the hosts' last lines are forwarded by a thread
+    forwarded = capfd.readouterr().err
+    assert "suspecting host" not in forwarded
+    assert "evicted" not in forwarded
 
 
 def test_ops_surface_reports_eviction():

@@ -457,6 +457,87 @@ class TestEviction:
         assert not sent.local_match
 
 
+def refuse(net: Net, victim: int, *hosts: int) -> None:
+    """Each of ``hosts``' links to ``victim`` has a redial refused, in
+    turn, and every frame that sends is delivered: no beat, no tick."""
+    for index in hosts:
+        net.hosts[index].control.dialed(victim, True, net.now)
+        net.pump()
+
+
+def refused_lines(host: Host) -> list[str]:
+    return [line for line in host.control.log
+            if "suspecting host" in line and "connection refused" in line]
+
+
+class TestRefusal:
+    """A refused dial suspects at once and reaches the acting coordinator
+    at once; eviction still wants a second witness."""
+
+    def test_two_refusals_evict_a_follower_with_no_beat(self):
+        net = Net(3)
+        net.run(0.5)
+        net.kill(2)
+        refuse(net, 2, 1)       # the witness first: 0 does not suspect yet
+        assert 2 in net.hosts[0].control.cluster.hosts
+        refuse(net, 2, 0)
+        settled(net, 1)
+        for host in net.live:
+            assert host.control.cluster.departed == {2: 0}
+            assert len(refused_lines(host)) == 1
+            assert not any("silent for" in line for line in host.control.log)
+
+    def test_two_refusals_evict_the_coordinator_with_no_beat(self):
+        net = Net(3)
+        net.run(0.5)
+        net.kill(0)
+        refuse(net, 0, 1)       # the next-lowest, acting, waits for a witness
+        assert 0 in net.hosts[1].control.cluster.hosts
+        refuse(net, 0, 2, 2)    # a second redial is no second report
+        settled(net, 1)
+        assert net.hosts[1].control.is_coordinator
+        assert len(net.sent_ops("suspect")) == 1
+        assert [len(refused_lines(host)) for host in net.live] == [1, 1]
+
+    def test_on_three_hosts_one_refusal_waits_for_a_witness(self):
+        net = Net(3)
+        net.run(0.5)
+        net.kill(2)
+        refuse(net, 2, 0)
+        # a frame it sent before it died does not clear the suspicion
+        net.hosts[0].dispatch(Conn(), {"op": "heartbeat", "host": 2})
+        net.run(0.5)
+        coordinator = net.hosts[0].control
+        assert coordinator.detector.is_suspect(2)
+        assert 2 in coordinator.cluster.hosts
+        net.run(0.75)           # host 1's silence path is the witness
+        settled(net, 1)
+        assert any("silent for" in line for line in net.hosts[1].control.log)
+
+    def test_a_refusal_reported_by_a_retiree_suspects_nobody(self):
+        net = Net(4)
+        net.run(0.5)
+        net.hosts[3].ask({"op": "leave", "host": 3})
+        net.run(0.2)
+        net.hosts[0].ask({"op": "retire", "host": 3, "records": []})
+        net.pump()
+        assert 3 not in net.hosts[0].control.cluster.hosts
+        # the retiree lingers under the map it left by; a link of its
+        # is refused, and it reports that to the coordinator
+        assert 3 in net.hosts[3].control.cluster.hosts
+        net.kill(2)
+        refuse(net, 2, 3)
+        assert net.sent_ops("suspect")[-1][:2] == (3, 0)
+        refuse(net, 2, 0)       # the coordinator's own refusal
+        assert 2 in net.hosts[0].control.cluster.hosts  # no witness yet
+        # the retiree exits and its port refuses the survivors: nobody
+        # watches it any more, so nobody suspects it
+        net.kill(3)
+        refuse(net, 3, 0, 1)
+        assert not any(refused_lines(net.hosts[1]))
+        assert net.hosts[0].control.detector.suspects() == [2]
+
+
 # -- the hold queue --------------------------------------------------------------
 
 

@@ -581,6 +581,38 @@ class TestPeerLink:
         assert [f["seq"] for f in receiver.delivered] == [1, 2, 3, 4]
         assert peer.stats()["last_error"] is None  # the redial succeeded
 
+    def test_a_refused_dial_and_a_connect_are_reported_to_the_hook(
+            self, dialer, sleeps):
+        async def scenario():
+            dialed = []
+            dialer.refuse = 2
+            peer = PeerLink(("10.0.0.1", 9), 3, on_dial=dialed.append)
+            peer.start()
+            peer.send({"op": "heartbeat", "host": 3})
+            await settle()
+            peer.close()
+            return dialed
+
+        assert asyncio.run(scenario()) == [True, True, False]
+
+    def test_a_dial_that_fails_otherwise_says_nothing(
+            self, dialer, sleeps, monkeypatch):
+        async def unreachable(address):
+            raise OSError(113, "No route to host")
+
+        async def scenario():
+            dialed = []
+            monkeypatch.setattr(link, "dial", unreachable)
+            peer = PeerLink(("10.0.0.1", 9), 3, on_dial=dialed.append)
+            peer.start()
+            await settle()
+            attempts = peer.attempts
+            peer.close()
+            return dialed, attempts
+
+        dialed, attempts = asyncio.run(scenario())
+        assert attempts > 1 and dialed == []
+
     def test_max_attempts_parks_the_link_and_the_next_send_rearms_it(
             self, dialer, sleeps):
         async def scenario():

@@ -92,6 +92,56 @@ class TestDetector:
         det.observe(1.0)
         assert det.should_evict(1, now=1.0, n_live=2)
 
+    def test_a_refusal_suspects_at_once_and_once_per_episode(self):
+        det = FailureDetector()
+        det.register(1, now=0.0)
+        assert det.refused(1, now=0.1)
+        assert not det.refused(1, now=0.2)  # the link's next redial
+        assert det.suspects() == [1]
+        assert det.observe(2.0) == []  # silence reports it no second time
+        # a refusal starts the suspicion sooner; eviction wants the same
+        assert not det.should_evict(1, now=0.1, n_live=3)
+        assert det.should_evict(1, now=0.1 + 1.5, n_live=3)
+        assert det.should_evict(1, now=0.1, n_live=2)
+
+    def test_a_frame_does_not_clear_a_refusal_a_dial_does(self):
+        det = FailureDetector()
+        det.register(1, now=0.0)
+        det.refused(1, now=0.1)
+        det.corroborate(1, reporter=2)
+        det.heard_from(1, now=0.15)  # buffered before its process died
+        assert det.is_suspect(1) and det.should_evict(1, now=0.15, n_live=3)
+        det.dialed(1)  # its port listens again
+        assert det.suspects() == []
+        assert not det.should_evict(1, now=0.2, n_live=2)
+        assert det.refused(1, now=0.3)  # the next refusal is a new episode
+        assert not det.should_evict(1, now=0.3, n_live=3)  # witness gone too
+
+    def test_a_dial_does_not_clear_silence(self):
+        det = FailureDetector()
+        det.register(1, now=0.0)
+        assert det.observe(1.0) == [1]
+        det.dialed(1)  # a paused host's kernel still accepts
+        assert det.is_suspect(1)
+        assert not det.refused(1, now=1.1)  # already suspected: no new report
+        det.heard_from(1, now=1.2)
+        assert det.is_suspect(1)  # and now a frame no longer clears it
+
+    def test_a_refusal_of_an_unwatched_host_is_a_no_op(self):
+        det = FailureDetector()
+        det.register(1, now=0.0)
+        assert not det.refused(5, now=0.1)
+        assert det.suspects() == [] and det.watched() == [1]
+
+    def test_forget_drops_a_refusal(self):
+        det = FailureDetector()
+        det.register(1, now=0.0)
+        det.refused(1, now=0.1)
+        det.forget(1)
+        assert det.suspects() == []
+        det.register(1, now=1.0)
+        assert det.refused(1, now=1.1)  # a new episode
+
     def test_forget_and_snapshot(self):
         det = FailureDetector()
         det.register(1, now=0.0)
@@ -106,6 +156,30 @@ class TestDetector:
 
 
 # -- crash eviction on the cluster map ----------------------------------------
+
+
+class TestSuspectReports:
+    """The acting coordinator's side of a ``suspect`` frame: a report is
+    a witness only from another live member of the map."""
+
+    def test_a_report_counts_only_from_another_live_member(self):
+        from tests.unit.test_control import Conn, Net
+
+        net = Net(3)
+        net.run(0.5)
+        coordinator = net.hosts[0]
+        net.kill(2)
+        # host 1's own reports are lost: the coordinator is on its own
+        net.lose = lambda src, dest, frame: frame["op"] == "suspect"
+        net.run(1.25)
+        assert coordinator.control.detector.is_suspect(2)
+        # no reporter, the suspect, the coordinator itself, a stranger
+        for by in ({}, {"by": 2}, {"by": 0}, {"by": 7}):
+            coordinator.dispatch(Conn(), {"op": "suspect", "host": 2, **by})
+        net.run(0.5)  # still short of CONFIRM_SECONDS
+        assert 2 in coordinator.control.cluster.hosts
+        coordinator.dispatch(Conn(), {"op": "suspect", "host": 2, "by": 1})
+        assert 2 not in coordinator.control.cluster.hosts  # at once
 
 
 def three_host_map() -> ClusterMap:
