@@ -31,10 +31,13 @@ or was evicted, kept by the host the cluster map names for it
 (:meth:`~repro.net.membership.ClusterMap.complete_target`) — canonical
 from then on, served by ``collect``, and where ``complete`` frames land.
 
-A finished record — an own one once its DONE is out, a replica or
-custody copy once it is completed — is held as
-:func:`~repro.net.transport.pack_record` bytes, about half its live
-size with its dict slot; only :class:`RecordTable` packs and unpacks.
+Each store is a :class:`RecordStore`: live records in a plain dict,
+finished ones — an own one once its DONE is out, a replica or custody
+copy once it is completed — packed, their
+:func:`~repro.net.transport.pack_record` bytes appended to one
+``bytearray`` per (origin, nonce) and found through an ``array('I')`` of
+offsets indexed by seq: about 55 B a record against 320 B live.  Only
+:class:`RecordTable` packs and unpacks.
 
 Mirrors travel in batches, like the wave.  The table queues each
 mirror as a row and :meth:`RecordTable.flush` sends one ``replica_put``
@@ -52,13 +55,15 @@ handed ``send(host, frame)``, which is what lets
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from sys import getrefcount
 from typing import Callable, Iterable
 
-from repro.core.requests import OpRecord
+from repro.core.requests import MAX_REQ_SEQ, OpRecord
 from repro.net.transport import (
     MAX_FRAME_BYTES,
-    pack_record,
+    pack_record_into,
     packed_size,
     unpack_record,
 )
@@ -67,6 +72,7 @@ __all__ = [
     "MIRROR_BYTES",
     "MIRROR_ROWS",
     "NetOpRecord",
+    "RecordStore",
     "RecordTable",
     "clone",
     "decode_complete",
@@ -184,6 +190,191 @@ def _unpacked(held):
     return unpack_record(held) if type(held) is bytes else held
 
 
+#: seqs one page of offsets spans: a page's array is at most this long,
+#: so a lone record at a hand-picked seq costs at most one page, never
+#: an array up to its seq
+PAGE_SEQS = 256
+_PAGE_MASK = PAGE_SEQS - 1
+
+#: an entry's first byte: its length if below this, else this and a u32
+_LONG = 0xFF
+
+#: what a page that is not open reads as
+_NO_PAGE = (bytearray(), array("I"))
+
+#: a group's next page starts a fresh arena once its arena holds this
+#: much, so an offset always fits an ``array('I')`` slot
+_ARENA_BYTES = 1 << 31
+
+
+def _extent(arena: bytearray, at: int) -> tuple[int, int]:
+    """Where the packed record of the entry at ``at`` starts and ends."""
+    size = arena[at]
+    if size < _LONG:
+        return at + 1, at + 1 + size
+    return at + 5, at + 5 + int.from_bytes(arena[at + 1:at + 5], "big")
+
+
+class RecordStore(Mapping):
+    """One store of a :class:`RecordTable`: req_id -> record.
+
+    A live record sits in :attr:`live`, a plain dict the table reads and
+    writes directly.  A finished one is :meth:`pack`-ed into the arena
+    of its group, the (origin, nonce) of its req_id: one ``bytearray``
+    of entries, each a length byte (``0xFF``: a u32 length follows) and
+    the record's :func:`~repro.net.transport.pack_record` bytes.  It is
+    found through an ``array('I')`` of entry offsets indexed by the seq
+    :func:`~repro.core.requests.unpack_req_id` yields (0: none; an arena
+    opens with a pad byte), in pages of :data:`PAGE_SEQS` seqs keyed by
+    the req_id of a page's first seq.  Packing a record again appends a
+    new entry and re-points its offset; :attr:`stale_bytes` counts the
+    entries no offset points at.
+
+    As a mapping it answers a live record as itself and a packed one as
+    its bytes.  ``len`` is O(1); iteration runs over the packed records
+    by group (origin, then nonce) and by seq, then over the live ones.
+    """
+
+    __slots__ = ("live", "stale_bytes", "_arenas", "_pages", "_packed",
+                 "_slots")
+
+    def __init__(self, id_slots: int) -> None:
+        #: records not finished yet, or still held elsewhere
+        self.live: dict[int, OpRecord] = {}
+        #: arena bytes of superseded or popped entries
+        self.stale_bytes = 0
+        # group key (the req_id of its seq 0) -> the arena it packs into
+        self._arenas: dict[int, bytearray] = {}
+        # page key -> (its group's arena, offsets)
+        self._pages: dict[int, tuple[bytearray, array]] = {}
+        self._packed = 0
+        self._slots = id_slots
+
+    def _entry(self, req_id: int) -> tuple[bytearray, array, int, int]:
+        """``req_id``'s arena and page offsets (empty if the page is not
+        open), its index in the page, and its entry's offset (0 if it is
+        not packed)."""
+        index = req_id // self._slots & _PAGE_MASK
+        arena, offsets = self._pages.get(req_id - index * self._slots, _NO_PAGE)
+        return arena, offsets, index, (
+            offsets[index] if index < len(offsets) else 0)
+
+    def pack(self, rec: OpRecord) -> None:
+        """Hold ``rec`` packed, superseding a packed copy of it; its live
+        entry, if any, is the caller's to drop."""
+        req_id = rec.req_id
+        slots = self._slots
+        index = req_id // slots & _PAGE_MASK
+        page = self._pages.get(req_id - index * slots)
+        if page is None:
+            group = req_id - (req_id // slots & MAX_REQ_SEQ) * slots
+            arena = self._arenas.get(group)
+            if arena is None or len(arena) >= _ARENA_BYTES:
+                arena = self._arenas[group] = bytearray(1)
+            page = self._pages[req_id - index * slots] = (arena, array("I"))
+        arena, offsets = page
+        at = len(arena)
+        arena.append(0)
+        pack_record_into(rec, arena)
+        size = len(arena) - at - 1
+        if size < _LONG:
+            arena[at] = size
+        else:
+            arena[at] = _LONG
+            arena[at + 1:at + 1] = size.to_bytes(4, "big")
+        if index == len(offsets):  # the common case: seqs finish in order
+            offsets.append(at)
+        elif index > len(offsets):
+            offsets.frombytes(bytes(offsets.itemsize * (index - len(offsets))))
+            offsets.append(at)
+        else:
+            old = offsets[index]
+            offsets[index] = at
+            if old:
+                self.stale_bytes += _extent(arena, old)[1] - old
+                return
+        self._packed += 1
+
+    def packed(self, req_id: int) -> bytes | None:
+        """The bytes of ``req_id``'s packed record; None if it is not
+        held packed."""
+        arena, _, _, at = self._entry(req_id)
+        if not at:
+            return None
+        start, end = _extent(arena, at)
+        return bytes(arena[start:end])
+
+    def get(self, req_id: int, default=None):
+        held = self.live.get(req_id)
+        if held is None:
+            held = self.packed(req_id)
+        return default if held is None else held
+
+    def __getitem__(self, req_id: int) -> OpRecord | bytes:
+        held = self.get(req_id)
+        if held is None:
+            raise KeyError(req_id)
+        return held
+
+    def __contains__(self, req_id: object) -> bool:
+        return req_id in self.live or self._entry(req_id)[3] != 0
+
+    def __len__(self) -> int:
+        return len(self.live) + self._packed
+
+    def _order(self) -> list[int]:
+        """The page keys by group (origin, then nonce) and by seq."""
+        slots = self._slots
+        return sorted(self._pages, key=lambda key: (key % slots, key))
+
+    def __iter__(self) -> Iterator[int]:
+        slots = self._slots
+        for key in self._order():
+            for index, at in enumerate(self._pages[key][1]):
+                if at:
+                    yield key + index * slots
+        yield from self.live
+
+    def values(self) -> Iterator[OpRecord | bytes]:
+        """The held records in iteration order, without a lookup each
+        (a ``recover_dump`` or a resync walks the whole history)."""
+        for key in self._order():
+            arena, offsets = self._pages[key]
+            for at in offsets:
+                if at:
+                    start, end = _extent(arena, at)
+                    yield bytes(arena[start:end])
+        yield from self.live.values()
+
+    def pop(self, req_id: int, *default):
+        rec = self.live.pop(req_id, None)
+        if rec is not None:
+            return rec
+        arena, offsets, index, at = self._entry(req_id)
+        if not at:
+            if default:
+                return default[0]
+            raise KeyError(req_id)
+        start, end = _extent(arena, at)
+        offsets[index] = 0
+        self._packed -= 1
+        self.stale_bytes += end - at
+        return bytes(arena[start:end])
+
+    def clear(self) -> None:
+        self.live.clear()
+        self._arenas.clear()
+        self._pages.clear()
+        self._packed = 0
+        self.stale_bytes = 0
+
+    @property
+    def packed_bytes(self) -> int:
+        """Arena bytes held, stale entries included."""
+        arenas = {id(arena): arena for arena, _ in self._pages.values()}
+        return sum(map(len, arenas.values()))
+
+
 #: rows (records plus fact rows) one ``replica_put`` carries at most: a
 #: resync of a long history leaves in many frames
 MIRROR_ROWS = 256
@@ -227,7 +418,11 @@ def _blank(req_id: int, cls: type = OpRecord) -> OpRecord:
 
 
 class RecordTable:
-    """Every record this host holds, by req_id (see the module docstring).
+    """Every record this host holds, by req_id (see the module docstring),
+    in three stores (:class:`RecordStore`): ``local``, ``custody`` and
+    ``replicas``.  Finished records are packed in batches
+    (:meth:`pack_finished`); the hot path otherwise reads and writes a
+    store's ``live`` dict directly.
 
     As ``ctx.records`` it is a mapping: own ids resolve to the canonical
     record, adopted ids to their wave proxy, any other remote id to a
@@ -257,11 +452,11 @@ class RecordTable:
         self.id_slots = id_slots
         # each store holds a finished record packed (`pack_finished`)
         #: records submitted here (canonical while this host lives)
-        self.local: dict[int, NetOpRecord | bytes] = {}
+        self.local = RecordStore(id_slots)
         #: archives of retired or evicted hosts this host answers for
-        self.custody: dict[int, OpRecord | bytes] = {}
+        self.custody = RecordStore(id_slots)
         #: records mirrored here by ring predecessors
-        self.replicas: dict[int, OpRecord | bytes] = {}
+        self.replicas = RecordStore(id_slots)
         #: the ring successors mirroring this host's records
         self.targets: list[int] = []
         self.holder_of: Callable[[int], int | None] = lambda origin: origin
@@ -278,7 +473,7 @@ class RecordTable:
         #: own records opened and not completed yet (a drain waits for 0)
         self.uncompleted = 0
         # (store, req_id) of records finished since the last pack
-        self._finished: list[tuple[dict, int]] = []
+        self._finished: list[tuple[RecordStore, int]] = []
         # the replica_put being filled, and those filled before it that
         # the next flush sends (a changed gen or target set closes one)
         self._mirror: _Mirror | None = None
@@ -303,7 +498,7 @@ class RecordTable:
         reason = self.refusal(rec.req_id)
         if reason is not None:
             raise ValueError(reason)
-        self.local[rec.req_id] = rec
+        self.local.live[rec.req_id] = rec
 
     def adopt(self, rec: OpRecord) -> OpRecord:
         """Entry point for records arriving in a ``DEPART_DUMP``: the
@@ -321,14 +516,17 @@ class RecordTable:
         return proxy
 
     def __getitem__(self, req_id: int):
-        rec = self.local.get(req_id)
+        rec = self.local.live.get(req_id)
         if rec is not None:
-            return _unpacked(rec)  # a packed one is finished: no hooks
+            return rec
         rec = self._proxies.get(req_id)
         if rec is not None:
             return rec
         if self.origin_of(req_id) == self.host_index:
-            raise KeyError(f"unknown local req_id {req_id}")
+            packed = self.local.packed(req_id)
+            if packed is None:
+                raise KeyError(f"unknown local req_id {req_id}")
+            return unpack_record(packed)  # a packed one is finished: no hooks
         stub = _blank(req_id, NetOpRecord)
         stub.on_completed = self._tell_origin
         return stub
@@ -474,9 +672,7 @@ class RecordTable:
             self._hold(replicas, rec)
         unheld = []
         for req_id, *known in frame.get("facts", ()):
-            if req_id in replicas:
-                self._learn(replicas, req_id, known)
-            else:
+            if not self._learn(replicas, req_id, known):
                 unheld.append(req_id)
         acks = frame.get("acks")
         if acks and unheld:
@@ -485,46 +681,53 @@ class RecordTable:
         return ack, unheld
 
     # -- the stores: one merge, finished records packed ------------------------
-    def _hold(self, store: dict, rec: OpRecord) -> None:
+    def _hold(self, store: RecordStore, rec: OpRecord) -> None:
         """Keep ``rec`` in ``store`` (custody or replicas), or add its
         facts to the copy held."""
         if rec.req_id in store:
             self._learn(store, rec.req_id, facts(rec))
             return
-        store[rec.req_id] = rec
+        store.live[rec.req_id] = rec
         if rec.completed:
             self._finished.append((store, rec.req_id))
 
-    def _learn(self, store: dict, req_id: int, known: tuple) -> None:
+    def _learn(self, store: RecordStore, req_id: int, known: tuple) -> bool:
         """:func:`learn` into the record ``store`` holds for ``req_id``: a
-        packed one is unpacked, taught and packed again."""
-        held = store[req_id]
-        if type(held) is bytes:
-            rec = unpack_record(held)
-            if learn(rec, *known):
-                store[req_id] = pack_record(rec)
-        elif (learn(held, *known) and held.completed
-              and store is not self.local):
-            # an own record is finished once its DONE is out (`_release`)
-            self._finished.append((store, req_id))
+        packed one is unpacked, taught and packed again.  False if
+        ``store`` holds no such record."""
+        held = store.live.get(req_id)
+        if held is not None:
+            if (learn(held, *known) and held.completed
+                    and store is not self.local):
+                # an own record is finished once its DONE is out (`_release`)
+                self._finished.append((store, req_id))
+            return True
+        packed = store.packed(req_id)
+        if packed is None:
+            return False
+        rec = unpack_record(packed)
+        if learn(rec, *known):
+            store.pack(rec)
+        return True
 
     def pack_finished(self) -> None:
-        """Hold every record finished since the last call as
-        :func:`~repro.net.transport.pack_record` bytes — about half its
-        live size — if nothing but this table holds it.  One that is
+        """Pack every record finished since the last call
+        (:meth:`RecordStore.pack`) — about a sixth of its live size — if
+        nothing but this table holds it.  One that is
         still held elsewhere (by an actor, or by a caller that reads its
         facts) stays live, so the holder goes on seeing what it learns,
         and is tried again next time.  Runs as each submission opens and
         each replica arrives, so the list stays about one op long."""
         held = []
         for store, req_id in self._finished:
-            rec = store.get(req_id)
-            if type(rec) is bytes or rec is None or not rec.completed:
+            rec = store.live.get(req_id)
+            if rec is None or not rec.completed:
                 continue  # packed already, or purged by a rebuild fold
             if getrefcount(rec) > _SOLE_REFS:
                 held.append((store, req_id))
             else:
-                store[req_id] = pack_record(rec)
+                del store.live[req_id]
+                store.pack(rec)
         self._finished = held
 
     # -- facts learned away from the record ----------------------------------
@@ -547,8 +750,7 @@ class RecordTable:
         """Facts for a record this host should keep (a ``complete`` frame
         arrived, or :meth:`deliver` found the holder is us)."""
         for store in (self.local, self.custody):
-            if req_id in store:
-                self._learn(store, req_id, known)
+            if self._learn(store, req_id, known):
                 return
         # racing a retire handoff: held for the archive
         self._park(req_id, known)

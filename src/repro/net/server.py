@@ -253,11 +253,19 @@ class NodeHost:
         reg.gauge("skueue_actors", "live virtual-node actors").set_fn(
             lambda: len(self.runtime.actors))
         reg.gauge("skueue_records_local",
-                  "records this host originated").set_fn(
+                  "records this host originated, live or packed").set_fn(
             lambda: len(self.records.local))
+        reg.gauge("skueue_records_custody",
+                  "records of departed hosts this host answers for").set_fn(
+            lambda: len(self.records.custody))
         reg.gauge("skueue_records_replica",
-                  "records mirrored here by ring predecessors").set_fn(
-            lambda: len(self.records.replicas))
+                  "records mirrored here by ring predecessors, live or packed"
+                  ).set_fn(lambda: len(self.records.replicas))
+        reg.gauge("skueue_records_packed_bytes",
+                  "arena bytes of packed finished records, stale ones included"
+                  ).set_fn(lambda: sum(store.packed_bytes for store in (
+                      self.records.local, self.records.custody,
+                      self.records.replicas)))
         reg.gauge("skueue_cross_host_tree_edges",
                   "aggregation tree edges between pids of different hosts"
                   ).set_fn(lambda: self.cross_host[0])

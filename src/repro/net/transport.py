@@ -63,6 +63,7 @@ __all__ = [
     "encode_frame",
     "encode_payload",
     "pack_record",
+    "pack_record_into",
     "packed_size",
     "record_to_wire",
     "request",
@@ -217,7 +218,7 @@ def pack_record(rec: OpRecord) -> bytes:
     """``rec`` as the binary codec's ``OpRecord`` bytes: the compact form
     a host holds a finished record in."""
     out = bytearray()
-    _pack_oprecord(rec, out)
+    pack_record_into(rec, out)
     return bytes(out)
 
 
@@ -396,7 +397,9 @@ def _pack_bottom(obj, out: bytearray) -> None:
     out.append(_B_BOTTOM)
 
 
-def _pack_oprecord(rec: OpRecord, out: bytearray) -> None:
+def pack_record_into(rec: OpRecord, out: bytearray) -> None:
+    """Append :func:`pack_record`'s bytes for ``rec`` to ``out`` (also
+    the packer of a record inside a frame)."""
     out.append(_B_OPRECORD)
     for value in _record_slots(rec):
         _pack_value(value, out)
@@ -410,7 +413,7 @@ _PACKERS = {
     list: _items_packer(_B_LIST8, _B_LIST32),
     dict: _pack_dict,
     type(BOTTOM): _pack_bottom,
-    OpRecord: _pack_oprecord,
+    OpRecord: pack_record_into,
     int: lambda obj, out: _pack_value(int(obj), out),
     float: lambda obj, out: _pack_value(float(obj), out),
 }

@@ -30,6 +30,9 @@ CORE_SERIES = (
     "skueue_connections",
     "skueue_actors",
     "skueue_records_local",
+    "skueue_records_custody",
+    "skueue_records_replica",
+    "skueue_records_packed_bytes",
     "skueue_ops_generated_total",
     "skueue_ops_completed_total",
     "skueue_ops_pending",
@@ -78,6 +81,7 @@ class TestLiveTelemetry:
     def test_metrics_route_serves_core_series(self, deployment):
         dep, _, ops_addresses = deployment
         assert len(ops_addresses) == 3
+        records = {"local": 0.0, "custody": 0.0, "packed_bytes": 0.0}
         for index, address in ops_addresses.items():
             text = _http(address, "/metrics")
             for series in CORE_SERIES:
@@ -87,6 +91,13 @@ class TestLiveTelemetry:
             # histogram families render full bucket/sum/count triplets
             assert "skueue_write_batch_frames_bucket" in text
             assert "# TYPE skueue_frames_total counter" in text
+            sample = cli._parse_prom(text)
+            for name in records:
+                records[name] += cli._series(sample, f"skueue_records_{name}")
+        # every op the fixture drove is held by its origin, live or packed;
+        # nobody departed; and finished ones were packed
+        assert records["local"] == 60 and records["custody"] == 0
+        assert records["packed_bytes"] > 0
 
     def test_client_adopts_deployment_trace_rate(self, deployment):
         dep, telemetry, _ = deployment

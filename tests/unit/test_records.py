@@ -21,9 +21,18 @@ import pytest
 
 import repro.net.records as records_module
 from repro.net.link import unfold
-from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord, pack_req_id
+from repro.core.requests import (
+    BOTTOM,
+    INSERT,
+    MAX_REQ_SEQ,
+    REMOVE,
+    OpRecord,
+    pack_req_id,
+)
 from repro.net.records import (
+    PAGE_SEQS,
     NetOpRecord,
+    RecordStore,
     RecordTable,
     clone,
     decode_complete,
@@ -35,6 +44,7 @@ from repro.net.transport import (
     MAX_FRAME_BYTES,
     FrameReader,
     encode_frame,
+    pack_record,
     unpack_record,
 )
 from repro.ops.recovery import merge_records
@@ -804,6 +814,145 @@ class TestPackedRecords:
             tracemalloc.stop()
         assert all(isinstance(held, bytes) for held in table.local.values())
         assert per_record <= 200, f"{per_record:.0f} B per finished record"
+
+
+# -- the packed history: pages by (origin, nonce) and seq --------------------------
+
+
+def finished(req_id: int, item=None) -> OpRecord:
+    rec = OpRecord(req_id, 1, 2, INSERT, item, 0.5)
+    learn(rec, 3, None, False, True)
+    return rec
+
+
+def slots_of(rec: OpRecord) -> list:
+    return [getattr(rec, slot) for slot in OpRecord.__slots__]
+
+
+class TestPackedHistory:
+    def test_packed_records_round_trip(self):
+        store = RecordStore(SLOTS)
+        recs = [finished(pack_req_id(nonce, seq, origin, SLOTS), (seq, "x"))
+                for nonce in (1, 2) for origin in (0, 3) for seq in range(40)]
+        for rec in recs:
+            store.pack(rec)
+        assert len(store) == len(recs) and not store.live
+        for rec in recs:
+            assert store[rec.req_id] == pack_record(rec)
+            assert slots_of(unpack_record(store[rec.req_id])) == slots_of(rec)
+        # four groups, each a pad byte, and one length byte per record
+        assert store.packed_bytes == 4 + sum(
+            1 + len(pack_record(rec)) for rec in recs)
+        assert store.stale_bytes == 0
+
+    def test_a_late_fact_repacks_and_a_read_returns_the_newest_facts(self):
+        table = Wire().tables[1]
+        table.put_mirror({"records": [finished(rid(0))]})
+        table.pack_finished()
+        store = table.replicas
+        first = store[rid(0)]
+        assert isinstance(first, bytes) and not store.live
+        table.put_mirror({"facts": [[rid(0), None, None, True, True]]})
+        assert facts(unpack_record(store[rid(0)])) == (3, None, True, True)
+        assert store.stale_bytes == 1 + len(first)  # the superseded entry
+        table.put_mirror({"facts": [[rid(0), 3, None, True, True]]})
+        assert store.stale_bytes == 1 + len(first)  # nothing new: no re-pack
+        assert len(store) == 1 and list(store) == [rid(0)]
+        assert facts(table.dump(replicas=True)[0]) == (3, None, True, True)
+
+    def test_len_in_pop_clear_and_the_iteration_order(self):
+        store = RecordStore(SLOTS)
+        live = finished(rid(1, 7))
+        store.live[live.req_id] = live
+        page_a = [pack_req_id(0, seq, 2, SLOTS) for seq in (3, 9)]
+        page_b = pack_req_id(5, 4, 0, SLOTS)
+        page_c = pack_req_id(0, PAGE_SEQS + 1, 2, SLOTS)
+        for req_id in (page_a[1], page_b, page_a[0], page_c):
+            store.pack(finished(req_id))
+        # packed: by group (origin, then nonce) and by seq; then live
+        order = [page_b, *page_a, page_c, live.req_id]
+        assert list(store) == order
+        assert [held.req_id if held is live else unpack_record(held).req_id
+                for held in store.values()] == order
+        assert len(store) == 5 and all(req_id in store for req_id in order)
+        for absent in (pack_req_id(0, 4, 2, SLOTS),     # a hole in a page
+                       pack_req_id(0, 100, 2, SLOTS),   # past its offsets
+                       pack_req_id(0, 3, 1, SLOTS),     # another origin
+                       pack_req_id(1, 3, 2, SLOTS)):    # another nonce
+            assert absent not in store and store.get(absent) is None
+        popped = store.pop(page_a[1])
+        assert unpack_record(popped).req_id == page_a[1]
+        assert page_a[1] not in store and len(store) == 4
+        assert store.stale_bytes == 1 + len(popped)
+        assert store.pop(page_a[1], None) is None
+        with pytest.raises(KeyError):
+            store.pop(page_a[1])
+        with pytest.raises(KeyError):
+            store[page_a[1]]
+        assert store.pop(live.req_id) is live and len(store) == 3
+        store.clear()
+        assert len(store) == 0 and list(store) == []
+        assert store.packed_bytes == 0 and store.stale_bytes == 0
+
+    def test_sparse_seqs_and_a_record_over_64_kib(self):
+        store = RecordStore(SLOTS)
+        seqs = [0, 5, PAGE_SEQS - 1, PAGE_SEQS, 70_000, MAX_REQ_SEQ]
+        recs = [finished(pack_req_id(3, seq, 1, SLOTS),
+                         "x" * 70_000 if seq == 5 else seq) for seq in seqs]
+        for rec in recs:
+            store.pack(rec)
+        assert list(store) == [rec.req_id for rec in recs]
+        for rec in recs:
+            assert store[rec.req_id] == pack_record(rec)
+        # one group, one arena: a pad byte, and a u32 length for the big one
+        assert store.packed_bytes == 1 + 4 + sum(
+            1 + len(pack_record(rec)) for rec in recs)
+        big = recs[1]
+        first = store[big.req_id]
+        assert len(first) > 1 << 16
+        learn(big, local_match=True)
+        store.pack(big)  # a long entry superseded: u32 length and all
+        assert store.stale_bytes == 5 + len(first)
+        assert unpack_record(store[big.req_id]).local_match
+        assert len(store) == len(seqs)
+
+    def test_a_full_arena_leaves_the_next_page_a_fresh_one(self, monkeypatch):
+        monkeypatch.setattr(records_module, "_ARENA_BYTES", 64)
+        store = RecordStore(SLOTS)
+        recs = [finished(pack_req_id(1, seq, 0, SLOTS), seq)
+                for seq in range(3 * PAGE_SEQS)]
+        for rec in recs:
+            store.pack(rec)
+        assert all(store[rec.req_id] == pack_record(rec) for rec in recs)
+        # the first page fills the group's arena; each later one opens its own
+        assert store.packed_bytes == 3 + sum(
+            1 + len(pack_record(rec)) for rec in recs)
+
+    def test_ten_thousand_finished_replicas_take_at_most_80_bytes_each(self):
+        """Two predecessors' mirrored histories, packed: a record's bytes,
+        its length byte and its offset, and little else."""
+        n = 10_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = RecordTable(0, SLOTS, lambda host, frame: True)
+            for seq in range(n):
+                req_id = pack_req_id(7, seq // 2, 1 + seq % 2, SLOTS)
+                kind = INSERT if seq % 2 == 0 else REMOVE
+                rec = OpRecord(req_id, seq % 8, seq // 8, kind,
+                               seq if kind == INSERT else None, seq / 1000)
+                result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
+                learn(rec, seq + 1, result, False, True)
+                table.put_mirror({"records": [rec]})
+            del rec
+            table.pack_finished()
+            gc.collect()
+            per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert len(table.replicas) == n and not table.replicas.live
+        assert per_record <= 80, f"{per_record:.0f} B per finished record"
 
 
 # -- structure, pinned ----------------------------------------------------------
