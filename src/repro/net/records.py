@@ -34,9 +34,12 @@ from then on, served by ``collect``, and where ``complete`` frames land.
 Each store is a :class:`RecordStore`: live records in a plain dict,
 finished ones — an own one once its DONE is out, a replica or custody
 copy once it is completed — packed, their
-:func:`~repro.net.transport.pack_record` bytes appended to one
-``bytearray`` per (origin, nonce) and found through an ``array('I')`` of
-offsets indexed by seq: about 55 B a record against 320 B live.  Only
+:func:`~repro.net.transport.pack_record` bytes appended to the
+``bytearray`` of a page of 256 seqs of one (origin, nonce) and found
+through an ``array('I')`` of offsets indexed by seq.  A record then
+costs about 57 B on a long-lived connection, and about 147 B (one dict
+entry of ``bytes``, as a page's first seqs are held) on one that
+carries one to three ops, against 320 B live.  Only
 :class:`RecordTable` packs and unpacks.
 
 Mirrors travel in batches, like the wave.  The table queues each
@@ -60,9 +63,10 @@ from collections.abc import Iterator, Mapping
 from sys import getrefcount
 from typing import Callable, Iterable
 
-from repro.core.requests import MAX_REQ_SEQ, OpRecord
+from repro.core.requests import OpRecord
 from repro.net.transport import (
     MAX_FRAME_BYTES,
+    pack_record,
     pack_record_into,
     packed_size,
     unpack_record,
@@ -196,15 +200,19 @@ def _unpacked(held):
 PAGE_SEQS = 256
 _PAGE_MASK = PAGE_SEQS - 1
 
+#: a page's first seqs are held loose, as ``bytes`` in a dict, until a
+#: later seq of the page is packed.  A page costs about 280 B before its
+#: first record (its key, dict slot, tuple, arena and offsets), so a
+#: connection that carries one to three ops holds each as one dict entry
+#: (about 147 B), and one that carries more opens a page that costs less
+#: than the entries it takes in
+LOOSE_SEQS = 3
+
 #: an entry's first byte: its length if below this, else this and a u32
 _LONG = 0xFF
 
 #: what a page that is not open reads as
 _NO_PAGE = (bytearray(), array("I"))
-
-#: a group's next page starts a fresh arena once its arena holds this
-#: much, so an offset always fits an ``array('I')`` slot
-_ARENA_BYTES = 1 << 31
 
 
 def _extent(arena: bytearray, at: int) -> tuple[int, int]:
@@ -219,33 +227,39 @@ class RecordStore(Mapping):
     """One store of a :class:`RecordTable`: req_id -> record.
 
     A live record sits in :attr:`live`, a plain dict the table reads and
-    writes directly.  A finished one is :meth:`pack`-ed into the arena
-    of its group, the (origin, nonce) of its req_id: one ``bytearray``
-    of entries, each a length byte (``0xFF``: a u32 length follows) and
-    the record's :func:`~repro.net.transport.pack_record` bytes.  It is
-    found through an ``array('I')`` of entry offsets indexed by the seq
-    :func:`~repro.core.requests.unpack_req_id` yields (0: none; an arena
-    opens with a pad byte), in pages of :data:`PAGE_SEQS` seqs keyed by
-    the req_id of a page's first seq.  Packing a record again appends a
-    new entry and re-points its offset; :attr:`stale_bytes` counts the
-    entries no offset points at.
+    writes directly.  A finished one is :meth:`pack`-ed into a page: the
+    :data:`PAGE_SEQS` seqs of one (origin, nonce) group that
+    :func:`~repro.core.requests.unpack_req_id` puts in one block, keyed
+    by the req_id of the block's first seq.  A page is a ``bytearray``
+    arena of entries, each a length byte (``0xFF``: a u32 length
+    follows) and the record's :func:`~repro.net.transport.pack_record`
+    bytes, and an ``array('I')`` of entry offsets indexed by seq (0:
+    none; an arena opens with a pad byte).  A page's entries are a few
+    versions of at most 256 records, so its offsets fit a u32 unless
+    those records average megabytes each.  Until a page opens, its first
+    :data:`LOOSE_SEQS` seqs are held loose, as ``bytes``; the page takes
+    them in when it opens.  Packing a record again appends a new entry
+    and re-points its offset; :attr:`stale_bytes` counts the entries no
+    offset points at.
 
     As a mapping it answers a live record as itself and a packed one as
     its bytes.  ``len`` is O(1); iteration runs over the packed records
     by group (origin, then nonce) and by seq, then over the live ones.
     """
 
-    __slots__ = ("live", "stale_bytes", "_arenas", "_pages", "_packed",
-                 "_slots")
+    __slots__ = ("live", "packed_bytes", "stale_bytes", "_loose", "_pages",
+                 "_packed", "_slots")
 
     def __init__(self, id_slots: int) -> None:
         #: records not finished yet, or still held elsewhere
         self.live: dict[int, OpRecord] = {}
+        #: bytes of packed records held, stale entries included
+        self.packed_bytes = 0
         #: arena bytes of superseded or popped entries
         self.stale_bytes = 0
-        # group key (the req_id of its seq 0) -> the arena it packs into
-        self._arenas: dict[int, bytearray] = {}
-        # page key -> (its group's arena, offsets)
+        # req_id -> packed record, at the first seqs of a page not open
+        self._loose: dict[int, bytes] = {}
+        # page key -> (arena, offsets)
         self._pages: dict[int, tuple[bytearray, array]] = {}
         self._packed = 0
         self._slots = id_slots
@@ -253,7 +267,7 @@ class RecordStore(Mapping):
     def _entry(self, req_id: int) -> tuple[bytearray, array, int, int]:
         """``req_id``'s arena and page offsets (empty if the page is not
         open), its index in the page, and its entry's offset (0 if it is
-        not packed)."""
+        not packed in a page)."""
         index = req_id // self._slots & _PAGE_MASK
         arena, offsets = self._pages.get(req_id - index * self._slots, _NO_PAGE)
         return arena, offsets, index, (
@@ -265,13 +279,26 @@ class RecordStore(Mapping):
         req_id = rec.req_id
         slots = self._slots
         index = req_id // slots & _PAGE_MASK
-        page = self._pages.get(req_id - index * slots)
+        key = req_id - index * slots
+        page = self._pages.get(key)
         if page is None:
-            group = req_id - (req_id // slots & MAX_REQ_SEQ) * slots
-            arena = self._arenas.get(group)
-            if arena is None or len(arena) >= _ARENA_BYTES:
-                arena = self._arenas[group] = bytearray(1)
-            page = self._pages[req_id - index * slots] = (arena, array("I"))
+            if index < LOOSE_SEQS:
+                held = self._loose.get(req_id)
+                if held is None:
+                    self._packed += 1
+                else:
+                    self.packed_bytes -= len(held)
+                held = self._loose[req_id] = pack_record(rec)
+                self.packed_bytes += len(held)
+                return
+            page = self._pages[key] = (bytearray(1), array("I"))
+            self.packed_bytes += 1
+            for seq in range(LOOSE_SEQS):  # the page takes its loose seqs in
+                held = self._loose.pop(key + seq * slots, None)
+                if held is not None:
+                    self._packed -= 1
+                    self.packed_bytes -= len(held)
+                    self.pack(unpack_record(held))
         arena, offsets = page
         at = len(arena)
         arena.append(0)
@@ -282,6 +309,7 @@ class RecordStore(Mapping):
         else:
             arena[at] = _LONG
             arena[at + 1:at + 1] = size.to_bytes(4, "big")
+        self.packed_bytes += len(arena) - at
         if index == len(offsets):  # the common case: seqs finish in order
             offsets.append(at)
         elif index > len(offsets):
@@ -300,7 +328,7 @@ class RecordStore(Mapping):
         held packed."""
         arena, _, _, at = self._entry(req_id)
         if not at:
-            return None
+            return self._loose.get(req_id)
         start, end = _extent(arena, at)
         return bytes(arena[start:end])
 
@@ -317,20 +345,30 @@ class RecordStore(Mapping):
         return held
 
     def __contains__(self, req_id: object) -> bool:
-        return req_id in self.live or self._entry(req_id)[3] != 0
+        if req_id in self.live or req_id in self._loose:
+            return True
+        index = req_id // self._slots & _PAGE_MASK
+        page = self._pages.get(req_id - index * self._slots)
+        return page is not None and index < len(page[1]) and page[1][index] != 0
 
     def __len__(self) -> int:
         return len(self.live) + self._packed
 
     def _order(self) -> list[int]:
-        """The page keys by group (origin, then nonce) and by seq."""
+        """The page keys and loose req_ids, by group (origin, then nonce)
+        and by seq (a loose record's page is not open)."""
         slots = self._slots
-        return sorted(self._pages, key=lambda key: (key % slots, key))
+        return sorted([*self._pages, *self._loose],
+                      key=lambda key: (key % slots, key))
 
     def __iter__(self) -> Iterator[int]:
         slots = self._slots
         for key in self._order():
-            for index, at in enumerate(self._pages[key][1]):
+            page = self._pages.get(key)
+            if page is None:
+                yield key
+                continue
+            for index, at in enumerate(page[1]):
                 if at:
                     yield key + index * slots
         yield from self.live
@@ -339,7 +377,11 @@ class RecordStore(Mapping):
         """The held records in iteration order, without a lookup each
         (a ``recover_dump`` or a resync walks the whole history)."""
         for key in self._order():
-            arena, offsets = self._pages[key]
+            page = self._pages.get(key)
+            if page is None:
+                yield self._loose[key]
+                continue
+            arena, offsets = page
             for at in offsets:
                 if at:
                     start, end = _extent(arena, at)
@@ -348,6 +390,11 @@ class RecordStore(Mapping):
 
     def pop(self, req_id: int, *default):
         rec = self.live.pop(req_id, None)
+        if rec is None:
+            rec = self._loose.pop(req_id, None)
+            if rec is not None:
+                self._packed -= 1
+                self.packed_bytes -= len(rec)
         if rec is not None:
             return rec
         arena, offsets, index, at = self._entry(req_id)
@@ -363,16 +410,11 @@ class RecordStore(Mapping):
 
     def clear(self) -> None:
         self.live.clear()
-        self._arenas.clear()
+        self._loose.clear()
         self._pages.clear()
         self._packed = 0
+        self.packed_bytes = 0
         self.stale_bytes = 0
-
-    @property
-    def packed_bytes(self) -> int:
-        """Arena bytes held, stale entries included."""
-        arenas = {id(arena): arena for arena, _ in self._pages.values()}
-        return sum(map(len, arenas.values()))
 
 
 #: rows (records plus fact rows) one ``replica_put`` carries at most: a
@@ -486,12 +528,15 @@ class RecordTable:
     def origin_of(self, req_id: int) -> int:
         return req_id % self.id_slots
 
-    def refusal(self, req_id: int) -> str | None:
-        """Why :meth:`add_local` would refuse ``req_id``; None if it would not."""
-        if req_id in self.local:
-            return f"duplicate req_id {req_id}"
+    def refusal(self, req_id) -> str | None:
+        """Why :meth:`add_local` would refuse ``req_id`` (a client's, off
+        the wire); None if it would not."""
+        if type(req_id) is not int or req_id < 0:
+            return f"req_id {req_id!r} is not a non-negative int"
         if self.origin_of(req_id) != self.host_index:
             return f"req_id {req_id} does not belong to host {self.host_index}"
+        if req_id in self.local:
+            return f"duplicate req_id {req_id}"
         return None
 
     def add_local(self, rec: NetOpRecord) -> None:
@@ -539,9 +584,10 @@ class RecordTable:
 
     # -- own records: replication and the DONE gate --------------------------
     def open(self, rec: NetOpRecord) -> None:
-        """Register a fresh submission and mirror it before its wave
-        starts: should this host die mid-protocol, the successors still
-        hold the request."""
+        """Register a fresh submission, one :meth:`refusal` let through
+        (the submit path checks its id once), and mirror it before its
+        wave starts: should this host die mid-protocol, the successors
+        still hold the request."""
         self.pack_finished()
         # valued: replicate at once.  A crash between valuation and
         # completion would otherwise re-run an *ordered* op with a fresh
@@ -549,7 +595,7 @@ class RecordTable:
         # overtake it (Definition 1, property 4).
         rec.on_valued = self._valued_hook
         rec.on_completed = self._completed_hook
-        self.add_local(rec)
+        self.local.live[rec.req_id] = rec
         self.uncompleted += 1
         if self.targets:
             self._rows(_ROW_BYTES + packed_size(rec.item)).records.append(

@@ -1003,6 +1003,30 @@ class TestFrameTable:
         assert {frame["req"] for frame in replies if frame["op"] == "done"} <= {6}
         assert counts == {0: 1} and errors == []
 
+    def test_a_submit_whose_req_is_no_id_is_refused_to_its_sender(self):
+        """A ``req`` that is not a non-negative int (a float, a negative
+        int, a bool, a string) is refused with an ``error`` frame before
+        the record table looks it up, as a foreign one is."""
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2,
+                                       id_slots=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2, 2))
+            conn = Conn()
+            host.connections.add(conn)
+            for req in (8.0, -2, True, "8"):
+                host.handle_frame(conn, {"op": "submit", "req": req, "pid": 0,
+                                         "kind": INSERT, "item": "job"})
+            counts = dict(host._op_counts)
+            host.connections.discard(conn)
+            await host._async_stop()
+            return conn.replies, counts, host.errors
+
+        replies, counts, errors = asyncio.run(scenario())
+        assert [frame["op"] for frame in replies] == ["error"] * 4
+        assert all("not a non-negative int" in frame["message"]
+                   for frame in replies)
+        assert counts == {} and errors == []
+
     def test_a_submit_at_a_leaving_pid_is_rejected(self):
         """A leaving node takes no requests, as on the simulators: one
         buffered after its DEPART_COMMIT dump would ride no wave.  The

@@ -30,6 +30,7 @@ from repro.core.requests import (
     pack_req_id,
 )
 from repro.net.records import (
+    LOOSE_SEQS,
     PAGE_SEQS,
     NetOpRecord,
     RecordStore,
@@ -845,19 +846,26 @@ class TestPackedHistory:
             1 + len(pack_record(rec)) for rec in recs)
         assert store.stale_bytes == 0
 
-    def test_a_late_fact_repacks_and_a_read_returns_the_newest_facts(self):
+    @pytest.mark.parametrize("seq", [1, LOOSE_SEQS], ids=["loose", "paged"])
+    def test_a_late_fact_repacks_and_a_read_returns_the_newest_facts(self, seq):
         table = Wire().tables[1]
-        table.put_mirror({"records": [finished(rid(0))]})
+        req_id = pack_req_id(1, seq, 0, SLOTS)
+        table.put_mirror({"records": [finished(req_id)]})
         table.pack_finished()
         store = table.replicas
-        first = store[rid(0)]
+        first = store[req_id]
         assert isinstance(first, bytes) and not store.live
-        table.put_mirror({"facts": [[rid(0), None, None, True, True]]})
-        assert facts(unpack_record(store[rid(0)])) == (3, None, True, True)
-        assert store.stale_bytes == 1 + len(first)  # the superseded entry
-        table.put_mirror({"facts": [[rid(0), 3, None, True, True]]})
-        assert store.stale_bytes == 1 + len(first)  # nothing new: no re-pack
-        assert len(store) == 1 and list(store) == [rid(0)]
+        table.put_mirror({"facts": [[req_id, None, None, True, True]]})
+        newest = store[req_id]
+        assert facts(unpack_record(newest)) == (3, None, True, True)
+        # a page keeps the superseded entry; a loose one is let go
+        stale = 1 + len(first) if seq >= LOOSE_SEQS else 0
+        assert store.stale_bytes == stale
+        assert store.packed_bytes == (
+            1 + stale + 1 + len(newest) if stale else len(newest))
+        table.put_mirror({"facts": [[req_id, 3, None, True, True]]})
+        assert store.stale_bytes == stale  # nothing new: no re-pack
+        assert len(store) == 1 and list(store) == [req_id]
         assert facts(table.dump(replicas=True)[0]) == (3, None, True, True)
 
     def test_len_in_pop_clear_and_the_iteration_order(self):
@@ -894,6 +902,32 @@ class TestPackedHistory:
         assert len(store) == 0 and list(store) == []
         assert store.packed_bytes == 0 and store.stale_bytes == 0
 
+    def test_a_page_takes_in_its_loose_seqs_when_it_opens(self):
+        store = RecordStore(SLOTS)
+        loose = [finished(pack_req_id(2, seq, 1, SLOTS), seq)
+                 for seq in (PAGE_SEQS + 2, PAGE_SEQS)]
+        for rec in loose:
+            store.pack(rec)
+        assert store.packed_bytes == sum(len(pack_record(rec)) for rec in loose)
+        assert list(store) == [loose[1].req_id, loose[0].req_id]
+        opener = finished(pack_req_id(2, PAGE_SEQS + LOOSE_SEQS, 1, SLOTS))
+        store.pack(opener)
+        late = finished(pack_req_id(2, PAGE_SEQS + 1, 1, SLOTS))
+        store.pack(late)  # its page is open: it goes in, not loose
+        recs = [loose[1], late, loose[0], opener]
+        assert list(store) == [rec.req_id for rec in recs] and len(store) == 4
+        assert all(store[rec.req_id] == pack_record(rec) for rec in recs)
+        # one page: a pad byte, then a length byte and the bytes of each
+        assert store.packed_bytes == 1 + sum(
+            1 + len(pack_record(rec)) for rec in recs)
+        assert store.stale_bytes == 0
+        # a loose record popped is let go, not left stale
+        lone = finished(pack_req_id(3, 0, 1, SLOTS))
+        store.pack(lone)
+        assert store.pop(lone.req_id) == pack_record(lone)
+        assert lone.req_id not in store and len(store) == 4
+        assert store.stale_bytes == 0
+
     def test_sparse_seqs_and_a_record_over_64_kib(self):
         store = RecordStore(SLOTS)
         seqs = [0, 5, PAGE_SEQS - 1, PAGE_SEQS, 70_000, MAX_REQ_SEQ]
@@ -904,9 +938,10 @@ class TestPackedHistory:
         assert list(store) == [rec.req_id for rec in recs]
         for rec in recs:
             assert store[rec.req_id] == pack_record(rec)
-        # one group, one arena: a pad byte, and a u32 length for the big one
-        assert store.packed_bytes == 1 + 4 + sum(
-            1 + len(pack_record(rec)) for rec in recs)
+        # seq 0 rides loose until seq 5 opens its page; PAGE_SEQS rides
+        # loose; three pages, each a pad byte; a u32 length for the big one
+        assert store.packed_bytes == 3 + 4 + len(pack_record(recs[3])) + sum(
+            1 + len(pack_record(rec)) for i, rec in enumerate(recs) if i != 3)
         big = recs[1]
         first = store[big.req_id]
         assert len(first) > 1 << 16
@@ -915,18 +950,6 @@ class TestPackedHistory:
         assert store.stale_bytes == 5 + len(first)
         assert unpack_record(store[big.req_id]).local_match
         assert len(store) == len(seqs)
-
-    def test_a_full_arena_leaves_the_next_page_a_fresh_one(self, monkeypatch):
-        monkeypatch.setattr(records_module, "_ARENA_BYTES", 64)
-        store = RecordStore(SLOTS)
-        recs = [finished(pack_req_id(1, seq, 0, SLOTS), seq)
-                for seq in range(3 * PAGE_SEQS)]
-        for rec in recs:
-            store.pack(rec)
-        assert all(store[rec.req_id] == pack_record(rec) for rec in recs)
-        # the first page fills the group's arena; each later one opens its own
-        assert store.packed_bytes == 3 + sum(
-            1 + len(pack_record(rec)) for rec in recs)
 
     def test_ten_thousand_finished_replicas_take_at_most_80_bytes_each(self):
         """Two predecessors' mirrored histories, packed: a record's bytes,
@@ -953,6 +976,52 @@ class TestPackedHistory:
             tracemalloc.stop()
         assert len(table.replicas) == n and not table.replicas.live
         assert per_record <= 80, f"{per_record:.0f} B per finished record"
+
+
+    @pytest.mark.parametrize("per_nonce", [1, 2, 3, 4, 8])
+    def test_a_short_session_costs_no_more_than_a_dict_entry(self, per_nonce):
+        """Clients that reconnect often carry a few ops per connection,
+        so per (origin, nonce): its records cost at most what the same
+        records cost as one dict entry of ``bytes`` each (about 147 B),
+        and less once a page opens."""
+
+        def traced(fill) -> float:
+            """Bytes per record that what ``fill`` returns holds."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = fill()
+                gc.collect()
+                return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+            finally:
+                tracemalloc.stop()
+
+        def recs():
+            # made while traced: each held id is an int of its own
+            for i in range(10_000):
+                req_id = pack_req_id(1 + i // per_nonce, i % per_nonce, 0,
+                                     SLOTS)
+                kind = INSERT if i % 2 == 0 else REMOVE
+                rec = OpRecord(req_id, i % 8, i // 8, kind,
+                               i if kind == INSERT else None, i / 1000)
+                result = None if kind == INSERT else (req_id - SLOTS, i - 1)
+                learn(rec, i + 1, result, False, True)
+                yield rec
+
+        def packed() -> RecordStore:
+            store = RecordStore(SLOTS)
+            for rec in recs():
+                store.pack(rec)
+            return store
+
+        store_bytes = traced(packed)
+        dict_bytes = traced(
+            lambda: {rec.req_id: pack_record(rec) for rec in recs()})
+        if per_nonce <= LOOSE_SEQS:
+            assert store_bytes <= dict_bytes + 1
+        else:
+            assert store_bytes < dict_bytes, (store_bytes, dict_bytes)
 
 
 # -- structure, pinned ----------------------------------------------------------
