@@ -32,15 +32,17 @@ or was evicted, kept by the host the cluster map names for it
 from then on, served by ``collect``, and where ``complete`` frames land.
 
 Each store is a :class:`RecordStore`: live records in a plain dict,
-finished ones — an own one once its DONE is out, a replica or custody
-copy once it is completed — packed, their
+finished ones packed where they finish — an own one as its DONE goes
+out, a replica or custody copy as it completes — their
 :func:`~repro.net.transport.pack_record` bytes appended to the
 ``bytearray`` of a page of 256 seqs of one (origin, nonce) and found
-through an ``array('I')`` of offsets indexed by seq.  A record then
-costs about 57 B on a long-lived connection, and about 147 B (one dict
-entry of ``bytes``, as a page's first seqs are held) on one that
-carries one to three ops, against 320 B live.  Only
-:class:`RecordTable` packs and unpacks.
+through an ``array('I')`` of offsets indexed by seq.  A finished record
+has nothing left to learn, so a holder of the object loses nothing; a
+late fact still lands, on a repacked copy.  A record then costs about
+57 B on a long-lived connection, and about 147 B (one dict entry of
+``bytes``, as a page's first seqs are held) on one that carries one to
+three ops, against 320 B live.  Only :class:`RecordTable` packs, and a
+store answers a packed record as an unpacked copy.
 
 Mirrors travel in batches, like the wave.  The table queues each
 mirror as a row and :meth:`RecordTable.flush` sends one ``replica_put``
@@ -59,8 +61,7 @@ handed ``send(host, frame)``, which is what lets
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping
-from sys import getrefcount
+from collections.abc import Iterator
 from typing import Callable, Iterable
 
 from repro.core.requests import OpRecord
@@ -189,11 +190,6 @@ class NetOpRecord(OpRecord):
             self.on_valued(self)
 
 
-def _unpacked(held):
-    """A held record as a record: a packed one answers a fresh copy."""
-    return unpack_record(held) if type(held) is bytes else held
-
-
 #: seqs one page of offsets spans: a page's array is at most this long,
 #: so a lone record at a hand-picked seq costs at most one page, never
 #: an array up to its seq
@@ -223,8 +219,9 @@ def _extent(arena: bytearray, at: int) -> tuple[int, int]:
     return at + 5, at + 5 + int.from_bytes(arena[at + 1:at + 5], "big")
 
 
-class RecordStore(Mapping):
-    """One store of a :class:`RecordTable`: req_id -> record.
+class RecordStore:
+    """One store of a :class:`RecordTable`: the records it holds, by
+    req_id.
 
     A live record sits in :attr:`live`, a plain dict the table reads and
     writes directly.  A finished one is :meth:`pack`-ed into a page: the
@@ -238,40 +235,27 @@ class RecordStore(Mapping):
     versions of at most 256 records, so its offsets fit a u32 unless
     those records average megabytes each.  Until a page opens, its first
     :data:`LOOSE_SEQS` seqs are held loose, as ``bytes``; the page takes
-    them in when it opens.  Packing a record again appends a new entry
-    and re-points its offset; :attr:`stale_bytes` counts the entries no
-    offset points at.
+    their bytes in when it opens.  Packing a record again appends a new
+    entry and re-points its offset.
 
-    As a mapping it answers a live record as itself and a packed one as
-    its bytes.  ``len`` is O(1); iteration runs over the packed records
-    by group (origin, then nonce) and by seq, then over the live ones.
+    It answers records: :meth:`get` and :meth:`copies` unpack a packed
+    one into a fresh :class:`~repro.core.requests.OpRecord`.
     """
 
-    __slots__ = ("live", "packed_bytes", "stale_bytes", "_loose", "_pages",
-                 "_packed", "_slots")
+    __slots__ = ("live", "packed_bytes", "_loose", "_pages", "_packed",
+                 "_slots")
 
     def __init__(self, id_slots: int) -> None:
-        #: records not finished yet, or still held elsewhere
+        #: records not finished yet
         self.live: dict[int, OpRecord] = {}
-        #: bytes of packed records held, stale entries included
+        #: bytes of packed records held, superseded entries included
         self.packed_bytes = 0
-        #: arena bytes of superseded or popped entries
-        self.stale_bytes = 0
         # req_id -> packed record, at the first seqs of a page not open
         self._loose: dict[int, bytes] = {}
         # page key -> (arena, offsets)
         self._pages: dict[int, tuple[bytearray, array]] = {}
         self._packed = 0
         self._slots = id_slots
-
-    def _entry(self, req_id: int) -> tuple[bytearray, array, int, int]:
-        """``req_id``'s arena and page offsets (empty if the page is not
-        open), its index in the page, and its entry's offset (0 if it is
-        not packed in a page)."""
-        index = req_id // self._slots & _PAGE_MASK
-        arena, offsets = self._pages.get(req_id - index * self._slots, _NO_PAGE)
-        return arena, offsets, index, (
-            offsets[index] if index < len(offsets) else 0)
 
     def pack(self, rec: OpRecord) -> None:
         """Hold ``rec`` packed, superseding a packed copy of it; its live
@@ -296,13 +280,22 @@ class RecordStore(Mapping):
             for seq in range(LOOSE_SEQS):  # the page takes its loose seqs in
                 held = self._loose.pop(key + seq * slots, None)
                 if held is not None:
-                    self._packed -= 1
                     self.packed_bytes -= len(held)
-                    self.pack(unpack_record(held))
+                    self._put(page, seq, held)
+        if not self._put(page, index, rec):
+            self._packed += 1
+
+    def _put(self, page: tuple[bytearray, array], index: int,
+             rec: OpRecord | bytes) -> int:
+        """Append ``rec`` (or its packed bytes) to ``page``'s arena as the
+        entry at ``index``; answers the offset it superseded (0: none)."""
         arena, offsets = page
         at = len(arena)
         arena.append(0)
-        pack_record_into(rec, arena)
+        if type(rec) is bytes:
+            arena += rec
+        else:
+            pack_record_into(rec, arena)
         size = len(arena) - at - 1
         if size < _LONG:
             arena[at] = size
@@ -312,39 +305,32 @@ class RecordStore(Mapping):
         self.packed_bytes += len(arena) - at
         if index == len(offsets):  # the common case: seqs finish in order
             offsets.append(at)
-        elif index > len(offsets):
+            return 0
+        if index > len(offsets):
             offsets.frombytes(bytes(offsets.itemsize * (index - len(offsets))))
             offsets.append(at)
-        else:
-            old = offsets[index]
-            offsets[index] = at
-            if old:
-                self.stale_bytes += _extent(arena, old)[1] - old
-                return
-        self._packed += 1
+            return 0
+        old = offsets[index]
+        offsets[index] = at
+        return old
 
-    def packed(self, req_id: int) -> bytes | None:
-        """The bytes of ``req_id``'s packed record; None if it is not
-        held packed."""
-        arena, _, _, at = self._entry(req_id)
+    def get(self, req_id: int) -> OpRecord | None:
+        """The live record for ``req_id``, an unpacked copy of its packed
+        one, or None if this store holds neither."""
+        rec = self.live.get(req_id)
+        if rec is not None:
+            return rec
+        index = req_id // self._slots & _PAGE_MASK
+        arena, offsets = self._pages.get(req_id - index * self._slots,
+                                         _NO_PAGE)
+        at = offsets[index] if index < len(offsets) else 0
         if not at:
-            return self._loose.get(req_id)
+            held = self._loose.get(req_id)
+            return None if held is None else unpack_record(held)
         start, end = _extent(arena, at)
-        return bytes(arena[start:end])
+        return unpack_record(arena[start:end])
 
-    def get(self, req_id: int, default=None):
-        held = self.live.get(req_id)
-        if held is None:
-            held = self.packed(req_id)
-        return default if held is None else held
-
-    def __getitem__(self, req_id: int) -> OpRecord | bytes:
-        held = self.get(req_id)
-        if held is None:
-            raise KeyError(req_id)
-        return held
-
-    def __contains__(self, req_id: object) -> bool:
+    def __contains__(self, req_id: int) -> bool:
         if req_id in self.live or req_id in self._loose:
             return True
         index = req_id // self._slots & _PAGE_MASK
@@ -354,59 +340,19 @@ class RecordStore(Mapping):
     def __len__(self) -> int:
         return len(self.live) + self._packed
 
-    def _order(self) -> list[int]:
-        """The page keys and loose req_ids, by group (origin, then nonce)
-        and by seq (a loose record's page is not open)."""
-        slots = self._slots
-        return sorted([*self._pages, *self._loose],
-                      key=lambda key: (key % slots, key))
-
-    def __iter__(self) -> Iterator[int]:
-        slots = self._slots
-        for key in self._order():
-            page = self._pages.get(key)
-            if page is None:
-                yield key
-                continue
-            for index, at in enumerate(page[1]):
-                if at:
-                    yield key + index * slots
-        yield from self.live
-
-    def values(self) -> Iterator[OpRecord | bytes]:
-        """The held records in iteration order, without a lookup each
-        (a ``recover_dump`` or a resync walks the whole history)."""
-        for key in self._order():
-            page = self._pages.get(key)
-            if page is None:
-                yield self._loose[key]
-                continue
-            arena, offsets = page
+    def copies(self) -> Iterator[OpRecord]:
+        """A fresh copy of each held record, in no particular order,
+        without a lookup each (a ``recover_dump`` or a resync walks the
+        whole history)."""
+        for held in self._loose.values():
+            yield unpack_record(held)
+        for arena, offsets in self._pages.values():
             for at in offsets:
                 if at:
                     start, end = _extent(arena, at)
-                    yield bytes(arena[start:end])
-        yield from self.live.values()
-
-    def pop(self, req_id: int, *default):
-        rec = self.live.pop(req_id, None)
-        if rec is None:
-            rec = self._loose.pop(req_id, None)
-            if rec is not None:
-                self._packed -= 1
-                self.packed_bytes -= len(rec)
-        if rec is not None:
-            return rec
-        arena, offsets, index, at = self._entry(req_id)
-        if not at:
-            if default:
-                return default[0]
-            raise KeyError(req_id)
-        start, end = _extent(arena, at)
-        offsets[index] = 0
-        self._packed -= 1
-        self.stale_bytes += end - at
-        return bytes(arena[start:end])
+                    yield unpack_record(arena[start:end])
+        for rec in self.live.values():
+            yield clone(rec)
 
     def clear(self) -> None:
         self.live.clear()
@@ -414,7 +360,6 @@ class RecordStore(Mapping):
         self._pages.clear()
         self._packed = 0
         self.packed_bytes = 0
-        self.stale_bytes = 0
 
 
 #: rows (records plus fact rows) one ``replica_put`` carries at most: a
@@ -447,12 +392,6 @@ class _Mirror:
         self.acks: list[int] = []
 
 
-#: references to a held record while :meth:`RecordTable.pack_finished`
-#: looks at it — the store's slot, the loop's name, ``getrefcount``'s
-#: argument — when nothing else holds it
-_SOLE_REFS = 3
-
-
 def _blank(req_id: int, cls: type = OpRecord) -> OpRecord:
     """A record known only by its id (``gen`` None: latency is observed
     where the generation time is known, at the origin)."""
@@ -462,9 +401,10 @@ def _blank(req_id: int, cls: type = OpRecord) -> OpRecord:
 class RecordTable:
     """Every record this host holds, by req_id (see the module docstring),
     in three stores (:class:`RecordStore`): ``local``, ``custody`` and
-    ``replicas``.  Finished records are packed in batches
-    (:meth:`pack_finished`); the hot path otherwise reads and writes a
-    store's ``live`` dict directly.
+    ``replicas``.  A record is packed where it finishes: an own one in
+    :meth:`_release`, a replica or custody copy in :meth:`_hold` or
+    :meth:`_learn`; the hot path otherwise reads and writes a store's
+    ``live`` dict directly.
 
     As ``ctx.records`` it is a mapping: own ids resolve to the canonical
     record, adopted ids to their wave proxy, any other remote id to a
@@ -484,7 +424,7 @@ class RecordTable:
     __slots__ = (
         "host_index", "id_slots", "local", "custody", "replicas", "targets",
         "holder_of", "gen", "on_done", "wake", "uncompleted", "_send",
-        "_proxies", "_parked", "_pending", "_finished", "_mirror", "_closed",
+        "_proxies", "_parked", "_pending", "_mirror", "_closed",
         "_valued_hook", "_completed_hook",
     )
 
@@ -492,7 +432,7 @@ class RecordTable:
                  send: Callable[[int, dict], bool]) -> None:
         self.host_index = host_index
         self.id_slots = id_slots
-        # each store holds a finished record packed (`pack_finished`)
+        # each store holds a finished record packed
         #: records submitted here (canonical while this host lives)
         self.local = RecordStore(id_slots)
         #: archives of retired or evicted hosts this host answers for
@@ -514,8 +454,6 @@ class RecordTable:
         self._pending: dict[int, NetOpRecord] = {}
         #: own records opened and not completed yet (a drain waits for 0)
         self.uncompleted = 0
-        # (store, req_id) of records finished since the last pack
-        self._finished: list[tuple[RecordStore, int]] = []
         # the replica_put being filled, and those filled before it that
         # the next flush sends (a changed gen or target set closes one)
         self._mirror: _Mirror | None = None
@@ -551,7 +489,7 @@ class RecordTable:
         in-process), else its wave proxy."""
         local = self.local.get(rec.req_id)
         if local is not None:
-            return _unpacked(local)
+            return local
         proxy = self._proxies.get(rec.req_id)
         if proxy is None:
             proxy = self._proxies[rec.req_id] = clone(rec, NetOpRecord)
@@ -568,10 +506,10 @@ class RecordTable:
         if rec is not None:
             return rec
         if self.origin_of(req_id) == self.host_index:
-            packed = self.local.packed(req_id)
-            if packed is None:
+            rec = self.local.get(req_id)  # a packed one is finished: no hooks
+            if rec is None:
                 raise KeyError(f"unknown local req_id {req_id}")
-            return unpack_record(packed)  # a packed one is finished: no hooks
+            return rec
         stub = _blank(req_id, NetOpRecord)
         stub.on_completed = self._tell_origin
         return stub
@@ -580,7 +518,7 @@ class RecordTable:
         """The canonical record for ``req_id`` if this host keeps it (a
         copy, if it is held packed)."""
         rec = self.local.get(req_id)
-        return _unpacked(rec if rec is not None else self.custody.get(req_id))
+        return rec if rec is not None else self.custody.get(req_id)
 
     # -- own records: replication and the DONE gate --------------------------
     def open(self, rec: NetOpRecord) -> None:
@@ -588,7 +526,6 @@ class RecordTable:
         (the submit path checks its id once), and mirror it before its
         wave starts: should this host die mid-protocol, the successors
         still hold the request."""
-        self.pack_finished()
         # valued: replicate at once.  A crash between valuation and
         # completion would otherwise re-run an *ordered* op with a fresh
         # value, and a later same-pid op that already completed could
@@ -672,9 +609,11 @@ class RecordTable:
                 self._release(rec)
 
     def _release(self, rec: NetOpRecord) -> None:
-        """The DONE may be shown: the own record is finished."""
+        """The DONE may be shown: the own record is finished, and packed
+        (a caller still holding it sees nothing learned after)."""
         self.on_done(rec)
-        self._finished.append((self.local, rec.req_id))
+        del self.local.live[rec.req_id]
+        self.local.pack(rec)
 
     def set_targets(self, targets: list[int]) -> None:
         if targets != self.targets:
@@ -694,14 +633,9 @@ class RecordTable:
             return
         pending = self._pending
         for store in (self.local, self.custody):
-            for held in store.values():
-                if type(held) is bytes:
-                    rec, size = unpack_record(held), len(held)
-                else:
-                    rec = clone(held)
-                    size = (_ROW_BYTES + packed_size(rec.item)
-                            + packed_size(rec.result))
-                mirror = self._rows(size)
+            for rec in store.copies():
+                mirror = self._rows(_ROW_BYTES + packed_size(rec.item)
+                                    + packed_size(rec.result))
                 mirror.records.append(rec)
                 if rec.req_id in pending:
                     mirror.acks.append(rec.req_id)
@@ -712,7 +646,6 @@ class RecordTable:
         it asked for none) and the req ids of fact rows whose record is
         not held here — those are not acknowledged, and the frame's
         other rows still apply."""
-        self.pack_finished()
         replicas = self.replicas
         for rec in frame.get("records", ()):
             self._hold(replicas, rec)
@@ -728,53 +661,34 @@ class RecordTable:
 
     # -- the stores: one merge, finished records packed ------------------------
     def _hold(self, store: RecordStore, rec: OpRecord) -> None:
-        """Keep ``rec`` in ``store`` (custody or replicas), or add its
-        facts to the copy held."""
+        """Keep ``rec`` in ``store`` (custody or replicas), packed if it
+        is completed, or add its facts to the copy held."""
         if rec.req_id in store:
             self._learn(store, rec.req_id, facts(rec))
-            return
-        store.live[rec.req_id] = rec
-        if rec.completed:
-            self._finished.append((store, rec.req_id))
+        elif rec.completed:
+            store.pack(rec)
+        else:
+            store.live[rec.req_id] = rec
 
     def _learn(self, store: RecordStore, req_id: int, known: tuple) -> bool:
-        """:func:`learn` into the record ``store`` holds for ``req_id``: a
-        packed one is unpacked, taught and packed again.  False if
-        ``store`` holds no such record."""
+        """:func:`learn` into the record ``store`` holds for ``req_id``:
+        a custody or replica copy it completes is packed, and a packed
+        one is unpacked, taught and packed again.  False if ``store``
+        holds no such record."""
         held = store.live.get(req_id)
         if held is not None:
             if (learn(held, *known) and held.completed
                     and store is not self.local):
                 # an own record is finished once its DONE is out (`_release`)
-                self._finished.append((store, req_id))
+                del store.live[req_id]
+                store.pack(held)
             return True
-        packed = store.packed(req_id)
-        if packed is None:
+        rec = store.get(req_id)
+        if rec is None:
             return False
-        rec = unpack_record(packed)
         if learn(rec, *known):
             store.pack(rec)
         return True
-
-    def pack_finished(self) -> None:
-        """Pack every record finished since the last call
-        (:meth:`RecordStore.pack`) — about a sixth of its live size — if
-        nothing but this table holds it.  One that is
-        still held elsewhere (by an actor, or by a caller that reads its
-        facts) stays live, so the holder goes on seeing what it learns,
-        and is tried again next time.  Runs as each submission opens and
-        each replica arrives, so the list stays about one op long."""
-        held = []
-        for store, req_id in self._finished:
-            rec = store.live.get(req_id)
-            if rec is None or not rec.completed:
-                continue  # packed already, or purged by a rebuild fold
-            if getrefcount(rec) > _SOLE_REFS:
-                held.append((store, req_id))
-            else:
-                del store.live[req_id]
-                store.pack(rec)
-        self._finished = held
 
     # -- facts learned away from the record ----------------------------------
     def _tell_origin(self, rec: NetOpRecord) -> None:
@@ -867,8 +781,7 @@ class RecordTable:
         stores = [self.local, self.custody]
         if replicas:
             stores.append(self.replicas)
-        return [unpack_record(held) if type(held) is bytes else clone(held)
-                for store in stores for held in store.values()]
+        return [rec for store in stores for rec in store.copies()]
 
     def counts(self) -> dict:
         """The record lines of the ``/health`` payload."""

@@ -847,8 +847,14 @@ class NodeHost:
         pid = message["pid"]
         req_id = message["req"]
         kind = message["kind"]
-        priority = int(message.get("pri", 0))
-        if kind not in (INSERT, REMOVE):
+        priority = message.get("pri", 0)
+        if not type(kind) is type(pid) is type(priority) is int:
+            name, value = next(
+                field for field in (("kind", kind), ("pid", pid),
+                                    ("pri", priority))
+                if type(field[1]) is not int)
+            refusal = f"{name} {value!r} is not an int"
+        elif kind not in (INSERT, REMOVE):
             refusal = f"kind {kind!r} is neither INSERT nor REMOVE"
         elif not 0 <= priority < max(1, self.config.n_priorities):
             refusal = f"priority {priority} outside [0, {self.config.n_priorities})"

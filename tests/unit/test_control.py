@@ -424,7 +424,8 @@ class TestEviction:
         settled(net, 1)
         adopter = net.hosts[2]
         assert adopter.control.cluster.departed[1] == 2
-        assert adopter.records.custody[rec.req_id].value == 7
+        assert rec.req_id in adopter.records.custody
+        assert adopter.records.get(rec.req_id).value == 7
         assert rec.req_id not in net.hosts[0].records.custody
         assert not adopter.records.replicas   # purged, then resynced by 0
 
@@ -447,7 +448,7 @@ class TestEviction:
         table = coordinator.records
         kept = coordinator.control._rebuilt["records"]
         held = [held for store in (table.local, table.custody, table.replicas)
-                for held in store.values()]
+                for held in store.live.values()]
         assert rec.req_id in table.custody
         assert not {id(r) for r in kept} & {id(h) for h in held}
         (sent,) = [r for r in kept if r.req_id == rec.req_id]
@@ -882,9 +883,9 @@ class TestLinks:
 
 
 class TestHostRecords:
-    def test_a_served_op_is_held_packed_once_the_next_one_opens(self):
-        """The actors hold no record after its DONE, so the table packs
-        every finished one; what a drain waits for is a count."""
+    def test_a_served_op_is_held_packed_once_its_done_is_out(self):
+        """The table packs each own record as its DONE goes out, so only
+        the op still open is live; what a drain waits for is a count."""
         from repro.core.requests import REMOVE
 
         async def scenario():
@@ -908,15 +909,15 @@ class TestHostRecords:
             uncompleted = host.records.uncompleted
             host.handle_frame(conn, {"op": "submit", "req": 61, "pid": 1,
                                      "kind": INSERT, "item": 61})
-            held, errors = dict(host.records.local), list(host.errors)
+            live, errors = set(host.records.local.live), list(host.errors)
+            held = len(host.records.local)
             host.connections.discard(conn)
             await host._async_stop()
-            return done, uncompleted, held, errors
+            return done, uncompleted, live, held, errors
 
-        done, uncompleted, held, errors = asyncio.run(scenario())
+        done, uncompleted, live, held, errors = asyncio.run(scenario())
         assert sorted(done) == list(range(1, 61)) and uncompleted == 0
-        assert all(isinstance(held[req], bytes) for req in done)
-        assert not isinstance(held[61], bytes) and not errors
+        assert live == {61} and held == 61 and not errors
 
 
 # -- what NodeHost keeps: the frame table ------------------------------------------
@@ -1003,28 +1004,35 @@ class TestFrameTable:
         assert {frame["req"] for frame in replies if frame["op"] == "done"} <= {6}
         assert counts == {0: 1} and errors == []
 
-    def test_a_submit_whose_req_is_no_id_is_refused_to_its_sender(self):
-        """A ``req`` that is not a non-negative int (a float, a negative
-        int, a bool, a string) is refused with an ``error`` frame before
-        the record table looks it up, as a foreign one is."""
+    @pytest.mark.parametrize("field, value", [
+        ("req", 8.0), ("req", -2), ("req", True), ("req", "8"),
+        ("kind", True), ("kind", 1.0), ("pid", "0"), ("pid", 0.0),
+        ("pri", "x"), ("pri", 1.5), ("pri", False),
+    ])
+    def test_a_submit_with_a_field_of_the_wrong_type_is_refused(
+            self, field, value):
+        """A ``req`` that is not a non-negative int, or a ``kind``,
+        ``pid`` or ``pri`` that is not an int (a bool is not one), is
+        refused with an ``error`` frame before a program-order index is
+        spent, not raised inside the dispatcher nor put in the history."""
         async def scenario():
             host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2,
                                        id_slots=2))
             host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2, 2))
             conn = Conn()
             host.connections.add(conn)
-            for req in (8.0, -2, True, "8"):
-                host.handle_frame(conn, {"op": "submit", "req": req, "pid": 0,
-                                         "kind": INSERT, "item": "job"})
+            host.handle_frame(conn, {"op": "submit", "req": 8, "pid": 0,
+                                     "kind": INSERT, "item": "job", "pri": 0,
+                                     field: value})
             counts = dict(host._op_counts)
             host.connections.discard(conn)
             await host._async_stop()
             return conn.replies, counts, host.errors
 
         replies, counts, errors = asyncio.run(scenario())
-        assert [frame["op"] for frame in replies] == ["error"] * 4
-        assert all("not a non-negative int" in frame["message"]
-                   for frame in replies)
+        assert [frame["op"] for frame in replies] == ["error"]
+        assert (f"{field} {value!r} is not an int" if field != "req"
+                else "not a non-negative int") in replies[0]["message"]
         assert counts == {} and errors == []
 
     def test_a_submit_at_a_leaving_pid_is_rejected(self):
@@ -1043,7 +1051,7 @@ class TestFrameTable:
             host.connections.add(conn)
             host.handle_frame(conn, {"op": "submit", "req": 3, "pid": pid,
                                      "kind": INSERT, "item": "job"})
-            opened = set(host.records.local)
+            opened = len(host.records.local)
             host.connections.discard(conn)
             await host._async_stop()
             return conn.replies, opened

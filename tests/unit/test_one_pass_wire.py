@@ -152,7 +152,7 @@ def test_submits_arrive_as_submitted():
         host.connections.add(conn)
         for frame in members(frames):
             host.handle_frame(conn, frame)
-        got = [host.records.local[r].item for r in reqs]
+        got = [host.records.get(r).item for r in reqs]
         errors = list(host.errors)
         await host._async_stop()
         return frames, got, errors

@@ -46,7 +46,6 @@ from repro.net.transport import (
     FrameReader,
     encode_frame,
     pack_record,
-    unpack_record,
 )
 from repro.ops.recovery import merge_records
 
@@ -61,19 +60,15 @@ def blank(req_id: int, kind: int = REMOVE, cls=OpRecord) -> OpRecord:
     return cls(req_id, 0, 0, kind, None, 0.0)
 
 
-def held(store: dict, req_id: int) -> OpRecord:
-    """The record a table's store holds, unpacked if it is held packed."""
-    rec = store[req_id]
-    return unpack_record(rec) if isinstance(rec, bytes) else rec
+def held_ids(store: RecordStore) -> set[int]:
+    return {rec.req_id for rec in store.copies()}
 
 
-def pack_between(table: RecordTable, store: dict, req_id: int,
-                 packed: bool) -> None:
-    """With ``packed``, have ``table`` pack what is finished, and check
-    that the record is held packed exactly when it is completed."""
+def check_packed(store: RecordStore, req_id: int, packed: bool) -> None:
+    """With ``packed``, check that the record is held packed exactly when
+    it is completed: it packs where it finishes."""
     if packed:
-        table.pack_finished()
-        assert isinstance(store[req_id], bytes) == held(store, req_id).completed
+        assert (req_id not in store.live) == store.get(req_id).completed
 
 
 class Wire:
@@ -216,10 +211,10 @@ DONE = (None, (rid(2), "e"), False, True)
 def via_complete(order, packed=False):
     wire = Wire()
     table = wire.tables[0]
-    req_id = wire.submit(0).req_id  # the table alone holds the record
+    req_id = wire.submit(0).req_id
     first, *rest = order
     table.apply(req_id, first)
-    pack_between(table, table.local, req_id, packed)
+    check_packed(table.local, req_id, packed)
     for known in rest:
         table.apply(req_id, known)
     return table.get(req_id)
@@ -234,11 +229,10 @@ def via_replica_put(order, packed=False):
     copy = blank(rid(0))
     learn(copy, *first)
     table.put_mirror({"records": [copy]})
-    del copy  # the table alone holds it, as one fresh off the wire
     for known in rest:
-        pack_between(table, table.replicas, rid(0), packed)
+        check_packed(table.replicas, rid(0), packed)
         table.put_mirror({"facts": [[rid(0), *known]]})
-    return held(table.replicas, rid(0))
+    return table.replicas.get(rid(0))
 
 
 def via_retire_handoff(order, packed=False):
@@ -253,8 +247,7 @@ def via_retire_handoff(order, packed=False):
     archived = blank(rid(1))
     learn(archived, *first)
     coordinator.archive([archived])
-    del archived  # the table alone holds it, as one fresh off the wire
-    pack_between(coordinator, coordinator.custody, rid(1), packed)
+    check_packed(coordinator.custody, rid(1), packed)
     for known in after:
         coordinator.apply(rid(1), known)
     return coordinator.get(rid(1))
@@ -265,7 +258,7 @@ def via_rebuild_fold(order, packed=False):
     table = wire.tables[0]
     req_id = wire.submit(0).req_id
     table.apply(req_id, order[0])
-    pack_between(table, table.local, req_id, packed)
+    check_packed(table.local, req_id, packed)
     merged = blank(rid(0))
     for known in order[1:]:
         learn(merged, *known)
@@ -310,11 +303,11 @@ class TestFivePathsOneRecord:
         done = blank(rid(0))
         learn(done, 3, BOTTOM, False, True)
         table.put_mirror({"records": [clone(done)]})  # fresh off the wire
+        assert rid(0) not in table.replicas.live  # completed: packed at once
         table.put_mirror({"records": [blank(rid(0))]})  # the submit copy
-        # the second put packed the completed copy before learning into it
-        assert isinstance(table.replicas[rid(0)], bytes)
-        assert facts(held(table.replicas, rid(0))) == (3, BOTTOM, False, True)
-        assert type(held(table.replicas, rid(0))) is OpRecord
+        assert rid(0) not in table.replicas.live
+        assert facts(table.replicas.get(rid(0))) == (3, BOTTOM, False, True)
+        assert type(table.replicas.get(rid(0))) is OpRecord
 
 
 # -- stubs, wave proxies and the origin ----------------------------------------
@@ -388,7 +381,8 @@ class TestReplicationGate:
         rec = wire.submit(0)
         rec.value = 5  # mirrored the moment it is assigned
         assert wire.pump("replica_put") == 2  # submit + value, two targets
-        assert facts(wire.tables[1].replicas[rec.req_id]) == (5, None, False, False)
+        assert facts(wire.tables[1].replicas.get(rec.req_id)) == (
+            5, None, False, False)
         learn(rec, None, BOTTOM, False, True)
         assert wire.done[0] == [] and wire.tables[0].counts()["pending_done"] == 1
         wire.pump("replica_put")
@@ -396,7 +390,7 @@ class TestReplicationGate:
         wire.pump()
         assert wire.done[0] == [rec.req_id]  # first ack releases, second is a no-op
         assert wire.tables[0].counts()["pending_done"] == 0
-        assert wire.tables[2].replicas[rec.req_id].completed
+        assert wire.tables[2].replicas.get(rec.req_id).completed
 
     def test_a_replica_put_carries_the_facts_of_its_send(self):
         """Later mirrors are fact rows with the facts of their queueing:
@@ -441,7 +435,7 @@ class TestReplicationGate:
                 rec.req_id for rec in recs]
             assert "facts" not in frame and "acks" not in frame
         assert wire.pump() == 2
-        assert set(wire.tables[2].replicas) == {rec.req_id for rec in recs}
+        assert held_ids(wire.tables[2].replicas) == {rec.req_id for rec in recs}
 
     def test_put_and_ack_pack_by_their_schema_rows(self):
         """No key string on the wire: every key a flush or a holder
@@ -566,7 +560,7 @@ class TestReplicationGate:
         ack, unheld = holder.put_mirror(frame)
         assert unheld == [rid(0, 3)]
         assert rid(0, 3) not in holder.replicas
-        assert facts(held(holder.replicas, rid(0, 1))) == (8, BOTTOM, False, True)
+        assert facts(holder.replicas.get(rid(0, 1))) == (8, BOTTOM, False, True)
         assert rid(0, 2) in holder.replicas
         # only what is held is acknowledged
         assert ack == {"op": "replica_ack", "reqs": [rid(0, 1)]}
@@ -605,7 +599,8 @@ class TestReplicationGate:
         wire.queue.clear()  # what went to host 1 never arrives
         table.set_targets([2])
         wire.pump("replica_put")
-        assert set(wire.tables[2].replicas) == {done.req_id, open_.req_id, rid(3)}
+        assert held_ids(wire.tables[2].replicas) == {
+            done.req_id, open_.req_id, rid(3)}
         wire.pump()  # the gated DONE rides the new target's ack
         assert wire.done[0] == [done.req_id]
 
@@ -652,7 +647,7 @@ class TestCustody:
         table.archive([blank(rid(1))])
         dumped = table.dump()
         assert all(type(rec) is OpRecord for rec in dumped)
-        assert live not in dumped and table.custody[rid(1)] not in dumped
+        assert live not in dumped and table.custody.get(rid(1)) not in dumped
         live.value = 7
         table.apply(rid(1), (8, None, False, False))
         assert [rec.value for rec in dumped] == [None, None]
@@ -680,9 +675,12 @@ class TestCustody:
         table.reset_epoch()
         table.fold(merged, {2}, [1])
         assert fired == [mine[1].req_id, mine[2].req_id]
-        assert all(facts(rec)[1:] == (BOTTOM, False, True) for rec in mine)
-        assert set(table.custody) == {rid(2, 5)} and not table.replicas
-        assert table.custody[rid(2, 5)] is not merged[-2]  # a copy is kept
+        # mine[0] was packed as its DONE went out: the fold taught the
+        # table's copy, not the object
+        assert all(facts(table.get(rec.req_id))[1:] == (BOTTOM, False, True)
+                   for rec in mine)
+        assert held_ids(table.custody) == {rid(2, 5)} and not table.replicas
+        assert table.custody.get(rid(2, 5)) is not merged[-2]  # a copy is kept
         wire.pump()
         assert wire.done[0] == [rec.req_id for rec in mine]
 
@@ -707,7 +705,7 @@ class TestCustody:
         wire.pump()
         assert wire.unheld[1] == []
         assert wire.done[0] == [rec.req_id for rec in mine]
-        assert all(held(wire.tables[1].replicas, rec.req_id).completed
+        assert all(wire.tables[1].replicas.get(rec.req_id).completed
                    for rec in mine)
 
 
@@ -721,8 +719,7 @@ class TestPackedRecords:
         req_id = wire.submit(0).req_id
         table.apply(req_id, (4, BOTTOM, False, True))
         assert wire.done[0] == [req_id]
-        table.pack_finished()
-        assert isinstance(table.local[req_id], bytes)
+        assert req_id not in table.local.live
         first, second = table[req_id], table[req_id]
         assert type(first) is OpRecord and first is not second
         assert facts(first) == (4, BOTTOM, False, True)
@@ -731,18 +728,33 @@ class TestPackedRecords:
         assert table.adopt(first) is not first  # the adopter gets a copy too
         assert wire.done[0] == [req_id] and not wire.queue
 
-    def test_a_record_someone_else_holds_stays_live(self):
+    def test_an_own_record_is_packed_as_its_done_is_released(self):
+        """Packed where it finishes, though the caller still holds the
+        object: ``get`` answers an equal copy, and a late fact lands on
+        the table's copy."""
         wire = Wire()
         table = wire.tables[0]
+        table.set_targets([1])
         rec = wire.submit(0)
-        rec.completed = True
-        table.pack_finished()
-        assert table.local[rec.req_id] is rec  # so `rec` sees what is learned
-        table.apply(rec.req_id, (5, None, False, False))
-        assert rec.value == 5
-        del rec
-        table.pack_finished()  # tried again, and packed once let go
-        assert isinstance(table.local[rid(0)], bytes)
+        learn(rec, 4, BOTTOM, False, True)
+        assert rec.req_id in table.local.live  # gated on the replica ack
+        wire.pump()
+        assert wire.done[0] == [rec.req_id]
+        assert rec.req_id not in table.local.live and len(table.local) == 1
+        copy = table.get(rec.req_id)
+        assert copy is not rec and slots_of(copy) == slots_of(rec)
+        table.apply(rec.req_id, (None, None, True, False))
+        assert table.get(rec.req_id).local_match and not rec.local_match
+
+    def test_a_replica_completed_by_a_fact_row_is_packed_at_once(self):
+        wire = Wire()
+        table = wire.tables[1]
+        copy = blank(rid(0))
+        table.put_mirror({"records": [copy]})
+        assert table.replicas.live == {rid(0): copy}
+        table.put_mirror({"facts": [[rid(0), 3, BOTTOM, False, True]]})
+        assert not table.replicas.live and len(table.replicas) == 1
+        assert facts(table.replicas.get(rid(0))) == (3, BOTTOM, False, True)
 
     def test_own_records_share_their_hooks(self):
         wire = Wire()
@@ -781,14 +793,14 @@ class TestPackedRecords:
             result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
             learn(rec, seq + 1, result, False, True)
             table.put_mirror({"records": [rec]})
-        del rec
+        last_id = rec.req_id
         frame = {"op": "recover_dump", "gen": 1, "host": 0, "epoch": 9,
                  "records": table.dump(replicas=True)}
         wire = encode_frame(frame)
         assert len(wire) < MAX_FRAME_BYTES // 2
         (decoded,) = FrameReader().feed(wire)
         assert len(decoded["records"]) == n
-        last = decoded["records"][-1]
+        (last,) = [rec for rec in decoded["records"] if rec.req_id == last_id]
         assert type(last) is OpRecord and facts(last) == (
             n, (last.req_id - SLOTS, n - 2), False, True)
 
@@ -808,12 +820,11 @@ class TestPackedRecords:
                 result = None if kind == INSERT else (req_id - SLOTS, seq - 1)
                 learn(rec, seq, result, False, True)
             del rec
-            table.pack_finished()
             gc.collect()
             per_record = (tracemalloc.get_traced_memory()[0] - before) / n
         finally:
             tracemalloc.stop()
-        assert all(isinstance(held, bytes) for held in table.local.values())
+        assert not table.local.live and len(table.local) == n
         assert per_record <= 200, f"{per_record:.0f} B per finished record"
 
 
@@ -839,68 +850,57 @@ class TestPackedHistory:
             store.pack(rec)
         assert len(store) == len(recs) and not store.live
         for rec in recs:
-            assert store[rec.req_id] == pack_record(rec)
-            assert slots_of(unpack_record(store[rec.req_id])) == slots_of(rec)
+            copy = store.get(rec.req_id)
+            assert type(copy) is OpRecord and slots_of(copy) == slots_of(rec)
         # four groups, each a pad byte, and one length byte per record
         assert store.packed_bytes == 4 + sum(
             1 + len(pack_record(rec)) for rec in recs)
-        assert store.stale_bytes == 0
 
     @pytest.mark.parametrize("seq", [1, LOOSE_SEQS], ids=["loose", "paged"])
     def test_a_late_fact_repacks_and_a_read_returns_the_newest_facts(self, seq):
         table = Wire().tables[1]
         req_id = pack_req_id(1, seq, 0, SLOTS)
         table.put_mirror({"records": [finished(req_id)]})
-        table.pack_finished()
         store = table.replicas
-        first = store[req_id]
-        assert isinstance(first, bytes) and not store.live
+        first = pack_record(store.get(req_id))
+        assert not store.live
         table.put_mirror({"facts": [[req_id, None, None, True, True]]})
-        newest = store[req_id]
-        assert facts(unpack_record(newest)) == (3, None, True, True)
+        newest = store.get(req_id)
+        assert facts(newest) == (3, None, True, True)
         # a page keeps the superseded entry; a loose one is let go
-        stale = 1 + len(first) if seq >= LOOSE_SEQS else 0
-        assert store.stale_bytes == stale
+        paged = seq >= LOOSE_SEQS
+        size = len(pack_record(newest))
         assert store.packed_bytes == (
-            1 + stale + 1 + len(newest) if stale else len(newest))
+            1 + 1 + len(first) + 1 + size if paged else size)
         table.put_mirror({"facts": [[req_id, 3, None, True, True]]})
-        assert store.stale_bytes == stale  # nothing new: no re-pack
-        assert len(store) == 1 and list(store) == [req_id]
+        assert store.packed_bytes == (  # nothing new: no re-pack
+            1 + 1 + len(first) + 1 + size if paged else size)
+        assert len(store) == 1
         assert facts(table.dump(replicas=True)[0]) == (3, None, True, True)
 
-    def test_len_in_pop_clear_and_the_iteration_order(self):
+    def test_len_in_get_copies_and_clear(self):
         store = RecordStore(SLOTS)
         live = finished(rid(1, 7))
         store.live[live.req_id] = live
-        page_a = [pack_req_id(0, seq, 2, SLOTS) for seq in (3, 9)]
-        page_b = pack_req_id(5, 4, 0, SLOTS)
-        page_c = pack_req_id(0, PAGE_SEQS + 1, 2, SLOTS)
-        for req_id in (page_a[1], page_b, page_a[0], page_c):
+        packed = [*(pack_req_id(0, seq, 2, SLOTS) for seq in (3, 9)),
+                  pack_req_id(5, 4, 0, SLOTS),
+                  pack_req_id(0, PAGE_SEQS + 1, 2, SLOTS)]
+        for req_id in packed:
             store.pack(finished(req_id))
-        # packed: by group (origin, then nonce) and by seq; then live
-        order = [page_b, *page_a, page_c, live.req_id]
-        assert list(store) == order
-        assert [held.req_id if held is live else unpack_record(held).req_id
-                for held in store.values()] == order
-        assert len(store) == 5 and all(req_id in store for req_id in order)
+        assert len(store) == 5 and all(req_id in store for req_id in packed)
+        assert store.get(live.req_id) is live
+        copies = list(store.copies())
+        assert sorted(rec.req_id for rec in copies) == sorted(
+            [*packed, live.req_id])
+        assert live not in copies  # a live record is copied too
         for absent in (pack_req_id(0, 4, 2, SLOTS),     # a hole in a page
                        pack_req_id(0, 100, 2, SLOTS),   # past its offsets
                        pack_req_id(0, 3, 1, SLOTS),     # another origin
                        pack_req_id(1, 3, 2, SLOTS)):    # another nonce
             assert absent not in store and store.get(absent) is None
-        popped = store.pop(page_a[1])
-        assert unpack_record(popped).req_id == page_a[1]
-        assert page_a[1] not in store and len(store) == 4
-        assert store.stale_bytes == 1 + len(popped)
-        assert store.pop(page_a[1], None) is None
-        with pytest.raises(KeyError):
-            store.pop(page_a[1])
-        with pytest.raises(KeyError):
-            store[page_a[1]]
-        assert store.pop(live.req_id) is live and len(store) == 3
         store.clear()
-        assert len(store) == 0 and list(store) == []
-        assert store.packed_bytes == 0 and store.stale_bytes == 0
+        assert len(store) == 0 and list(store.copies()) == []
+        assert store.packed_bytes == 0
 
     def test_a_page_takes_in_its_loose_seqs_when_it_opens(self):
         store = RecordStore(SLOTS)
@@ -909,24 +909,17 @@ class TestPackedHistory:
         for rec in loose:
             store.pack(rec)
         assert store.packed_bytes == sum(len(pack_record(rec)) for rec in loose)
-        assert list(store) == [loose[1].req_id, loose[0].req_id]
         opener = finished(pack_req_id(2, PAGE_SEQS + LOOSE_SEQS, 1, SLOTS))
         store.pack(opener)
         late = finished(pack_req_id(2, PAGE_SEQS + 1, 1, SLOTS))
         store.pack(late)  # its page is open: it goes in, not loose
         recs = [loose[1], late, loose[0], opener]
-        assert list(store) == [rec.req_id for rec in recs] and len(store) == 4
-        assert all(store[rec.req_id] == pack_record(rec) for rec in recs)
+        assert len(store) == 4
+        assert all(slots_of(store.get(rec.req_id)) == slots_of(rec)
+                   for rec in recs)
         # one page: a pad byte, then a length byte and the bytes of each
         assert store.packed_bytes == 1 + sum(
             1 + len(pack_record(rec)) for rec in recs)
-        assert store.stale_bytes == 0
-        # a loose record popped is let go, not left stale
-        lone = finished(pack_req_id(3, 0, 1, SLOTS))
-        store.pack(lone)
-        assert store.pop(lone.req_id) == pack_record(lone)
-        assert lone.req_id not in store and len(store) == 4
-        assert store.stale_bytes == 0
 
     def test_sparse_seqs_and_a_record_over_64_kib(self):
         store = RecordStore(SLOTS)
@@ -935,20 +928,20 @@ class TestPackedHistory:
                          "x" * 70_000 if seq == 5 else seq) for seq in seqs]
         for rec in recs:
             store.pack(rec)
-        assert list(store) == [rec.req_id for rec in recs]
+        assert held_ids(store) == {rec.req_id for rec in recs}
         for rec in recs:
-            assert store[rec.req_id] == pack_record(rec)
+            assert slots_of(store.get(rec.req_id)) == slots_of(rec)
         # seq 0 rides loose until seq 5 opens its page; PAGE_SEQS rides
         # loose; three pages, each a pad byte; a u32 length for the big one
         assert store.packed_bytes == 3 + 4 + len(pack_record(recs[3])) + sum(
             1 + len(pack_record(rec)) for i, rec in enumerate(recs) if i != 3)
         big = recs[1]
-        first = store[big.req_id]
-        assert len(first) > 1 << 16
+        assert len(pack_record(big)) > 1 << 16
+        before = store.packed_bytes
         learn(big, local_match=True)
-        store.pack(big)  # a long entry superseded: u32 length and all
-        assert store.stale_bytes == 5 + len(first)
-        assert unpack_record(store[big.req_id]).local_match
+        store.pack(big)  # a long entry appended again: u32 length and all
+        assert store.packed_bytes == before + 5 + len(pack_record(big))
+        assert store.get(big.req_id).local_match
         assert len(store) == len(seqs)
 
     def test_ten_thousand_finished_replicas_take_at_most_80_bytes_each(self):
@@ -969,7 +962,6 @@ class TestPackedHistory:
                 learn(rec, seq + 1, result, False, True)
                 table.put_mirror({"records": [rec]})
             del rec
-            table.pack_finished()
             gc.collect()
             per_record = (tracemalloc.get_traced_memory()[0] - before) / n
         finally:
