@@ -213,7 +213,7 @@ class SkueueClient:
             self._end_session(session)
             raise
         session.nonce = welcome["nonce"]
-        self._apply_map_json(welcome["map"])
+        self._apply_map(welcome["map"])
 
     def _end_session(self, session: _Session) -> None:
         """The one way a session ends — an explicit drop, a lost
@@ -262,10 +262,9 @@ class SkueueClient:
         await self.close()
 
     # -- cluster map ----------------------------------------------------------
-    def _apply_map_json(self, map_json: dict | None) -> None:
-        if map_json is None:
+    def _apply_map(self, incoming: ClusterMap | None) -> None:
+        if incoming is None:
             return
-        incoming = ClusterMap.from_json(map_json)
         if self.cluster is not None and incoming.version <= self.cluster.version:
             return
         self.cluster = incoming
@@ -381,7 +380,7 @@ class SkueueClient:
         names the replacement id — churn-aware workloads use
         ``live_pids()`` to make this path rare).
         """
-        self._apply_map_json(message.get("map"))
+        self._apply_map(message.get("map"))
         rejected = message["req"]
         root = self._redirects.pop(rejected, rejected)
         if rejected != root:
@@ -584,7 +583,7 @@ class SkueueClient:
         elif op == "rejected":
             self._spawn(self._on_rejected(message))
         elif op == "host_map":
-            self._apply_map_json(message.get("map"))
+            self._apply_map(message["map"])
         elif op == "update_over":
             self.last_update_over = message
         elif op in session.waiters:

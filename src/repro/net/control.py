@@ -13,7 +13,8 @@ on three rules:
    then does the follow-up in one fixed order (DESIGN.md, "Membership
    over TCP", says why the order is what it is).  The coordinator never
    edits its map in place: it applies a :class:`ClusterMap` method to a
-   copy and adopts the copy like everyone else.
+   copy and adopts the copy like everyone else (a join reservation
+   swaps its copy in), so a frame carries a map as it was sent.
 2. **One state.**  ``gen`` is the recovery generation whose rebuild this
    host last applied (a host is born into its first map's generation).
    A host is *recovering* exactly while ``cluster.recovery_epoch`` is
@@ -52,6 +53,7 @@ from repro.net.transport import (
     FENCED,
     FENCED_DEDUP,
     FRAME_TYPES,
+    MAX_FRAME_BYTES,
     OPEN,
 )
 from repro.ops.detector import FailureDetector
@@ -67,6 +69,10 @@ _REOFFER_SECONDS = 1.0
 #: for the first replica ack (``RecordTable``), so an acknowledged op
 #: survives one host crash: the fault model is f = 1.
 _REPLICAS = 2
+
+#: Bytes a ``pid_owner`` entry packs in (int32 pid, int8 host): a join
+#: past ``MAX_FRAME_BYTES`` of them is refused, no map could carry it.
+_PID_ENTRY_BYTES = 7
 
 
 def frame_handlers(*planes) -> dict[str, tuple[Callable, str]]:
@@ -193,7 +199,7 @@ class ControlPlane:
     def adopt(self, incoming: ClusterMap, now: float,
               publish: bool = False) -> bool:
         """Switch to ``incoming`` if it is newer; the only place a host's
-        cluster map is assigned.  ``publish`` (the coordinator's own
+        cluster map changes version.  ``publish`` (the coordinator's own
         mutations) also broadcasts it to the peers it names."""
         previous = self.cluster
         if previous is not None and incoming.version <= previous.version:
@@ -221,7 +227,7 @@ class ControlPlane:
         for host in self.detector.watched():
             if host not in incoming.hosts:
                 self.detector.forget(host)
-        frame = {"op": "host_map", "map": incoming.to_json()}
+        frame = {"op": "host_map", "map": incoming}
         if publish:
             self._broadcast(frame)
         if not self.recovering:
@@ -332,7 +338,7 @@ class ControlPlane:
                 if self._dumps:
                     # we are collecting: a host whose dump is missing may
                     # have missed the map that asks for it — say it again
-                    notice = {"op": "host_map", "map": cluster.to_json()}
+                    notice = {"op": "host_map", "map": cluster}
                     for host in cluster.hosts:
                         if host not in self._dumps:
                             self._send(host, notice)
@@ -354,13 +360,13 @@ class ControlPlane:
     # -- cluster map propagation -----------------------------------------------
     def _on_host_map(self, conn, message: dict, now: float) -> None:
         if self.cluster is not None:  # the first map is the `wire` frame's
-            self.adopt(ClusterMap.from_json(message["map"]), now)
+            self.adopt(message["map"], now)
 
     def _on_map(self, conn, message: dict, now: float) -> None:
         if self.cluster is None:
             conn.send({"op": "error", "message": "host not wired yet"})
         else:
-            conn.send({"op": "host_map", "map": self.cluster.to_json()})
+            conn.send({"op": "host_map", "map": self.cluster})
 
     def _on_forwards(self, conn, message: dict, now: float) -> None:
         # mid-recovery they describe departures the eviction cancelled
@@ -376,39 +382,55 @@ class ControlPlane:
 
     # -- membership: join ------------------------------------------------------
     def _on_join(self, conn, message: dict, now: float) -> None:
+        cluster = self.cluster
         if not self.is_coordinator:
             conn.send({
                 "op": "error",
                 "message": f"not the coordinator (host "
-                           f"{self.cluster.coordinator} is)",
-                "coordinator": self.cluster.coordinator,
-                "map": self.cluster.to_json(),
+                           f"{cluster.coordinator} is)",
+                "coordinator": cluster.coordinator,
+                "map": cluster,
             })
             return
+        n_pids = message.get("pids", 1)
+        most = MAX_FRAME_BYTES // _PID_ENTRY_BYTES - len(cluster.pid_owner)
+        if type(n_pids) is not int or not 1 <= n_pids <= most:
+            conn.send({"op": "error", "message":
+                       f"join pids must be an int in [1, {most}], "
+                       f"not {n_pids!r}"})
+            return
+        draft = cluster.copy()
         try:
-            # counters only: nothing observable changes until the commit
-            host_index, pids = self.cluster.reserve_join(
-                int(message.get("pids", 1)))
+            host_index, pids = draft.reserve_join(n_pids)
         except ValueError as exc:
             conn.send({"op": "error", "message": str(exc)})
             return
+        # counters only, no version to adopt: the draft replaces a map
+        # that queued frames may hold, and they send it unchanged
+        self.cluster = draft
         self._reservations[host_index] = pids
         conn.send({
             "op": "join_ok",
             "host": host_index,
             "pids": pids,
             "config": self.config.shared_json(),
-            "map": self.cluster.to_json(),
+            "map": draft,
         })
 
     def _on_join_commit(self, conn, message: dict, now: float) -> None:
-        host_index = int(message["host"])
+        host_index, address = message.get("host"), message.get("address")
+        if (type(host_index) is not int or type(address) not in (list, tuple)
+                or tuple(map(type, address)) != (str, int)
+                or not 0 < address[1] < 65536):
+            # a map naming it would not decode on any receiver
+            conn.send({"op": "error", "message": f"join_commit needs an int "
+                       f"host and a [str, port], not {host_index!r}, {address!r}"})
+            return
         pids = self._reservations.pop(host_index, None)
         if pids is None:
             conn.send({"op": "error",
                        "message": f"no join reservation for host {host_index}"})
             return
-        address = (message["address"][0], int(message["address"][1]))
         self._publish(lambda m: m.commit_join(host_index, address, pids), now)
         self.data.start_joins(pids)
         conn.send({"op": "join_done", "host": host_index})
@@ -545,7 +567,7 @@ class ControlPlane:
         frame = self._rebuilt = {
             "op": "rebuild",
             "gen": self.cluster.recovery_epoch,
-            "map": self.cluster.to_json(),
+            "map": self.cluster,
             "records": list(merged.values()),
             "anchor": plan.anchor,
             "elements": plan.elements,
@@ -564,7 +586,7 @@ class ControlPlane:
         if self.cluster is None:
             return
         gen = int(message.get("gen", 0))
-        rebuilt = ClusterMap.from_json(message["map"])
+        rebuilt = message["map"]
         # a host that never saw the eviction's map enters recovery here
         self.adopt(rebuilt, now)
         if (gen <= self.gen or gen != self.cluster.recovery_epoch
@@ -588,5 +610,5 @@ class ControlPlane:
             rebuilt, message["anchor"], message["elements"],
             message.get("reruns", ()),
         )
-        self._serve({"op": "host_map", "map": cluster.to_json()}, now)
+        self._serve({"op": "host_map", "map": cluster}, now)
         self.note(f"recovery generation {gen} complete; {actors} actors live")

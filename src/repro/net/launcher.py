@@ -164,7 +164,7 @@ class NetDeployment:
             try:
                 reply = request(address, {"op": "map"}, "host_map",
                                 timeout=5.0)
-                return ClusterMap.from_json(reply["map"])
+                return reply["map"]
             except (OSError, RuntimeError, ConnectionError) as exc:
                 last_error = exc
         raise RuntimeError(f"no live host answered a map pull: {last_error}")
@@ -358,11 +358,10 @@ def launch_local(
         if len(host_map) != n_hosts:
             raise RuntimeError(f"only {len(host_map)}/{n_hosts} hosts became ready")
         genesis = ClusterMap.genesis(host_map, n_processes, id_slots, config.salt)
-        peers = {str(i): list(addr) for i, addr in host_map.items()}
         for index, address in host_map.items():
             reply = request(
                 address,
-                {"op": "wire", "peers": peers, "map": genesis.to_json()},
+                {"op": "wire", "map": genesis},
                 "wired",
                 timeout=10.0,
             )

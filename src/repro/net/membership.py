@@ -40,7 +40,8 @@ membership mutations; it cannot itself be drained.  Every mutation is a
 method here: the coordinator applies one to a :meth:`ClusterMap.copy` of
 its map and adopts the result like any other host
 (:meth:`repro.net.control.ControlPlane.adopt`), so no field is written
-outside this module.
+outside this module and a map a host holds is never written again: a
+frame carries the map itself, packed only when its link writes.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class ClusterMap:
                           key=lambda pid: label_of(pid, salt=salt))
         return cls(
             version=1,
-            hosts={int(k): (v[0], int(v[1])) for k, v in host_map.items()},
+            hosts=host_map,
             pid_owner={
                 pid: hosts[rank * len(hosts) // n_processes]
                 for rank, pid in enumerate(by_label)
@@ -178,8 +179,6 @@ class ClusterMap:
         never commits — indices are cheap and never reused), but the map
         version is untouched: nothing observable changed yet.
         """
-        if n_pids < 1:
-            raise ValueError("a joining host needs at least one pid")
         if self.next_host >= self.id_slots:
             raise ValueError(
                 f"id_slots={self.id_slots} exhausted: no host indices left "
@@ -194,7 +193,7 @@ class ClusterMap:
     def commit_join(
         self, host_index: int, address: tuple[str, int], pids: list[int]
     ) -> None:
-        self.hosts[host_index] = (address[0], int(address[1]))
+        self.hosts[host_index] = (address[0], address[1])
         for pid in pids:
             self.pid_owner[pid] = host_index
         self.version += 1
@@ -263,35 +262,3 @@ class ClusterMap:
             start += 1
         rotated = ring[start:] + ring[:start]
         return rotated[:k]
-
-    # -- wire form -------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "hosts": {str(k): list(v) for k, v in self.hosts.items()},
-            "pid_owner": {str(k): v for k, v in self.pid_owner.items()},
-            "leaving": sorted(self.leaving),
-            "departed": {str(k): v for k, v in self.departed.items()},
-            "forwards": {str(k): v for k, v in self.forwards.items()},
-            "next_pid": self.next_pid,
-            "next_host": self.next_host,
-            "id_slots": self.id_slots,
-            "n_genesis": self.n_genesis,
-            "recovery_epoch": self.recovery_epoch,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ClusterMap":
-        return cls(
-            version=data["version"],
-            hosts={int(k): (v[0], int(v[1])) for k, v in data["hosts"].items()},
-            pid_owner={int(k): v for k, v in data["pid_owner"].items()},
-            leaving=set(data.get("leaving", ())),
-            departed={int(k): v for k, v in data.get("departed", {}).items()},
-            forwards={int(k): v for k, v in data.get("forwards", {}).items()},
-            next_pid=data["next_pid"],
-            next_host=data["next_host"],
-            id_slots=data["id_slots"],
-            n_genesis=data.get("n_genesis", 0),
-            recovery_epoch=data.get("recovery_epoch", 0),
-        )

@@ -697,14 +697,13 @@ class NodeHost:
             "n_processes": self.config.n_processes,
             "structure": self.config.structure,
             "nonce": nonce,
-            "id_slots": self.config.id_slots,
             "n_priorities": self.config.n_priorities,
             "trace_sample": self.config.trace_sample,
-            "map": control.cluster.to_json(),
+            "map": control.cluster,
         })
 
     def _on_wire(self, conn, message: dict, now: float) -> None:
-        self.wire_genesis(ClusterMap.from_json(message["map"]))
+        self.wire_genesis(message["map"])
         conn.send({"op": "wired", "host": self.config.host_index})
 
     def _on_health(self, conn, message: dict, now: float) -> None:
@@ -884,7 +883,7 @@ class NodeHost:
                     f"{self.config.host_index}"
                     + (" (draining)" if self.control.draining else "")
                 ),
-                "map": cluster.to_json(),
+                "map": cluster,
             })
             return
         idx = self._op_counts.get(pid, 0)
@@ -1044,7 +1043,7 @@ async def run_joining_host(
        machinery while clients keep submitting.
     """
     welcome = await request_async(seed_address, {"op": "hello"}, "welcome")
-    seed_map = ClusterMap.from_json(welcome["map"])
+    seed_map = welcome["map"]
     coordinator_address = seed_map.hosts[seed_map.coordinator]
     reply = await request_async(
         coordinator_address, {"op": "join", "pids": n_pids}, "join_ok"
@@ -1057,7 +1056,7 @@ async def run_joining_host(
         **reply["config"],
     )
     host, actual_port = await _start_announced(config, ready_prefix)
-    host.wire_joining(ClusterMap.from_json(reply["map"]))
+    host.wire_joining(reply["map"])
     await request_async(
         coordinator_address,
         {

@@ -14,7 +14,9 @@ lists and string-keyed objects it has type bytes for *tuples* (batches,
 position intervals and element tags are tuples, compared by value in the
 sequential-consistency checker), dicts with keys of any packable type
 (DHT handover slices key by float, forwards by vid), the ⊥ sentinel
-``BOTTOM`` and :class:`~repro.core.requests.OpRecord`.  A record crosses
+``BOTTOM``, :class:`~repro.core.requests.OpRecord` and the cluster map,
+:class:`~repro.net.membership.ClusterMap`, whose slots a receiver
+type-checks as it decodes them.  A record crosses
 the wire only as an ``OpRecord`` — in ``replica_put``, ``records``,
 ``retire``, ``recover_dump``, ``rebuild`` and a LEAVE's ``DEPART_DUMP``
 alike; a ``replica_put`` carries a record once, at its first mirror,
@@ -22,7 +24,7 @@ and the later mirrors as fact rows ``[req, value, result, local_match,
 completed]``.  A value is packed in one walk and unpacked in one walk,
 so every frame carries and receives its payload as built.  A frame is
 encoded when its link next writes, not when it is sent, so a sender
-hands over a snapshot, never a record it goes on changing.  Replica
+hands over a snapshot, never a record or a map it goes on changing.  Replica
 rows wait one step longer: the record table queues them and sends one
 ``replica_put`` per successor from the link's pre-write hook, so they
 join the write they would have ridden as one frame each.
@@ -43,6 +45,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from repro.core.requests import BOTTOM, OpRecord
+from repro.net.membership import ClusterMap
 
 __all__ = [
     "CLIENT",
@@ -104,7 +107,7 @@ class FrameSpec(NamedTuple):
 #: ``repro.net`` sources so no frame can ship undocumented.
 FRAME_TYPES: dict[str, FrameSpec] = {
     # bootstrap / control plane
-    "wire": FrameSpec("launcher -> host: peer map + genesis cluster map; spawn and kick"),
+    "wire": FrameSpec("launcher -> host: genesis cluster map; spawn and kick"),
     "wired": FrameSpec("host -> launcher: wire acknowledged"),
     "ping": FrameSpec("any -> host: liveness/status probe"),
     "pong": FrameSpec("host -> any: liveness answer + wired/joining/draining status"),
@@ -117,7 +120,7 @@ FRAME_TYPES: dict[str, FrameSpec] = {
     "batch": FrameSpec("host -> host: coalesced data-plane frames, one write per flush"),
     # client session
     "hello": FrameSpec("client -> host: request a submission nonce + cluster map"),
-    "welcome": FrameSpec("host -> client: nonce, id_slots + cluster map"),
+    "welcome": FrameSpec("host -> client: nonce + cluster map"),
     "submit": FrameSpec("client -> host: ENQUEUE/DEQUEUE at a pid this host owns", CLIENT),
     "submit_batch": FrameSpec("client -> host: coalesced submits, one frame per flush", CLIENT),
     "done": FrameSpec("host -> client: a submitted request completed (+ result)"),
@@ -234,8 +237,8 @@ def unpack_record(data: bytes) -> OpRecord:
 #
 # One type byte per value; all lengths/counts big-endian.  The domain is
 # the protocol's own values: JSON's scalars, lists and dicts (keys of any
-# packable type) plus tuples, ⊥ and OpRecords, each under its own type
-# byte, so a value is packed in one walk and unpacked in one walk.
+# packable type) plus tuples, ⊥, OpRecords and ClusterMaps, each under its
+# own type byte, so a value is packed in one walk and unpacked in one walk.
 
 _B_NONE = 0x00
 _B_TRUE = 0x01
@@ -256,6 +259,7 @@ _B_BOTTOM = 0x0F     # (no body): the ⊥ singleton
 _B_FRAME = 0x11      # u8 schema id + u16 presence bits + packed fields
 _B_OPRECORD = 0x13   # an OpRecord: its 11 slots, positionally
 _B_TUPLE8 = 0x14     # u8 count + items
+_B_CLUSTER_MAP = 0x15  # a ClusterMap: its 11 slots, positionally
 
 _I32 = struct.Struct(">i")
 _I64 = struct.Struct(">q")
@@ -295,6 +299,8 @@ _SCHEMA_BY_OP = {
 
 #: an OpRecord's slots, in the order they are packed
 _record_slots = attrgetter(*OpRecord.__slots__)
+#: a ClusterMap's slots, in the order they are packed
+_map_slots = attrgetter(*ClusterMap.__slots__)
 
 
 def _pack_value(obj, out: bytearray) -> None:
@@ -405,6 +411,13 @@ def pack_record_into(rec: OpRecord, out: bytearray) -> None:
         _pack_value(value, out)
 
 
+def _pack_cluster_map(cluster: ClusterMap, out: bytearray) -> None:
+    out.append(_B_CLUSTER_MAP)
+    for value in _map_slots(cluster):
+        # `leaving`, the one set, rides as a sorted list
+        _pack_value(sorted(value) if type(value) is set else value, out)
+
+
 #: type -> packer for everything but the inline scalars; a subclass
 #: (``NetOpRecord``, a NumPy float) takes its nearest base's
 _PACKERS = {
@@ -414,6 +427,7 @@ _PACKERS = {
     dict: _pack_dict,
     type(BOTTOM): _pack_bottom,
     OpRecord: pack_record_into,
+    ClusterMap: _pack_cluster_map,
     int: lambda obj, out: _pack_value(int(obj), out),
     float: lambda obj, out: _pack_value(float(obj), out),
 }
@@ -531,6 +545,9 @@ def _unpack_value(buf: bytes, pos: int):
             rec = OpRecord(*fields[:6], priority=fields[6])
             rec.value, rec.result, rec.completed, rec.local_match = fields[7:]
             return rec, pos
+        if tag == _B_CLUSTER_MAP:
+            fields, pos = _unpack_items(buf, pos, len(ClusterMap.__slots__))
+            return _cluster_map(fields), pos
         if tag == _B_BIGINT:
             n = buf[pos]
             pos += 1
@@ -549,6 +566,36 @@ def _unpack_items(buf: bytes, pos: int, n: int) -> tuple[list, int]:
         item, pos = _unpack_value(buf, pos)
         items.append(item)
     return items, pos
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _int_keyed(check):
+    """A dict keyed by ints whose values pass ``check``."""
+    return lambda value: (type(value) is dict and all(map(_is_int, value))
+                          and all(map(check, value.values())))
+
+
+#: what each ClusterMap slot must decode to (a slot not named: an int)
+_MAP_SLOT_CHECKS = {
+    "hosts": _int_keyed(lambda address: type(address) is tuple
+                        and tuple(map(type, address)) == (str, int)),
+    "pid_owner": _int_keyed(_is_int),
+    "leaving": lambda value: type(value) is list and all(map(_is_int, value)),
+    "departed": _int_keyed(_is_int),
+    "forwards": _int_keyed(_is_int),
+}
+
+
+def _cluster_map(fields: list) -> ClusterMap:
+    slots = dict(zip(ClusterMap.__slots__, fields))
+    for name, value in slots.items():
+        if not _MAP_SLOT_CHECKS.get(name, _is_int)(value):
+            raise FrameDecodeError(
+                f"cluster map slot {name!r}: a malformed {type(value).__name__}")
+    return ClusterMap(**slots)
 
 
 # -- framing -------------------------------------------------------------------

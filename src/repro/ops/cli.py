@@ -51,9 +51,7 @@ _PROBE_TIMEOUT = 5.0
 
 def _discover(seed: tuple[str, int]) -> dict[int, tuple[str, int]]:
     """The live host set, from any one host's cluster map."""
-    reply = request(seed, {"op": "map"}, "host_map", _PROBE_TIMEOUT)
-    hosts = reply["map"]["hosts"]
-    return {int(index): (addr[0], int(addr[1])) for index, addr in hosts.items()}
+    return request(seed, {"op": "map"}, "host_map", _PROBE_TIMEOUT)["map"].hosts
 
 
 def _collect(
@@ -115,13 +113,8 @@ def _status(args: argparse.Namespace) -> int:
     while True:
         payloads, failures = _collect(args.seed)
         if args.json:
-            print(json.dumps(
-                {
-                    "hosts": {str(k): v for k, v in payloads.items()},
-                    "unreachable": {str(k): v for k, v in failures.items()},
-                },
-                default=str,
-            ))
+            print(json.dumps({"hosts": payloads, "unreachable": failures},
+                             default=str))
         else:
             if args.watch:
                 sys.stdout.write("\x1b[2J\x1b[H")  # clear + home

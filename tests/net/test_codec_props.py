@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
+from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord
 from repro.net import transport
 from repro.net.transport import (
@@ -46,12 +47,21 @@ def _record(req_id: int = 17, *, result: object = BOTTOM) -> OpRecord:
     return rec
 
 
+def _map() -> ClusterMap:
+    """A cluster map past a join and a drain."""
+    cmap = ClusterMap.genesis(
+        {0: ("127.0.0.1", 9001), 1: ("127.0.0.1", 9002)}, 4, id_slots=8)
+    host_index, pids = cmap.reserve_join(2)
+    cmap.commit_join(host_index, ("127.0.0.1", 9003), pids)
+    cmap.start_drain(1)
+    return cmap
+
+
 #: one representative body per catalogued frame type, shaped like the
 #: frames the runtime actually builds (see server.py / client.py)
 SAMPLE_FRAMES: dict[str, dict] = {
     # bootstrap / control plane
-    "wire": {"op": "wire", "peers": {"0": ["127.0.0.1", 9001]},
-             "map": {"version": 1, "hosts": {"0": [0, 1]}}},
+    "wire": {"op": "wire", "map": _map()},
     "wired": {"op": "wired", "host": 0},
     "ping": {"op": "ping"},
     "pong": {"op": "pong", "host": 1, "wired": True, "joining": False,
@@ -70,8 +80,7 @@ SAMPLE_FRAMES: dict[str, dict] = {
     ]},
     # client session
     "hello": {"op": "hello"},
-    "welcome": {"op": "welcome", "nonce": 3, "id_slots": 8,
-                "map": {"version": 1}},
+    "welcome": {"op": "welcome", "nonce": 3, "map": _map()},
     "submit": {"op": "submit", "req": 1025, "pid": 3, "kind": INSERT,
                "item": ("elem", 0), "pri": 2},
     "submit_batch": {"op": "submit_batch", "subs": [
@@ -83,7 +92,8 @@ SAMPLE_FRAMES: dict[str, dict] = {
         [1025, INSERT, None],
         [1026, REMOVE, ("elem", 0)],
     ]},
-    "rejected": {"op": "rejected", "req": 1025, "reason": "draining"},
+    "rejected": {"op": "rejected", "req": 1025, "reason": "draining",
+                 "map": _map()},
     "collect": {"op": "collect"},
     "records": {"op": "records", "records": [_record(17), _record(18, result=None)],
                 "errors": []},
@@ -92,7 +102,8 @@ SAMPLE_FRAMES: dict[str, dict] = {
     # live membership
     "join": {"op": "join", "pids": 2},
     "join_ok": {"op": "join_ok", "host": 3, "pids": [6, 7],
-                "config": {"structure": "heap", "n_priorities": 6}},
+                "config": {"structure": "heap", "n_priorities": 6},
+                "map": _map()},
     "join_commit": {"op": "join_commit", "host": 3,
                     "address": ["127.0.0.1", 9004]},
     "join_done": {"op": "join_done", "host": 3},
@@ -103,15 +114,14 @@ SAMPLE_FRAMES: dict[str, dict] = {
                "errors": [], "forwards": {11: 0}},
     "retired": {"op": "retired", "host": 2},
     "map": {"op": "map"},
-    "host_map": {"op": "host_map", "map": {"version": 2,
-                                           "hosts": {"0": [0, 1]}}},
+    "host_map": {"op": "host_map", "map": _map()},
     "update_over": {"op": "update_over", "epoch": 4, "members": [0, 1, 3]},
     # crash-stop fault tolerance + ops plane
     "heartbeat": {"op": "heartbeat", "host": 1, "src": 1, "seq": 99},
     "suspect": {"op": "suspect", "host": 2, "by": 1},
     "recover_dump": {"op": "recover_dump", "gen": 1, "host": 1, "epoch": 4,
                      "records": [_record(30)]},
-    "rebuild": {"op": "rebuild", "gen": 1, "map": {"version": 5},
+    "rebuild": {"op": "rebuild", "gen": 1, "map": _map(),
                 "records": [_record(30)], "anchor": ((0, 2), (-1, 5), 9, 4, 24),
                 "elements": [(0, 3, ("elem", 1)), (1, 0, "x")], "reruns": [31]},
     "replica_put": {"op": "replica_put", "gen": 1, "origin": 1,
@@ -181,8 +191,10 @@ class TestWireRule:
     @pytest.mark.parametrize("op", sorted(transport.FRAME_TYPES))
     def test_a_json_header_is_a_framing_error(self, op):
         # the frame as a JSON-speaking peer sent it: tagged JSON behind a
-        # 0x00 header -- refused at the header, whatever the op
-        body = json.dumps(transport.encode_payload(SAMPLE_FRAMES[op])).encode()
+        # 0x00 header -- refused at the header, whatever the op (the
+        # tagged form has no cluster map: the frame goes without it)
+        frame = {k: v for k, v in SAMPLE_FRAMES[op].items() if k != "map"}
+        body = json.dumps(transport.encode_payload(frame)).encode()
         with pytest.raises(FrameError) as err:
             list(FrameReader().feed(_HEADER.pack(len(body)) + body))
         assert not isinstance(err.value, FrameDecodeError)
@@ -309,6 +321,10 @@ def _same(got, sent) -> bool:
         return type(got) is OpRecord and all(
             _same(getattr(got, slot), getattr(sent, slot))
             for slot in _RECORD_SLOTS)
+    if isinstance(sent, ClusterMap):
+        return type(got) is ClusterMap and got is not sent and all(
+            _same(getattr(got, slot), getattr(sent, slot))
+            for slot in ClusterMap.__slots__)
     if type(got) is not type(sent):
         return False
     if isinstance(sent, (list, tuple)):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import struct
 
 import pytest
@@ -142,44 +141,163 @@ class TestOpRecordPayloadCodec:
         assert isinstance(clone.item, tuple)
 
 
+def _genesis_map():
+    from repro.net.membership import ClusterMap
+
+    return ClusterMap.genesis(
+        {0: ("127.0.0.1", 1000), 1: ("127.0.0.1", 1001)}, 6, id_slots=16
+    )
+
+
+def _churned_map():
+    """A map after a join, a drain, a retirement and forwards."""
+    cmap = _genesis_map()
+    host_index, pids = cmap.reserve_join(2)
+    cmap.commit_join(host_index, ("10.0.0.7", 1002), pids)
+    host_index, pids = cmap.reserve_join(1)
+    cmap.commit_join(host_index, ("10.0.0.8", 1003), pids)
+    cmap.start_drain(3)
+    cmap.start_drain(1)
+    cmap.retire_host(1, adopter=0, forwards={3: 6, 4: 6})
+    cmap.merge_forwards({300: 2})
+    return cmap
+
+
+#: every frame that carries a map, shaped as the runtime builds it
+_MAP_FRAMES = {
+    "wire": lambda cmap: {"op": "wire", "map": cmap},
+    "welcome": lambda cmap: {"op": "welcome", "host": 0, "nonce": 3,
+                             "map": cmap},
+    "join_ok": lambda cmap: {"op": "join_ok", "host": 4, "pids": [9],
+                             "config": {"structure": "queue"}, "map": cmap},
+    "host_map": lambda cmap: {"op": "host_map", "map": cmap},
+    "rebuild": lambda cmap: {"op": "rebuild", "gen": 1, "map": cmap,
+                             "records": [], "anchor": [], "elements": [],
+                             "reruns": []},
+    "rejected": lambda cmap: {"op": "rejected", "req": 1025, "pid": 3,
+                              "reason": "draining", "map": cmap},
+    "error": lambda cmap: {"op": "error", "message": "not the coordinator",
+                           "coordinator": 0, "map": cmap},
+}
+
+
 class TestClusterMapWireForm:
-    def test_genesis_round_trip(self):
+    """A map rides as a ``ClusterMap`` under its own type byte, each slot
+    positionally, and a receiver refuses one whose slots are mistyped."""
+
+    @pytest.mark.parametrize("op", sorted(_MAP_FRAMES))
+    @pytest.mark.parametrize("make", [_genesis_map, _churned_map],
+                             ids=["genesis", "churned"])
+    def test_every_slot_survives_each_frame_that_carries_a_map(self, op, make):
         from repro.net.membership import ClusterMap
 
-        genesis = ClusterMap.genesis(
-            {0: ("127.0.0.1", 1000), 1: ("127.0.0.1", 1001)}, 6, id_slots=16
-        )
-        clone = ClusterMap.from_json(
-            json.loads(json.dumps(genesis.to_json()))
-        )
-        assert clone.version == 1
-        assert clone.hosts == genesis.hosts
-        assert clone.pid_owner == genesis.pid_owner
+        cmap = make()
+        frame = _MAP_FRAMES[op](cmap)
+        (decoded,) = FrameReader().feed(encode_frame(frame))
+        clone = decoded["map"]
+        assert type(clone) is ClusterMap and clone is not cmap
+        for slot in ClusterMap.__slots__:
+            got, sent = getattr(clone, slot), getattr(cmap, slot)
+            assert got == sent and type(got) is type(sent), slot
+        assert {k: v for k, v in decoded.items() if k != "map"} == {
+            k: v for k, v in frame.items() if k != "map"}
+
+    def test_a_genesis_map_keeps_its_shape(self):
+        (frame,) = FrameReader().feed(encode_frame(
+            {"op": "host_map", "map": _genesis_map()}))
+        clone = frame["map"]
+        assert clone.version == 1 and clone.id_slots == 16
         assert sorted(clone.pids_of(0) + clone.pids_of(1)) == list(range(6))
         assert len(clone.pids_of(0)) == len(clone.pids_of(1)) == 3
-        assert clone.id_slots == 16
         assert clone.coordinator == 0
         assert clone.live_pids() == list(range(6))
 
-    def test_churned_map_round_trip(self):
+    def test_a_churned_map_keeps_its_shape(self):
+        (frame,) = FrameReader().feed(encode_frame(
+            {"op": "host_map", "map": _churned_map()}))
+        clone = frame["map"]
+        assert set(clone.hosts) == {0, 2, 3} and clone.leaving == {3}
+        assert clone.complete_target(1) == 0
+        assert clone.forwards == {3: 6, 4: 6, 300: 2}
+        assert clone.hosts[3] == ("10.0.0.8", 1003)
+        # the draining host's pids are excluded from the pickable set
+        assert clone.live_pids() == sorted(clone.pids_of(0) + [6, 7])
+
+    @pytest.mark.parametrize("slot, bad", [
+        ("version", "2"),
+        ("version", True),
+        ("hosts", {"0": ("127.0.0.1", 1000)}),
+        ("hosts", {0: ["127.0.0.1", 1000]}),
+        ("hosts", {0: ("127.0.0.1", "1000")}),
+        ("hosts", {0: (7, 1000)}),
+        ("hosts", {0: ("127.0.0.1",)}),
+        ("hosts", [(0, ("127.0.0.1", 1000))]),
+        ("pid_owner", {"0": 0}),
+        ("pid_owner", {0: None}),
+        ("pid_owner", {0: False}),
+        ("leaving", {"1"}),
+        ("leaving", (1,)),
+        ("departed", {1: "0"}),
+        ("forwards", {1.5: 0}),
+        ("forwards", {3: (6,)}),
+        ("next_pid", None),
+        ("next_host", 2.0),
+        ("id_slots", "16"),
+        ("n_genesis", [6]),
+        ("recovery_epoch", BOTTOM),
+    ])
+    def test_a_mistyped_slot_is_a_decode_error_and_the_stream_stays_framed(
+            self, slot, bad):
+        from repro.net.transport import FrameDecodeError
+
+        cmap = _churned_map()
+        setattr(cmap, slot, bad)
+        reader = FrameReader()
+        blob = encode_frame({"op": "host_map", "map": cmap})
+        with pytest.raises(FrameDecodeError, match=slot):
+            list(reader.feed(blob + encode_frame({"op": "ping"})))
+        assert list(reader.feed(b"")) == [{"op": "ping"}]
+        assert reader.buffered == 0
+
+    def test_a_truncated_map_is_a_decode_error(self):
+        from repro.net.transport import FrameDecodeError
+
+        body = encode_frame({"op": "host_map", "map": _genesis_map()})[4:-1]
+        reader = FrameReader()
+        with pytest.raises(FrameDecodeError):
+            list(reader.feed(_header(len(body)) + body
+                             + encode_frame({"op": "ping"})))
+        assert list(reader.feed(b"")) == [{"op": "ping"}]
+
+    def test_the_string_keyed_form_is_gone(self):
+        from repro.net.client import SkueueClient
         from repro.net.membership import ClusterMap
 
-        cmap = ClusterMap.genesis(
-            {0: ("127.0.0.1", 1000), 1: ("127.0.0.1", 1001)}, 4, id_slots=8
-        )
-        host_index, pids = cmap.reserve_join(2)
-        cmap.commit_join(host_index, ("127.0.0.1", 1002), pids)
-        cmap.start_drain(1)
-        clone = ClusterMap.from_json(json.loads(json.dumps(cmap.to_json())))
-        assert clone.version == cmap.version == 3
-        assert clone.leaving == {1}
-        assert set(clone.hosts) == {0, 1, 2}
-        # draining host's pids are excluded from the pickable set
-        assert clone.live_pids() == sorted(cmap.pids_of(0) + [4, 5])
-        clone.retire_host(1, adopter=0, forwards={3: 6, 4: 6})
-        assert 1 not in clone.hosts
-        assert clone.complete_target(1) == 0
-        assert clone.forwards == {3: 6, 4: 6}
+        assert not hasattr(ClusterMap, "to_json")
+        assert not hasattr(ClusterMap, "from_json")
+        assert not hasattr(SkueueClient, "_apply_map_json")
+
+    def test_no_module_turns_map_keys_into_strings_and_back(self):
+        # a dict comprehension whose key is ``int(...)``/``str(...)``;
+        # the one left takes a host map a user hands the client
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        sites = set()
+        for path in [*sorted((src / "net").glob("*.py")), src / "ops" / "cli.py"]:
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.DictComp)
+                            and isinstance(node.key, ast.Call)
+                            and getattr(node.key.func, "id", None) in ("int", "str")):
+                        sites.add(f"{path.name}:{func.name}")
+        assert sites == {"client.py:__init__"}
 
     def test_complete_target_follows_adopter_chains(self):
         from repro.net.membership import ClusterMap

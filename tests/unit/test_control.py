@@ -22,6 +22,7 @@ import pytest
 import repro.net.control as control_module
 from repro.core.requests import INSERT
 from repro.net.control import ControlPlane, frame_handlers
+from repro.net.link import FOLD_DONES, Pipe
 from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.server import HostConfig, NodeHost
@@ -180,8 +181,7 @@ class Net:
 
     def wire(self, host: Host) -> None:
         host.running = True
-        host.control.adopt(ClusterMap.from_json(self.genesis.to_json()),
-                           self.now)
+        host.control.adopt(self.genesis.copy(), self.now)
 
     def post(self, src: int, dest: int, frame: dict) -> None:
         blob = encode_frame(dict(frame))
@@ -270,8 +270,8 @@ class TestEviction:
             assert [e["host"] for e in host.control.evictions] == [2]
             assert host.control.evictions[0]["adopter"] == 3
             # clients hear of the eviction with the rebuilt map, not before
-            assert host.pushed[-1]["map"]["recovery_epoch"] == 1
-            assert all(frame["map"]["recovery_epoch"] == 0
+            assert host.pushed[-1]["map"].recovery_epoch == 1
+            assert all(frame["map"].recovery_epoch == 0
                        for frame in host.pushed[:-1])
         assert len(net.sent_ops("rebuild")) == 2  # one plan, to both peers
         assert not net.sent_ops("evict") and "evict" not in FRAME_TYPES
@@ -398,17 +398,17 @@ class TestEviction:
     def test_a_falsely_evicted_host_stops(self):
         net = Net(3)
         net.run(1.0)
-        evicted = ClusterMap.from_json(net.genesis.to_json())
+        evicted = net.genesis.copy()
         evicted.evict_host(2, adopter=0)
         host = net.hosts[2]
-        host.dispatch(Conn(), {"op": "host_map", "map": evicted.to_json()})
+        host.dispatch(Conn(), {"op": "host_map", "map": evicted})
         assert host.stopped and host.drops == 0 and not host.respawns
         # nor does a rebuild that does not name it revive it
         other = net.hosts[1]
-        gone = ClusterMap.from_json(net.genesis.to_json())
+        gone = net.genesis.copy()
         gone.evict_host(1, adopter=2)
         other.dispatch(Conn(), {
-            "op": "rebuild", "gen": 1, "map": gone.to_json(), "records": [],
+            "op": "rebuild", "gen": 1, "map": gone, "records": [],
             "anchor": [], "elements": [], "reruns": []})
         assert other.stopped and not other.respawns
 
@@ -573,7 +573,7 @@ class TestHoldQueue:
         # control frames that are not held do no harm before the map
         host.dispatch(Conn(), {"op": "heartbeat", "host": 1})
         host.dispatch(Conn(), {"op": "host_map",
-                               "map": net.genesis.to_json()})
+                               "map": net.genesis})
         assert not host.control.wired
         net.wire(host)
         assert [m["dest"] for m in host.msgs] == [1, 2]
@@ -627,7 +627,7 @@ def join(net: Net, pids: int = 2) -> tuple[Host, Conn]:
     assert ok["op"] == "join_ok"
     joiner = net.hosts[ok["host"]] = Host(net, ok["host"], len(net.hosts))
     joiner.running = True
-    joiner.control.adopt(ClusterMap.from_json(ok["map"]), net.now)
+    joiner.control.adopt(ok["map"], net.now)
     return joiner, reply
 
 
@@ -737,6 +737,105 @@ class TestMembership:
                 assert gone not in host.records.targets
                 assert gone not in control.cluster.hosts
                 assert gone not in control.cluster.leaving
+
+
+    @pytest.mark.parametrize("pids", [
+        "3", True, None, 1.5, 0, -2,
+        # past what one frame's map holds: no later host_map would encode
+        control_module.MAX_FRAME_BYTES // control_module._PID_ENTRY_BYTES,
+    ])
+    def test_a_join_with_bad_pids_is_refused_before_a_counter_moves(
+            self, pids):
+        net = Net(3)
+        net.run(0.5)
+        coordinator = net.hosts[0]
+        before = coordinator.control.cluster
+        reply = coordinator.ask({"op": "join", "pids": pids})
+        (error,) = reply.replies
+        assert error["op"] == "error"
+        assert error["message"].startswith("join pids must be an int in [1, ")
+        after = coordinator.control.cluster
+        assert after is before and (after.next_host, after.next_pid) == (3, 6)
+        assert not coordinator.control._reservations
+        joiner, _ = join(net)   # the next well-formed join is host 3
+        assert joiner.index == 3
+
+    @pytest.mark.parametrize("host, address", [
+        ("3", ["h", 1003]),
+        (3.0, ["h", 1003]),
+        (None, ["h", 1003]),
+        (3, [7, 1003]),
+        (3, ["h", "1003"]),
+        (3, ["h", True]),
+        (3, ["h", 0]),
+        (3, ["h", 65536]),
+        (3, ["h"]),
+        (3, "h:1003"),
+        (3, None),
+    ])
+    def test_a_join_commit_with_a_bad_host_or_address_is_refused(
+            self, host, address):
+        net = Net(3)
+        net.run(0.5)
+        joiner, _ = join(net)
+        coordinator = net.hosts[0]
+        version = coordinator.control.cluster.version
+        reply = coordinator.ask(
+            {"op": "join_commit", "host": host, "address": address})
+        assert reply.ops == ["error"]
+        net.pump()
+        assert coordinator.control.cluster.version == version
+        assert not coordinator.joins and not net.sent_ops("host_map")
+        # the reservation stands: a well-formed commit still lands
+        assert commit(net, coordinator, joiner).ops == ["join_done"]
+        net.pump()
+        assert all(h.control.cluster.hosts[3] == ("h", 1003) for h in net.live)
+
+
+class Outbox(Pipe):
+    """A client connection's pipe that never writes: frames wait in its
+    outbox, and the test encodes them when it chooses."""
+
+    FOLD = FOLD_DONES
+
+    def written(self) -> list[dict]:
+        return list(FrameReader().feed(self.encode(list(self.outbox))))
+
+
+class TestMapSnapshots:
+    """A frame carries the map object and is encoded only when its link
+    writes, so no map a host has sent may change afterwards."""
+
+    def test_a_queued_map_goes_out_as_queued_across_a_reservation(self):
+        net = Net(3)
+        net.run(0.5)
+        coordinator = net.hosts[0]
+        outbox = Outbox()
+        coordinator.dispatch(outbox, {"op": "map"})
+        queued = coordinator.control.cluster
+        counters = (queued.next_host, queued.next_pid)
+        join(net)   # the reservation moves the coordinator's counters
+        now = coordinator.control.cluster
+        assert (now.next_host, now.next_pid) == (counters[0] + 1, counters[1] + 2)
+        (frame,) = outbox.written()
+        assert (frame["map"].next_host, frame["map"].next_pid) == counters
+
+    def test_the_kept_rebuild_keeps_the_map_it_was_planned_from(self):
+        net = Net(3)
+        net.run(1.0)
+        net.kill(2)
+        net.run(3.0)
+        settled(net, 1)
+        coordinator = net.hosts[0]
+        planned = coordinator.control._rebuilt["map"]
+        counters = (planned.next_host, planned.next_pid)
+        join(net)
+        # host 1 re-offers its dump, as if its rebuild had raced a reset
+        coordinator.dispatch(Conn(), {"op": "recover_dump", "gen": 1,
+                                      "host": 1, "epoch": 0, "records": []})
+        (_src, dest, repushed) = net.sent_ops("rebuild")[-1]
+        assert dest == 1 and repushed["gen"] == 1
+        assert (repushed["map"].next_host, repushed["map"].next_pid) == counters
 
 
 class TestChurnMeetsCrash:
@@ -1102,8 +1201,10 @@ class TestStructure:
                             and not (isinstance(value, ast.Constant)
                                      and value.value is None)):
                         sites.add(f"{path.name}:{func.name}")
-        # the client follows the maps hosts push; it is not a host
-        assert sites == {"control.py:adopt", "client.py:_apply_map_json"}
+        # a join reservation swaps in a same-version draft; the client
+        # follows the maps hosts push, it is not a host
+        assert sites == {"control.py:adopt", "control.py:_on_join",
+                         "client.py:_apply_map"}
 
     def test_no_cluster_map_field_is_written_outside_membership(self):
         writers = set()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.requests import BOTTOM, INSERT, REMOVE, OpRecord
 from repro.net.membership import ClusterMap
+from repro.net.transport import FrameReader, encode_frame
 from repro.ops.detector import HEARTBEAT_SECONDS, FailureDetector
 from repro.ops.health import serve_http
 from repro.ops.recovery import merge_records, plan_rebuild
@@ -230,7 +231,9 @@ class TestEvictHost:
     def test_recovery_epoch_survives_the_wire(self):
         cmap = three_host_map()
         cmap.evict_host(2, adopter=0)
-        back = ClusterMap.from_json(cmap.to_json())
+        (frame,) = FrameReader().feed(encode_frame(
+            {"op": "host_map", "map": cmap}))
+        back = frame["map"]
         assert back.recovery_epoch == 1
         assert back.departed == {2: 0}
 
