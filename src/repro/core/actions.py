@@ -33,7 +33,7 @@ class ActionSpec(NamedTuple):
     #: Bruijn overlay (Lemma 3)
     routed: str | None
     #: a tree-up stage-1 batch, which must never follow the forwarding
-    #: address of a departed node (``sim.process.bounce_forwarded_batch``)
+    #: address of a departed node (``Runtime.bounce_forwarded_batch``)
     tree_batch: bool
     #: where a traced op's req_id sits: an index into the payload — into
     #: ``extra`` for a routed message — or ``None``

@@ -425,10 +425,7 @@ class SkueueCluster:
 
     # -- stepping -------------------------------------------------------------------------
     def step(self, rounds: int = 1) -> None:
-        if isinstance(self.runtime, SyncRunner):
-            self.runtime.run(rounds)
-        else:
-            self.runtime.run_for(float(rounds))
+        self.runtime.run_for(rounds)
 
     def run_until_done(self, max_rounds: int | None = None) -> None:
         """Advance until every generated request completed (within

@@ -437,9 +437,12 @@ class ControlPlane:
 
     # -- membership: leave -----------------------------------------------------
     def _on_leave(self, conn, message: dict, now: float) -> None:
-        target = int(message.get("host", self.index))
+        target = message.get("host")
         cluster = self.cluster
-        if target == cluster.coordinator:
+        if type(target) is not int:
+            conn.send({"op": "error",
+                       "message": f"leave needs an int host, not {target!r}"})
+        elif target == cluster.coordinator:
             conn.send({"op": "error",
                        "message": "the coordinator host cannot be drained"})
         elif target not in cluster.hosts:
@@ -464,7 +467,11 @@ class ControlPlane:
             })
 
     def _on_retire(self, conn, message: dict, now: float) -> None:
-        host_index = int(message["host"])
+        host_index = message.get("host")
+        if type(host_index) is not int:
+            conn.send({"op": "error", "message":
+                       f"retire needs an int host, not {host_index!r}"})
+            return
         if not self.is_coordinator:
             conn.send({"op": "error", "message": "not the coordinator"})
             return
@@ -485,7 +492,9 @@ class ControlPlane:
 
     # -- failure detection -----------------------------------------------------
     def _on_heartbeat(self, conn, message: dict, now: float) -> None:
-        self.detector.heard_from(int(message["host"]), now)
+        host = message.get("host")
+        if type(host) is int:  # a beacon that names no host is dropped
+            self.detector.heard_from(host, now)
 
     def _on_suspect(self, conn, message: dict, now: float) -> None:
         host, reporter = message["host"], message.get("by")

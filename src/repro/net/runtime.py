@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import time
 from asyncio import TimerHandle
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.actions import A_WAKE
 # re-exported: the frozen perfbench/layers.py imports both from here
 from repro.net.records import NetOpRecord, RecordTable
 from repro.sim.metrics import Metrics
-from repro.sim.process import bounce_forwarded_batch
+from repro.sim.process import Runtime
 
 __all__ = [
     "TIMEOUT_LAG",
@@ -56,14 +56,12 @@ __all__ = [
 TIMEOUT_LAG = 0.015
 
 
-class NetRuntime:
+class NetRuntime(Runtime):
     """Event-loop runtime hosting one shard of actors over TCP.
 
-    Implements the :class:`repro.sim.process.Runtime` contract (asserted
-    by ``tests/unit/test_runtime_contract.py``).  ``send_remote`` is the
-    host-provided escape hatch for destinations outside the local shard.
-    ``timeout_lag`` is the re-arm pace in seconds, paid once per wave
-    (see the module docstring).
+    ``send_remote`` is the host-provided escape hatch for destinations
+    outside the local shard.  ``timeout_lag`` is the re-arm pace in
+    seconds, paid once per wave (see the module docstring).
     """
 
     def __init__(
@@ -75,19 +73,14 @@ class NetRuntime:
         sweep_seconds: float = 0.25,
         epoch: float = 0.0,
     ) -> None:
+        super().__init__(metrics)
         self.send_remote = send_remote
-        self.metrics = metrics or Metrics()
         self.round_seconds = round_seconds
         self.timeout_lag = timeout_lag
         self.sweep_seconds = sweep_seconds
-        # contract attribute; never consulted — wall-clock scheduling
-        # over real sockets cannot be recorded or replayed
-        self.schedule_hint = None
-        self.actors: dict[int, object] = {}
         # the one pending TIMEOUT per actor: the timer of a paced one,
         # None for one already queued for the next loop iteration
         self._timeout_pending: dict[int, TimerHandle | None] = {}
-        self._forwards: dict[int, int] = {}
         # `now` derives from the wall clock against a deployment-wide
         # epoch (the launcher stamps one into every HostConfig), so
         # latency observed across hosts — gen on the origin, completion
@@ -111,15 +104,7 @@ class NetRuntime:
         if self._sweep_handle is not None:
             self._sweep_handle.cancel()
             self._sweep_handle = None
-        self._drop_actors()
-
-    def _drop_actors(self) -> None:
-        self.actors.clear()
-        for timer in self._timeout_pending.values():
-            if timer is not None:
-                timer.cancel()
-        self._timeout_pending.clear()
-        self._forwards.clear()
+        self.reset()
 
     def reset(self) -> None:
         """Tear down every actor but keep the runtime serving.
@@ -131,7 +116,11 @@ class NetRuntime:
         ``actors`` and the host kicks them.  Callbacks already scheduled
         for removed actors no-op harmlessly (the actor lookup misses).
         """
-        self._drop_actors()
+        for timer in self._timeout_pending.values():
+            if timer is not None:
+                timer.cancel()
+        self._timeout_pending.clear()
+        super().close()  # the tables only: the loop binding stays
 
     # -- runtime protocol ----------------------------------------------------
     @property
@@ -140,13 +129,14 @@ class NetRuntime:
 
     def send(self, dest: int, action: int, payload: tuple) -> None:
         self.metrics.messages += 1
-        resolved = self.resolve(dest)
-        if resolved != dest and bounce_forwarded_batch(self, action, payload):
-            return  # tree-up batch to a departed parent
-        if resolved in self.actors:
-            self._loop.call_soon(self.deliver, resolved, action, payload)
+        if dest in self._forwards:
+            if self.bounce_forwarded_batch(action, payload):
+                return  # tree-up batch to a departed parent
+            dest = self.resolve(dest)
+        if dest in self.actors:
+            self._loop.call_soon(self.deliver, dest, action, payload)
         else:
-            self.send_remote(resolved, action, payload)
+            self.send_remote(dest, action, payload)
 
     def request_timeout(self, actor_id: int, arrival: bool = False) -> None:
         if self._closed:
@@ -189,17 +179,7 @@ class NetRuntime:
             self._fire_timeout, actor_id, False,
         )
 
-    # -- actor management ----------------------------------------------------
-    def add_actor(self, actor) -> None:
-        if actor.aid in self.actors:
-            raise ValueError(f"duplicate actor id {actor.aid}")
-        self.actors[actor.aid] = actor
-
-    def remove_actor(self, actor_id: int, forward_to: int | None = None) -> None:
-        del self.actors[actor_id]
-        if forward_to is not None:
-            self._forwards[actor_id] = forward_to
-
+    # -- forwards --------------------------------------------------------------
     @property
     def forwards(self) -> dict[int, int]:
         """Forwarding addresses left by departed actors (read by the host
@@ -212,16 +192,6 @@ class NetRuntime:
         for vid, target in forwards.items():
             if vid not in self.actors and vid != target:
                 self._forwards[vid] = target
-
-    def resolve(self, actor_id: int) -> int:
-        while actor_id in self._forwards:
-            actor_id = self._forwards[actor_id]
-        return actor_id
-
-    def kick(self, actor_ids: Iterable[int] | None = None) -> None:
-        ids = actor_ids if actor_ids is not None else list(self.actors.keys())
-        for actor_id in ids:
-            self.request_timeout(actor_id)
 
     # -- event-loop callbacks ------------------------------------------------
     def _guard(self, actor_id: int, fn: Callable[..., None], *args) -> None:
@@ -241,14 +211,15 @@ class NetRuntime:
         # forward) between scheduling and this callback — re-routing must
         # use the *resolved* id or the host would drop the message as
         # unroutable-to-self
-        resolved = self.resolve(dest)
-        if resolved != dest and bounce_forwarded_batch(self, action, payload):
-            return
-        actor = self.actors.get(resolved)
+        if dest in self._forwards:
+            if self.bounce_forwarded_batch(action, payload):
+                return
+            dest = self.resolve(dest)
+        actor = self.actors.get(dest)
         if actor is None:
-            self.send_remote(resolved, action, payload)
+            self.send_remote(dest, action, payload)
             return
-        self._guard(resolved, actor.handle, action, payload)
+        self._guard(dest, actor.handle, action, payload)
 
     def _fire_timeout(self, actor_id: int, requested: bool = True) -> None:
         # a `call_later` timer (not `requested`) is no actor's pending TIMEOUT

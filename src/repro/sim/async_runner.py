@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.sim.delays import UniformDelay
 from repro.sim.metrics import Metrics
-from repro.sim.process import Actor, bounce_forwarded_batch
+from repro.sim.process import Runtime
 from repro.util.rng import RngStreams
 
 __all__ = ["AsyncRunner"]
@@ -33,12 +33,8 @@ _MSG = 0
 _TIMEOUT = 1
 
 
-class AsyncRunner:
-    """Event-heap asynchronous message-passing engine.
-
-    Implements the :class:`repro.sim.process.Runtime` contract (asserted
-    by ``tests/unit/test_runtime_contract.py``).
-    """
+class AsyncRunner(Runtime):
+    """Event-heap asynchronous message-passing engine."""
 
     def __init__(
         self,
@@ -46,17 +42,13 @@ class AsyncRunner:
         metrics: Metrics | None = None,
         delay_policy: Callable | None = None,
     ) -> None:
+        super().__init__(metrics)
         self.rng = rng or RngStreams(0)
-        self.metrics = metrics or Metrics()
         self.delay_policy = delay_policy or UniformDelay(0.5, 1.5)
         self.time = 0.0
-        #: optional scheduling override (see repro.sim.process.ScheduleHint)
-        self.schedule_hint = None
-        self.actors: dict[int, Actor] = {}
         self._heap: list[tuple[float, int, int, int, int, tuple]] = []
         self._seq = itertools.count()
         self._timeout_pending: set[int] = set()
-        self._forwards: dict[int, int] = {}
         self._delay_rng = self.rng.py("async-delay")
         self.events_processed = 0
 
@@ -91,34 +83,11 @@ class AsyncRunner:
             (self.time + TIMEOUT_LAG, next(self._seq), _TIMEOUT, actor_id, 0, ()),
         )
 
-    def wake(self, actor_id: int) -> None:
-        """Cross-actor wake: a TIMEOUT event for ``actor_id`` after the
-        usual :data:`TIMEOUT_LAG`, deduplicated with the actor's own pending
-        ``request_timeout``.  Draws nothing from the delay RNG, so waking
-        a peer never perturbs a recorded schedule."""
-        self.request_timeout(self.resolve(actor_id))
-
     def call_later(self, actor_id: int, delay: float) -> None:
         heapq.heappush(
             self._heap,
             (self.time + delay, next(self._seq), _TIMEOUT + 1, actor_id, 0, ()),
         )
-
-    # -- actor management --------------------------------------------------------
-    def add_actor(self, actor: Actor) -> None:
-        if actor.aid in self.actors:
-            raise ValueError(f"duplicate actor id {actor.aid}")
-        self.actors[actor.aid] = actor
-
-    def remove_actor(self, actor_id: int, forward_to: int | None = None) -> None:
-        del self.actors[actor_id]
-        if forward_to is not None:
-            self._forwards[actor_id] = forward_to
-
-    def resolve(self, actor_id: int) -> int:
-        while actor_id in self._forwards:
-            actor_id = self._forwards[actor_id]
-        return actor_id
 
     # -- execution ------------------------------------------------------------------
     def step(self) -> bool:
@@ -131,8 +100,8 @@ class AsyncRunner:
         if kind == _MSG:
             actor = self.actors.get(dest)
             if actor is None:
-                if dest in self._forwards and bounce_forwarded_batch(
-                    self, action, payload
+                if dest in self._forwards and self.bounce_forwarded_batch(
+                    action, payload
                 ):
                     return True  # tree-up batch to a departed parent
                 actor = self.actors[self.resolve(dest)]
@@ -168,16 +137,9 @@ class AsyncRunner:
                 raise RuntimeError("event heap drained before predicate held")
             budget -= 1
 
-    def kick(self, actor_ids=None) -> None:
-        """Schedule an initial TIMEOUT for the given actors (default: all)."""
-        ids = actor_ids if actor_ids is not None else list(self.actors.keys())
-        for actor_id in ids:
-            self.request_timeout(actor_id)
-
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
         """Drop all actors and queued events; the engine must not run after."""
-        self.actors.clear()
+        super().close()
         self._heap.clear()
         self._timeout_pending.clear()
-        self._forwards.clear()

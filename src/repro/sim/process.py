@@ -9,11 +9,14 @@ global clock to hang onto, so every engine runs it event-driven: when the
 actor asked (``wake_me``), a peer pushed a wake, a ``call_later`` timer
 expired, or the engine was kicked.
 
-:class:`Runtime` is the **explicit contract** those engines implement.
-Protocol code (``repro.core.protocol.Node``) programs only against this
-surface, which is what lets the *same unmodified* actors run on the
-in-process simulators and over real asyncio TCP (see DESIGN.md, "Runtime
-contract").  Three implementations exist:
+:class:`Runtime` is the **explicit contract** those engines implement and
+the base class they share: it holds the actor table, the forwarding
+addresses and everything that reads only those, so an engine supplies
+just its clock, its channel (``send``), its TIMEOUT scheduling and its
+loop.  Protocol code (``repro.core.protocol.Node``) programs only
+against this surface, which is what lets the *same unmodified* actors
+run on the in-process simulators and over real asyncio TCP (see
+DESIGN.md, "Runtime contract").  Three engines derive from it:
 
 * :class:`repro.sim.sync_runner.SyncRunner` — deterministic rounds;
 * :class:`repro.sim.async_runner.AsyncRunner` — event heap, arbitrary
@@ -24,17 +27,11 @@ contract").  Three implementations exist:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.metrics import Metrics
+from repro.sim.metrics import Metrics
 
-__all__ = [
-    "Actor",
-    "Runtime",
-    "ScheduleHint",
-    "bounce_forwarded_batch",
-]
+__all__ = ["Actor", "Runtime", "ScheduleHint"]
 
 
 @runtime_checkable
@@ -70,37 +67,18 @@ class ScheduleHint(Protocol):
         ...
 
 
-def bounce_forwarded_batch(runtime: "Runtime", action: int, payload: tuple) -> bool:
-    """Refuse to deliver a stage-1 batch through a forwarding address.
+class Runtime:
+    """What an actor (and the cluster facade) may ask of its engine, and
+    the part every engine shares.
 
-    Forwarding addresses left by departed nodes are for *routed* traffic
-    (DHT messages, membership control) — they point at the node that
-    took over the departed node's data, which sits at an arbitrary cycle
-    position.  A tree-up aggregation batch (a ``tree_batch`` row of
-    :data:`repro.core.actions.CATALOG`) following such a forward would
-    inject an edge into the wave graph that can point *downstream* of
-    the sender, closing a serve-dependency cycle that freezes the whole
-    pipeline (every member of the cycle waits for a SERVE that
-    transitively depends on its own batch).  Every engine
-    therefore bounces such batches back to their sender as a REQUEUE:
-    the sender reclaims the batch (it was never combined, so no
-    positions are lost) and re-fires at its — by then healed — parent.
+    The base holds the actor table, the forwarding addresses departed
+    actors leave, and everything that reads only those: ``add_actor``,
+    ``remove_actor``, ``resolve``, ``wake``, ``kick``, the bounce of a
+    forwarded tree batch and the table-clearing part of ``close``.  An
+    engine supplies ``now``, ``send``, ``request_timeout``,
+    ``call_later`` and its own loop.
 
-    Returns True when the message was bounced and must not be delivered.
-    """
-    from repro.core.actions import A_REQUEUE, CATALOG
-
-    if not CATALOG[action].tree_batch:
-        return False
-    runtime.send(payload[0], A_REQUEUE, (0,))
-    return True
-
-
-@runtime_checkable
-class Runtime(Protocol):
-    """What an actor (and the cluster facade) may ask of its engine.
-
-    Semantics every implementation must honour:
+    Semantics every engine must honour:
 
     * ``send`` never loses or duplicates a message and delivers it after
       a strictly positive delay — the paper's channel assumptions;
@@ -133,49 +111,92 @@ class Runtime(Protocol):
       virtual nodes are one engine's), never another's.
     """
 
-    metrics: "Metrics"
+    def __init__(self, metrics: Metrics | None = None) -> None:
+        self.metrics = metrics or Metrics()
+        #: optional scheduling override (trace recording/replay); an
+        #: engine with no RNG-driven choices never consults it
+        self.schedule_hint: ScheduleHint | None = None
+        #: locally hosted actors, keyed by actor id
+        self.actors: dict[int, Actor] = {}
+        self._forwards: dict[int, int] = {}
 
-    #: Optional scheduling override (trace recording/replay); engines
-    #: with no RNG-driven choices may simply keep it ``None``.
-    schedule_hint: "ScheduleHint | None"
-
+    # -- what each engine supplies -----------------------------------------
     @property
     def now(self) -> float:
         """Current round (sync), virtual time (async), or scaled wall
         clock (net) — one unit ≈ one message delay."""
-        ...
+        raise NotImplementedError
 
-    @property
-    def actors(self) -> Mapping[int, "Actor"]:
-        """Locally hosted actors, keyed by actor id."""
-        ...
+    def send(self, dest: int, action: int, payload: tuple) -> None:
+        raise NotImplementedError
 
-    def send(self, dest: int, action: int, payload: tuple) -> None: ...
+    def request_timeout(self, actor_id: int, arrival: bool = False) -> None:
+        raise NotImplementedError
 
-    def request_timeout(self, actor_id: int, arrival: bool = False) -> None: ...
+    def call_later(self, actor_id: int, delay: float) -> None:
+        raise NotImplementedError
 
+    # -- shared ----------------------------------------------------------------
     def wake(self, actor_id: int) -> None:
         """Cross-actor wake: schedule a TIMEOUT for ``actor_id``, wherever
         it lives.  Draws no randomness on any engine (replay-safe)."""
-        ...
+        self.request_timeout(self.resolve(actor_id))
 
-    def call_later(self, actor_id: int, delay: float) -> None: ...
+    def add_actor(self, actor: "Actor") -> None:
+        if actor.aid in self.actors:
+            raise ValueError(f"duplicate actor id {actor.aid}")
+        self.actors[actor.aid] = actor
 
-    def add_actor(self, actor: "Actor") -> None: ...
-
-    def remove_actor(self, actor_id: int, forward_to: int | None = None) -> None: ...
+    def remove_actor(self, actor_id: int, forward_to: int | None = None) -> None:
+        """Remove an actor, optionally leaving a forwarding address:
+        messages still on their way to it are handed to ``forward_to``,
+        the paper's guarantee for a leaving node's replacement."""
+        del self.actors[actor_id]
+        if forward_to is not None:
+            self._forwards[actor_id] = forward_to
 
     def resolve(self, actor_id: int) -> int:
         """Follow forwarding addresses left by departed actors."""
-        ...
+        while actor_id in self._forwards:
+            actor_id = self._forwards[actor_id]
+        return actor_id
 
     def kick(self, actor_ids: Iterable[int] | None = None) -> None:
         """Schedule an initial TIMEOUT for the given actors (default: all)."""
-        ...
+        for actor_id in list(self.actors) if actor_ids is None else actor_ids:
+            self.request_timeout(actor_id)
+
+    def bounce_forwarded_batch(self, action: int, payload: tuple) -> bool:
+        """Refuse to deliver a stage-1 batch through a forwarding address.
+
+        Forwarding addresses left by departed nodes are for *routed*
+        traffic (DHT messages, membership control) — they point at the
+        node that took over the departed node's data, which sits at an
+        arbitrary cycle position.  A tree-up aggregation batch (a
+        ``tree_batch`` row of :data:`repro.core.actions.CATALOG`)
+        following such a forward would inject an edge into the wave
+        graph that can point *downstream* of the sender, closing a
+        serve-dependency cycle that freezes the whole pipeline (every
+        member of the cycle waits for a SERVE that transitively depends
+        on its own batch).  Every engine therefore bounces such batches
+        back to their sender as a REQUEUE: the sender reclaims the batch
+        (it was never combined, so no positions are lost) and re-fires
+        at its — by then healed — parent.
+
+        Called only for a destination that is forwarded; returns True
+        when the message was bounced and must not be delivered.
+        """
+        from repro.core.actions import A_REQUEUE, CATALOG
+
+        if not CATALOG[action].tree_batch:
+            return False
+        self.send(payload[0], A_REQUEUE, (0,))
+        return True
 
     def close(self) -> None:
-        """Release engine resources; the engine must not run afterwards."""
-        ...
+        """Drop every actor and forward; the engine must not run after."""
+        self.actors.clear()
+        self._forwards.clear()
 
 
 class Actor:

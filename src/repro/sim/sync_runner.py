@@ -22,21 +22,17 @@ on their way to a leaving node are handed over to its replacement.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.sim.metrics import Metrics
-from repro.sim.process import Actor, bounce_forwarded_batch
+from repro.sim.process import Runtime
 from repro.util.rng import RngStreams
 
 __all__ = ["SyncRunner"]
 
 
-class SyncRunner:
-    """Deterministic synchronous message-passing engine.
-
-    Implements the :class:`repro.sim.process.Runtime` contract (asserted
-    by ``tests/unit/test_runtime_contract.py``).
-    """
+class SyncRunner(Runtime):
+    """Deterministic synchronous message-passing engine."""
 
     def __init__(
         self,
@@ -44,17 +40,13 @@ class SyncRunner:
         metrics: Metrics | None = None,
         shuffle_delivery: bool = True,
     ) -> None:
+        super().__init__(metrics)
         self.rng = rng or RngStreams(0)
-        self.metrics = metrics or Metrics()
         self.shuffle_delivery = shuffle_delivery
         self.round = 0
-        #: optional scheduling override (see repro.sim.process.ScheduleHint)
-        self.schedule_hint = None
-        self.actors: dict[int, Actor] = {}
         self._inbox_next: list[tuple[int, int, tuple]] = []
         self._timeout_now: set[int] = set()
         self._timers: list[tuple[int, int]] = []  # (due_round, actor_id)
-        self._forwards: dict[int, int] = {}
         self._delivery_rng = self.rng.py("delivery")
 
     # -- runtime protocol ----------------------------------------------------
@@ -70,40 +62,8 @@ class SyncRunner:
         # either kind runs when this round's deliveries are done
         self._timeout_now.add(actor_id)
 
-    def wake(self, actor_id: int) -> None:
-        """Cross-actor wake: TIMEOUT for ``actor_id`` in the next round's
-        sorted TIMEOUT set — same mechanism as ``request_timeout``, named
-        separately because the *caller* is another actor pushing a
-        readiness change rather than the actor scheduling itself."""
-        self._timeout_now.add(self.resolve(actor_id))
-
     def call_later(self, actor_id: int, delay: float) -> None:
         heapq.heappush(self._timers, (self.round + max(1, int(delay)), actor_id))
-
-    # -- actor management ------------------------------------------------------
-    def add_actor(self, actor: Actor) -> None:
-        if actor.aid in self.actors:
-            raise ValueError(f"duplicate actor id {actor.aid}")
-        self.actors[actor.aid] = actor
-
-    def remove_actor(self, actor_id: int, forward_to: int | None = None) -> None:
-        """Remove an actor, optionally leaving a forwarding address."""
-        del self.actors[actor_id]
-        if forward_to is not None:
-            self._forwards[actor_id] = forward_to
-
-    def resolve(self, actor_id: int) -> int:
-        """Follow forwarding addresses (with path compression)."""
-        forwards = self._forwards
-        if actor_id not in forwards:
-            return actor_id
-        chain = []
-        while actor_id in forwards:
-            chain.append(actor_id)
-            actor_id = forwards[actor_id]
-        for aid in chain:
-            forwards[aid] = actor_id
-        return actor_id
 
     # -- execution --------------------------------------------------------------
     def step(self) -> None:
@@ -118,15 +78,12 @@ class SyncRunner:
             else:
                 self._delivery_rng.shuffle(inbox)
         actors = self.actors
-        resolve_needed = bool(self._forwards)
         for dest, action, payload in inbox:
             actor = actors.get(dest)
             if actor is None:
-                if not resolve_needed and not self._forwards:
+                if dest not in self._forwards:
                     raise KeyError(f"message for unknown actor {dest}")
-                if dest in self._forwards and bounce_forwarded_batch(
-                    self, action, payload
-                ):
+                if self.bounce_forwarded_batch(action, payload):
                     continue  # tree-up batch to a departed parent
                 actor = actors[self.resolve(dest)]
             actor.handle(action, payload)
@@ -145,7 +102,8 @@ class SyncRunner:
             if actor is not None:
                 actor.timeout()
 
-    def run(self, rounds: int) -> None:
+    def run_for(self, rounds: int) -> None:
+        """Execute ``rounds`` synchronous rounds."""
         for _ in range(rounds):
             self.step()
 
@@ -170,16 +128,10 @@ class SyncRunner:
             executed += 1
         return executed
 
-    def kick(self, actor_ids: Iterable[int] | None = None) -> None:
-        """Schedule an initial TIMEOUT for the given actors (default: all)."""
-        ids = actor_ids if actor_ids is not None else self.actors.keys()
-        self._timeout_now.update(ids)
-
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Drop all actors and queued work; the engine must not run after."""
-        self.actors.clear()
+        super().close()
         self._inbox_next.clear()
         self._timeout_now.clear()
         self._timers.clear()
-        self._forwards.clear()

@@ -636,6 +636,17 @@ def commit(net: Net, coordinator: Host, joiner: Host) -> Conn:
                             "address": ["h", 1000 + joiner.index]})
 
 
+#: ``host`` values a membership frame must not be read as naming a host
+#: by (``True == 1``, and ``int("2")`` would drain host 2)
+_MISSING = object()
+_BAD_HOSTS = [None, "x", "2", True, _MISSING]
+_BAD_HOST_IDS = ["none", "word", "digits", "bool", "missing"]
+
+
+def _naming(host, frame: dict) -> dict:
+    return frame if host is _MISSING else {**frame, "host": host}
+
+
 class TestMembership:
     def test_join_reserve_commit_broadcast(self):
         net = Net(3)
@@ -790,6 +801,35 @@ class TestMembership:
         assert commit(net, coordinator, joiner).ops == ["join_done"]
         net.pump()
         assert all(h.control.cluster.hosts[3] == ("h", 1003) for h in net.live)
+
+
+    @pytest.mark.parametrize("host", _BAD_HOSTS, ids=_BAD_HOST_IDS)
+    def test_a_leave_or_retire_naming_no_int_host_is_refused(self, host):
+        net = Net(3)
+        net.run(0.5)
+        coordinator, drainer = net.hosts[0], net.hosts[2]
+        version = coordinator.control.cluster.version
+        for asked in (coordinator, drainer):
+            leave = asked.ask(_naming(host, {"op": "leave"}))
+            assert leave.ops == ["error"]
+        retire = coordinator.ask(_naming(
+            host, {"op": "retire", "records": [], "errors": ["boom"]}))
+        assert retire.ops == ["error"]
+        net.run(0.2)
+        assert not any(h.drains or h.control.draining for h in net.live)
+        assert not net.sent_ops("leave")
+        assert coordinator.control.cluster.version == version
+        assert not coordinator.control.adopted_errors
+
+    @pytest.mark.parametrize("host", _BAD_HOSTS, ids=_BAD_HOST_IDS)
+    def test_a_heartbeat_naming_no_int_host_is_dropped(self, host):
+        net = Net(3)
+        net.run(0.5)
+        detector = net.hosts[0].control.detector
+        heard = dict(detector._last_heard)
+        net.now += 1.0
+        net.hosts[0].dispatch(Conn(), _naming(host, {"op": "heartbeat"}))
+        assert detector._last_heard == heard
 
 
 class Outbox(Pipe):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import ast
+import asyncio
 from pathlib import Path
 
 import pytest
 
 import repro.core
-from repro.core.actions import A_WAKE
+from repro.core.actions import A_AGG, A_REQUEUE, A_SERVE, A_WAKE
 from repro.net.runtime import NetOpRecord, NetRuntime, RecordTable
 from repro.sim.async_runner import AsyncRunner
 from repro.sim.metrics import Metrics
@@ -20,14 +21,46 @@ def _net_runtime() -> NetRuntime:
     return NetRuntime(send_remote=lambda dest, action, payload: None)
 
 
+@pytest.fixture(params=[SyncRunner, AsyncRunner, NetRuntime],
+                ids=lambda engine: engine.__name__)
+def engine(request):
+    """A fresh engine of each kind; the TCP runtime is bound to an event
+    loop that :func:`_run_for` turns."""
+    if request.param is not NetRuntime:
+        yield request.param()
+    else:
+        loop = asyncio.new_event_loop()
+        runtime = NetRuntime(
+            send_remote=lambda dest, action, payload: None,
+            timeout_lag=0.01,
+            sweep_seconds=0,
+        )
+        runtime.start(loop)
+        yield runtime
+        runtime.close()
+        loop.close()
+
+
+def _run_for(engine: Runtime, span: int) -> None:
+    """Let ``span`` round units pass on any engine."""
+    if isinstance(engine, NetRuntime):
+        engine._loop.run_until_complete(
+            asyncio.sleep(span * engine.round_seconds))
+    else:
+        engine.run_for(span)
+
+
 @pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner, _net_runtime])
 def test_every_engine_implements_the_contract(factory):
     engine = factory()
     assert isinstance(engine, Runtime)
-    # the structural check plus the members isinstance() cannot see
-    for name in ("send", "request_timeout", "call_later", "resolve", "wake",
-                 "add_actor", "remove_actor", "kick", "close"):
-        assert callable(getattr(engine, name)), name
+    for name in ("now", "send", "request_timeout", "call_later"):
+        # what each engine supplies
+        assert getattr(type(engine), name) is not getattr(Runtime, name), name
+    for name in ("add_actor", "remove_actor", "resolve", "kick",
+                 "bounce_forwarded_batch"):
+        # what only the base holds, so no engine grows its own copy
+        assert getattr(type(engine), name) is getattr(Runtime, name), name
     assert isinstance(engine.metrics, Metrics)
     assert isinstance(engine.now, float)
     assert isinstance(dict(engine.actors), dict)
@@ -85,17 +118,6 @@ def test_node_code_reads_no_other_processs_node():
     assert not bad, bad
 
 
-@pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner])
-def test_close_drops_actors_and_queued_work(factory):
-    engine = factory()
-    actor = Actor(7, engine)
-    engine.add_actor(actor)
-    engine.send(7, 0, ())
-    engine.request_timeout(7)
-    engine.close()
-    assert not engine.actors
-
-
 class _Recorder(Actor):
     def __init__(self, aid, runtime):
         super().__init__(aid, runtime)
@@ -107,6 +129,47 @@ class _Recorder(Actor):
 
     def timeout(self):
         self.timeouts += 1
+
+
+def test_close_drops_actors_and_queued_work(engine):
+    actor = _Recorder(7, engine)
+    engine.add_actor(actor)
+    engine.add_actor(_Recorder(6, engine))
+    engine.remove_actor(6, forward_to=7)
+    engine.send(7, A_SERVE, ())
+    engine.request_timeout(7)  # paced on the TCP runtime
+    engine.close()
+    assert not engine.actors and engine.resolve(6) == 6
+    _run_for(engine, 10)
+    assert (actor.seen, actor.timeouts) == ([], 0)
+
+
+def test_a_forward_chain_resolves_to_its_end(engine):
+    for aid in (1, 2, 3):
+        engine.add_actor(_Recorder(aid, engine))
+    engine.remove_actor(1, forward_to=2)
+    engine.remove_actor(2, forward_to=3)
+    assert (engine.resolve(1), engine.resolve(2)) == (3, 3)
+    assert (engine.resolve(3), engine.resolve(4)) == (3, 4)
+    # resolving rewrites nothing: the TCP runtime publishes this table
+    assert engine._forwards == {1: 2, 2: 3}
+
+
+def test_a_forwarded_tree_batch_bounces_back_to_its_sender(engine):
+    """A stage-1 batch never follows a departed parent's forward: it
+    returns to its sender as ``A_REQUEUE``, whether it was in flight as
+    the parent left or sent after.  Any other action reaches the
+    absorber."""
+    sender, parent, absorber = (_Recorder(aid, engine) for aid in (1, 2, 3))
+    for actor in (sender, parent, absorber):
+        engine.add_actor(actor)
+    engine.send(2, A_AGG, (1, "in flight"))
+    engine.remove_actor(2, forward_to=3)
+    engine.send(2, A_AGG, (1, "sent after"))
+    engine.send(2, A_SERVE, ("served",))
+    _run_for(engine, 10)
+    assert sender.seen == [(A_REQUEUE, (0,))] * 2
+    assert (parent.seen, absorber.seen) == ([], [(A_SERVE, ("served",))])
 
 
 def test_net_runtime_delivers_locally_and_ships_remotely():
@@ -137,13 +200,9 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
     asyncio.run(scenario())
 
 
-@pytest.mark.parametrize(
-    "factory, run",
-    [(SyncRunner, lambda engine: engine.run(1000)),
-     (AsyncRunner, lambda engine: engine.run_for(1000.0))],
-    ids=["sync", "async"],
-)
-def test_nothing_polls(factory, run):
+@pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner],
+                         ids=["sync", "async"])
+def test_nothing_polls(factory):
     """A simulated TIMEOUT runs only because the actor asked, a peer
     woke it, a ``call_later`` timer expired or the engine was kicked:
     an actor with none of those gets no TIMEOUT over 1000 rounds (sync)
@@ -153,28 +212,24 @@ def test_nothing_polls(factory, run):
     engine.add_actor(idle)
     engine.add_actor(kicked)
     engine.kick([2])
-    run(engine)
+    engine.run_for(1000)
     assert (idle.timeouts, kicked.timeouts) == (0, 1)
 
 
-@pytest.mark.parametrize(
-    "factory, run",
-    [(SyncRunner, lambda engine, span: engine.run(span)),
-     (AsyncRunner, lambda engine, span: engine.run_for(float(span)))],
-    ids=["sync", "async"],
-)
-def test_a_timer_fires_once_when_due(factory, run):
+@pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner],
+                         ids=["sync", "async"])
+def test_a_timer_fires_once_when_due(factory):
     """A ``call_later`` timer is one TIMEOUT at its due round (sync) or
     time (async): none before it, and nothing re-checks the actor after."""
     engine = factory()
     timed = _Recorder(1, engine)
     engine.add_actor(timed)
     engine.call_later(1, 10)
-    run(engine, 9)
+    engine.run_for(9)
     assert timed.timeouts == 0
-    run(engine, 1)
+    engine.run_for(1)
     assert timed.timeouts == 1
-    run(engine, 1000)
+    engine.run_for(1000)
     assert timed.timeouts == 1
 
 
@@ -325,14 +380,6 @@ class TestWakeDiscipline:
             runtime.close()
 
         asyncio.run(scenario())
-
-
-def test_net_runtime_forwarding_addresses():
-    runtime = _net_runtime()
-    runtime._forwards[5] = 8
-    runtime._forwards[8] = 11
-    assert runtime.resolve(5) == 11
-    assert runtime.resolve(4) == 4
 
 
 class TestRecordTable:

@@ -61,14 +61,6 @@ class TestSyncRunner:
         runner.step()
         assert b.log[-1][1] == 7
 
-    def test_forward_chain_compression(self):
-        runner = SyncRunner()
-        c = Echo(3, runner)
-        runner.add_actor(c)
-        runner._forwards.update({1: 2, 2: 3})
-        assert runner.resolve(1) == 3
-        assert runner._forwards[1] == 3  # compressed
-
     def test_unknown_destination_raises(self):
         runner = SyncRunner()
         runner.add_actor(Echo(1, runner))
@@ -81,7 +73,7 @@ class TestSyncRunner:
         a = Echo(1, runner)
         runner.add_actor(a)
         runner.call_later(1, 3)
-        runner.run(2)
+        runner.run_for(2)
         assert a.log == []
         runner.step()
         assert a.log == [(3.0, "timeout", None)]
