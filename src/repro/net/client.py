@@ -605,7 +605,7 @@ class SkueueClient:
             else:
                 self.errors.append(
                     f"[host {session.index}] {message['message']}")
-        elif op in ("pong", "bye", "wired", "leaving"):
+        elif op in ("bye", "wired", "leaving"):
             pass
         else:
             self.errors.append(

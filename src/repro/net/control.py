@@ -164,7 +164,7 @@ class ControlPlane:
         # the last rebuild planned here, re-pushed to a host whose copy
         # raced a link reset
         self._rebuilt: dict | None = None
-        #: ops log ring, served by ``/status``
+        #: ops log ring, served by ``/health``
         self.log: deque[str] = deque(maxlen=200)
 
     # -- the one state ---------------------------------------------------------
@@ -190,7 +190,7 @@ class ControlPlane:
         return min(live) if live else self.index
 
     def note(self, text: str) -> None:
-        """Ops-plane log line: ring buffer (served by /status) + stdout."""
+        """Ops-plane log line: ring buffer (served by /health) + stdout."""
         entry = f"{time.strftime('%H:%M:%S')} host {self.index}: {text}"
         self.log.append(entry)
         print(f"[skueue-ops] {entry}", flush=True)
@@ -497,7 +497,11 @@ class ControlPlane:
             self.detector.heard_from(host, now)
 
     def _on_suspect(self, conn, message: dict, now: float) -> None:
-        host, reporter = message["host"], message.get("by")
+        host, reporter = message.get("host"), message.get("by")
+        if type(host) is not int or type(reporter) is not int:
+            self.data.note_error(
+                "suspect", f"needs int host and by, not {host!r}, {reporter!r}")
+            return
         # a witness is another live member: not the suspect, not us, and
         # not a host the map no longer names (a retiree's last words)
         if (self.cluster is None or reporter in (host, self.index)
@@ -544,8 +548,13 @@ class ControlPlane:
             self._send(acting, frame)
 
     def _on_recover_dump(self, conn, message: dict, now: float) -> None:
-        gen = int(message.get("gen", 0))
-        host = int(message["host"])
+        gen, host = message.get("gen"), message.get("host")
+        epoch = message.get("epoch")
+        if not (type(gen) is type(host) is type(epoch) is int):
+            self.data.note_error(
+                "recover_dump", f"needs int gen, host and epoch, "
+                                f"not {gen!r}, {host!r}, {epoch!r}")
+            return
         if not self.recovering:
             # we already rebuilt this generation: the sender's rebuild
             # frame must have raced a link reset — push it again
@@ -554,7 +563,7 @@ class ControlPlane:
             return
         if gen != self.cluster.recovery_epoch:
             return
-        self._dumps[host] = (message["records"], int(message.get("epoch", 0)))
+        self._dumps[host] = (message["records"], epoch)
         if set(self.cluster.hosts).issubset(self._dumps):
             self._plan_rebuild(now)
 
@@ -594,7 +603,10 @@ class ControlPlane:
         """Every-host side: adopt the merged truth, respawn the shard."""
         if self.cluster is None:
             return
-        gen = int(message.get("gen", 0))
+        gen = message.get("gen")
+        if type(gen) is not int:
+            self.data.note_error("rebuild", f"needs an int gen, not {gen!r}")
+            return
         rebuilt = message["map"]
         # a host that never saw the eviction's map enters recovery here
         self.adopt(rebuilt, now)

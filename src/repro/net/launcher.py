@@ -43,7 +43,6 @@ from repro.core.structures import structure_names
 from repro.net.membership import ClusterMap
 from repro.net.server import HostConfig, run_host, run_joining_host
 from repro.net.transport import request
-from repro.telemetry import maybe_profile, profile_env_prefix
 
 __all__ = ["NetDeployment", "launch_local", "main"]
 
@@ -226,13 +225,13 @@ class NetDeployment:
         address = self.host_map[index]
         deadline = time.monotonic() + timeout
         while True:
-            reply = request(address, {"op": "ping"}, "pong", timeout=5.0)
-            if reply.get("wired") and not reply.get("joining"):
+            reply = request(address, {"op": "health"}, "health", timeout=5.0)
+            if reply["wired"] and not reply["joining_pids"]:
                 return
             if time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"host {index} still integrating pids {reply.get('joining')} "
-                    f"after {timeout}s"
+                    f"host {index} still integrating pids "
+                    f"{reply['joining_pids']} after {timeout}s"
                 )
             time.sleep(0.1)
 
@@ -290,7 +289,6 @@ def launch_local(
     id_slots: int = 0,
     n_priorities: int = 4,
     trace_sample: float = 0.0,
-    trace_slow_ms: float = 0.0,
 ) -> NetDeployment:
     """Spawn, wire and return a local ``n_hosts``-process deployment.
 
@@ -304,9 +302,7 @@ def launch_local(
     join at runtime.
 
     ``trace_sample`` sets every host's per-op trace sampling rate (the
-    telemetry plane, see DESIGN.md); ``trace_slow_ms`` keeps a flight
-    ring of ops slower than the threshold, served by ``skueue-ops
-    trace --slow``.  Both default off.
+    telemetry plane, see DESIGN.md); it defaults off.
     """
     if n_hosts < 1:
         raise ValueError("need at least one host")
@@ -333,7 +329,6 @@ def launch_local(
                 id_slots=id_slots,
                 n_priorities=n_priorities,
                 trace_sample=trace_sample,
-                trace_slow_ms=trace_slow_ms,
             )
             proc = subprocess.Popen(
                 [
@@ -383,7 +378,6 @@ def launch_local(
             "id_slots": id_slots,
             "n_priorities": n_priorities,
             "trace_sample": trace_sample,
-            "trace_slow_ms": trace_slow_ms,
         },
         proc_by_index=proc_by_index,
     )
@@ -458,10 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "serve":
         config = HostConfig.from_json(json.loads(args.config_json))
-        # per-host CPU profiles for wire/hot-path work (documented in
-        # TESTING.md): SKUEUE_PROFILE=/tmp/run -> /tmp/run-host<i>.prof
-        with maybe_profile(profile_env_prefix(), config.host_index):
-            asyncio.run(run_host(config, ready_prefix=_READY_PREFIX))
+        asyncio.run(run_host(config, ready_prefix=_READY_PREFIX))
         return 0
     if args.command == "join":
         seed_host, _, seed_port = args.seed.rpartition(":")

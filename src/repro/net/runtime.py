@@ -90,6 +90,9 @@ class NetRuntime(Runtime):
         self._loop = None
         self._sweep_handle = None
         self._closed = False
+        # bumped by every `reset`: a delivery or TIMEOUT queued before it
+        # carries the old era and is dropped when its callback runs
+        self._era = 0
         self.on_actor_error: Callable[[int, BaseException], None] | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -113,9 +116,11 @@ class NetRuntime(Runtime):
         ``repro.ops.recovery``): the old actors, their pending TIMEOUTs
         and the forwarding table all belong to the dead epoch.  Loop
         binding and the sweep survive — ``spawn_nodes`` repopulates
-        ``actors`` and the host kicks them.  Callbacks already scheduled
-        for removed actors no-op harmlessly (the actor lookup misses).
+        ``actors`` and the host kicks them.  A local delivery or TIMEOUT
+        queued before the reset is dropped when it runs, even if an actor
+        of the same id has been spawned since.
         """
+        self._era += 1
         for timer in self._timeout_pending.values():
             if timer is not None:
                 timer.cancel()
@@ -134,7 +139,7 @@ class NetRuntime(Runtime):
                 return  # tree-up batch to a departed parent
             dest = self.resolve(dest)
         if dest in self.actors:
-            self._loop.call_soon(self.deliver, dest, action, payload)
+            self._loop.call_soon(self.deliver, dest, action, payload, self._era)
         else:
             self.send_remote(dest, action, payload)
 
@@ -145,7 +150,7 @@ class NetRuntime(Runtime):
         if not arrival:
             if actor_id not in pending:
                 pending[actor_id] = self._loop.call_later(
-                    self.timeout_lag, self._fire_timeout, actor_id
+                    self.timeout_lag, self._fire_timeout, actor_id, self._era
                 )
             return
         if actor_id in pending:
@@ -156,7 +161,7 @@ class NetRuntime(Runtime):
             # serves both requests, as it sees every change made before it
             timer.cancel()
         pending[actor_id] = None
-        self._loop.call_soon(self._fire_timeout, actor_id)
+        self._loop.call_soon(self._fire_timeout, actor_id, self._era)
 
     def wake(self, actor_id: int) -> None:
         """Cross-actor wake: a TIMEOUT for ``actor_id`` wherever it lives.
@@ -176,7 +181,7 @@ class NetRuntime(Runtime):
     def call_later(self, actor_id: int, delay: float) -> None:
         self._loop.call_later(
             max(delay, 1.0) * self.round_seconds,
-            self._fire_timeout, actor_id, False,
+            self._fire_timeout, actor_id, self._era, False,
         )
 
     # -- forwards --------------------------------------------------------------
@@ -203,10 +208,14 @@ class NetRuntime(Runtime):
             else:  # pragma: no cover - default only without a host
                 raise
 
-    def deliver(self, dest: int, action: int, payload: tuple) -> None:
+    def deliver(self, dest: int, action: int, payload: tuple,
+                era: int | None = None) -> None:
         """Hand a message to its local actor: the callback ``send``
-        queues for local destinations, and the host's entry point for
-        messages arriving off the wire."""
+        queues for local destinations (stamped with the ``era`` it was
+        sent in), and the host's entry point for messages arriving off
+        the wire."""
+        if era is not None and era != self._era:
+            return  # sent to an actor of a shard torn down since
         # re-resolve: the destination may have departed (leaving a
         # forward) between scheduling and this callback — re-routing must
         # use the *resolved* id or the host would drop the message as
@@ -221,12 +230,13 @@ class NetRuntime(Runtime):
             return
         self._guard(dest, actor.handle, action, payload)
 
-    def _fire_timeout(self, actor_id: int, requested: bool = True) -> None:
+    def _fire_timeout(self, actor_id: int, era: int,
+                      requested: bool = True) -> None:
+        if era != self._era:
+            return  # requested by an actor of a shard torn down since
         # a `call_later` timer (not `requested`) is no actor's pending TIMEOUT
         if requested:
             self._timeout_pending.pop(actor_id, None)
-        if self._closed:
-            return
         actor = self.actors.get(actor_id)
         if actor is not None:
             self._guard(actor_id, actor.timeout)

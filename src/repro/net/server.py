@@ -68,7 +68,7 @@ from repro.net.membership import ClusterMap
 from repro.net.records import NetOpRecord, RecordTable, decode_complete
 from repro.net.runtime import NetRuntime
 from repro.ops.detector import HEARTBEAT_SECONDS
-from repro.ops.health import build_health, build_status, serve_http
+from repro.ops.health import build_health, serve_http
 from repro.net.transport import (
     CLIENT,
     FENCED,
@@ -121,8 +121,6 @@ class HostConfig:
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)
     trace_sample: float = 0.0
-    # flight-recorder slow-op threshold in milliseconds (0: keep none)
-    trace_slow_ms: float = 0.0
 
     def __post_init__(self) -> None:
         get_structure(self.structure)  # unknown names raise, listing valid ones
@@ -212,11 +210,7 @@ class NodeHost:
         self.telemetry = MetricsRegistry()
         # always constructed: a rate-0 tracer still opens spans for
         # wire-tagged requests from clients that sample (`tr` frames)
-        self.tracer = Tracer(
-            config.trace_sample,
-            host=config.host_index,
-            slow_ms=config.trace_slow_ms,
-        )
+        self.tracer = Tracer(config.trace_sample, host=config.host_index)
         self._wire_telemetry()
         # op -> (handler, admission): every `_on_<op>` of both planes
         self._frame_table = frame_handlers(self, self.control)
@@ -707,8 +701,8 @@ class NodeHost:
         conn.send({"op": "wired", "host": self.config.host_index})
 
     def _on_health(self, conn, message: dict, now: float) -> None:
-        build = build_status if message.get("detail") == "status" else build_health
-        conn.send({"op": "health", **build(self)})
+        # one payload; a `detail` key older callers send is ignored
+        conn.send({"op": "health", **build_health(self)})
 
     def _on_collect(self, conn, message: dict, now: float) -> None:
         conn.send(
@@ -728,20 +722,6 @@ class NodeHost:
                 "summary": self.runtime.metrics.summary(),
                 "phases": self.tracer.phase_summary(),
                 "registry": self.telemetry.snapshot(),
-            }
-        )
-
-    def _on_ping(self, conn, message: dict, now: float) -> None:
-        cluster = self.control.cluster
-        conn.send(
-            {
-                "op": "pong",
-                "host": self.config.host_index,
-                "wired": self.control.wired,
-                "joining": sorted(self.joining_pids),
-                "draining": self.control.draining,
-                "map_version": 0 if cluster is None else cluster.version,
-                "update_epoch": self.update_epoch,
             }
         )
 

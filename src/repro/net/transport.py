@@ -109,8 +109,6 @@ FRAME_TYPES: dict[str, FrameSpec] = {
     # bootstrap / control plane
     "wire": FrameSpec("launcher -> host: genesis cluster map; spawn and kick"),
     "wired": FrameSpec("host -> launcher: wire acknowledged"),
-    "ping": FrameSpec("any -> host: liveness/status probe"),
-    "pong": FrameSpec("host -> any: liveness answer + wired/joining/draining status"),
     "shutdown": FrameSpec("any -> host: orderly stop"),
     "bye": FrameSpec("host -> any: shutdown acknowledged"),
     "error": FrameSpec("host -> any: request could not be processed"),
@@ -152,7 +150,7 @@ FRAME_TYPES: dict[str, FrameSpec] = {
         "host -> successor: mirrored records and fact rows (submit/value/completion)",
         FENCED),
     "replica_ack": FrameSpec("successor -> host: completion replicas durably held"),
-    "health": FrameSpec("any -> host: ops-plane health/status snapshot request/answer"),
+    "health": FrameSpec("any -> host: the host's one status payload, request/answer"),
 }
 
 _HEADER = struct.Struct(">I")

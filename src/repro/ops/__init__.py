@@ -1,5 +1,5 @@
 """Operations plane for TCP deployments: failure detection, crash
-recovery planning, and the health/status surface.
+recovery planning, and the health surface.
 
 This package holds the *pure* half of crash-stop fault tolerance — no
 sockets, no event loop — so every policy decision is unit-testable with
@@ -11,9 +11,8 @@ an injected clock:
 * :mod:`repro.ops.recovery` — merging record dumps and planning the
   deterministic post-crash rebuild (replay completion, store preload,
   anchor restoration, repair of records whose facts died with a host).
-* :mod:`repro.ops.health` — `/health` and `/status` payload builders
-  plus the minimal HTTP responder each host's data port hands a
-  ``GET`` to.
+* :mod:`repro.ops.health` — the `/health` payload builder plus the
+  minimal HTTP responder each host's data port hands a ``GET`` to.
 * :mod:`repro.ops.cli` — the ``skueue-ops`` dashboard/log-tail CLI
   (imported lazily by its entry point; it pulls in ``repro.net``).
 
@@ -26,14 +25,13 @@ this package, so the pure half stays pure.
 """
 
 from repro.ops.detector import FailureDetector
-from repro.ops.health import build_health, build_status
+from repro.ops.health import build_health
 from repro.ops.recovery import RebuildPlan, merge_records, plan_rebuild
 
 __all__ = [
     "FailureDetector",
     "RebuildPlan",
     "build_health",
-    "build_status",
     "merge_records",
     "plan_rebuild",
 ]

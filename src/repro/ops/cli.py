@@ -1,8 +1,8 @@
 """``skueue-ops``: operations dashboard for a live TCP deployment.
 
 Point it at any live host; it pulls the cluster map, asks every host
-at its address there for its health/status payload (the ``health``
-frame), and renders either a terminal dashboard or machine-readable
+at its address there for its status payload (the ``health`` frame),
+and renders either a terminal dashboard or machine-readable
 JSON:
 
 * ``skueue-ops status --seed HOST:PORT`` — one-shot cluster dashboard
@@ -54,18 +54,14 @@ def _discover(seed: tuple[str, int]) -> dict[int, tuple[str, int]]:
     return request(seed, {"op": "map"}, "host_map", _PROBE_TIMEOUT)["map"].hosts
 
 
-def _collect(
-    seed: tuple[str, int], detail: str | None = None
-) -> tuple[dict[int, dict], dict[int, str]]:
+def _collect(seed: tuple[str, int]) -> tuple[dict[int, dict], dict[int, str]]:
     """Health payload (or error string) per live host."""
     payloads: dict[int, dict] = {}
     failures: dict[int, str] = {}
-    message: dict = {"op": "health"}
-    if detail:
-        message["detail"] = detail
     for index, address in sorted(_discover(seed).items()):
         try:
-            payloads[index] = request(address, dict(message), "health", _PROBE_TIMEOUT)
+            payloads[index] = request(address, {"op": "health"}, "health",
+                                      _PROBE_TIMEOUT)
         except (OSError, RuntimeError, ConnectionError) as exc:
             failures[index] = str(exc) or type(exc).__name__
     return payloads, failures
@@ -316,7 +312,7 @@ def _profile(args: argparse.Namespace) -> int:
 
 
 def _logs(args: argparse.Namespace) -> int:
-    payloads, failures = _collect(args.seed, detail="status")
+    payloads, failures = _collect(args.seed)
     entries = sorted(
         line for data in payloads.values() for line in data.get("log", ())
     )
@@ -370,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--req", type=int, default=None,
                        help="one op's lifecycle record by req_id")
     trace.add_argument("--slow", action="store_true",
-                       help="ops past each host's slow threshold")
+                       help="ops at or past each host's running p99")
     trace.add_argument("--recent", action="store_true",
                        help="every host's recent-op flight ring")
     trace.add_argument("--out", default=None,

@@ -3,11 +3,10 @@
 Every :class:`~repro.net.server.NodeHost` answers these read-only
 routes on its one port, to a connection that opens with ``GET ``:
 
-* ``/health`` — cheap liveness: detector snapshot, peer-link stats,
-  recovery state, record/replica counts.  Also answered as the
-  ``health`` frame.
-* ``/status`` — everything in ``/health`` plus the membership tables and
-  the tail of the host's ops log ring.
+* ``/health`` — the host's one status payload: liveness, detector
+  snapshot, peer-link stats, recovery state, record/replica counts,
+  the membership tables and the host's ops log ring.  The ``health``
+  frame answers the same payload.
 * ``/metrics`` — Prometheus text exposition (the host's telemetry
   registry + the run-metrics adapter; see DESIGN.md, "Telemetry").
 * ``/trace`` — the sampled per-op span export as Chrome trace-event
@@ -35,15 +34,19 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.telemetry import capture_profile
 
-__all__ = ["build_health", "build_status", "build_trace", "serve_http"]
+__all__ = ["ROUTES", "build_health", "build_trace", "serve_http"]
+
+#: The path prefixes a host answers; any other path is ``404``.
+ROUTES = ("/health", "/metrics", "/trace", "/profile")
 
 
 def build_health(host) -> dict:
-    """The /health payload: is this host alive and whom does it trust?"""
+    """The one status payload: is this host alive, whom does it trust,
+    what does its map say, and what has it logged?"""
     now = time.monotonic()
     control = host.control
     cluster = control.cluster
-    return {
+    data = {
         "host": host.config.host_index,
         "structure": host.config.structure,
         "wired": control.wired,
@@ -59,13 +62,10 @@ def build_health(host) -> dict:
         # pending_done, counted where the records are held
         **host.records.counts(),
         "errors": len(host.errors),
+        "joining_pids": sorted(host.joining_pids),
+        "update_epoch": host.update_epoch,
+        "log": list(control.log),
     }
-
-
-def build_status(host) -> dict:
-    """The /status payload: /health plus membership and the log tail."""
-    data = build_health(host)
-    cluster = host.control.cluster
     if cluster is not None:
         data["hosts"] = {
             str(index): list(address) for index, address in cluster.hosts.items()
@@ -73,9 +73,6 @@ def build_status(host) -> dict:
         data["departed"] = {str(k): v for k, v in cluster.departed.items()}
         data["leaving"] = sorted(cluster.leaving)
         data["pids"] = cluster.pids_of(host.config.host_index)
-    data["joining_pids"] = sorted(host.joining_pids)
-    data["update_epoch"] = host.update_epoch
-    data["log"] = list(host.control.log)
     return data
 
 
@@ -112,8 +109,7 @@ def build_trace(host, query: dict) -> tuple[str, dict]:
             )
         return "200 OK", record
     if query.get("slow"):
-        return "200 OK", {"slow_ms": tracer.slow_ms,
-                          "slow": list(tracer.slow)}
+        return "200 OK", {"slow": list(tracer.slow)}
     if query.get("recent"):
         return "200 OK", {"recent": list(tracer.recent)}
     return "200 OK", tracer.export()
@@ -132,22 +128,21 @@ async def serve_http(host, head: bytes, reader, writer) -> None:
         split = urlsplit(target)
         path = split.path
         query = parse_qs(split.query)
+        route = next((r for r in ROUTES if path.startswith(r)), None)
         status, content_type = "200 OK", "application/json"
         try:
-            if path.startswith("/health"):
+            if route == "/health":
                 body = json.dumps(build_health(host), default=str).encode()
-            elif path.startswith("/status"):
-                body = json.dumps(build_status(host), default=str).encode()
-            elif path.startswith("/metrics"):
+            elif route == "/metrics":
                 # Prometheus text exposition; the host renders its registry
                 # (duck-typed so simulators/tests can serve a stub host)
                 content_type = "text/plain; version=0.0.4"
                 render = getattr(host, "metrics_text", None)
                 body = (render() if render is not None else "").encode()
-            elif path.startswith("/trace"):
+            elif route == "/trace":
                 status, payload = build_trace(host, query)
                 body = json.dumps(payload, default=str).encode()
-            elif path.startswith("/profile"):
+            elif route == "/profile":
                 seconds = _query_number(query, "seconds", "2.0", float)
                 top = _query_number(query, "top", "40", int)
                 content_type = "text/plain"

@@ -9,8 +9,8 @@ The measurement substrate the perf roadmap gates on (see DESIGN.md,
 * :mod:`repro.telemetry.tracing` — sampled per-op lifecycle tracing
   (submit → wave join → valuation → route hops → DONE) with Chrome
   trace-event export and a per-host flight recorder;
-* :mod:`repro.telemetry.profiling` — the ``SKUEUE_PROFILE`` cProfile
-  wrap and live ``/profile`` capture;
+* :mod:`repro.telemetry.profiling` — the live ``/profile`` cProfile
+  capture;
 * :mod:`repro.telemetry.export` — Metrics → Prometheus adapter, trace
   merge + format validation.
 
@@ -25,11 +25,7 @@ from repro.telemetry.export import (
     render_run_metrics,
     validate_chrome_trace,
 )
-from repro.telemetry.profiling import (
-    capture_profile,
-    maybe_profile,
-    profile_env_prefix,
-)
+from repro.telemetry.profiling import capture_profile
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -48,9 +44,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "capture_profile",
-    "maybe_profile",
     "merge_traces",
-    "profile_env_prefix",
     "render_run_metrics",
     "trace_sampled",
     "validate_chrome_trace",

@@ -23,9 +23,9 @@ Three consumers read the tracer:
   (the ``metrics`` frame's ``phases``, which ``perfbench/`` reads, and
   the ``/metrics`` route);
 * the **flight recorder** — a ring of recent op lifecycles plus a
-  separate ring of slow ops past ``slow_ms`` (``skueue-ops trace
-  --slow``), for the "what just got slow" question dashboards answer
-  too late.
+  separate ring of slow ops, those whose total time reached the running
+  p99 of the ops finished before them (``skueue-ops trace --slow``),
+  for the "what just got slow" question dashboards answer too late.
 """
 
 from __future__ import annotations
@@ -90,10 +90,19 @@ class Tracer:
     ``clock`` defaults to ``time.monotonic`` (seconds); the simulators
     pass ``runtime.now`` so stamps are in rounds.  ``time_scale``
     converts clock units to the microseconds Chrome trace events use.
-    With ``auto=True`` the tracer makes the sampling decision itself at
-    submit; with ``auto=False`` (a TCP host) traces start only when
-    :meth:`ensure` is called for a wire-tagged request.
+    The tracer draws the sampling decision itself at submit; a request
+    that arrives wire-tagged opens its span through :meth:`ensure`
+    whatever the rate, so a rate-0 tracer records only those.
     """
+
+    #: in-flight spans held at most; the oldest is shed past it
+    MAX_ACTIVE = 4096
+    #: Chrome trace events kept for :meth:`export`
+    MAX_EVENTS = 50_000
+    #: finished lifecycles kept in the ``recent`` ring
+    RING = 256
+    #: slow lifecycles kept in the ``slow`` ring
+    SLOW_RING = 64
 
     def __init__(
         self,
@@ -101,26 +110,18 @@ class Tracer:
         *,
         clock=None,
         host: int = 0,
-        auto: bool = True,
         time_scale: float = 1e6,
-        max_active: int = 4096,
-        max_events: int = 50_000,
-        ring: int = 256,
-        slow_ms: float = 0.0,
         phase_buckets=None,
     ) -> None:
         self.sample_rate = float(sample_rate)
         self._clock = clock if clock is not None else time.monotonic
         self.host = host
-        self.auto = auto
         self.time_scale = float(time_scale)
-        self.max_active = max_active
-        self.slow_ms = float(slow_ms)
         self._epoch = self._clock()
         self._active: dict[int, _Trace] = {}
-        self._events: deque = deque(maxlen=max_events)
-        self.recent: deque = deque(maxlen=ring)
-        self.slow: deque = deque(maxlen=64)
+        self._events: deque = deque(maxlen=self.MAX_EVENTS)
+        self.recent: deque = deque(maxlen=self.RING)
+        self.slow: deque = deque(maxlen=self.SLOW_RING)
         self.started = 0
         self.finished = 0
         self.dropped = 0
@@ -152,7 +153,7 @@ class Tracer:
         idempotent for an already-active id."""
         trace = self._active.get(req_id)
         if trace is None:
-            if len(self._active) >= self.max_active:
+            if len(self._active) >= self.MAX_ACTIVE:
                 # shed the oldest in-flight trace rather than grow
                 evicted = next(iter(self._active))
                 del self._active[evicted]
@@ -167,10 +168,10 @@ class Tracer:
     # -- lifecycle stamps --------------------------------------------------
     def on_submit(self, req_id: int, kind: int | None = None,
                   pid: int | None = None) -> None:
-        """Stamp the submit mark; activates the trace first when this
-        tracer samples locally (``auto``) and the id wins the draw."""
+        """Stamp the submit mark; activates the trace first when the id
+        wins this tracer's draw."""
         if req_id not in self._active:
-            if not (self.auto and trace_sampled(req_id, self.sample_rate)):
+            if not trace_sampled(req_id, self.sample_rate):
                 return
             self.ensure(req_id, kind, pid)
         self._mark(req_id, "submit", kind=kind, pid=pid)
@@ -222,7 +223,10 @@ class Tracer:
                 phases_ms[phase] = delta_us / 1000.0
                 self.phase_hist[phase].observe(delta_us / 1e6)
         if origin:
-            self.phase_hist["total"].observe(total_us / 1e6)
+            total = self.phase_hist["total"]
+            # slow: at or past the p99 of the ops finished before this one
+            slow = total_us / 1e6 >= total.percentile(0.99)
+            total.observe(total_us / 1e6)
         self.hops_hist.observe(trace.hops)
         self.finished += 1
 
@@ -265,7 +269,7 @@ class Tracer:
                 "hops": trace.hops,
             }
             self.recent.append(record)
-            if self.slow_ms and record["dur_ms"] >= self.slow_ms:
+            if slow:
                 self.slow.append(record)
 
     def expire(self, older_than: float = 30.0) -> int:
@@ -273,7 +277,7 @@ class Tracer:
 
         A host that only *routes* for a traced op opens a span for the
         wire tag, stamps its hops, and never sees the completion —
-        without this sweep those spans would pin ``max_active`` forever.
+        without this sweep those spans would pin ``MAX_ACTIVE`` forever.
         The recorded instant events (hops) still flush to the export so
         merged traces keep the transit path; the phase histograms are
         untouched (a transit span has no lifecycle to attribute).

@@ -63,9 +63,6 @@ SAMPLE_FRAMES: dict[str, dict] = {
     # bootstrap / control plane
     "wire": {"op": "wire", "map": _map()},
     "wired": {"op": "wired", "host": 0},
-    "ping": {"op": "ping"},
-    "pong": {"op": "pong", "host": 1, "wired": True, "joining": False,
-             "draining": False},
     "shutdown": {"op": "shutdown"},
     "bye": {"op": "bye", "host": 2},
     "error": {"op": "error", "message": "unknown op 'zap'"},
@@ -129,7 +126,9 @@ SAMPLE_FRAMES: dict[str, dict] = {
                     "facts": [[30, 7, None, False, True]], "acks": [30],
                     "src": 1, "seq": 4},
     "replica_ack": {"op": "replica_ack", "reqs": [30], "src": 2, "seq": 5},
-    "health": {"op": "health", "host": 0, "live": [0, 1], "epoch": 5},
+    "health": {"op": "health", "host": 0, "wired": True, "joining_pids": [],
+               "hosts": {"0": ["127.0.0.1", 9000], "1": ["127.0.0.1", 9001]},
+               "update_epoch": 5, "log": ["12:00:00 host 0: wired"]},
 }
 
 
@@ -160,7 +159,7 @@ class TestFrameParity:
 
     def test_frames_split_at_any_byte_reassemble(self):
         reader = FrameReader()
-        ops = ("ping", "msg", "records", "rebuild")
+        ops = ("shutdown", "msg", "records", "rebuild")
         blob = b"".join(encode_frame(SAMPLE_FRAMES[op]) for op in ops)
         # arbitrary packet boundaries: feed one byte at a time
         decoded = [msg for i in range(len(blob))
@@ -202,7 +201,7 @@ class TestWireRule:
     def test_no_other_codec_can_be_named(self):
         assert CODEC_TAGS == {CODEC_BINARY: 0x01}
         with pytest.raises(FrameError):
-            encode_frame({"op": "ping"}, "json")
+            encode_frame({"op": "shutdown"}, "json")
 
     def test_the_second_codec_is_gone(self):
         for gone in ("negotiate_codec", "WIRE_CODECS", "CODEC_JSON",
@@ -402,7 +401,7 @@ class TestGarbageRejection:
         b"\x0c\x01\x14\x01\x0a\x00\x00",  # ... by a tuple of one
         b"\x10\x00\x00\x00\x00",       # no type byte 0x10
         b"\x12" + b"\x00" * 11,         # no type byte 0x12 (the record dict)
-        b'{"op": "ping"}',             # a JSON body behind the binary tag
+        b'{"op": "bye"}',              # a JSON body behind the binary tag
     ])
     def test_garbage_body_raises_frame_decode_error(self, body):
         with pytest.raises(FrameDecodeError):
@@ -414,26 +413,26 @@ class TestGarbageRejection:
         body = encode_frame(SAMPLE_FRAMES[op])[_HEADER.size:-1]
         reader = FrameReader()
         with pytest.raises(FrameDecodeError):
-            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["ping"])))
-        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
+            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["shutdown"])))
+        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["shutdown"]]
 
     @pytest.mark.parametrize("op", sorted(SAMPLE_FRAMES))
     def test_trailing_bytes_behind_a_body_are_a_decode_error(self, op):
         body = encode_frame(SAMPLE_FRAMES[op])[_HEADER.size:] + b"\x00"
         reader = FrameReader()
         with pytest.raises(FrameDecodeError):
-            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["ping"])))
-        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
+            list(reader.feed(_poison(body) + encode_frame(SAMPLE_FRAMES["shutdown"])))
+        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["shutdown"]]
 
     def test_stream_stays_framed_after_a_poisoned_body(self):
         # the recoverable property the server's read loop relies on: a
         # FrameDecodeError consumes exactly the poisoned frame, so the
         # next frame on the wire still parses and the connection lives
         reader = FrameReader()
-        blob = _poison(b"\xff\xfe\xfd") + encode_frame(SAMPLE_FRAMES["ping"])
+        blob = _poison(b"\xff\xfe\xfd") + encode_frame(SAMPLE_FRAMES["shutdown"])
         with pytest.raises(FrameDecodeError):
             list(reader.feed(blob))
-        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["ping"]]
+        assert list(reader.feed(b"")) == [SAMPLE_FRAMES["shutdown"]]
         assert reader.buffered == 0
 
     def test_unknown_codec_tag_is_a_hard_framing_error(self):
@@ -453,6 +452,6 @@ class TestGarbageRejection:
             pass  # rejected -- the only acceptable failure mode
         # either way the poisoned frame was consumed: framing holds
         assert reader.buffered == 0
-        assert list(reader.feed(encode_frame({"op": "ping"}))) == [
-            {"op": "ping"}
+        assert list(reader.feed(encode_frame({"op": "shutdown"}))) == [
+            {"op": "shutdown"}
         ]

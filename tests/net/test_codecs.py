@@ -76,7 +76,7 @@ def test_same_workload_verifies_on_the_wire(structure):
 def test_garbage_frame_does_not_kill_the_connection():
     # a poisoned body behind a valid header is dropped server-side
     # (FrameDecodeError -> note_error); the same connection must still
-    # answer a well-formed ping afterwards
+    # answer a well-formed health request afterwards
     async def scenario(deployment):
         reader, writer = await asyncio.open_connection(
             *next(iter(deployment.host_map.values()))
@@ -85,14 +85,14 @@ def test_garbage_frame_does_not_kill_the_connection():
             garbage = b"\xff\xfe\xfd\xfc"
             writer.write(struct.pack(">I", (0x01 << 24) | len(garbage)))
             writer.write(garbage)
-            writer.write(encode_frame({"op": "ping"}))
+            writer.write(encode_frame({"op": "health"}))
             await writer.drain()
             frames, replies = FrameReader(), []
             while not replies:
                 data = await reader.read(65536)
                 assert data, "the host hung up"
                 replies.extend(frames.feed(data))
-            assert replies[0]["op"] == "pong"
+            assert replies[0]["op"] == "health"
         finally:
             writer.close()
             await writer.wait_closed()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -67,12 +68,11 @@ def _completed_ids(records):
 
 
 def _ops_log(deployment) -> list[str]:
-    """Every live host's ops-log ring (the ``/status`` payload's ``log``)."""
+    """Every live host's ops-log ring (the ``health`` payload's ``log``)."""
     lines: list[str] = []
     for address in deployment.host_map.values():
-        status = request(tuple(address), {"op": "health", "detail": "status"},
-                         "health")
-        lines.extend(status["log"])
+        health = request(tuple(address), {"op": "health"}, "health")
+        lines.extend(health["log"])
     return lines
 
 
@@ -190,8 +190,9 @@ def test_eviction_cancels_a_drain_and_leave_can_be_reissued():
                                       "health")["recovering"]:
                             assert time.monotonic() < deadline
                             time.sleep(0.05)
-                        pong = request(tuple(address), {"op": "ping"}, "pong")
-                        assert pong["draining"] is False
+                        health = request(tuple(address), {"op": "health"},
+                                         "health")
+                        assert health["draining"] is False
                         assert 3 not in deployment.cluster_map().leaving
                         # ... and the re-issued leave takes it out
                         deployment.remove_host(3, timeout=60.0)
@@ -244,8 +245,8 @@ def test_ops_surface_reports_eviction():
         address = deployment.host_map[2]
 
         # the HTTP routes ride the data port: no second listener to find
-        pong = request(tuple(address), {"op": "ping"}, "pong")
-        assert "ops_port" not in pong
+        framed = request(tuple(address), {"op": "health"}, "health")
+        assert "ops_port" not in framed
 
         with urllib.request.urlopen(
             f"http://127.0.0.1:{address[1]}/health", timeout=10
@@ -256,12 +257,14 @@ def test_ops_surface_reports_eviction():
         assert health["recovering"] is False
         assert health["detector"]["suspects"] == []
         assert sorted(health["replica_targets"]) == [0, 1]
-
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{address[1]}/status", timeout=10
-        ) as reply:
-            status = json.loads(reply.read())
-        assert set(status["hosts"]) == {"0", "1", "2"}
+        # the membership tables ride the one payload, frame and route alike
+        assert set(health["hosts"]) == set(framed["hosts"]) == {"0", "1", "2"}
+        assert "log" in health and "log" in framed
+        # ... so there is no second status route
+        with pytest.raises(urllib.error.HTTPError) as gone:
+            urllib.request.urlopen(
+                f"http://127.0.0.1:{address[1]}/status", timeout=10)
+        assert gone.value.code == 404
 
         deployment.kill_host(1, timeout=90.0)
 

@@ -4,8 +4,7 @@ Launches real NodeHost processes (marked ``net``, excluded from tier-1)
 and exercises every operator surface the telemetry plane adds: the
 Prometheus ``/metrics`` route, the wire-tagged trace plumbing end to
 end (client draw -> hop stamps on transit hosts -> merged Chrome
-export), ``skueue-ops top/trace``, and the ``SKUEUE_PROFILE`` launcher
-hook writing per-host .prof files.
+export), ``skueue-ops top/trace`` and the live ``/profile`` capture.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ def _http(address, path: str) -> str:
 class TestLiveTelemetry:
     @pytest.fixture(scope="class")
     def deployment(self):
-        with launch_local(3, 8, seed=11, trace_sample=1.0,
-                          trace_slow_ms=0.0) as dep:
+        with launch_local(3, 8, seed=11, trace_sample=1.0) as dep:
             telemetry = _drive(dep.host_map)
             # a host serves its HTTP routes on its data port
             yield dep, telemetry, dict(dep.host_map)
@@ -141,6 +139,19 @@ class TestLiveTelemetry:
         record = json.loads(_http(address, f"/trace?req={recent[-1]['req']}"))
         assert record["req"] == recent[-1]["req"]
 
+    def test_ops_trace_slow_lists_ops_past_the_running_p99(self, deployment,
+                                                            capsys):
+        # no threshold to set: a host's first traced op is past the p99
+        # of none, and each later one is weighed against those before it
+        dep, _, _ = deployment
+        host, port = next(iter(dep.host_map.values()))
+        capsys.readouterr()
+        assert cli.main(["trace", "--seed", f"{host}:{port}", "--slow"]) == 0
+        slow = json.loads(capsys.readouterr().out)
+        assert slow and all(r["dur_ms"] > 0 for r in slow)
+        assert [r["dur_ms"] for r in slow] == sorted(
+            (r["dur_ms"] for r in slow), reverse=True)
+
     def test_ops_top_once_renders_every_host(self, deployment, capsys):
         dep, _, _ = deployment
         host, port = next(iter(dep.host_map.values()))
@@ -190,20 +201,3 @@ class TestTraceSampling:
             sampled = data["phases"]["sampled"]
             assert sampled["started"] == 0
             assert data["phases"]["total"]["count"] == 0
-
-
-class TestProfileLauncherHook:
-    def test_skueue_profile_writes_per_host_prof_files(self, tmp_path,
-                                                       monkeypatch):
-        prefix = tmp_path / "run"
-        monkeypatch.setenv("SKUEUE_PROFILE", str(prefix))
-        with launch_local(2, 8, seed=9) as dep:
-            _drive(dep.host_map, ops=20)
-        # orderly shutdown ran each host's profiler dump
-        import pstats
-
-        for index in range(2):
-            path = tmp_path / f"run-host{index}.prof"
-            assert path.exists(), f"host {index} wrote no profile"
-            stats = pstats.Stats(str(path))
-            assert stats.total_calls > 0

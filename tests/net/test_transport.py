@@ -75,8 +75,8 @@ class TestPayloadCodec:
 class TestFraming:
     def test_round_trip_single_frame(self):
         reader = FrameReader()
-        frames = list(reader.feed(encode_frame({"op": "ping", "n": 1})))
-        assert frames == [{"op": "ping", "n": 1}]
+        frames = list(reader.feed(encode_frame({"op": "shutdown", "n": 1})))
+        assert frames == [{"op": "shutdown", "n": 1}]
         assert reader.buffered == 0
 
     def test_partial_reads_any_boundary(self):
@@ -255,8 +255,8 @@ class TestClusterMapWireForm:
         reader = FrameReader()
         blob = encode_frame({"op": "host_map", "map": cmap})
         with pytest.raises(FrameDecodeError, match=slot):
-            list(reader.feed(blob + encode_frame({"op": "ping"})))
-        assert list(reader.feed(b"")) == [{"op": "ping"}]
+            list(reader.feed(blob + encode_frame({"op": "shutdown"})))
+        assert list(reader.feed(b"")) == [{"op": "shutdown"}]
         assert reader.buffered == 0
 
     def test_a_truncated_map_is_a_decode_error(self):
@@ -266,8 +266,8 @@ class TestClusterMapWireForm:
         reader = FrameReader()
         with pytest.raises(FrameDecodeError):
             list(reader.feed(_header(len(body)) + body
-                             + encode_frame({"op": "ping"})))
-        assert list(reader.feed(b"")) == [{"op": "ping"}]
+                             + encode_frame({"op": "shutdown"})))
+        assert list(reader.feed(b"")) == [{"op": "shutdown"}]
 
     def test_the_string_keyed_form_is_gone(self):
         from repro.net.client import SkueueClient

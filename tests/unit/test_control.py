@@ -643,8 +643,11 @@ _BAD_HOSTS = [None, "x", "2", True, _MISSING]
 _BAD_HOST_IDS = ["none", "word", "digits", "bool", "missing"]
 
 
-def _naming(host, frame: dict) -> dict:
-    return frame if host is _MISSING else {**frame, "host": host}
+def _naming(host, frame: dict, key: str = "host") -> dict:
+    """``frame`` with ``key`` set to ``host``, or without ``key``."""
+    if host is _MISSING:
+        return {k: v for k, v in frame.items() if k != key}
+    return {**frame, key: host}
 
 
 class TestMembership:
@@ -830,6 +833,73 @@ class TestMembership:
         net.now += 1.0
         net.hosts[0].dispatch(Conn(), _naming(host, {"op": "heartbeat"}))
         assert detector._last_heard == heard
+
+
+class TestRecoveryFrameFields:
+    """A peer's ``recover_dump``, ``rebuild`` or ``suspect`` whose host,
+    generation or epoch is no int (a bool neither) is noted and dropped
+    before any state moves."""
+
+    @staticmethod
+    def recovering(net: Net) -> None:
+        """Host 3 dies; the coordinator waits on dumps that never come
+        and host 1's copy of any rebuild is lost."""
+        net.run(1.0)
+        net.lose = lambda src, dest, frame: (
+            (frame["op"] == "recover_dump" and dest == 0)
+            or (frame["op"] == "rebuild" and dest == 1))
+        net.kill(3)
+        net.run(1.6)
+        assert all(h.control.recovering for h in net.live)
+
+    @pytest.mark.parametrize("key", ["gen", "host", "epoch"])
+    @pytest.mark.parametrize("bad", _BAD_HOSTS, ids=_BAD_HOST_IDS)
+    def test_a_bad_recover_dump_is_filed_under_no_host(self, key, bad):
+        net = Net(4)
+        self.recovering(net)
+        coordinator = net.hosts[0]
+        offered = dict(coordinator.control._dumps)
+        frame = {"op": "recover_dump", "gen": 1, "host": 1, "epoch": 0,
+                 "records": []}
+        coordinator.dispatch(Conn(), _naming(bad, frame, key))
+        assert coordinator.control._dumps == offered
+        assert coordinator.control.recovering
+        assert coordinator.errors[-1].startswith("recover_dump: ")
+
+    @pytest.mark.parametrize("bad", _BAD_HOSTS, ids=_BAD_HOST_IDS)
+    def test_a_rebuild_with_a_bad_gen_is_not_applied(self, bad):
+        net = Net(4)
+        self.recovering(net)
+        net.lose = lambda src, dest, frame: frame["op"] == "rebuild" and dest == 1
+        net.run(1.5)  # host 0 plans, host 1 never hears
+        planned = net.hosts[0].control._rebuilt
+        assert planned is not None and planned["gen"] == 1
+        late = net.hosts[1]
+        late.dispatch(Conn(), _naming(bad, planned, "gen"))
+        assert late.control.recovering and late.control.gen == 0
+        assert not late.respawns
+        assert late.errors[-1].startswith("rebuild: ")
+        late.dispatch(Conn(), planned)  # the well-formed one lands
+        assert late.serving and late.control.gen == 1
+
+    @pytest.mark.parametrize("key", ["host", "by"])
+    @pytest.mark.parametrize("bad", _BAD_HOSTS, ids=_BAD_HOST_IDS)
+    def test_a_suspect_naming_no_int_host_witnesses_nothing(self, key, bad):
+        net = Net(3)
+        net.run(0.5)
+        coordinator = net.hosts[0]
+        net.kill(1)
+        net.lose = lambda src, dest, frame: frame["op"] == "suspect"
+        net.run(1.25)
+        detector = coordinator.control.detector
+        assert detector.is_suspect(1) and not detector._corroborators
+        coordinator.dispatch(
+            Conn(), _naming(bad, {"op": "suspect", "host": 1, "by": 2}, key))
+        assert not detector._corroborators
+        assert 1 in coordinator.control.cluster.hosts
+        assert coordinator.errors[-1].startswith("suspect: ")
+        coordinator.dispatch(Conn(), {"op": "suspect", "host": 1, "by": 2})
+        assert 1 not in coordinator.control.cluster.hosts  # at once
 
 
 class Outbox(Pipe):
@@ -1072,9 +1142,9 @@ class TestFrameTable:
         assert host_ops | control_ops <= set(FRAME_TYPES)
 
         class Twin:
-            def _on_ping(self, conn, message, now): ...
+            def _on_health(self, conn, message, now): ...
 
-        with pytest.raises(ValueError, match="ping"):
+        with pytest.raises(ValueError, match="health"):
             frame_handlers(Twin(), Twin())
 
     def test_dispatch_is_a_lookup_not_an_op_chain(self):

@@ -190,7 +190,7 @@ class TestFold:
         assert out[2] == done(3)    # a lone member ships raw
 
     def test_no_members_pass_through_untouched(self):
-        frames = [{"op": "error", "message": "x"}, {"op": "pong", "host": 0}]
+        frames = [{"op": "error", "message": "x"}, {"op": "bye", "host": 0}]
         assert decode(make_pipe(FOLD_DONES).encode(frames)) == frames
 
     def test_nothing_in_nothing_out(self):
@@ -240,8 +240,8 @@ class TestFold:
         pipe = make_pipe(FOLD_DONES, notes=notes)
         poisoned = {"op": "done", "req": 2, "kind": INSERT, "result": object()}
         out = decode(pipe.encode(
-            [done(1), poisoned, done(3), {"op": "pong", "host": 0}]))
-        assert out == [done(1), done(3), {"op": "pong", "host": 0}]
+            [done(1), poisoned, done(3), {"op": "bye", "host": 0}]))
+        assert out == [done(1), done(3), {"op": "bye", "host": 0}]
         assert [where for where, _detail in notes] == ["write"]
 
 
@@ -285,7 +285,7 @@ class TestUnfold:
 
     @pytest.mark.parametrize("size", [1, 3, 7, 4096])
     def test_members_arrive_in_order_at_any_chunk_boundary(self, size):
-        sent = [done(1), done(2), {"op": "pong", "host": 0}, done(3),
+        sent = [done(1), done(2), {"op": "bye", "host": 0}, done(3),
                 submit(4, tr=4), submit(5)]
         blob = (make_pipe(FOLD_DONES).encode(sent[:4])
                 + make_pipe(FOLD_SUBMITS).encode(sent[4:]))
@@ -327,7 +327,7 @@ class TestPipe:
             a, b, writer_a, _wb, _ga, got_b, _lost = joined()
             counted = []
             a.on_write = lambda frames, nbytes: counted.append((frames, nbytes))
-            sent = [done(1), done(2), {"op": "pong", "host": 0}, done(3)]
+            sent = [done(1), done(2), {"op": "bye", "host": 0}, done(3)]
             for frame in sent:
                 a.send(frame)
             await a.flushed()
@@ -350,8 +350,8 @@ class TestPipe:
         reqs = [row[0] if isinstance(row, list) else row
                 for frame in got_b
                 for row in (frame["dones"] if frame["op"] == "done_batch"
-                            else [frame.get("req", "pong")])]
-        assert reqs == [1, 2, "pong", 3, 4, 5]
+                            else [frame.get("req", "bye")])]
+        assert reqs == [1, 2, "bye", 3, 4, 5]
 
     def test_the_cap_bounds_one_write_not_the_order(self):
         async def scenario():
@@ -477,7 +477,7 @@ class TestPipe:
                            lost.append,
                            on_error=lambda *entry: notes.append(entry))
             a.start(reader, MemoryWriter())
-            good = encode_frame({"op": "ping"})
+            good = encode_frame({"op": "shutdown"})
             poisoned = (encode_frame({"op": "submit_batch", "subs": [[1, 2]]})
                         if wrapped else good[:4] + b"\xff" * (len(good) - 4))
             reader.feed_data(good + poisoned + good)
@@ -488,7 +488,7 @@ class TestPipe:
             return got_a, notes, alive
 
         got, notes, alive = asyncio.run(scenario())
-        assert got == [{"op": "ping"}, {"op": "ping"}] and alive
+        assert got == [{"op": "shutdown"}, {"op": "shutdown"}] and alive
         assert [where for where, _detail in notes] == ["read"]
 
     def test_an_unframeable_stream_is_noted_and_lost(self):
@@ -746,7 +746,7 @@ class TestHostConnections:
             await settle()
             outstanding = dict(host._submitters)
             writer.error = BrokenPipeError("client hung up")
-            conn.send({"op": "pong", "host": 0})
+            conn.send({"op": "bye", "host": 0})
             await settle()
             conn.send({"op": "done", "req": 8, "kind": INSERT, "result": None})
             state = (set(host.connections), set(host.clients),
@@ -760,7 +760,7 @@ class TestHostConnections:
         assert outstanding == {8: conn, 16: conn}
         assert state == (set(), set(), {}, 0)
         assert done and conn.closed and writer.closed and not errors
-        assert [f["op"] for f in writer.frames()] == ["welcome", "pong"]
+        assert [f["op"] for f in writer.frames()] == ["welcome", "bye"]
 
     def test_a_hello_is_answered_in_binary_and_names_no_codec(self):
         async def scenario():
@@ -790,7 +790,7 @@ class TestHostConnections:
                 streams.append((reader, writer))
             (http_in, http_out), (frames_in, frames_out) = streams
             chunked(http_in, b"GET /health HTTP/1.0\r\nHost: x\r\n\r\n", 2)
-            frames_in.feed_data(encode_frame({"op": "ping"}))
+            frames_in.feed_data(encode_frame({"op": "health"}))
             await settle()
             left = len(host.connections)
             await host._async_stop()
@@ -802,8 +802,10 @@ class TestHostConnections:
         health = json.loads(body)
         assert health["host"] == 0 and health["wired"] is True
         assert http_out.closed and left == 1  # the HTTP connection ended
-        (pong,) = frames_out.frames()
-        assert pong["op"] == "pong" and pong["host"] == 0
+        (answer,) = frames_out.frames()
+        # the frame and the route answer one payload
+        assert answer.pop("op") == "health" and answer["host"] == 0
+        assert set(answer) == set(health)
         assert not errors
 
     def test_a_connection_that_never_sends_a_byte_does_not_hold_up_a_stop(self):

@@ -526,23 +526,22 @@ class _RecordingWriter:
         self.closed = True
 
 
-def _get(host, target: str) -> tuple[bytes, dict]:
+async def _serve_get(host, target: str) -> tuple[bytes, dict]:
     """One GET through the listener's handler, socket-free: the status
     line and the JSON body of the answer."""
-
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(f"GET {target} HTTP/1.0\r\nHost: x\r\n\r\n".encode())
-        reader.feed_eof()
-        writer = _RecordingWriter()
-        # the data port read the first four bytes to tell HTTP from frames
-        await serve_http(host, await reader.readexactly(4), reader, writer)
-        return writer
-
-    writer = asyncio.run(run())
+    reader = asyncio.StreamReader()
+    reader.feed_data(f"GET {target} HTTP/1.0\r\nHost: x\r\n\r\n".encode())
+    reader.feed_eof()
+    writer = _RecordingWriter()
+    # the data port read the first four bytes to tell HTTP from frames
+    await serve_http(host, await reader.readexactly(4), reader, writer)
     assert writer.closed
     head, _, body = writer.data.partition(b"\r\n\r\n")
     return head.split(b"\r\n")[0], json.loads(body)
+
+
+def _get(host, target: str) -> tuple[bytes, dict]:
+    return asyncio.run(_serve_get(host, target))
 
 
 class TestOpsHttp:
@@ -559,3 +558,45 @@ class TestOpsHttp:
         status, body = _get(self.HOST, "/trace?req=7")
         assert status == b"HTTP/1.0 404 Not Found"
         assert "req 7" in body["error"]
+
+    def test_status_is_no_route(self):
+        status, body = _get(self.HOST, "/status")
+        assert status == b"HTTP/1.0 404 Not Found"
+        assert "no route" in body["error"]
+
+
+class TestOneHealthPayload:
+    """``health`` is a host's one status answer: the frame (with or
+    without the ``detail`` older callers send) and ``GET /health`` carry
+    every field the deleted ``pong`` frame and ``/status`` route did."""
+
+    #: what `pong` carried (its `joining` is `joining_pids`)
+    PONG = {"host", "wired", "joining_pids", "draining", "map_version",
+            "update_epoch"}
+    #: what `/status` added to `/health`
+    STATUS = {"hosts", "departed", "leaving", "pids", "joining_pids",
+              "update_epoch", "log"}
+
+    def test_frame_route_and_detail_answer_one_payload(self):
+        from repro.net.server import HostConfig, NodeHost
+
+        async def scenario():
+            host = NodeHost(HostConfig(host_index=0, n_hosts=1, n_processes=2))
+            host.wire_genesis(ClusterMap.genesis({0: ("127.0.0.1", 1)}, 2))
+            host.control.note("wired for the test")
+            sent = []
+            conn = SimpleNamespace(send=sent.append)
+            host._on_health(conn, {"op": "health"}, 0.0)
+            host._on_health(conn, {"op": "health", "detail": "status"}, 0.0)
+            route = await _serve_get(host, "/health")
+            await host._async_stop()
+            return sent, route
+
+        (plain, detailed), (status, routed) = asyncio.run(scenario())
+        assert status == b"HTTP/1.0 200 OK"
+        assert plain.pop("op") == detailed.pop("op") == "health"
+        assert set(plain) == set(detailed) == set(routed)
+        assert self.PONG | self.STATUS <= set(routed)
+        assert routed["hosts"] == {"0": ["127.0.0.1", 1]}
+        assert routed["pids"] == [0, 1] and routed["joining_pids"] == []
+        assert plain["log"][-1].endswith("wired for the test")

@@ -200,6 +200,43 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
     asyncio.run(scenario())
 
 
+def test_net_work_queued_before_a_reset_or_close_is_dropped():
+    """A delivery or arrival TIMEOUT queued for a torn-down shard reaches
+    neither a respawned actor of the same id (``reset``) nor the peer
+    links (``close``); one queued after the reset is delivered."""
+    shipped = []
+    loop = asyncio.new_event_loop()
+    runtime = NetRuntime(
+        send_remote=lambda *message: shipped.append(message),
+        timeout_lag=0.01,
+        sweep_seconds=0,
+    )
+    runtime.start(loop)
+    try:
+        old = _Recorder(7, runtime)
+        runtime.add_actor(old)
+        runtime.send(7, A_SERVE, ("pre-crash",))
+        runtime.request_timeout(7, arrival=True)
+        runtime.reset()
+        respawned = _Recorder(7, runtime)
+        runtime.add_actor(respawned)
+        runtime.request_timeout(7)  # the respawned actor's own, paced
+        runtime.send(7, A_SERVE, ("post-crash",))
+        loop.run_until_complete(asyncio.sleep(0.05))
+        assert (old.seen, old.timeouts) == ([], 0)
+        assert respawned.seen == [(A_SERVE, ("post-crash",))]
+        assert respawned.timeouts == 1  # the paced one, not the stale one
+        runtime.send(7, A_SERVE, ("pre-close",))
+        runtime.request_timeout(7, arrival=True)
+        runtime.close()
+        loop.run_until_complete(asyncio.sleep(0.05))
+        assert shipped == []
+        assert (len(respawned.seen), respawned.timeouts) == (1, 1)
+    finally:
+        runtime.close()
+        loop.close()
+
+
 @pytest.mark.parametrize("factory", [SyncRunner, AsyncRunner],
                          ids=["sync", "async"])
 def test_nothing_polls(factory):

@@ -27,14 +27,17 @@ from repro.experiments.harness import run_experiment
 from repro.net.client import SkueueClient
 from repro.net.launcher import launch_local, main
 from repro.net.server import PER_HOST_FIELDS, HostConfig
+from repro.net.transport import FRAME_TYPES
 from repro.ops.detector import FailureDetector
+from repro.ops.health import ROUTES
 from repro.sim import AsyncRunner, SyncRunner
+from repro.telemetry import Tracer
 from repro.verify.models import QueueModel
 
 HOST_CONFIG_FIELDS = (
     "host_index", "n_hosts", "n_processes", "seed", "bind_host", "port",
     "round_seconds", "epoch", "structure", "id_slots", "n_priorities",
-    "owned", "trace_sample", "trace_slow_ms",
+    "owned", "trace_sample",
 )
 
 
@@ -60,7 +63,7 @@ class TestOptionCensus:
     def test_launch_local(self):
         assert _parameters(launch_local) == (
             "n_hosts", "n_processes", "seed", "structure", "round_seconds",
-            "id_slots", "n_priorities", "trace_sample", "trace_slow_ms",
+            "id_slots", "n_priorities", "trace_sample",
         )
 
     def test_skueue_client(self):
@@ -127,7 +130,21 @@ class TestOptionCensus:
         names = set()
         for source in root.rglob("*.py"):
             names.update(re.findall(r"SKUEUE_[A-Z_]+", source.read_text()))
-        assert names == {"SKUEUE_PROFILE"}
+        assert names == set()
+
+    def test_tracer(self):
+        # ring sizes and the span cap are class constants; the slow ring
+        # sets its own threshold
+        assert _parameters(Tracer.__init__) == (
+            "sample_rate", "clock", "host", "time_scale", "phase_buckets",
+        )
+
+    def test_frame_types(self):
+        assert len(FRAME_TYPES) == 37
+        assert not {"ping", "pong"} & set(FRAME_TYPES)
+
+    def test_http_routes(self):
+        assert ROUTES == ("/health", "/metrics", "/trace", "/profile")
 
 
 class TestHostConfigStatedOnce:
@@ -139,7 +156,7 @@ class TestHostConfigStatedOnce:
             host_index=2, n_hosts=3, n_processes=9, seed=7,
             bind_host="0.0.0.0", port=4001, round_seconds=0.02, epoch=12.5,
             structure="heap", id_slots=16, n_priorities=6, owned=[9, 10],
-            trace_sample=0.25, trace_slow_ms=40.0,
+            trace_sample=0.25,
         )
 
     def test_every_field_is_off_default(self):
@@ -171,6 +188,7 @@ class TestHostConfigStatedOnce:
     @pytest.mark.parametrize("name", [
         "timeout_lag", "sweep_seconds", "salt", "heartbeat_seconds",
         "miss_threshold", "confirm_seconds", "replication", "ops_port",
+        "trace_slow_ms",
     ])
     def test_a_removed_key_is_refused(self, name):
         data = self._off_default().to_json()

@@ -1,4 +1,4 @@
-"""The telemetry plane: registry, tracer, profiling hooks, exporters.
+"""The telemetry plane: registry, tracer, live profiling, exporters.
 
 Everything here runs without a deployment — the TCP wiring is covered
 by tests/net/test_telemetry_net.py; this file pins the pure layer's
@@ -29,9 +29,7 @@ from repro.telemetry import (
     MetricsRegistry,
     Tracer,
     capture_profile,
-    maybe_profile,
     merge_traces,
-    profile_env_prefix,
     render_run_metrics,
     trace_sampled,
     validate_chrome_trace,
@@ -198,7 +196,7 @@ class TestTracer:
 
     def test_wire_tagged_continuation_via_ensure(self):
         # a rate-0 tracer (a transit host) still opens spans on demand
-        t = Tracer(0.0, clock=_clock([0, 1, 2, 3]), auto=False)
+        t = Tracer(0.0, clock=_clock([0, 1, 2, 3]))
         t.ensure(99)
         t.hop(99, 5)
         t.hop(99, 6)
@@ -219,7 +217,7 @@ class TestTracer:
 
     def test_expire_sweeps_stale_transit_spans(self):
         t = Tracer(0.0, clock=_clock([0.0, 1.0, 2.0, 100.0, 100.0]),
-                   auto=False, time_scale=1e6)
+                   time_scale=1e6)
         t.ensure(1)
         t.hop(1, 3)
         swept = t.expire(30.0)  # clock is at 100s; span opened at 1s
@@ -228,17 +226,41 @@ class TestTracer:
         assert any(e["name"] == "hop@3" for e in t.export()["traceEvents"])
 
     def test_max_active_sheds_oldest(self):
-        t = Tracer(1.0, max_active=2)
+        t = Tracer(1.0)
+        t.MAX_ACTIVE = 2
         for req in (1, 2, 3):
             t.on_submit(req)
         assert t.dropped == 1 and not t.active(1) and t.active(3)
 
-    def test_slow_ring_catches_threshold(self):
-        t = Tracer(1.0, clock=_clock([0.0, 0.0, 0.0, 10.0]), slow_ms=5.0,
-                   time_scale=1e3)  # clock in ms
-        t.on_submit(7)
-        t.finish(7)
-        assert len(t.slow) == 1 and t.slow[0]["req"] == 7
+    @staticmethod
+    def _timed(t: Tracer, now: list, req: int, seconds: float) -> None:
+        t.on_submit(req)
+        now[0] += seconds
+        t.finish(req)
+
+    def test_the_slow_ring_takes_an_op_at_or_past_the_running_p99(self):
+        now = [0.0]
+        t = Tracer(1.0, clock=lambda: now[0])
+        self._timed(t, now, 1, 0.010)  # nothing before it: the p99 is 0
+        for req in range(2, 101):
+            self._timed(t, now, req, 0.010)
+        slow = len(t.slow)
+        self._timed(t, now, 101, 0.001)  # under the running p99
+        assert len(t.slow) == slow and t.slow[0]["req"] == 1
+        self._timed(t, now, 102, 0.5)    # past it
+        assert len(t.slow) == slow + 1 and t.slow[-1]["req"] == 102
+        assert len(t.recent) == 102
+
+    def test_the_slow_ring_keeps_the_64_most_recent(self):
+        # past the last bucket the p99 estimate is the largest op so far:
+        # each op longer than every one before it is slow
+        now = [0.0]
+        t = Tracer(1.0, clock=lambda: now[0])
+        for req in range(1, Tracer.SLOW_RING + 11):
+            self._timed(t, now, req, 100.0 + req)
+        self._timed(t, now, 999, 100.0)
+        assert Tracer.SLOW_RING == 64
+        assert [r["req"] for r in t.slow] == list(range(11, 75))
 
     def test_merge_traces_keeps_host_lanes(self):
         t0 = Tracer(1.0, clock=_clock([0, 1]), host=0)
@@ -418,31 +440,10 @@ class TestExampleTrace:
         assert len({e["pid"] for e in data["traceEvents"]}) == 3  # host lanes
 
 
-# -- profiling hooks ----------------------------------------------------------
+# -- live profiling ------------------------------------------------------------
 
 
 class TestProfiling:
-    def test_profile_env_prefix_reads_the_env(self, monkeypatch):
-        monkeypatch.delenv("SKUEUE_PROFILE", raising=False)
-        assert profile_env_prefix() is None
-        monkeypatch.setenv("SKUEUE_PROFILE", "/tmp/run")
-        assert profile_env_prefix() == "/tmp/run"
-
-    def test_maybe_profile_writes_a_prof_file(self, tmp_path):
-        prefix = str(tmp_path / "prof")
-        with maybe_profile(prefix, 2):
-            sum(range(1000))
-        stats = tmp_path / "prof-host2.prof"
-        assert stats.exists() and stats.stat().st_size > 0
-        import pstats
-
-        pstats.Stats(str(stats))  # parseable
-
-    def test_maybe_profile_off_is_a_no_op(self, tmp_path):
-        with maybe_profile(None, 0):
-            pass
-        assert list(tmp_path.iterdir()) == []
-
     def test_capture_profile_reports_loop_work(self):
         async def run():
             return await capture_profile(0.1, top=5)
