@@ -347,7 +347,8 @@ class ControlPlane:
         # fire-and-forget, so repeat them until the broadcast map shows
         # the entry
         if self.draining and self.index not in cluster.leaving:
-            self._send(cluster.coordinator, {"op": "leave", "host": self.index})
+            self._send(cluster.coordinator,
+                       {"op": "leave", "host": self.index, "gen": self.gen})
         fresh = {vid: target for vid, target in departed.items()
                  if cluster.forwards.get(vid) != target}
         if fresh:
@@ -437,11 +438,19 @@ class ControlPlane:
 
     # -- membership: leave -----------------------------------------------------
     def _on_leave(self, conn, message: dict, now: float) -> None:
-        target = message.get("host")
+        # an operator's leave carries no `gen`; a host's (the drainer's
+        # repeated notice, the coordinator's relay) carries the one it
+        # was sent in
+        target, gen = message.get("host"), message.get("gen", self.gen)
         cluster = self.cluster
-        if type(target) is not int:
-            conn.send({"op": "error",
-                       "message": f"leave needs an int host, not {target!r}"})
+        if type(target) is not int or type(gen) is not int:
+            conn.send({"op": "error", "message": f"leave needs an int host "
+                       f"and gen, not {target!r}, {gen!r}"})
+        elif gen != self.gen:
+            # sent before an eviction that cancelled the drain it asks
+            # for (held here through the recovery, or raced it): replayed,
+            # it would restart that drain on a respawned full member
+            return
         elif target == cluster.coordinator:
             conn.send({"op": "error",
                        "message": "the coordinator host cannot be drained"})
@@ -458,7 +467,8 @@ class ControlPlane:
             if target not in cluster.leaving:
                 self._publish(lambda m: m.start_drain(target), now)
                 # relay in case the operator talked to us only
-                self._send(target, {"op": "leave", "host": target})
+                self._send(target, {"op": "leave", "host": target,
+                                    "gen": self.gen})
             conn.send({"op": "leaving", "host": target})
         else:
             conn.send({

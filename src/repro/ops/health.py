@@ -36,9 +36,6 @@ from repro.telemetry import capture_profile
 
 __all__ = ["ROUTES", "build_health", "build_trace", "serve_http"]
 
-#: The path prefixes a host answers; any other path is ``404``.
-ROUTES = ("/health", "/metrics", "/trace", "/profile")
-
 
 def build_health(host) -> dict:
     """The one status payload: is this host alive, whom does it trust,
@@ -115,6 +112,38 @@ def build_trace(host, query: dict) -> tuple[str, dict]:
     return "200 OK", tracer.export()
 
 
+# -- one responder per route: (host, query) -> (status, content type, body) --
+
+async def _health(host, query: dict) -> tuple[str, str, bytes]:
+    body = json.dumps(build_health(host), default=str).encode()
+    return "200 OK", "application/json", body
+
+
+async def _metrics(host, query: dict) -> tuple[str, str, bytes]:
+    # Prometheus text exposition; the host renders its registry
+    # (duck-typed so simulators/tests can serve a stub host)
+    render = getattr(host, "metrics_text", None)
+    body = (render() if render is not None else "").encode()
+    return "200 OK", "text/plain; version=0.0.4", body
+
+
+async def _trace(host, query: dict) -> tuple[str, str, bytes]:
+    status, payload = build_trace(host, query)
+    return status, "application/json", json.dumps(payload, default=str).encode()
+
+
+async def _profile(host, query: dict) -> tuple[str, str, bytes]:
+    seconds = _query_number(query, "seconds", "2.0", float)
+    top = _query_number(query, "top", "40", int)
+    return "200 OK", "text/plain", (await capture_profile(seconds, top=top)).encode()
+
+
+#: The path prefixes a host answers, each with its responder; any other
+#: path is ``404``.
+ROUTES = {"/health": _health, "/metrics": _metrics, "/trace": _trace,
+          "/profile": _profile}
+
+
 async def serve_http(host, head: bytes, reader, writer) -> None:
     """Answer the one GET whose first bytes, ``head``, were already read."""
     try:
@@ -129,27 +158,12 @@ async def serve_http(host, head: bytes, reader, writer) -> None:
         path = split.path
         query = parse_qs(split.query)
         route = next((r for r in ROUTES if path.startswith(r)), None)
-        status, content_type = "200 OK", "application/json"
         try:
-            if route == "/health":
-                body = json.dumps(build_health(host), default=str).encode()
-            elif route == "/metrics":
-                # Prometheus text exposition; the host renders its registry
-                # (duck-typed so simulators/tests can serve a stub host)
-                content_type = "text/plain; version=0.0.4"
-                render = getattr(host, "metrics_text", None)
-                body = (render() if render is not None else "").encode()
-            elif route == "/trace":
-                status, payload = build_trace(host, query)
-                body = json.dumps(payload, default=str).encode()
-            elif route == "/profile":
-                seconds = _query_number(query, "seconds", "2.0", float)
-                top = _query_number(query, "top", "40", int)
-                content_type = "text/plain"
-                body = (await capture_profile(seconds, top=top)).encode()
-            else:
-                status = "404 Not Found"
+            if route is None:
+                status, content_type = "404 Not Found", "application/json"
                 body = json.dumps({"error": f"no route {path!r}"}).encode()
+            else:
+                status, content_type, body = await ROUTES[route](host, query)
         except _BadQuery as exc:
             status, content_type = "400 Bad Request", "application/json"
             body = json.dumps({"error": str(exc)}).encode()

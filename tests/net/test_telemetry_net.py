@@ -144,13 +144,19 @@ class TestLiveTelemetry:
         # no threshold to set: a host's first traced op is past the p99
         # of none, and each later one is weighed against those before it
         dep, _, _ = deployment
-        host, port = next(iter(dep.host_map.values()))
+        seed = "%s:%s" % next(iter(dep.host_map.values()))
         capsys.readouterr()
-        assert cli.main(["trace", "--seed", f"{host}:{port}", "--slow"]) == 0
+        assert cli.main(["trace", "--seed", seed, "--slow"]) == 0
         slow = json.loads(capsys.readouterr().out)
+        assert cli.main(["trace", "--seed", seed, "--recent"]) == 0
+        recent = json.loads(capsys.readouterr().out)
         assert slow and all(r["dur_ms"] > 0 for r in slow)
         assert [r["dur_ms"] for r in slow] == sorted(
             (r["dur_ms"] for r in slow), reverse=True)
+        # the rings hold every op the fixture drove (60, under either
+        # size): a rule that admitted every op would fill both alike
+        assert len(recent) == 60
+        assert 2 * len(slow) < len(recent), (len(slow), len(recent))
 
     def test_ops_top_once_renders_every_host(self, deployment, capsys):
         dep, _, _ = deployment

@@ -1003,6 +1003,59 @@ class TestChurnMeetsCrash:
         assert asked.ops == ["leaving"] and net.hosts[3].control.draining
         assert net.hosts[3].drains == 1 and net.hosts[3].drain_running
 
+    def test_a_notice_held_through_the_eviction_restarts_no_drain(self):
+        """The drainer's repeated ``leave`` notice, sent before the
+        eviction and held by the recovering coordinator, names the
+        generation the eviction ended: replayed after the rebuild it is
+        dropped, not relayed back to a respawned full member."""
+        net = Net(4)
+        net.run(1.0)
+        drainer = net.hosts[3]
+        net.shelve = lambda src, dest, frame: (
+            (frame["op"] == "leave" and src == 3)
+            or (frame["op"] == "recover_dump" and src == 2))
+        assert drainer.ask({"op": "leave", "host": 3}).ops == ["leaving"]
+        net.run(0.2)
+        assert {frame["gen"] for _, _, frame in net.shelved
+                if frame["op"] == "leave"} == {0}
+        net.kill(1)
+        net.run(1.6)
+        assert all(h.control.recovering for h in net.live)
+        assert not drainer.control.draining
+        net.release()    # the notices land on the recovering coordinator
+        net.run(0.5)
+        settled(net, 1)
+        assert not drainer.control.draining and drainer.drains == 1
+        assert all(not h.control.cluster.leaving for h in net.live)
+        # a relay of the new generation still drains it
+        assert net.hosts[0].ask({"op": "leave", "host": 3}).ops == ["leaving"]
+        net.pump()
+        assert drainer.control.draining and drainer.drains == 2
+
+    def test_a_relay_from_before_the_eviction_restarts_no_drain(self):
+        net = Net(4)
+        net.run(1.0)
+        drainer = net.hosts[3]
+        net.shelve = lambda src, dest, frame: (
+            frame["op"] == "leave" and src == 0)
+        assert net.hosts[0].ask({"op": "leave", "host": 3}).ops == ["leaving"]
+        net.kill(1)
+        net.run(3.0)
+        settled(net, 1)
+        net.release()
+        assert not drainer.control.draining and not drainer.drains
+        assert all(not h.control.cluster.leaving for h in net.live)
+
+    @pytest.mark.parametrize("bad", [None, "x", "1", True],
+                             ids=["none", "word", "digits", "bool"])
+    def test_a_leave_with_a_bad_gen_is_refused(self, bad):
+        net = Net(3)
+        net.run(0.5)
+        drainer = net.hosts[2]
+        asked = drainer.ask({"op": "leave", "host": 2, "gen": bad})
+        assert asked.ops == ["error"]
+        assert not drainer.control.draining and not drainer.drains
+
     def test_join_commit_landing_mid_recovery_is_held(self):
         """Decided, not assumed: published at once, the map would name a
         host that never entered recovery and the rebuild would wait for

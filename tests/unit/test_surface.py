@@ -144,7 +144,7 @@ class TestOptionCensus:
         assert not {"ping", "pong"} & set(FRAME_TYPES)
 
     def test_http_routes(self):
-        assert ROUTES == ("/health", "/metrics", "/trace", "/profile")
+        assert tuple(ROUTES) == ("/health", "/metrics", "/trace", "/profile")
 
 
 class TestHostConfigStatedOnce:
